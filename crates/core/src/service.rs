@@ -102,7 +102,7 @@ pub struct QueryHandle {
     pub id: QueryId,
     /// First actor id of the query's block (its scheduler).
     pub base_actor: u32,
-    admission: Admission,
+    admission: Admission<Msg>,
     result: Arc<Mutex<Option<JoinReport>>>,
     harness: TraceHarness,
     registry: MetricsRegistry,

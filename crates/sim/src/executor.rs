@@ -40,9 +40,12 @@
 //!
 //! The pool is **long-lived and multi-tenant**: an [`Executor`] outlives
 //! any single run and admits independent actor *groups* over its lifetime
-//! (one group per query in the join service). The slot table only grows;
-//! admissions publish a fresh snapshot and workers refresh their local
-//! snapshot lazily, so the hot path never takes the publish lock.
+//! (one group per query in the join service). Each group owns the slots
+//! of its own actor-id block; the only shared table is the list of *live*
+//! groups, republished at admission and when a group finishes, and workers
+//! follow it through a version-checked snapshot, so the hot path never
+//! takes the publish lock. On such a pool an actor's body and mailbox ring
+//! are freed the moment it dies: a finished query costs nothing.
 //!
 //! Scheduling state machine: every actor is `Idle`, `Queued` (in exactly
 //! one run queue), `Running` (owned by exactly one worker) or `Dead`.
@@ -63,7 +66,9 @@ use ehj_metrics::registry::names;
 use ehj_metrics::{Counter, Histogram, MetricsRegistry};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{
+    AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -152,6 +157,9 @@ pub struct ExecutorStats {
     pub max_mailbox_depth: u64,
     /// Timer-wheel fires delivered (each charged its wire bytes).
     pub timer_fires: u64,
+    /// Sends addressed outside the sender's own actor-id block, dropped
+    /// (a protocol bug; zero in a healthy run).
+    pub misrouted: u64,
 }
 
 enum Env<M> {
@@ -206,12 +214,14 @@ impl WorkerMetrics {
     }
 }
 
-/// Per-admission (per-query) state shared by the slots of one group: the
-/// group-scoped stop flag, the live count that signals completion, and the
-/// group's own traffic totals.
-struct GroupState {
-    /// The group's dense actor-id block.
-    members: Vec<ActorId>,
+/// Per-admission (per-query) state: the group's own block of actor slots,
+/// the group-scoped stop flag, the live count that signals completion, and
+/// the group's own traffic totals.
+struct GroupState<M: Message> {
+    /// First id of the group's dense actor-id block; actor `base + i`
+    /// lives in `slots[i]`.
+    base: ActorId,
+    slots: Box<[Slot<M>]>,
     /// Scheduling weight: this group's share of worker time relative to
     /// other runnable groups (deficit-weighted round-robin). Minimum 1.
     weight: u64,
@@ -220,9 +230,9 @@ struct GroupState {
     /// no runnable group has any deficit left. Clamped at minus one full
     /// quantum so a solo group's overdraw stays bounded.
     deficit: AtomicI64,
-    /// This group's ready actors, one queue per worker (the DRR scheduler
-    /// picks a group first, then pops/steals within it).
-    queues: Vec<Mutex<VecDeque<ActorId>>>,
+    /// This group's ready actors (slot indices), one queue per worker (the
+    /// DRR scheduler picks a group first, then pops/steals within it).
+    queues: Vec<Mutex<VecDeque<u32>>>,
     /// Ready actors across all of this group's queues (fast runnable
     /// check; updated under the owning queue's lock).
     queued: AtomicUsize,
@@ -232,6 +242,7 @@ struct GroupState {
     live: AtomicUsize,
     net_bytes: AtomicU64,
     net_messages: AtomicU64,
+    /// Admission time: the zero of the group's [`Context::now`] clock.
     admitted: Instant,
     /// `Some(elapsed)` once every member retired.
     done: Mutex<Option<Duration>>,
@@ -244,15 +255,22 @@ struct GroupState {
     payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
-impl GroupState {
+impl<M: Message> GroupState<M> {
     fn charge(&self, bytes: u64) {
         self.net_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.net_messages.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Resolves a global actor id inside this group's block; `None` for an
+    /// id that belongs to another group.
+    fn local(&self, id: ActorId) -> Option<u32> {
+        let local = id.wrapping_sub(self.base);
+        ((local as usize) < self.slots.len()).then_some(local)
+    }
+
     /// Pushes a ready actor into this group's queue for `worker` (front
     /// when `hot`).
-    fn push_ready(&self, worker: usize, actor: ActorId, hot: bool) {
+    fn push_ready(&self, worker: usize, actor: u32, hot: bool) {
         let mut q = self.queues[worker].lock().expect("group run queue");
         if hot {
             q.push_front(actor);
@@ -263,7 +281,7 @@ impl GroupState {
         drop(q);
     }
 
-    fn pop_ready(&self, worker: usize) -> Option<ActorId> {
+    fn pop_ready(&self, worker: usize) -> Option<u32> {
         let mut q = self.queues[worker].lock().expect("group run queue");
         let actor = q.pop_front();
         if actor.is_some() {
@@ -272,7 +290,7 @@ impl GroupState {
         actor
     }
 
-    fn steal_ready(&self, victim: usize) -> Option<ActorId> {
+    fn steal_ready(&self, victim: usize) -> Option<u32> {
         let mut q = self.queues[victim].lock().expect("group run queue");
         let actor = q.pop_back();
         if actor.is_some() {
@@ -318,61 +336,62 @@ struct SlotBody<M: Message> {
     started: bool,
 }
 
+/// A group's slots sit side by side in one block, so each is padded to
+/// its own cache lines: two workers running neighbouring actors must not
+/// contend on a shared line.
+#[repr(align(128))]
 struct Slot<M: Message> {
     mailbox: Mailbox<Env<M>>,
     state: AtomicU8,
+    /// `None` once the actor died on a long-lived pool (batch pools keep
+    /// the body for [`run_actors`] to hand back).
     body: Mutex<Option<SlotBody<M>>>,
-    group: Arc<GroupState>,
 }
 
-struct Armed<M> {
+/// An armed timer holds its target's group directly, so a fire after the
+/// group retired finds a dead slot and is dropped — never another group.
+struct Armed<M: Message> {
     deadline: Instant,
     seq: u64,
-    target: ActorId,
+    group: Arc<GroupState<M>>,
+    target: u32,
     msg: M,
 }
 
-impl<M> PartialEq for Armed<M> {
+impl<M: Message> PartialEq for Armed<M> {
     fn eq(&self, o: &Self) -> bool {
         self.deadline == o.deadline && self.seq == o.seq
     }
 }
-impl<M> Eq for Armed<M> {}
-impl<M> PartialOrd for Armed<M> {
+impl<M: Message> Eq for Armed<M> {}
+impl<M: Message> PartialOrd for Armed<M> {
     fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(o))
     }
 }
-impl<M> Ord for Armed<M> {
+impl<M: Message> Ord for Armed<M> {
     fn cmp(&self, o: &Self) -> std::cmp::Ordering {
         self.deadline.cmp(&o.deadline).then(self.seq.cmp(&o.seq))
     }
 }
 
-/// The published slot table: append-only, re-published as a whole on every
-/// admission. Workers hold a local snapshot and refresh it only when they
-/// meet an actor id past its end, so steady-state slot lookups are one
-/// index into an owned `Arc`.
-type Slots<M> = Arc<Vec<Arc<Slot<M>>>>;
-
-/// The published group table: live groups only (finished groups are pruned
-/// at the next admission), re-published as a whole. Workers hold a local
-/// snapshot refreshed via a version counter, so steady-state scheduling
-/// never takes the publish lock.
-type Groups = Arc<Vec<Arc<GroupState>>>;
+/// The published group table: live groups only (a group leaves it the
+/// moment its last member retires), re-published as a whole. Workers hold
+/// a local `(version, table)` snapshot refreshed via a version counter, so
+/// steady-state scheduling never takes the publish lock.
+type Groups<M> = Arc<Vec<Arc<GroupState<M>>>>;
 
 struct Shared<M: Message> {
-    /// Publish point of the slot table (cold path: admissions and snapshot
-    /// refreshes only).
-    slots: Mutex<Slots<M>>,
     /// Publish point of the group table (see [`Groups`]).
-    groups: Mutex<Groups>,
+    groups: Mutex<Groups<M>>,
     /// Bumped on every group-table publish; workers compare against their
     /// snapshot's version before scanning.
     groups_version: AtomicU64,
     /// Global round-robin cursor over the group table (fairness of the
     /// scan start, not correctness).
     rr_cursor: AtomicUsize,
+    /// First actor id of the next admitted block.
+    next_base: AtomicU32,
     timers: Vec<Mutex<BinaryHeap<Reverse<Armed<M>>>>>,
     idle_lock: Mutex<()>,
     wake: Condvar,
@@ -380,7 +399,8 @@ struct Shared<M: Message> {
     /// Pool shutdown (workers exit). Distinct from any group's stop flag.
     shutdown: AtomicBool,
     /// Batch mode ([`run_actors`]): shut the pool down when the last live
-    /// actor retires. Service pools keep workers parked instead.
+    /// actor retires, and keep dead actors' bodies for the caller. Service
+    /// pools keep workers parked and free each actor as it dies.
     exit_when_idle: bool,
     live: AtomicUsize,
     workers: usize,
@@ -392,19 +412,18 @@ struct Shared<M: Message> {
     parks: AtomicU64,
     overflows: AtomicU64,
     timer_fires: AtomicU64,
+    misrouted: AtomicU64,
+    /// High-water mark of any mailbox's depth over the pool's lifetime.
+    max_depth: AtomicUsize,
     sched_picks: AtomicU64,
     preemptions: AtomicU64,
     worker_metrics: Vec<WorkerMetrics>,
 }
 
 impl<M: Message> Shared<M> {
-    fn snapshot(&self) -> Slots<M> {
-        Arc::clone(&self.slots.lock().expect("slot table"))
-    }
-
     /// Refreshes a worker's `(version, table)` group snapshot if a newer
     /// table was published.
-    fn groups_snapshot(&self, cache: &mut (u64, Groups)) {
+    fn groups_snapshot(&self, cache: &mut (u64, Groups<M>)) {
         let version = self.groups_version.load(Ordering::Acquire);
         if cache.0 != version {
             cache.1 = Arc::clone(&self.groups.lock().expect("group table"));
@@ -412,19 +431,22 @@ impl<M: Message> Shared<M> {
         }
     }
 
-    /// Looks `id` up in `cache`, refreshing the snapshot if the id is past
-    /// its end (it was admitted after the snapshot was taken).
-    fn slot<'c>(&self, cache: &'c mut Slots<M>, id: ActorId) -> &'c Arc<Slot<M>> {
-        if id as usize >= cache.len() {
-            *cache = self.snapshot();
+    /// Republishes the live-group table with `group` added or removed.
+    fn publish(&self, group: &Arc<GroupState<M>>, add: bool) {
+        let mut table = self.groups.lock().expect("group table");
+        let mut next = Vec::with_capacity(table.len() + 1);
+        next.extend(table.iter().filter(|g| !Arc::ptr_eq(g, group)).cloned());
+        if add {
+            next.push(Arc::clone(group));
         }
-        &cache[id as usize]
+        *table = Arc::new(next);
+        self.groups_version.fetch_add(1, Ordering::Release);
     }
 
     /// Pushes `actor` into its group's run queue for `worker` (front when
     /// `hot`: the LIFO slot for freshly-readied work) and wakes a parked
     /// worker if any. The caller must own the transition into `QUEUED`.
-    fn enqueue_ready(&self, group: &GroupState, worker: usize, actor: ActorId, hot: bool) {
+    fn enqueue_ready(&self, group: &GroupState<M>, worker: usize, actor: u32, hot: bool) {
         group.push_ready(worker, actor, hot);
         if self.idle_count.load(Ordering::SeqCst) > 0 {
             let _g = self.idle_lock.lock().expect("idle lock");
@@ -433,33 +455,37 @@ impl<M: Message> Shared<M> {
     }
 
     /// Makes `actor` runnable if it is idle.
-    fn try_schedule(&self, cache: &mut Slots<M>, worker: usize, actor: ActorId) {
-        let slot = self.slot(cache, actor);
-        if slot
+    fn try_schedule(&self, group: &GroupState<M>, worker: usize, actor: u32) {
+        if group.slots[actor as usize]
             .state
             .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            let group = Arc::clone(&slot.group);
-            self.enqueue_ready(&group, worker, actor, true);
+            self.enqueue_ready(group, worker, actor, true);
         }
     }
 
-    /// Delivers a coalesced batch to `to`'s mailbox and schedules it.
-    /// `no_wait` skips backpressure (self-sends and timer fires must not
-    /// stall the worker that would drain the very queue it waits on). A
-    /// stop of the *destination's own group* also lifts backpressure —
+    fn note_depth(&self, depth: usize) {
+        if depth > self.max_depth.load(Ordering::Relaxed) {
+            self.max_depth.fetch_max(depth, Ordering::Relaxed);
+        }
+    }
+
+    /// Delivers a coalesced batch to slot `to` of `group` and schedules
+    /// it. `no_wait` skips backpressure (self-sends and timer fires must
+    /// not stall the worker that would drain the very queue it waits on).
+    /// A stop of the *destination's own group* also lifts backpressure —
     /// that group is quiescing and its mailboxes close shortly — while
     /// other groups keep full blocking semantics.
     fn deliver(
         &self,
-        cache: &mut Slots<M>,
+        group: &GroupState<M>,
         worker: usize,
-        to: ActorId,
+        to: u32,
         batch: &mut Vec<Env<M>>,
         no_wait: bool,
     ) {
-        let slot = Arc::clone(self.slot(cache, to));
+        let slot = &group.slots[to as usize];
         if slot.state.load(Ordering::Acquire) == DEAD {
             // Like sending on a closed channel in the old runtime: the
             // receiver exited after a stop; dropping is correct.
@@ -468,7 +494,7 @@ impl<M: Message> Shared<M> {
         }
         let report = slot
             .mailbox
-            .push_batch(batch, no_wait || slot.group.stop.load(Ordering::Relaxed));
+            .push_batch(batch, no_wait || group.stop.load(Ordering::Relaxed));
         if report.parks > 0 {
             self.parks.fetch_add(report.parks, Ordering::Relaxed);
         }
@@ -476,10 +502,11 @@ impl<M: Message> Shared<M> {
             self.overflows
                 .fetch_add(report.overflows, Ordering::Relaxed);
         }
+        self.note_depth(report.depth);
         self.worker_metrics[worker]
             .mailbox_depth
             .record(report.depth as u64);
-        self.try_schedule(cache, worker, to);
+        self.try_schedule(group, worker, to);
     }
 
     /// Charges one message's wire bytes to the pool totals (identical to
@@ -491,7 +518,7 @@ impl<M: Message> Shared<M> {
     }
 
     /// Fires every due timer in `wheel`; returns how many fired.
-    fn fire_wheel(&self, cache: &mut Slots<M>, worker: usize, wheel: usize) -> usize {
+    fn fire_wheel(&self, worker: usize, wheel: usize) -> usize {
         let now = Instant::now();
         let mut due = Vec::new();
         {
@@ -509,15 +536,13 @@ impl<M: Message> Shared<M> {
             // Timer fires are real self-sends: charge their wire bytes so
             // `ThreadedSummary`'s "timer fires included" promise holds.
             self.charge(&armed.msg);
-            self.slot(cache, armed.target)
-                .group
-                .charge(armed.msg.wire_bytes());
+            armed.group.charge(armed.msg.wire_bytes());
             self.timer_fires.fetch_add(1, Ordering::Relaxed);
             let mut one = vec![Env::Msg {
-                from: armed.target,
+                from: armed.group.base + armed.target,
                 msg: armed.msg,
             }];
-            self.deliver(cache, worker, armed.target, &mut one, true);
+            self.deliver(&armed.group, worker, armed.target, &mut one, true);
         }
         fired
     }
@@ -535,18 +560,15 @@ impl<M: Message> Shared<M> {
             .min()
     }
 
-    fn has_queued_work(&self) -> bool {
-        let groups = Arc::clone(&self.groups.lock().expect("group table"));
-        groups.iter().any(|g| g.queued.load(Ordering::SeqCst) > 0)
-    }
-
-    /// Whether any group other than `me` has runnable work (the
-    /// competition check behind a preemption decision).
-    fn other_group_runnable(&self, me: &Arc<GroupState>) -> bool {
-        let groups = Arc::clone(&self.groups.lock().expect("group table"));
-        groups
-            .iter()
-            .any(|g| !Arc::ptr_eq(g, me) && g.queued.load(Ordering::SeqCst) > 0)
+    /// Whether any group other than `me` (any group at all for `None`) has
+    /// runnable work: the idle re-check before a park and the competition
+    /// check behind every preemption decision. Reads the calling worker's
+    /// snapshot, so steady-state scheduling takes no shared lock.
+    fn group_runnable(&self, cache: &mut (u64, Groups<M>), me: Option<&GroupState<M>>) -> bool {
+        self.groups_snapshot(cache);
+        cache.1.iter().any(|g| {
+            !me.is_some_and(|me| std::ptr::eq(&**g, me)) && g.queued.load(Ordering::SeqCst) > 0
+        })
     }
 
     /// Flips the shutdown flag and wakes every parked worker.
@@ -560,13 +582,34 @@ impl<M: Message> Shared<M> {
     /// Enqueues a stop sentinel in every mailbox of `group` and schedules
     /// the members so the sentinels are consumed promptly. The caller must
     /// own the `false -> true` transition of `group.stop`.
-    fn post_group_sentinels(&self, cache: &mut Slots<M>, worker: usize, group: &GroupState) {
-        for &id in &group.members {
-            self.slot(cache, id).mailbox.push_control(Env::Stop);
-            self.try_schedule(cache, worker, id);
+    fn post_group_sentinels(&self, group: &GroupState<M>, worker: usize) {
+        for (id, slot) in (0..).zip(group.slots.iter()) {
+            slot.mailbox.push_control(Env::Stop);
+            self.try_schedule(group, worker, id);
         }
         let _g = self.idle_lock.lock().expect("idle lock");
         self.wake.notify_all();
+    }
+
+    /// Retires the dead actor in slot `actor` of `group`: frees its body
+    /// (long-lived pools only) and mailbox ring, and — when it was the
+    /// group's last — unpublishes the group and signals completion.
+    fn retire(&self, group: &Arc<GroupState<M>>, actor: u32) {
+        let slot = &group.slots[actor as usize];
+        slot.state.store(DEAD, Ordering::Release);
+        slot.mailbox.close();
+        if !self.exit_when_idle {
+            *slot.body.lock().expect("actor slot") = None;
+        }
+        // Pool count first: whoever `finish` wakes sees both at rest.
+        let pool_idle = self.live.fetch_sub(1, Ordering::AcqRel) == 1;
+        if group.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.publish(group, false);
+            group.finish();
+        }
+        if pool_idle && self.exit_when_idle {
+            self.request_shutdown();
+        }
     }
 }
 
@@ -585,15 +628,15 @@ pub struct Executor<M: Message> {
 
 /// Handle to one admitted group: its actor-id block plus the private
 /// completion/cancel state. Obtained from [`Executor::admit`].
-pub struct Admission {
+pub struct Admission<M: Message> {
     /// First actor id of the group's dense block.
     pub base: ActorId,
     /// Number of actors in the block.
     pub count: usize,
-    group: Arc<GroupState>,
+    group: Arc<GroupState<M>>,
 }
 
-impl Admission {
+impl<M: Message> Admission<M> {
     /// Attaches a resource to the group's lifetime: it is dropped the
     /// moment the group's last actor retires (immediately, if the group
     /// already finished) — not when this `Admission` is reaped. Use for
@@ -628,10 +671,10 @@ impl<M: Message> Executor<M> {
     fn start_inner(cfg: &ExecutorConfig, metrics: &MetricsRegistry, exit_when_idle: bool) -> Self {
         let workers = cfg.effective_workers().max(1);
         let shared = Arc::new(Shared {
-            slots: Mutex::new(Arc::new(Vec::new())),
             groups: Mutex::new(Arc::new(Vec::new())),
             groups_version: AtomicU64::new(0),
             rr_cursor: AtomicUsize::new(0),
+            next_base: AtomicU32::new(0),
             timers: (0..workers)
                 .map(|_| Mutex::new(BinaryHeap::new()))
                 .collect(),
@@ -650,6 +693,8 @@ impl<M: Message> Executor<M> {
             parks: AtomicU64::new(0),
             overflows: AtomicU64::new(0),
             timer_fires: AtomicU64::new(0),
+            misrouted: AtomicU64::new(0),
+            max_depth: AtomicUsize::new(0),
             sched_picks: AtomicU64::new(0),
             preemptions: AtomicU64::new(0),
             worker_metrics: (0..workers)
@@ -678,7 +723,7 @@ impl<M: Message> Executor<M> {
     /// Admits `actors` as one new group at the next free actor-id block.
     /// The actors must address peers relative to the base id this returns —
     /// use [`Executor::admit_with`] when they need the base to be built.
-    pub fn admit(&self, actors: Vec<Box<dyn Actor<M>>>, mailbox_capacity: usize) -> Admission {
+    pub fn admit(&self, actors: Vec<Box<dyn Actor<M>>>, mailbox_capacity: usize) -> Admission<M> {
         self.admit_with(actors.len(), mailbox_capacity, move |_| actors)
     }
 
@@ -688,7 +733,7 @@ impl<M: Message> Executor<M> {
     ///
     /// # Panics
     /// Panics if `build` returns a different number of actors.
-    pub fn admit_with<F>(&self, count: usize, mailbox_capacity: usize, build: F) -> Admission
+    pub fn admit_with<F>(&self, count: usize, mailbox_capacity: usize, build: F) -> Admission<M>
     where
         F: FnOnce(ActorId) -> Vec<Box<dyn Actor<M>>>,
     {
@@ -697,7 +742,9 @@ impl<M: Message> Executor<M> {
 
     /// [`Executor::admit_with`] with an explicit scheduling weight: the
     /// group's share of worker time relative to other runnable groups
-    /// under deficit-weighted round-robin (`0` is treated as `1`).
+    /// under deficit-weighted round-robin (`0` is treated as `1`). The
+    /// cost is linear in `count` and in the groups live right now —
+    /// independent of how many groups the pool has ever run.
     ///
     /// # Panics
     /// Panics if `build` returns a different number of actors.
@@ -707,73 +754,56 @@ impl<M: Message> Executor<M> {
         mailbox_capacity: usize,
         weight: u64,
         build: F,
-    ) -> Admission
+    ) -> Admission<M>
     where
         F: FnOnce(ActorId) -> Vec<Box<dyn Actor<M>>>,
     {
         let shared = &self.shared;
         let weight = weight.max(1);
-        let group;
-        let base;
-        {
-            let mut published = shared.slots.lock().expect("slot table");
-            base = published.len() as ActorId;
-            let actors = build(base);
-            assert_eq!(actors.len(), count, "admitted actor count mismatch");
-            group = Arc::new(GroupState {
-                members: (base..base + count as ActorId).collect(),
-                weight,
-                // A fresh group starts with one full round of deficit so
-                // it is immediately runnable.
-                deficit: AtomicI64::new(weight as i64 * GROUP_QUANTUM),
-                queues: (0..shared.workers)
-                    .map(|_| Mutex::new(VecDeque::new()))
-                    .collect(),
-                queued: AtomicUsize::new(0),
-                stop: AtomicBool::new(false),
-                live: AtomicUsize::new(count),
-                net_bytes: AtomicU64::new(0),
-                net_messages: AtomicU64::new(0),
-                admitted: Instant::now(),
-                done: Mutex::new(None),
-                done_cv: Condvar::new(),
-                payload: Mutex::new(None),
-            });
-            let mut next: Vec<Arc<Slot<M>>> = published.iter().cloned().collect();
-            next.extend(actors.into_iter().map(|actor| {
-                Arc::new(Slot {
-                    mailbox: Mailbox::new(mailbox_capacity.max(1)),
-                    // Seeded as QUEUED: every actor gets one start task.
-                    state: AtomicU8::new(QUEUED),
-                    body: Mutex::new(Some(SlotBody {
-                        actor,
-                        started: false,
-                    })),
-                    group: Arc::clone(&group),
-                })
-            }));
-            shared.live.fetch_add(count, Ordering::AcqRel);
-            *published = Arc::new(next);
-            // Publish the group table with finished groups pruned, so the
-            // scheduler's scan stays bounded by *concurrent* groups.
-            let mut table = shared.groups.lock().expect("group table");
-            let mut live: Vec<Arc<GroupState>> = table
-                .iter()
-                .filter(|g| g.live.load(Ordering::Acquire) > 0)
-                .cloned()
-                .collect();
-            live.push(Arc::clone(&group));
-            *table = Arc::new(live);
-            shared.groups_version.fetch_add(1, Ordering::Release);
-        }
+        let base = shared
+            .next_base
+            .fetch_add(count as ActorId, Ordering::Relaxed);
+        let actors = build(base);
+        assert_eq!(actors.len(), count, "admitted actor count mismatch");
+        let slots = actors.into_iter().map(|actor| Slot {
+            mailbox: Mailbox::new(mailbox_capacity.max(1)),
+            // Seeded as QUEUED: every actor gets one start task.
+            state: AtomicU8::new(QUEUED),
+            body: Mutex::new(Some(SlotBody {
+                actor,
+                started: false,
+            })),
+        });
+        let group = Arc::new(GroupState {
+            base,
+            slots: slots.collect(),
+            weight,
+            // A fresh group starts with one full round of deficit so
+            // it is immediately runnable.
+            deficit: AtomicI64::new(weight as i64 * GROUP_QUANTUM),
+            queues: (0..shared.workers)
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
+            queued: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            live: AtomicUsize::new(count),
+            net_bytes: AtomicU64::new(0),
+            net_messages: AtomicU64::new(0),
+            admitted: Instant::now(),
+            done: Mutex::new(None),
+            done_cv: Condvar::new(),
+            payload: Mutex::new(None),
+        });
         if count == 0 {
             group.finish();
         } else {
+            shared.live.fetch_add(count, Ordering::AcqRel);
             // Seed the start tasks round-robin so `on_start` work spreads
             // over the pool from the first instant.
-            for (id, q) in (base..base + count as ActorId).zip((0..shared.workers).cycle()) {
+            for (id, q) in (0..count as u32).zip((0..shared.workers).cycle()) {
                 group.push_ready(q, id, false);
             }
+            shared.publish(&group, true);
             let _g = shared.idle_lock.lock().expect("idle lock");
             shared.wake.notify_all();
         }
@@ -781,7 +811,7 @@ impl<M: Message> Executor<M> {
     }
 
     /// Blocks until every actor of `admission`'s group has retired.
-    pub fn wait(&self, admission: &Admission) -> GroupOutcome {
+    pub fn wait(&self, admission: &Admission<M>) -> GroupOutcome {
         let mut done = admission.group.done.lock().expect("group done lock");
         while done.is_none() {
             done = admission.group.done_cv.wait(done).expect("group done lock");
@@ -790,7 +820,11 @@ impl<M: Message> Executor<M> {
     }
 
     /// Like [`Executor::wait`] with a deadline; `None` on timeout.
-    pub fn wait_timeout(&self, admission: &Admission, timeout: Duration) -> Option<GroupOutcome> {
+    pub fn wait_timeout(
+        &self,
+        admission: &Admission<M>,
+        timeout: Duration,
+    ) -> Option<GroupOutcome> {
         let deadline = Instant::now() + timeout;
         let mut done = admission.group.done.lock().expect("group done lock");
         while done.is_none() {
@@ -808,7 +842,7 @@ impl<M: Message> Executor<M> {
         Some(Self::outcome(admission, done.expect("checked")))
     }
 
-    fn outcome(admission: &Admission, elapsed: Duration) -> GroupOutcome {
+    fn outcome(admission: &Admission<M>, elapsed: Duration) -> GroupOutcome {
         GroupOutcome {
             elapsed,
             net_bytes: admission.group.net_bytes.load(Ordering::Relaxed),
@@ -819,45 +853,24 @@ impl<M: Message> Executor<M> {
     /// Cancels a group from outside: equivalent to one of its actors
     /// calling [`Context::stop`] — sentinels land at the current mailbox
     /// tails, messages already enqueued are still delivered, everything
-    /// after is dropped. Idempotent; no-op on an already-stopping group.
-    pub fn cancel(&self, admission: &Admission) {
+    /// after is dropped. Idempotent; no-op on a stopping or finished group.
+    pub fn cancel(&self, admission: &Admission<M>) {
         if !admission.group.stop.swap(true, Ordering::AcqRel) {
-            let mut cache = self.shared.snapshot();
-            self.shared
-                .post_group_sentinels(&mut cache, 0, &admission.group);
+            self.shared.post_group_sentinels(&admission.group, 0);
         }
     }
 
-    /// Takes a completed group's actors back out of their slots (in block
-    /// order). Panics if called before the group finished or twice.
-    pub fn take_actors(&self, admission: &Admission) -> Vec<Box<dyn Actor<M>>> {
-        let slots = self.shared.snapshot();
-        admission
-            .group
-            .members
-            .iter()
-            .map(|&id| {
-                slots[id as usize]
-                    .body
-                    .lock()
-                    .expect("actor slot")
-                    .take()
-                    .expect("actor present after group completion")
-                    .actor
-            })
-            .collect()
+    /// `(groups, actors)` admitted and not yet retired.
+    #[must_use]
+    pub fn live(&self) -> (usize, usize) {
+        let groups = self.shared.groups.lock().expect("group table").len();
+        (groups, self.shared.live.load(Ordering::Acquire))
     }
 
     /// Pool-wide totals and executor counters as of now.
     #[must_use]
     pub fn summary(&self) -> ThreadedSummary {
         let shared = &self.shared;
-        let slots = shared.snapshot();
-        let max_depth = slots
-            .iter()
-            .map(|s| s.mailbox.max_depth())
-            .max()
-            .unwrap_or(0);
         ThreadedSummary {
             elapsed: SimTime::from_nanos(shared.start.elapsed().as_nanos() as u64),
             net_bytes: shared.net_bytes.load(Ordering::Relaxed),
@@ -867,8 +880,9 @@ impl<M: Message> Executor<M> {
                 steals: shared.steals.load(Ordering::Relaxed),
                 parks: shared.parks.load(Ordering::Relaxed),
                 overflows: shared.overflows.load(Ordering::Relaxed),
-                max_mailbox_depth: max_depth as u64,
+                max_mailbox_depth: shared.max_depth.load(Ordering::Relaxed) as u64,
                 timer_fires: shared.timer_fires.load(Ordering::Relaxed),
+                misrouted: shared.misrouted.load(Ordering::Relaxed),
             },
         }
     }
@@ -886,11 +900,11 @@ impl<M: Message> Executor<M> {
     /// Joins the workers without requesting shutdown — used by the batch
     /// entry point, whose pool shuts itself down when the last actor
     /// retires.
-    fn join_idle(mut self) -> (ThreadedSummary, Arc<Shared<M>>) {
+    fn join_idle(mut self) -> ThreadedSummary {
         for h in self.handles.drain(..) {
             h.join().expect("worker thread panicked");
         }
-        (self.summary(), Arc::clone(&self.shared))
+        self.summary()
     }
 }
 
@@ -942,10 +956,10 @@ pub fn run_actors_with<M: Message>(
     let admission = pool.admit(actors, cfg.mailbox_capacity);
     // The pool shuts itself down when the last live actor retires; join
     // the workers and collect the actors back out of their slots.
-    let (summary, shared) = pool.join_idle();
-    let slots = shared.snapshot();
-    let _ = admission;
-    let actors = slots
+    let summary = pool.join_idle();
+    let actors = admission
+        .group
+        .slots
         .iter()
         .map(|s| {
             s.body
@@ -962,28 +976,27 @@ pub fn run_actors_with<M: Message>(
 fn worker_loop<M: Message>(shared: &Shared<M>, index: usize) {
     let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((index as u64 + 1) << 17);
     let mut scratch: Vec<Env<M>> = Vec::with_capacity(DEQUEUE_BATCH);
-    let mut cache: Slots<M> = shared.snapshot();
-    let mut groups: (u64, Groups) = (0, Arc::new(Vec::new()));
+    let mut groups: (u64, Groups<M>) = (0, Arc::new(Vec::new()));
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
         // Own timers first: cheap, usually empty.
-        shared.fire_wheel(&mut cache, index, index);
-        if let Some(actor) = next_task(shared, index, &mut rng, &mut groups) {
-            run_actor(shared, &mut cache, index, actor, &mut scratch);
+        shared.fire_wheel(index, index);
+        if let Some((group, actor)) = next_task(shared, index, &mut rng, &mut groups) {
+            run_actor(shared, &mut groups, index, &group, actor, &mut scratch);
             continue;
         }
         // Steal point with no stealable work: merge every timer wheel so a
         // busy owner cannot sit on another actor's deadline.
         let mut fired = 0;
         for w in 0..shared.timers.len() {
-            fired += shared.fire_wheel(&mut cache, index, w);
+            fired += shared.fire_wheel(index, w);
         }
         if fired > 0 {
             continue;
         }
-        park(shared, index);
+        park(shared, index, &mut groups);
     }
 }
 
@@ -995,8 +1008,8 @@ fn next_task<M: Message>(
     shared: &Shared<M>,
     index: usize,
     rng: &mut u64,
-    groups: &mut (u64, Groups),
-) -> Option<ActorId> {
+    groups: &mut (u64, Groups<M>),
+) -> Option<(Arc<GroupState<M>>, u32)> {
     shared.groups_snapshot(groups);
     let table = &groups.1;
     let n = table.len();
@@ -1025,7 +1038,7 @@ fn next_task<M: Message>(
                 shared.sched_picks.fetch_add(1, Ordering::Relaxed);
                 wm.sched_picks.add(1);
                 wm.group_deficit.record(deficit.max(0) as u64);
-                return Some(actor);
+                return Some((Arc::clone(group), actor));
             }
         }
         if !runnable {
@@ -1046,11 +1059,11 @@ fn next_task<M: Message>(
 /// of a randomly chosen victim's queue (stealing stays intra-group).
 fn pop_within_group<M: Message>(
     shared: &Shared<M>,
-    group: &GroupState,
+    group: &GroupState<M>,
     index: usize,
     rng: &mut u64,
     wm: &WorkerMetrics,
-) -> Option<ActorId> {
+) -> Option<u32> {
     if let Some(a) = group.pop_ready(index) {
         return Some(a);
     }
@@ -1079,7 +1092,7 @@ fn pop_within_group<M: Message>(
 }
 
 /// Parks until woken by new work, the next timer deadline, or `MAX_PARK`.
-fn park<M: Message>(shared: &Shared<M>, index: usize) {
+fn park<M: Message>(shared: &Shared<M>, index: usize, groups: &mut (u64, Groups<M>)) {
     let wait = shared.next_deadline().map_or(MAX_PARK, |d| {
         d.saturating_duration_since(Instant::now()).min(MAX_PARK)
     });
@@ -1088,7 +1101,7 @@ fn park<M: Message>(shared: &Shared<M>, index: usize) {
     // Re-scan after registering as idle: an enqueue that raced with our
     // empty scan now either sees idle_count > 0 (and will notify) or its
     // push is visible here.
-    if shared.has_queued_work() || shared.shutdown.load(Ordering::Acquire) {
+    if shared.group_runnable(groups, None) || shared.shutdown.load(Ordering::Acquire) {
         shared.idle_count.fetch_sub(1, Ordering::SeqCst);
         return;
     }
@@ -1109,12 +1122,13 @@ fn park<M: Message>(shared: &Shared<M>, index: usize) {
 /// sends and re-queues / idles / retires it.
 fn run_actor<M: Message>(
     shared: &Shared<M>,
-    cache: &mut Slots<M>,
+    groups: &mut (u64, Groups<M>),
     index: usize,
-    actor: ActorId,
+    group: &Arc<GroupState<M>>,
+    actor: u32,
     scratch: &mut Vec<Env<M>>,
 ) {
-    let slot = Arc::clone(shared.slot(cache, actor));
+    let slot = &group.slots[actor as usize];
     slot.state.store(RUNNING, Ordering::Release);
     let mut dead = false;
     let mut preempted = false;
@@ -1125,10 +1139,10 @@ fn run_actor<M: Message>(
         let body = body_guard.as_mut().expect("actor present");
         let mut ctx = ExecCtx {
             shared,
-            cache: Arc::clone(cache),
+            groups,
             worker: index,
             me: actor,
-            group: Arc::clone(&slot.group),
+            group,
             pending: Vec::new(),
         };
         if !body.started {
@@ -1168,25 +1182,14 @@ fn run_actor<M: Message>(
                         let cost = 1 + (msg.wire_bytes() / DEFICIT_BYTES_PER_UNIT) as i64;
                         body.actor.on_message(&mut ctx, from, msg);
                         processed += 1;
-                        slot.group.charge_deficit(cost);
-                        if body.actor.has_parked_work() {
-                            // The handler yielded mid-batch: hand the
-                            // unprocessed tail back to the mailbox front
-                            // and give up the worker.
-                            preempted = true;
-                            let leftover: Vec<Env<M>> = iter.collect();
-                            slot.mailbox.requeue_front(leftover);
-                            break 'budget;
-                        }
-                        if slot.group.deficit.load(Ordering::Acquire) <= 0
-                            && shared.other_group_runnable(&slot.group)
-                        {
-                            // Out of deficit with a rival group waiting:
-                            // yield the worker (work-conserving — a solo
-                            // group keeps running on an empty pool).
-                            shared.preemptions.fetch_add(1, Ordering::Relaxed);
-                            wm.preempt_count.add(1);
-                            preempted = true;
+                        group.charge_deficit(cost);
+                        // The handler yielded mid-batch, or the group is
+                        // out of deficit with a rival waiting (work-
+                        // conserving — a solo group keeps running on an
+                        // empty pool): hand the unprocessed tail back to
+                        // the mailbox front and give up the worker.
+                        preempted = body.actor.has_parked_work() || ctx.out_of_deficit();
+                        if preempted {
                             let leftover: Vec<Env<M>> = iter.collect();
                             slot.mailbox.requeue_front(leftover);
                             break 'budget;
@@ -1200,25 +1203,18 @@ fn run_actor<M: Message>(
     }
     wm.charge_span(busy_from, &wm.busy_ns);
     if dead {
-        slot.state.store(DEAD, Ordering::Release);
-        slot.mailbox.close();
-        if slot.group.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            slot.group.finish();
-        }
-        if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 && shared.exit_when_idle {
-            shared.request_shutdown();
-        }
+        shared.retire(group, actor);
     } else if preempted || !slot.mailbox.is_empty() {
         // Preempted or budget exhausted with work left: back of the
         // queue, fair.
         slot.state.store(QUEUED, Ordering::Release);
-        shared.enqueue_ready(&slot.group, index, actor, false);
+        shared.enqueue_ready(group, index, actor, false);
     } else {
         slot.state.store(IDLE, Ordering::Release);
         // Close the race with a concurrent deliver that pushed between
         // our emptiness check and the IDLE store.
         if !slot.mailbox.is_empty() {
-            shared.try_schedule(cache, index, actor);
+            shared.try_schedule(group, index, actor);
         }
     }
 }
@@ -1226,58 +1222,45 @@ fn run_actor<M: Message>(
 /// The [`Context`] handed to actors running on the pool.
 struct ExecCtx<'a, M: Message> {
     shared: &'a Shared<M>,
-    /// The running actor's own snapshot of the slot table (refreshed
-    /// lazily on out-of-range ids).
-    cache: Slots<M>,
+    /// The running worker's snapshot of the live-group table.
+    groups: &'a mut (u64, Groups<M>),
     worker: usize,
-    me: ActorId,
-    group: Arc<GroupState>,
-    /// Per-destination coalescing buffers, flushed on size or at the end
-    /// of the actor's scheduling quantum.
-    pending: Vec<(ActorId, Vec<Env<M>>)>,
-}
-
-/// Flushes one destination's coalesced buffer (leaves it empty, keeping
-/// the allocation). A self-send must never park on the sender's own full
-/// mailbox — the sender is the consumer that would drain it. Backpressure
-/// parks also yield to rival tenants: a worker never sleeps on one
-/// group's full mailbox while another group has work queued — the full
-/// ring overflows instead (bounded upstream by the source credit
-/// windows) and the worker's time goes to the group that can use it.
-fn flush_buffer<M: Message>(
-    shared: &Shared<M>,
-    cache: &mut Slots<M>,
-    worker: usize,
-    me: ActorId,
-    group: &Arc<GroupState>,
-    to: ActorId,
-    buf: &mut Vec<Env<M>>,
-) {
-    if !buf.is_empty() {
-        shared.worker_metrics[worker]
-            .coalesce_batch
-            .record(buf.len() as u64);
-        let no_wait = to == me || shared.other_group_runnable(group);
-        shared.deliver(cache, worker, to, buf, no_wait);
-    }
+    /// The running actor's slot in `group` (its id is `group.base + me`).
+    me: u32,
+    group: &'a Arc<GroupState<M>>,
+    /// Per-destination-slot coalescing buffers, flushed on size or at the
+    /// end of the actor's scheduling quantum.
+    pending: Vec<(u32, Vec<Env<M>>)>,
 }
 
 impl<M: Message> ExecCtx<'_, M> {
-    fn flush_all(&mut self) {
-        let Self {
-            shared,
-            cache,
-            worker,
-            me,
-            group,
-            pending,
-        } = self;
-        for (to, buf) in pending.iter_mut() {
-            flush_buffer(shared, cache, *worker, *me, group, *to, buf);
+    /// Flushes one destination's coalesced buffer (leaves it empty,
+    /// keeping the allocation). A self-send must never park on the
+    /// sender's own full mailbox — the sender is the consumer that would
+    /// drain it. Backpressure parks also yield to rival tenants: a worker
+    /// never sleeps on one group's full mailbox while another group has
+    /// work queued — the full ring overflows instead (bounded upstream by
+    /// the source credit windows) and the worker's time goes to the group
+    /// that can use it.
+    fn flush(&mut self, i: usize) {
+        let (to, buf) = &mut self.pending[i];
+        if !buf.is_empty() {
+            let wm = &self.shared.worker_metrics[self.worker];
+            wm.coalesce_batch.record(buf.len() as u64);
+            let no_wait =
+                *to == self.me || self.shared.group_runnable(self.groups, Some(self.group));
+            self.shared
+                .deliver(self.group, self.worker, *to, buf, no_wait);
         }
     }
 
-    fn buffer(&mut self, to: ActorId, env: Env<M>) {
+    fn flush_all(&mut self) {
+        for i in 0..self.pending.len() {
+            self.flush(i);
+        }
+    }
+
+    fn buffer(&mut self, to: u32, env: Env<M>) {
         let i = match self.pending.iter().position(|(d, _)| *d == to) {
             Some(i) => i,
             None => {
@@ -1289,29 +1272,34 @@ impl<M: Message> ExecCtx<'_, M> {
                 self.pending.len() - 1
             }
         };
-        let Self {
-            shared,
-            cache,
-            worker,
-            me,
-            group,
-            pending,
-        } = self;
-        let (dest, buf) = &mut pending[i];
-        buf.push(env);
-        if buf.len() >= COALESCE_FLUSH {
-            flush_buffer(shared, cache, *worker, *me, group, *dest, buf);
+        self.pending[i].1.push(env);
+        if self.pending[i].1.len() >= COALESCE_FLUSH {
+            self.flush(i);
         }
+    }
+
+    /// Whether the group has run out of deficit while some other group
+    /// wants this worker — counted as a preemption when so.
+    fn out_of_deficit(&mut self) -> bool {
+        let yields = self.group.deficit.load(Ordering::Acquire) <= 0
+            && self.shared.group_runnable(self.groups, Some(self.group));
+        if yields {
+            self.shared.preemptions.fetch_add(1, Ordering::Relaxed);
+            self.shared.worker_metrics[self.worker].preempt_count.add(1);
+        }
+        yields
     }
 }
 
 impl<M: Message> Context<M> for ExecCtx<'_, M> {
     fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.shared.start.elapsed().as_nanos() as u64)
+        // The group's own clock: phase times and traces of a query admitted
+        // late in a pool's life count from its admission, not the pool's.
+        SimTime::from_nanos(self.group.admitted.elapsed().as_nanos() as u64)
     }
 
     fn me(&self) -> ActorId {
-        self.me
+        self.group.base + self.me
     }
 
     fn send(&mut self, to: ActorId, msg: M) {
@@ -1330,7 +1318,15 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
         if cost > 0 {
             self.group.charge_deficit(cost);
         }
-        self.buffer(to, Env::Msg { from: self.me, msg });
+        // Actors address only their own block; an id outside it is a
+        // protocol bug, dropped and counted rather than delivered to some
+        // other query.
+        let Some(to) = self.group.local(to) else {
+            self.shared.misrouted.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let from = self.me();
+        self.buffer(to, Env::Msg { from, msg });
     }
 
     fn schedule(&mut self, delay: SimTime, msg: M) {
@@ -1338,7 +1334,8 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
             // Fast path: a charged self-send, no timer round-trip.
             self.shared.charge(&msg);
             self.group.charge(msg.wire_bytes());
-            self.buffer(self.me, Env::Msg { from: self.me, msg });
+            let from = self.me();
+            self.buffer(self.me, Env::Msg { from, msg });
             return;
         }
         // Arm on this worker's wheel; charged when it fires.
@@ -1349,6 +1346,7 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
             .push(Reverse(Armed {
                 deadline: Instant::now() + Duration::from_nanos(delay.as_nanos()),
                 seq,
+                group: Arc::clone(self.group),
                 target: self.me,
                 msg,
             }));
@@ -1378,33 +1376,17 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
         // other query.
         self.flush_all();
         if !self.group.stop.swap(true, Ordering::AcqRel) {
-            let Self {
-                shared,
-                cache,
-                worker,
-                group,
-                ..
-            } = self;
-            shared.post_group_sentinels(cache, *worker, group);
+            self.shared.post_group_sentinels(self.group, self.worker);
         }
     }
 
     fn should_yield(&mut self) -> bool {
         // Every slice drains the group's deficit, whether or not it ends
         // up yielding — slicing is how a heavy probe pays for its share.
-        self.group.charge_deficit(SLICE_DEFICIT_COST);
-        if self.group.deficit.load(Ordering::Acquire) > 0 {
-            return false;
-        }
-        // Out of deficit: preempt only if some other group actually wants
+        // Out of deficit, preempt only if some other group actually wants
         // this worker; a solo tenant keeps running (work-conserving).
-        if self.shared.other_group_runnable(&self.group) {
-            self.shared.preemptions.fetch_add(1, Ordering::Relaxed);
-            self.shared.worker_metrics[self.worker].preempt_count.add(1);
-            true
-        } else {
-            false
-        }
+        self.group.charge_deficit(SLICE_DEFICIT_COST);
+        self.out_of_deficit()
     }
 }
 
@@ -1705,31 +1687,39 @@ mod tests {
     }
 
     #[test]
-    fn take_actors_returns_the_groups_actors_in_block_order() {
-        struct Tagged(u64, Arc<AtomicU64>);
-        impl Actor<Count> for Tagged {
+    fn finished_groups_are_reclaimed() {
+        // On a long-lived pool a finished group costs nothing: every actor
+        // is dropped by the time `wait` returns and the pool's live tables
+        // are empty again, however many groups came before.
+        struct Dropper(bool, Arc<AtomicU64>);
+        impl Drop for Dropper {
+            fn drop(&mut self) {
+                self.1.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        impl Actor<Count> for Dropper {
             fn on_start(&mut self, ctx: &mut dyn Context<Count>) {
-                self.1.fetch_add(self.0, Ordering::Relaxed);
-                if self.0 == 1 {
+                if self.0 {
                     ctx.stop();
                 }
             }
             fn on_message(&mut self, _c: &mut dyn Context<Count>, _f: ActorId, _m: Count) {}
         }
-        let started = Arc::new(AtomicU64::new(0));
-        let pool: Executor<Count> =
-            Executor::start(&ExecutorConfig::default(), &MetricsRegistry::disabled());
-        let adm = pool.admit(
-            vec![
-                Box::new(Tagged(1, Arc::clone(&started))),
-                Box::new(Tagged(2, Arc::clone(&started))),
-            ],
-            1024,
-        );
-        pool.wait(&adm);
-        let actors = pool.take_actors(&adm);
-        assert_eq!(actors.len(), 2);
-        assert_eq!(started.load(Ordering::Relaxed), 3, "both actors started");
+        let cfg = ExecutorConfig {
+            workers: 2,
+            ..ExecutorConfig::default()
+        };
+        let pool: Executor<Count> = Executor::start(&cfg, &MetricsRegistry::disabled());
+        let drops = Arc::new(AtomicU64::new(0));
+        for round in 1..=200 {
+            let actors = (0..5)
+                .map(|i| Box::new(Dropper(i == 0, Arc::clone(&drops))) as Box<dyn Actor<Count>>)
+                .collect();
+            let adm = pool.admit(actors, cfg.mailbox_capacity);
+            pool.wait(&adm);
+            assert_eq!(drops.load(Ordering::SeqCst), round * 5, "round {round}");
+            assert_eq!(pool.live(), (0, 0), "round {round}");
+        }
         pool.shutdown();
     }
 }

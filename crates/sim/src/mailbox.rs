@@ -47,8 +47,6 @@ struct Inner<T> {
     ring: VecDeque<T>,
     /// Messages are dropped instead of enqueued once closed (dead actor).
     closed: bool,
-    /// High-water mark of `ring.len()`.
-    max_depth: usize,
 }
 
 /// A bounded multi-producer / single-consumer batch mailbox.
@@ -71,7 +69,6 @@ impl<T> Mailbox<T> {
             inner: Mutex::new(Inner {
                 ring: VecDeque::with_capacity(capacity),
                 closed: false,
-                max_depth: 0,
             }),
             not_full: Condvar::new(),
             capacity,
@@ -116,7 +113,6 @@ impl<T> Mailbox<T> {
                 as u64;
         }
         inner.ring.extend(batch.drain(..));
-        inner.max_depth = inner.max_depth.max(inner.ring.len());
         report.depth = inner.ring.len();
         report
     }
@@ -165,19 +161,14 @@ impl<T> Mailbox<T> {
         self.inner.lock().expect("mailbox lock").ring.is_empty()
     }
 
-    /// Drops everything queued, marks the mailbox closed (future pushes
-    /// are silently discarded) and frees parked producers.
+    /// Drops everything queued and the ring's allocation, marks the
+    /// mailbox closed (future pushes are silently discarded) and frees
+    /// parked producers.
     pub fn close(&self) {
         let mut inner = self.inner.lock().expect("mailbox lock");
-        inner.ring.clear();
+        inner.ring = VecDeque::new();
         inner.closed = true;
         self.not_full.notify_all();
-    }
-
-    /// High-water mark of the queue depth over the mailbox's lifetime.
-    #[must_use]
-    pub fn max_depth(&self) -> usize {
-        self.inner.lock().expect("mailbox lock").max_depth
     }
 }
 
@@ -200,7 +191,6 @@ mod tests {
         assert_eq!(mb.pop_batch(&mut out, 8), 8);
         assert_eq!(mb.pop_batch(&mut out, 100), 6);
         assert_eq!(out, (0..14).collect::<Vec<u32>>());
-        assert_eq!(mb.max_depth(), 14);
     }
 
     #[test]
