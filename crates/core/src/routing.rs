@@ -147,6 +147,22 @@ impl RoutingTable {
         }
     }
 
+    /// Dense index of the base-table entry — range, replica entry or bucket
+    /// — covering `pos`, seen through a hot-key overlay. Every *cold*
+    /// position with the same index has the same [`Self::build_dest_pos`]
+    /// and [`Self::probe_dests_pos`], so callers can cache per entry what
+    /// they would otherwise resolve per tuple. Indices are only comparable
+    /// within one table value: any table change may renumber them.
+    #[must_use]
+    pub fn entry_index(&self, pos: u32) -> usize {
+        match self {
+            Self::Disjoint(m) => m.index_of(pos),
+            Self::Replica(m) => m.index_of(pos),
+            Self::Buckets(m) => m.bucket_of(pos as u64) as usize,
+            Self::HotKeys { inner, .. } => inner.entry_index(pos),
+        }
+    }
+
     /// The hot-key overlay, when one is installed.
     #[must_use]
     pub fn overlay(&self) -> Option<&HotKeyOverlay> {
@@ -224,7 +240,7 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ehj_hash::AttrHasher;
+    use ehj_hash::{AttrHasher, HashRange};
 
     fn space() -> PositionSpace {
         // positions == domain, so position == attribute value directly.
@@ -296,6 +312,52 @@ mod tests {
                 t.probe_dests_pos(pos, &mut b);
                 assert_eq!(a, b);
             }
+        }
+    }
+
+    #[test]
+    fn entry_index_groups_positions_that_route_alike() {
+        let mut replica = ReplicaMap::partitioned(100, &[10, 11, 12]);
+        let _ = replica.replicate(11, 14);
+        let mut ranges = RangeMap::partitioned(100, &[10, 11, 12, 13]);
+        ranges.replace_range(
+            HashRange::new(25, 50),
+            vec![(HashRange::new(25, 30), 11), (HashRange::new(30, 50), 15)],
+        );
+        let mut buckets = BucketMap::new(vec![20, 21], 100);
+        let _ = buckets.split(22);
+        let _ = buckets.split(23);
+        let _ = buckets.split(24);
+        let hot = hot_table();
+        let tables = [
+            (RoutingTable::Disjoint(ranges), 5),
+            (RoutingTable::Replica(replica), 3),
+            (RoutingTable::Buckets(buckets), 5),
+            (hot.clone(), 4),
+        ];
+        for (t, entries) in &tables {
+            // What the first position of each entry resolved to.
+            let mut seen: Vec<Option<(ActorId, Vec<ActorId>)>> = vec![None; *entries];
+            let mut dests = Vec::new();
+            for pos in 0..100u32 {
+                if t.overlay().is_some_and(|o| o.is_hot(pos)) {
+                    continue;
+                }
+                let entry = t.entry_index(pos);
+                assert!(entry < *entries, "indices are dense");
+                t.probe_dests_pos(pos, &mut dests);
+                let routed = (t.build_dest_pos(pos), dests.clone());
+                let first = seen[entry].get_or_insert_with(|| routed.clone());
+                assert_eq!(
+                    *first, routed,
+                    "position {pos} disagrees with entry {entry}"
+                );
+            }
+            assert!(seen.iter().all(Option::is_some), "every entry is reachable");
+        }
+        // The wrapper numbers entries exactly as the table it wraps.
+        for pos in 0..100u32 {
+            assert_eq!(hot.entry_index(pos), hot.inner().entry_index(pos));
         }
     }
 

@@ -53,13 +53,23 @@ pub struct DataSource {
     gen: Option<SourceGenerator>,
     routing: Option<RoutingTable>,
     routing_version: u64,
-    /// Accumulation buffers (not-yet-full chunks), keyed by *destination
+    /// Accumulation buffers (not-yet-full chunks), one slot per *destination
     /// set*: a full buffer freezes into one immutable [`TupleBatch`] that is
     /// shipped to every member, so a probe broadcast to N replicas clones an
     /// `Arc` N times instead of deep-copying the tuples. In the build phase
     /// every set is a single node and this degenerates to per-destination
-    /// buffering.
-    buffers: HashMap<Vec<ActorId>, Vec<Tuple>>,
+    /// buffering. A slot lives until the next phase starts.
+    buffers: Vec<(Vec<ActorId>, Vec<Tuple>)>,
+    /// Destination set → its slot in `buffers`.
+    set_slots: HashMap<Vec<ActorId>, usize>,
+    /// Routing-table entry index ([`RoutingTable::entry_index`]) → slot in
+    /// `buffers`, filled by the first cold tuple of each entry so every
+    /// later one skips destination resolution and the `set_slots` hash.
+    /// Entry indices mean nothing across tables or phases: cleared at
+    /// `start_phase` and on every accepted routing update. The buffers stay
+    /// keyed by set, so tuples buffered under the old table keep their
+    /// destinations.
+    entry_slots: Vec<Option<usize>>,
     /// Per-destination credits remaining.
     credits: HashMap<ActorId, usize>,
     /// Full chunks waiting for credit, per destination.
@@ -71,6 +81,8 @@ pub struct DataSource {
     sent_tuples: u64,
     comm: CommCounters,
     dest_scratch: Vec<ActorId>,
+    /// Generation output buffer, reused across generation steps.
+    gen_scratch: Vec<Tuple>,
     /// Bulk-hash output buffer: one routed position per generated tuple,
     /// reused across generation batches.
     pos_scratch: Vec<u32>,
@@ -101,7 +113,9 @@ impl DataSource {
             gen: None,
             routing: None,
             routing_version: 0,
-            buffers: HashMap::new(),
+            buffers: Vec::new(),
+            set_slots: HashMap::new(),
+            entry_slots: Vec::new(),
             credits: HashMap::new(),
             blocked: HashMap::new(),
             gen_paused: false,
@@ -111,6 +125,7 @@ impl DataSource {
             sent_tuples: 0,
             comm: CommCounters::new(chunk),
             dest_scratch: Vec::new(),
+            gen_scratch: Vec::new(),
             pos_scratch: Vec::new(),
             sketch: None,
             sketch_next_send: u64::MAX,
@@ -143,6 +158,8 @@ impl DataSource {
         self.sent_chunks = 0;
         self.sent_tuples = 0;
         self.buffers.clear();
+        self.set_slots.clear();
+        self.entry_slots.clear();
         self.credits.clear();
         self.blocked.clear();
         self.gen_paused = false;
@@ -197,27 +214,37 @@ impl DataSource {
         }
     }
 
-    /// Ships one frozen batch to every destination in the set; the tuples
-    /// are shared, each send clones the batch's `Arc`.
-    fn ship_all(&mut self, ctx: &mut dyn Context<Msg>, dests: &[ActorId], batch: TupleBatch) {
-        for &d in dests {
-            self.ship(ctx, d, batch.clone());
+    /// Ships one frozen batch to every destination of `slot`'s set; the
+    /// tuples are shared, each send clones the batch's `Arc`.
+    fn ship_all(&mut self, ctx: &mut dyn Context<Msg>, slot: usize, batch: TupleBatch) {
+        for i in 0..self.buffers[slot].0.len() {
+            let dest = self.buffers[slot].0[i];
+            self.ship(ctx, dest, batch.clone());
         }
     }
 
-    /// Buffers one tuple for its destination set, shipping the buffer when
-    /// it reaches chunk size.
-    fn push(&mut self, ctx: &mut dyn Context<Msg>, dests: &[ActorId], t: Tuple) {
-        let buf = match self.buffers.get_mut(dests) {
-            Some(buf) => buf,
-            // Miss: clone the key once; every later tuple for this set hits
-            // the borrowed-slice lookup above.
-            None => self.buffers.entry(dests.to_vec()).or_default(),
-        };
+    /// The buffer slot of a destination set, created on first use.
+    fn slot_for_set(&mut self, dests: &[ActorId]) -> usize {
+        if let Some(&slot) = self.set_slots.get(dests) {
+            return slot;
+        }
+        let slot = self.buffers.len();
+        self.buffers.push((dests.to_vec(), Vec::new()));
+        self.set_slots.insert(dests.to_vec(), slot);
+        slot
+    }
+
+    /// Buffers one tuple in `slot`, shipping the buffer when it reaches
+    /// chunk size.
+    fn push_slot(&mut self, ctx: &mut dyn Context<Msg>, slot: usize, t: Tuple) {
+        let chunk = self.cfg.chunk_tuples;
+        let buf = &mut self.buffers[slot].1;
         buf.push(t);
-        if buf.len() >= self.cfg.chunk_tuples {
-            let batch = TupleBatch::from(std::mem::take(buf));
-            self.ship_all(ctx, dests, batch);
+        if buf.len() >= chunk {
+            // The successor is sized for a whole chunk up front, so it never
+            // regrows on its way to the next freeze.
+            let full = std::mem::replace(buf, Vec::with_capacity(chunk));
+            self.ship_all(ctx, slot, full.into());
         }
     }
 
@@ -260,69 +287,101 @@ impl DataSource {
         if parked.is_empty() {
             return;
         }
-        self.route_tuples(ctx, parked);
+        self.route_tuples(ctx, &parked);
     }
 
-    fn route_tuples(&mut self, ctx: &mut dyn Context<Msg>, tuples: Vec<Tuple>) {
+    /// Resolves the destination set of cold position `pos` the long way,
+    /// and records its buffer slot for the rest of table entry `entry`.
+    fn resolve_entry(
+        &mut self,
+        routing: &RoutingTable,
+        entry: usize,
+        pos: u32,
+        dests: &mut Vec<ActorId>,
+    ) -> usize {
+        match self.phase {
+            Phase::Build => {
+                dests.clear();
+                dests.push(routing.build_dest_pos(pos));
+            }
+            Phase::Probe => routing.probe_dests_pos(pos, dests),
+            Phase::Reshuffle => unreachable!("sources do not route in reshuffle"),
+        }
+        let slot = self.slot_for_set(dests);
+        if self.entry_slots.len() <= entry {
+            self.entry_slots.resize(entry + 1, None);
+        }
+        self.entry_slots[entry] = Some(slot);
+        slot
+    }
+
+    fn route_tuples(&mut self, ctx: &mut dyn Context<Msg>, tuples: &[Tuple]) {
         let routing = self.routing.take().expect("routing set with phase");
         let tb = self.tuple_bytes();
         let mut dests = std::mem::take(&mut self.dest_scratch);
         let mut positions = std::mem::take(&mut self.pos_scratch);
+        let mut delivered: u64 = 0;
         let mut routed: u64 = 0;
         let mut fanout_tuples: u64 = 0;
         let mut fanout_copies: u64 = 0;
-        // Hash the whole batch once up front (unrolled bulk kernel); both
-        // routing shapes below address the precomputed positions.
-        self.space.bulk_positions(&tuples, &mut positions);
+        // Hash the whole batch once up front (unrolled bulk kernel); every
+        // routing shape below addresses the precomputed positions.
+        self.space.bulk_positions(tuples, &mut positions);
         for (&t, &pos) in tuples.iter().zip(&positions) {
-            // Hot positions are round-robined per source ticket: one copy
-            // per build tuple (replication happens in the post-barrier
-            // hand-off), one answering replica per probe tuple plus any
-            // spilled extras.
-            let hot = routing.overlay().filter(|o| o.is_hot(pos));
-            match self.phase {
-                Phase::Build => {
-                    if let Some(sk) = self.sketch.as_mut() {
-                        sk.observe(pos as u64);
-                    }
+            // Only a build phase with hot-key detection on has a sketch.
+            if let Some(sk) = self.sketch.as_mut() {
+                sk.observe(pos as u64);
+            }
+            let slot = match routing.overlay().filter(|o| o.is_hot(pos)) {
+                // Hot positions are round-robined per source ticket: one
+                // copy per build tuple (replication happens in the
+                // post-barrier hand-off), one answering replica per probe
+                // tuple plus any spilled extras. The set changes tuple by
+                // tuple, so it is looked up by value.
+                Some(o) => {
+                    self.hot_ticket += 1;
                     dests.clear();
-                    match hot {
-                        Some(o) => {
-                            self.hot_ticket += 1;
-                            dests.push(o.pick(self.hot_ticket));
-                        }
-                        None => dests.push(routing.build_dest_pos(pos)),
+                    match self.phase {
+                        Phase::Build => dests.push(o.pick(self.hot_ticket)),
+                        Phase::Probe => o.push_probe_dests(self.hot_ticket, &mut dests),
+                        Phase::Reshuffle => unreachable!("sources do not route in reshuffle"),
+                    }
+                    self.slot_for_set(&dests)
+                }
+                // Cold positions of one table entry share one set: the
+                // first resolves it, the rest index the slot table.
+                None => {
+                    let entry = routing.entry_index(pos);
+                    match self.entry_slots.get(entry).copied().flatten() {
+                        Some(slot) => slot,
+                        None => self.resolve_entry(&routing, entry, pos, &mut dests),
                     }
                 }
-                Phase::Probe => match hot {
-                    Some(o) => {
-                        self.hot_ticket += 1;
-                        dests.clear();
-                        o.push_probe_dests(self.hot_ticket, &mut dests);
-                    }
-                    None => routing.probe_dests_pos(pos, &mut dests),
-                },
-                Phase::Reshuffle => unreachable!(),
-            }
-            routed += dests.len() as u64;
-            if dests.len() > 1 {
+            };
+            let fanout = self.buffers[slot].0.len() as u64;
+            delivered += u64::from(fanout > 0);
+            routed += fanout;
+            if fanout > 1 {
                 fanout_tuples += 1;
-                fanout_copies += dests.len() as u64;
+                fanout_copies += fanout;
             }
-            for i in 0..dests.len() {
-                let cat = if i == 0 {
-                    CommCategory::SourceDelivery
-                } else {
-                    CommCategory::ProbeBroadcastExtra
-                };
-                self.comm.record_tuples(self.phase, cat, 1, tb);
-            }
-            // `dests` is a local scratch vec, so handing it to the buffer
-            // push does not alias the `&mut self` the push needs.
-            let dest_list = std::mem::take(&mut dests);
-            self.push(ctx, &dest_list, t);
-            dests = dest_list;
+            self.push_slot(ctx, slot, t);
         }
+        // The first copy of a tuple is its delivery; broadcast copies beyond
+        // it are the paper's extra probe communication.
+        let extra = routed - delivered;
+        self.comm.record_tuples(
+            self.phase,
+            CommCategory::SourceDelivery,
+            delivered,
+            delivered * tb,
+        );
+        self.comm.record_tuples(
+            self.phase,
+            CommCategory::ProbeBroadcastExtra,
+            extra,
+            extra * tb,
+        );
         self.dest_scratch = dests;
         self.pos_scratch = positions;
         if self.routing.is_none() {
@@ -366,14 +425,14 @@ impl DataSource {
             return;
         };
         let batch = GEN_BATCH_MIN.max(self.cfg.chunk_tuples as u64);
-        let mut produced = Vec::new();
+        let mut produced = std::mem::take(&mut self.gen_scratch);
+        produced.clear();
         let n = gen.fill(batch, &mut produced);
         if n > 0 {
             ctx.consume_cpu(self.cfg.costs.gen_per_tuple * n);
-            // `route_tuples` double-counts probe broadcasts by design: the
-            // duplicate copies are the paper's extra probe communication.
-            self.route_tuples(ctx, produced);
+            self.route_tuples(ctx, &produced);
         }
+        self.gen_scratch = produced;
         let remaining = self.gen.as_ref().map_or(0, SourceGenerator::remaining);
         if remaining > 0 {
             ctx.schedule(SimTime::ZERO, Msg::GenStep);
@@ -398,15 +457,15 @@ impl DataSource {
         }
         // Re-routing blocked chunks can land tuples back in accumulation
         // buffers after the final flush; push them out again.
-        let mut pending: Vec<(Vec<ActorId>, Vec<Tuple>)> = self
-            .buffers
-            .iter_mut()
-            .filter(|(_, b)| !b.is_empty())
-            .map(|(d, b)| (d.clone(), std::mem::take(b)))
+        // In destination-set order, not slot (first-use) order: the flush
+        // order reaches every downstream simulated observable.
+        let mut pending: Vec<usize> = (0..self.buffers.len())
+            .filter(|&slot| !self.buffers[slot].1.is_empty())
             .collect();
-        pending.sort_by(|(a, _), (b, _)| a.cmp(b));
-        for (dests, tuples) in pending {
-            self.ship_all(ctx, &dests, tuples.into());
+        pending.sort_by(|&a, &b| self.buffers[a].0.cmp(&self.buffers[b].0));
+        for slot in pending {
+            let tuples = std::mem::take(&mut self.buffers[slot].1);
+            self.ship_all(ctx, slot, tuples.into());
         }
         if self.blocked_total() > 0 {
             return;
@@ -439,6 +498,7 @@ impl Actor<Msg> for DataSource {
             Msg::RoutingUpdate { routing, version } if version > self.routing_version => {
                 self.routing = Some(routing);
                 self.routing_version = version;
+                self.entry_slots.clear();
                 self.reroute_blocked(ctx);
                 self.check_drained(ctx);
             }
@@ -455,7 +515,7 @@ mod tests {
     use super::*;
     use crate::config::Algorithm;
     use crate::testutil::ScriptCtx;
-    use ehj_hash::{RangeMap, ReplicaMap};
+    use ehj_hash::{BucketMap, HashRange, RangeMap, ReplicaMap};
 
     const SCHED: ActorId = 0;
     const ME: ActorId = 1;
@@ -700,6 +760,242 @@ mod tests {
         assert_eq!(src.routing_version, 5);
         run_gen(&mut src, &mut ctx);
         assert!(data_tuples_to(&ctx, NODE_A) > 0, "v5 routing still applies");
+    }
+
+    /// The routing loop as it was before the slot table: every tuple
+    /// resolved with `build_dest_pos` / `probe_dests_pos` and buffered in a
+    /// map keyed by destination set. Credits never run out here.
+    struct ReferenceRouter {
+        phase: Phase,
+        space: PositionSpace,
+        chunk: usize,
+        tuple_bytes: u64,
+        hot_ticket: u64,
+        buffers: HashMap<Vec<ActorId>, Vec<u64>>,
+        chunks: Vec<(ActorId, Vec<u64>)>,
+        comm: CommCounters,
+    }
+
+    impl ReferenceRouter {
+        fn route(&mut self, routing: &RoutingTable, tuples: &[Tuple]) {
+            for t in tuples {
+                let pos = self.space.position_of(t.join_attr);
+                let mut dests = Vec::new();
+                match routing.overlay().filter(|o| o.is_hot(pos)) {
+                    Some(o) => {
+                        self.hot_ticket += 1;
+                        match self.phase {
+                            Phase::Build => dests.push(o.pick(self.hot_ticket)),
+                            _ => o.push_probe_dests(self.hot_ticket, &mut dests),
+                        }
+                    }
+                    None => match self.phase {
+                        Phase::Build => dests.push(routing.build_dest_pos(pos)),
+                        _ => routing.probe_dests_pos(pos, &mut dests),
+                    },
+                }
+                for i in 0..dests.len() {
+                    let cat = if i == 0 {
+                        CommCategory::SourceDelivery
+                    } else {
+                        CommCategory::ProbeBroadcastExtra
+                    };
+                    self.comm
+                        .record_tuples(self.phase, cat, 1, self.tuple_bytes);
+                }
+                let buf = self.buffers.entry(dests.clone()).or_default();
+                buf.push(t.index);
+                if buf.len() >= self.chunk {
+                    let full = std::mem::take(buf);
+                    self.chunks.extend(dests.iter().map(|&d| (d, full.clone())));
+                }
+            }
+        }
+
+        fn flush(&mut self) {
+            let mut pending: Vec<_> = self
+                .buffers
+                .drain()
+                .filter(|(_, b)| !b.is_empty())
+                .collect();
+            pending.sort();
+            for (dests, tuples) in pending {
+                self.chunks
+                    .extend(dests.iter().map(|&d| (d, tuples.clone())));
+            }
+        }
+    }
+
+    /// The `(dest, tuple indices)` chunks in `ctx.sent`, acknowledging each
+    /// so the source never runs out of credit.
+    fn take_chunks(src: &mut DataSource, ctx: &mut ScriptCtx) -> Vec<(ActorId, Vec<u64>)> {
+        let mut chunks = Vec::new();
+        for (to, m) in ctx.take_sent() {
+            match m {
+                Msg::Data { tuples, .. } => {
+                    chunks.push((to, tuples.iter().map(|t| t.index).collect()));
+                    src.on_message(ctx, to, Msg::DataAck);
+                }
+                // Keep the self-scheduled step and the final report.
+                other => ctx.sent.push((to, other)),
+            }
+        }
+        assert_eq!(src.blocked_total(), 0, "the script must never block");
+        chunks
+    }
+
+    /// Runs one phase of 6000 tuples in 400-tuple chunks through a source
+    /// and through the reference: `before` routes the first two generation
+    /// steps, a stale update arrives between them, `after` arrives as a
+    /// routing update on half-full buffers and routes the rest.
+    fn assert_matches_reference(phase: Phase, before: RoutingTable, after: RoutingTable) {
+        const TUPLES: u64 = 6000;
+        const CHUNK: usize = 400;
+        let cfg = cfg(TUPLES, CHUNK);
+        let mut src = DataSource::new(Arc::clone(&cfg), 0, SCHED);
+        let mut ctx = ScriptCtx::new(ME);
+        let mut reference = ReferenceRouter {
+            phase,
+            space: PositionSpace::new(cfg.positions, cfg.r.domain, cfg.hasher),
+            chunk: CHUNK,
+            tuple_bytes: cfg.schema().tuple_bytes(),
+            hot_ticket: 0,
+            buffers: HashMap::new(),
+            chunks: Vec::new(),
+            comm: CommCounters::new(CHUNK as u64),
+        };
+        let spec = match phase {
+            Phase::Build => cfg.build_spec(),
+            _ => cfg.probe_spec(),
+        };
+        let mut gen = spec.generator_for_source(0, 1);
+        let mut reference_step = |routing: &RoutingTable| {
+            let mut tuples = Vec::new();
+            gen.fill(GEN_BATCH_MIN, &mut tuples);
+            reference.route(routing, &tuples);
+        };
+
+        let (routing, version) = (before.clone(), 5);
+        let start = match phase {
+            Phase::Build => Msg::StartBuild { routing, version },
+            _ => Msg::StartProbe { routing, version },
+        };
+        src.on_message(&mut ctx, SCHED, start);
+        let mut chunks = Vec::new();
+        let mut step = |src: &mut DataSource, ctx: &mut ScriptCtx| {
+            ctx.sent.retain(|(_, m)| !matches!(m, Msg::GenStep));
+            src.on_message(ctx, ME, Msg::GenStep);
+            chunks.extend(take_chunks(src, ctx));
+        };
+
+        step(&mut src, &mut ctx);
+        reference_step(&before);
+        let slots = src.entry_slots.clone();
+        assert!(
+            slots.iter().any(Option::is_some),
+            "the first step fills slots"
+        );
+        src.on_message(
+            &mut ctx,
+            SCHED,
+            Msg::RoutingUpdate {
+                routing: RoutingTable::Disjoint(RangeMap::partitioned(1000, &[NODE_B])),
+                version: 3,
+            },
+        );
+        assert_eq!(src.entry_slots, slots, "a stale update clears nothing");
+        step(&mut src, &mut ctx);
+        reference_step(&before);
+
+        assert!(src.buffers.iter().any(|(_, b)| !b.is_empty()));
+        src.on_message(
+            &mut ctx,
+            SCHED,
+            Msg::RoutingUpdate {
+                routing: after.clone(),
+                version: 6,
+            },
+        );
+        assert!(src.entry_slots.is_empty(), "an accepted update clears all");
+        while ctx.count(|m| matches!(m, Msg::GenStep)) > 0 {
+            step(&mut src, &mut ctx);
+            reference_step(&after);
+        }
+        reference.flush();
+
+        assert_eq!(chunks, reference.chunks);
+        let comm = ctx
+            .sent
+            .iter()
+            .find_map(|(_, m)| match m {
+                Msg::SourcePhaseDone { comm, .. } => Some((**comm).clone()),
+                _ => None,
+            })
+            .expect("phase-done report");
+        assert_eq!(comm, reference.comm);
+    }
+
+    const NODE_C: ActorId = 4;
+    const NODE_D: ActorId = 5;
+
+    #[test]
+    fn slot_table_survives_a_replica_hand_off() {
+        // The middle range's active owner — its build destination, one of
+        // its probe destinations — changes under an unchanged entry index.
+        let before = ReplicaMap::partitioned(1000, &[NODE_A, NODE_B, NODE_C]);
+        let mut after = before.clone();
+        let _ = after.replicate(NODE_B, NODE_D);
+        for phase in [Phase::Build, Phase::Probe] {
+            assert_matches_reference(
+                phase,
+                RoutingTable::Replica(before.clone()),
+                RoutingTable::Replica(after.clone()),
+            );
+        }
+    }
+
+    #[test]
+    fn slot_table_survives_shifted_range_indices() {
+        // Splitting the first range in two shifts every later entry index.
+        let before = RangeMap::partitioned(1000, &[NODE_A, NODE_B, NODE_C]);
+        let mut after = before.clone();
+        after.replace_range(
+            HashRange::new(0, 333),
+            vec![
+                (HashRange::new(0, 100), NODE_A),
+                (HashRange::new(100, 333), NODE_D),
+            ],
+        );
+        assert_matches_reference(
+            Phase::Build,
+            RoutingTable::Disjoint(before.clone()),
+            RoutingTable::Disjoint(after.clone()),
+        );
+        // The same through a hot-key overlay, whose tuples bypass the table.
+        let overlay = crate::routing::HotKeyOverlay {
+            hot: (300..420).collect(),
+            replicas: vec![NODE_B, NODE_C],
+            extra: vec![],
+        };
+        let hot = |inner| RoutingTable::HotKeys {
+            overlay: overlay.clone(),
+            inner: Box::new(RoutingTable::Disjoint(inner)),
+        };
+        assert_matches_reference(Phase::Build, hot(before), hot(after));
+    }
+
+    #[test]
+    fn slot_table_survives_a_bucket_split() {
+        // The split bucket keeps its number but loses its upper half to a
+        // new bucket on another node.
+        let before = BucketMap::new(vec![NODE_A, NODE_B], 1000);
+        let mut after = before.clone();
+        let _ = after.split(NODE_C);
+        assert_matches_reference(
+            Phase::Build,
+            RoutingTable::Buckets(before),
+            RoutingTable::Buckets(after),
+        );
     }
 
     #[test]

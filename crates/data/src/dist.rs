@@ -9,6 +9,8 @@
 
 use crate::rng::Xoshiro256StarStar;
 use crate::tuple::JoinAttr;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default join-attribute domain: values are drawn from `[0, 2^32)`.
 ///
@@ -81,6 +83,75 @@ impl Distribution {
     }
 }
 
+/// Key of a shared Zipf normaliser: `(terms summed, theta.to_bits())`.
+type NormaliserKey = (u64, u64);
+
+/// Entries each [`NormaliserTable`] keeps. A query names at most two keys
+/// (R and S), so this covers several tenants' worth of distinct relations
+/// while a service fed arbitrary domains stays bounded (16 head tables are
+/// 8 MiB at most).
+const NORMALISER_CAPACITY: usize = 16;
+
+/// A small bounded table of the O(domain) part of a Zipf sampler, so the
+/// sources of one query — and the oracle, and the next query over the same
+/// relation — compute it once instead of once each. Insertion order is
+/// eviction order.
+struct NormaliserTable<V> {
+    entries: Mutex<VecDeque<(NormaliserKey, V)>>,
+}
+
+/// `H_{n,theta}` per `(n, theta)` for the Gray (`theta < 1`) path.
+static ZETAN_TABLE: NormaliserTable<f64> = NormaliserTable::new();
+/// Exact-CDF prefix table per `(min(n, HEAD_LIMIT), theta)` for the harmonic
+/// (`theta ≥ 1`) path.
+static HEAD_TABLE: NormaliserTable<Arc<[f64]>> = NormaliserTable::new();
+
+#[cfg(test)]
+thread_local! {
+    /// O(domain) sums this thread has performed through a table.
+    static DOMAIN_SUMS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl<V: Clone> NormaliserTable<V> {
+    const fn new() -> Self {
+        Self {
+            entries: Mutex::new(VecDeque::new()),
+        }
+    }
+
+    fn lookup(entries: &VecDeque<(NormaliserKey, V)>, key: NormaliserKey) -> Option<V> {
+        entries
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    }
+
+    /// The value for `key`, running `compute` on a miss. The sum runs
+    /// *outside* the lock: on a cold start concurrent callers each compute
+    /// the (deterministic, hence identical) value instead of queueing behind
+    /// one another, and the first to finish publishes it.
+    fn get_or_compute(&self, key: NormaliserKey, compute: impl FnOnce() -> V) -> V {
+        // No critical section can leave the deque half-updated, so a
+        // poisoned lock still guards valid data.
+        let lock = || self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(v) = Self::lookup(&lock(), key) {
+            return v;
+        }
+        #[cfg(test)]
+        DOMAIN_SUMS.with(|c| c.set(c.get() + 1));
+        let value = compute();
+        let mut entries = lock();
+        if let Some(winner) = Self::lookup(&entries, key) {
+            return winner;
+        }
+        if entries.len() == NORMALISER_CAPACITY {
+            entries.pop_front();
+        }
+        entries.push_back((key, value.clone()));
+        value
+    }
+}
+
 /// Precomputed state for the Gray et al. Zipf approximation.
 #[derive(Debug, Clone, Copy)]
 struct ZipfState {
@@ -97,6 +168,12 @@ impl ZipfState {
     /// integral tail needs a logarithm branch at `theta = 1`, where the
     /// power-law antiderivative is singular; other exponents (including
     /// `theta > 1`) share one formula.
+    ///
+    /// The exact part is an O(min(n, 2^22)) `powf` sum — tens of
+    /// milliseconds for a 2^20+ domain — so [`Self::new`] takes it from
+    /// [`ZETAN_TABLE`] rather than calling this per sampler. The summation
+    /// order is part of the draw stream: changing it changes every seed's
+    /// tuples.
     fn zetan(n: u64, theta: f64) -> f64 {
         const EXACT_LIMIT: u64 = 1 << 22;
         if n <= EXACT_LIMIT {
@@ -120,7 +197,11 @@ impl ZipfState {
             "zipf theta must lie in (0, 1), got {theta}"
         );
         assert!(n >= 2, "zipf needs a domain of at least 2 values");
-        let zetan = Self::zetan(n, theta);
+        let zetan = ZETAN_TABLE.get_or_compute((n, theta.to_bits()), || Self::zetan(n, theta));
+        Self::with_zetan(n, theta, zetan)
+    }
+
+    fn with_zetan(n: u64, theta: f64, zetan: f64) -> Self {
         let zeta2 = Self::zetan(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
@@ -157,8 +238,8 @@ impl ZipfState {
 struct ZipfHarmonic {
     theta: f64,
     /// Cumulative unnormalized mass of ranks `0..head.len()` (entry `i` is
-    /// `H_{i+1,theta}`).
-    head: Vec<f64>,
+    /// `H_{i+1,theta}`); shared through [`HEAD_TABLE`].
+    head: Arc<[f64]>,
     /// Total unnormalized mass over the whole domain (head + integral tail).
     total: f64,
 }
@@ -174,14 +255,23 @@ impl ZipfHarmonic {
         );
         assert!(n >= 2, "zipf needs a domain of at least 2 values");
         let p = n.min(Self::HEAD_LIMIT);
-        let mut head = Vec::with_capacity(p as usize);
-        let mut acc = 0.0f64;
-        for i in 1..=p {
-            acc += 1.0 / (i as f64).powf(theta);
-            head.push(acc);
-        }
-        let total = acc + Self::tail_mass(p as f64, n as f64, theta);
+        // Keyed by the prefix length: every domain past the limit shares
+        // one table per theta.
+        let head = HEAD_TABLE.get_or_compute((p, theta.to_bits()), || Self::head_table(p, theta));
+        let head_total = *head.last().expect("domain >= 2");
+        let total = head_total + Self::tail_mass(p as f64, n as f64, theta);
         Self { theta, head, total }
+    }
+
+    /// Prefix sums `H_{1,theta} ..= H_{p,theta}` (`p` `powf` calls).
+    fn head_table(p: u64, theta: f64) -> Arc<[f64]> {
+        let mut acc = 0.0f64;
+        (1..=p)
+            .map(|i| {
+                acc += 1.0 / (i as f64).powf(theta);
+                acc
+            })
+            .collect()
     }
 
     /// Integral of `x^-theta` over `[a, b]` (the continuous tail mass).
@@ -546,6 +636,118 @@ mod tests {
             (0..8).map(|_| t.sample()).collect()
         };
         assert_eq!(first, again, "zipf stream must be deterministic");
+    }
+
+    // The sharing tests below count sums on their own thread and use keys no
+    // other test in this crate touches; the crate's tests together name fewer
+    // distinct keys than NORMALISER_CAPACITY, so the process-wide tables never
+    // evict under `cargo test`'s parallel threads.
+
+    fn domain_sums() -> u64 {
+        DOMAIN_SUMS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn sources_of_one_relation_share_one_normaliser_sum() {
+        use crate::gen::RelationSpec;
+        let spec = RelationSpec {
+            dist: Distribution::Zipf { theta: 0.9 },
+            ..RelationSpec::uniform(1_600, 5)
+        }
+        .with_domain(1 << 20);
+        let before = domain_sums();
+        // 8 sources x 2 phases, as one query constructs them.
+        for call in 0..16 {
+            let _ = spec.generator_for_source(call % 8, 8);
+        }
+        assert_eq!(domain_sums() - before, 1, "16 samplers, one O(domain) sum");
+        let other_theta = RelationSpec {
+            dist: Distribution::Zipf { theta: 0.8 },
+            ..spec
+        };
+        let _ = other_theta.generator_for_source(0, 8);
+        let _ = other_theta.generator_for_source(1, 8);
+        assert_eq!(domain_sums() - before, 2, "another theta sums for itself");
+        let _ = spec.with_domain(1 << 19).generator_for_source(0, 8);
+        assert_eq!(domain_sums() - before, 3, "another domain sums for itself");
+    }
+
+    #[test]
+    fn concurrently_built_samplers_draw_the_single_threaded_stream() {
+        let dist = Distribution::Zipf { theta: 0.85 };
+        let domain = 1 << 18;
+        let barrier = std::sync::Barrier::new(8);
+        let streams: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        // All eight reach the (possibly cold) table together.
+                        barrier.wait();
+                        let mut s = JoinAttrSampler::new(dist, domain, 21);
+                        (0..256).map(|_| s.sample()).collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sampler thread"))
+                .collect()
+        });
+        // The reference sums for itself, past the shared table.
+        let state = ZipfState::with_zetan(domain, 0.85, ZipfState::zetan(domain, 0.85));
+        let mut rng = Xoshiro256StarStar::new(21);
+        let reference: Vec<u64> = (0..256)
+            .map(|_| state.sample(domain, rng.next_f64()))
+            .collect();
+        for stream in &streams {
+            assert_eq!(stream, &reference);
+        }
+    }
+
+    #[test]
+    fn harmonic_samplers_share_one_head_table() {
+        let a = ZipfHarmonic::new(1 << 17, 1.2);
+        let b = ZipfHarmonic::new(1 << 17, 1.2);
+        assert!(Arc::ptr_eq(&a.head, &b.head));
+        assert_eq!(a.total.to_bits(), b.total.to_bits());
+        // The prefix stops at HEAD_LIMIT, so a larger domain differs only in
+        // its tail mass.
+        let wider = ZipfHarmonic::new(1 << 18, 1.2);
+        assert!(Arc::ptr_eq(&a.head, &wider.head));
+        assert!(wider.total > a.total);
+        let other_theta = ZipfHarmonic::new(1 << 17, 1.3);
+        assert!(!Arc::ptr_eq(&a.head, &other_theta.head));
+    }
+
+    #[test]
+    fn a_full_table_evicts_the_oldest_and_recomputes_the_same_bits() {
+        // A private table: filling the process-wide one would evict under
+        // the other tests.
+        let table: NormaliserTable<f64> = NormaliserTable::new();
+        let sums = std::cell::Cell::new(0u32);
+        let get = |n: u64| {
+            table.get_or_compute((n, 0.9f64.to_bits()), || {
+                sums.set(sums.get() + 1);
+                ZipfState::zetan(n, 0.9)
+            })
+        };
+        let first = get(1000);
+        assert_eq!(get(1000).to_bits(), first.to_bits());
+        assert_eq!(sums.get(), 1, "second lookup hits");
+        for n in 0..NORMALISER_CAPACITY as u64 {
+            let _ = get(2000 + n);
+        }
+        assert_eq!(
+            table.entries.lock().unwrap().len(),
+            NORMALISER_CAPACITY,
+            "the table never grows past its capacity"
+        );
+        let before = sums.get();
+        assert_eq!(get(1000).to_bits(), first.to_bits(), "evicted, recomputed");
+        assert_eq!(sums.get(), before + 1);
+        // The newest entries survived.
+        let _ = get(2000 + NORMALISER_CAPACITY as u64 - 1);
+        assert_eq!(sums.get(), before + 1);
     }
 
     #[test]

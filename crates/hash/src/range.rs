@@ -136,10 +136,19 @@ impl<T: Copy + Eq> RangeMap<T> {
     /// Panics if `pos` is outside the covered space.
     #[must_use]
     pub fn entry_of(&self, pos: u32) -> (HashRange, T) {
+        self.entries[self.index_of(pos)]
+    }
+
+    /// Index into [`Self::entries`] of the entry covering `pos`. Stable
+    /// until the map is next mutated.
+    ///
+    /// # Panics
+    /// Panics if `pos` is outside the covered space.
+    #[must_use]
+    pub fn index_of(&self, pos: u32) -> usize {
         let idx = self.entries.partition_point(|(r, _)| r.end <= pos);
-        let e = self.entries.get(idx).copied();
-        match e {
-            Some(e) if e.0.contains(pos) => e,
+        match self.entries.get(idx) {
+            Some((r, _)) if r.contains(pos) => idx,
             _ => panic!("position {pos} outside the covered space"),
         }
     }
@@ -274,9 +283,19 @@ impl<T: Copy + Eq> ReplicaMap<T> {
     /// Panics if `pos` is outside the covered space.
     #[must_use]
     pub fn entry_of(&self, pos: u32) -> &ReplicaEntry<T> {
+        &self.entries[self.index_of(pos)]
+    }
+
+    /// Index into [`Self::entries`] of the entry covering `pos`. Stable
+    /// until the map is next mutated.
+    ///
+    /// # Panics
+    /// Panics if `pos` is outside the covered space.
+    #[must_use]
+    pub fn index_of(&self, pos: u32) -> usize {
         let idx = self.entries.partition_point(|e| e.range.end <= pos);
         match self.entries.get(idx) {
-            Some(e) if e.range.contains(pos) => e,
+            Some(e) if e.range.contains(pos) => idx,
             _ => panic!("position {pos} outside the covered space"),
         }
     }
@@ -383,6 +402,25 @@ mod tests {
         assert_eq!(m.owners(), vec![1, 2, 3, 4]);
         assert_eq!(m.range_of_owner(3), Some(HashRange::new(50, 75)));
         assert_eq!(m.range_of_owner(9), None);
+    }
+
+    #[test]
+    fn index_of_addresses_the_covering_entry() {
+        let mut m = RangeMap::partitioned(100, &[1u32, 2, 3, 4]);
+        let mut r = ReplicaMap::partitioned(100, &[1u32, 2, 3, 4]);
+        let _ = r.replicate(2, 9);
+        for (pos, index) in [(0, 0), (24, 0), (25, 1), (74, 2), (75, 3), (99, 3)] {
+            assert_eq!(m.index_of(pos), index);
+            assert_eq!(r.index_of(pos), index);
+        }
+        assert_eq!(r.entries()[r.index_of(30)].owners, vec![2, 9]);
+        // Replacing a range renumbers every later entry.
+        m.replace_range(
+            HashRange::new(25, 50),
+            vec![(HashRange::new(25, 40), 2), (HashRange::new(40, 50), 5)],
+        );
+        assert_eq!(m.index_of(99), 4);
+        assert_eq!(m.entries()[m.index_of(45)].1, 5);
     }
 
     #[test]
