@@ -1,6 +1,6 @@
 //! Tracked benchmark baseline: writes and checks `BENCH_2.json` (simulated
 //! suite), `BENCH_4.json` (threaded executor scaling) and `BENCH_5.json`
-//! (batched probe pipeline).
+//! (batched probe kernel).
 //!
 //! Jobs, selected by the command line:
 //!
@@ -23,7 +23,7 @@
 //!   wall-clock ratios are only gated as hard as the hardware can deliver;
 //!   a single-core host only gates that more workers are not pathological).
 //! * **probe record** (`--probe`): measure the batched filtered probe
-//!   pipeline against the scalar tuple-at-a-time probe on a duplicate-heavy
+//!   kernel against the scalar tuple-at-a-time probe on a duplicate-heavy
 //!   table at a low and a high match rate (best-of-N wall clock, with the
 //!   two paths' matches/compares asserted equal), plus the scale-100
 //!   simulated probe throughput of all four algorithms, and write
@@ -32,18 +32,6 @@
 //!   benchmark and fail if the low-match-rate speedup drops below the
 //!   hard [`REQUIRED_PROBE_SPEEDUP`] floor or more than 20% below the
 //!   committed value.
-//! * **kernels record** (`--kernels`): measure the wide probe kernels
-//!   (SWAR tag scan and, when compiled, the `core::arch` SIMD scan, both
-//!   with the interleaved chain walker) against the batched pipeline on
-//!   the BENCH_5 duplicate-heavy micro at both match rates, run the
-//!   scale-100 scenario of all four algorithms under every kernel
-//!   asserting the simulated observables byte-identical to the scalar
-//!   oracle, and write `BENCH_7.json` (or `--out PATH`).
-//! * **kernels check** (`--kernels --check PATH`): re-run the kernel
-//!   micro and the equality sweep (at smoke scale) and fail if the
-//!   low-match SWAR speedup drops below the hard
-//!   [`REQUIRED_KERNEL_SPEEDUP`] floor, more than 20% below the committed
-//!   value, or any kernel's accounting drifts.
 //! * **obs record** (`--obs`): run the scale-100 scenario of all four
 //!   algorithms with the metrics registry live vs with no-op handles
 //!   (best-of-N wall clock each), assert the simulated observables are
@@ -140,7 +128,6 @@ fn main() {
     let mut threaded = false;
     let mut probe = false;
     let mut obs = false;
-    let mut kernels = false;
     let mut service = false;
     let mut skew = false;
     let mut sched = false;
@@ -158,7 +145,6 @@ fn main() {
             "--threaded" => threaded = true,
             "--probe" => probe = true,
             "--obs" => obs = true,
-            "--kernels" => kernels = true,
             "--service" => service = true,
             "--skew" => skew = true,
             "--sched" => sched = true,
@@ -171,7 +157,6 @@ fn main() {
     if usize::from(threaded)
         + usize::from(probe)
         + usize::from(obs)
-        + usize::from(kernels)
         + usize::from(service)
         + usize::from(skew)
         + usize::from(sched)
@@ -185,8 +170,6 @@ fn main() {
         "BENCH_5.json"
     } else if obs {
         "BENCH_6.json"
-    } else if kernels {
-        "BENCH_7.json"
     } else if service {
         "BENCH_8.json"
     } else if skew {
@@ -221,12 +204,6 @@ fn main() {
             None => run_obs_record(&out),
         };
     }
-    if kernels {
-        return match check {
-            Some(path) => run_kernels_check(&path),
-            None => run_kernels_record(&out),
-        };
-    }
     match (threaded, probe, check) {
         (false, false, Some(path)) => run_check(&path),
         (false, false, None) => run_record(&out),
@@ -239,10 +216,9 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: baseline [--threaded | --probe | --obs | --kernels | --service | --skew | \
-         --sched] [--out PATH] | \
-         baseline [--threaded | --probe | --obs | --kernels | --service | --skew | --sched] \
-         --check PATH"
+        "usage: baseline [--threaded | --probe | --obs | --service | --skew | --sched] \
+         [--out PATH] | \
+         baseline [--threaded | --probe | --obs | --service | --skew | --sched] --check PATH"
     );
     std::process::exit(2);
 }
@@ -672,7 +648,7 @@ const PROBE_POSITIONS: u32 = 1 << 16;
 const PROBE_CHAIN: u64 = 8;
 /// Probe tuples per measurement.
 const PROBE_TUPLES: u64 = 1 << 20;
-/// Tuples per `probe_batch` call (the paper's chunk size).
+/// Tuples per batched-kernel call (the paper's chunk size).
 const PROBE_BATCH: usize = 10_000;
 /// Required filtered-batch over scalar speedup at the low match rate (the
 /// PR's acceptance bar).
@@ -691,7 +667,7 @@ struct ProbeCell {
 
 /// Builds the duplicate-heavy probe-bench table: every position holds one
 /// chain of [`PROBE_CHAIN`] copies of a single attribute, so a probe either
-/// walks a full chain (present attr) or — on the batched path — is rejected
+/// scans a full run (present attr) or — on the batched path — is rejected
 /// by the fingerprint tag (absent attr colliding into an occupied position).
 fn probe_table() -> (PositionSpace, JoinHashTable) {
     let domain = u64::from(PROBE_POSITIONS) * 16;
@@ -707,43 +683,38 @@ fn probe_table() -> (PositionSpace, JoinHashTable) {
     (space, t)
 }
 
-/// Measures scalar vs batched probe throughput over `probes`.
-fn measure_probe(table: &JoinHashTable, probes: &[Tuple]) -> ProbeCell {
-    let mut scalar_matches = 0u64;
-    let mut scalar_compares = 0u64;
-    for p in probes {
-        let r = table.probe(p.join_attr);
-        scalar_matches += r.matches;
-        scalar_compares += r.compared;
-    }
+/// Probes `probes` through `kernel` in [`PROBE_BATCH`]-sized chunks.
+fn probe_chunked(
+    table: &mut JoinHashTable,
+    probes: &[Tuple],
+    scratch: &mut ProbeScratch,
+    kernel: ProbeKernel,
+) -> BatchProbeStats {
     let mut stats = BatchProbeStats::default();
-    let mut positions = Vec::new();
     for chunk in probes.chunks(PROBE_BATCH) {
-        stats.absorb(table.probe_batch(chunk, &mut positions));
+        stats.absorb(table.probe_batch_with(chunk, scratch, kernel));
     }
+    stats
+}
+
+/// Measures scalar vs batched probe throughput over `probes`.
+fn measure_probe(table: &mut JoinHashTable, probes: &[Tuple]) -> ProbeCell {
+    let mut scratch = ProbeScratch::new();
+    let scalar = probe_chunked(table, probes, &mut scratch, ProbeKernel::Scalar);
+    let stats = probe_chunked(table, probes, &mut scratch, ProbeKernel::Batched);
     assert_eq!(
         (stats.matches, stats.compared),
-        (scalar_matches, scalar_compares),
+        (scalar.matches, scalar.compared),
         "batched probe accounting must equal the scalar oracle"
     );
-    let scalar_secs = best_of(5, || {
-        let mut matches = 0u64;
-        let mut compared = 0u64;
-        for p in probes {
-            let r = table.probe(p.join_attr);
-            matches += r.matches;
-            compared += r.compared;
-        }
-        black_box((matches, compared))
-    });
-    let batched_secs = best_of(5, || {
-        let mut stats = BatchProbeStats::default();
-        let mut positions = Vec::new();
-        for chunk in probes.chunks(PROBE_BATCH) {
-            stats.absorb(table.probe_batch(chunk, &mut positions));
-        }
-        black_box((stats.matches, stats.compared))
-    });
+    let mut time = |kernel| {
+        best_of(5, || {
+            let stats = probe_chunked(table, probes, &mut scratch, kernel);
+            black_box((stats.matches, stats.compared))
+        })
+    };
+    let scalar_secs = time(ProbeKernel::Scalar);
+    let batched_secs = time(ProbeKernel::Batched);
     ProbeCell {
         scalar_mtps: mtps(probes.len() as u64, scalar_secs),
         batched_mtps: mtps(probes.len() as u64, batched_secs),
@@ -780,14 +751,6 @@ fn high_match_probes() -> Vec<Tuple> {
         .collect()
 }
 
-fn probe_micro_low(space: &PositionSpace, table: &JoinHashTable) -> ProbeCell {
-    measure_probe(table, &low_match_probes(space))
-}
-
-fn probe_micro_high(table: &JoinHashTable) -> ProbeCell {
-    measure_probe(table, &high_match_probes())
-}
-
 fn print_probe_cell(name: &str, c: &ProbeCell) {
     println!(
         "probe/{name}: scalar {:.1} Mtuples/s, batched {:.1} Mtuples/s, \
@@ -810,10 +773,10 @@ fn write_probe_cell(doc: &mut Doc, prefix: &str, c: &ProbeCell) {
 }
 
 fn run_probe_micro() -> (ProbeCell, ProbeCell) {
-    let (space, table) = probe_table();
-    let low = probe_micro_low(&space, &table);
+    let (space, mut table) = probe_table();
+    let low = measure_probe(&mut table, &low_match_probes(&space));
     print_probe_cell("low_match", &low);
-    let high = probe_micro_high(&table);
+    let high = measure_probe(&mut table, &high_match_probes());
     print_probe_cell("high_match", &high);
     (low, high)
 }
@@ -923,282 +886,6 @@ fn run_probe_check(path: &str) {
         std::process::exit(1);
     }
     println!("all probe baseline checks passed against {path}");
-}
-
-// ------------------------------------------- wide probe kernels (BENCH_7)
-
-/// Required SWAR-over-batched speedup at the low match rate on `--check`
-/// (the CI floor; the recorded baseline must clear the stricter
-/// [`KERNEL_RECORD_SPEEDUP`]).
-const REQUIRED_KERNEL_SPEEDUP: f64 = 1.5;
-/// Required SWAR-over-batched speedup when recording `BENCH_7.json` (the
-/// PR's acceptance bar).
-const KERNEL_RECORD_SPEEDUP: f64 = 2.0;
-/// Check tolerance for the kernel speedup, wider than [`CHECK_TOLERANCE`]:
-/// the ratio of two memory-bound wall-clock loops swings harder run to run
-/// than a single throughput number, and the hard
-/// [`REQUIRED_KERNEL_SPEEDUP`] floor below already guarantees the
-/// optimization is present.
-const KERNEL_CHECK_TOLERANCE: f64 = 0.35;
-
-/// One kernel-matrix measurement: the wide kernels against the batched
-/// (PR-5) pipeline on the same table and probe stream, with every
-/// kernel's accounting asserted byte-identical first.
-struct KernelCell {
-    batched_mtps: f64,
-    swar_mtps: f64,
-    swar_speedup: f64,
-    /// `(mtps, speedup over batched)`, present when the `simd` feature
-    /// compiled a vector path for this target.
-    simd: Option<(f64, f64)>,
-    matches: u64,
-    compares: u64,
-    rejection_rate: f64,
-}
-
-/// Accounts `probes` through `kernel` once, then returns the stats and
-/// the best-of-5 wall time of the chunked probe loop.
-fn time_kernel(
-    table: &JoinHashTable,
-    probes: &[Tuple],
-    kernel: ProbeKernel,
-) -> (BatchProbeStats, f64) {
-    let mut scratch = ProbeScratch::new();
-    let mut stats = BatchProbeStats::default();
-    for chunk in probes.chunks(PROBE_BATCH) {
-        stats.absorb(table.probe_batch_with(chunk, &mut scratch, kernel));
-    }
-    let secs = best_of(5, || {
-        let mut stats = BatchProbeStats::default();
-        for chunk in probes.chunks(PROBE_BATCH) {
-            stats.absorb(table.probe_batch_with(chunk, &mut scratch, kernel));
-        }
-        black_box((stats.matches, stats.compared))
-    });
-    (stats, secs)
-}
-
-fn measure_kernel_cell(table: &JoinHashTable, probes: &[Tuple]) -> KernelCell {
-    let (batched, batched_secs) = time_kernel(table, probes, ProbeKernel::Batched);
-    let (swar, swar_secs) = time_kernel(table, probes, ProbeKernel::Swar);
-    assert_eq!(
-        (swar.matches, swar.compared, swar.rejections),
-        (batched.matches, batched.compared, batched.rejections),
-        "SWAR accounting must equal the batched pipeline"
-    );
-    let simd = ProbeKernel::simd_compiled().then(|| {
-        let (stats, secs) = time_kernel(table, probes, ProbeKernel::Simd);
-        assert_eq!(
-            (stats.matches, stats.compared, stats.rejections),
-            (batched.matches, batched.compared, batched.rejections),
-            "SIMD accounting must equal the batched pipeline"
-        );
-        (mtps(probes.len() as u64, secs), ratio(batched_secs, secs))
-    });
-    KernelCell {
-        batched_mtps: mtps(probes.len() as u64, batched_secs),
-        swar_mtps: mtps(probes.len() as u64, swar_secs),
-        swar_speedup: ratio(batched_secs, swar_secs),
-        simd,
-        matches: batched.matches,
-        compares: batched.compared,
-        rejection_rate: if batched.probes > 0 {
-            batched.rejections as f64 / batched.probes as f64
-        } else {
-            0.0
-        },
-    }
-}
-
-fn ratio(reference_secs: f64, secs: f64) -> f64 {
-    if secs > 0.0 {
-        reference_secs / secs
-    } else {
-        f64::INFINITY
-    }
-}
-
-fn print_kernel_cell(name: &str, c: &KernelCell) {
-    let simd = c.simd.map_or(String::new(), |(m, s)| {
-        format!(", simd {m:.1} Mtuples/s ({s:.2}x)")
-    });
-    println!(
-        "kernels/{name}: batched {:.1} Mtuples/s, swar {:.1} Mtuples/s \
-         ({:.2}x){simd} ({:.1}% rejected, {} matches)",
-        c.batched_mtps,
-        c.swar_mtps,
-        c.swar_speedup,
-        100.0 * c.rejection_rate,
-        c.matches
-    );
-}
-
-fn write_kernel_cell(doc: &mut Doc, prefix: &str, c: &KernelCell) {
-    doc.set(&format!("{prefix}.batched_mtps"), c.batched_mtps);
-    doc.set(&format!("{prefix}.swar_mtps"), c.swar_mtps);
-    doc.set(&format!("{prefix}.swar_speedup"), c.swar_speedup);
-    if let Some((mtps, speedup)) = c.simd {
-        doc.set(&format!("{prefix}.simd_mtps"), mtps);
-        doc.set(&format!("{prefix}.simd_speedup"), speedup);
-    }
-    doc.set(&format!("{prefix}.matches"), c.matches as f64);
-    doc.set(&format!("{prefix}.compares"), c.compares as f64);
-    doc.set(&format!("{prefix}.rejection_rate"), c.rejection_rate);
-}
-
-fn run_kernel_micro() -> (KernelCell, KernelCell) {
-    let (space, table) = probe_table();
-    let low = measure_kernel_cell(&table, &low_match_probes(&space));
-    print_kernel_cell("low_match", &low);
-    let high = measure_kernel_cell(&table, &high_match_probes());
-    print_kernel_cell("high_match", &high);
-    (low, high)
-}
-
-/// Runs every algorithm at `scale` under every kernel and asserts the
-/// simulated observables exactly equal the scalar oracle's. Returns the
-/// oracle reports for recording.
-fn assert_kernels_end_to_end(scale: u64) -> Vec<(Algorithm, JoinReport)> {
-    let mut out = Vec::new();
-    for alg in Algorithm::ALL {
-        let mut cfg = scenarios::base(alg, scale);
-        cfg.probe_kernel = ProbeKernel::Scalar;
-        let oracle = JoinRunner::run(&cfg).unwrap_or_else(|e| {
-            eprintln!("scalar oracle failed for {alg:?} at scale {scale}: {e}");
-            std::process::exit(1);
-        });
-        for kernel in [ProbeKernel::Batched, ProbeKernel::Swar, ProbeKernel::Simd] {
-            let mut kcfg = scenarios::base(alg, scale);
-            kcfg.probe_kernel = kernel;
-            let run = JoinRunner::run(&kcfg).unwrap_or_else(|e| {
-                eprintln!("{kernel} run failed for {alg:?} at scale {scale}: {e}");
-                std::process::exit(1);
-            });
-            let label = alg_key(alg);
-            assert_eq!(
-                (oracle.matches, oracle.compares, oracle.net_bytes),
-                (run.matches, run.compares, run.net_bytes),
-                "{label}/{kernel}: simulated observables diverge from the scalar oracle"
-            );
-        }
-        out.push((alg, oracle));
-    }
-    out
-}
-
-fn run_kernels_record(out: &str) {
-    let (low, high) = run_kernel_micro();
-    let mut doc = Doc::new();
-    doc.set("schema_version", 1.0);
-    doc.set("kernels.tuples", PROBE_TUPLES as f64);
-    doc.set("kernels.chain", PROBE_CHAIN as f64);
-    doc.set(
-        "kernels.simd_compiled",
-        if ProbeKernel::simd_compiled() {
-            1.0
-        } else {
-            0.0
-        },
-    );
-    write_kernel_cell(&mut doc, "kernels.low_match", &low);
-    write_kernel_cell(&mut doc, "kernels.high_match", &high);
-    for (alg, report) in assert_kernels_end_to_end(BASELINE_SCALE) {
-        println!(
-            "kernels100/{}: all kernels byte-identical to scalar \
-             ({} matches, {} net bytes)",
-            alg_key(alg),
-            report.matches,
-            report.net_bytes
-        );
-        let prefix = format!("kernels100.{}", alg_key(alg));
-        doc.set(&format!("{prefix}.matches"), report.matches as f64);
-        doc.set(&format!("{prefix}.compares"), report.compares as f64);
-        doc.set(&format!("{prefix}.net_bytes"), report.net_bytes as f64);
-    }
-    std::fs::write(out, doc.render()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote {out}");
-    if low.swar_speedup < KERNEL_RECORD_SPEEDUP {
-        eprintln!(
-            "FAIL: low-match SWAR speedup {:.2}x is below the required \
-             {KERNEL_RECORD_SPEEDUP}x record bar",
-            low.swar_speedup
-        );
-        std::process::exit(1);
-    }
-}
-
-fn run_kernels_check(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let committed = parse_flat_json(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
-    });
-    let mut failures = 0u32;
-    let (low, high) = run_kernel_micro();
-    // The hard CI floor, independent of the committed file.
-    if low.swar_speedup < REQUIRED_KERNEL_SPEEDUP {
-        eprintln!(
-            "FAIL kernels.low_match.swar_speedup: {:.2}x < required \
-             {REQUIRED_KERNEL_SPEEDUP}x",
-            low.swar_speedup
-        );
-        failures += 1;
-    }
-    // And no more than the tolerance below what was recorded.
-    if let Some(&baseline) = committed.get("kernels.low_match.swar_speedup") {
-        let floor = baseline * (1.0 - KERNEL_CHECK_TOLERANCE);
-        let status = if low.swar_speedup < floor {
-            "FAIL"
-        } else {
-            "ok"
-        };
-        println!(
-            "{status:>4} kernels.low_match.swar_speedup: {:.2}x vs baseline \
-             {baseline:.2}x (floor {floor:.2}x)",
-            low.swar_speedup
-        );
-        if low.swar_speedup < floor {
-            failures += 1;
-        }
-    } else {
-        eprintln!("FAIL kernels.low_match.swar_speedup: missing from {path}");
-        failures += 1;
-    }
-    // Match/compare counts are data properties of the fixed workload: any
-    // drift against the committed file is an accounting bug.
-    for (key, now) in [
-        ("kernels.low_match.matches", low.matches),
-        ("kernels.low_match.compares", low.compares),
-        ("kernels.high_match.matches", high.matches),
-        ("kernels.high_match.compares", high.compares),
-    ] {
-        match committed.get(key) {
-            Some(&m) if (now as f64 - m).abs() < 0.5 => {}
-            Some(&m) => {
-                eprintln!("FAIL {key}: {now} != committed {m}");
-                failures += 1;
-            }
-            None => {
-                eprintln!("FAIL {key}: missing from {path}");
-                failures += 1;
-            }
-        }
-    }
-    // Smoke-scale equality sweep: every kernel must still be
-    // byte-identical end to end (asserts internally).
-    let _ = assert_kernels_end_to_end(SMOKE_SCALE);
-    println!("kernels-smoke: all kernels byte-identical to scalar");
-    if failures > 0 {
-        eprintln!("{failures} kernel baseline check(s) failed against {path}");
-        std::process::exit(1);
-    }
-    println!("all kernel baseline checks passed against {path}");
 }
 
 // -------------------------------------------- metrics overhead (BENCH_6)

@@ -85,7 +85,7 @@ pub struct Args {
     pub perfetto_out: Option<String>,
     /// Disable the live metrics registry (no-op instruments everywhere).
     pub no_metrics: bool,
-    /// Probe kernel join nodes run (None = the config default, SWAR).
+    /// Probe kernel join nodes run (None = the config default, batched).
     pub probe_kernel: Option<ProbeKernel>,
     /// Concurrent queries the `service` command admits.
     pub queries: usize,
@@ -172,9 +172,9 @@ OPTIONS:
   --trace-out <FILE>     write trace events as JSON lines (run only)
   --perfetto-out <FILE>  write a Chrome trace-event (Perfetto) timeline (run only)
   --no-metrics           disable the live metrics registry (no-op instruments)
-  --probe-kernel <scalar|batched|swar|simd>   probe implementation (default swar;
-                         simd needs the `simd` cargo feature, else falls back to swar;
-                         all kernels produce identical simulated results)
+  --probe-kernel <scalar|batched>   probe implementation (default batched; scalar is
+                         the tuple-at-a-time reference; both produce identical
+                         simulated results)
   --queries <N>          service: concurrent queries to admit (default 8; algorithms
                          round-robin across replicated/split/hybrid/ooc)
   --memory-budget <BYTES>  service: hash-memory quota shared by all queries; admissions
@@ -496,11 +496,11 @@ mod tests {
             Some(ProbeKernel::Scalar)
         );
         assert_eq!(
-            p("run --probe-kernel simd").expect("valid").probe_kernel,
-            Some(ProbeKernel::Simd)
+            p("run --probe-kernel batched").expect("valid").probe_kernel,
+            Some(ProbeKernel::Batched)
         );
         assert_eq!(p("run").expect("valid").probe_kernel, None);
-        assert!(p("run --probe-kernel avx512").is_err());
+        assert!(p("run --probe-kernel swar").is_err());
         assert!(p("run --probe-kernel").is_err());
     }
 

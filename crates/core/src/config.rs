@@ -190,12 +190,10 @@ pub struct JoinConfig {
     pub allow_spill_fallback: bool,
     /// Skew-conscious routing knobs (DESIGN §4i; off by default).
     pub hot_keys: HotKeyConfig,
-    /// Which probe kernel join nodes run (DESIGN §4g). Every kernel
-    /// produces byte-identical simulated observables; they differ only in
-    /// host wall-time. The scalar tuple-at-a-time path and the one-chain
-    /// batched pipeline are kept as oracles for differential tests;
-    /// [`ProbeKernel::Simd`] needs the `simd` cargo feature and falls back
-    /// to SWAR elsewhere.
+    /// Which probe kernel join nodes run (DESIGN §4g). Both produce
+    /// byte-identical simulated observables; they differ only in host
+    /// wall-time. The scalar tuple-at-a-time path is kept as the reference
+    /// for differential tests.
     pub probe_kernel: ProbeKernel,
     /// Scheduling weight of this query's actor group on a shared executor
     /// (multi-tenant service): its share of worker time relative to other

@@ -49,9 +49,6 @@ struct NodeMetrics {
     /// numerator/denominator, sampled into Perfetto counter tracks).
     filter_probes: Counter,
     filter_rejections: Counter,
-    /// Mean chains concurrently in flight per interleaved-walk round, one
-    /// sample per probed batch (wide kernels only).
-    interleave_depth: ehj_metrics::Histogram,
     /// Probe tuples answered from a replicated hot position (DESIGN §4i).
     hotkey_hits: Counter,
     /// Tuples per resumable probe slice (recorded only when slicing is
@@ -70,7 +67,6 @@ impl NodeMetrics {
             occupancy_seen: 0,
             filter_probes: handle.counter(names::NODE_FILTER_PROBES),
             filter_rejections: handle.counter(names::NODE_FILTER_REJECTIONS),
-            interleave_depth: handle.histogram(names::NODE_INTERLEAVE_DEPTH),
             hotkey_hits: handle.counter(names::NODE_HOTKEY_HITS),
             slice_tuples: handle.histogram(names::SCHED_SLICE_TUPLES),
         }
@@ -120,7 +116,7 @@ pub struct JoinNode<B: SpillBackend + Default + Send> {
     scatter: Vec<(ActorId, Vec<Tuple>)>,
     /// Reusable position buffer for the hash-once build path.
     pos_scratch: Vec<u32>,
-    /// Reusable scratch (positions + survivor queue) for the probe kernels.
+    /// Reusable position scratch for the batched probe kernel.
     probe_scratch: ProbeScratch,
     /// Probe-filter effectiveness counters, emitted as one
     /// `ProbeFilterStats` trace event with the node's final report.
@@ -582,36 +578,19 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
     /// Probes one slice of a batch and accounts for exactly that slice.
     fn probe_slice(&mut self, ctx: &mut dyn Context<Msg>, tuples: &TupleBatch) {
         let costs = self.cfg.costs;
-        let (compared, found) = if self.cfg.probe_kernel == ProbeKernel::Scalar {
-            // Scalar oracle: tuple-at-a-time, kept for differential tests.
-            // Deliberately outside the kernel dispatch so it records no
-            // filter stats (the oracle has no filter).
-            let mut compared: u64 = 0;
-            let mut found: u64 = 0;
-            for t in tuples {
-                let r = self.table.probe(t.join_attr);
-                compared += r.compared;
-                found += r.matches;
-            }
-            (compared, found)
-        } else {
-            let mut scratch = std::mem::take(&mut self.probe_scratch);
-            let stats = self
-                .table
-                .probe_batch_with(tuples, &mut scratch, self.cfg.probe_kernel);
-            self.probe_scratch = scratch;
+        let kernel = self.cfg.probe_kernel;
+        let stats = self
+            .table
+            .probe_batch_with(tuples, &mut self.probe_scratch, kernel);
+        // The scalar reference has no filter, so it keeps no filter stats.
+        if kernel != ProbeKernel::Scalar {
             self.filter_probes += stats.probes;
             self.filter_rejections += stats.rejections;
             self.filter_batches += 1;
             self.metrics.filter_probes.add(stats.probes);
             self.metrics.filter_rejections.add(stats.rejections);
-            // Mean interleave depth; `None` (no walker rounds, i.e. the
-            // batched kernel or an all-rejected batch) records nothing.
-            if let Some(depth) = stats.walk_active.checked_div(stats.walk_rounds) {
-                self.metrics.interleave_depth.record(depth);
-            }
-            (stats.compared, stats.matches)
-        };
+        }
+        let (compared, found) = (stats.compared, stats.matches);
         self.matches += found;
         self.compares += compared;
         if let Some(o) = self.routing.as_ref().and_then(RoutingTable::overlay) {
@@ -776,7 +755,12 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             );
             return;
         }
-        let moved = self.table.extract_range(cut, range.end);
+        // A position drain, not `extract_range`: nothing may order the arena
+        // before the build barrier, or the receiver's capacity-checked
+        // inserts (and so its pending queue) would see a different order.
+        let moved = self
+            .table
+            .drain_positions(|pos| cut <= pos && pos < range.end);
         let moved_count = moved.len() as u64;
         ctx.consume_cpu(self.cfg.costs.route_per_tuple * moved_count);
         self.send_tuples(
@@ -1441,12 +1425,76 @@ mod tests {
         };
         let (sm, sc, sfp, sfb) = run(ProbeKernel::Scalar);
         assert_eq!((sfp, sfb), (0, 0), "scalar path keeps no filter stats");
-        for kernel in [ProbeKernel::Batched, ProbeKernel::Swar, ProbeKernel::Simd] {
-            let (bm, bc, bfp, bfb) = run(kernel);
-            assert_eq!((sm, sc), (bm, bc), "{kernel} must match the scalar oracle");
-            assert_eq!(bfp, probe.len() as u64, "{kernel} filter probes");
-            assert_eq!(bfb, 1, "{kernel} filter batches");
+        let (bm, bc, bfp, bfb) = run(ProbeKernel::Batched);
+        assert_eq!((sm, sc), (bm, bc), "batched must match the scalar oracle");
+        assert_eq!(bfp, probe.len() as u64, "filter probes");
+        assert_eq!(bfb, 1, "filter batches");
+    }
+
+    fn probe_data(tuples: Vec<Tuple>) -> Msg {
+        Msg::Data {
+            phase: Phase::Probe,
+            category: CommCategory::SourceDelivery,
+            tuples: tuples.into(),
+            tuple_bytes: 116,
         }
+    }
+
+    #[test]
+    fn build_side_chunks_arriving_after_the_first_probe_are_found_by_the_next() {
+        // The first probe batch orders the arena; a late reshuffle chunk and
+        // a late hot-key copy must clear that state so the next batch sees
+        // them (both run-time backends can deliver them in this order).
+        let (mut node, mut ctx) = activated_node(Algorithm::Hybrid, 100);
+        node.on_message(
+            &mut ctx,
+            1,
+            build_data(vec![Tuple::new(1, 100), Tuple::new(2, 105)]),
+        );
+        node.on_message(
+            &mut ctx,
+            SCHED,
+            Msg::HotKeyPlan {
+                positions: Vec::new(),
+                members: vec![ME, OTHER],
+            },
+        );
+        let probes = || probe_data(vec![Tuple::new(9, 100), Tuple::new(10, 300)]);
+        node.on_message(&mut ctx, 1, probes());
+        assert_eq!((node.matches, node.compares), (1, 1));
+
+        node.on_message(
+            &mut ctx,
+            OTHER,
+            Msg::Data {
+                phase: Phase::Reshuffle,
+                category: CommCategory::ReshuffleTransfer,
+                tuples: vec![Tuple::new(3, 100), Tuple::new(4, 300)].into(),
+                tuple_bytes: 116,
+            },
+        );
+        node.on_message(&mut ctx, 1, probes());
+        assert_eq!(
+            (node.matches, node.compares),
+            (1 + 3, 1 + 3),
+            "the reshuffle chunk must be probed"
+        );
+
+        node.on_message(
+            &mut ctx,
+            OTHER,
+            Msg::HotKeyData {
+                tuples: vec![Tuple::new(5, 300)].into(),
+                tuple_bytes: 116,
+            },
+        );
+        node.on_message(&mut ctx, 1, probes());
+        assert_eq!(
+            (node.matches, node.compares),
+            (4 + 4, 4 + 4),
+            "the hot-key copy must be probed"
+        );
+        assert_eq!(node.resident_tuples(), 5);
     }
 
     #[test]

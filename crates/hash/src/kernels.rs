@@ -1,34 +1,12 @@
-//! Data-parallel probe kernels: SWAR and `core::arch` SIMD primitives for
-//! the batched probe pipeline, plus the runtime kernel selector.
+//! The probe-kernel selector, the probe scratch and the prefetch shim.
 //!
-//! Every kernel is a *host-side* optimization: simulated observables
-//! (matches, compares, bytes, virtual times) are byte-identical across all
-//! of them, because the fingerprint filter only ever skips chain walks whose
-//! comparison count it can charge exactly (see
-//! [`crate::JoinHashTable::probe_batch`]). What changes is how many probes
-//! one instruction tests and how many cache misses overlap:
-//!
-//! * **SWAR tag scan** — four positions' 16-bit bloom tags packed into one
-//!   `u64` word are ANDed against four packed probe fingerprints; one
-//!   std-only word-op plus a per-lane zero test ([`swar_survivor_mask`])
-//!   rejects up to four probes per instruction sequence.
-//! * **SIMD tag scan** (`--features simd`) — the same test eight lanes wide
-//!   through `core::arch` SSE2 (`x86_64`, baseline ISA) or NEON (`aarch64`,
-//!   baseline ISA). Other architectures fall back to SWAR at runtime.
-//! * **Interleaved chain walk** — survivors are queued and walked by a
-//!   round-robin state machine ([`crate::JoinHashTable`]'s walker) that
-//!   keeps [`WALK_LANES`] independent chains in flight so their random slot
-//!   loads overlap instead of serializing on cache misses.
-//!
-//! The scalar probe and the one-chain-at-a-time batched pipeline survive as
-//! selectable oracles ([`ProbeKernel::Scalar`], [`ProbeKernel::Batched`])
-//! for differential tests and the recorded kernel baseline (`BENCH_7.json`).
-
-/// How many chains the interleaved walker keeps in flight. Eight in-flight
-/// line fills sit comfortably under the miss-handling capacity of any
-/// mainstream core while giving the prefetcher a full round to land each
-/// line before the lane is revisited.
-pub const WALK_LANES: usize = 8;
+//! Both kernels are *host-side* choices: simulated observables (matches,
+//! compares, bytes, virtual times) are byte-identical between them, because
+//! the fingerprint filter only ever skips run scans whose comparison count
+//! it can charge exactly (see [`crate::JoinHashTable::probe_batch_with`]).
+//! [`ProbeKernel::Scalar`] is the tuple-at-a-time reference the
+//! differential tests compare against; [`ProbeKernel::Batched`] is the
+//! production path.
 
 /// Issues a best-effort cache prefetch for the line holding `p`. A no-op on
 /// architectures without a prefetch hint.
@@ -55,49 +33,22 @@ pub(crate) fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
-/// Which probe implementation a join node runs. All kernels produce
-/// byte-identical simulated observables; they differ only in host wall-time.
+/// Which probe implementation a join node runs. Both produce byte-identical
+/// simulated observables; they differ only in host wall-time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProbeKernel {
-    /// Tuple-at-a-time scalar walk — the differential-test oracle.
+    /// Tuple-at-a-time scan with no filter and no prefetch — the
+    /// differential-test reference.
     Scalar,
-    /// The one-chain-at-a-time filtered, prefetched batch pipeline
-    /// (DESIGN §4e) — the baseline the wide kernels are measured against.
-    Batched,
-    /// SWAR tag scan (4 tags per `u64` word-op) + interleaved chain walk.
-    /// The default: std-only, fast on every architecture.
+    /// Bulk positions, directory and run-start prefetch, tag test, run scan
+    /// (DESIGN §4e). The default.
     #[default]
-    Swar,
-    /// `core::arch` tag scan (8 tags per vector op) + interleaved chain
-    /// walk. Requires the `simd` cargo feature on x86_64/aarch64; resolves
-    /// to [`Self::Swar`] elsewhere.
-    Simd,
+    Batched,
 }
 
 impl ProbeKernel {
-    /// Every kernel, in oracle-to-widest order (differential test matrix).
-    pub const ALL: [Self; 4] = [Self::Scalar, Self::Batched, Self::Swar, Self::Simd];
-
-    /// Whether this build carries a vector tag-scan path for the host
-    /// architecture (the `simd` feature on x86_64 SSE2 / aarch64 NEON).
-    #[must_use]
-    pub const fn simd_compiled() -> bool {
-        cfg!(all(
-            feature = "simd",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))
-    }
-
-    /// The kernel that will actually run: [`Self::Simd`] degrades to
-    /// [`Self::Swar`] when no vector path is compiled in, everything else
-    /// resolves to itself.
-    #[must_use]
-    pub fn resolve(self) -> Self {
-        match self {
-            Self::Simd if !Self::simd_compiled() => Self::Swar,
-            other => other,
-        }
-    }
+    /// Both kernels, reference first (differential test matrix).
+    pub const ALL: [Self; 2] = [Self::Scalar, Self::Batched];
 
     /// Stable lowercase name (CLI flag values, bench labels, JSON keys).
     #[must_use]
@@ -105,8 +56,6 @@ impl ProbeKernel {
         match self {
             Self::Scalar => "scalar",
             Self::Batched => "batched",
-            Self::Swar => "swar",
-            Self::Simd => "simd",
         }
     }
 
@@ -118,9 +67,7 @@ impl ProbeKernel {
         Self::ALL
             .into_iter()
             .find(|k| k.label() == s)
-            .ok_or_else(|| {
-                format!("unknown probe kernel {s:?} (expected scalar|batched|swar|simd)")
-            })
+            .ok_or_else(|| format!("unknown probe kernel {s:?} (expected scalar|batched)"))
     }
 }
 
@@ -138,29 +85,16 @@ impl std::str::FromStr for ProbeKernel {
     }
 }
 
-/// One queued tag-filter survivor: the probe attribute and its table
-/// position, awaiting the interleaved chain walk.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Survivor {
-    /// Global table position (indexes the head array).
-    pub pos: u32,
-    /// The probed join attribute.
-    pub attr: u64,
-}
-
-/// Caller-owned scratch for the wide probe kernels, so steady-state probing
-/// allocates nothing: the hashed positions of the current batch and the
-/// queue of tag-filter survivors awaiting their chain walk.
+/// Caller-owned scratch for the batched probe kernel, so steady-state
+/// probing allocates nothing: the hashed positions of the current batch.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     /// Position of every tuple in the batch (pass-1 bulk hash output).
     pub(crate) positions: Vec<u32>,
-    /// Probes whose fingerprint was present in their position's tag.
-    pub(crate) survivors: Vec<Survivor>,
 }
 
 impl ProbeScratch {
-    /// Creates empty scratch (buffers grow to batch size on first use).
+    /// Creates empty scratch (the buffer grows to batch size on first use).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -173,177 +107,9 @@ impl ProbeScratch {
     }
 }
 
-/// Packs four 16-bit lanes into one little-endian `u64` word (lane 0 in the
-/// low bits).
-#[inline(always)]
-#[must_use]
-pub fn pack4(lanes: [u16; 4]) -> u64 {
-    u64::from(lanes[0])
-        | u64::from(lanes[1]) << 16
-        | u64::from(lanes[2]) << 32
-        | u64::from(lanes[3]) << 48
-}
-
-/// SWAR survivor test: ANDs four packed tags against four packed probe
-/// fingerprints and returns a 4-bit mask with bit `k` set iff lane `k` is
-/// nonzero — i.e. probe `k`'s fingerprint bit is present in its position's
-/// tag and the chain must be walked. A clear bit is a proven rejection
-/// (bloom tags have no false negatives).
-#[inline(always)]
-#[must_use]
-pub fn swar_survivor_mask(tags: [u16; 4], fps: [u16; 4]) -> u32 {
-    let hits = pack4(tags) & pack4(fps);
-    // Per-lane zero test without unpacking: adding 0x7FFF to the low 15
-    // bits carries into bit 15 iff any of them is set; OR-ing the original
-    // word catches lanes whose only set bit *is* bit 15.
-    const LO: u64 = 0x7FFF_7FFF_7FFF_7FFF;
-    const HI: u64 = 0x8000_8000_8000_8000;
-    let nz = (((hits & LO) + LO) | hits) & HI;
-    // Compress the per-lane sign bits (15, 31, 47, 63) down to bits 0..4.
-    (((nz >> 15) & 1) | ((nz >> 30) & 2) | ((nz >> 45) & 4) | ((nz >> 60) & 8)) as u32
-}
-
-/// SSE2 survivor test, eight lanes wide: bit `k` of the result is set iff
-/// `tags[k] & fps[k] != 0`. SSE2 is baseline on x86_64, so this is safe to
-/// call unconditionally.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-#[must_use]
-pub fn simd_survivor_mask(tags: [u16; 8], fps: [u16; 8]) -> u32 {
-    use core::arch::x86_64::{
-        _mm_and_si128, _mm_cmpeq_epi16, _mm_loadu_si128, _mm_movemask_epi8, _mm_setzero_si128,
-    };
-    // SAFETY: SSE2 is part of the x86_64 baseline ISA; the loads read
-    // exactly 16 bytes from properly sized stack arrays.
-    let rejected = unsafe {
-        let t = _mm_loadu_si128(tags.as_ptr().cast());
-        let f = _mm_loadu_si128(fps.as_ptr().cast());
-        let hits = _mm_and_si128(t, f);
-        // 0xFFFF per rejected (zero-hit) lane, so movemask yields two set
-        // bits per rejected lane.
-        _mm_movemask_epi8(_mm_cmpeq_epi16(hits, _mm_setzero_si128())) as u32
-    };
-    let mut mask = 0u32;
-    for k in 0..8 {
-        if rejected & (0b11 << (2 * k)) == 0 {
-            mask |= 1 << k;
-        }
-    }
-    mask
-}
-
-/// NEON survivor test, eight lanes wide: bit `k` of the result is set iff
-/// `tags[k] & fps[k] != 0`. NEON is baseline on aarch64, so this is safe to
-/// call unconditionally.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-#[inline(always)]
-#[must_use]
-pub fn simd_survivor_mask(tags: [u16; 8], fps: [u16; 8]) -> u32 {
-    use core::arch::aarch64::{vld1q_u16, vst1q_u16, vtstq_u16};
-    let mut lanes = [0u16; 8];
-    // SAFETY: NEON is part of the aarch64 baseline ISA; the load/store move
-    // exactly 16 bytes between properly sized stack arrays.
-    unsafe {
-        let t = vld1q_u16(tags.as_ptr());
-        let f = vld1q_u16(fps.as_ptr());
-        // vtst: all-ones per lane where (t & f) != 0, zero where rejected.
-        vst1q_u16(lanes.as_mut_ptr(), vtstq_u16(t, f));
-    }
-    let mut mask = 0u32;
-    for (k, &lane) in lanes.iter().enumerate() {
-        if lane != 0 {
-            mask |= 1 << k;
-        }
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Reference lane-by-lane survivor mask.
-    fn oracle<const G: usize>(tags: [u16; G], fps: [u16; G]) -> u32 {
-        let mut mask = 0u32;
-        for k in 0..G {
-            if tags[k] & fps[k] != 0 {
-                mask |= 1 << k;
-            }
-        }
-        mask
-    }
-
-    /// Tiny deterministic generator (no external crates).
-    fn next(state: &mut u64) -> u64 {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *state >> 16
-    }
-
-    #[test]
-    fn pack4_is_little_endian_lanes() {
-        assert_eq!(pack4([1, 2, 3, 4]), 0x0004_0003_0002_0001);
-        assert_eq!(pack4([0xFFFF, 0, 0, 0x8000]), 0x8000_0000_0000_FFFF);
-    }
-
-    #[test]
-    fn swar_mask_matches_lane_oracle() {
-        let mut s = 0x5EED_1234u64;
-        for _ in 0..10_000 {
-            let mut tags = [0u16; 4];
-            let mut fps = [0u16; 4];
-            for k in 0..4 {
-                tags[k] = next(&mut s) as u16;
-                // One-hot like the real fingerprints, but any value must work.
-                fps[k] = if next(&mut s) % 2 == 0 {
-                    1u16 << (next(&mut s) % 16)
-                } else {
-                    next(&mut s) as u16
-                };
-            }
-            assert_eq!(
-                swar_survivor_mask(tags, fps),
-                oracle(tags, fps),
-                "tags={tags:04x?} fps={fps:04x?}"
-            );
-        }
-    }
-
-    #[test]
-    fn swar_mask_edge_lanes() {
-        // Bit 15 is the carry-trick's blind spot if mishandled: cover it.
-        assert_eq!(swar_survivor_mask([0x8000; 4], [0x8000; 4]), 0b1111);
-        assert_eq!(
-            swar_survivor_mask([0x8000, 0, 0x8000, 0], [0x8000; 4]),
-            0b0101
-        );
-        assert_eq!(swar_survivor_mask([0; 4], [0xFFFF; 4]), 0);
-        assert_eq!(swar_survivor_mask([0xFFFF; 4], [0; 4]), 0);
-    }
-
-    #[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
-    #[test]
-    fn simd_mask_matches_lane_oracle() {
-        let mut s = 0xABCD_EF01u64;
-        for _ in 0..10_000 {
-            let mut tags = [0u16; 8];
-            let mut fps = [0u16; 8];
-            for k in 0..8 {
-                tags[k] = next(&mut s) as u16;
-                fps[k] = if next(&mut s) % 2 == 0 {
-                    1u16 << (next(&mut s) % 16)
-                } else {
-                    next(&mut s) as u16
-                };
-            }
-            assert_eq!(
-                simd_survivor_mask(tags, fps),
-                oracle(tags, fps),
-                "tags={tags:04x?} fps={fps:04x?}"
-            );
-        }
-    }
 
     #[test]
     fn kernel_labels_round_trip() {
@@ -351,24 +117,11 @@ mod tests {
             assert_eq!(ProbeKernel::parse(k.label()), Ok(k));
             assert_eq!(k.to_string(), k.label());
         }
-        assert!(ProbeKernel::parse("avx512").is_err());
+        assert!(ProbeKernel::parse("swar").is_err());
     }
 
     #[test]
-    fn simd_resolves_to_swar_without_the_feature() {
-        assert_eq!(ProbeKernel::Scalar.resolve(), ProbeKernel::Scalar);
-        assert_eq!(ProbeKernel::Batched.resolve(), ProbeKernel::Batched);
-        assert_eq!(ProbeKernel::Swar.resolve(), ProbeKernel::Swar);
-        let expect = if ProbeKernel::simd_compiled() {
-            ProbeKernel::Simd
-        } else {
-            ProbeKernel::Swar
-        };
-        assert_eq!(ProbeKernel::Simd.resolve(), expect);
-    }
-
-    #[test]
-    fn default_kernel_is_swar() {
-        assert_eq!(ProbeKernel::default(), ProbeKernel::Swar);
+    fn default_kernel_is_batched() {
+        assert_eq!(ProbeKernel::default(), ProbeKernel::Batched);
     }
 }

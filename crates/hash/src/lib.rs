@@ -12,9 +12,9 @@
 //!   its skew-aware variant;
 //! * [`sketch`] — the space-saving heavy-hitter sketch behind hot-key
 //!   detection (DESIGN §4i);
-//! * [`table`] — the per-node, memory-accounted flat-arena hash table;
-//! * [`kernels`] — data-parallel probe kernels (SWAR/SIMD tag scans, the
-//!   interleaved chain walker's lane count) and the runtime selector;
+//! * [`table`] — the per-node, memory-accounted, position-ordered hash table;
+//! * [`kernels`] — the probe-kernel selector (scalar reference | batched)
+//!   and the probe scratch;
 //! * [`chained`] — the original `BTreeMap`-chained table, kept as a
 //!   reference for differential tests and benchmark baselines.
 

@@ -1,11 +1,10 @@
 //! The per-node join hash table with byte-accurate memory accounting.
 //!
 //! A join process "is responsible for building and maintaining a portion of
-//! the hash table" (§4.1.3). [`JoinHashTable`] stores build-side tuples
-//! chained per global hash-table position, charges every insert against a
-//! byte capacity (the paper's bucket-overflow trigger: "if memory for data
-//! elements cannot be allocated"), and supports the operations the three
-//! EHJAs need:
+//! the hash table" (§4.1.3). [`JoinHashTable`] stores build-side tuples per
+//! global hash-table position, charges every insert against a byte capacity
+//! (the paper's bucket-overflow trigger: "if memory for data elements cannot
+//! be allocated"), and supports the operations the three EHJAs need:
 //!
 //! * probe with per-comparison accounting (Algorithm 1 scans the whole
 //!   chain at a position);
@@ -15,57 +14,54 @@
 //!
 //! ## Memory layout
 //!
-//! The table is *flat*: tuples live in one contiguous arena (`slots`), and
-//! chains are intrusive singly-linked lists threaded through it with `u32`
-//! arena indices. A dense per-position head array (`heads`, lazily
-//! allocated on first insert so idle potential nodes cost nothing) maps a
-//! global position to the newest slot chained there. An insert is a vector
-//! push plus one head-link write — no per-chain allocation, no tree
-//! rebalancing — and a probe walks a chain of 24-byte slots that were
-//! written adjacently when their inserts were adjacent. Bulk removals
-//! (range extraction, predicate drains) compact the arena and relink in one
-//! pass; they are off the per-tuple hot path, exactly as the paper's
-//! reshuffles and splits are.
+//! The table is an *append log that is put in position order lazily*. The
+//! arena is two parallel vectors, `pos` and `tuples` (20 bytes per stored
+//! tuple), and a dense directory holds one `{start, count, tag}` entry per
+//! global position (lazily allocated on first insert so idle potential
+//! nodes cost nothing). An insert is two pushes and one directory line: it
+//! bumps the position's exact `count`, ORs the attribute's 16-bit bloom
+//! fingerprint ([`filter_fingerprint`]) into its `tag`, and clears the
+//! `ordered` flag. Nothing is linked.
 //!
-//! ## Batched probe pipeline
+//! The first probe or range extraction after an insert runs the private
+//! `order()`: a stable counting sort of the arena by position, over the
+//! span of positions this table has actually seen (a node owns a fraction
+//! of the directory). From then on a position's chain is the contiguous
+//! run `tuples[start..start + count]`, in insertion order. Build-time
+//! operations — histograms, predicate drains, spills — never order the
+//! arena, so until the build barrier it stays in insertion order, which is
+//! what callers that re-home drained tuples under a capacity check observe.
 //!
-//! Alongside the head array the table keeps two per-position filter words:
-//! an exact chain-length count and a 16-bit bloom tag
-//! ([`filter_fingerprint`]). [`JoinHashTable::probe_batch`] hashes a whole
-//! probe batch in one pass, software-prefetches the filter words and chain
-//! heads a fixed distance ahead, and consults the tag before walking a
-//! chain: a rejection charges `compared = count[pos]`, `matches = 0` —
-//! byte-for-byte what the full walk would have produced, because
-//! Algorithm 1 always scans the entire chain and a bloom rejection proves
-//! no element can match. The filters are maintained incrementally on insert
-//! and rebuilt during the bulk-compaction paths (bloom tags cannot
-//! decrement).
+//! ## Probing
 //!
-//! The reference `BTreeMap`-chained layout this replaced survives as
+//! Algorithm 1 always scans the entire chain, so a probe is charged
+//! `compared = count` straight from the directory whatever the scan finds.
+//! The batched pipeline hashes a whole batch in one pass, prefetches
+//! directory entries and run starts a fixed distance ahead, and consults
+//! the tag before touching the arena: a rejection proves no element can
+//! match (bloom tags have no false negatives), so it charges the same
+//! `count` with `matches = 0` — byte-for-byte the scalar outcome.
+//!
+//! The reference `BTreeMap`-chained layout survives as
 //! [`crate::ChainedTable`] for differential tests and benchmarks.
 
 use crate::hasher::PositionSpace;
-use crate::kernels::{
-    prefetch_read, swar_survivor_mask, ProbeKernel, ProbeScratch, Survivor, WALK_LANES,
-};
+use crate::kernels::{prefetch_read, ProbeKernel, ProbeScratch};
 use ehj_data::{JoinAttr, Schema, Tuple};
+use std::ops::Range;
 
 /// Bookkeeping bytes charged per stored tuple on top of the schema's raw
-/// tuple size (chain link + position tag + head-array share, mirroring the
+/// tuple size (position tag + directory share, mirroring the
 /// chain-pointer/allocator overhead on the paper's testbed).
 pub const ENTRY_OVERHEAD_BYTES: u64 = 16;
 
-/// Chain terminator / empty head marker.
-const NIL: u32 = u32::MAX;
+/// How many probes ahead the batched pipeline prefetches directory entries.
+const DIR_PREFETCH_AHEAD: usize = 16;
 
-/// How many probes ahead [`JoinHashTable::probe_batch`] prefetches the
-/// per-position filter words and chain heads.
-const FILTER_PREFETCH_AHEAD: usize = 16;
-
-/// How many probes ahead [`JoinHashTable::probe_batch`] prefetches the first
-/// chain slot (shorter than the filter distance: it needs the head value,
-/// which the longer-range prefetch has already pulled in by then).
-const SLOT_PREFETCH_AHEAD: usize = 4;
+/// How many probes ahead the batched pipeline prefetches a run's first
+/// tuple (shorter than the directory distance: it needs the entry's
+/// `start`, which the longer-range prefetch has already pulled in by then).
+const RUN_PREFETCH_AHEAD: usize = 4;
 
 /// 16-bit bloom fingerprint of a join attribute: exactly one bit set,
 /// selected by the *top* bits of a Fibonacci mix so it stays decorrelated
@@ -114,7 +110,8 @@ pub struct ProbeResult {
     pub compared: u64,
 }
 
-/// Outcome of probing a whole batch via [`JoinHashTable::probe_batch`].
+/// Outcome of probing a whole batch via
+/// [`JoinHashTable::probe_batch_with`].
 ///
 /// `matches` and `compared` are byte-for-byte what summing the scalar
 /// [`JoinHashTable::probe`] over the batch would produce; `probes` and
@@ -128,16 +125,8 @@ pub struct BatchProbeStats {
     pub compared: u64,
     /// Probe tuples processed (the batch length).
     pub probes: u64,
-    /// Probes whose chain walk was skipped by a fingerprint-tag rejection.
+    /// Probes whose run scan was skipped by a fingerprint-tag rejection.
     pub rejections: u64,
-    /// Round-robin sweeps of the interleaved chain walker (wide kernels
-    /// only; zero under the scalar/batched paths). Host-side diagnostic —
-    /// never a simulated observable.
-    pub walk_rounds: u64,
-    /// Sum over walker sweeps of the chains concurrently in flight, so
-    /// `walk_active / walk_rounds` is the mean interleave depth. Host-side
-    /// diagnostic — never a simulated observable.
-    pub walk_active: u64,
 }
 
 impl BatchProbeStats {
@@ -147,40 +136,48 @@ impl BatchProbeStats {
         self.compared += other.compared;
         self.probes += other.probes;
         self.rejections += other.rejections;
-        self.walk_rounds += other.walk_rounds;
-        self.walk_active += other.walk_active;
     }
 }
 
-/// One arena entry: the stored tuple, its global position (cached so bulk
-/// rebuilds never re-hash), and the intrusive chain link.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    pos: u32,
-    next: u32,
-    tuple: Tuple,
+/// One directory entry: where a position's run starts in the ordered
+/// arena, its exact length, and the bloom tag over its attributes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    /// First arena index of the run. Meaningful only while the table is
+    /// `ordered`, and only inside its occupied span.
+    start: u32,
+    /// Exact number of tuples at this position, ordered or not. A probe
+    /// that the tag rejects is charged this many comparisons — precisely
+    /// what the full scan would have cost.
+    count: u32,
+    /// OR of [`filter_fingerprint`] over every attribute stored here.
+    /// Blooms cannot forget, so removals reset or recompute it.
+    tag: u16,
 }
 
-/// A memory-bounded hash table over the global position space: contiguous
-/// tuple arena + per-position `u32` chain index (see module docs).
+/// A memory-bounded hash table over the global position space: an append
+/// log of tuples, put in position order on demand, behind a one-entry-per-
+/// position directory (see module docs).
 #[derive(Debug, Clone)]
 pub struct JoinHashTable {
     space: PositionSpace,
     schema: Schema,
-    /// Newest slot index per global position (`NIL` = empty chain). Empty
-    /// until the first insert.
-    heads: Vec<u32>,
-    /// Exact chain length per position. A probe that the fingerprint tag
-    /// rejects is charged `counts[pos]` comparisons — precisely what the
-    /// full walk would have cost. Allocated with `heads`.
-    counts: Vec<u32>,
-    /// Per-position bloom tag: the OR of [`filter_fingerprint`] over every
-    /// attribute chained there. Blooms cannot forget, so bulk removals
-    /// rebuild the tags in [`Self::compact`]. Allocated with `heads`.
-    tags: Vec<u16>,
-    /// The tuple arena; `slots.len()` is the live tuple count (bulk removal
-    /// compacts, so there are no tombstones).
-    slots: Vec<Slot>,
+    /// One entry per global position. Empty until the first insert.
+    dir: Vec<Run>,
+    /// Position of `tuples[i]`, cached so ordering and bulk removals never
+    /// re-hash.
+    pos: Vec<u32>,
+    /// The tuple arena; `tuples.len()` is the live tuple count (bulk
+    /// removal compacts, so there are no tombstones).
+    tuples: Vec<Tuple>,
+    /// Occupied span: every stored tuple's position lies in `lo..hi`
+    /// (`lo > hi` while nothing has been stored). Ordering, recounts and
+    /// metrics visit only this part of the directory.
+    lo: u32,
+    hi: u32,
+    /// Whether the arena is sorted by position with every `start` in the
+    /// span valid. Any insert clears it; [`Self::order`] restores it.
+    ordered: bool,
     capacity_bytes: u64,
 }
 
@@ -191,10 +188,12 @@ impl JoinHashTable {
         Self {
             space,
             schema,
-            heads: Vec::new(),
-            counts: Vec::new(),
-            tags: Vec::new(),
-            slots: Vec::new(),
+            dir: Vec::new(),
+            pos: Vec::new(),
+            tuples: Vec::new(),
+            lo: u32::MAX,
+            hi: 0,
+            ordered: true,
             capacity_bytes,
         }
     }
@@ -226,13 +225,13 @@ impl JoinHashTable {
     /// Number of stored tuples.
     #[must_use]
     pub fn len(&self) -> u64 {
-        self.slots.len() as u64
+        self.tuples.len() as u64
     }
 
     /// Whether the table is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.tuples.is_empty()
     }
 
     /// How many more tuples fit before [`TableFull`].
@@ -247,42 +246,33 @@ impl JoinHashTable {
         self.space.position_of(attr)
     }
 
-    /// Allocates the head and filter arrays on the first insert (idle tables
-    /// stay at zero overhead).
-    #[inline]
-    fn ensure_heads(&mut self) {
-        if self.heads.is_empty() {
-            let n = self.space.positions as usize;
-            self.heads.resize(n, NIL);
-            self.counts.resize(n, 0);
-            self.tags.resize(n, 0);
-        }
+    /// The occupied span as directory indices (empty before any insert).
+    fn span(&self) -> Range<usize> {
+        self.lo.min(self.hi) as usize..self.hi as usize
     }
 
-    /// Links `t` into its chain (the shared tail of both insert paths).
+    /// Appends `t` at `pos`, which must be `position_of(t.join_attr)`, and
+    /// maintains the directory entry (the shared tail of every insert path).
     #[inline]
-    fn link(&mut self, t: Tuple) {
-        let pos = self.space.position_of(t.join_attr);
-        self.link_at(t, pos);
-    }
-
-    /// Links `t` into the chain at `pos`, which must be
-    /// `position_of(t.join_attr)`, and maintains the per-position filters.
-    #[inline]
-    fn link_at(&mut self, t: Tuple, pos: u32) {
+    fn append(&mut self, t: Tuple, pos: u32) {
         debug_assert_eq!(pos, self.space.position_of(t.join_attr));
-        self.ensure_heads();
-        let idx = self.slots.len() as u32;
-        debug_assert!(idx != NIL, "arena index space exhausted");
-        let head = &mut self.heads[pos as usize];
-        self.slots.push(Slot {
-            pos,
-            next: *head,
-            tuple: t,
-        });
-        *head = idx;
-        self.counts[pos as usize] += 1;
-        self.tags[pos as usize] |= filter_fingerprint(t.join_attr);
+        debug_assert!(
+            self.tuples.len() < u32::MAX as usize,
+            "arena index space exhausted"
+        );
+        if self.dir.is_empty() {
+            // First insert: idle tables stay at zero overhead until now.
+            self.dir
+                .resize(self.space.positions as usize, Run::default());
+        }
+        self.pos.push(pos);
+        self.tuples.push(t);
+        let run = &mut self.dir[pos as usize];
+        run.count += 1;
+        run.tag |= filter_fingerprint(t.join_attr);
+        self.lo = self.lo.min(pos);
+        self.hi = self.hi.max(pos + 1);
+        self.ordered = false;
     }
 
     /// Inserts a build tuple, or reports the table full. A failed insert
@@ -308,7 +298,7 @@ impl JoinHashTable {
                 capacity_bytes: self.capacity_bytes,
             });
         }
-        self.link_at(t, pos);
+        self.append(t, pos);
         Ok(())
     }
 
@@ -317,457 +307,333 @@ impl JoinHashTable {
     /// beyond what the coordinator planned).
     #[inline]
     pub fn insert_unchecked(&mut self, t: Tuple) {
-        self.link(t);
+        let pos = self.space.position_of(t.join_attr);
+        self.append(t, pos);
     }
 
-    /// Bulk [`Self::insert_unchecked`]: grows the arena and the head/filter
-    /// arrays once for the whole batch. Byte accounting is derived from the
-    /// arena length, so it too updates once, implicitly. Used by reshuffle
-    /// receivers, which ingest whole extracted chunks.
+    /// Bulk [`Self::insert_unchecked`]: grows the arena once for the whole
+    /// batch. Byte accounting is derived from the arena length, so it too
+    /// updates once, implicitly. Used by reshuffle receivers, which ingest
+    /// whole extracted chunks.
     pub fn insert_batch_unchecked(&mut self, tuples: &[Tuple]) {
-        if tuples.is_empty() {
+        self.pos.reserve(tuples.len());
+        self.tuples.reserve(tuples.len());
+        for &t in tuples {
+            self.insert_unchecked(t);
+        }
+    }
+
+    /// Puts the arena in position order: a stable counting sort over the
+    /// occupied span, after which position `p`'s tuples are the run
+    /// `tuples[start..start + count]` in insertion order. A no-op while
+    /// nothing was inserted since the last call.
+    fn order(&mut self) {
+        if self.ordered {
             return;
         }
-        self.ensure_heads();
-        self.slots.reserve(tuples.len());
-        for &t in tuples {
-            let pos = self.space.position_of(t.join_attr);
-            self.link_at(t, pos);
+        self.ordered = true;
+        let n = self.tuples.len();
+        // Pass 1 leaves every run's *end* in `start`; pass 2 walks the log
+        // backwards, stepping each run's cursor down to its true start, so
+        // equal positions keep their insertion order.
+        let span = self.span();
+        let mut end = 0u32;
+        for run in &mut self.dir[span] {
+            end += run.count;
+            run.start = end;
         }
+        debug_assert_eq!(
+            end as usize, n,
+            "directory counts must sum to the arena length"
+        );
+        let mut pos = vec![0u32; n];
+        let mut tuples = vec![Tuple::new(0, 0); n];
+        for (&p, &t) in self.pos.iter().zip(&self.tuples).rev() {
+            let run = &mut self.dir[p as usize];
+            run.start -= 1;
+            pos[run.start as usize] = p;
+            tuples[run.start as usize] = t;
+        }
+        self.pos = pos;
+        self.tuples = tuples;
     }
 
-    /// Probes one attribute: scans the chain at its position, counting
-    /// equality matches and comparisons (Algorithm 1).
+    /// The tuples of `run` (the arena must be ordered).
+    #[inline]
+    fn run(&self, run: Run) -> &[Tuple] {
+        &self.tuples[run.start as usize..(run.start + run.count) as usize]
+    }
+
+    /// Orders the arena and returns the whole run at `attr`'s position.
+    #[inline]
+    fn run_of(&mut self, attr: JoinAttr) -> &[Tuple] {
+        self.order();
+        let pos = self.space.position_of(attr) as usize;
+        // No directory yet: nothing was ever stored.
+        self.dir.get(pos).map_or(&[], |&run| self.run(run))
+    }
+
+    /// Probes one attribute: scans the run at its position, counting
+    /// equality matches and comparisons (Algorithm 1). The tuple-at-a-time
+    /// reference: no filter, no prefetch.
     #[must_use]
     #[inline]
-    pub fn probe(&self, attr: JoinAttr) -> ProbeResult {
-        let pos = self.space.position_of(attr) as usize;
-        let mut r = ProbeResult::default();
-        let Some(&head) = self.heads.get(pos) else {
-            return r;
-        };
-        let mut cur = head;
-        while cur != NIL {
-            let slot = &self.slots[cur as usize];
-            r.compared += 1;
-            r.matches += u64::from(slot.tuple.join_attr == attr);
-            cur = slot.next;
+    pub fn probe(&mut self, attr: JoinAttr) -> ProbeResult {
+        let run = self.run_of(attr);
+        ProbeResult {
+            matches: run.iter().filter(|t| t.join_attr == attr).count() as u64,
+            compared: run.len() as u64,
         }
-        r
-    }
-
-    /// Probes a whole batch through the filtered, prefetched pipeline.
-    ///
-    /// Observable behaviour is byte-for-byte identical to running the scalar
-    /// [`Self::probe`] over the batch and summing: the scalar walk always
-    /// scans the *entire* chain at a position, so it charges `compared =`
-    /// chain length regardless of how many tuples match. A fingerprint-tag
-    /// rejection therefore charges `compared = counts[pos]`, `matches = 0` —
-    /// exactly the full walk's outcome, since a bloom tag has no false
-    /// negatives (rejection proves nothing in the chain carries the probed
-    /// attribute). Tag false positives simply fall back to the walk.
-    ///
-    /// Host-side, the pipeline computes all positions in one pass, then
-    /// walks them with the filter words and chain heads prefetched
-    /// [`FILTER_PREFETCH_AHEAD`] probes ahead and each surviving chain's
-    /// first slot prefetched [`SLOT_PREFETCH_AHEAD`] ahead, so the random
-    /// position-space accesses overlap instead of serializing on cache
-    /// misses.
-    ///
-    /// `positions` is caller-owned scratch (cleared here) so steady-state
-    /// probing allocates nothing.
-    #[must_use]
-    pub fn probe_batch(&self, tuples: &[Tuple], positions: &mut Vec<u32>) -> BatchProbeStats {
-        let mut stats = BatchProbeStats {
-            probes: tuples.len() as u64,
-            ..BatchProbeStats::default()
-        };
-        if tuples.is_empty() || self.heads.is_empty() {
-            // An unallocated table has no chains: every probe compares and
-            // matches nothing, exactly like the scalar path's heads miss.
-            return stats;
-        }
-        positions.clear();
-        positions.reserve(tuples.len());
-        for t in tuples {
-            positions.push(self.space.position_of(t.join_attr));
-        }
-        let n = tuples.len();
-        for i in 0..n {
-            if let Some(&p) = positions.get(i + FILTER_PREFETCH_AHEAD) {
-                prefetch_read(&raw const self.heads[p as usize]);
-                prefetch_read(&raw const self.counts[p as usize]);
-                prefetch_read(&raw const self.tags[p as usize]);
-            }
-            if let Some(&p) = positions.get(i + SLOT_PREFETCH_AHEAD) {
-                let head = self.heads[p as usize];
-                if head != NIL {
-                    prefetch_read(&raw const self.slots[head as usize]);
-                }
-            }
-            let pos = positions[i] as usize;
-            let count = self.counts[pos];
-            if count == 0 {
-                continue;
-            }
-            let attr = tuples[i].join_attr;
-            if self.tags[pos] & filter_fingerprint(attr) == 0 {
-                stats.compared += u64::from(count);
-                stats.rejections += 1;
-                continue;
-            }
-            let mut cur = self.heads[pos];
-            while cur != NIL {
-                let slot = &self.slots[cur as usize];
-                stats.compared += 1;
-                stats.matches += u64::from(slot.tuple.join_attr == attr);
-                cur = slot.next;
-            }
-        }
-        stats
     }
 
     /// Probes a whole batch through the selected kernel (DESIGN §4g).
     ///
-    /// Every kernel returns `matches`/`compared` byte-for-byte equal to
-    /// summing the scalar [`Self::probe`] over the batch — the kernels are
-    /// host-side optimizations only. [`ProbeKernel::Scalar`] runs the
-    /// tuple-at-a-time oracle, [`ProbeKernel::Batched`] the one-chain-at-a-
-    /// time pipeline of [`Self::probe_batch`], and the wide kernels combine
-    /// a SWAR or `core::arch` tag scan with the interleaved chain walker.
-    /// `scratch` is caller-owned so steady-state probing allocates nothing.
+    /// Both kernels return `matches`/`compared` byte-for-byte equal to
+    /// summing [`Self::probe`] over the batch: the scan always covers the
+    /// *entire* run at a position, so it charges `compared = count`
+    /// regardless of how many tuples match, and a fingerprint-tag rejection
+    /// charges the same `count` with `matches = 0` — exactly the full
+    /// scan's outcome, since a bloom tag has no false negatives. Tag false
+    /// positives simply fall through to the scan.
+    ///
+    /// [`ProbeKernel::Scalar`] runs the tuple-at-a-time reference.
+    /// [`ProbeKernel::Batched`] computes all positions in one pass, then
+    /// visits them with directory entries prefetched
+    /// [`DIR_PREFETCH_AHEAD`] probes ahead and each run's first tuple
+    /// [`RUN_PREFETCH_AHEAD`] ahead, so the random position-space accesses
+    /// overlap instead of serializing on cache misses. `scratch` is
+    /// caller-owned so steady-state probing allocates nothing.
     #[must_use]
     pub fn probe_batch_with(
-        &self,
+        &mut self,
         tuples: &[Tuple],
         scratch: &mut ProbeScratch,
         kernel: ProbeKernel,
-    ) -> BatchProbeStats {
-        match kernel.resolve() {
-            ProbeKernel::Scalar => {
-                let mut stats = BatchProbeStats {
-                    probes: tuples.len() as u64,
-                    ..BatchProbeStats::default()
-                };
-                for t in tuples {
-                    let r = self.probe(t.join_attr);
-                    stats.matches += r.matches;
-                    stats.compared += r.compared;
-                }
-                stats
-            }
-            ProbeKernel::Batched => self.probe_batch(tuples, &mut scratch.positions),
-            ProbeKernel::Swar => self.probe_batch_grouped::<4>(tuples, scratch, swar_survivor_mask),
-            ProbeKernel::Simd => {
-                #[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
-                {
-                    self.probe_batch_grouped::<8>(
-                        tuples,
-                        scratch,
-                        crate::kernels::simd_survivor_mask,
-                    )
-                }
-                #[cfg(not(all(
-                    feature = "simd",
-                    any(target_arch = "x86_64", target_arch = "aarch64")
-                )))]
-                {
-                    unreachable!("ProbeKernel::resolve degrades Simd without a vector path")
-                }
-            }
-        }
-    }
-
-    /// Shared driver of the wide probe kernels. Pass 1 bulk-hashes the
-    /// batch ([`PositionSpace::bulk_positions`]); pass 2 scans fingerprint
-    /// tags `G` lanes at a time through `survivor_mask` (SWAR: 4 per `u64`
-    /// word, SIMD: 8 per vector), charging rejected lanes their exact chain
-    /// length and queueing survivors; pass 3 walks the surviving chains
-    /// interleaved ([`Self::walk_survivors`]). Rejected lanes never touch
-    /// the head array or the slot arena — under low match rates that is
-    /// most of the batch, and most of the one-at-a-time pipeline's memory
-    /// traffic.
-    fn probe_batch_grouped<const G: usize>(
-        &self,
-        tuples: &[Tuple],
-        scratch: &mut ProbeScratch,
-        survivor_mask: impl Fn([u16; G], [u16; G]) -> u32,
     ) -> BatchProbeStats {
         let mut stats = BatchProbeStats {
             probes: tuples.len() as u64,
             ..BatchProbeStats::default()
         };
-        if tuples.is_empty() || self.heads.is_empty() {
+        if kernel == ProbeKernel::Scalar {
+            for t in tuples {
+                let r = self.probe(t.join_attr);
+                stats.matches += r.matches;
+                stats.compared += r.compared;
+            }
             return stats;
         }
+        if self.dir.is_empty() {
+            // A table that never saw an insert has no runs: every probe
+            // compares and matches nothing, exactly like the scalar path.
+            return stats;
+        }
+        self.order();
         self.space.bulk_positions(tuples, &mut scratch.positions);
-        scratch.survivors.clear();
         let positions = scratch.positions.as_slice();
-        let n = tuples.len();
-        let whole = n - n % G;
-        let mut tags_g = [0u16; G];
-        let mut fps_g = [0u16; G];
-        let mut i = 0;
-        while i < whole {
-            // Pull the filter words for the group FILTER_PREFETCH_AHEAD
-            // probes ahead (one group's worth per group processed keeps the
-            // prefetch rate at one pair per probe).
-            if i + FILTER_PREFETCH_AHEAD + G <= n {
-                for k in 0..G {
-                    // SAFETY: `bulk_positions` yields values in
-                    // `[0, space.positions)`, and the filter arrays span the
-                    // whole position space once `heads` is allocated.
-                    unsafe {
-                        let p = *positions.get_unchecked(i + FILTER_PREFETCH_AHEAD + k) as usize;
-                        prefetch_read(self.tags.get_unchecked(p));
-                        prefetch_read(self.counts.get_unchecked(p));
-                    }
-                }
+        for (i, (t, &pos)) in tuples.iter().zip(positions).enumerate() {
+            if let Some(&p) = positions.get(i + DIR_PREFETCH_AHEAD) {
+                prefetch_read(&raw const self.dir[p as usize]);
             }
-            for k in 0..G {
-                // SAFETY: `i + k < whole <= n == positions.len()` and
-                // positions index the full-length filter arrays (above).
-                unsafe {
-                    let p = *positions.get_unchecked(i + k) as usize;
-                    tags_g[k] = *self.tags.get_unchecked(p);
-                    fps_g[k] = filter_fingerprint(tuples.get_unchecked(i + k).join_attr);
-                }
+            if let Some(&p) = positions.get(i + RUN_PREFETCH_AHEAD) {
+                // Only a probe the tag lets through will read its run (an
+                // empty position has an empty tag). The rest re-prefetch
+                // the arena's first line: selecting an address keeps this
+                // free of a branch that a mixed batch would mispredict.
+                let ahead = self.dir[p as usize];
+                let fp = filter_fingerprint(tuples[i + RUN_PREFETCH_AHEAD].join_attr);
+                let start = if ahead.tag & fp != 0 { ahead.start } else { 0 };
+                prefetch_read(self.tuples.as_ptr().wrapping_add(start as usize));
             }
-            let survivors = survivor_mask(tags_g, fps_g);
-            for k in 0..G {
-                // SAFETY: same bounds as the gather loop above.
-                let (pos, count) = unsafe {
-                    let p = *positions.get_unchecked(i + k);
-                    (p, *self.counts.get_unchecked(p as usize))
-                };
-                if survivors & (1 << k) != 0 {
-                    scratch.survivors.push(Survivor {
-                        pos,
-                        attr: tuples[i + k].join_attr,
-                    });
-                } else {
-                    // An empty chain has an empty tag, so it lands here too:
-                    // charging `count = 0` keeps it a non-rejection no-op.
-                    stats.compared += u64::from(count);
-                    stats.rejections += u64::from(count != 0);
-                }
+            let run = self.dir[pos as usize];
+            let attr = t.join_attr;
+            stats.compared += u64::from(run.count);
+            if run.tag & filter_fingerprint(attr) == 0 {
+                stats.rejections += u64::from(run.count != 0);
+                continue;
             }
-            i += G;
+            stats.matches += self.run(run).iter().filter(|b| b.join_attr == attr).count() as u64;
         }
-        // Scalar tail for the last `n % G` probes, same filter semantics.
-        for i in whole..n {
-            let pos = positions[i];
-            let attr = tuples[i].join_attr;
-            if self.tags[pos as usize] & filter_fingerprint(attr) != 0 {
-                scratch.survivors.push(Survivor { pos, attr });
-            } else {
-                let count = self.counts[pos as usize];
-                stats.compared += u64::from(count);
-                stats.rejections += u64::from(count != 0);
-            }
-        }
-        self.walk_survivors(&scratch.survivors, &mut stats);
         stats
-    }
-
-    /// Interleaved chain-walk state machine: keeps up to [`WALK_LANES`]
-    /// survivor chains in flight, advancing each one slot per round-robin
-    /// sweep and prefetching its next slot, so independent chains' cache
-    /// misses overlap instead of serializing. Exhausted lanes refill from
-    /// the survivor queue (head arrays prefetched a lane-count ahead).
-    /// `matches`/`compared` are order-independent sums, so the result is
-    /// byte-identical to walking each chain to completion in turn.
-    fn walk_survivors(&self, survivors: &[Survivor], stats: &mut BatchProbeStats) {
-        // (next slot to visit, probed attribute) per lane; NIL = idle.
-        let mut lanes = [(NIL, 0u64); WALK_LANES];
-        let mut next = 0usize;
-        let mut active = 0usize;
-        let refill = |lane: &mut (u32, u64), next: &mut usize| {
-            while *next < survivors.len() {
-                let s = survivors[*next];
-                if let Some(ahead) = survivors.get(*next + WALK_LANES) {
-                    prefetch_read(&raw const self.heads[ahead.pos as usize]);
-                }
-                *next += 1;
-                let head = self.heads[s.pos as usize];
-                // Survivors always have occupied chains (a nonzero tag
-                // implies at least one insert), but stay defensive.
-                if head != NIL {
-                    prefetch_read(&raw const self.slots[head as usize]);
-                    *lane = (head, s.attr);
-                    return true;
-                }
-            }
-            false
-        };
-        for lane in &mut lanes {
-            if !refill(lane, &mut next) {
-                break;
-            }
-            active += 1;
-        }
-        while active > 0 {
-            stats.walk_rounds += 1;
-            stats.walk_active += active as u64;
-            for lane in &mut lanes {
-                let (cur, attr) = *lane;
-                if cur == NIL {
-                    continue;
-                }
-                let slot = &self.slots[cur as usize];
-                stats.compared += 1;
-                stats.matches += u64::from(slot.tuple.join_attr == attr);
-                if slot.next != NIL {
-                    prefetch_read(&raw const self.slots[slot.next as usize]);
-                    lane.0 = slot.next;
-                } else if !refill(lane, &mut next) {
-                    lane.0 = NIL;
-                    active -= 1;
-                }
-            }
-        }
     }
 
     /// Exact chain length at `pos` (0 before the first insert). Test and
     /// diagnostic accessor for the probe filter.
     #[must_use]
     pub fn chain_count(&self, pos: u32) -> u32 {
-        self.counts.get(pos as usize).copied().unwrap_or(0)
+        self.dir.get(pos as usize).map_or(0, |run| run.count)
     }
 
     /// The bloom tag at `pos` (0 before the first insert). Test and
     /// diagnostic accessor for the probe filter.
     #[must_use]
     pub fn filter_tag(&self, pos: u32) -> u16 {
-        self.tags.get(pos as usize).copied().unwrap_or(0)
+        self.dir.get(pos as usize).map_or(0, |run| run.tag)
     }
 
     /// Records this table's layout into registry instruments: one
     /// `chain_hist` sample per occupied position (its exact chain length,
-    /// from the maintained per-position counts — no chain walk). Called at
-    /// report time, not on the insert path, so build cost is untouched.
+    /// from the directory — no arena scan). Called at report time, not on
+    /// the insert path, so build cost is untouched; a disabled handle
+    /// returns at once and a live one visits only the occupied span.
     pub fn observe_metrics(&self, chain_hist: &ehj_metrics::Histogram) {
-        for &count in &self.counts {
-            if count > 0 {
-                chain_hist.record(u64::from(count));
+        if !chain_hist.is_enabled() {
+            return;
+        }
+        for run in &self.dir[self.span()] {
+            if run.count > 0 {
+                chain_hist.record(u64::from(run.count));
             }
         }
     }
 
-    /// Probes and collects the matching build tuples (test/reference use;
-    /// the hot path uses [`Self::probe`]).
+    /// Probes and collects the matching build tuples, in insertion order
+    /// (test/reference use; the hot path uses [`Self::probe_batch_with`]).
     #[must_use]
-    pub fn probe_collect(&self, attr: JoinAttr) -> Vec<Tuple> {
-        let pos = self.space.position_of(attr) as usize;
-        let mut out = Vec::new();
-        let Some(&head) = self.heads.get(pos) else {
-            return out;
-        };
-        let mut cur = head;
-        while cur != NIL {
-            let slot = &self.slots[cur as usize];
-            if slot.tuple.join_attr == attr {
-                out.push(slot.tuple);
-            }
-            cur = slot.next;
-        }
-        out
+    pub fn probe_collect(&mut self, attr: JoinAttr) -> Vec<Tuple> {
+        let hits = self.run_of(attr).iter().filter(|t| t.join_attr == attr);
+        hits.copied().collect()
     }
 
     /// Per-position entry counts over `[range_start, range_end)` as a dense
     /// histogram indexed relative to `range_start` — the reshuffle input.
-    /// One arena scan: `O(len + range)`.
+    /// A slice of the directory's counts: no arena scan, no ordering.
+    ///
+    /// The bounds arrive in wire messages, so they are clamped to the
+    /// position space (the histogram is as long as the clamped range, empty
+    /// if that inverts it), and a table that never saw an insert reads as
+    /// all zeros.
     #[must_use]
     pub fn position_histogram(&self, range_start: u32, range_end: u32) -> Vec<u64> {
-        let mut hist = vec![0u64; (range_end - range_start) as usize];
-        for slot in &self.slots {
-            if slot.pos >= range_start && slot.pos < range_end {
-                hist[(slot.pos - range_start) as usize] += 1;
+        let end = range_end.min(self.space.positions);
+        let start = range_start.min(end);
+        let mut hist = vec![0u64; (end - start) as usize];
+        if let Some(runs) = self.dir.get(start as usize..end as usize) {
+            for (h, run) in hist.iter_mut().zip(runs) {
+                *h = u64::from(run.count);
             }
         }
         hist
     }
 
-    /// Drops every slot matched by `take` out of the arena, returning the
-    /// extracted tuples, then relinks the survivors' chains in one pass.
-    /// The per-position filters are rebuilt in the same pass: bloom tags
-    /// cannot forget a removed attribute, so bulk removal is the one place
-    /// they are recomputed from the surviving chains.
-    fn compact(&mut self, mut take: impl FnMut(&Slot) -> bool) -> Vec<Tuple> {
+    /// Removes and returns all tuples whose position lies in
+    /// `[range_start, range_end)` (reshuffle redistribution), in
+    /// position-major, insertion-minor order. Orders the arena once, then
+    /// each call drains one contiguous slice and shifts the starts behind
+    /// it — so only post-build callers should use it (see module docs).
+    ///
+    /// The bounds arrive in wire messages: anything outside the occupied
+    /// span, inverted or on a never-allocated table extracts nothing.
+    pub fn extract_range(&mut self, range_start: u32, range_end: u32) -> Vec<Tuple> {
+        let span = self.span();
+        let first = (range_start as usize).max(span.start);
+        let last = (range_end as usize).min(span.end);
+        if first >= last {
+            return Vec::new();
+        }
+        self.order();
+        let from = self.dir[first].start;
+        let tail = self.dir[last - 1];
+        let to = tail.start + tail.count;
+        for run in &mut self.dir[first..last] {
+            *run = Run {
+                start: from,
+                ..Run::default()
+            };
+        }
+        for run in &mut self.dir[last..span.end] {
+            run.start -= to - from;
+        }
+        self.pos.drain(from as usize..to as usize);
+        self.tuples.drain(from as usize..to as usize).collect()
+    }
+
+    /// Drops every arena entry matched by `take`, returning the extracted
+    /// tuples in arena order, then recounts the directory over the span:
+    /// bloom tags cannot forget a removed attribute, so bulk removal is the
+    /// one place they are recomputed from the survivors. The compaction
+    /// keeps the survivors' relative order; the next probe re-derives the
+    /// starts.
+    fn compact(&mut self, mut take: impl FnMut(u32, &Tuple) -> bool) -> Vec<Tuple> {
         let mut out = Vec::new();
-        self.slots.retain(|slot| {
-            if take(slot) {
-                out.push(slot.tuple);
-                false
+        let mut kept = 0;
+        for i in 0..self.tuples.len() {
+            let (p, t) = (self.pos[i], self.tuples[i]);
+            if take(p, &t) {
+                out.push(t);
             } else {
-                true
+                self.pos[kept] = p;
+                self.tuples[kept] = t;
+                kept += 1;
             }
-        });
+        }
         if out.is_empty() {
             return out;
         }
-        self.heads.fill(NIL);
-        self.counts.fill(0);
-        self.tags.fill(0);
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            slot.next = self.heads[slot.pos as usize];
-            self.heads[slot.pos as usize] = i as u32;
-            self.counts[slot.pos as usize] += 1;
-            self.tags[slot.pos as usize] |= filter_fingerprint(slot.tuple.join_attr);
+        self.pos.truncate(kept);
+        self.tuples.truncate(kept);
+        let span = self.span();
+        self.dir[span].fill(Run::default());
+        (self.lo, self.hi) = (u32::MAX, 0);
+        for (&p, t) in self.pos.iter().zip(&self.tuples) {
+            let run = &mut self.dir[p as usize];
+            run.count += 1;
+            run.tag |= filter_fingerprint(t.join_attr);
+            self.lo = self.lo.min(p);
+            self.hi = self.hi.max(p + 1);
         }
+        self.ordered = false;
         out
-    }
-
-    /// Removes and returns all tuples whose position lies in
-    /// `[range_start, range_end)` (reshuffle redistribution).
-    pub fn extract_range(&mut self, range_start: u32, range_end: u32) -> Vec<Tuple> {
-        self.compact(|slot| slot.pos >= range_start && slot.pos < range_end)
     }
 
     /// Removes and returns all tuples matching `pred` (split-based bucket
     /// split: extract the elements `h_{i+1}` maps to the new bucket). The
     /// full arena is scanned, mirroring the real cost of a bucket split.
     pub fn drain_filter(&mut self, mut pred: impl FnMut(&Tuple) -> bool) -> Vec<Tuple> {
-        self.compact(|slot| pred(&slot.tuple))
+        self.compact(|_, t| pred(t))
     }
 
     /// Removes and returns all tuples whose cached *position* matches
-    /// `pred`. Position-predicated drains (bucket splits subdivide the
-    /// position space) use this instead of [`Self::drain_filter`] so the
-    /// scan reuses each slot's cached position rather than re-hashing every
-    /// stored attribute.
+    /// `pred`, in arena order — insertion order on a table that was never
+    /// probed or range-extracted. Position-predicated drains (bucket splits
+    /// subdivide the position space) use this instead of
+    /// [`Self::drain_filter`] so the scan reuses each cached position
+    /// rather than re-hashing every stored attribute, and instead of
+    /// [`Self::extract_range`] during the build so the arena is not ordered
+    /// early.
     pub fn drain_positions(&mut self, mut pred: impl FnMut(u32) -> bool) -> Vec<Tuple> {
-        self.compact(|slot| pred(slot.pos))
+        self.compact(|p, _| pred(p))
     }
 
     /// Copies (without removing) every tuple whose position appears in the
     /// *sorted* `positions` list — the hot-key replication hand-off, where
     /// the shipper keeps its own copy so each clean node ends up with the
-    /// full hot build side. One arena scan with a binary search per slot:
+    /// full hot build side. One arena scan with a binary search per entry:
     /// `O(len · log |positions|)`.
     #[must_use]
     pub fn collect_positions(&self, positions: &[u32]) -> Vec<Tuple> {
         debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
-        self.slots
-            .iter()
-            .filter(|slot| positions.binary_search(&slot.pos).is_ok())
-            .map(|slot| slot.tuple)
+        let entries = self.pos.iter().zip(&self.tuples);
+        entries
+            .filter(|(p, _)| positions.binary_search(p).is_ok())
+            .map(|(_, t)| *t)
             .collect()
     }
 
-    /// Iterates all stored tuples in arena (insertion) order.
+    /// Iterates all stored tuples in arena order (insertion order until the
+    /// first probe or range extraction, position order after it).
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.slots.iter().map(|slot| &slot.tuple)
+        self.tuples.iter()
     }
 
-    /// Removes everything, returning the tuples (out-of-core spill support).
-    /// The head and filter arrays are released too: a spilled node never
+    /// Removes everything, returning the tuples in arena order (out-of-core
+    /// spill support). The directory is released too: a spilled node never
     /// inserts again.
     pub fn drain_all(&mut self) -> Vec<Tuple> {
-        self.heads = Vec::new();
-        self.counts = Vec::new();
-        self.tags = Vec::new();
-        self.slots.drain(..).map(|slot| slot.tuple).collect()
+        self.dir = Vec::new();
+        self.pos = Vec::new();
+        (self.lo, self.hi) = (u32::MAX, 0);
+        self.ordered = true;
+        std::mem::take(&mut self.tuples)
     }
 }
 
@@ -932,9 +798,9 @@ mod tests {
     }
 
     #[test]
-    fn chains_survive_compaction() {
-        // Extraction must relink the survivors so later probes and inserts
-        // still see every remaining tuple.
+    fn chains_survive_extraction() {
+        // Extraction must leave the survivors' runs intact so later probes
+        // and inserts still see every remaining tuple.
         let mut t = table(1000);
         for i in 0..50u64 {
             t.insert(Tuple::new(i, i % 7)).unwrap(); // positions 0..6
@@ -948,19 +814,23 @@ mod tests {
     }
 
     #[test]
-    fn empty_table_allocates_no_heads() {
+    fn empty_table_allocates_no_directory() {
         let big = PositionSpace::new(1 << 20, 1 << 20, AttrHasher::Identity);
-        let t = JoinHashTable::new(big, Schema::default_paper(), u64::MAX);
-        assert!(t.heads.is_empty(), "idle potential nodes stay cheap");
-        assert!(t.counts.is_empty() && t.tags.is_empty(), "filters too");
+        let mut t = JoinHashTable::new(big, Schema::default_paper(), u64::MAX);
         assert_eq!(t.probe(1234).compared, 0);
-        let mut scratch = Vec::new();
-        let r = t.probe_batch(&[Tuple::new(0, 1234)], &mut scratch);
+        let r = batched(&mut t, &[Tuple::new(0, 1234)]);
         assert_eq!((r.matches, r.compared, r.probes), (0, 0, 1));
+        t.observe_metrics(&ehj_metrics::Histogram::default());
+        assert!(t.dir.is_empty(), "idle potential nodes stay cheap");
+    }
+
+    /// Probes a batch through the production kernel.
+    fn batched(t: &mut JoinHashTable, tuples: &[Tuple]) -> BatchProbeStats {
+        t.probe_batch_with(tuples, &mut ProbeScratch::new(), ProbeKernel::Batched)
     }
 
     /// Sums the scalar oracle over a batch.
-    fn scalar_sum(t: &JoinHashTable, tuples: &[Tuple]) -> (u64, u64) {
+    fn scalar_sum(t: &mut JoinHashTable, tuples: &[Tuple]) -> (u64, u64) {
         tuples.iter().fold((0, 0), |(m, c), tp| {
             let r = t.probe(tp.join_attr);
             (m + r.matches, c + r.compared)
@@ -979,9 +849,11 @@ mod tests {
             .iter()
             .map(|&a| Tuple::new(1, a))
             .collect();
-        let (m, c) = scalar_sum(&t, &probes);
-        let mut scratch = Vec::new();
-        let batch = t.probe_batch(&probes, &mut scratch);
+        let (m, c) = scalar_sum(&mut t, &probes);
+        let mut scratch = ProbeScratch::new();
+        let batch = t.probe_batch_with(&probes, &mut scratch, ProbeKernel::Batched);
+        let positions: Vec<u32> = probes.iter().map(|p| t.position_of(p.join_attr)).collect();
+        assert_eq!(scratch.positions(), positions.as_slice());
         assert_eq!(batch.matches, m);
         assert_eq!(batch.compared, c);
         assert_eq!(batch.probes, probes.len() as u64);
@@ -1003,25 +875,23 @@ mod tests {
             .find(|&a| filter_fingerprint(a) != filter_fingerprint(42))
             .expect("some colliding attr has a different fingerprint");
         let probes = [Tuple::new(1, absent)];
-        let mut scratch = Vec::new();
-        let r = t.probe_batch(&probes, &mut scratch);
+        let r = batched(&mut t, &probes);
         assert_eq!(r.rejections, 1, "distinct fingerprint must reject");
         assert_eq!(r.compared, 9, "rejection charges the whole chain");
         assert_eq!(r.matches, 0);
-        assert_eq!(scalar_sum(&t, &probes), (0, 9));
+        assert_eq!(scalar_sum(&mut t, &probes), (0, 9));
     }
 
     #[test]
     fn every_kernel_equals_the_scalar_sum() {
         // Duplicate-heavy chains plus absent attrs sharing positions, over a
-        // batch longer than any lane group, so the SWAR/SIMD group loops,
-        // their scalar tails and the interleaved walker all run.
+        // batch longer than either prefetch distance.
         let mut t = table(1000);
         for i in 0..200u64 {
             t.insert(Tuple::new(i, (i * 37) % 150)).unwrap();
         }
         let probes: Vec<Tuple> = (0..97u64).map(|i| Tuple::new(i, (i * 13) % 260)).collect();
-        let (m, c) = scalar_sum(&t, &probes);
+        let (m, c) = scalar_sum(&mut t, &probes);
         for kernel in ProbeKernel::ALL {
             let mut scratch = ProbeScratch::new();
             let stats = t.probe_batch_with(&probes, &mut scratch, kernel);
@@ -1032,53 +902,8 @@ mod tests {
     }
 
     #[test]
-    fn wide_kernels_fill_positions_and_count_rejections_like_batched() {
-        let mut t = table(1000);
-        for _ in 0..9 {
-            t.insert(Tuple::new(0, 42)).unwrap();
-        }
-        let probes: Vec<Tuple> = (0..40u64).map(|i| Tuple::new(i, 42 + 100 * i)).collect();
-        let mut batched = Vec::new();
-        let expect = t.probe_batch(&probes, &mut batched);
-        for kernel in [ProbeKernel::Swar, ProbeKernel::Simd] {
-            let mut scratch = ProbeScratch::new();
-            let stats = t.probe_batch_with(&probes, &mut scratch, kernel);
-            assert_eq!(stats.rejections, expect.rejections, "{kernel}: rejections");
-            assert_eq!(stats.compared, expect.compared, "{kernel}: compares");
-            assert_eq!(stats.matches, expect.matches, "{kernel}: matches");
-            assert_eq!(
-                scratch.positions(),
-                batched.as_slice(),
-                "{kernel}: positions"
-            );
-        }
-    }
-
-    #[test]
-    fn interleave_diagnostics_track_the_walker() {
-        // 20 survivors (all true matches) over WALK_LANES lanes: depth must
-        // average within (0, WALK_LANES] and every walked chain shows up.
-        let mut t = table(1000);
-        for i in 0..20u64 {
-            t.insert(Tuple::new(i, i)).unwrap();
-        }
-        let probes: Vec<Tuple> = (0..20u64).map(|i| Tuple::new(i, i)).collect();
-        let mut scratch = ProbeScratch::new();
-        let stats = t.probe_batch_with(&probes, &mut scratch, ProbeKernel::Swar);
-        assert_eq!(stats.matches, 20);
-        assert!(stats.walk_rounds > 0, "walker must have run");
-        assert!(stats.walk_active >= stats.walk_rounds);
-        assert!(stats.walk_active <= stats.walk_rounds * crate::kernels::WALK_LANES as u64);
-        // The scalar and batched kernels keep the diagnostics at zero.
-        for kernel in [ProbeKernel::Scalar, ProbeKernel::Batched] {
-            let s = t.probe_batch_with(&probes, &mut scratch, kernel);
-            assert_eq!((s.walk_rounds, s.walk_active), (0, 0), "{kernel}");
-        }
-    }
-
-    #[test]
     fn kernels_handle_empty_batches_and_empty_tables() {
-        let t = table(10);
+        let mut t = table(10);
         let probes = [Tuple::new(0, 5)];
         for kernel in ProbeKernel::ALL {
             let mut scratch = ProbeScratch::new();
@@ -1127,7 +952,7 @@ mod tests {
         assert_eq!(t.chain_count(5), 4, "survivors recounted");
         assert_eq!(t.filter_tag(5), filter_fingerprint(5));
         let _ = t.drain_all();
-        assert!(t.counts.is_empty() && t.tags.is_empty());
+        assert!(t.dir.is_empty(), "a spilled node releases the directory");
     }
 
     #[test]
@@ -1148,6 +973,77 @@ mod tests {
         b.sort_unstable_by_key(|t| (t.join_attr, t.index));
         assert_eq!(a, b);
         assert_eq!(by_pos.len(), by_attr.len());
+    }
+
+    #[test]
+    fn range_bounds_past_the_position_space_are_clamped() {
+        // The position space is [0, 100): a wire range may claim more.
+        let mut t = table(100);
+        for i in 0..10u64 {
+            t.insert(Tuple::new(i, 90 + i)).unwrap(); // positions 90..=99
+        }
+        let h = t.position_histogram(95, 4000);
+        assert_eq!(h, vec![1; 5], "clamped to [95, 100)");
+        assert!(t.position_histogram(100, u32::MAX).is_empty());
+        assert!(t.position_histogram(70, 60).is_empty(), "inverted range");
+        let got = t.extract_range(95, u32::MAX);
+        assert_eq!(got.len(), 5);
+        assert!(t.extract_range(100, u32::MAX).is_empty());
+        assert!(t.extract_range(99, 95).is_empty(), "inverted range");
+        assert_eq!(t.len(), 5);
+    }
+
+    #[test]
+    fn ranges_outside_the_occupied_span_find_nothing() {
+        let mut t = table(100);
+        for i in 0..10u64 {
+            t.insert(Tuple::new(i, 40 + i)).unwrap(); // span [40, 50)
+        }
+        assert_eq!(t.position_histogram(0, 40), vec![0; 40]);
+        assert_eq!(t.position_histogram(50, 100), vec![0; 50]);
+        assert!(t.extract_range(0, 40).is_empty());
+        assert!(t.extract_range(50, 100).is_empty());
+        assert_eq!(t.len(), 10);
+        // A range that only overlaps the span takes exactly the overlap.
+        assert_eq!(t.extract_range(0, 45).len(), 5);
+        assert_eq!(t.probe(47).matches, 1);
+    }
+
+    #[test]
+    fn range_calls_on_a_table_that_never_saw_an_insert() {
+        let mut t = table(100);
+        assert_eq!(t.position_histogram(10, 20), vec![0; 10]);
+        assert!(t.extract_range(10, 20).is_empty());
+        assert!(t.extract_range(0, u32::MAX).is_empty());
+        assert!(t.dir.is_empty(), "neither call allocates the directory");
+        // Same after a spill released the directory.
+        t.insert(Tuple::new(0, 15)).unwrap();
+        let _ = t.drain_all();
+        assert_eq!(t.position_histogram(10, 20), vec![0; 10]);
+        assert!(t.extract_range(10, 20).is_empty());
+    }
+
+    #[test]
+    fn successive_extractions_keep_the_remaining_runs_addressable() {
+        // Hybrid's plan extracts several subranges from one ordered arena:
+        // each must see the starts the previous one shifted.
+        let mut t = table(1000);
+        for i in 0..300u64 {
+            t.insert(Tuple::new(i, i * 7 % 100)).unwrap();
+        }
+        let a = t.extract_range(20, 40);
+        let b = t.extract_range(30, 60); // overlaps the emptied [30, 40)
+        let c = t.extract_range(0, 10);
+        assert_eq!((a.len(), b.len(), c.len()), (60, 60, 30));
+        assert!(b.iter().all(|tp| (40..60).contains(&tp.join_attr)));
+        for attr in 0..100u64 {
+            let expect = if (10..20).contains(&attr) || attr >= 60 {
+                3
+            } else {
+                0
+            };
+            assert_eq!(t.probe(attr).matches, expect, "attr {attr}");
+        }
     }
 
     #[test]

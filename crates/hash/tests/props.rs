@@ -189,7 +189,7 @@ fn capacity_is_exact() {
     }
 }
 
-/// Differential property: the flat arena [`JoinHashTable`] must be
+/// Differential property: the position-ordered [`JoinHashTable`] must be
 /// observably equivalent to the reference [`ChainedTable`] — identical
 /// [`ehj_hash::ProbeResult`]s, per-position histograms, [`ehj_hash::TableFull`]
 /// trigger points, extraction/drain contents (as multisets) and byte
@@ -299,6 +299,133 @@ fn flat_table_equals_chained_reference() {
     }
 }
 
+/// Ordering invariants of the lazily position-ordered arena, over random
+/// sequences of insert / probe / batch probe / histogram / extract / drain:
+/// the directory always equals a brute-force recount of `iter()`; the sort
+/// is stable (`probe_collect` returns a position's matches in insertion
+/// order); `extract_range` returns position-major, insertion-minor order;
+/// a position drain on a table that was never probed or range-extracted
+/// returns exact insertion order; and probing between inserts never changes
+/// what a later probe finds.
+#[test]
+fn ordered_arena_invariants_hold_across_mutations() {
+    let mut g = Xoshiro256StarStar::new(0x0BDE2);
+    for case in 0..80 {
+        let positions = 16 + g.next_below(112) as u32;
+        let domain = positions as u64 * (1 + g.next_below(6));
+        let hasher = if case % 2 == 0 {
+            AttrHasher::Identity
+        } else {
+            AttrHasher::Fibonacci
+        };
+        let space = PositionSpace::new(positions, domain, hasher);
+        let mut t = JoinHashTable::new(space, Schema::default_paper(), u64::MAX);
+        // The model: every resident tuple, in insertion order (indices are
+        // issued in increasing order, so sorting by index recovers it).
+        let mut model: Vec<Tuple> = Vec::new();
+        // Whether anything has ordered the arena yet.
+        let mut ordered_once = false;
+        let mut next_index = 0u64;
+        let mut scratch = ProbeScratch::new();
+        for _ in 0..20 + g.next_below(40) {
+            match g.next_below(100) {
+                0..=44 => {
+                    for _ in 0..g.next_below(30) {
+                        let tp = Tuple::new(next_index, g.next_below(domain));
+                        next_index += 1;
+                        t.insert_unchecked(tp);
+                        model.push(tp);
+                    }
+                }
+                45..=59 => {
+                    let attr = g.next_below(domain);
+                    let expect: Vec<Tuple> = model
+                        .iter()
+                        .filter(|m| m.join_attr == attr)
+                        .copied()
+                        .collect();
+                    assert_eq!(t.probe(attr).matches, expect.len() as u64);
+                    assert_eq!(t.probe_collect(attr), expect, "the sort must be stable");
+                    ordered_once = true;
+                }
+                60..=69 => {
+                    let probes: Vec<Tuple> = (0..g.next_below(40))
+                        .map(|i| Tuple::new(i, g.next_below(domain)))
+                        .collect();
+                    let stats = t.probe_batch_with(&probes, &mut scratch, ProbeKernel::Batched);
+                    let expect = probes
+                        .iter()
+                        .map(|p| model.iter().filter(|m| m.join_attr == p.join_attr).count())
+                        .sum::<usize>();
+                    assert_eq!(stats.matches, expect as u64);
+                    ordered_once = true;
+                }
+                70..=79 => {
+                    let a = g.next_below(positions as u64) as u32;
+                    let b = a + g.next_below((positions - a) as u64 + 1) as u32;
+                    let mut expect: Vec<Tuple> = model
+                        .iter()
+                        .filter(|m| (a..b).contains(&space.position_of(m.join_attr)))
+                        .copied()
+                        .collect();
+                    // Position-major, insertion-minor (the model is in
+                    // insertion order and the sort is stable).
+                    expect.sort_by_key(|m| space.position_of(m.join_attr));
+                    assert_eq!(t.extract_range(a, b), expect);
+                    model.retain(|m| !(a..b).contains(&space.position_of(m.join_attr)));
+                    ordered_once = true;
+                }
+                80..=89 => {
+                    let cut = g.next_below(positions as u64) as u32;
+                    let moved = t.drain_positions(|p| p >= cut);
+                    let mut expect: Vec<Tuple> = model
+                        .iter()
+                        .filter(|m| space.position_of(m.join_attr) >= cut)
+                        .copied()
+                        .collect();
+                    if ordered_once {
+                        // Arena order is then some mix of position and
+                        // insertion order: compare as multisets.
+                        let mut moved = moved;
+                        moved.sort_unstable_by_key(|m| m.index);
+                        expect.sort_unstable_by_key(|m| m.index);
+                        assert_eq!(moved, expect);
+                    } else {
+                        assert_eq!(moved, expect, "an unordered drain keeps insertion order");
+                    }
+                    model.retain(|m| space.position_of(m.join_attr) < cut);
+                }
+                _ => {
+                    let m = 2 + g.next_below(5);
+                    let mut moved = t.drain_filter(|tp| tp.join_attr % m == 0);
+                    moved.sort_unstable_by_key(|tp| tp.index);
+                    let expect: Vec<Tuple> = model
+                        .iter()
+                        .filter(|tp| tp.join_attr % m == 0)
+                        .copied()
+                        .collect();
+                    assert_eq!(moved, expect);
+                    model.retain(|tp| tp.join_attr % m != 0);
+                }
+            }
+            // The directory equals a brute-force recount of the arena.
+            let mut recount = vec![0u64; positions as usize];
+            for tp in t.iter() {
+                recount[space.position_of(tp.join_attr) as usize] += 1;
+            }
+            assert_eq!(t.position_histogram(0, positions), recount);
+            assert_eq!(t.len(), model.len() as u64);
+        }
+        // One probe of the final contents finds what the interleaved probes
+        // and inserts built up: compare against a table built in one go.
+        let mut fresh = JoinHashTable::new(space, Schema::default_paper(), u64::MAX);
+        fresh.insert_batch_unchecked(&model);
+        for attr in 0..domain {
+            assert_eq!(t.probe(attr), fresh.probe(attr), "case {case}, attr {attr}");
+        }
+    }
+}
+
 /// The batched probe pipeline must be observably identical to running the
 /// scalar probe over the same tuples: same total matches, same total
 /// compares (the fingerprint filter only skips chain walks whose compare
@@ -323,7 +450,7 @@ fn probe_batch_equals_scalar_probe_sequence() {
             t.insert(Tuple::new(i as u64, g.next_below(domain)))
                 .expect("unbounded");
         }
-        // Occasionally exercise the bulk-compaction rebuild path first.
+        // Occasionally exercise the range-extraction path first.
         if g.next_below(4) == 0 {
             let cut = g.next_below(positions as u64) as u32;
             let _ = t.extract_range(0, cut);
@@ -339,22 +466,21 @@ fn probe_batch_equals_scalar_probe_sequence() {
             scalar_matches += r.matches;
             scalar_compared += r.compared;
         }
-        let mut pos_buf = Vec::new();
-        let stats = t.probe_batch(&probes, &mut pos_buf);
+        let mut scratch = ProbeScratch::new();
+        let stats = t.probe_batch_with(&probes, &mut scratch, ProbeKernel::Batched);
         assert_eq!(stats.matches, scalar_matches);
         assert_eq!(stats.compared, scalar_compared);
         assert_eq!(stats.probes, probes.len() as u64);
-        assert_eq!(pos_buf.len(), probes.len());
-        for (p, &pos) in probes.iter().zip(&pos_buf) {
+        assert_eq!(scratch.positions().len(), probes.len());
+        for (p, &pos) in probes.iter().zip(scratch.positions()) {
             assert_eq!(pos, space.position_of(p.join_attr));
         }
     }
 }
 
-/// Every probe kernel — scalar, one-chain batched, SWAR and (when compiled)
-/// SIMD — must agree byte-for-byte on `matches` and `compared` with the
-/// scalar probe sequence, across random tables, both hashers, compactions
-/// and batch lengths straddling every lane-group boundary.
+/// Both probe kernels must agree byte-for-byte on `matches` and `compared`
+/// with the scalar probe sequence, across random tables, both hashers,
+/// extractions and batch lengths straddling both prefetch distances.
 #[test]
 fn probe_kernels_agree_with_scalar_probe_sequence() {
     let mut g = Xoshiro256StarStar::new(0x5E1EC7);

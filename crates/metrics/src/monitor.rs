@@ -48,10 +48,6 @@ pub fn sample_kind(snapshot: &MetricsSnapshot, seq: u64) -> TraceKind {
         .get(names::NODE_FILTER_REJECTIONS)
         .copied()
         .unwrap_or(0);
-    let interleave_depth = snapshot
-        .histograms
-        .get(names::NODE_INTERLEAVE_DEPTH)
-        .map_or(0, |h| h.percentile(50.0));
     let hotkey_hits = snapshot
         .counters
         .get(names::NODE_HOTKEY_HITS)
@@ -92,7 +88,6 @@ pub fn sample_kind(snapshot: &MetricsSnapshot, seq: u64) -> TraceKind {
         busy_ns,
         filter_probes,
         filter_rejections,
-        interleave_depth,
         hotkey_hits,
         sketch_topk,
         hotkey_fanout,
@@ -182,7 +177,6 @@ mod tests {
         h.histogram(names::EXEC_MAILBOX_DEPTH).record(7);
         h.counter(names::NODE_FILTER_PROBES).add(500);
         h.counter(names::NODE_FILTER_REJECTIONS).add(450);
-        h.histogram(names::NODE_INTERLEAVE_DEPTH).record(6);
         h.counter(names::NODE_HOTKEY_HITS).add(12);
         h.gauge(names::SCHED_SKETCH_TOPK).add(8);
         h.histogram(names::SCHED_HOTKEY_FANOUT).record(4);
@@ -202,7 +196,6 @@ mod tests {
                 busy_ns: 1000,
                 filter_probes: 500,
                 filter_rejections: 450,
-                interleave_depth: 6,
                 hotkey_hits: 12,
                 sketch_topk: 8,
                 hotkey_fanout: 4,

@@ -104,7 +104,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], clock: Option<ClockKind>) -> Str
             busy_ns,
             filter_probes,
             filter_rejections,
-            interleave_depth,
             hotkey_hits,
             sketch_topk,
             hotkey_fanout,
@@ -121,7 +120,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], clock: Option<ClockKind>) -> Str
                 ("worker busy (ns)", busy_ns),
                 ("probe filter probes", filter_probes),
                 ("probe tag rejections", filter_rejections),
-                ("interleave depth (p50)", interleave_depth),
                 ("hotkey probe hits", hotkey_hits),
                 ("sketch top-k size", sketch_topk),
                 ("hotkey fan-out", hotkey_fanout),
@@ -216,7 +214,6 @@ mod tests {
                     busy_ns: 999,
                     filter_probes: 100,
                     filter_rejections: 90,
-                    interleave_depth: 5,
                     hotkey_hits: 7,
                     sketch_topk: 3,
                     hotkey_fanout: 2,

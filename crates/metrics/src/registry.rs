@@ -425,6 +425,12 @@ impl Histogram {
         }
     }
 
+    /// Whether samples land anywhere.
+    #[must_use]
+    pub fn is_enabled(&self) -> bool {
+        self.cells.is_some()
+    }
+
     /// A point-in-time copy of the distribution.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -672,15 +678,12 @@ pub mod names {
     pub const NODE_ARENA_TUPLES: &str = "node.arena_tuples";
     /// Histogram: hash-chain length per occupied table position.
     pub const TABLE_CHAIN_LEN: &str = "table.chain_len";
-    /// Counter: probe tuples through the filtered batch kernels (the
+    /// Counter: probe tuples through the filtered batch kernel (the
     /// tag-rejection-rate denominator).
     pub const NODE_FILTER_PROBES: &str = "node.probe_filter_probes";
-    /// Counter: probes whose chain walk a fingerprint-tag rejection skipped
+    /// Counter: probes whose run scan a fingerprint-tag rejection skipped
     /// (the tag-rejection-rate numerator).
     pub const NODE_FILTER_REJECTIONS: &str = "node.probe_filter_rejections";
-    /// Histogram: mean chains concurrently in flight per interleaved-walk
-    /// round, one sample per probed batch (wide kernels only).
-    pub const NODE_INTERLEAVE_DEPTH: &str = "node.probe_interleave_depth";
     /// Counter: probe tuples answered from a replicated hot position
     /// (DESIGN §4i).
     pub const NODE_HOTKEY_HITS: &str = "node.hotkey_hits";

@@ -294,8 +294,6 @@ pub enum TraceKind {
         /// Cumulative fingerprint-tag rejections (with `filter_probes`,
         /// the kernel-effectiveness rate per join node).
         filter_rejections: u64,
-        /// Median chains concurrently in flight in the interleaved walker.
-        interleave_depth: u64,
         /// Cumulative probe tuples answered from replicated hot positions
         /// (DESIGN §4i; zero when hot-key routing is off).
         hotkey_hits: u64,
@@ -468,7 +466,6 @@ impl TraceKind {
                 busy_ns,
                 filter_probes,
                 filter_rejections,
-                interleave_depth,
                 hotkey_hits,
                 sketch_topk,
                 hotkey_fanout,
@@ -479,8 +476,8 @@ impl TraceKind {
             } => format!(
                 "metrics sample {seq}: {occupancy} arena tuples, mailbox hwm {depth_hwm}, \
                  busy {busy_ns}ns, filter {filter_rejections}/{filter_probes} rejected, \
-                 interleave depth {interleave_depth}, hotkey hits {hotkey_hits}, \
-                 sketch top-k {sketch_topk}, fan-out {hotkey_fanout}, \
+                 hotkey hits {hotkey_hits}, sketch top-k {sketch_topk}, \
+                 fan-out {hotkey_fanout}, \
                  sched {sched_picks} picks / {preemptions} preemptions, \
                  slice p50 {slice_tuples}, deficit p50 {group_deficit}"
             ),
@@ -599,7 +596,6 @@ impl TraceEvent {
                 busy_ns,
                 filter_probes,
                 filter_rejections,
-                interleave_depth,
                 hotkey_hits,
                 sketch_topk,
                 hotkey_fanout,
@@ -613,7 +609,6 @@ impl TraceEvent {
                     ",\"seq\":{seq},\"occupancy\":{occupancy},\"depth_hwm\":{depth_hwm},\
                      \"busy_ns\":{busy_ns},\"filter_probes\":{filter_probes},\
                      \"filter_rejections\":{filter_rejections},\
-                     \"interleave_depth\":{interleave_depth},\
                      \"hotkey_hits\":{hotkey_hits},\"sketch_topk\":{sketch_topk},\
                      \"hotkey_fanout\":{hotkey_fanout},\"sched_picks\":{sched_picks},\
                      \"preemptions\":{preemptions},\"slice_tuples\":{slice_tuples},\
@@ -742,7 +737,6 @@ impl TraceEvent {
                 // files keep parsing.
                 filter_probes: num("filter_probes").unwrap_or(0),
                 filter_rejections: num("filter_rejections").unwrap_or(0),
-                interleave_depth: num("interleave_depth").unwrap_or(0),
                 hotkey_hits: num("hotkey_hits").unwrap_or(0),
                 sketch_topk: num("sketch_topk").unwrap_or(0),
                 hotkey_fanout: num("hotkey_fanout").unwrap_or(0),
@@ -1356,7 +1350,6 @@ mod tests {
                 busy_ns: 9_876_543,
                 filter_probes: 10_000,
                 filter_rejections: 9_000,
-                interleave_depth: 7,
                 hotkey_hits: 42,
                 sketch_topk: 16,
                 hotkey_fanout: 3,
@@ -1406,7 +1399,6 @@ mod tests {
                 busy_ns: 77,
                 filter_probes: 0,
                 filter_rejections: 0,
-                interleave_depth: 0,
                 hotkey_hits: 0,
                 sketch_topk: 0,
                 hotkey_fanout: 0,

@@ -22,7 +22,9 @@
 
 use crate::backend::{PartitionId, SpillBackend};
 use ehj_data::{Schema, Tuple};
-use ehj_hash::{HashRange, JoinHashTable, PositionSpace, ENTRY_OVERHEAD_BYTES};
+use ehj_hash::{
+    HashRange, JoinHashTable, PositionSpace, ProbeKernel, ProbeScratch, ENTRY_OVERHEAD_BYTES,
+};
 
 /// Tuning parameters for the out-of-core join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +72,9 @@ struct Fragment {
     probe: PartitionId,
     depth: u32,
 }
+
+/// Probe tuples per batched-kernel call while joining a fragment pair.
+const PROBE_CHUNK: usize = 4096;
 
 /// Per-node Grace out-of-core join state.
 pub struct GraceJoin<B: SpillBackend> {
@@ -192,6 +197,7 @@ impl<B: SpillBackend> GraceJoin<B> {
     /// Joins every fragment pair, consuming the spill state.
     pub fn finalize(mut self) -> GraceResult {
         let mut result = GraceResult::default();
+        let mut scratch = ProbeScratch::new();
         let mut work: Vec<Fragment> = std::mem::take(&mut self.frags);
         // Process LIFO; recursion pushes children.
         while let Some(frag) = work.pop() {
@@ -207,11 +213,11 @@ impl<B: SpillBackend> GraceJoin<B> {
             result.max_depth_reached = result.max_depth_reached.max(frag.depth);
             let fits = build_count * self.table_bpt() <= self.capacity_bytes;
             if fits {
-                self.join_fragment(&frag, &mut result);
+                self.join_fragment(&frag, &mut scratch, &mut result);
             } else if frag.depth < self.config.max_depth && frag.range.len() >= 2 {
                 self.repartition(&frag, &mut work, &mut result);
             } else {
-                self.nested_loop(&frag, &mut result);
+                self.nested_loop(&frag, &mut scratch, &mut result);
             }
             self.backend.remove(frag.build);
             self.backend.remove(frag.probe);
@@ -219,22 +225,38 @@ impl<B: SpillBackend> GraceJoin<B> {
         result
     }
 
-    /// In-memory hash join of one fragment pair.
-    fn join_fragment(&mut self, frag: &Fragment, result: &mut GraceResult) {
-        let build = self.backend.read(frag.build);
-        result.bytes_read += self.schema.tuples_bytes(build.len() as u64);
+    /// Builds an in-memory table over `build` and probes it with `probe`
+    /// through the batched kernel — the "basic in-core hash-based join" both
+    /// the fitting-fragment path and each nested-loop block apply.
+    fn join_in_memory(
+        &self,
+        build: &[Tuple],
+        probe: &[Tuple],
+        scratch: &mut ProbeScratch,
+        result: &mut GraceResult,
+    ) {
         let mut table = JoinHashTable::new(self.space, self.schema, u64::MAX);
         result.build_inserts += build.len() as u64;
-        for t in build {
-            table.insert_unchecked(t);
+        table.insert_batch_unchecked(build);
+        for chunk in probe.chunks(PROBE_CHUNK) {
+            let stats = table.probe_batch_with(chunk, scratch, ProbeKernel::Batched);
+            result.matches += stats.matches;
+            result.compares += stats.compared;
         }
+    }
+
+    /// In-memory hash join of one fragment pair.
+    fn join_fragment(
+        &mut self,
+        frag: &Fragment,
+        scratch: &mut ProbeScratch,
+        result: &mut GraceResult,
+    ) {
+        let build = self.backend.read(frag.build);
+        result.bytes_read += self.schema.tuples_bytes(build.len() as u64);
         let probe = self.backend.read(frag.probe);
         result.bytes_read += self.schema.tuples_bytes(probe.len() as u64);
-        for s in &probe {
-            let r = table.probe(s.join_attr);
-            result.matches += r.matches;
-            result.compares += r.compared;
-        }
+        self.join_in_memory(&build, &probe, scratch, result);
     }
 
     /// Re-partitions an oversized fragment into sub-fragments.
@@ -280,7 +302,12 @@ impl<B: SpillBackend> GraceJoin<B> {
 
     /// Block nested-loop fallback for an indivisible oversized fragment:
     /// build side in capacity-sized blocks, probe side rescanned per block.
-    fn nested_loop(&mut self, frag: &Fragment, result: &mut GraceResult) {
+    fn nested_loop(
+        &mut self,
+        frag: &Fragment,
+        scratch: &mut ProbeScratch,
+        result: &mut GraceResult,
+    ) {
         result.nested_loop_fragments += 1;
         let build = self.backend.read(frag.build);
         result.bytes_read += self.schema.tuples_bytes(build.len() as u64);
@@ -290,16 +317,7 @@ impl<B: SpillBackend> GraceJoin<B> {
         for block in build.chunks(block_tuples) {
             // Each block rescans the probe fragment.
             result.bytes_read += probe_bytes;
-            let mut table = JoinHashTable::new(self.space, self.schema, u64::MAX);
-            result.build_inserts += block.len() as u64;
-            for &t in block {
-                table.insert_unchecked(t);
-            }
-            for s in &probe {
-                let r = table.probe(s.join_attr);
-                result.matches += r.matches;
-                result.compares += r.compared;
-            }
+            self.join_in_memory(block, &probe, scratch, result);
         }
     }
 }

@@ -1,13 +1,12 @@
 //! Differential equivalence of the probe kernels.
 //!
-//! Every probe kernel (`JoinConfig::probe_kernel`: the one-chain batched
-//! pipeline, the SWAR tag scan and, when compiled, the `core::arch` SIMD
-//! scan — both with the interleaved chain walker) is a host-side
-//! optimization only: fingerprint rejections charge exactly the chain
-//! length the scalar walk would have compared, so every simulated
-//! observable — matches, compares, network bytes, phase times — must be
-//! byte-for-byte identical to the scalar tuple-at-a-time oracle. These
-//! tests run every algorithm under every kernel and diff the reports.
+//! The production probe kernel (`JoinConfig::probe_kernel`'s default, the
+//! batched filtered pipeline) is a host-side optimization only: fingerprint
+//! rejections charge exactly the chain length the scalar scan would have
+//! compared, so every simulated observable — matches, compares, network
+//! bytes, phase times — must be byte-for-byte identical to the scalar
+//! tuple-at-a-time oracle. These tests run every algorithm under both
+//! kernels and diff the reports.
 
 use ehj_core::{Algorithm, JoinConfig, JoinRunner, ProbeKernel};
 use ehj_data::Distribution;
@@ -22,50 +21,39 @@ fn base(alg: Algorithm) -> JoinConfig {
     cfg
 }
 
-/// Runs `cfg` under every probe kernel and asserts every simulated
+/// Runs `cfg` under both probe kernels and asserts every simulated
 /// observable agrees exactly with the scalar oracle.
 fn assert_probe_kernels_agree(cfg: &JoinConfig) {
     let mut scalar_cfg = cfg.clone();
     scalar_cfg.probe_kernel = ProbeKernel::Scalar;
     let scalar = JoinRunner::run(&scalar_cfg).expect("scalar run must complete");
     let label = cfg.algorithm.label();
-    for kernel in [ProbeKernel::Batched, ProbeKernel::Swar, ProbeKernel::Simd] {
-        let mut kernel_cfg = cfg.clone();
-        kernel_cfg.probe_kernel = kernel;
-        let run = JoinRunner::run(&kernel_cfg).expect("kernel run must complete");
-        assert_eq!(
-            scalar.matches, run.matches,
-            "{label}/{kernel}: matches diverge"
-        );
-        assert_eq!(
-            scalar.compares, run.compares,
-            "{label}/{kernel}: compares diverge"
-        );
-        assert_eq!(
-            scalar.net_bytes, run.net_bytes,
-            "{label}/{kernel}: network traffic diverges"
-        );
-        assert_eq!(
-            scalar.disk_bytes, run.disk_bytes,
-            "{label}/{kernel}: disk traffic diverges"
-        );
-        assert_eq!(
-            scalar.sim_events, run.sim_events,
-            "{label}/{kernel}: event counts diverge"
-        );
-        assert_eq!(
-            scalar.times, run.times,
-            "{label}/{kernel}: simulated phase times diverge"
-        );
-        assert_eq!(
-            scalar.build_tuples, run.build_tuples,
-            "{label}/{kernel}: build placement diverges"
-        );
-        assert_eq!(
-            scalar.load, run.load,
-            "{label}/{kernel}: load vectors diverge"
-        );
-    }
+    let mut batched_cfg = cfg.clone();
+    batched_cfg.probe_kernel = ProbeKernel::Batched;
+    let run = JoinRunner::run(&batched_cfg).expect("batched run must complete");
+    assert_eq!(scalar.matches, run.matches, "{label}: matches diverge");
+    assert_eq!(scalar.compares, run.compares, "{label}: compares diverge");
+    assert_eq!(
+        scalar.net_bytes, run.net_bytes,
+        "{label}: network traffic diverges"
+    );
+    assert_eq!(
+        scalar.disk_bytes, run.disk_bytes,
+        "{label}: disk traffic diverges"
+    );
+    assert_eq!(
+        scalar.sim_events, run.sim_events,
+        "{label}: event counts diverge"
+    );
+    assert_eq!(
+        scalar.times, run.times,
+        "{label}: simulated phase times diverge"
+    );
+    assert_eq!(
+        scalar.build_tuples, run.build_tuples,
+        "{label}: build placement diverges"
+    );
+    assert_eq!(scalar.load, run.load, "{label}: load vectors diverge");
 }
 
 #[test]
@@ -150,17 +138,17 @@ fn hot_key_routing_preserves_exact_match_counts() {
                     "{label}: build placement"
                 );
             }
-            // The batched kernels must agree with the scalar oracle under
+            // The batched kernel must agree with the scalar oracle under
             // the overlay exactly as they do without it.
-            let mut on_swar = on.clone();
-            on_swar.probe_kernel = ProbeKernel::Swar;
-            let swar = JoinRunner::run(&on_swar).expect("swar run must complete");
+            let mut on_batched = on.clone();
+            on_batched.probe_kernel = ProbeKernel::Batched;
+            let batched = JoinRunner::run(&on_batched).expect("batched run must complete");
             assert_eq!(
-                routed.matches, swar.matches,
+                routed.matches, batched.matches,
                 "{label}: kernels diverge under the overlay"
             );
             assert_eq!(
-                routed.compares, swar.compares,
+                routed.compares, batched.compares,
                 "{label}: kernel compares diverge under the overlay"
             );
         }
@@ -174,7 +162,7 @@ fn hot_key_routing_preserves_exact_match_counts() {
 /// is probed whole or in slices, at any slice length, under any kernel.
 fn assert_sliced_probe_matches_whole(cfg: &JoinConfig) {
     let label = cfg.algorithm.label();
-    for kernel in [ProbeKernel::Scalar, ProbeKernel::Swar] {
+    for kernel in ProbeKernel::ALL {
         let mut whole = cfg.clone();
         whole.probe_kernel = kernel;
         whole.probe_slice = 0;
