@@ -6,19 +6,35 @@
 //!
 //! * each actor owns a bounded batch [`Mailbox`] with producer-side
 //!   backpressure (see [`crate::mailbox`]);
-//! * run queues are **per group per worker**: workers pick the next group
-//!   by deficit-weighted round-robin (each admission carries a scheduling
+//! * run queues are **per group per worker**, and locality is the default:
+//!   an admission seeds every start task on one *home* worker (homes rotate
+//!   per admission), an actor runs where it was readied — newly-readied
+//!   actors go to the *front* of the readying worker's queue (a LIFO slot:
+//!   the freshly-sent-to actor's cache lines are hot), re-queued actors that
+//!   exhausted their message budget go to the *back* (fairness) — and a
+//!   worker picks among the groups with work on *its own* queues by
+//!   deficit-weighted round-robin (each admission carries a scheduling
 //!   weight; a group's deficit is refilled weight-proportionally and
-//!   drained by the work its actors do), then pop/steal *within* that
-//!   group — newly-readied actors go to the *front* of the readying
-//!   worker's queue (a LIFO slot: the freshly-sent-to actor's cache lines
-//!   are hot), re-queued actors that exhausted their message budget go to
-//!   the *back* (fairness), and idle workers steal from the back of a
-//!   randomly-chosen victim's queue of the chosen group. Deficit charges
-//!   are byte-proportional and paid per message, and an exhausted group
-//!   is preempted at the next message boundary whenever a rival group has
-//!   work queued, so a tenant's share of worker time tracks its weight —
-//!   not its message volume or its batch sizes;
+//!   drained by the work its actors do). So a group small enough for one
+//!   worker lives and dies on its home: no wakeup, mailbox lock or
+//!   allocation of its crosses a core. Deficit charges are byte-proportional
+//!   and paid per message, and an exhausted group is preempted at the next
+//!   message boundary whenever a rival group has work queued, so a tenant's
+//!   share of worker time tracks its weight — not its message volume or its
+//!   batch sizes;
+//! * stealing is the exception: a worker turns thief only after it has had
+//!   no local work for `STEAL_PATIENCE` (50 us) while some was queued
+//!   elsewhere (it yields the core meanwhile; with nothing queued anywhere
+//!   it parks at once). It then takes one ready actor from the back of a
+//!   randomly chosen victim's queue, groups visited in the same deficit
+//!   order. A group too big for its home therefore still spreads over the
+//!   pool — everything a stolen actor readies lands on the thief's queue —
+//!   while work its owner reaches within a migration's cost stays put;
+//! * nothing on the per-message path is pool-global: traffic is charged to
+//!   the sender's group (the pool totals are the finished groups' ledgers
+//!   plus the live ones', summed on request), the scan cursor, coalescing
+//!   buffers and dequeue batch are the worker's own, and a mailbox pop
+//!   makes no system call unless a producer is parked on it;
 //! * long probe batches are cooperatively preemptible: a handler that
 //!   slices its work checks [`Context::should_yield`] between slices (each
 //!   check charges a slice quantum against the group's deficit) and parks a
@@ -27,9 +43,10 @@
 //!   so preemption never reorders or drops tuples — even against a stop
 //!   sentinel;
 //! * timers live in per-worker wheels (binary heaps). A worker fires its
-//!   own due timers every loop iteration and sweeps *all* wheels at steal
-//!   points, so a busy owner never delays another worker's deadline by
-//!   more than one scheduling quantum. There is no global timer thread.
+//!   own due timers every loop iteration and, as a thief, every other
+//!   wheel's too, so a busy owner delays another actor's deadline by no
+//!   more than `STEAL_PATIENCE` while any worker is free. There is no
+//!   global timer thread.
 //!   Timer fires are charged [`Message::wire_bytes`] exactly like sends,
 //!   so the [`crate::threaded::ThreadedSummary`] totals really do include
 //!   them;
@@ -59,7 +76,7 @@
 //! one query finishing never drops another query's in-flight batches.
 
 use crate::actor::{Actor, ActorId, Context, Message};
-use crate::mailbox::Mailbox;
+use crate::mailbox::{Mailbox, PushReport};
 use crate::threaded::ThreadedSummary;
 use crate::time::SimTime;
 use ehj_metrics::registry::names;
@@ -87,6 +104,23 @@ const COALESCE_DESTS: usize = 16;
 
 /// Upper bound on one idle park (re-checks exit conditions and timers).
 const MAX_PARK: Duration = Duration::from_millis(20);
+
+/// How long a worker goes without local work, while work is queued on
+/// another worker, before it steals: about what a migration costs. A stolen
+/// actor drags its mailbox, its body and whatever its peers send it next
+/// into the thief's cache, and from then on every message between the two
+/// halves of its group crosses cores — a wakeup, a contended mailbox lock,
+/// an allocation freed on the other core's arena. A 5k + 5k-tuple query is
+/// ~800 actor runs of 1.4 us on average (the longest 30 us), so its home
+/// worker reaches anything queued well inside this wait and a thief would
+/// only split the query; a big join's runs average 70 us and its queues
+/// stay non-empty for milliseconds, so it is stolen from all the same.
+/// `service-closed` on 2 workers / 2 cores, M tuples/s: stealing at once
+/// (the previous policy) 3.4-3.7, local-first with no wait 8.5-10.3, this
+/// wait 11.5-12.2, never stealing 11.2-12.3 — but never stealing halves
+/// `expand-hybrid` (23.5 -> 11.7) and `skew-highmatch` (12.5 -> 7.8): a
+/// lone group must still spread. See DESIGN §4d.
+const STEAL_PATIENCE: Duration = Duration::from_micros(50);
 
 /// Deficit units granted per unit of group weight at each refill round.
 /// One processed message costs one unit plus one unit per
@@ -225,13 +259,17 @@ struct GroupState<M: Message> {
     /// Scheduling weight: this group's share of worker time relative to
     /// other runnable groups (deficit-weighted round-robin). Minimum 1.
     weight: u64,
+    /// The worker every start task was seeded on. Actors run where they
+    /// were readied, so the group stays there until a thief takes part of
+    /// it.
+    home: usize,
     /// Remaining deficit units this round. Drained by processed messages
     /// and probe slices, refilled `weight * GROUP_QUANTUM` at a time when
     /// no runnable group has any deficit left. Clamped at minus one full
     /// quantum so a solo group's overdraw stays bounded.
     deficit: AtomicI64,
-    /// This group's ready actors (slot indices), one queue per worker (the
-    /// DRR scheduler picks a group first, then pops/steals within it).
+    /// This group's ready actors (slot indices), one queue per worker: a
+    /// worker pops its own and, as a thief, the back of another's.
     queues: Vec<Mutex<VecDeque<u32>>>,
     /// Ready actors across all of this group's queues (fast runnable
     /// check; updated under the owning queue's lock).
@@ -244,8 +282,9 @@ struct GroupState<M: Message> {
     net_messages: AtomicU64,
     /// Admission time: the zero of the group's [`Context::now`] clock.
     admitted: Instant,
-    /// `Some(elapsed)` once every member retired.
-    done: Mutex<Option<Duration>>,
+    /// `Some` once every member retired: the ledger as folded into the
+    /// pool totals.
+    done: Mutex<Option<GroupOutcome>>,
     done_cv: Condvar,
     /// Caller resources scoped to the group's run (e.g. an admission
     /// quota grant): dropped the moment the last member retires, so a
@@ -290,6 +329,14 @@ impl<M: Message> GroupState<M> {
         actor
     }
 
+    /// Whether `worker`'s own queue holds ready work of this group.
+    fn has_ready(&self, worker: usize) -> bool {
+        !self.queues[worker]
+            .lock()
+            .expect("group run queue")
+            .is_empty()
+    }
+
     fn steal_ready(&self, victim: usize) -> Option<u32> {
         let mut q = self.queues[victim].lock().expect("group run queue");
         let actor = q.pop_back();
@@ -321,9 +368,18 @@ impl<M: Message> GroupState<M> {
             });
     }
 
-    fn finish(&self) {
+    /// The group's ledger as of now.
+    fn ledger(&self) -> GroupOutcome {
+        GroupOutcome {
+            elapsed: self.admitted.elapsed(),
+            net_bytes: self.net_bytes.load(Ordering::Relaxed),
+            net_messages: self.net_messages.load(Ordering::Relaxed),
+        }
+    }
+
+    fn finish(&self, outcome: GroupOutcome) {
         let mut done = self.done.lock().expect("group done lock");
-        *done = Some(self.admitted.elapsed());
+        *done = Some(outcome);
         let payload = self.payload.lock().expect("group payload lock").take();
         self.done_cv.notify_all();
         drop(done);
@@ -381,17 +437,26 @@ impl<M: Message> Ord for Armed<M> {
 /// steady-state scheduling never takes the publish lock.
 type Groups<M> = Arc<Vec<Arc<GroupState<M>>>>;
 
+/// The publish point: the live table plus what the finished groups sent.
+/// A group's ledger moves from "live" to "retired" under this one lock, so
+/// the pool totals — retired plus the live groups' ledgers — never count a
+/// group twice or not at all, and no send has to touch a pool-wide counter.
+struct GroupTable<M: Message> {
+    live: Groups<M>,
+    retired_bytes: u64,
+    retired_messages: u64,
+}
+
 struct Shared<M: Message> {
     /// Publish point of the group table (see [`Groups`]).
-    groups: Mutex<Groups<M>>,
+    groups: Mutex<GroupTable<M>>,
     /// Bumped on every group-table publish; workers compare against their
     /// snapshot's version before scanning.
     groups_version: AtomicU64,
-    /// Global round-robin cursor over the group table (fairness of the
-    /// scan start, not correctness).
-    rr_cursor: AtomicUsize,
     /// First actor id of the next admitted block.
     next_base: AtomicU32,
+    /// Home worker of the next admitted group (rotates).
+    next_home: AtomicUsize,
     timers: Vec<Mutex<BinaryHeap<Reverse<Armed<M>>>>>,
     idle_lock: Mutex<()>,
     wake: Condvar,
@@ -406,8 +471,6 @@ struct Shared<M: Message> {
     workers: usize,
     timer_seq: AtomicU64,
     start: Instant,
-    net_bytes: AtomicU64,
-    net_messages: AtomicU64,
     steals: AtomicU64,
     parks: AtomicU64,
     overflows: AtomicU64,
@@ -415,8 +478,6 @@ struct Shared<M: Message> {
     misrouted: AtomicU64,
     /// High-water mark of any mailbox's depth over the pool's lifetime.
     max_depth: AtomicUsize,
-    sched_picks: AtomicU64,
-    preemptions: AtomicU64,
     worker_metrics: Vec<WorkerMetrics>,
 }
 
@@ -426,20 +487,31 @@ impl<M: Message> Shared<M> {
     fn groups_snapshot(&self, cache: &mut (u64, Groups<M>)) {
         let version = self.groups_version.load(Ordering::Acquire);
         if cache.0 != version {
-            cache.1 = Arc::clone(&self.groups.lock().expect("group table"));
+            cache.1 = Arc::clone(&self.groups.lock().expect("group table").live);
             cache.0 = version;
         }
     }
 
-    /// Republishes the live-group table with `group` added or removed.
-    fn publish(&self, group: &Arc<GroupState<M>>, add: bool) {
+    /// Republishes the live-group table with `group` added (`retired` is
+    /// `None`) or removed, folding its final ledger into the pool totals.
+    fn publish(&self, group: &Arc<GroupState<M>>, retired: Option<&GroupOutcome>) {
         let mut table = self.groups.lock().expect("group table");
-        let mut next = Vec::with_capacity(table.len() + 1);
-        next.extend(table.iter().filter(|g| !Arc::ptr_eq(g, group)).cloned());
-        if add {
-            next.push(Arc::clone(group));
+        let mut next = Vec::with_capacity(table.live.len() + 1);
+        next.extend(
+            table
+                .live
+                .iter()
+                .filter(|g| !Arc::ptr_eq(g, group))
+                .cloned(),
+        );
+        match retired {
+            None => next.push(Arc::clone(group)),
+            Some(ledger) => {
+                table.retired_bytes += ledger.net_bytes;
+                table.retired_messages += ledger.net_messages;
+            }
         }
-        *table = Arc::new(next);
+        table.live = Arc::new(next);
         self.groups_version.fetch_add(1, Ordering::Release);
     }
 
@@ -472,18 +544,18 @@ impl<M: Message> Shared<M> {
     }
 
     /// Delivers a coalesced batch to slot `to` of `group` and schedules
-    /// it. `no_wait` skips backpressure (self-sends and timer fires must
-    /// not stall the worker that would drain the very queue it waits on).
-    /// A stop of the *destination's own group* also lifts backpressure —
-    /// that group is quiescing and its mailboxes close shortly — while
-    /// other groups keep full blocking semantics.
+    /// it. `no_wait` skips backpressure (a self-send must not stall the
+    /// worker that would drain the very queue it waits on); it is asked
+    /// only when the ring is full. A stop of the *destination's own group*
+    /// also lifts backpressure — that group is quiescing and its mailboxes
+    /// close shortly — while other groups keep full blocking semantics.
     fn deliver(
         &self,
         group: &GroupState<M>,
         worker: usize,
         to: u32,
         batch: &mut Vec<Env<M>>,
-        no_wait: bool,
+        no_wait: impl FnOnce() -> bool,
     ) {
         let slot = &group.slots[to as usize];
         if slot.state.load(Ordering::Acquire) == DEAD {
@@ -494,7 +566,13 @@ impl<M: Message> Shared<M> {
         }
         let report = slot
             .mailbox
-            .push_batch(batch, no_wait || group.stop.load(Ordering::Relaxed));
+            .push_batch_or(batch, || group.stop.load(Ordering::Relaxed) || no_wait());
+        self.delivered(group, worker, to, report);
+    }
+
+    /// Books what a push into slot `to` of `group` observed and schedules
+    /// the receiver.
+    fn delivered(&self, group: &GroupState<M>, worker: usize, to: u32, report: PushReport) {
         if report.parks > 0 {
             self.parks.fetch_add(report.parks, Ordering::Relaxed);
         }
@@ -509,42 +587,34 @@ impl<M: Message> Shared<M> {
         self.try_schedule(group, worker, to);
     }
 
-    /// Charges one message's wire bytes to the pool totals (identical to
-    /// the old per-send accounting, and also applied to timer fires).
-    fn charge(&self, msg: &M) {
-        self.net_bytes
-            .fetch_add(msg.wire_bytes(), Ordering::Relaxed);
-        self.net_messages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fires every due timer in `wheel`; returns how many fired.
+    /// Fires every due timer in `wheel`, one lock hold per timer, into
+    /// `worker`'s run queue; returns how many fired.
     fn fire_wheel(&self, worker: usize, wheel: usize) -> usize {
         let now = Instant::now();
-        let mut due = Vec::new();
-        {
-            let mut heap = self.timers[wheel].lock().expect("timer wheel");
-            while let Some(Reverse(top)) = heap.peek() {
-                if top.deadline > now {
-                    break;
+        let mut fired = 0;
+        loop {
+            let armed = {
+                let mut heap = self.timers[wheel].lock().expect("timer wheel");
+                match heap.peek() {
+                    Some(Reverse(top)) if top.deadline <= now => heap.pop().expect("peeked").0,
+                    _ => return fired,
                 }
-                let Reverse(armed) = heap.pop().expect("peeked");
-                due.push(armed);
-            }
-        }
-        let fired = due.len();
-        for armed in due {
+            };
+            fired += 1;
             // Timer fires are real self-sends: charge their wire bytes so
             // `ThreadedSummary`'s "timer fires included" promise holds.
-            self.charge(&armed.msg);
             armed.group.charge(armed.msg.wire_bytes());
             self.timer_fires.fetch_add(1, Ordering::Relaxed);
-            let mut one = vec![Env::Msg {
-                from: armed.group.base + armed.target,
-                msg: armed.msg,
-            }];
-            self.deliver(&armed.group, worker, armed.target, &mut one, true);
+            // Never parks; a target that died meanwhile has a closed
+            // mailbox, which drops the fire.
+            let report = armed.group.slots[armed.target as usize]
+                .mailbox
+                .push_control(Env::Msg {
+                    from: armed.group.base + armed.target,
+                    msg: armed.msg,
+                });
+            self.delivered(&armed.group, worker, armed.target, report);
         }
-        fired
     }
 
     /// Earliest armed deadline across every wheel.
@@ -604,8 +674,9 @@ impl<M: Message> Shared<M> {
         // Pool count first: whoever `finish` wakes sees both at rest.
         let pool_idle = self.live.fetch_sub(1, Ordering::AcqRel) == 1;
         if group.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.publish(group, false);
-            group.finish();
+            let outcome = group.ledger();
+            self.publish(group, Some(&outcome));
+            group.finish(outcome);
         }
         if pool_idle && self.exit_when_idle {
             self.request_shutdown();
@@ -671,10 +742,14 @@ impl<M: Message> Executor<M> {
     fn start_inner(cfg: &ExecutorConfig, metrics: &MetricsRegistry, exit_when_idle: bool) -> Self {
         let workers = cfg.effective_workers().max(1);
         let shared = Arc::new(Shared {
-            groups: Mutex::new(Arc::new(Vec::new())),
+            groups: Mutex::new(GroupTable {
+                live: Arc::new(Vec::new()),
+                retired_bytes: 0,
+                retired_messages: 0,
+            }),
             groups_version: AtomicU64::new(0),
-            rr_cursor: AtomicUsize::new(0),
             next_base: AtomicU32::new(0),
+            next_home: AtomicUsize::new(0),
             timers: (0..workers)
                 .map(|_| Mutex::new(BinaryHeap::new()))
                 .collect(),
@@ -687,16 +762,12 @@ impl<M: Message> Executor<M> {
             workers,
             timer_seq: AtomicU64::new(0),
             start: Instant::now(),
-            net_bytes: AtomicU64::new(0),
-            net_messages: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             overflows: AtomicU64::new(0),
             timer_fires: AtomicU64::new(0),
             misrouted: AtomicU64::new(0),
             max_depth: AtomicUsize::new(0),
-            sched_picks: AtomicU64::new(0),
-            preemptions: AtomicU64::new(0),
             worker_metrics: (0..workers)
                 .map(|w| WorkerMetrics::new(metrics, w))
                 .collect(),
@@ -742,9 +813,12 @@ impl<M: Message> Executor<M> {
 
     /// [`Executor::admit_with`] with an explicit scheduling weight: the
     /// group's share of worker time relative to other runnable groups
-    /// under deficit-weighted round-robin (`0` is treated as `1`). The
-    /// cost is linear in `count` and in the groups live right now —
-    /// independent of how many groups the pool has ever run.
+    /// under deficit-weighted round-robin (`0` is treated as `1`). Every
+    /// start task goes to one *home* worker (homes rotate per admission):
+    /// a group small enough for one worker never leaves it, and a bigger
+    /// one spreads by being stolen from. The cost is linear in `count` and
+    /// in the groups live right now — independent of how many groups the
+    /// pool has ever run.
     ///
     /// # Panics
     /// Panics if `build` returns a different number of actors.
@@ -778,6 +852,7 @@ impl<M: Message> Executor<M> {
             base,
             slots: slots.collect(),
             weight,
+            home: shared.next_home.fetch_add(1, Ordering::Relaxed) % shared.workers,
             // A fresh group starts with one full round of deficit so
             // it is immediately runnable.
             deficit: AtomicI64::new(weight as i64 * GROUP_QUANTUM),
@@ -795,15 +870,16 @@ impl<M: Message> Executor<M> {
             payload: Mutex::new(None),
         });
         if count == 0 {
-            group.finish();
+            group.finish(group.ledger());
         } else {
             shared.live.fetch_add(count, Ordering::AcqRel);
-            // Seed the start tasks round-robin so `on_start` work spreads
-            // over the pool from the first instant.
-            for (id, q) in (0..count as u32).zip((0..shared.workers).cycle()) {
-                group.push_ready(q, id, false);
-            }
-            shared.publish(&group, true);
+            // Not published yet: nobody else can see the queue.
+            group.queues[group.home]
+                .lock()
+                .expect("group run queue")
+                .extend(0..count as u32);
+            group.queued.store(count, Ordering::SeqCst);
+            shared.publish(&group, None);
             let _g = shared.idle_lock.lock().expect("idle lock");
             shared.wake.notify_all();
         }
@@ -816,7 +892,7 @@ impl<M: Message> Executor<M> {
         while done.is_none() {
             done = admission.group.done_cv.wait(done).expect("group done lock");
         }
-        Self::outcome(admission, done.expect("checked"))
+        done.expect("checked")
     }
 
     /// Like [`Executor::wait`] with a deadline; `None` on timeout.
@@ -839,15 +915,7 @@ impl<M: Message> Executor<M> {
                 .expect("group done lock");
             done = guard;
         }
-        Some(Self::outcome(admission, done.expect("checked")))
-    }
-
-    fn outcome(admission: &Admission<M>, elapsed: Duration) -> GroupOutcome {
-        GroupOutcome {
-            elapsed,
-            net_bytes: admission.group.net_bytes.load(Ordering::Relaxed),
-            net_messages: admission.group.net_messages.load(Ordering::Relaxed),
-        }
+        *done
     }
 
     /// Cancels a group from outside: equivalent to one of its actors
@@ -856,25 +924,35 @@ impl<M: Message> Executor<M> {
     /// after is dropped. Idempotent; no-op on a stopping or finished group.
     pub fn cancel(&self, admission: &Admission<M>) {
         if !admission.group.stop.swap(true, Ordering::AcqRel) {
-            self.shared.post_group_sentinels(&admission.group, 0);
+            self.shared
+                .post_group_sentinels(&admission.group, admission.group.home);
         }
     }
 
     /// `(groups, actors)` admitted and not yet retired.
     #[must_use]
     pub fn live(&self) -> (usize, usize) {
-        let groups = self.shared.groups.lock().expect("group table").len();
+        let groups = self.shared.groups.lock().expect("group table").live.len();
         (groups, self.shared.live.load(Ordering::Acquire))
     }
 
-    /// Pool-wide totals and executor counters as of now.
+    /// Pool-wide totals and executor counters as of now. The traffic
+    /// totals are the finished groups' ledgers plus what the live groups
+    /// have sent so far.
     #[must_use]
     pub fn summary(&self) -> ThreadedSummary {
         let shared = &self.shared;
+        let (net_bytes, net_messages) = {
+            let table = shared.groups.lock().expect("group table");
+            table.live.iter().map(|g| g.ledger()).fold(
+                (table.retired_bytes, table.retired_messages),
+                |(bytes, messages), g| (bytes + g.net_bytes, messages + g.net_messages),
+            )
+        };
         ThreadedSummary {
             elapsed: SimTime::from_nanos(shared.start.elapsed().as_nanos() as u64),
-            net_bytes: shared.net_bytes.load(Ordering::Relaxed),
-            net_messages: shared.net_messages.load(Ordering::Relaxed),
+            net_bytes,
+            net_messages,
             exec: ExecutorStats {
                 workers: shared.workers as u64,
                 steals: shared.steals.load(Ordering::Relaxed),
@@ -973,106 +1051,147 @@ pub fn run_actors_with<M: Message>(
     (summary, actors)
 }
 
+/// What one worker thread keeps to itself from one actor run to the next:
+/// nothing here is visible to another core.
+struct Local<M: Message> {
+    index: usize,
+    /// Xorshift state for the victim order (no external RNG dependency).
+    rng: u64,
+    /// Where this worker's next scan of the group table starts (fairness
+    /// of the scan start, not correctness).
+    cursor: usize,
+    /// `(version, table)` snapshot of the live groups.
+    groups: (u64, Groups<M>),
+    /// The running actor's dequeue batch.
+    scratch: Vec<Env<M>>,
+    /// The running actor's coalescing buffers (see [`ExecCtx::pending`]);
+    /// every one is empty between runs and keeps its allocation.
+    pending: Vec<(u32, Vec<Env<M>>)>,
+}
+
 fn worker_loop<M: Message>(shared: &Shared<M>, index: usize) {
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((index as u64 + 1) << 17);
-    let mut scratch: Vec<Env<M>> = Vec::with_capacity(DEQUEUE_BATCH);
-    let mut groups: (u64, Groups<M>) = (0, Arc::new(Vec::new()));
+    let mut local = Local {
+        index,
+        rng: 0x9E37_79B9_7F4A_7C15u64 ^ ((index as u64 + 1) << 17),
+        cursor: index,
+        groups: (0, Arc::new(Vec::new())),
+        scratch: Vec::with_capacity(DEQUEUE_BATCH),
+        pending: Vec::new(),
+    };
+    // Since when this worker has looked for local work in vain while some
+    // was queued elsewhere (`None` while it has its own, and after a park).
+    let mut dry_since: Option<Instant> = None;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
         // Own timers first: cheap, usually empty.
         shared.fire_wheel(index, index);
-        if let Some((group, actor)) = next_task(shared, index, &mut rng, &mut groups) {
-            run_actor(shared, &mut groups, index, &group, actor, &mut scratch);
+        if let Some((group, actor)) = next_task(shared, &mut local, false) {
+            dry_since = None;
+            run_actor(shared, &mut local, &group, actor);
             continue;
         }
-        // Steal point with no stealable work: merge every timer wheel so a
-        // busy owner cannot sit on another actor's deadline.
-        let mut fired = 0;
-        for w in 0..shared.timers.len() {
-            fired += shared.fire_wheel(index, w);
+        let now = Instant::now();
+        if now.duration_since(*dry_since.get_or_insert(now)) >= STEAL_PATIENCE {
+            // Their owners have had their chance: take over every due timer
+            // (so a busy owner cannot sit on another actor's deadline) and
+            // one ready actor.
+            let fired: usize = (0..shared.workers)
+                .filter(|&w| w != index)
+                .map(|w| shared.fire_wheel(index, w))
+                .sum();
+            if fired > 0 {
+                continue;
+            }
+            if let Some((group, actor)) = next_task(shared, &mut local, true) {
+                run_actor(shared, &mut local, &group, actor);
+                continue;
+            }
         }
-        if fired > 0 {
+        // Work is queued or a timer is due, on another worker: give the
+        // owner its chance (and, on a shared core, the core).
+        let next_timer = shared.next_deadline();
+        if shared.group_runnable(&mut local.groups, None) || next_timer.is_some_and(|d| d <= now) {
+            thread::yield_now();
             continue;
         }
-        park(shared, index, &mut groups);
+        // Nothing to run anywhere.
+        park(shared, &mut local, next_timer);
+        dry_since = None;
     }
 }
 
 /// Picks the next ready actor by deficit-weighted round-robin across the
-/// runnable groups, then pops/steals within the chosen group. When every
-/// runnable group has exhausted its deficit, each is granted a fresh
-/// weight-proportional round and the scan retries once.
+/// runnable groups: from this worker's own queues, or — as a thief
+/// (`steal`) — from the other workers'. When every group the pass could
+/// have served has exhausted its deficit, each of those groups is granted a
+/// fresh weight-proportional round and the scan retries — twice at most: a
+/// group overdrawn to its floor of minus one round needs two.
 fn next_task<M: Message>(
     shared: &Shared<M>,
-    index: usize,
-    rng: &mut u64,
-    groups: &mut (u64, Groups<M>),
+    local: &mut Local<M>,
+    steal: bool,
 ) -> Option<(Arc<GroupState<M>>, u32)> {
-    shared.groups_snapshot(groups);
-    let table = &groups.1;
+    shared.groups_snapshot(&mut local.groups);
+    let table = &local.groups.1;
     let n = table.len();
     if n == 0 {
         return None;
     }
-    let wm = &shared.worker_metrics[index];
-    for attempt in 0..2 {
-        let start = if n > 1 {
-            shared.rr_cursor.fetch_add(1, Ordering::Relaxed) % n
-        } else {
-            0
-        };
-        let mut runnable = false;
+    let wm = &shared.worker_metrics[local.index];
+    let mut refills = 0;
+    loop {
+        let start = local.cursor % n;
+        local.cursor = local.cursor.wrapping_add(1);
+        let mut starved = false;
         for k in 0..n {
             let group = &table[(start + k) % n];
             if group.queued.load(Ordering::SeqCst) == 0 {
                 continue;
             }
-            runnable = true;
             let deficit = group.deficit.load(Ordering::Acquire);
             if deficit <= 0 {
+                starved |= steal || group.has_ready(local.index);
                 continue;
             }
-            if let Some(actor) = pop_within_group(shared, group, index, rng, wm) {
-                shared.sched_picks.fetch_add(1, Ordering::Relaxed);
+            let actor = if steal {
+                steal_within_group(shared, group, local.index, &mut local.rng, wm)
+            } else {
+                group.pop_ready(local.index)
+            };
+            if let Some(actor) = actor {
                 wm.sched_picks.add(1);
-                wm.group_deficit.record(deficit.max(0) as u64);
+                wm.group_deficit.record(deficit as u64);
                 return Some((Arc::clone(group), actor));
             }
         }
-        if !runnable {
+        if !starved || refills == 2 {
             return None;
         }
-        if attempt == 0 {
-            for group in table.iter() {
-                if group.queued.load(Ordering::SeqCst) > 0 {
-                    group.refill_deficit();
-                }
+        refills += 1;
+        // Only the groups this pass could have served: a group whose ready
+        // work all sits on another worker is that worker's to refill, or it
+        // would be topped up there while it still competes for deficit.
+        for group in table.iter() {
+            if group.queued.load(Ordering::SeqCst) > 0 && (steal || group.has_ready(local.index)) {
+                group.refill_deficit();
             }
         }
     }
-    None
 }
 
-/// Pops ready work from one group: own queue front first, then the back
-/// of a randomly chosen victim's queue (stealing stays intra-group).
-fn pop_within_group<M: Message>(
+/// Takes ready work of `group` from the back of another worker's queue,
+/// victims tried in a random order.
+fn steal_within_group<M: Message>(
     shared: &Shared<M>,
     group: &GroupState<M>,
     index: usize,
     rng: &mut u64,
     wm: &WorkerMetrics,
 ) -> Option<u32> {
-    if let Some(a) = group.pop_ready(index) {
-        return Some(a);
-    }
     let n = group.queues.len();
-    if n <= 1 {
-        return None;
-    }
     wm.steal_attempts.add(1);
-    // Xorshift-randomized victim order (no external RNG dependency).
     *rng ^= *rng << 13;
     *rng ^= *rng >> 7;
     *rng ^= *rng << 17;
@@ -1091,9 +1210,9 @@ fn pop_within_group<M: Message>(
     None
 }
 
-/// Parks until woken by new work, the next timer deadline, or `MAX_PARK`.
-fn park<M: Message>(shared: &Shared<M>, index: usize, groups: &mut (u64, Groups<M>)) {
-    let wait = shared.next_deadline().map_or(MAX_PARK, |d| {
+/// Parks until woken by new work, `next_timer`, or `MAX_PARK`.
+fn park<M: Message>(shared: &Shared<M>, local: &mut Local<M>, next_timer: Option<Instant>) {
+    let wait = next_timer.map_or(MAX_PARK, |d| {
         d.saturating_duration_since(Instant::now()).min(MAX_PARK)
     });
     let guard = shared.idle_lock.lock().expect("idle lock");
@@ -1101,12 +1220,12 @@ fn park<M: Message>(shared: &Shared<M>, index: usize, groups: &mut (u64, Groups<
     // Re-scan after registering as idle: an enqueue that raced with our
     // empty scan now either sees idle_count > 0 (and will notify) or its
     // push is visible here.
-    if shared.group_runnable(groups, None) || shared.shutdown.load(Ordering::Acquire) {
+    if shared.group_runnable(&mut local.groups, None) || shared.shutdown.load(Ordering::Acquire) {
         shared.idle_count.fetch_sub(1, Ordering::SeqCst);
         return;
     }
     shared.parks.fetch_add(1, Ordering::Relaxed);
-    let wm = &shared.worker_metrics[index];
+    let wm = &shared.worker_metrics[local.index];
     wm.park_count.add(1);
     let parked_at = wm.clock();
     let _ = shared
@@ -1122,12 +1241,12 @@ fn park<M: Message>(shared: &Shared<M>, index: usize, groups: &mut (u64, Groups<
 /// sends and re-queues / idles / retires it.
 fn run_actor<M: Message>(
     shared: &Shared<M>,
-    groups: &mut (u64, Groups<M>),
-    index: usize,
+    local: &mut Local<M>,
     group: &Arc<GroupState<M>>,
     actor: u32,
-    scratch: &mut Vec<Env<M>>,
 ) {
+    let index = local.index;
+    let scratch = &mut local.scratch;
     let slot = &group.slots[actor as usize];
     slot.state.store(RUNNING, Ordering::Release);
     let mut dead = false;
@@ -1139,11 +1258,12 @@ fn run_actor<M: Message>(
         let body = body_guard.as_mut().expect("actor present");
         let mut ctx = ExecCtx {
             shared,
-            groups,
+            groups: &mut local.groups,
             worker: index,
             me: actor,
             group,
-            pending: Vec::new(),
+            pending: &mut local.pending,
+            dests: 0,
         };
         if !body.started {
             body.started = true;
@@ -1190,8 +1310,7 @@ fn run_actor<M: Message>(
                         // the mailbox front and give up the worker.
                         preempted = body.actor.has_parked_work() || ctx.out_of_deficit();
                         if preempted {
-                            let leftover: Vec<Env<M>> = iter.collect();
-                            slot.mailbox.requeue_front(leftover);
+                            slot.mailbox.requeue_front(iter);
                             break 'budget;
                         }
                     }
@@ -1229,8 +1348,11 @@ struct ExecCtx<'a, M: Message> {
     me: u32,
     group: &'a Arc<GroupState<M>>,
     /// Per-destination-slot coalescing buffers, flushed on size or at the
-    /// end of the actor's scheduling quantum.
-    pending: Vec<(u32, Vec<Env<M>>)>,
+    /// end of the actor's scheduling quantum. The worker's own, reused
+    /// from run to run: the first `dests` are this run's destinations, the
+    /// rest are spare (empty) buffers.
+    pending: &'a mut Vec<(u32, Vec<Env<M>>)>,
+    dests: usize,
 }
 
 impl<M: Message> ExecCtx<'_, M> {
@@ -1241,35 +1363,44 @@ impl<M: Message> ExecCtx<'_, M> {
     /// never sleeps on one group's full mailbox while another group has
     /// work queued — the full ring overflows instead (bounded upstream by
     /// the source credit windows) and the worker's time goes to the group
-    /// that can use it.
+    /// that can use it. Whether a rival has work queued is a scan of every
+    /// live group, so it is looked up only once the ring is full.
     fn flush(&mut self, i: usize) {
         let (to, buf) = &mut self.pending[i];
         if !buf.is_empty() {
             let wm = &self.shared.worker_metrics[self.worker];
             wm.coalesce_batch.record(buf.len() as u64);
-            let no_wait =
-                *to == self.me || self.shared.group_runnable(self.groups, Some(self.group));
-            self.shared
-                .deliver(self.group, self.worker, *to, buf, no_wait);
+            let (shared, groups, group, me, to) =
+                (self.shared, &mut *self.groups, self.group, self.me, *to);
+            shared.deliver(group, self.worker, to, buf, || {
+                to == me || shared.group_runnable(groups, Some(group))
+            });
         }
     }
 
     fn flush_all(&mut self) {
-        for i in 0..self.pending.len() {
+        for i in 0..self.dests {
             self.flush(i);
         }
     }
 
     fn buffer(&mut self, to: u32, env: Env<M>) {
-        let i = match self.pending.iter().position(|(d, _)| *d == to) {
+        let i = match self.pending[..self.dests]
+            .iter()
+            .position(|(d, _)| *d == to)
+        {
             Some(i) => i,
             None => {
-                if self.pending.len() >= COALESCE_DESTS {
+                if self.dests >= COALESCE_DESTS {
                     self.flush_all();
-                    self.pending.clear();
+                    self.dests = 0;
                 }
-                self.pending.push((to, Vec::new()));
-                self.pending.len() - 1
+                match self.pending.get_mut(self.dests) {
+                    Some(spare) => spare.0 = to,
+                    None => self.pending.push((to, Vec::new())),
+                }
+                self.dests += 1;
+                self.dests - 1
             }
         };
         self.pending[i].1.push(env);
@@ -1284,7 +1415,6 @@ impl<M: Message> ExecCtx<'_, M> {
         let yields = self.group.deficit.load(Ordering::Acquire) <= 0
             && self.shared.group_runnable(self.groups, Some(self.group));
         if yields {
-            self.shared.preemptions.fetch_add(1, Ordering::Relaxed);
             self.shared.worker_metrics[self.worker].preempt_count.add(1);
         }
         yields
@@ -1304,15 +1434,15 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
 
     fn send(&mut self, to: ActorId, msg: M) {
         // Charge the wire bytes exactly as the simulated network does, so
-        // both backends report comparable traffic totals — and charge the
-        // sender's group so each query keeps its own traffic ledger. The
+        // both backends report comparable traffic totals — to the sender's
+        // group, so each query keeps its own traffic ledger (the pool's
+        // totals are the sum of the ledgers). The
         // bytes also drain the sender's scheduling deficit: producing a
         // fat batch costs worker time on the *sending* side (generation,
         // hashing, routing), and charging it here is what lets the
         // scheduler preempt a source that fans out heavy data from cheap
         // control messages.
         let bytes = msg.wire_bytes();
-        self.shared.charge(&msg);
         self.group.charge(bytes);
         let cost = (bytes / DEFICIT_BYTES_PER_UNIT) as i64;
         if cost > 0 {
@@ -1332,7 +1462,6 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
     fn schedule(&mut self, delay: SimTime, msg: M) {
         if delay == SimTime::ZERO {
             // Fast path: a charged self-send, no timer round-trip.
-            self.shared.charge(&msg);
             self.group.charge(msg.wire_bytes());
             let from = self.me();
             self.buffer(self.me, Env::Msg { from, msg });
@@ -1505,6 +1634,23 @@ mod tests {
 
     #[test]
     fn per_group_traffic_ledgers_are_disjoint() {
+        /// Sends its peer five messages, arms a timer, and never stops.
+        struct Lingerer {
+            peer: ActorId,
+        }
+        impl Actor<Count> for Lingerer {
+            fn on_start(&mut self, ctx: &mut dyn Context<Count>) {
+                for i in 0..5 {
+                    ctx.send(self.peer, Count(i));
+                }
+                ctx.schedule(SimTime::from_millis(1), Count(0));
+            }
+            fn on_message(&mut self, _c: &mut dyn Context<Count>, _f: ActorId, _m: Count) {}
+        }
+        struct Mute;
+        impl Actor<Count> for Mute {
+            fn on_message(&mut self, _c: &mut dyn Context<Count>, _f: ActorId, _m: Count) {}
+        }
         let pool: Executor<Count> =
             Executor::start(&ExecutorConfig::default(), &MetricsRegistry::disabled());
         let a = pool.admit_with(2, 1024, |base| ring(base, 2, 40));
@@ -1513,8 +1659,36 @@ mod tests {
         assert_eq!(a_out.net_messages, 40);
         assert_eq!(b_out.net_messages, 70);
         assert_eq!(a_out.net_bytes, 40 * 8);
+        // Mid-run: the pool totals are the finished groups' ledgers plus
+        // what a group that is still live has sent, its timer fire included.
+        let c = pool.admit_with(2, 1024, |base| {
+            vec![
+                Box::new(Lingerer { peer: base + 1 }) as Box<dyn Actor<Count>>,
+                Box::new(Mute),
+            ]
+        });
+        let until = Instant::now() + Duration::from_secs(10);
+        while pool.summary().net_messages < 116 && Instant::now() < until {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let mid = pool.summary();
+        assert_eq!(mid.exec.timer_fires, 1);
+        assert_eq!(mid.net_messages, 40 + 70 + 6, "five sends and the fire");
+        assert_eq!(mid.net_bytes, (40 + 70 + 6) * 8);
+        assert_eq!(pool.live(), (1, 2), "counted while the group is live");
+        pool.cancel(&c);
+        let c_out = pool.wait(&c);
+        assert_eq!(c_out.net_messages, 6);
         let summary = pool.shutdown();
-        assert_eq!(summary.net_messages, 110, "pool totals are the sum");
+        assert_eq!(
+            summary.net_messages,
+            a_out.net_messages + b_out.net_messages + c_out.net_messages,
+            "pool totals are the sum"
+        );
+        assert_eq!(
+            summary.net_bytes,
+            a_out.net_bytes + b_out.net_bytes + c_out.net_bytes
+        );
     }
 
     /// Processes `Count(n)` as `n` work units in resumable slices of

@@ -12,10 +12,19 @@
 //! and surface in the executor statistics; in a healthy run they are zero
 //! and mailbox memory is bounded by `capacity`.
 //!
+//! `capacity` is a *logical* bound, not an allocation: the ring starts
+//! empty and grows with what is actually queued, so an actor that only
+//! ever holds a handful of envelopes (most of a tiny query's 33) never
+//! pays for the ~120 KB a full 1024-envelope ring would take.
+//!
 //! All operations move *batches*: one lock acquisition covers a whole
 //! coalesced send buffer on the way in and up to a dequeue budget on the
 //! way out, so the per-message locking cost amortizes away exactly like
-//! the `TupleBatch` allocation cost did in the shipping path.
+//! the `TupleBatch` allocation cost did in the shipping path. The
+//! consumer side makes no system call unless a producer is really parked:
+//! parked producers count themselves under the lock, and
+//! [`Mailbox::pop_batch`] notifies only when that count is non-zero
+//! (`Condvar::notify_all` is a `futex` call whether or not anyone waits).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -47,6 +56,8 @@ struct Inner<T> {
     ring: VecDeque<T>,
     /// Messages are dropped instead of enqueued once closed (dead actor).
     closed: bool,
+    /// Producers parked on `not_full` right now.
+    waiters: usize,
 }
 
 /// A bounded multi-producer / single-consumer batch mailbox.
@@ -61,17 +72,18 @@ pub struct Mailbox<T> {
 }
 
 impl<T> Mailbox<T> {
-    /// Creates a mailbox bounded at `capacity` items (minimum 1).
+    /// Creates a mailbox bounded at `capacity` items (minimum 1). Nothing
+    /// is allocated until the first push.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
             inner: Mutex::new(Inner {
-                ring: VecDeque::with_capacity(capacity),
+                ring: VecDeque::new(),
                 closed: false,
+                waiters: 0,
             }),
             not_full: Condvar::new(),
-            capacity,
+            capacity: capacity.max(1),
         }
     }
 
@@ -80,24 +92,53 @@ impl<T> Mailbox<T> {
     /// backpressure parks entirely (self-sends, timer fires and shutdown
     /// paths must not stall the calling worker).
     pub fn push_batch(&self, batch: &mut Vec<T>, no_wait: bool) -> PushReport {
+        self.push_batch_or(batch, || no_wait)
+    }
+
+    /// [`Mailbox::push_batch`] for a caller whose `no_wait` is costly to
+    /// work out: it is asked at most once, and only when `batch` does not
+    /// fit. It runs under this mailbox's lock and must not touch the
+    /// mailbox.
+    pub(crate) fn push_batch_or(
+        &self,
+        batch: &mut Vec<T>,
+        no_wait: impl FnOnce() -> bool,
+    ) -> PushReport {
+        self.push(batch.drain(..), no_wait)
+    }
+
+    /// Enqueues one item, never parking (control messages such as the stop
+    /// sentinel must always get through).
+    pub fn push_control(&self, item: T) -> PushReport {
+        self.push(std::iter::once(item), || true)
+    }
+
+    /// The one enqueue path: appends `items` (dropped instead once the
+    /// mailbox is closed), parking first while they do not fit unless
+    /// `no_wait` says otherwise, and counts those that land past the bound.
+    fn push(
+        &self,
+        items: impl ExactSizeIterator<Item = T>,
+        no_wait: impl FnOnce() -> bool,
+    ) -> PushReport {
         let mut report = PushReport::default();
         let mut inner = self.inner.lock().expect("mailbox lock");
         if inner.closed {
-            batch.clear();
             return report;
         }
         report.was_empty = inner.ring.is_empty();
-        if !no_wait {
+        if inner.ring.len() + items.len() > self.capacity && !no_wait() {
             let mut rounds = 0u32;
-            while inner.ring.len() + batch.len() > self.capacity && rounds < BACKPRESSURE_ROUNDS {
+            while inner.ring.len() + items.len() > self.capacity && rounds < BACKPRESSURE_ROUNDS {
+                inner.waiters += 1;
                 let (guard, timeout) = self
                     .not_full
                     .wait_timeout(inner, BACKPRESSURE_WAIT)
                     .expect("mailbox lock");
                 inner = guard;
+                inner.waiters -= 1;
                 report.parks += 1;
                 if inner.closed {
-                    batch.clear();
                     return report;
                 }
                 if timeout.timed_out() {
@@ -107,30 +148,21 @@ impl<T> Mailbox<T> {
             // The consumer may have fully drained us while we parked.
             report.was_empty = inner.ring.is_empty();
         }
-        if inner.ring.len() + batch.len() > self.capacity {
-            report.overflows += (inner.ring.len() + batch.len())
-                .saturating_sub(self.capacity.max(inner.ring.len()))
-                as u64;
-        }
-        inner.ring.extend(batch.drain(..));
+        report.overflows = (inner.ring.len() + items.len())
+            .saturating_sub(self.capacity.max(inner.ring.len())) as u64;
+        inner.ring.extend(items);
         report.depth = inner.ring.len();
         report
     }
 
-    /// Enqueues one item, never parking (control messages such as the stop
-    /// sentinel must always get through).
-    pub fn push_control(&self, item: T) -> PushReport {
-        let mut one = vec![item];
-        self.push_batch(&mut one, true)
-    }
-
     /// Moves up to `max` items into `out` (appended in FIFO order) and
-    /// wakes parked producers. Returns how many were moved.
+    /// wakes parked producers, if there are any. Returns how many were
+    /// moved.
     pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         let mut inner = self.inner.lock().expect("mailbox lock");
         let n = inner.ring.len().min(max);
         out.extend(inner.ring.drain(..n));
-        if n > 0 {
+        if n > 0 && inner.waiters > 0 {
             self.not_full.notify_all();
         }
         n
@@ -142,15 +174,20 @@ impl<T> Mailbox<T> {
     /// mid-batch), and producers only ever append — so FIFO order is
     /// preserved end to end. Items are dropped if the mailbox closed while
     /// they were checked out, exactly like a late push.
-    pub fn requeue_front(&self, items: Vec<T>) {
-        if items.is_empty() {
+    pub fn requeue_front<I>(&self, items: I)
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: DoubleEndedIterator,
+    {
+        let mut items = items.into_iter().rev().peekable();
+        if items.peek().is_none() {
             return;
         }
         let mut inner = self.inner.lock().expect("mailbox lock");
         if inner.closed {
             return;
         }
-        for item in items.into_iter().rev() {
+        for item in items {
             inner.ring.push_front(item);
         }
     }
@@ -168,7 +205,9 @@ impl<T> Mailbox<T> {
         let mut inner = self.inner.lock().expect("mailbox lock");
         inner.ring = VecDeque::new();
         inner.closed = true;
-        self.not_full.notify_all();
+        if inner.waiters > 0 {
+            self.not_full.notify_all();
+        }
     }
 }
 
@@ -194,12 +233,31 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_mailbox_holds_no_ring_until_its_first_push() {
+        let ring_capacity =
+            |mb: &Mailbox<u32>| mb.inner.lock().expect("mailbox lock").ring.capacity();
+        let mb = Mailbox::new(1024);
+        assert_eq!(ring_capacity(&mb), 0, "the bound is not an allocation");
+        let mut batch: Vec<u32> = (0..10).collect();
+        mb.push_batch(&mut batch, false);
+        let grown = ring_capacity(&mb);
+        assert!((10..1024).contains(&grown), "sized to use: {grown}");
+        mb.close();
+        assert_eq!(ring_capacity(&mb), 0, "and given back at close");
+    }
+
+    #[test]
     fn full_mailbox_parks_then_overflows() {
         let mb = Mailbox::new(2);
         let mut batch = vec![1u32, 2, 3, 4];
         let report = mb.push_batch(&mut batch, false);
         assert!(report.parks >= 1, "must have parked before overflowing");
         assert!(report.overflows > 0, "bound exceeded is counted");
+        assert_eq!(
+            mb.inner.lock().expect("mailbox lock").waiters,
+            0,
+            "a producer that gave up waiting is not owed a wakeup"
+        );
         let mut out = Vec::new();
         assert_eq!(mb.pop_batch(&mut out, 100), 4, "liveness: nothing lost");
     }
@@ -211,6 +269,31 @@ mod tests {
         let report = mb.push_batch(&mut batch, true);
         assert_eq!(report.parks, 0);
         assert!(report.overflows > 0);
+    }
+
+    #[test]
+    fn no_wait_is_asked_only_when_the_batch_does_not_fit() {
+        let mb = Mailbox::new(4);
+        let mut batch = vec![1u32, 2];
+        mb.push_batch_or(&mut batch, || panic!("there is room"));
+        let mut asked = false;
+        let mut batch = vec![3u32, 4, 5];
+        let report = mb.push_batch_or(&mut batch, || {
+            asked = true;
+            true
+        });
+        assert!(asked);
+        assert_eq!((report.parks, report.overflows, report.depth), (0, 1, 5));
+    }
+
+    #[test]
+    fn push_control_never_parks_and_counts_its_overflow() {
+        let mb = Mailbox::new(1);
+        assert_eq!(mb.push_control(7u32).overflows, 0);
+        let report = mb.push_control(8);
+        assert_eq!((report.parks, report.overflows, report.depth), (0, 1, 2));
+        mb.close();
+        assert_eq!(mb.push_control(9), PushReport::default(), "dropped");
     }
 
     #[test]
