@@ -7,8 +7,8 @@
 //! together, preserving expansion factors, skew-window fractions and
 //! communication ratios (see `JoinConfig::paper_scaled`).
 
-use ehj_core::{Algorithm, HotKeyConfig, JoinConfig};
-use ehj_data::{Correlation, Distribution};
+use ehj_core::{Algorithm, JoinConfig};
+use ehj_data::Distribution;
 
 /// Default scale divisor for the figure harness (10M → 100k tuples).
 pub const DEFAULT_SCALE: u64 = 100;
@@ -21,10 +21,6 @@ pub const TABLE_SIZE_AXIS: [u64; 4] = [10_000_000, 20_000_000, 40_000_000, 80_00
 
 /// The tuple-size axis of Figure 7 (payload bytes).
 pub const TUPLE_SIZE_AXIS: [u32; 3] = [100, 200, 400];
-
-/// The zipf-θ axis of the skew-routing sweep (DESIGN §4i): moderate skew,
-/// heavy skew, and θ > 1 where a handful of keys dominate the stream.
-pub const ZIPF_AXIS: [f64; 3] = [0.5, 0.9, 1.2];
 
 /// The skew axis of Figures 10–11.
 pub const SKEW_AXIS: [Distribution; 3] = [
@@ -97,42 +93,6 @@ pub fn skew(algorithm: Algorithm, scale: u64, dist: Distribution) -> JoinConfig 
     cfg
 }
 
-/// Skew-routing sweep (DESIGN §4i): zipfian key frequencies on both
-/// relations at parameter `theta`, with the hot-key overlay on or off.
-/// The off/on pair at the same θ is the differential the `--skew` gate
-/// diffs: identical match counts, bounded hot-node expansion.
-#[must_use]
-pub fn zipf(algorithm: Algorithm, scale: u64, theta: f64, hot: bool) -> JoinConfig {
-    zipf_correlated(algorithm, scale, theta, hot, Correlation::Matched)
-}
-
-/// The correlation axis of the skew sweep: [`Correlation::Matched`] aims
-/// both zipf heads at the same keys (worst-case match product and the
-/// default everywhere), [`Correlation::AntiMatched`] mirrors S's draw so
-/// its hot head lands on R's cold tail — heavy *routing* load whose hot
-/// probes mostly miss.
-pub const CORRELATION_AXIS: [Correlation; 2] = [Correlation::Matched, Correlation::AntiMatched];
-
-/// [`zipf`] with an explicit R/S correlation for the anti-matched arm of
-/// the sweep.
-#[must_use]
-pub fn zipf_correlated(
-    algorithm: Algorithm,
-    scale: u64,
-    theta: f64,
-    hot: bool,
-    correlation: Correlation,
-) -> JoinConfig {
-    let mut cfg = base(algorithm, scale);
-    cfg.r.dist = Distribution::Zipf { theta };
-    cfg.s.dist = Distribution::Zipf { theta };
-    cfg.s.correlation = correlation;
-    if hot {
-        cfg.hot_keys = HotKeyConfig::enabled();
-    }
-    cfg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,15 +112,6 @@ mod tests {
             }
             for d in SKEW_AXIS {
                 skew(alg, scale, d).validate().expect("valid");
-            }
-            for theta in ZIPF_AXIS {
-                for hot in [false, true] {
-                    for corr in CORRELATION_AXIS {
-                        zipf_correlated(alg, scale, theta, hot, corr)
-                            .validate()
-                            .expect("valid");
-                    }
-                }
             }
             asymmetric(alg, scale, 100_000_000, 10_000_000)
                 .validate()
@@ -184,26 +135,5 @@ mod tests {
         assert_eq!(cfg.r.tuples, 800_000);
         let cfg = asymmetric(Algorithm::Replicated, 100, 100_000_000, 10_000_000);
         assert_eq!((cfg.r.tuples, cfg.s.tuples), (1_000_000, 100_000));
-    }
-
-    #[test]
-    fn zipf_scenario_sets_skew_and_overlay() {
-        let off = zipf(Algorithm::Split, 100, 1.2, false);
-        assert_eq!(off.r.dist, Distribution::Zipf { theta: 1.2 });
-        assert_eq!(off.s.dist, Distribution::Zipf { theta: 1.2 });
-        assert!(!off.hot_keys.enabled);
-        let on = zipf(Algorithm::Split, 100, 1.2, true);
-        assert!(on.hot_keys.enabled);
-    }
-
-    #[test]
-    fn correlation_axis_flows_into_s_spec_only() {
-        let anti = zipf_correlated(Algorithm::Hybrid, 100, 0.9, true, Correlation::AntiMatched);
-        assert_eq!(anti.s.correlation, Correlation::AntiMatched);
-        assert_eq!(anti.r.correlation, Correlation::Matched);
-        assert_eq!(
-            zipf(Algorithm::Hybrid, 100, 0.9, true).s.correlation,
-            Correlation::Matched
-        );
     }
 }

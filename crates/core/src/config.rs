@@ -185,15 +185,17 @@ pub struct JoinConfig {
     pub disk: DiskConfig,
     /// Out-of-core tuning.
     pub grace: GraceConfig,
-    /// Whether a node that cannot be relieved (no potential nodes left, or
-    /// an unsplittable hot range) falls back to spilling out of core.
-    pub allow_spill_fallback: bool,
     /// Skew-conscious routing knobs (DESIGN §4i; off by default).
     pub hot_keys: HotKeyConfig,
     /// Which probe kernel join nodes run (DESIGN §4g). Both produce
     /// byte-identical simulated observables; they differ only in host
     /// wall-time. The scalar tuple-at-a-time path is kept as the reference
     /// for differential tests.
+    ///
+    /// This and the two scheduling knobs below describe *how* a query is
+    /// run, not the workload, and would sit on `RunOptions` /
+    /// `ServiceConfig`; they stay here because the frozen `benchmark/`
+    /// package reads and writes them on `JoinConfig`.
     pub probe_kernel: ProbeKernel,
     /// Scheduling weight of this query's actor group on a shared executor
     /// (multi-tenant service): its share of worker time relative to other
@@ -207,11 +209,6 @@ pub struct JoinConfig {
     /// accounting is additive, so simulated observables are byte-identical
     /// for any slicing.
     pub probe_slice: usize,
-    /// Simulation event budget (safety valve).
-    pub max_events: u64,
-    /// Optional virtual-time budget for the simulated backend; exceeding it
-    /// stops the run and surfaces as a stall diagnostic.
-    pub max_sim_time: Option<SimTime>,
 }
 
 impl JoinConfig {
@@ -250,13 +247,10 @@ impl JoinConfig {
             net: NetConfig::fast_ethernet_100mbps(),
             disk: DiskConfig::ide_2004(),
             grace: GraceConfig::default(),
-            allow_spill_fallback: true,
             hot_keys: HotKeyConfig::default(),
             probe_kernel: ProbeKernel::default(),
             tenant_weight: 1,
             probe_slice: 0,
-            max_events: 500_000_000,
-            max_sim_time: None,
         }
     }
 

@@ -944,16 +944,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                     self.hotkey_stash.push(tuples);
                 }
             }
-            Msg::NoMoreNodes => {
-                if self.cfg.allow_spill_fallback {
-                    self.activate_spill(ctx);
-                } else {
-                    panic!(
-                        "join node {} cannot be relieved and spill fallback is disabled",
-                        self.me
-                    );
-                }
-            }
+            Msg::NoMoreNodes => self.activate_spill(ctx),
             Msg::FlushQuery { epoch, phase } => {
                 ctx.send(
                     self.scheduler,

@@ -18,7 +18,7 @@ use ehj_metrics::{
     sample_once, ClockKind, JsonlSink, MetricsMonitor, MetricsRegistry, MetricsReport, Phase,
     RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel, TraceSink, Tracer,
 };
-use ehj_sim::{Actor, Engine, EngineConfig, EngineError, StopReason, ThreadedEngine};
+use ehj_sim::{Actor, Engine, EngineConfig, EngineError, SimTime, StopReason, ThreadedEngine};
 use ehj_storage::{FileBackend, MemBackend, SpillBackend};
 use std::io::Write;
 use std::path::PathBuf;
@@ -179,9 +179,13 @@ pub struct RunOptions {
     pub extra_sinks: Vec<Arc<dyn TraceSink>>,
     /// Whether the live metrics registry records (sharded counters,
     /// histograms, gauges). `false` hands every layer no-op instruments —
-    /// the configuration the `baseline --obs` overhead gate compares
+    /// the configuration the benchmark's `metrics.overhead_pct` compares
     /// against. Never affects simulated observables either way.
     pub metrics: bool,
+    /// Optional virtual-time budget for the simulated backend; exceeding it
+    /// stops the run and surfaces as a stall diagnostic
+    /// ([`JoinError::Stalled`]). Ignored by the threaded backend.
+    pub max_sim_time: Option<SimTime>,
 }
 
 impl Default for RunOptions {
@@ -193,6 +197,7 @@ impl Default for RunOptions {
             trace_out: None,
             extra_sinks: Vec::new(),
             metrics: true,
+            max_sim_time: None,
         }
     }
 }
@@ -206,6 +211,7 @@ impl std::fmt::Debug for RunOptions {
             .field("trace_out", &self.trace_out)
             .field("extra_sinks", &self.extra_sinks.len())
             .field("metrics", &self.metrics)
+            .field("max_sim_time", &self.max_sim_time)
             .finish()
     }
 }
@@ -323,7 +329,9 @@ impl JoinRunner {
             MetricsRegistry::disabled()
         };
         match opts.backend {
-            Backend::Simulated => Self::run_simulated(&cfg, topo, &result, &harness, &registry),
+            Backend::Simulated => {
+                Self::run_simulated(&cfg, topo, &result, &harness, &registry, opts.max_sim_time)
+            }
             Backend::Threaded => Self::run_threaded(
                 &cfg,
                 topo,
@@ -341,12 +349,13 @@ impl JoinRunner {
         result: &Arc<Mutex<Option<JoinReport>>>,
         harness: &TraceHarness,
         registry: &MetricsRegistry,
+        max_time: Option<SimTime>,
     ) -> Result<JoinReport, JoinError> {
         let mut engine: Engine<Msg> = Engine::new(EngineConfig {
             net: cfg.net,
             disk: cfg.disk,
-            max_events: cfg.max_events,
-            max_time: cfg.max_sim_time,
+            max_time,
+            ..EngineConfig::default()
         });
         for actor in build_query_actors::<MemBackend>(cfg, &topo, result, &harness.tracer, registry)
         {

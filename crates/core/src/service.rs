@@ -436,19 +436,14 @@ impl JoinService {
                 ));
             }
         }
-        let max_time = if cfgs.iter().any(|c| c.max_sim_time.is_none()) {
-            None
-        } else {
-            cfgs.iter().filter_map(|c| c.max_sim_time).max()
-        };
         let mut engine: Engine<Msg> = Engine::new(EngineConfig {
             net: first.net,
             disk: first.disk,
-            max_events: cfgs
-                .iter()
-                .map(|c| c.max_events)
-                .fold(0u64, u64::saturating_add),
-            max_time,
+            // One standalone run's event budget per interleaved query.
+            max_events: EngineConfig::default()
+                .max_events
+                .saturating_mul(cfgs.len() as u64),
+            max_time: None,
         });
         struct QueryState {
             result: Arc<Mutex<Option<JoinReport>>>,

@@ -5,14 +5,11 @@
 //! flat arena rewrite in [`crate::table`]: one `Vec<Tuple>` chain per
 //! occupied global position, keyed through a `BTreeMap`. It is
 //! allocation-heavy and cache-hostile on the hot insert/probe path, but its
-//! behaviour is easy to audit, so it stays in-tree for two jobs:
-//!
-//! * the differential property suite (`tests/props.rs`) asserts the flat
-//!   [`crate::JoinHashTable`] is observably equivalent to it — same
-//!   [`ProbeResult`]s, per-position counts, [`TableFull`] trigger points and
-//!   extraction contents;
-//! * the benchmark baseline (`ehj-bench`, `BENCH_2.json`) measures the flat
-//!   table's insert-throughput speedup against it.
+//! behaviour is easy to audit, so it stays in-tree for one job: the
+//! differential property suite (`tests/props.rs`) asserts the flat
+//! [`crate::JoinHashTable`] is observably equivalent to it — same
+//! [`ProbeResult`]s, per-position counts, [`TableFull`] trigger points and
+//! extraction contents.
 //!
 //! It intentionally mirrors the [`crate::JoinHashTable`] API surface
 //! one-for-one; keep the two in sync when the contract changes.

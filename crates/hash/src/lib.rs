@@ -16,7 +16,7 @@
 //! * [`kernels`] — the probe-kernel selector (scalar reference | batched)
 //!   and the probe scratch;
 //! * [`chained`] — the original `BTreeMap`-chained table, kept as a
-//!   reference for differential tests and benchmark baselines.
+//!   reference for differential tests.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

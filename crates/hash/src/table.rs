@@ -43,7 +43,7 @@
 //! `count` with `matches = 0` — byte-for-byte the scalar outcome.
 //!
 //! The reference `BTreeMap`-chained layout survives as
-//! [`crate::ChainedTable`] for differential tests and benchmarks.
+//! [`crate::ChainedTable`] for differential tests.
 
 use crate::hasher::PositionSpace;
 use crate::kernels::{prefetch_read, ProbeKernel, ProbeScratch};

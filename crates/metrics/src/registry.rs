@@ -22,8 +22,8 @@
 //! * **No-op mode.** A registry built with [`MetricsRegistry::disabled`]
 //!   hands out instruments whose inner `Option` is `None`: every `add` /
 //!   `record` is a single branch, and scoped timers skip the
-//!   `Instant::now()` call entirely. The `baseline --obs` gate measures
-//!   enabled-vs-disabled wall time and holds the overhead under 5%.
+//!   `Instant::now()` call entirely. The repository benchmark's
+//!   `metrics.overhead_pct` is the enabled-vs-disabled wall time.
 //!
 //! Instrument creation (name lookup in a `Mutex<BTreeMap>`) is the cold
 //! path: actors grab their instruments once at startup and keep them.

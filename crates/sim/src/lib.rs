@@ -14,7 +14,7 @@
 //!
 //! Algorithms are written once against [`actor::Context`]; the figures use
 //! the simulated backend (bit-for-bit reproducible for a given seed), the
-//! wall-clock criterion benchmarks use the threaded backend.
+//! repository benchmark (`benchmark/`) uses the threaded backend.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -83,7 +83,6 @@ fn probe_kernels_are_byte_identical_with_spill() {
         for node in &mut cfg.cluster.nodes {
             node.hash_memory_bytes /= 8;
         }
-        cfg.allow_spill_fallback = true;
         assert_probe_kernels_agree(&cfg);
     }
 }

@@ -11,6 +11,7 @@ use ehj_core::{
     expected_matches_for, Algorithm, JoinConfig, JoinError, JoinReport, JoinRunner, JoinService,
     QueryId, ServiceConfig,
 };
+use ehj_data::Distribution;
 use std::time::Duration;
 
 /// The comparable rendering of a report: everything except the `*_ns`
@@ -181,6 +182,55 @@ fn quota_serialises_oversubscribed_admissions() {
         h.join().expect("no panic")
     });
     assert_eq!(waiter.matches, expected_matches_for(&cfg));
+    service.shutdown();
+}
+
+/// One oversized tenant — zipf-skewed keys, 8x the tuples, 8x the declared
+/// hash memory — next to eight normal ones, on a ledger with room for the
+/// big one plus four normals: the ledger has to arbitrate (later normals
+/// wait in `submit` for earlier grants to drop) without refusing or
+/// starving anyone, and every tenant still computes its own join.
+#[test]
+fn oversized_tenant_shares_the_ledger_without_starving_the_rest() {
+    let normal =
+        |i: usize| JoinConfig::paper_scaled(Algorithm::ALL[i % Algorithm::ALL.len()], 5000);
+    let mut big_cfg = JoinConfig::paper_scaled(Algorithm::Hybrid, 5000);
+    big_cfg.r.dist = Distribution::Zipf { theta: 0.8 };
+    big_cfg.s.dist = big_cfg.r.dist;
+    big_cfg.r.tuples *= 8;
+    big_cfg.s.tuples *= 8;
+    for node in &mut big_cfg.cluster.nodes {
+        node.hash_memory_bytes *= 8;
+    }
+    let service = JoinService::start(ServiceConfig {
+        workers: 2,
+        memory_budget_bytes: Some(
+            big_cfg.cluster.total_hash_memory_bytes()
+                + 4 * normal(0).cluster.total_hash_memory_bytes(),
+        ),
+        admission_patience: Duration::from_secs(60),
+        query_deadline: Duration::from_secs(60),
+        ..ServiceConfig::default()
+    });
+    let big = service.submit(&big_cfg).expect("big tenant admitted");
+    let normals: Vec<_> = (0..8)
+        .map(|i| {
+            let cfg = normal(i);
+            let handle = service.submit(&cfg).expect("normal tenant admitted");
+            (cfg, handle)
+        })
+        .collect();
+    for (cfg, handle) in normals {
+        let report = service.wait(handle).expect("normal tenant completes");
+        assert_eq!(
+            report.matches,
+            expected_matches_for(&cfg),
+            "{} next to the oversized tenant",
+            cfg.algorithm.label()
+        );
+    }
+    let report = service.wait(big).expect("big tenant completes");
+    assert_eq!(report.matches, expected_matches_for(&big_cfg));
     service.shutdown();
 }
 

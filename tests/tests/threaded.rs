@@ -1,7 +1,7 @@
 //! The threaded runtime must execute the same protocol with the same
 //! results (matches are deterministic data properties; timing is not).
 
-use ehj_core::{expected_matches_for, Algorithm, Backend, JoinConfig, JoinRunner};
+use ehj_core::{expected_matches_for, Algorithm, Backend, JoinConfig, JoinRunner, RunOptions};
 
 fn small(alg: Algorithm) -> JoinConfig {
     let mut cfg = JoinConfig::paper_scaled(alg, 2000);
@@ -17,14 +17,22 @@ fn threaded_backend_matches_reference_for_every_algorithm() {
     for alg in Algorithm::ALL {
         let cfg = small(alg);
         let expect = expected_matches_for(&cfg);
-        let report = JoinRunner::run_on(&cfg, Backend::Threaded).expect("threaded join completes");
-        assert_eq!(
-            report.matches,
-            expect,
-            "{} on the threaded backend",
-            alg.label()
-        );
-        assert!(report.times.total_secs > 0.0, "wall clock must have moved");
+        // One worker (no stealing), as many as this host's cores are likely
+        // to be, and more workers than cores (time-sliced).
+        for threads in [1, 2, 8] {
+            let opts = RunOptions {
+                threads: Some(threads),
+                ..RunOptions::on(Backend::Threaded)
+            };
+            let report = JoinRunner::run_with(&cfg, &opts).expect("threaded join completes");
+            assert_eq!(
+                report.matches,
+                expect,
+                "{} on the threaded backend, {threads} workers",
+                alg.label()
+            );
+            assert!(report.times.total_secs > 0.0, "wall clock must have moved");
+        }
     }
 }
 

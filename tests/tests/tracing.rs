@@ -140,9 +140,11 @@ fn stalled_run_carries_a_diagnostic_tail() {
     // A virtual-time budget far too small for the join to finish: the
     // engine stops at the limit and the runner reports a stall whose error
     // carries the last trace events.
-    let mut cfg = base(Algorithm::Split);
-    cfg.max_sim_time = Some(SimTime::from_millis(1));
-    let err = JoinRunner::run(&cfg).expect_err("must stall");
+    let opts = RunOptions {
+        max_sim_time: Some(SimTime::from_millis(1)),
+        ..RunOptions::default()
+    };
+    let err = JoinRunner::run_with(&base(Algorithm::Split), &opts).expect_err("must stall");
     match &err {
         JoinError::Stalled { trace } => {
             assert!(
@@ -160,13 +162,12 @@ fn stalled_run_carries_a_diagnostic_tail() {
 
 #[test]
 fn stalled_run_without_tracing_says_so() {
-    let mut cfg = base(Algorithm::Split);
-    cfg.max_sim_time = Some(SimTime::from_millis(1));
     let opts = RunOptions {
         trace_level: TraceLevel::Off,
+        max_sim_time: Some(SimTime::from_millis(1)),
         ..RunOptions::default()
     };
-    let err = JoinRunner::run_with(&cfg, &opts).expect_err("must stall");
+    let err = JoinRunner::run_with(&base(Algorithm::Split), &opts).expect_err("must stall");
     assert!(err.trace_tail().is_empty());
     assert!(err.to_string().contains("no trace recorded"));
 }
