@@ -85,7 +85,7 @@ impl ChainedTable {
     /// How many more tuples fit before [`TableFull`].
     #[must_use]
     pub fn remaining_tuples(&self) -> u64 {
-        (self.capacity_bytes - self.bytes_used()) / self.bytes_per_tuple()
+        self.capacity_bytes.saturating_sub(self.bytes_used()) / self.bytes_per_tuple()
     }
 
     /// Global position of `attr` under this table's space.

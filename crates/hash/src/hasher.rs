@@ -39,9 +39,15 @@ impl AttrHasher {
     #[must_use]
     pub fn hash_value(&self, attr: JoinAttr, domain: u64) -> u64 {
         assert!(domain > 0, "attribute domain must be non-empty");
+        self.mix(attr) % domain
+    }
+
+    /// The hash value before it is reduced into the domain.
+    #[inline]
+    fn mix(self, attr: JoinAttr) -> u64 {
         match self {
-            Self::Identity => attr % domain,
-            Self::Fibonacci => attr.wrapping_mul(Self::PHI64) % domain,
+            Self::Identity => attr,
+            Self::Fibonacci => attr.wrapping_mul(Self::PHI64),
         }
     }
 
@@ -96,6 +102,39 @@ fn fill_unrolled<T>(attrs: &[JoinAttr], out: &mut Vec<T>, f: impl Fn(JoinAttr) -
     }
 }
 
+/// A divisor with its reciprocal, so `n % d` costs two multiplies instead
+/// of a hardware divide when both fit 32 bits (Lemire, Kaser & Kurz,
+/// "Faster remainder by direct computation", 2019): with
+/// `m = ceil(2^64 / d)`, `n % d == (m * n mod 2^64) * d >> 64` exactly for
+/// every `n, d < 2^32`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Divisor {
+    d: u64,
+    /// `ceil(2^64 / d)`; wraps to 0 for `d == 1`, which still yields the
+    /// right remainder (0).
+    m: u64,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Self {
+        Self {
+            d,
+            m: (u64::MAX / d).wrapping_add(1),
+        }
+    }
+
+    /// `n % d`, bit-identical to the operator for every `u64`.
+    #[inline]
+    fn rem(self, n: u64) -> u64 {
+        if (n | self.d) >> 32 == 0 {
+            let low = self.m.wrapping_mul(n);
+            ((u128::from(low) * u128::from(self.d)) >> 64) as u64
+        } else {
+            n % self.d
+        }
+    }
+}
+
 /// The global hash-table position space: `positions` slots over an attribute
 /// domain of `domain` values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,6 +146,10 @@ pub struct PositionSpace {
     pub domain: u64,
     /// Attribute-to-hash-value function.
     pub hasher: AttrHasher,
+    /// `domain` and `positions` with their reciprocals, fixed by
+    /// [`Self::new`]: the public fields are for reading.
+    by_domain: Divisor,
+    by_positions: Divisor,
 }
 
 impl PositionSpace {
@@ -126,7 +169,23 @@ impl PositionSpace {
             positions,
             domain,
             hasher,
+            by_domain: Divisor::new(domain),
+            by_positions: Divisor::new(u64::from(positions)),
         }
+    }
+
+    /// `(hv % domain) % positions` without a hardware divide on the common
+    /// path: a hash value already inside the domain (every generated
+    /// attribute under the identity hasher) skips the first reduction, and
+    /// the second goes through the reciprocal.
+    #[inline]
+    fn reduce(&self, hv: u64) -> u64 {
+        let hv = if hv < self.domain {
+            hv
+        } else {
+            self.by_domain.rem(hv)
+        };
+        self.by_positions.rem(hv)
     }
 
     /// Position of `attr`: `hash_value mod positions`.
@@ -139,21 +198,28 @@ impl PositionSpace {
     /// positions and overloads "a few join nodes". Local value order is
     /// still preserved within a wrap, so each band is contiguous.
     #[must_use]
+    #[inline]
     pub fn position_of(&self, attr: JoinAttr) -> u32 {
-        let hv = self.hasher.hash_value(attr, self.domain);
-        (hv % self.positions as u64) as u32
+        self.reduce(self.hasher.mix(attr)) as u32
     }
 
     /// Bulk [`Self::position_of`] over a tuple batch: fills `out` (cleared
     /// first) with one position per tuple, in batch order. This is the
     /// pass-1 kernel of the batched probe pipeline and the hash-once source
-    /// routing path: the hasher dispatch is hoisted out of the loop and the
-    /// body runs four independent hash chains per iteration.
+    /// routing path.
     pub fn bulk_positions(&self, tuples: &[Tuple], out: &mut Vec<u32>) {
+        out.clear();
+        self.extend_positions(tuples, out);
+    }
+
+    /// [`Self::bulk_positions`] that appends to `out` instead of replacing
+    /// its contents (a table's position log grows this way). The hasher
+    /// dispatch is hoisted out of the loop and the body runs four
+    /// independent hash chains per iteration.
+    pub fn extend_positions(&self, tuples: &[Tuple], out: &mut Vec<u32>) {
         const PHI: u64 = AttrHasher::PHI64;
         let domain = self.domain;
         let positions = u64::from(self.positions);
-        out.clear();
         out.reserve(tuples.len());
         // x % 2^k == x & (2^k - 1) for unsigned x: when both spaces are
         // powers of two (the common configuration) the two modulos
@@ -170,9 +236,9 @@ impl PositionSpace {
             }
         } else {
             match self.hasher {
-                AttrHasher::Identity => fill_positions(tuples, out, |a| (a % domain) % positions),
+                AttrHasher::Identity => fill_positions(tuples, out, |a| self.reduce(a)),
                 AttrHasher::Fibonacci => {
-                    fill_positions(tuples, out, |a| (a.wrapping_mul(PHI) % domain) % positions);
+                    fill_positions(tuples, out, |a| self.reduce(a.wrapping_mul(PHI)));
                 }
             }
         }
@@ -180,7 +246,7 @@ impl PositionSpace {
 }
 
 /// Four-wide unrolled position fill (the shared body of
-/// [`PositionSpace::bulk_positions`]'s specialized loops).
+/// [`PositionSpace::extend_positions`]'s specialized loops).
 #[inline]
 fn fill_positions(tuples: &[Tuple], out: &mut Vec<u32>, f: impl Fn(JoinAttr) -> u64) {
     let mut chunks = tuples.chunks_exact(4);
@@ -320,6 +386,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn reciprocal_positions_equal_plain_modulo() {
+        // Edge divisors (1, powers of two and their neighbours, the 32-bit
+        // boundary, the benchmark's own sizes) against edge attributes
+        // around each of them and around the 32- and 64-bit limits.
+        let around = |x: u64| [x.wrapping_sub(1), x, x.wrapping_add(1)];
+        let all_positions = [1u32, 2, 3, 1 << 16, (1 << 20) + 1, 209_715, u32::MAX];
+        let domains = [
+            1u64,
+            2,
+            7,
+            1 << 20,
+            53_687_091,
+            u64::from(u32::MAX),
+            1 << 32,
+            (1 << 40) + 9,
+            u64::MAX,
+        ];
+        let mut state = 0x5EED_0FD1_u64;
+        let mut out = Vec::new();
+        for positions in all_positions {
+            for domain in domains {
+                let mut attrs: Vec<u64> = [0, domain, u64::from(positions), 1 << 32, u64::MAX]
+                    .into_iter()
+                    .flat_map(around)
+                    .collect();
+                for _ in 0..64 {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    // Mixed magnitudes: shift some draws under 32 bits.
+                    attrs.push(state >> (state % 61));
+                }
+                let tuples: Vec<Tuple> = attrs.iter().map(|&a| Tuple::new(0, a)).collect();
+                for hasher in [AttrHasher::Identity, AttrHasher::Fibonacci] {
+                    let ps = PositionSpace::new(positions, domain, hasher);
+                    ps.bulk_positions(&tuples, &mut out);
+                    for (&a, &bulk) in attrs.iter().zip(&out) {
+                        let plain = hasher.hash_value(a, domain) % u64::from(positions);
+                        assert_eq!(
+                            u64::from(ps.position_of(a)),
+                            plain,
+                            "{hasher:?} attr {a} domain {domain} positions {positions}"
+                        );
+                        assert_eq!(u64::from(bulk), plain, "bulk, attr {a}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extend_positions_appends_where_bulk_positions_replaces() {
+        let ps = PositionSpace::new(77, 1000, AttrHasher::Identity);
+        let tuples: Vec<Tuple> = (0..9).map(|i| Tuple::new(i, i * 131)).collect();
+        let mut out = vec![5, 6];
+        ps.extend_positions(&tuples, &mut out);
+        assert_eq!(out.len(), 11);
+        assert_eq!(&out[..2], &[5, 6]);
+        let mut fresh = vec![9];
+        ps.bulk_positions(&tuples, &mut fresh);
+        assert_eq!(&out[2..], fresh.as_slice());
     }
 
     #[test]

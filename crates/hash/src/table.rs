@@ -14,23 +14,37 @@
 //!
 //! ## Memory layout
 //!
-//! The table is an *append log that is put in position order lazily*. The
+//! The table is an *append log whose index is derived after the fact*. The
 //! arena is two parallel vectors, `pos` and `tuples` (20 bytes per stored
-//! tuple), and a dense directory holds one `{start, count, tag}` entry per
-//! global position (lazily allocated on first insert so idle potential
-//! nodes cost nothing). An insert is two pushes and one directory line: it
-//! bumps the position's exact `count`, ORs the attribute's 16-bit bloom
-//! fingerprint ([`filter_fingerprint`]) into its `tag`, and clears the
-//! `ordered` flag. Nothing is linked.
+//! tuple). An insert is two pushes and a cleared `ordered` flag — it
+//! touches nothing else, so a table that is only being built has no
+//! directory at all, and one that spills ([`JoinHashTable::drain_all`])
+//! before anything reads it never allocates one.
 //!
-//! The first probe or range extraction after an insert runs the private
-//! `order()`: a stable counting sort of the arena by position, over the
-//! span of positions this table has actually seen (a node owns a fraction
-//! of the directory). From then on a position's chain is the contiguous
-//! run `tuples[start..start + count]`, in insertion order. Build-time
-//! operations — histograms, predicate drains, spills — never order the
-//! arena, so until the build barrier it stays in insertion order, which is
-//! what callers that re-home drained tuples under a capacity check observe.
+//! The directory — one `{start, count, tag}` entry per position — belongs
+//! to the readers. Every one of them (histograms, probes, range
+//! extraction, the diagnostic accessors) first runs the private `settle()`:
+//! one pass over the not-yet-counted tail of the log, `pos[counted..]`,
+//! that finds the tail's span, makes the directory cover it, and then
+//! bumps each position's exact `count` and ORs the attribute's 16-bit
+//! bloom fingerprint ([`filter_fingerprint`]) into its `tag`. The
+//! directory covers only the span `lo..hi` of positions the table holds
+//! and is based at `lo`: a node that owns 1/16 of the position space, or a
+//! Grace fragment that holds 1/64 of it, pays for that share and no more.
+//! A later tail outside the span (a reshuffle receiver's new range)
+//! re-bases the directory with the old counts copied. Bulk removals by
+//! predicate do not recount: they drop the directory and reset `counted`,
+//! so the next reader counts the survivors as one long tail.
+//!
+//! The first probe or range extraction after an insert also runs the
+//! private `order()`: a stable counting sort of the arena by position.
+//! From then on a position's chain is the contiguous run
+//! `tuples[start..start + count]`, in insertion order. Build-time
+//! operations — histograms, predicate drains, spills — settle at most;
+//! they never order the arena, so until the build barrier it stays in
+//! insertion order, which is what callers that re-home drained tuples
+//! under a capacity check observe. Counting is a read of the log: it
+//! cannot move a tuple.
 //!
 //! ## Probing
 //!
@@ -48,7 +62,6 @@
 use crate::hasher::PositionSpace;
 use crate::kernels::{prefetch_read, ProbeKernel, ProbeScratch};
 use ehj_data::{JoinAttr, Schema, Tuple};
-use std::ops::Range;
 
 /// Bookkeeping bytes charged per stored tuple on top of the schema's raw
 /// tuple size (position tag + directory share, mirroring the
@@ -144,39 +157,45 @@ impl BatchProbeStats {
 #[derive(Debug, Clone, Copy, Default)]
 struct Run {
     /// First arena index of the run. Meaningful only while the table is
-    /// `ordered`, and only inside its occupied span.
+    /// `ordered`.
     start: u32,
-    /// Exact number of tuples at this position, ordered or not. A probe
-    /// that the tag rejects is charged this many comparisons — precisely
-    /// what the full scan would have cost.
+    /// Exact number of counted tuples at this position, ordered or not. A
+    /// probe that the tag rejects is charged this many comparisons —
+    /// precisely what the full scan would have cost.
     count: u32,
-    /// OR of [`filter_fingerprint`] over every attribute stored here.
-    /// Blooms cannot forget, so removals reset or recompute it.
+    /// OR of [`filter_fingerprint`] over every counted attribute stored
+    /// here. Blooms cannot forget, so removals reset it.
     tag: u16,
 }
 
 /// A memory-bounded hash table over the global position space: an append
-/// log of tuples, put in position order on demand, behind a one-entry-per-
-/// position directory (see module docs).
+/// log of tuples, counted and put in position order on demand, behind a
+/// one-entry-per-position directory over the span it holds (see module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct JoinHashTable {
     space: PositionSpace,
     schema: Schema,
-    /// One entry per global position. Empty until the first insert.
+    /// One entry per position of the covered span, `dir[p - lo]` for
+    /// position `p`; `dir.len() == hi - lo`. Describes the counted prefix
+    /// `pos[..counted]` only. Empty until a reader settles a non-empty log.
     dir: Vec<Run>,
-    /// Position of `tuples[i]`, cached so ordering and bulk removals never
-    /// re-hash.
+    /// Position of `tuples[i]`, cached so counting, ordering and bulk
+    /// removals never re-hash.
     pos: Vec<u32>,
     /// The tuple arena; `tuples.len()` is the live tuple count (bulk
     /// removal compacts, so there are no tombstones).
     tuples: Vec<Tuple>,
-    /// Occupied span: every stored tuple's position lies in `lo..hi`
-    /// (`lo > hi` while nothing has been stored). Ordering, recounts and
-    /// metrics visit only this part of the directory.
+    /// Covered span: every counted tuple's position lies in `lo..hi`
+    /// (`lo == hi` while there is no directory).
     lo: u32,
     hi: u32,
-    /// Whether the arena is sorted by position with every `start` in the
-    /// span valid. Any insert clears it; [`Self::order`] restores it.
+    /// How much of the log the directory describes. Inserts leave it
+    /// behind; [`Self::settle`] catches it up.
+    counted: usize,
+    /// Whether the arena is sorted by position with every `start` valid
+    /// (which implies `counted == tuples.len()`). Any insert clears it;
+    /// [`Self::order`] restores it.
     ordered: bool,
     capacity_bytes: u64,
 }
@@ -191,8 +210,9 @@ impl JoinHashTable {
             dir: Vec::new(),
             pos: Vec::new(),
             tuples: Vec::new(),
-            lo: u32::MAX,
+            lo: 0,
             hi: 0,
+            counted: 0,
             ordered: true,
             capacity_bytes,
         }
@@ -237,7 +257,7 @@ impl JoinHashTable {
     /// How many more tuples fit before [`TableFull`].
     #[must_use]
     pub fn remaining_tuples(&self) -> u64 {
-        (self.capacity_bytes - self.bytes_used()) / self.bytes_per_tuple()
+        self.capacity_bytes.saturating_sub(self.bytes_used()) / self.bytes_per_tuple()
     }
 
     /// Global position of `attr` under this table's space.
@@ -246,13 +266,9 @@ impl JoinHashTable {
         self.space.position_of(attr)
     }
 
-    /// The occupied span as directory indices (empty before any insert).
-    fn span(&self) -> Range<usize> {
-        self.lo.min(self.hi) as usize..self.hi as usize
-    }
-
-    /// Appends `t` at `pos`, which must be `position_of(t.join_attr)`, and
-    /// maintains the directory entry (the shared tail of every insert path).
+    /// Appends `t` at `pos`, which must be `position_of(t.join_attr)`, to
+    /// the log (the shared tail of every insert path). The directory is not
+    /// touched: the next reader counts the tail.
     #[inline]
     fn append(&mut self, t: Tuple, pos: u32) {
         debug_assert_eq!(pos, self.space.position_of(t.join_attr));
@@ -260,19 +276,60 @@ impl JoinHashTable {
             self.tuples.len() < u32::MAX as usize,
             "arena index space exhausted"
         );
-        if self.dir.is_empty() {
-            // First insert: idle tables stay at zero overhead until now.
-            self.dir
-                .resize(self.space.positions as usize, Run::default());
-        }
         self.pos.push(pos);
         self.tuples.push(t);
-        let run = &mut self.dir[pos as usize];
-        run.count += 1;
-        run.tag |= filter_fingerprint(t.join_attr);
-        self.lo = self.lo.min(pos);
-        self.hi = self.hi.max(pos + 1);
         self.ordered = false;
+    }
+
+    /// Directory index of `pos`; past the end of `dir` (so `get` misses)
+    /// for a position outside the covered span, where nothing is stored.
+    #[inline]
+    fn slot(&self, pos: u32) -> usize {
+        pos.wrapping_sub(self.lo) as usize
+    }
+
+    /// The directory entry at `pos`: an empty run outside the covered span.
+    #[inline]
+    fn run_at(&self, pos: u32) -> Run {
+        self.dir.get(self.slot(pos)).copied().unwrap_or_default()
+    }
+
+    /// Makes the directory cover `lo..hi` as well as what it covers now,
+    /// re-basing it (old entries copied) when that moves either end.
+    fn cover(&mut self, lo: u32, hi: u32) {
+        if self.dir.is_empty() {
+            (self.lo, self.hi) = (lo, hi);
+            self.dir.resize((hi - lo) as usize, Run::default());
+        } else if lo < self.lo || hi > self.hi {
+            let (lo, hi) = (lo.min(self.lo), hi.max(self.hi));
+            let mut dir = vec![Run::default(); (hi - lo) as usize];
+            let at = (self.lo - lo) as usize;
+            dir[at..at + self.dir.len()].copy_from_slice(&self.dir);
+            (self.dir, self.lo, self.hi) = (dir, lo, hi);
+        }
+    }
+
+    /// Catches the directory up with the log: counts and tags the tail
+    /// `pos[counted..]`, first growing the covered span to hold it. Every
+    /// reader of the directory runs this; it moves no tuple.
+    fn settle(&mut self) {
+        if self.counted == self.pos.len() {
+            return;
+        }
+        let (lo, hi) = self.pos[self.counted..]
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &p| (lo.min(p), hi.max(p)));
+        self.cover(lo, hi + 1);
+        let base = self.lo;
+        for (&p, t) in self.pos[self.counted..]
+            .iter()
+            .zip(&self.tuples[self.counted..])
+        {
+            let run = &mut self.dir[(p - base) as usize];
+            run.count += 1;
+            run.tag |= filter_fingerprint(t.join_attr);
+        }
+        self.counted = self.pos.len();
     }
 
     /// Inserts a build tuple, or reports the table full. A failed insert
@@ -311,34 +368,40 @@ impl JoinHashTable {
         self.append(t, pos);
     }
 
-    /// Bulk [`Self::insert_unchecked`]: grows the arena once for the whole
-    /// batch. Byte accounting is derived from the arena length, so it too
-    /// updates once, implicitly. Used by reshuffle receivers, which ingest
-    /// whole extracted chunks.
+    /// Bulk [`Self::insert_unchecked`]: one bulk-hash pass appends the
+    /// batch's positions to the log, one copy appends its tuples. Byte
+    /// accounting is derived from the arena length, so it too updates once,
+    /// implicitly. Used by reshuffle receivers, which ingest whole extracted
+    /// chunks, and Grace fragment builds.
     pub fn insert_batch_unchecked(&mut self, tuples: &[Tuple]) {
-        self.pos.reserve(tuples.len());
-        self.tuples.reserve(tuples.len());
-        for &t in tuples {
-            self.insert_unchecked(t);
+        if tuples.is_empty() {
+            return;
         }
+        debug_assert!(
+            self.tuples.len() + tuples.len() <= u32::MAX as usize,
+            "arena index space exhausted"
+        );
+        self.space.extend_positions(tuples, &mut self.pos);
+        self.tuples.extend_from_slice(tuples);
+        self.ordered = false;
     }
 
-    /// Puts the arena in position order: a stable counting sort over the
-    /// occupied span, after which position `p`'s tuples are the run
-    /// `tuples[start..start + count]` in insertion order. A no-op while
-    /// nothing was inserted since the last call.
+    /// Puts the arena in position order: settles, then a stable counting
+    /// sort over the covered span, after which position `p`'s tuples are
+    /// the run `tuples[start..start + count]` in insertion order. A no-op
+    /// while nothing was inserted or drained since the last call.
     fn order(&mut self) {
         if self.ordered {
             return;
         }
+        self.settle();
         self.ordered = true;
         let n = self.tuples.len();
         // Pass 1 leaves every run's *end* in `start`; pass 2 walks the log
         // backwards, stepping each run's cursor down to its true start, so
         // equal positions keep their insertion order.
-        let span = self.span();
         let mut end = 0u32;
-        for run in &mut self.dir[span] {
+        for run in &mut self.dir {
             end += run.count;
             run.start = end;
         }
@@ -348,8 +411,9 @@ impl JoinHashTable {
         );
         let mut pos = vec![0u32; n];
         let mut tuples = vec![Tuple::new(0, 0); n];
+        let base = self.lo;
         for (&p, &t) in self.pos.iter().zip(&self.tuples).rev() {
-            let run = &mut self.dir[p as usize];
+            let run = &mut self.dir[(p - base) as usize];
             run.start -= 1;
             pos[run.start as usize] = p;
             tuples[run.start as usize] = t;
@@ -368,9 +432,7 @@ impl JoinHashTable {
     #[inline]
     fn run_of(&mut self, attr: JoinAttr) -> &[Tuple] {
         self.order();
-        let pos = self.space.position_of(attr) as usize;
-        // No directory yet: nothing was ever stored.
-        self.dir.get(pos).map_or(&[], |&run| self.run(run))
+        self.run(self.run_at(self.space.position_of(attr)))
     }
 
     /// Probes one attribute: scans the run at its position, counting
@@ -422,29 +484,33 @@ impl JoinHashTable {
             }
             return stats;
         }
-        if self.dir.is_empty() {
-            // A table that never saw an insert has no runs: every probe
-            // compares and matches nothing, exactly like the scalar path.
+        if self.tuples.is_empty() {
+            // An empty table has no runs: every probe compares and matches
+            // nothing, exactly like the scalar path.
             return stats;
         }
         self.order();
         self.space.bulk_positions(tuples, &mut scratch.positions);
         let positions = scratch.positions.as_slice();
         for (i, (t, &pos)) in tuples.iter().zip(positions).enumerate() {
+            // A position outside the covered span holds nothing: it has no
+            // entry to prefetch and reads as an empty run below.
             if let Some(&p) = positions.get(i + DIR_PREFETCH_AHEAD) {
-                prefetch_read(&raw const self.dir[p as usize]);
+                if let Some(entry) = self.dir.get(self.slot(p)) {
+                    prefetch_read(std::ptr::from_ref(entry));
+                }
             }
             if let Some(&p) = positions.get(i + RUN_PREFETCH_AHEAD) {
                 // Only a probe the tag lets through will read its run (an
                 // empty position has an empty tag). The rest re-prefetch
                 // the arena's first line: selecting an address keeps this
                 // free of a branch that a mixed batch would mispredict.
-                let ahead = self.dir[p as usize];
+                let ahead = self.run_at(p);
                 let fp = filter_fingerprint(tuples[i + RUN_PREFETCH_AHEAD].join_attr);
                 let start = if ahead.tag & fp != 0 { ahead.start } else { 0 };
                 prefetch_read(self.tuples.as_ptr().wrapping_add(start as usize));
             }
-            let run = self.dir[pos as usize];
+            let run = self.run_at(pos);
             let attr = t.join_attr;
             stats.compared += u64::from(run.count);
             if run.tag & filter_fingerprint(attr) == 0 {
@@ -456,30 +522,33 @@ impl JoinHashTable {
         stats
     }
 
-    /// Exact chain length at `pos` (0 before the first insert). Test and
+    /// Exact chain length at `pos` (0 where nothing is stored). Test and
     /// diagnostic accessor for the probe filter.
     #[must_use]
-    pub fn chain_count(&self, pos: u32) -> u32 {
-        self.dir.get(pos as usize).map_or(0, |run| run.count)
+    pub fn chain_count(&mut self, pos: u32) -> u32 {
+        self.settle();
+        self.run_at(pos).count
     }
 
-    /// The bloom tag at `pos` (0 before the first insert). Test and
+    /// The bloom tag at `pos` (0 where nothing is stored). Test and
     /// diagnostic accessor for the probe filter.
     #[must_use]
-    pub fn filter_tag(&self, pos: u32) -> u16 {
-        self.dir.get(pos as usize).map_or(0, |run| run.tag)
+    pub fn filter_tag(&mut self, pos: u32) -> u16 {
+        self.settle();
+        self.run_at(pos).tag
     }
 
     /// Records this table's layout into registry instruments: one
     /// `chain_hist` sample per occupied position (its exact chain length,
-    /// from the directory — no arena scan). Called at report time, not on
-    /// the insert path, so build cost is untouched; a disabled handle
-    /// returns at once and a live one visits only the occupied span.
-    pub fn observe_metrics(&self, chain_hist: &ehj_metrics::Histogram) {
+    /// from the directory). Called at report time, not on the insert path,
+    /// so build cost is untouched; a disabled handle returns at once and a
+    /// live one visits only the covered span.
+    pub fn observe_metrics(&mut self, chain_hist: &ehj_metrics::Histogram) {
         if !chain_hist.is_enabled() {
             return;
         }
-        for run in &self.dir[self.span()] {
+        self.settle();
+        for run in &self.dir {
             if run.count > 0 {
                 chain_hist.record(u64::from(run.count));
             }
@@ -496,19 +565,24 @@ impl JoinHashTable {
 
     /// Per-position entry counts over `[range_start, range_end)` as a dense
     /// histogram indexed relative to `range_start` — the reshuffle input.
-    /// A slice of the directory's counts: no arena scan, no ordering.
+    /// Settles, then reads a slice of the directory's counts: the arena is
+    /// scanned only as far as it grew since the last reader, and never
+    /// ordered.
     ///
     /// The bounds arrive in wire messages, so they are clamped to the
     /// position space (the histogram is as long as the clamped range, empty
-    /// if that inverts it), and a table that never saw an insert reads as
-    /// all zeros.
+    /// if that inverts it); positions outside the covered span, and a table
+    /// that holds nothing, read as zeros.
     #[must_use]
-    pub fn position_histogram(&self, range_start: u32, range_end: u32) -> Vec<u64> {
+    pub fn position_histogram(&mut self, range_start: u32, range_end: u32) -> Vec<u64> {
+        self.settle();
         let end = range_end.min(self.space.positions);
         let start = range_start.min(end);
         let mut hist = vec![0u64; (end - start) as usize];
-        if let Some(runs) = self.dir.get(start as usize..end as usize) {
-            for (h, run) in hist.iter_mut().zip(runs) {
+        let (first, last) = (start.max(self.lo), end.min(self.hi));
+        if first < last {
+            let runs = &self.dir[self.slot(first)..self.slot(last)];
+            for (h, run) in hist[(first - start) as usize..].iter_mut().zip(runs) {
                 *h = u64::from(run.count);
             }
         }
@@ -521,16 +595,16 @@ impl JoinHashTable {
     /// each call drains one contiguous slice and shifts the starts behind
     /// it — so only post-build callers should use it (see module docs).
     ///
-    /// The bounds arrive in wire messages: anything outside the occupied
-    /// span, inverted or on a never-allocated table extracts nothing.
+    /// The bounds arrive in wire messages: anything outside the covered
+    /// span, inverted or on a table that holds nothing extracts nothing.
     pub fn extract_range(&mut self, range_start: u32, range_end: u32) -> Vec<Tuple> {
-        let span = self.span();
-        let first = (range_start as usize).max(span.start);
-        let last = (range_end as usize).min(span.end);
+        self.settle();
+        let (first, last) = (range_start.max(self.lo), range_end.min(self.hi));
         if first >= last {
             return Vec::new();
         }
         self.order();
+        let (first, last) = (self.slot(first), self.slot(last));
         let from = self.dir[first].start;
         let tail = self.dir[last - 1];
         let to = tail.start + tail.count;
@@ -540,19 +614,20 @@ impl JoinHashTable {
                 ..Run::default()
             };
         }
-        for run in &mut self.dir[last..span.end] {
+        for run in &mut self.dir[last..] {
             run.start -= to - from;
         }
+        self.counted -= (to - from) as usize;
         self.pos.drain(from as usize..to as usize);
         self.tuples.drain(from as usize..to as usize).collect()
     }
 
     /// Drops every arena entry matched by `take`, returning the extracted
-    /// tuples in arena order, then recounts the directory over the span:
-    /// bloom tags cannot forget a removed attribute, so bulk removal is the
-    /// one place they are recomputed from the survivors. The compaction
-    /// keeps the survivors' relative order; the next probe re-derives the
-    /// starts.
+    /// tuples in arena order. Bloom tags cannot forget a removed attribute,
+    /// so a removal discards the directory and marks the whole log
+    /// uncounted: the next reader counts the survivors, over the span they
+    /// still occupy. The compaction keeps the survivors' relative order;
+    /// the next probe re-derives the starts.
     fn compact(&mut self, mut take: impl FnMut(u32, &Tuple) -> bool) -> Vec<Tuple> {
         let mut out = Vec::new();
         let mut kept = 0;
@@ -571,16 +646,9 @@ impl JoinHashTable {
         }
         self.pos.truncate(kept);
         self.tuples.truncate(kept);
-        let span = self.span();
-        self.dir[span].fill(Run::default());
-        (self.lo, self.hi) = (u32::MAX, 0);
-        for (&p, t) in self.pos.iter().zip(&self.tuples) {
-            let run = &mut self.dir[p as usize];
-            run.count += 1;
-            run.tag |= filter_fingerprint(t.join_attr);
-            self.lo = self.lo.min(p);
-            self.hi = self.hi.max(p + 1);
-        }
+        self.dir.clear();
+        (self.lo, self.hi) = (0, 0);
+        self.counted = 0;
         self.ordered = false;
         out
     }
@@ -631,7 +699,8 @@ impl JoinHashTable {
     pub fn drain_all(&mut self) -> Vec<Tuple> {
         self.dir = Vec::new();
         self.pos = Vec::new();
-        (self.lo, self.hi) = (u32::MAX, 0);
+        (self.lo, self.hi) = (0, 0);
+        self.counted = 0;
         self.ordered = true;
         std::mem::take(&mut self.tuples)
     }
@@ -1044,6 +1113,147 @@ mod tests {
             };
             assert_eq!(t.probe(attr).matches, expect, "attr {attr}");
         }
+    }
+
+    #[test]
+    fn a_table_that_is_built_then_spilled_never_allocates_a_directory() {
+        let mut t = table(1000);
+        for i in 0..200u64 {
+            t.insert(Tuple::new(i, i * 7 % 300)).unwrap();
+        }
+        t.insert_batch_unchecked(&[Tuple::new(200, 5), Tuple::new(201, 95)]);
+        // A build-time bucket split drains by position without counting.
+        let moved = t.drain_positions(|pos| pos >= 50);
+        assert_eq!(moved.len() as u64 + t.len(), 202);
+        assert_eq!(t.dir.capacity(), 0, "inserts and drains read no directory");
+        assert_eq!(t.counted, 0);
+        assert_eq!(t.drain_all().len() as u64 + moved.len() as u64, 202);
+        assert_eq!(t.dir.capacity(), 0, "a node that spills never had one");
+    }
+
+    #[test]
+    fn directory_covers_the_held_span_and_rebases_for_a_tail_outside_it() {
+        let mut t = table(1000);
+        for i in 0..30u64 {
+            t.insert(Tuple::new(i, 40 + i % 10)).unwrap(); // positions 40..50
+        }
+        assert_eq!(t.position_histogram(0, 100).iter().sum::<u64>(), 30);
+        assert_eq!((t.lo, t.hi, t.dir.len()), (40, 50, 10));
+        let tags: Vec<u16> = (40..50).map(|p| t.filter_tag(p)).collect();
+        // A tail inside the span leaves the base alone...
+        t.insert(Tuple::new(30, 45)).unwrap();
+        assert_eq!(t.chain_count(45), 4);
+        assert_eq!((t.lo, t.hi, t.dir.len()), (40, 50, 10));
+        // ...one below and one above it (a reshuffle receiver's new range)
+        // re-base, keeping every count and tag.
+        t.insert_batch_unchecked(&[Tuple::new(31, 12), Tuple::new(32, 112)]);
+        t.insert_unchecked(Tuple::new(33, 77));
+        assert_eq!(t.chain_count(12), 2);
+        assert_eq!((t.lo, t.hi, t.dir.len()), (12, 78, 66));
+        assert_eq!(
+            t.filter_tag(12),
+            filter_fingerprint(12) | filter_fingerprint(112)
+        );
+        for p in 40..50 {
+            assert_eq!(t.chain_count(p), 3 + u32::from(p == 45), "position {p}");
+            assert_eq!(t.filter_tag(p), tags[(p - 40) as usize], "position {p}");
+        }
+        assert_eq!(
+            t.probe(112),
+            ProbeResult {
+                matches: 1,
+                compared: 2
+            }
+        );
+        assert_eq!(t.probe(47).matches, 3);
+        // A predicate drain drops the directory; the next reader sizes it
+        // to what the survivors span.
+        let _ = t.drain_positions(|pos| pos < 45);
+        assert!(t.dir.is_empty());
+        assert_eq!(t.chain_count(45), 4);
+        assert_eq!((t.lo, t.hi, t.dir.len()), (45, 78, 33));
+    }
+
+    #[test]
+    fn probes_outside_the_covered_span_read_an_empty_run() {
+        let mut t = table(1000);
+        for i in 0..40u64 {
+            t.insert(Tuple::new(i, 40 + i % 10)).unwrap(); // span [40, 50)
+        }
+        // Below `lo`, at and above `hi`, and (attrs + 100) wrapping onto
+        // the same outside positions; long enough that the prefetch
+        // look-ahead runs, ending on outside positions so the look-ahead
+        // at the batch end reads them too.
+        let outside = [0u64, 39, 50, 99, 139, 150];
+        let mut probes: Vec<Tuple> = (0..60u64)
+            .map(|i| Tuple::new(i, outside[i as usize % outside.len()]))
+            .collect();
+        for attr in outside {
+            assert_eq!(t.probe(attr), ProbeResult::default(), "attr {attr}");
+        }
+        let r = batched(&mut t, &probes);
+        assert_eq!((r.matches, r.compared, r.rejections), (0, 0, 0));
+        // Mixed with probes that hit, the totals are the inside ones'.
+        probes.insert(7, Tuple::new(0, 44));
+        probes.insert(58, Tuple::new(0, 144));
+        let (m, c) = scalar_sum(&mut t, &probes);
+        assert_eq!((m, c), (4, 8));
+        let r = batched(&mut t, &probes);
+        assert_eq!((r.matches, r.compared, r.probes), (4, 8, 62));
+        // A never-inserted table covers nothing at all.
+        let mut idle = table(10);
+        for kernel in ProbeKernel::ALL {
+            let r = idle.probe_batch_with(&probes, &mut ProbeScratch::new(), kernel);
+            assert_eq!((r.matches, r.compared, r.probes), (0, 0, 62));
+        }
+        assert_eq!(idle.dir.capacity(), 0);
+        // So does a table whose every tuple was extracted.
+        assert_eq!(t.extract_range(0, 100).len(), 40);
+        let r = batched(&mut t, &probes);
+        assert_eq!((r.matches, r.compared), (0, 0));
+    }
+
+    #[test]
+    fn counting_on_demand_equals_a_brute_force_recount() {
+        fn check(t: &mut JoinHashTable) {
+            let mut recount = vec![0u64; 100];
+            let mut tags = [0u16; 100];
+            for tp in t.iter() {
+                let pos = t.position_of(tp.join_attr) as usize;
+                recount[pos] += 1;
+                tags[pos] |= filter_fingerprint(tp.join_attr);
+            }
+            assert_eq!(t.position_histogram(0, 100), recount);
+            for pos in 0..100 {
+                assert_eq!(t.filter_tag(pos), tags[pos as usize], "position {pos}");
+            }
+        }
+        let mut t = table(10_000);
+        let mut index = 0u64;
+        let mut insert = |t: &mut JoinHashTable, n: u64, mul: u64| {
+            for _ in 0..n {
+                t.insert(Tuple::new(index, 20 + index * mul % 260)).unwrap();
+                index += 1;
+            }
+        };
+        insert(&mut t, 150, 7);
+        check(&mut t);
+        insert(&mut t, 90, 11);
+        let moved = t.drain_positions(|pos| pos % 3 == 0);
+        assert!(!moved.is_empty());
+        insert(&mut t, 60, 13);
+        check(&mut t);
+        let contents: Vec<Tuple> = t.iter().copied().collect();
+        for attr in 0..400u64 {
+            let expect = contents.iter().filter(|tp| tp.join_attr == attr).count();
+            let chain = contents
+                .iter()
+                .filter(|tp| tp.join_attr % 100 == attr % 100)
+                .count();
+            let r = t.probe(attr);
+            assert_eq!((r.matches, r.compared), (expect as u64, chain as u64));
+        }
+        check(&mut t);
     }
 
     #[test]

@@ -284,11 +284,10 @@ fn flat_table_equals_chained_reference() {
             }
             assert_eq!(flat.len(), chained.len());
             assert_eq!(flat.bytes_used(), chained.bytes_used());
-            // `remaining_tuples` is only defined while within capacity
-            // (unchecked inserts may exceed it; both layouts then agree on
-            // bytes_used, checked above).
-            if flat.bytes_used() <= flat.capacity_bytes() {
-                assert_eq!(flat.remaining_tuples(), chained.remaining_tuples());
+            assert_eq!(flat.remaining_tuples(), chained.remaining_tuples());
+            // Unchecked inserts may exceed the capacity: nothing more fits.
+            if flat.bytes_used() > flat.capacity_bytes() {
+                assert_eq!(flat.remaining_tuples(), 0);
             }
         }
         assert_eq!(
@@ -616,7 +615,7 @@ fn filters_track_histogram_across_mutations() {
                     assert_eq!(t.filter_tag(pos), 0, "empty position keeps no tag");
                 }
             }
-            for tp in t.iter() {
+            for tp in t.iter().copied().collect::<Vec<_>>() {
                 let pos = space.position_of(tp.join_attr);
                 let fp = ehj_hash::filter_fingerprint(tp.join_attr);
                 assert_eq!(

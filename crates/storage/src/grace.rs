@@ -73,6 +73,48 @@ struct Fragment {
     depth: u32,
 }
 
+/// Reused routing scratch: the incoming batch's positions and one outgoing
+/// buffer per fragment.
+#[derive(Default)]
+struct Scatter {
+    positions: Vec<u32>,
+    groups: Vec<Vec<Tuple>>,
+}
+
+impl Scatter {
+    /// Appends each tuple to the build or probe partition of the fragment
+    /// of `frags` whose subrange holds its position (the last one for a
+    /// position past them all): one bulk hash of the batch, one backend
+    /// append per fragment that received anything.
+    fn append<B: SpillBackend>(
+        &mut self,
+        space: PositionSpace,
+        backend: &mut B,
+        frags: &[Fragment],
+        tuples: &[Tuple],
+        probe_side: bool,
+    ) {
+        space.bulk_positions(tuples, &mut self.positions);
+        if self.groups.len() < frags.len() {
+            self.groups.resize_with(frags.len(), Vec::new);
+        }
+        for (t, &pos) in tuples.iter().zip(&self.positions) {
+            let i = frags
+                .partition_point(|f| f.range.end <= pos)
+                .min(frags.len() - 1);
+            self.groups[i].push(*t);
+        }
+        for (frag, group) in frags.iter().zip(&mut self.groups) {
+            if group.is_empty() {
+                continue;
+            }
+            let part = if probe_side { frag.probe } else { frag.build };
+            backend.append(part, group);
+            group.clear();
+        }
+    }
+}
+
 /// Probe tuples per batched-kernel call while joining a fragment pair.
 const PROBE_CHUNK: usize = 4096;
 
@@ -85,6 +127,7 @@ pub struct GraceJoin<B: SpillBackend> {
     backend: B,
     frags: Vec<Fragment>,
     bytes_written: u64,
+    scatter: Scatter,
 }
 
 impl<B: SpillBackend> GraceJoin<B> {
@@ -121,6 +164,7 @@ impl<B: SpillBackend> GraceJoin<B> {
             backend,
             frags,
             bytes_written: 0,
+            scatter: Scatter::default(),
         }
     }
 
@@ -129,35 +173,14 @@ impl<B: SpillBackend> GraceJoin<B> {
         self.schema.tuple_bytes() + ENTRY_OVERHEAD_BYTES
     }
 
-    fn fragment_of(&self, t: &Tuple) -> usize {
-        let pos = self.space.position_of(t.join_attr);
-        self.frags
-            .partition_point(|f| f.range.end <= pos)
-            .min(self.frags.len() - 1)
-    }
-
-    fn route<'a>(&self, tuples: &'a [Tuple]) -> Vec<Vec<&'a Tuple>> {
-        let mut per: Vec<Vec<&Tuple>> = (0..self.frags.len()).map(|_| Vec::new()).collect();
-        for t in tuples {
-            per[self.fragment_of(t)].push(t);
-        }
-        per
-    }
-
     fn append_side(&mut self, tuples: &[Tuple], probe_side: bool) -> u64 {
-        let routed = self.route(tuples);
-        for (i, group) in routed.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let owned: Vec<Tuple> = group.into_iter().copied().collect();
-            let part = if probe_side {
-                self.frags[i].probe
-            } else {
-                self.frags[i].build
-            };
-            self.backend.append(part, &owned);
-        }
+        self.scatter.append(
+            self.space,
+            &mut self.backend,
+            &self.frags,
+            tuples,
+            probe_side,
+        );
         let bytes = self.schema.tuples_bytes(tuples.len() as u64);
         self.bytes_written += bytes;
         bytes
@@ -272,30 +295,19 @@ impl<B: SpillBackend> GraceJoin<B> {
                 depth: frag.depth + 1,
             })
             .collect();
-        let locate = |children: &[Fragment], pos: u32| -> usize {
-            children
-                .partition_point(|c| c.range.end <= pos)
-                .min(children.len() - 1)
-        };
         for probe_side in [false, true] {
             let part = if probe_side { frag.probe } else { frag.build };
             let tuples = self.backend.read(part);
             let bytes = self.schema.tuples_bytes(tuples.len() as u64);
             result.bytes_read += bytes;
             result.bytes_rewritten += bytes;
-            // Group per child to keep appends batched.
-            let mut per: Vec<Vec<Tuple>> = (0..children.len()).map(|_| Vec::new()).collect();
-            for t in tuples {
-                let pos = self.space.position_of(t.join_attr);
-                per[locate(&children, pos)].push(t);
-            }
-            for (child, group) in children.iter().zip(per) {
-                if group.is_empty() {
-                    continue;
-                }
-                let target = if probe_side { child.probe } else { child.build };
-                self.backend.append(target, &group);
-            }
+            self.scatter.append(
+                self.space,
+                &mut self.backend,
+                &children,
+                &tuples,
+                probe_side,
+            );
         }
         work.extend(children);
     }
