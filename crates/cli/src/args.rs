@@ -43,7 +43,7 @@ pub enum Command {
 pub struct Args {
     /// What to do.
     pub command: Command,
-    /// Algorithm for `run`.
+    /// Algorithm for `run` and `sweep`.
     pub algorithm: Algorithm,
     /// Split policy for the split algorithm.
     pub split_policy: SplitPolicy,
@@ -72,7 +72,7 @@ pub struct Args {
     pub format: Format,
     /// Verify the result against the reference oracle.
     pub verify: bool,
-    /// Which runtime executes the join (run only; default simulated).
+    /// Which runtime executes the join (default simulated).
     pub backend: Backend,
     /// Worker-pool size for the threaded backend (None = all cores).
     pub threads: Option<usize>,
@@ -149,7 +149,7 @@ USAGE:
                                   one engine; --backend threaded shares one worker pool)
 
 OPTIONS:
-  --algorithm <replicated|split|hybrid|ooc>   (run only; default hybrid)
+  --algorithm <replicated|split|hybrid|ooc>   (run and sweep; default hybrid)
   --split-policy <linear|bisect>              split-bucket policy
   --scale <N>            divide the paper's 10M-tuple workload by N (default 100)
   --r-tuples <N>         override R's size (after scaling)
@@ -166,10 +166,11 @@ OPTIONS:
   --seed <N>             RNG seed
   --format <text|csv|json>
   --verify               check the result against the reference oracle
-  --backend <sim|threaded>   simulated cost model or the real worker pool (run only)
+  --backend <sim|threaded>   simulated cost model or the real worker pool
   --threads <N>          threaded-backend worker count (default: all cores)
   --trace-level <off|summary|detail>   structured event tracing (default summary)
-  --trace-out <FILE>     write trace events as JSON lines (run only)
+  --trace-out <FILE>     write trace events as JSON lines (run only; needs a trace
+                         level other than off)
   --perfetto-out <FILE>  write a Chrome trace-event (Perfetto) timeline (run only)
   --no-metrics           disable the live metrics registry (no-op instruments)
   --probe-kernel <scalar|batched>   probe implementation (default batched; scalar is
@@ -362,6 +363,9 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
         }
     }
+    if args.command != Command::Run && (args.trace_out.is_some() || args.perfetto_out.is_some()) {
+        return Err("--trace-out and --perfetto-out record one run: use them with `run`".into());
+    }
     Ok(args)
 }
 
@@ -460,6 +464,18 @@ mod tests {
         assert_eq!(p("run").expect("valid").trace_level, TraceLevel::Summary);
         assert!(p("run --trace-level verbose").is_err());
         assert!(p("run --trace-out").is_err());
+        // One file records one run.
+        for cmd in ["compare", "sweep skew", "service"] {
+            assert!(
+                p(&format!("{cmd} --trace-out /tmp/t.jsonl")).is_err(),
+                "{cmd}"
+            );
+            assert!(
+                p(&format!("{cmd} --perfetto-out /tmp/t.json")).is_err(),
+                "{cmd}"
+            );
+            assert!(p(&format!("{cmd} --trace-level detail")).is_ok(), "{cmd}");
+        }
     }
 
     #[test]

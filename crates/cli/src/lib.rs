@@ -22,6 +22,7 @@ use ehj_core::{
 };
 use ehj_data::Distribution;
 use ehj_metrics::{ClockKind, RingSink, TraceEvent, TraceLevel};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// How many trace events the Perfetto export ring retains.
@@ -68,27 +69,33 @@ pub fn config_from_args(args: &Args, algorithm: Algorithm) -> JoinConfig {
     if let Some(kernel) = args.probe_kernel {
         cfg.probe_kernel = kernel;
     }
+    if let Some(slice) = args.probe_slice {
+        cfg.probe_slice = slice;
+    }
     cfg
 }
 
-/// Runs one configuration, optionally verifying against the oracle.
+/// The execution options an [`Args`] describes: backend, worker count,
+/// tracing and metrics — the same for `run`, `compare` and `sweep`.
+#[must_use]
+pub fn run_options(args: &Args) -> RunOptions {
+    RunOptions {
+        backend: args.backend,
+        threads: args.threads,
+        trace_level: args.trace_level,
+        trace_out: args.trace_out.as_ref().map(PathBuf::from),
+        metrics: !args.no_metrics,
+        ..RunOptions::default()
+    }
+}
+
+/// Runs one configuration with the given execution options, optionally
+/// verifying against the oracle.
 ///
 /// # Errors
 /// Propagates [`JoinError`]; verification failures become
 /// [`JoinError::Config`] with an explanatory message.
-pub fn run_one(cfg: &JoinConfig, verify: bool) -> Result<JoinReport, JoinError> {
-    run_one_with(cfg, verify, &RunOptions::default())
-}
-
-/// Like [`run_one`], with explicit execution options (trace level/output).
-///
-/// # Errors
-/// See [`run_one`].
-pub fn run_one_with(
-    cfg: &JoinConfig,
-    verify: bool,
-    opts: &RunOptions,
-) -> Result<JoinReport, JoinError> {
+pub fn run_one(cfg: &JoinConfig, verify: bool, opts: &RunOptions) -> Result<JoinReport, JoinError> {
     let report = JoinRunner::run_with(cfg, opts)?;
     if verify {
         let expect = expected_matches_for(cfg);
@@ -111,14 +118,7 @@ pub fn execute(args: &Args) -> Result<String, String> {
         Command::Help => Ok(args::USAGE.to_owned()),
         Command::Run => {
             let cfg = config_from_args(args, args.algorithm);
-            let mut opts = RunOptions {
-                backend: args.backend,
-                threads: args.threads,
-                trace_level: args.trace_level,
-                trace_out: args.trace_out.clone().map(std::path::PathBuf::from),
-                metrics: !args.no_metrics,
-                ..RunOptions::default()
-            };
+            let mut opts = run_options(args);
             let perfetto_ring = args.perfetto_out.as_ref().map(|_| {
                 // The exporter needs the events; tracing must be on.
                 if opts.trace_level == TraceLevel::Off {
@@ -128,47 +128,28 @@ pub fn execute(args: &Args) -> Result<String, String> {
                 opts.extra_sinks.push(ring.clone());
                 ring
             });
-            let report = run_one_with(&cfg, args.verify, &opts).map_err(|e| e.to_string())?;
+            let report = run_one(&cfg, args.verify, &opts).map_err(|e| e.to_string())?;
             if let (Some(path), Some(ring)) = (&args.perfetto_out, perfetto_ring) {
-                let clock = match args.backend {
-                    Backend::Simulated => ClockKind::Virtual,
-                    Backend::Threaded => ClockKind::Wall,
-                };
-                let json = ehj_metrics::chrome_trace_json(&ring.tail(), Some(clock));
+                let clock = Some(args.backend.clock());
+                let json = ehj_metrics::chrome_trace_json(&ring.tail(), clock);
                 std::fs::write(path, json)
                     .map_err(|e| format!("cannot write perfetto output {path}: {e}"))?;
             }
-            Ok(render(args.format, &report))
+            Ok(match args.format {
+                Format::Text => output::render_text(&report),
+                Format::Csv => output::render_csv(&report),
+                Format::Json => output::render_json(&report),
+            })
         }
         Command::Compare => {
+            let opts = run_options(args);
             let mut reports = Vec::new();
             for alg in Algorithm::ALL {
                 let cfg = config_from_args(args, alg);
-                reports.push(run_one(&cfg, args.verify).map_err(|e| e.to_string())?);
+                reports.push(run_one(&cfg, args.verify, &opts).map_err(|e| e.to_string())?);
             }
-            match args.format {
-                Format::Json => Ok(format!(
-                    "[{}]",
-                    reports
-                        .iter()
-                        .map(output::render_json)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                )),
-                Format::Csv => {
-                    let mut out = output::REPORT_COLUMNS.join(",");
-                    out.push('\n');
-                    for r in &reports {
-                        out.push_str(&output::report_row(r).join(","));
-                        out.push('\n');
-                    }
-                    Ok(out)
-                }
-                Format::Text => Ok(output::render_comparison(
-                    &format!("all algorithms, scale 1/{}", args.scale),
-                    &reports,
-                )),
-            }
+            let title = format!("all algorithms, scale 1/{}", args.scale);
+            Ok(render_list(args.format, &title, &reports))
         }
         Command::Sweep { axis } => sweep(args, axis),
         Command::Service => service(args),
@@ -177,6 +158,27 @@ pub fn execute(args: &Args) -> Result<String, String> {
                 .map_err(|e| format!("cannot read trace file {path}: {e}"))?;
             trace_summary(&text)
         }
+    }
+}
+
+/// Renders several reports as one JSON array, one CSV table or the text
+/// comparison headed by `title`.
+fn render_list(format: Format, title: &str, reports: &[JoinReport]) -> String {
+    match format {
+        Format::Json => {
+            let objects: Vec<String> = reports.iter().map(output::render_json).collect();
+            format!("[{}]", objects.join(","))
+        }
+        Format::Csv => {
+            let mut out = output::REPORT_COLUMNS.join(",");
+            out.push('\n');
+            for r in reports {
+                out.push_str(&output::report_row(r).join(","));
+                out.push('\n');
+            }
+            out
+        }
+        Format::Text => output::render_comparison(title, reports),
     }
 }
 
@@ -214,6 +216,11 @@ pub fn trace_summary(jsonl: &str) -> Result<String, String> {
 }
 
 fn sweep(args: &Args, axis: &str) -> Result<String, String> {
+    let opts = run_options(args);
+    let run = |a: &Args| {
+        let cfg = config_from_args(a, args.algorithm);
+        run_one(&cfg, args.verify, &opts).map_err(|e| e.to_string())
+    };
     let mut reports: Vec<JoinReport> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     match axis {
@@ -221,8 +228,7 @@ fn sweep(args: &Args, axis: &str) -> Result<String, String> {
             for init in [1usize, 2, 4, 8, 16] {
                 let mut a = args.clone();
                 a.initial_nodes = Some(init);
-                let cfg = config_from_args(&a, args.algorithm);
-                reports.push(run_one(&cfg, args.verify).map_err(|e| e.to_string())?);
+                reports.push(run(&a)?);
                 labels.push(format!("initial={init}"));
             }
         }
@@ -230,8 +236,7 @@ fn sweep(args: &Args, axis: &str) -> Result<String, String> {
             for sigma in [None, Some(0.001), Some(0.0001)] {
                 let mut a = args.clone();
                 a.sigma = sigma;
-                let cfg = config_from_args(&a, args.algorithm);
-                reports.push(run_one(&cfg, args.verify).map_err(|e| e.to_string())?);
+                reports.push(run(&a)?);
                 labels.push(match sigma {
                     None => "uniform".to_owned(),
                     Some(s) => format!("sigma={s}"),
@@ -244,22 +249,14 @@ fn sweep(args: &Args, axis: &str) -> Result<String, String> {
                 let base = config_from_args(args, args.algorithm);
                 a.r_tuples = Some(base.r.tuples * mult);
                 a.s_tuples = Some(base.s.tuples * mult);
-                let cfg = config_from_args(&a, args.algorithm);
-                reports.push(run_one(&cfg, args.verify).map_err(|e| e.to_string())?);
+                reports.push(run(&a)?);
                 labels.push(format!("{}x", mult));
             }
         }
         other => return Err(format!("unknown sweep axis '{other}'")),
     }
     match args.format {
-        Format::Json => Ok(format!(
-            "[{}]",
-            reports
-                .iter()
-                .map(output::render_json)
-                .collect::<Vec<_>>()
-                .join(",")
-        )),
+        Format::Json => Ok(render_list(Format::Json, "", &reports)),
         _ => {
             let mut t = ehj_metrics::TextTable::new(
                 format!(
@@ -297,9 +294,6 @@ fn service(args: &Args) -> Result<String, String> {
             let mut cfg = config_from_args(args, Algorithm::ALL[i % Algorithm::ALL.len()]);
             if !args.weights.is_empty() {
                 cfg.tenant_weight = args.weights[i % args.weights.len()];
-            }
-            if let Some(slice) = args.probe_slice {
-                cfg.probe_slice = slice;
             }
             cfg
         })
@@ -360,26 +354,7 @@ fn service(args: &Args) -> Result<String, String> {
             (reports, title)
         }
     };
-    match args.format {
-        Format::Json => Ok(format!(
-            "[{}]",
-            reports
-                .iter()
-                .map(output::render_json)
-                .collect::<Vec<_>>()
-                .join(",")
-        )),
-        Format::Csv => {
-            let mut out = output::REPORT_COLUMNS.join(",");
-            out.push('\n');
-            for r in &reports {
-                out.push_str(&output::report_row(r).join(","));
-                out.push('\n');
-            }
-            Ok(out)
-        }
-        Format::Text => Ok(output::render_comparison(&summary, &reports)),
-    }
+    Ok(render_list(args.format, &summary, &reports))
 }
 
 /// Enforces `--verify` for one service query.
@@ -409,14 +384,6 @@ fn nearest_rank(sorted: &[f64], pct: f64) -> f64 {
     }
     let rank = ((pct / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
-}
-
-fn render(format: Format, report: &JoinReport) -> String {
-    match format {
-        Format::Text => output::render_text(report),
-        Format::Csv => output::render_csv(report),
-        Format::Json => output::render_json(report),
-    }
 }
 
 #[cfg(test)]
@@ -471,6 +438,45 @@ mod tests {
         let a = parse("run --scale 2000 --backend threaded --threads 2 --verify");
         let out = execute(&a).expect("threaded run");
         assert!(out.contains("total execution time"));
+    }
+
+    #[test]
+    fn compare_and_sweep_honour_the_backend() {
+        // Both used to run on the simulator whatever `--backend` said; a
+        // threaded report counts no simulator events.
+        let idle = |out: &str| out.matches("\"sim_events\":0").count();
+        let line = "compare --scale 2000 --backend threaded --threads 2 --verify --format json";
+        assert_eq!(idle(&execute(&parse(line)).expect("threaded compare")), 4);
+        let sim = execute(&parse("compare --scale 2000 --format json")).expect("simulated");
+        assert_eq!(idle(&sim), 0, "{sim}");
+        let line = "sweep skew --scale 2000 --backend threaded --threads 2 --format json";
+        assert_eq!(idle(&execute(&parse(line)).expect("threaded sweep")), 3);
+    }
+
+    #[test]
+    fn probe_slice_reaches_a_standalone_run() {
+        // Only `service` used to copy the flag into the configuration.
+        let cfg = config_from_args(&parse("run --probe-slice 64"), Algorithm::Hybrid);
+        assert_eq!(cfg.probe_slice, 64);
+        let out = execute(&parse("run --scale 2000 --probe-slice 64 --format json")).expect("runs");
+        assert!(out.contains("sched.slice_tuples"), "{out}");
+        let whole = execute(&parse("run --scale 2000 --format json")).expect("runs");
+        assert!(!whole.contains("sched.slice_tuples"));
+    }
+
+    #[test]
+    fn trace_out_with_tracing_off_is_an_error_not_a_missing_file() {
+        let path = std::env::temp_dir().join(format!("ehj-cli-off-{}.jsonl", std::process::id()));
+        let line = format!(
+            "run --scale 2000 --trace-level off --trace-out {}",
+            path.display()
+        );
+        let err = execute(&parse(&line)).expect_err("nothing would be written");
+        assert!(
+            err.contains("--trace-out") && err.contains("--trace-level off"),
+            "{err}"
+        );
+        assert!(!path.exists());
     }
 
     #[test]

@@ -36,7 +36,9 @@
 //! [`join_node::JoinNode`]) that run unchanged on either of two runtimes
 //! from `ehj-sim`: a deterministic discrete-event simulator with a
 //! calibrated model of the paper's 24-node PC cluster (the default), or a
-//! threaded runtime over real channels and temp files.
+//! work-stealing worker pool with real temp files. A query goes through one
+//! lifecycle either way, standalone ([`JoinRunner`]) or as one of many
+//! ([`JoinService`]); see [`runner`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,11 +1,15 @@
 //! The high-level entry point: wire up a cluster, run one join, return the
-//! report.
+//! report — and the one lifecycle every query goes through, standalone or
+//! in the multi-tenant service.
 //!
-//! [`JoinRunner::run_with`] also owns the tracing plumbing: it builds the
-//! [`Tracer`] shared by the scheduler, sources and join nodes, always keeps
-//! a bounded ring of recent events so every [`JoinError`] carries a
-//! diagnostic tail, folds the rollup counters into the final
-//! [`JoinReport`], and optionally streams JSONL to a file.
+//! A query's run state lives in one `QueryRun`: it builds the [`Tracer`]
+//! shared by the scheduler, sources and join nodes, always keeps a bounded
+//! ring of recent events so every [`JoinError`] carries a diagnostic tail,
+//! builds the actor set at whatever id block the backend gives it, and has
+//! the only function that ends a query (report or classified error, totals,
+//! metrics snapshot, rollup, flush). [`JoinRunner::run_with`] is that
+//! lifecycle for one query: an interleaved batch of one on the simulator,
+//! the only group of a pool of its own on the threaded backend.
 
 use crate::config::JoinConfig;
 use crate::join_node::JoinNode;
@@ -18,7 +22,10 @@ use ehj_metrics::{
     sample_once, ClockKind, JsonlSink, MetricsMonitor, MetricsRegistry, MetricsReport, Phase,
     RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel, TraceSink, Tracer,
 };
-use ehj_sim::{Actor, Engine, EngineConfig, EngineError, SimTime, StopReason, ThreadedEngine};
+use ehj_sim::{
+    Actor, ActorId, Admission, Engine, EngineConfig, EngineError, Executor, ExecutorConfig,
+    GroupOutcome, SimTime, StopReason,
+};
 use ehj_storage::{FileBackend, MemBackend, SpillBackend};
 use std::io::Write;
 use std::path::PathBuf;
@@ -45,6 +52,17 @@ pub enum Backend {
     /// A fixed work-stealing worker pool over bounded batch mailboxes,
     /// with real temp-file spills (wall-clock benchmarking backend).
     Threaded,
+}
+
+impl Backend {
+    /// The clock that stamps this backend's trace events and phase times.
+    #[must_use]
+    pub fn clock(self) -> ClockKind {
+        match self {
+            Self::Simulated => ClockKind::Virtual,
+            Self::Threaded => ClockKind::Wall,
+        }
+    }
 }
 
 /// Errors surfaced by [`JoinRunner`]. The engine and stall variants carry
@@ -182,9 +200,11 @@ pub struct RunOptions {
     /// the configuration the benchmark's `metrics.overhead_pct` compares
     /// against. Never affects simulated observables either way.
     pub metrics: bool,
-    /// Optional virtual-time budget for the simulated backend; exceeding it
-    /// stops the run and surfaces as a stall diagnostic
-    /// ([`JoinError::Stalled`]). Ignored by the threaded backend.
+    /// Optional time budget on the run's own clock — virtual time on the
+    /// simulated backend, wall time since admission on the threaded one. A
+    /// run that exceeds it is stopped (cancelled and reaped, on the pool)
+    /// and surfaces as a stall diagnostic ([`JoinError::Stalled`]). `None`
+    /// waits without bound.
     pub max_sim_time: Option<SimTime>,
 }
 
@@ -227,24 +247,44 @@ impl RunOptions {
     }
 }
 
-/// Everything the runner wires into a run's tracer. Also used by the
-/// multi-tenant service, which builds one harness per admitted query.
-pub(crate) struct TraceHarness {
-    pub(crate) tracer: Tracer,
-    ring: Option<Arc<RingSink>>,
+/// The diagnostic ring: the last protocol events before an error. The
+/// metrics monitor's periodic samples stay out of it — at one per 5 ms they
+/// would push everything a stall's tail is read for out of 64 slots.
+struct TailSink(RingSink);
+
+impl TraceSink for TailSink {
+    fn record(&self, ev: &TraceEvent) {
+        if !matches!(ev.kind, TraceKind::MetricsSample { .. }) {
+            self.0.record(ev);
+        }
+    }
+}
+
+/// The trace sinks of one query: the diagnostic ring, the rollup, and
+/// whatever else [`RunOptions`] asked for, behind one [`Tracer`].
+struct TraceHarness {
+    tracer: Tracer,
+    ring: Option<Arc<TailSink>>,
     rollup: Option<Arc<RollupSink>>,
 }
 
 impl TraceHarness {
-    pub(crate) fn build(opts: &RunOptions, clock: ClockKind) -> Result<Self, JoinError> {
+    fn build(opts: &RunOptions) -> Result<Self, JoinError> {
         if opts.trace_level == TraceLevel::Off {
+            if let Some(path) = &opts.trace_out {
+                return Err(JoinError::Config(format!(
+                    "trace output {} needs tracing on: --trace-out (RunOptions::trace_out) \
+                     cannot be combined with --trace-level off (TraceLevel::Off)",
+                    path.display()
+                )));
+            }
             return Ok(Self {
                 tracer: Tracer::off(),
                 ring: None,
                 rollup: None,
             });
         }
-        let ring = Arc::new(RingSink::new(ERROR_TAIL_EVENTS));
+        let ring = Arc::new(TailSink(RingSink::new(ERROR_TAIL_EVENTS)));
         let rollup = Arc::new(RollupSink::default());
         let mut sinks: Vec<Arc<dyn TraceSink>> =
             vec![Arc::clone(&ring) as _, Arc::clone(&rollup) as _];
@@ -255,7 +295,7 @@ impl TraceHarness {
             let mut writer = std::io::BufWriter::new(file);
             // First line declares which clock stamped `t` in every event
             // below (the timestamps are backend-dependent).
-            writeln!(writer, "{}", clock.header_line()).map_err(|e| {
+            writeln!(writer, "{}", opts.backend.clock().header_line()).map_err(|e| {
                 JoinError::Config(format!("cannot write trace output {}: {e}", path.display()))
             })?;
             sinks.push(Arc::new(JsonlSink::new(Box::new(writer))) as _);
@@ -268,13 +308,13 @@ impl TraceHarness {
         })
     }
 
-    pub(crate) fn tail(&self) -> Vec<TraceEvent> {
-        self.ring.as_ref().map(|r| r.tail()).unwrap_or_default()
+    fn tail(&self) -> Vec<TraceEvent> {
+        self.ring.as_ref().map(|r| r.0.tail()).unwrap_or_default()
     }
 
     /// Records the stop reason, folds the rollup into the report, and
     /// flushes every sink.
-    pub(crate) fn finish(&self, at_nanos: u64, cause: StopCause, report: Option<&mut JoinReport>) {
+    fn finish(&self, at_nanos: u64, cause: StopCause, report: Option<&mut JoinReport>) {
         self.tracer.emit(
             at_nanos,
             0,
@@ -286,6 +326,256 @@ impl TraceHarness {
         }
         self.tracer.flush();
     }
+}
+
+/// What an empty result slot means once a query's actors are gone.
+pub(crate) enum SilentEnd {
+    /// The group went quiet, or ran out of its time budget
+    /// ([`StopCause::TimeLimit`]), without the scheduler reporting.
+    Stalled(StopCause),
+    /// The caller cancelled the query.
+    Cancelled,
+    /// The simulation engine aborted.
+    Engine(EngineError),
+}
+
+/// How one query's actor set ended, as its backend measured it on the
+/// query's own clock: the simulator's per-group accounting or the pool's
+/// per-group ledger.
+pub(crate) struct RunEnd {
+    /// When the group's last handler finished.
+    pub(crate) at_nanos: u64,
+    /// Whether that is wall time. The scheduler stamps the report's total
+    /// when it assembles it; on a wall clock the group's retirement is the
+    /// authoritative end (phase times share its origin, the admission).
+    pub(crate) wall: bool,
+    pub(crate) events: u64,
+    pub(crate) net_bytes: u64,
+    pub(crate) disk_bytes: u64,
+    pub(crate) silent: SilentEnd,
+}
+
+impl RunEnd {
+    /// The end of a pool group (every send and timer fire charged its wire
+    /// bytes, like the simulated network).
+    pub(crate) fn of_group(outcome: &GroupOutcome, cancelled: bool) -> Self {
+        Self {
+            at_nanos: u64::try_from(outcome.elapsed.as_nanos()).unwrap_or(u64::MAX),
+            wall: true,
+            events: 0,
+            net_bytes: outcome.net_bytes,
+            disk_bytes: 0,
+            silent: if cancelled {
+                SilentEnd::Cancelled
+            } else {
+                SilentEnd::Stalled(StopCause::Quiescent)
+            },
+        }
+    }
+}
+
+/// One query's run state, whichever way it runs: the slot its scheduler
+/// leaves the report in, its trace harness and its metrics registry. It
+/// builds the query's actors and is the only thing that turns their end
+/// into a `Result<JoinReport, JoinError>`.
+pub(crate) struct QueryRun {
+    result: Arc<Mutex<Option<JoinReport>>>,
+    harness: TraceHarness,
+    registry: MetricsRegistry,
+}
+
+impl QueryRun {
+    pub(crate) fn new(opts: &RunOptions) -> Result<Self, JoinError> {
+        Ok(Self {
+            result: Arc::new(Mutex::new(None)),
+            harness: TraceHarness::build(opts)?,
+            registry: if opts.metrics {
+                MetricsRegistry::new()
+            } else {
+                MetricsRegistry::disabled()
+            },
+        })
+    }
+
+    /// Builds the query's actor set — scheduler, then sources, then join
+    /// nodes — in the dense id block starting at `base`. The tracer is
+    /// rebased, so the query's events (and its rollup) stay in its own
+    /// 0-based actor namespace wherever the block landed.
+    fn actors<B: SpillBackend + Default + Send + 'static>(
+        &self,
+        cfg: &Arc<JoinConfig>,
+        base: ActorId,
+    ) -> Vec<Box<dyn Actor<Msg>>> {
+        let topo = Topology::with_base(base, cfg.sources, cfg.cluster.len());
+        let tracer = self.harness.tracer.rebased(base);
+        let mut actors: Vec<Box<dyn Actor<Msg>>> = Vec::with_capacity(topo.actor_count());
+        actors.push(Box::new(
+            Scheduler::new(Arc::clone(cfg), topo.clone(), Arc::clone(&self.result))
+                .with_tracer(tracer.clone())
+                .with_metrics(&self.registry.handle_for(0)),
+        ));
+        for i in 0..cfg.sources {
+            actors.push(Box::new(
+                DataSource::new(Arc::clone(cfg), i, topo.scheduler).with_tracer(tracer.clone()),
+            ));
+        }
+        for (i, node) in cfg.cluster.node_ids().enumerate() {
+            let capacity = cfg.cluster.spec(node).hash_memory_bytes;
+            actors.push(Box::new(
+                JoinNode::<B>::new(
+                    Arc::clone(cfg),
+                    topo.scheduler,
+                    topo.node_actor(node),
+                    capacity,
+                )
+                .with_tracer(tracer.clone())
+                .with_metrics(&self.registry.handle_for(i)),
+            ));
+        }
+        debug_assert_eq!(actors.len(), topo.actor_count());
+        actors
+    }
+
+    /// Starts the query as one group of `executor`, at the configuration's
+    /// scheduling weight.
+    pub(crate) fn admit(
+        &self,
+        executor: &Executor<Msg>,
+        cfg: &Arc<JoinConfig>,
+        mailbox_capacity: usize,
+    ) -> Admission<Msg> {
+        let count = 1 + cfg.sources + cfg.cluster.len();
+        executor.admit_weighted(count, mailbox_capacity, cfg.tenant_weight, |base| {
+            self.actors::<FileBackend>(cfg, base)
+        })
+    }
+
+    /// Waits for the query's group to retire. A group still live after
+    /// `budget` is cancelled and then reaped, so a wedged protocol ends as a
+    /// stall diagnostic instead of a hang; `None` waits without bound.
+    ///
+    /// # Errors
+    /// [`JoinError::Stalled`] when even the cancelled group would not
+    /// retire within another `budget`.
+    pub(crate) fn reap(
+        &self,
+        executor: &Executor<Msg>,
+        admission: &Admission<Msg>,
+        budget: Option<Duration>,
+    ) -> Result<GroupOutcome, JoinError> {
+        let Some(budget) = budget else {
+            return Ok(executor.wait(admission));
+        };
+        if let Some(outcome) = executor.wait_timeout(admission, budget) {
+            return Ok(outcome);
+        }
+        executor.cancel(admission);
+        executor
+            .wait_timeout(admission, budget)
+            .ok_or_else(|| JoinError::Stalled {
+                trace: self.harness.tail(),
+            })
+    }
+
+    /// Ends the query: takes the report its scheduler left — or says why
+    /// there is none — stamps the backend's totals on it, takes the
+    /// end-of-run metrics sample and the registry snapshot, folds the trace
+    /// rollup in and flushes the sinks.
+    pub(crate) fn finish(&self, end: RunEnd) -> Result<JoinReport, JoinError> {
+        let report = self.result.lock().expect("report lock").take();
+        let Some(mut report) = report else {
+            let cause = match &end.silent {
+                SilentEnd::Stalled(cause) => *cause,
+                SilentEnd::Cancelled => StopCause::Quiescent,
+                SilentEnd::Engine(_) => StopCause::EventLimit,
+            };
+            self.harness.finish(end.at_nanos, cause, None);
+            let trace = self.harness.tail();
+            return Err(match end.silent {
+                SilentEnd::Stalled(_) => JoinError::from_silent_end(trace),
+                SilentEnd::Cancelled => JoinError::Cancelled { trace },
+                SilentEnd::Engine(source) => JoinError::Engine { source, trace },
+            });
+        };
+        if end.wall {
+            report.times.total_secs = end.at_nanos as f64 / 1e9;
+        }
+        report.sim_events = end.events;
+        report.net_bytes = end.net_bytes;
+        report.disk_bytes = end.disk_bytes;
+        // A background monitor cannot observe virtual time, and a query
+        // shorter than its period is never sampled: one end-of-run sample.
+        sample_once(&self.registry, &self.harness.tracer, end.at_nanos, 0);
+        report.metrics = MetricsReport::from_snapshot(&self.registry.snapshot());
+        self.harness
+            .finish(end.at_nanos, StopCause::Completed, Some(&mut report));
+        Ok(report)
+    }
+}
+
+/// Runs `cfgs` interleaved in one deterministic simulation, one engine
+/// group per query in disjoint actor-id blocks; `opts` (tracing, metrics,
+/// the virtual-time budget) apply to every query. A standalone simulated
+/// run is the batch of one. All queries must share the net/disk cost model
+/// (they model one cluster).
+///
+/// # Errors
+/// An outer [`JoinError::Config`] for an invalid or incompatible batch;
+/// per-query errors are returned in the corresponding slot.
+pub(crate) fn run_simulated(
+    cfgs: &[JoinConfig],
+    opts: &RunOptions,
+) -> Result<Vec<Result<JoinReport, JoinError>>, JoinError> {
+    let Some(first) = cfgs.first() else {
+        return Ok(Vec::new());
+    };
+    for cfg in cfgs {
+        cfg.validate().map_err(JoinError::Config)?;
+        if cfg.net != first.net || cfg.disk != first.disk {
+            return Err(JoinError::Config(
+                "interleaved queries must share the net/disk cost model".to_owned(),
+            ));
+        }
+    }
+    let mut engine: Engine<Msg> = Engine::new(EngineConfig {
+        net: first.net,
+        disk: first.disk,
+        // One standalone run's event budget per interleaved query.
+        max_events: EngineConfig::default()
+            .max_events
+            .saturating_mul(cfgs.len() as u64),
+        max_time: opts.max_sim_time,
+    });
+    let mut queries = Vec::with_capacity(cfgs.len());
+    for (q, cfg) in cfgs.iter().enumerate() {
+        let query = QueryRun::new(opts)?;
+        let base = engine.actor_count() as ActorId;
+        for actor in query.actors::<MemBackend>(&Arc::new(cfg.clone()), base) {
+            engine.add_actor_in_group(actor, q);
+        }
+        queries.push(query);
+    }
+    let run = engine.run();
+    let reports = queries.iter().enumerate().map(|(q, query)| {
+        let group = engine.group_summary(q);
+        query.finish(RunEnd {
+            at_nanos: group.end_time.as_nanos(),
+            wall: false,
+            events: group.events,
+            net_bytes: group.net_bytes,
+            disk_bytes: group.disk_bytes,
+            // Only a query that never reported gets here: the engine either
+            // erred or ran out of events or time elsewhere.
+            silent: match &run {
+                Err(source) => SilentEnd::Engine(source.clone()),
+                Ok(summary) if summary.reason == StopReason::TimeLimit => {
+                    SilentEnd::Stalled(StopCause::TimeLimit)
+                }
+                Ok(_) => SilentEnd::Stalled(StopCause::Quiescent),
+            },
+        })
+    });
+    Ok(reports.collect())
 }
 
 /// Runs joins described by a [`JoinConfig`].
@@ -309,180 +599,199 @@ impl JoinRunner {
         Self::run_with(cfg, &RunOptions::on(backend))
     }
 
-    /// Runs one join with full control over backend and tracing.
+    /// Runs one join with full control over backend and tracing: on the
+    /// simulator as an interleaved batch of one, on the threaded backend as
+    /// the only group of a pool of its own.
     ///
     /// # Errors
     /// See [`JoinError`].
     pub fn run_with(cfg: &JoinConfig, opts: &RunOptions) -> Result<JoinReport, JoinError> {
+        match opts.backend {
+            Backend::Simulated => run_simulated(std::slice::from_ref(cfg), opts)?
+                .pop()
+                .expect("one result per query"),
+            Backend::Threaded => Self::run_threaded(cfg, opts),
+        }
+    }
+
+    fn run_threaded(cfg: &JoinConfig, opts: &RunOptions) -> Result<JoinReport, JoinError> {
         cfg.validate().map_err(JoinError::Config)?;
         let cfg = Arc::new(cfg.clone());
-        let topo = Topology::standard(cfg.sources, cfg.cluster.len());
-        let result: Arc<Mutex<Option<JoinReport>>> = Arc::new(Mutex::new(None));
-        let clock = match opts.backend {
-            Backend::Simulated => ClockKind::Virtual,
-            Backend::Threaded => ClockKind::Wall,
+        let query = QueryRun::new(opts)?;
+        let pool = ExecutorConfig {
+            workers: opts.threads.unwrap_or(0),
+            ..ExecutorConfig::default()
         };
-        let harness = TraceHarness::build(opts, clock)?;
-        let registry = if opts.metrics {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::disabled()
-        };
-        match opts.backend {
-            Backend::Simulated => {
-                Self::run_simulated(&cfg, topo, &result, &harness, &registry, opts.max_sim_time)
-            }
-            Backend::Threaded => Self::run_threaded(
-                &cfg,
-                topo,
-                &result,
-                &harness,
-                &registry,
-                opts.threads.unwrap_or(0),
-            ),
-        }
-    }
-
-    fn run_simulated(
-        cfg: &Arc<JoinConfig>,
-        topo: Topology,
-        result: &Arc<Mutex<Option<JoinReport>>>,
-        harness: &TraceHarness,
-        registry: &MetricsRegistry,
-        max_time: Option<SimTime>,
-    ) -> Result<JoinReport, JoinError> {
-        let mut engine: Engine<Msg> = Engine::new(EngineConfig {
-            net: cfg.net,
-            disk: cfg.disk,
-            max_time,
-            ..EngineConfig::default()
-        });
-        for actor in build_query_actors::<MemBackend>(cfg, &topo, result, &harness.tracer, registry)
-        {
-            engine.add_actor(actor);
-        }
-        let summary = match engine.run() {
-            Ok(s) => s,
-            Err(source) => {
-                harness.finish(0, StopCause::EventLimit, None);
-                return Err(JoinError::Engine {
-                    source,
-                    trace: harness.tail(),
-                });
-            }
-        };
-        let end = summary.end_time.as_nanos();
-        match summary.reason {
-            StopReason::Stopped => {}
-            reason => {
-                let cause = match reason {
-                    StopReason::TimeLimit => StopCause::TimeLimit,
-                    _ => StopCause::Quiescent,
-                };
-                harness.finish(end, cause, None);
-                return Err(JoinError::from_silent_end(harness.tail()));
-            }
-        }
-        let report = result.lock().expect("report lock").take();
-        let Some(mut report) = report else {
-            harness.finish(end, StopCause::Quiescent, None);
-            return Err(JoinError::from_silent_end(harness.tail()));
-        };
-        report.sim_events = summary.events;
-        report.net_bytes = summary.net_bytes;
-        report.disk_bytes = summary.disk_bytes;
-        // A background monitor cannot observe virtual time; one end-of-run
-        // sample stands in for the threaded backend's periodic ones.
-        sample_once(registry, &harness.tracer, end, 0);
-        report.metrics = MetricsReport::from_snapshot(&registry.snapshot());
-        harness.finish(end, StopCause::Completed, Some(&mut report));
-        Ok(report)
-    }
-
-    fn run_threaded(
-        cfg: &Arc<JoinConfig>,
-        topo: Topology,
-        result: &Arc<Mutex<Option<JoinReport>>>,
-        harness: &TraceHarness,
-        registry: &MetricsRegistry,
-        threads: usize,
-    ) -> Result<JoinReport, JoinError> {
-        let mut engine: ThreadedEngine<Msg> = ThreadedEngine::new()
-            .with_workers(threads)
-            .with_metrics(registry.clone());
-        let tracer = &harness.tracer;
-        for actor in build_query_actors::<FileBackend>(cfg, &topo, result, tracer, registry) {
-            engine.add_actor(actor);
-        }
-        let monitor = MetricsMonitor::start(registry.clone(), tracer.clone(), MONITOR_INTERVAL);
-        let (summary, _actors) = engine.run();
+        // The pool is this run's alone, so its workers record into the
+        // run's own registry: busy and park time, picks, mailbox depths and
+        // coalesce sizes stay in a standalone report.
+        let executor = Executor::start(&pool, &query.registry);
+        let tracer = &query.harness.tracer;
+        let monitor =
+            MetricsMonitor::start(query.registry.clone(), tracer.clone(), MONITOR_INTERVAL);
+        let admission = query.admit(&executor, &cfg, pool.mailbox_capacity);
+        let budget = opts
+            .max_sim_time
+            .map(|t| Duration::from_nanos(t.as_nanos()));
+        let outcome = query.reap(&executor, &admission, budget);
         monitor.stop();
-        let end = summary.elapsed.as_nanos();
-        harness.tracer.emit(
-            end,
+        let exec = executor.shutdown().exec;
+        let end = RunEnd::of_group(&outcome?, false);
+        tracer.emit(
+            end.at_nanos,
             0,
             Phase::Probe,
             TraceKind::ExecutorStats {
-                workers: summary.exec.workers,
-                steals: summary.exec.steals,
-                parks: summary.exec.parks,
-                overflows: summary.exec.overflows,
-                max_depth: summary.exec.max_mailbox_depth,
-                timer_fires: summary.exec.timer_fires,
+                workers: exec.workers,
+                steals: exec.steals,
+                parks: exec.parks,
+                overflows: exec.overflows,
+                max_depth: exec.max_mailbox_depth,
+                timer_fires: exec.timer_fires,
             },
         );
-        let report = result.lock().expect("report lock").take();
-        let Some(mut report) = report else {
-            harness.finish(end, StopCause::Quiescent, None);
-            return Err(JoinError::from_silent_end(harness.tail()));
-        };
-        // Under the threaded backend the phase timings accumulated from
-        // wall-clock `now()`; total and traffic are authoritative from the
-        // engine (every send is charged its wire bytes, like the sim net).
-        report.times.total_secs = summary.elapsed.as_secs_f64();
-        report.net_bytes = summary.net_bytes;
-        report.metrics = MetricsReport::from_snapshot(&registry.snapshot());
-        harness.finish(end, StopCause::Completed, Some(&mut report));
-        Ok(report)
+        query.finish(end)
     }
 }
 
-/// Builds one query's actor set — scheduler, then sources, then join
-/// nodes — in the dense id order `topo` describes. `topo` may be based at
-/// any actor id block ([`Topology::with_base`]), which is how the
-/// multi-tenant service namespaces concurrent queries on one executor.
-/// Shared by the single-query runner (base 0) and the service.
-pub(crate) fn build_query_actors<B: SpillBackend + Default + Send + 'static>(
-    cfg: &Arc<JoinConfig>,
-    topo: &Topology,
-    result: &Arc<Mutex<Option<JoinReport>>>,
-    tracer: &Tracer,
-    registry: &MetricsRegistry,
-) -> Vec<Box<dyn Actor<Msg>>> {
-    let mut actors: Vec<Box<dyn Actor<Msg>>> = Vec::with_capacity(topo.actor_count());
-    actors.push(Box::new(
-        Scheduler::new(Arc::clone(cfg), topo.clone(), Arc::clone(result))
-            .with_tracer(tracer.clone())
-            .with_metrics(&registry.handle_for(0)),
-    ));
-    for i in 0..cfg.sources {
-        actors.push(Box::new(
-            DataSource::new(Arc::clone(cfg), i, topo.scheduler).with_tracer(tracer.clone()),
-        ));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Algorithm;
+    use ehj_metrics::registry::names;
+    use ehj_metrics::FaultField;
+
+    /// One end of a query: what the slot and the ring hold, how the backend
+    /// saw it end, and what `finish` must make of it.
+    struct Case {
+        name: &'static str,
+        report: bool,
+        fault: bool,
+        wall: bool,
+        silent: SilentEnd,
+        want: &'static str,
     }
-    for (i, node) in cfg.cluster.node_ids().enumerate() {
-        let capacity = cfg.cluster.spec(node).hash_memory_bytes;
-        actors.push(Box::new(
-            JoinNode::<B>::new(
-                Arc::clone(cfg),
-                topo.scheduler,
-                topo.node_actor(node),
-                capacity,
-            )
-            .with_tracer(tracer.clone())
-            .with_metrics(&registry.handle_for(i)),
-        ));
+
+    fn variant(result: &Result<JoinReport, JoinError>) -> &'static str {
+        match result {
+            Ok(_) => "ok",
+            Err(JoinError::Protocol { .. }) => "protocol",
+            Err(JoinError::Cancelled { .. }) => "cancelled",
+            Err(JoinError::Stalled { .. }) => "stalled",
+            Err(JoinError::Engine { .. }) => "engine",
+            Err(JoinError::Config(_) | JoinError::Admission(_)) => "other",
+        }
     }
-    debug_assert_eq!(actors.len(), topo.actor_count());
-    actors
+
+    #[test]
+    fn finish_turns_every_end_into_the_right_result() {
+        let quiet = || SilentEnd::Stalled(StopCause::Quiescent);
+        let case = |name, report, fault, wall, silent, want| Case {
+            name,
+            report,
+            fault,
+            wall,
+            silent,
+            want,
+        };
+        let cases = [
+            case("virtual clock", true, false, false, quiet(), "ok"),
+            case("wall clock", true, false, true, quiet(), "ok"),
+            // A cancel that lands after the report is advisory.
+            case("late cancel", true, false, true, SilentEnd::Cancelled, "ok"),
+            case("rejected message", false, true, false, quiet(), "protocol"),
+            case(
+                "cancelled",
+                false,
+                false,
+                true,
+                SilentEnd::Cancelled,
+                "cancelled",
+            ),
+            case("went quiet", false, false, false, quiet(), "stalled"),
+            case(
+                "out of budget",
+                false,
+                false,
+                false,
+                SilentEnd::Stalled(StopCause::TimeLimit),
+                "stalled",
+            ),
+            case(
+                "event limit",
+                false,
+                false,
+                false,
+                SilentEnd::Engine(EngineError::EventLimitExceeded { limit: 7 }),
+                "engine",
+            ),
+        ];
+        let template = JoinRunner::run(&JoinConfig::paper_scaled(Algorithm::Hybrid, 2000))
+            .expect("template run");
+        for c in cases {
+            let run = QueryRun::new(&RunOptions::default()).expect("no trace file");
+            run.registry.handle().counter(names::EXEC_PARKS).add(3);
+            run.harness
+                .tracer
+                .emit(5, 2, Phase::Build, TraceKind::Recruited { node: 4 });
+            if c.fault {
+                run.harness.tracer.emit(
+                    6,
+                    0,
+                    Phase::Build,
+                    TraceKind::ProtocolFault {
+                        field: FaultField::ReshuffleGroup,
+                        value: 9,
+                        bound: 4,
+                    },
+                );
+            }
+            if c.report {
+                *run.result.lock().expect("report lock") = Some(template.clone());
+            }
+            let result = run.finish(RunEnd {
+                at_nanos: 2_500_000_000,
+                wall: c.wall,
+                events: 11,
+                net_bytes: 22,
+                disk_bytes: 33,
+                silent: c.silent,
+            });
+            assert_eq!(variant(&result), c.want, "{}", c.name);
+            match result {
+                Ok(report) => {
+                    let total = if c.wall {
+                        2.5
+                    } else {
+                        template.times.total_secs
+                    };
+                    assert_eq!(report.times.total_secs, total, "{}", c.name);
+                    assert_eq!(
+                        (report.sim_events, report.net_bytes, report.disk_bytes),
+                        (11, 22, 33),
+                        "{}",
+                        c.name
+                    );
+                    assert!(
+                        report
+                            .metrics
+                            .counters
+                            .contains(&(names::EXEC_PARKS.to_owned(), 3)),
+                        "{}: registry snapshot taken",
+                        c.name
+                    );
+                    // The recruit, the end-of-run sample and the stop.
+                    assert_eq!(report.trace.total, 3, "{}: rollup folded in", c.name);
+                    assert_eq!(report.trace.by_kind["engine_stop"], 1, "{}", c.name);
+                }
+                Err(err) => {
+                    let tail = err.trace_tail();
+                    let last = tail.last().expect("the tail ends with the stop");
+                    assert!(matches!(last.kind, TraceKind::EngineStop { .. }));
+                    assert_eq!(last.at_nanos, 2_500_000_000, "{}", c.name);
+                    assert_eq!(tail.len(), 2 + usize::from(c.fault), "{}", c.name);
+                }
+            }
+        }
+    }
 }

@@ -4,11 +4,13 @@
 //! [`crate::runner::JoinRunner`] runs one join per call and tears the
 //! runtime down afterwards. A [`JoinService`] instead keeps one
 //! work-stealing executor alive and **admits** queries onto it as they
-//! arrive — mixed algorithms, scales and key distributions, concurrently:
+//! arrive — mixed algorithms, scales and key distributions, concurrently.
+//! Each query is built, waited for and ended by the same `QueryRun` a
+//! standalone run uses; what the service adds is around it:
 //!
 //! * **Namespacing** — every admitted query gets a dense, disjoint actor-id
-//!   block ([`Topology::with_base`]), so concurrent schedulers, sources and
-//!   join nodes coexist without id collisions, and a query's
+//!   block ([`crate::Topology::with_base`]), so concurrent schedulers,
+//!   sources and join nodes coexist without id collisions, and a query's
 //!   [`ehj_sim::Context::stop`] quiesces only its own group.
 //! * **Admission control** — a query's demand is the aggregate hash memory
 //!   its cluster spec declares; the service's [`QuotaLedger`] blocks
@@ -27,15 +29,11 @@
 
 use crate::config::JoinConfig;
 use crate::report::JoinReport;
-use crate::runner::{build_query_actors, Backend, JoinError, RunOptions, TraceHarness};
-use crate::topology::Topology;
+use crate::runner::{run_simulated, Backend, JoinError, QueryRun, RunEnd, RunOptions};
 use ehj_cluster::{QuotaError, QuotaGrant, QuotaLedger};
 use ehj_metrics::registry::names;
-use ehj_metrics::{
-    sample_once, ClockKind, Histogram, MetricsRegistry, MetricsReport, StopCause, TraceLevel,
-};
-use ehj_sim::{Admission, Engine, EngineConfig, Executor, ExecutorConfig, StopReason};
-use ehj_storage::{FileBackend, MemBackend};
+use ehj_metrics::{Histogram, MetricsRegistry, TraceLevel};
+use ehj_sim::{Admission, Executor, ExecutorConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -103,9 +101,7 @@ pub struct QueryHandle {
     /// First actor id of the query's block (its scheduler).
     pub base_actor: u32,
     admission: Admission<Msg>,
-    result: Arc<Mutex<Option<JoinReport>>>,
-    harness: TraceHarness,
-    registry: MetricsRegistry,
+    run: QueryRun,
     cancelled: AtomicBool,
 }
 
@@ -282,32 +278,16 @@ impl JoinService {
             }
         };
         let id = QueryId(self.next_query.fetch_add(1, Ordering::Relaxed));
-        let cfg = Arc::new(cfg.clone());
-        let result: Arc<Mutex<Option<JoinReport>>> = Arc::new(Mutex::new(None));
-        let opts = RunOptions {
+        let run = QueryRun::new(&RunOptions {
             backend: Backend::Threaded,
             trace_level: self.cfg.trace_level,
             metrics: self.cfg.metrics,
             ..RunOptions::default()
-        };
-        let harness = TraceHarness::build(&opts, ClockKind::Wall)?;
-        let registry = if self.cfg.metrics {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::disabled()
-        };
-        let count = 1 + cfg.sources + cfg.cluster.len();
-        let admission = self.executor.admit_weighted(
-            count,
+        })?;
+        let admission = run.admit(
+            &self.executor,
+            &Arc::new(cfg.clone()),
             self.cfg.mailbox_capacity,
-            cfg.tenant_weight,
-            |base| {
-                let topo = Topology::with_base(base, cfg.sources, cfg.cluster.len());
-                // Rebase the tracer so the query's trace stays in its own
-                // 0-based actor namespace wherever its id block landed.
-                let tracer = harness.tracer.rebased(base);
-                build_query_actors::<FileBackend>(&cfg, &topo, &result, &tracer, &registry)
-            },
         );
         if grant.is_some() || inflight.is_some() {
             // The grant (and inflight slot) frees when the query
@@ -320,9 +300,7 @@ impl JoinService {
             id,
             base_actor: admission.base,
             admission,
-            result,
-            harness,
-            registry,
+            run,
             cancelled: AtomicBool::new(false),
         })
     }
@@ -345,52 +323,17 @@ impl JoinService {
     /// [`JoinError::Stalled`] / [`JoinError::Protocol`] when the query
     /// quiesced without a report (the deadline cancels it first).
     pub fn wait(&self, handle: QueryHandle) -> Result<JoinReport, JoinError> {
-        let outcome = match self
-            .executor
-            .wait_timeout(&handle.admission, self.cfg.query_deadline)
-        {
-            Some(o) => o,
-            None => {
-                // Deadline blown: force the group down, then reap it.
-                self.executor.cancel(&handle.admission);
-                match self
-                    .executor
-                    .wait_timeout(&handle.admission, self.cfg.query_deadline)
-                {
-                    Some(o) => o,
-                    None => {
-                        return Err(JoinError::Stalled {
-                            trace: handle.harness.tail(),
-                        })
-                    }
-                }
-            }
-        };
-        let end = u64::try_from(outcome.elapsed.as_nanos()).unwrap_or(u64::MAX);
-        // Feed the admission gate's latency estimate — every completed
-        // query counts, reaped or cancelled alike.
-        self.latency.record(end);
-        let report = handle.result.lock().expect("report lock").take();
-        let Some(mut report) = report else {
-            handle.harness.finish(end, StopCause::Quiescent, None);
-            return Err(if handle.cancelled.load(Ordering::Relaxed) {
-                JoinError::Cancelled {
-                    trace: handle.harness.tail(),
-                }
-            } else {
-                JoinError::from_silent_end(handle.harness.tail())
-            });
-        };
+        let deadline = Some(self.cfg.query_deadline);
+        let outcome = handle
+            .run
+            .reap(&self.executor, &handle.admission, deadline)?;
         // Wall total and traffic come from the group's own ledger (wire
         // bytes charged per send, timer fires included), not pool totals.
-        report.times.total_secs = outcome.elapsed.as_secs_f64();
-        report.net_bytes = outcome.net_bytes;
-        sample_once(&handle.registry, &handle.harness.tracer, end, 0);
-        report.metrics = MetricsReport::from_snapshot(&handle.registry.snapshot());
-        handle
-            .harness
-            .finish(end, StopCause::Completed, Some(&mut report));
-        Ok(report)
+        let end = RunEnd::of_group(&outcome, handle.cancelled.load(Ordering::Relaxed));
+        // Feed the admission gate's latency estimate — every completed
+        // query counts, reaped or cancelled alike.
+        self.latency.record(end.at_nanos);
+        handle.run.finish(end)
     }
 
     /// Submit-and-wait convenience for sequential callers.
@@ -425,99 +368,7 @@ impl JoinService {
     pub fn run_interleaved(
         cfgs: &[JoinConfig],
     ) -> Result<Vec<Result<JoinReport, JoinError>>, JoinError> {
-        let Some(first) = cfgs.first() else {
-            return Ok(Vec::new());
-        };
-        for cfg in cfgs {
-            cfg.validate().map_err(JoinError::Config)?;
-            if cfg.net != first.net || cfg.disk != first.disk {
-                return Err(JoinError::Config(
-                    "interleaved queries must share the net/disk cost model".to_owned(),
-                ));
-            }
-        }
-        let mut engine: Engine<Msg> = Engine::new(EngineConfig {
-            net: first.net,
-            disk: first.disk,
-            // One standalone run's event budget per interleaved query.
-            max_events: EngineConfig::default()
-                .max_events
-                .saturating_mul(cfgs.len() as u64),
-            max_time: None,
-        });
-        struct QueryState {
-            result: Arc<Mutex<Option<JoinReport>>>,
-            harness: TraceHarness,
-            registry: MetricsRegistry,
-        }
-        let mut queries = Vec::with_capacity(cfgs.len());
-        let mut base = 0u32;
-        for (q, cfg) in cfgs.iter().enumerate() {
-            let cfg = Arc::new(cfg.clone());
-            let topo = Topology::with_base(base, cfg.sources, cfg.cluster.len());
-            base += topo.actor_count() as u32;
-            let result: Arc<Mutex<Option<JoinReport>>> = Arc::new(Mutex::new(None));
-            let harness = TraceHarness::build(&RunOptions::default(), ClockKind::Virtual)?;
-            let registry = MetricsRegistry::new();
-            // Rebased tracer: the query's events carry query-relative actor
-            // ids, so its rollup is identical to a standalone run's.
-            let tracer = harness.tracer.rebased(topo.scheduler);
-            for actor in build_query_actors::<MemBackend>(&cfg, &topo, &result, &tracer, &registry)
-            {
-                engine.add_actor_in_group(actor, q);
-            }
-            queries.push(QueryState {
-                result,
-                harness,
-                registry,
-            });
-        }
-        let run = engine.run();
-        let reports = queries
-            .iter()
-            .enumerate()
-            .map(|(q, state)| {
-                let gsum = engine.group_summary(q);
-                let end = gsum.end_time.as_nanos();
-                if gsum.stopped {
-                    let report = state.result.lock().expect("report lock").take();
-                    let Some(mut report) = report else {
-                        state.harness.finish(end, StopCause::Quiescent, None);
-                        return Err(JoinError::from_silent_end(state.harness.tail()));
-                    };
-                    report.sim_events = gsum.events;
-                    report.net_bytes = gsum.net_bytes;
-                    report.disk_bytes = gsum.disk_bytes;
-                    sample_once(&state.registry, &state.harness.tracer, end, 0);
-                    report.metrics = MetricsReport::from_snapshot(&state.registry.snapshot());
-                    state
-                        .harness
-                        .finish(end, StopCause::Completed, Some(&mut report));
-                    Ok(report)
-                } else {
-                    // This query never quiesced: the engine either erred
-                    // or ran out of events elsewhere; surface per query.
-                    match &run {
-                        Err(source) => {
-                            state.harness.finish(end, StopCause::EventLimit, None);
-                            Err(JoinError::Engine {
-                                source: source.clone(),
-                                trace: state.harness.tail(),
-                            })
-                        }
-                        Ok(summary) => {
-                            let cause = match summary.reason {
-                                StopReason::TimeLimit => StopCause::TimeLimit,
-                                _ => StopCause::Quiescent,
-                            };
-                            state.harness.finish(end, cause, None);
-                            Err(JoinError::from_silent_end(state.harness.tail()))
-                        }
-                    }
-                }
-            })
-            .collect();
-        Ok(reports)
+        run_simulated(cfgs, &RunOptions::default())
     }
 }
 

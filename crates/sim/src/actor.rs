@@ -7,9 +7,10 @@
 //! * the deterministic discrete-event engine ([`crate::engine::Engine`]),
 //!   where [`Context::now`] is virtual time, `consume_cpu` advances the
 //!   actor's virtual clock and `send` is routed through the network model;
-//! * the threaded runtime ([`crate::threaded::ThreadedEngine`]), where each
-//!   actor runs on its own OS thread, `send` maps to an OS-thread channel and
-//!   `now` is wall-clock time since start.
+//! * the threaded runtime ([`crate::executor::Executor`]), where a fixed
+//!   pool of worker threads multiplexes the actors, `send` enqueues into
+//!   the destination's bounded mailbox and `now` is wall-clock time since
+//!   the actor's group was admitted.
 
 use crate::time::SimTime;
 
@@ -91,10 +92,10 @@ pub trait Context<M: Message> {
     /// yield the worker. Cooperative preemption point: an actor processing
     /// a large batch in resumable slices calls this between slices; each
     /// call charges one slice quantum against the actor's group scheduling
-    /// deficit on the threaded executor. Backends without a scheduler to
-    /// yield to (the deterministic engine, the thread-per-actor runtime)
-    /// always answer `false`, so a sliced handler completes in one call
-    /// there — with identical accounting, since slice costs are additive.
+    /// deficit on the threaded executor. A backend without a scheduler to
+    /// yield to (the deterministic engine) always answers `false`, so a
+    /// sliced handler completes in one call there — with identical
+    /// accounting, since slice costs are additive.
     fn should_yield(&mut self) -> bool {
         false
     }

@@ -1,8 +1,11 @@
-//! Work-stealing executor for the threaded runtime.
-//!
-//! Replaces the thread-per-actor design (hundreds of OS threads and
-//! unbounded channels at scale-1000 configurations) with a fixed pool of
-//! worker threads multiplexing every actor:
+//! The threaded runtime: a work-stealing executor that runs the same
+//! actors as the simulator on a fixed pool of worker threads, on the wall
+//! clock ([`Context::now`] is time since the group's admission,
+//! `consume_cpu` / `disk_*` are accounting no-ops — real work takes real
+//! time). It exists to show that the join algorithms are a real
+//! message-passing system and to drive the repository benchmark; the
+//! figures use the deterministic simulated backend. The pool multiplexes
+//! every actor:
 //!
 //! * each actor owns a bounded batch [`Mailbox`] with producer-side
 //!   backpressure (see [`crate::mailbox`]);
@@ -48,8 +51,7 @@
 //!   more than `STEAL_PATIENCE` while any worker is free. There is no
 //!   global timer thread.
 //!   Timer fires are charged [`Message::wire_bytes`] exactly like sends,
-//!   so the [`crate::threaded::ThreadedSummary`] totals really do include
-//!   them;
+//!   so the [`ThreadedSummary`] totals really do include them;
 //! * [`Context::send`] coalesces per destination: envelopes buffer in a
 //!   small per-destination batch and flush in one mailbox lock / one
 //!   wakeup, so batched shipping (`TupleBatch`) translates into fewer
@@ -57,12 +59,13 @@
 //!
 //! The pool is **long-lived and multi-tenant**: an [`Executor`] outlives
 //! any single run and admits independent actor *groups* over its lifetime
-//! (one group per query in the join service). Each group owns the slots
+//! (one group per query in the join service; a standalone run is a pool
+//! that admits one). Each group owns the slots
 //! of its own actor-id block; the only shared table is the list of *live*
 //! groups, republished at admission and when a group finishes, and workers
 //! follow it through a version-checked snapshot, so the hot path never
-//! takes the publish lock. On such a pool an actor's body and mailbox ring
-//! are freed the moment it dies: a finished query costs nothing.
+//! takes the publish lock. An actor's body and mailbox ring are freed the
+//! moment it dies: a finished query costs nothing.
 //!
 //! Scheduling state machine: every actor is `Idle`, `Queued` (in exactly
 //! one run queue), `Running` (owned by exactly one worker) or `Dead`.
@@ -77,7 +80,6 @@
 
 use crate::actor::{Actor, ActorId, Context, Message};
 use crate::mailbox::{Mailbox, PushReport};
-use crate::threaded::ThreadedSummary;
 use crate::time::SimTime;
 use ehj_metrics::registry::names;
 use ehj_metrics::{Counter, Histogram, MetricsRegistry};
@@ -143,12 +145,14 @@ const QUEUED: u8 = 1;
 const RUNNING: u8 = 2;
 const DEAD: u8 = 3;
 
-/// Tuning knobs of the [`Executor`] (and the threaded engine above it).
+/// Tuning knobs of the [`Executor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Worker threads. `0` means `std::thread::available_parallelism()`.
     pub workers: usize,
-    /// Bounded mailbox capacity, in envelopes, per actor.
+    /// Bounded mailbox capacity, in envelopes, per actor. The pool does not
+    /// read it — every admission names its own capacity; it is the default
+    /// a caller that owns both the pool and its admissions passes on.
     pub mailbox_capacity: usize,
 }
 
@@ -399,8 +403,7 @@ struct SlotBody<M: Message> {
 struct Slot<M: Message> {
     mailbox: Mailbox<Env<M>>,
     state: AtomicU8,
-    /// `None` once the actor died on a long-lived pool (batch pools keep
-    /// the body for [`run_actors`] to hand back).
+    /// `None` once the actor died.
     body: Mutex<Option<SlotBody<M>>>,
 }
 
@@ -463,10 +466,6 @@ struct Shared<M: Message> {
     idle_count: AtomicUsize,
     /// Pool shutdown (workers exit). Distinct from any group's stop flag.
     shutdown: AtomicBool,
-    /// Batch mode ([`run_actors`]): shut the pool down when the last live
-    /// actor retires, and keep dead actors' bodies for the caller. Service
-    /// pools keep workers parked and free each actor as it dies.
-    exit_when_idle: bool,
     live: AtomicUsize,
     workers: usize,
     timer_seq: AtomicU64,
@@ -661,35 +660,30 @@ impl<M: Message> Shared<M> {
         self.wake.notify_all();
     }
 
-    /// Retires the dead actor in slot `actor` of `group`: frees its body
-    /// (long-lived pools only) and mailbox ring, and — when it was the
-    /// group's last — unpublishes the group and signals completion.
+    /// Retires the dead actor in slot `actor` of `group`: frees its body and
+    /// mailbox ring, and — when it was the group's last — unpublishes the
+    /// group and signals completion.
     fn retire(&self, group: &Arc<GroupState<M>>, actor: u32) {
         let slot = &group.slots[actor as usize];
         slot.state.store(DEAD, Ordering::Release);
         slot.mailbox.close();
-        if !self.exit_when_idle {
-            *slot.body.lock().expect("actor slot") = None;
-        }
+        *slot.body.lock().expect("actor slot") = None;
         // Pool count first: whoever `finish` wakes sees both at rest.
-        let pool_idle = self.live.fetch_sub(1, Ordering::AcqRel) == 1;
+        self.live.fetch_sub(1, Ordering::AcqRel);
         if group.live.fetch_sub(1, Ordering::AcqRel) == 1 {
             let outcome = group.ledger();
             self.publish(group, Some(&outcome));
             group.finish(outcome);
-        }
-        if pool_idle && self.exit_when_idle {
-            self.request_shutdown();
         }
     }
 }
 
 /// A long-lived work-stealing pool over one fixed set of worker threads.
 ///
-/// Unlike [`run_actors`], which spins a pool up for one actor set and
-/// tears it down when they retire, an `Executor` admits independent actor
-/// **groups** over its lifetime — the multi-tenant join service admits one
-/// group per query. Each admission gets a dense, disjoint actor-id block;
+/// An `Executor` admits independent actor **groups** over its lifetime —
+/// the multi-tenant join service admits one group per query, a standalone
+/// run starts a pool for its one. Each admission gets a dense, disjoint
+/// actor-id block;
 /// a [`Context::stop`] from inside a group (or [`Executor::cancel`])
 /// quiesces only that group.
 pub struct Executor<M: Message> {
@@ -720,6 +714,22 @@ impl<M: Message> Admission<M> {
     }
 }
 
+/// What a pool measured over its lifetime: wall-clock time plus real
+/// traffic totals (the counterpart of the simulator's `RunSummary`). Every
+/// send **and every timer fire** is charged its [`Message::wire_bytes`], so
+/// byte accounting matches the simulated backend's per-batch charges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadedSummary {
+    /// Wall-clock time since the pool started.
+    pub elapsed: SimTime,
+    /// Total bytes across all sends (self-sends and timer fires included).
+    pub net_bytes: u64,
+    /// Total messages sent (timer fires included).
+    pub net_messages: u64,
+    /// Executor observations: steals, parks, mailbox high-water marks.
+    pub exec: ExecutorStats,
+}
+
 /// What one admitted group measured by the time it completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupOutcome {
@@ -733,13 +743,12 @@ pub struct GroupOutcome {
 
 impl<M: Message> Executor<M> {
     /// Starts a pool that stays alive — workers park when idle — until
-    /// [`Executor::shutdown`] (or drop).
+    /// [`Executor::shutdown`] (or drop). Each worker binds its instruments
+    /// (busy/steal/park time, mailbox depths, coalesce sizes) to its own
+    /// shard of `metrics`; a disabled registry makes every one a
+    /// single-branch no-op.
     #[must_use]
     pub fn start(cfg: &ExecutorConfig, metrics: &MetricsRegistry) -> Self {
-        Self::start_inner(cfg, metrics, false)
-    }
-
-    fn start_inner(cfg: &ExecutorConfig, metrics: &MetricsRegistry, exit_when_idle: bool) -> Self {
         let workers = cfg.effective_workers().max(1);
         let shared = Arc::new(Shared {
             groups: Mutex::new(GroupTable {
@@ -757,7 +766,6 @@ impl<M: Message> Executor<M> {
             wake: Condvar::new(),
             idle_count: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            exit_when_idle,
             live: AtomicUsize::new(0),
             workers,
             timer_seq: AtomicU64::new(0),
@@ -784,8 +792,7 @@ impl<M: Message> Executor<M> {
         Self { shared, handles }
     }
 
-    /// The mailbox capacity every admitted actor gets (from the config the
-    /// pool was started with) is fixed; this reports the pool width.
+    /// Worker threads in the pool.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.shared.workers
@@ -974,16 +981,6 @@ impl<M: Message> Executor<M> {
         }
         self.summary()
     }
-
-    /// Joins the workers without requesting shutdown — used by the batch
-    /// entry point, whose pool shuts itself down when the last actor
-    /// retires.
-    fn join_idle(mut self) -> ThreadedSummary {
-        for h in self.handles.drain(..) {
-            h.join().expect("worker thread panicked");
-        }
-        self.summary()
-    }
 }
 
 impl<M: Message> Drop for Executor<M> {
@@ -993,62 +990,6 @@ impl<M: Message> Drop for Executor<M> {
             let _ = h.join();
         }
     }
-}
-
-/// Runs `actors` to completion on a fixed worker pool and returns the run
-/// summary plus the actors in id order. See the module docs for the
-/// scheduling discipline. Panics in actor code propagate, like the old
-/// thread-per-actor runtime.
-pub fn run_actors<M: Message>(
-    actors: Vec<Box<dyn Actor<M>>>,
-    cfg: &ExecutorConfig,
-) -> (ThreadedSummary, Vec<Box<dyn Actor<M>>>) {
-    run_actors_with(actors, cfg, &MetricsRegistry::disabled())
-}
-
-/// [`run_actors`] with live registry instrumentation: each worker binds
-/// its instruments to its own shard of `metrics` (busy/steal/park time,
-/// mailbox depths, coalesce sizes). A disabled registry makes every
-/// instrument a single-branch no-op.
-pub fn run_actors_with<M: Message>(
-    actors: Vec<Box<dyn Actor<M>>>,
-    cfg: &ExecutorConfig,
-    metrics: &MetricsRegistry,
-) -> (ThreadedSummary, Vec<Box<dyn Actor<M>>>) {
-    let workers = cfg.effective_workers().max(1);
-    if actors.is_empty() {
-        return (
-            ThreadedSummary {
-                elapsed: SimTime::ZERO,
-                net_bytes: 0,
-                net_messages: 0,
-                exec: ExecutorStats {
-                    workers: workers as u64,
-                    ..ExecutorStats::default()
-                },
-            },
-            actors,
-        );
-    }
-    let pool = Executor::start_inner(cfg, metrics, true);
-    let admission = pool.admit(actors, cfg.mailbox_capacity);
-    // The pool shuts itself down when the last live actor retires; join
-    // the workers and collect the actors back out of their slots.
-    let summary = pool.join_idle();
-    let actors = admission
-        .group
-        .slots
-        .iter()
-        .map(|s| {
-            s.body
-                .lock()
-                .expect("actor slot")
-                .take()
-                .expect("actor present after run")
-                .actor
-        })
-        .collect();
-    (summary, actors)
 }
 
 /// What one worker thread keeps to itself from one actor run to the next:

@@ -1,7 +1,12 @@
 //! The threaded runtime must execute the same protocol with the same
 //! results (matches are deterministic data properties; timing is not).
 
-use ehj_core::{expected_matches_for, Algorithm, Backend, JoinConfig, JoinRunner, RunOptions};
+use ehj_core::{
+    expected_matches_for, Algorithm, Backend, HotKeyConfig, JoinConfig, JoinError, JoinRunner,
+    RunOptions,
+};
+use ehj_data::Distribution;
+use ehj_sim::SimTime;
 
 fn small(alg: Algorithm) -> JoinConfig {
     let mut cfg = JoinConfig::paper_scaled(alg, 2000);
@@ -58,4 +63,36 @@ fn threaded_out_of_core_uses_real_spill_files() {
         report.spilled_nodes > 0,
         "must actually spill to temp files"
     );
+}
+
+#[test]
+fn a_budgeted_threaded_run_ends_as_a_report_or_a_stall_never_a_hang() {
+    // The hot-key overlay wedges on a wall clock (ROADMAP item 1): without
+    // a budget this configuration waits forever. With one, the run is
+    // cancelled and reaped when the budget runs out and the stall carries
+    // the trace tail — the path `JoinService::wait` takes for its deadline.
+    // A fixed overlay makes this return `Ok`; no duration is asserted.
+    for alg in [Algorithm::Hybrid, Algorithm::Replicated] {
+        let mut cfg = JoinConfig::paper_scaled(alg, 100);
+        let zipf = Distribution::Zipf { theta: 0.9 };
+        cfg.r.dist = zipf;
+        cfg.s.dist = zipf;
+        cfg.hot_keys = HotKeyConfig::enabled();
+        let opts = RunOptions {
+            threads: Some(2),
+            max_sim_time: Some(SimTime::from_secs(1)),
+            ..RunOptions::on(Backend::Threaded)
+        };
+        match JoinRunner::run_with(&cfg, &opts) {
+            Ok(report) => assert_eq!(report.matches, expected_matches_for(&cfg)),
+            Err(JoinError::Stalled { trace }) => {
+                assert!(
+                    !trace.is_empty(),
+                    "{}: a stall carries its tail",
+                    alg.label()
+                );
+            }
+            Err(other) => panic!("{}: {other}", alg.label()),
+        }
+    }
 }
