@@ -101,6 +101,10 @@ pub struct JoinNode<B: SpillBackend + Default + Send> {
     routing_version: u64,
     recv_chunks: [u64; 3],
     fwd_chunks: [u64; 3],
+    /// The barrier wave this node is armed for (epoch and phase of the
+    /// latest `FlushQuery`) and the `[recv, fwd, pending]` counts it last
+    /// acked under it, if any.
+    armed: Option<(u64, Phase, Option<[u64; 3]>)>,
     comm: CommCounters,
     matches: u64,
     compares: u64,
@@ -158,6 +162,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             routing_version: 0,
             recv_chunks: [0; 3],
             fwd_chunks: [0; 3],
+            armed: None,
             comm: CommCounters::new(chunk),
             matches: 0,
             compares: 0,
@@ -429,11 +434,23 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             }
             match self.table.insert_pre_hashed(t, pos) {
                 Ok(()) => inserted += 1,
+                Err(_) if self.cfg.algorithm == Algorithm::OutOfCore => {
+                    // The baseline never expands: go out of core now.
+                    self.activate_spill(ctx);
+                    to_spill.push(t);
+                }
                 Err(_) => {
-                    if self.cfg.algorithm == Algorithm::OutOfCore {
-                        // The baseline never expands: go out of core now.
-                        self.activate_spill(ctx);
-                        to_spill.push(t);
+                    // A hot tuple that does not fit on a member that is not
+                    // the position's inner owner goes to that owner at
+                    // once: relief only ever reaches the owner, so parked
+                    // here it could wait for an update that never comes.
+                    let owner = if hot {
+                        routing.inner().build_dest_pos(pos)
+                    } else {
+                        self.me
+                    };
+                    if owner != self.me {
+                        self.scatter_push(owner, t);
                     } else {
                         self.pending.push_back(t);
                         newly_pending += 1;
@@ -945,22 +962,32 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 }
             }
             Msg::NoMoreNodes => self.activate_spill(ctx),
-            Msg::FlushQuery { epoch, phase } => {
-                ctx.send(
-                    self.scheduler,
-                    Msg::FlushAck {
-                        epoch,
-                        recv_chunks: self.recv_chunks[phase.index()],
-                        fwd_chunks: self.fwd_chunks[phase.index()],
-                        pending: self.pending.len() as u64,
-                    },
-                );
-            }
+            Msg::FlushQuery { epoch, phase } => self.armed = Some((epoch, phase, None)),
             Msg::ReportRequest => self.handle_report_request(ctx),
             // Activation handled in on_message before dispatch.
             _ => {}
         }
         self.update_occupancy();
+        // An armed node tells the scheduler's barrier its counts once, then
+        // again whenever a message moved them: the barrier is never polled.
+        if let Some((epoch, phase, acked)) = self.armed {
+            let i = phase.index();
+            let (recv_chunks, fwd_chunks) = (self.recv_chunks[i], self.fwd_chunks[i]);
+            let pending = self.pending.len() as u64;
+            let counts = Some([recv_chunks, fwd_chunks, pending]);
+            if acked != counts {
+                self.armed = Some((epoch, phase, counts));
+                ctx.send(
+                    self.scheduler,
+                    Msg::FlushAck {
+                        epoch,
+                        recv_chunks,
+                        fwd_chunks,
+                        pending,
+                    },
+                );
+            }
+        }
     }
 }
 
@@ -1748,6 +1775,90 @@ mod tests {
                 assert_eq!(*pending, 0);
             }
             other => panic!("expected ack, got {other:?}"),
+        }
+    }
+
+    fn flush_acks(ctx: &ScriptCtx) -> Vec<(u64, [u64; 3])> {
+        ctx.sent_to(SCHED)
+            .into_iter()
+            .filter_map(|m| match *m {
+                Msg::FlushAck {
+                    epoch,
+                    recv_chunks,
+                    fwd_chunks,
+                    pending,
+                } => Some((epoch, [recv_chunks, fwd_chunks, pending])),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_armed_node_re_acks_when_its_counts_move_and_only_then() {
+        let (mut node, mut ctx) = activated_node(Algorithm::Replicated, 2);
+        node.on_message(&mut ctx, 1, build_data(vec![Tuple::new(1, 100)]));
+        assert!(flush_acks(&ctx).is_empty(), "unarmed nodes never ack");
+        let arm = Msg::FlushQuery {
+            epoch: 7,
+            phase: Phase::Build,
+        };
+        node.on_message(&mut ctx, SCHED, arm);
+        assert_eq!(flush_acks(&ctx), [(7, [1, 0, 0])], "armed: acks at once");
+        // Messages that leave the armed phase's counts alone: silence.
+        ctx.sent.clear();
+        node.on_message(&mut ctx, 1, probe_data(vec![Tuple::new(9, 100)]));
+        node.on_message(&mut ctx, 1, Msg::DataAck);
+        assert!(flush_acks(&ctx).is_empty());
+        // A late build chunk: one tuple fits, one is parked, one forwarded.
+        let late = vec![Tuple::new(2, 101), Tuple::new(3, 102), Tuple::new(4, 700)];
+        node.on_message(&mut ctx, 1, build_data(late));
+        assert_eq!(flush_acks(&ctx), [(7, [2, 1, 1])]);
+        // Relief: the drain forwards the parked tuple, and says so.
+        ctx.sent.clear();
+        let routing = RoutingTable::Disjoint(RangeMap::partitioned(1000, &[12, OTHER]));
+        node.on_message(
+            &mut ctx,
+            SCHED,
+            Msg::RoutingUpdate {
+                routing: routing.clone(),
+                version: 2,
+            },
+        );
+        assert_eq!(flush_acks(&ctx), [(7, [2, 2, 0])]);
+        // A second update with nothing left to drain moves nothing.
+        ctx.sent.clear();
+        node.on_message(
+            &mut ctx,
+            SCHED,
+            Msg::RoutingUpdate {
+                routing,
+                version: 3,
+            },
+        );
+        assert!(flush_acks(&ctx).is_empty());
+    }
+
+    #[test]
+    fn a_hot_tuple_that_does_not_fit_on_a_non_owner_is_forwarded_not_parked() {
+        let (mut node, mut ctx) = activated_node(Algorithm::Hybrid, 1);
+        node.on_message(
+            &mut ctx,
+            SCHED,
+            Msg::RoutingUpdate {
+                routing: hot_routing(),
+                version: 2,
+            },
+        );
+        node.on_message(&mut ctx, 1, build_data(vec![Tuple::new(1, 100)]));
+        ctx.sent.clear();
+        // Full. Position 700 is hot and this node is a replica, but the
+        // inner table homes it on OTHER — where any relief would go.
+        node.on_message(&mut ctx, 1, build_data(vec![Tuple::new(2, 700)]));
+        assert!(node.pending.is_empty());
+        assert_eq!(ctx.count(|m| matches!(m, Msg::MemoryFull { .. })), 0);
+        match ctx.sent_to(OTHER)[..] {
+            [Msg::Data { tuples, .. }] => assert_eq!(tuples.as_slice(), [Tuple::new(2, 700)]),
+            ref other => panic!("expected one forwarded chunk, got {other:?}"),
         }
     }
 }

@@ -47,7 +47,6 @@ pub mod analysis;
 pub mod config;
 pub mod join_node;
 pub mod msg;
-pub mod multiway;
 pub mod reference;
 pub mod report;
 pub mod routing;
@@ -64,7 +63,6 @@ pub use config::{
     Algorithm, BuildSide, CostModel, HotKeyConfig, JoinConfig, ProbeKernel, SplitPolicy,
 };
 pub use msg::{Msg, NodeReport};
-pub use multiway::{MultiwayPlan, MultiwayReport};
 pub use reference::{expected_matches, expected_matches_for};
 pub use report::JoinReport;
 pub use routing::RoutingTable;

@@ -111,9 +111,10 @@ pub enum Msg {
     /// No potential nodes remain (or the hot range cannot be split): fall
     /// back to spilling out of core.
     NoMoreNodes,
-    /// Phase-barrier poll.
+    /// Arms the node for a phase-barrier wave: it acks its counts for
+    /// `phase` at once and again whenever they move.
     FlushQuery {
-        /// Poll epoch (acks from older epochs are ignored).
+        /// Wave epoch (acks from older epochs are ignored).
         epoch: u64,
         /// Phase being drained.
         phase: Phase,
@@ -188,13 +189,14 @@ pub enum Msg {
         /// Hot tuple copies shipped to the other members.
         sent_tuples: u64,
     },
-    /// Barrier poll reply.
+    /// An armed node's current counts: the first answers the
+    /// [`Msg::FlushQuery`], later ones are unprompted.
     FlushAck {
-        /// Epoch being acknowledged.
+        /// Epoch the node is armed under.
         epoch: u64,
-        /// Cumulative data chunks received in the polled phase.
+        /// Cumulative data chunks received in the armed phase.
         recv_chunks: u64,
-        /// Cumulative data chunks this node forwarded in the polled phase.
+        /// Cumulative data chunks this node forwarded in the armed phase.
         fwd_chunks: u64,
         /// Tuples still pending (unhoused) at this node.
         pending: u64,
@@ -255,11 +257,9 @@ pub enum Msg {
     /// its sender (TCP-receive-window emulation; see `source.rs`).
     DataAck,
 
-    // ---- self-scheduled timers ----
+    // ---- zero-delay self-sends ----
     /// Data-source generation step.
     GenStep,
-    /// Scheduler barrier re-poll.
-    RetryFlush,
 }
 
 impl Message for Msg {

@@ -60,6 +60,16 @@ impl HotKeyOverlay {
         self.replicas[(ticket % self.replicas.len() as u64) as usize]
     }
 
+    /// `to` takes `from`'s slot among the build-phase replicas (a full
+    /// member handing over to its recruit). Replaced in place, never
+    /// removed: [`Self::pick`] indexes modulo the list's length, so the
+    /// list must not empty.
+    pub fn hand_over(&mut self, from: ActorId, to: ActorId) {
+        if let Some(slot) = self.replicas.iter_mut().find(|r| **r == from) {
+            *slot = to;
+        }
+    }
+
     /// Appends a hot probe tuple's destinations: one answering replica by
     /// round-robin ticket — when any clean member exists — plus every
     /// spilled extra. With no clean members at all (every participant went

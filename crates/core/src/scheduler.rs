@@ -8,11 +8,16 @@
 //! active), runs the hybrid's reshuffling step, and synchronizes data
 //! sources and join processes between the build and probe phases.
 //!
-//! Phase barriers are *counting* barriers: sources report how many chunks
-//! they sent, nodes report how many they received and forwarded, and a
-//! phase completes only when every chunk is accounted for and no node has
-//! unhoused (pending) tuples — robust on both the simulated and threaded
-//! backends, where cross-sender message ordering is not guaranteed.
+//! Phase barriers are *counting* barriers settled by events, with no
+//! timer: sources report how many chunks they sent; once a phase's
+//! preconditions hold, a `FlushQuery` wave *arms* every active node, which
+//! acks its `(received, forwarded, pending)` counts at once and again
+//! whenever they move. The scheduler keeps each node's latest counts and
+//! settles the phase the moment every chunk is accounted for and no node
+//! has unhoused (pending) tuples. A wave is stamped with the routing
+//! version it was armed under and re-armed when that moves (an expansion
+//! changes who must be polled) — the same path on both backends, where
+//! cross-sender message ordering is not guaranteed.
 
 use crate::config::{Algorithm, JoinConfig, SplitPolicy};
 use crate::msg::{Msg, NodeReport};
@@ -29,17 +34,6 @@ use ehj_sim::{Actor, ActorId, Context, SimTime};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::sync::Mutex;
-
-/// Delay between barrier re-polls while chunks are still in flight, on the
-/// simulated backend — part of the modelled virtual-time observables, so it
-/// must stay stable across releases.
-const FLUSH_RETRY_DELAY: SimTime = SimTime::from_millis(1);
-
-/// Barrier re-poll delay on wall-clock backends. There the delay is pure
-/// added latency on every query's critical path (each unsettled barrier
-/// round eats a full poll period), so it is kept just long enough to let
-/// in-flight acks drain.
-const FLUSH_RETRY_DELAY_WALL: SimTime = SimTime::from_micros(20);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SchedPhase {
@@ -126,15 +120,13 @@ pub struct Scheduler {
     rb_op: Option<RangeBisectOp>,
     expansions: u64,
     split_time: SimTime,
-    // flush rounds
+    // barrier waves
     epoch: u64,
-    flush_in_progress: bool,
-    barrier_dirty: bool,
-    acks: usize,
-    acks_expected: usize,
-    acks_recv: u64,
-    acks_fwd: u64,
-    acks_pending: u64,
+    /// Routing version the current wave was armed under; `None` between
+    /// waves (nothing armed yet, or the last one settled).
+    wave_version: Option<u64>,
+    /// Latest `[recv, fwd, pending]` from each actor the wave polled.
+    acks: std::collections::HashMap<ActorId, Option<[u64; 3]>>,
     // reshuffle
     groups: Vec<Group>,
     // hot-key routing (DESIGN §4i)
@@ -199,13 +191,8 @@ impl Scheduler {
             expansions: 0,
             split_time: SimTime::ZERO,
             epoch: 0,
-            flush_in_progress: false,
-            barrier_dirty: false,
-            acks: 0,
-            acks_expected: 0,
-            acks_recv: 0,
-            acks_fwd: 0,
-            acks_pending: 0,
+            wave_version: None,
+            acks: std::collections::HashMap::new(),
             groups: Vec::new(),
             sketches: std::collections::HashMap::new(),
             hotkey_installed: false,
@@ -293,7 +280,6 @@ impl Scheduler {
         if self.cfg.algorithm == Algorithm::OutOfCore {
             return; // The baseline never expands; nodes spill on their own.
         }
-        self.barrier_dirty = true;
         if !self.overflow_queue.contains(&from) {
             self.overflow_queue.push_back(from);
         }
@@ -396,9 +382,6 @@ impl Scheduler {
             },
             inner: Box::new(inner),
         };
-        // Routing changed mid-build: pendings re-route, chunks may still
-        // move — the barrier must not settle on pre-install flush counts.
-        self.barrier_dirty = true;
         self.broadcast_routing(ctx);
     }
 
@@ -457,7 +440,8 @@ impl Scheduler {
 
     /// A node's pending queue drained before its queued report was
     /// processed: drop the stale report so the pointer is not advanced (and
-    /// a node not recruited) for nothing.
+    /// a node not recruited) for nothing. The sender retracts only with an
+    /// empty `pending` (drained or spilled), so nothing waits on a reply.
     fn handle_relieved(&mut self, from: ActorId) {
         self.overflow_queue.retain(|&a| a != from);
     }
@@ -495,7 +479,11 @@ impl Scheduler {
         match self.cfg.algorithm {
             Algorithm::Replicated | Algorithm::Hybrid => {
                 // Skip stale reports: the node must still be the active
-                // replica of some range.
+                // replica of some range. No reply is owed: the replication
+                // that retired the reporter broadcast a `RoutingUpdate`
+                // that is behind this report on the way to it, and draining
+                // on that update forwards whatever it parked to the new
+                // active replica (hot tuples included, by inner routing).
                 let is_active = match self.routing.inner() {
                     RoutingTable::Replica(m) => {
                         m.entries().iter().any(|e| e.active() == full_actor)
@@ -519,6 +507,10 @@ impl Scheduler {
                     unreachable!();
                 };
                 let range = m.replicate(full_actor, new_actor);
+                // §4.2.2, the full node stops receiving — hot tuples too.
+                if let RoutingTable::HotKeys { overlay, .. } = &mut self.routing {
+                    overlay.hand_over(full_actor, new_actor);
+                }
                 self.trace_at(
                     ctx,
                     new_actor,
@@ -605,8 +597,11 @@ impl Scheduler {
                     let RoutingTable::Disjoint(m) = self.routing.inner() else {
                         unreachable!("range-bisect split uses disjoint routing");
                     };
+                    // Only a node that owns a range is sent tuples to park,
+                    // and a bisect leaves the owner its lower half: a
+                    // reporter with no range has nothing waiting on a reply.
                     let Some(range) = m.range_of_owner(full_actor) else {
-                        return; // stale report
+                        return;
                     };
                     let Some(new_node) = self.book.recruit() else {
                         self.spilled_actors.insert(full_actor);
@@ -656,7 +651,7 @@ impl Scheduler {
             },
         );
         self.process_overflows(ctx);
-        self.maybe_start_flush(ctx);
+        self.try_settle(ctx);
     }
 
     fn handle_range_split_done(
@@ -703,7 +698,7 @@ impl Scheduler {
             ctx.send(full_actor, Msg::NoMoreNodes);
         }
         self.process_overflows(ctx);
-        self.maybe_start_flush(ctx);
+        self.try_settle(ctx);
     }
 
     // ---- phase barriers ----
@@ -728,70 +723,34 @@ impl Scheduler {
             && handoff_ready
     }
 
-    fn maybe_start_flush(&mut self, ctx: &mut dyn Context<Msg>) {
-        if self.flush_in_progress || !self.barrier_preconditions_met() {
+    /// Arms, re-arms or settles the current phase's barrier — the one
+    /// place that does any of the three, called whenever a precondition or
+    /// an acked count may have moved.
+    fn try_settle(&mut self, ctx: &mut dyn Context<Msg>) {
+        if !self.barrier_preconditions_met() {
             return;
         }
-        if !matches!(
-            self.phase,
-            SchedPhase::Build | SchedPhase::Reshuffle | SchedPhase::Probe
-        ) {
+        if self.wave_version != Some(self.version) {
+            // No wave yet, or routing moved under the armed one: the
+            // active set may have grown, so poll it afresh.
+            self.epoch += 1;
+            self.wave_version = Some(self.version);
+            let actors = self.active_actors();
+            self.acks = actors.iter().map(|&a| (a, None)).collect();
+            let (epoch, phase) = (self.epoch, self.data_phase());
+            for a in actors {
+                ctx.send(a, Msg::FlushQuery { epoch, phase });
+            }
             return;
         }
-        self.epoch += 1;
-        self.flush_in_progress = true;
-        self.barrier_dirty = false;
-        self.acks = 0;
-        self.acks_recv = 0;
-        self.acks_fwd = 0;
-        self.acks_pending = 0;
-        let actors = self.active_actors();
-        self.acks_expected = actors.len();
-        let phase = self.data_phase();
-        for a in actors {
-            ctx.send(
-                a,
-                Msg::FlushQuery {
-                    epoch: self.epoch,
-                    phase,
-                },
-            );
+        let (mut recv, mut fwd, mut pending) = (0, 0, 0);
+        for ack in self.acks.values() {
+            let Some([r, f, p]) = ack else { return };
+            (recv, fwd, pending) = (recv + r, fwd + f, pending + p);
         }
-    }
-
-    fn handle_flush_ack(
-        &mut self,
-        ctx: &mut dyn Context<Msg>,
-        epoch: u64,
-        recv: u64,
-        fwd: u64,
-        pending: u64,
-    ) {
-        if epoch != self.epoch || !self.flush_in_progress {
-            return;
-        }
-        self.acks += 1;
-        self.acks_recv += recv;
-        self.acks_fwd += fwd;
-        self.acks_pending += pending;
-        if self.acks < self.acks_expected {
-            return;
-        }
-        self.flush_in_progress = false;
-        let balanced = self.acks_recv == self.src_sent_chunks + self.acks_fwd;
-        let settled = !self.barrier_dirty
-            && self.acks_pending == 0
-            && balanced
-            && self.barrier_preconditions_met();
-        if settled {
+        if pending == 0 && recv == self.src_sent_chunks + fwd {
+            self.wave_version = None;
             self.advance_phase(ctx);
-        } else {
-            let delay = if ctx.virtual_time() {
-                FLUSH_RETRY_DELAY
-            } else {
-                FLUSH_RETRY_DELAY_WALL
-            };
-            ctx.schedule(delay, Msg::RetryFlush);
         }
     }
 
@@ -994,7 +953,7 @@ impl Scheduler {
             return;
         };
         g.done += 1;
-        self.maybe_start_flush(ctx);
+        self.try_settle(ctx);
     }
 
     /// Replaces reshuffled replica entries with their new disjoint
@@ -1166,7 +1125,7 @@ impl Actor<Msg> for Scheduler {
         match msg {
             Msg::MemoryFull { .. } => {
                 self.handle_memory_full(ctx, from);
-                self.maybe_start_flush(ctx);
+                self.try_settle(ctx);
             }
             Msg::Relieved => self.handle_relieved(from),
             Msg::Spilled => {
@@ -1192,15 +1151,21 @@ impl Actor<Msg> for Scheduler {
                 self.sources_done += 1;
                 self.src_sent_chunks += sent_chunks;
                 self.src_comm.merge(&comm);
-                self.maybe_start_flush(ctx);
+                self.try_settle(ctx);
             }
             Msg::FlushAck {
                 epoch,
                 recv_chunks,
                 fwd_chunks,
                 pending,
-            } => self.handle_flush_ack(ctx, epoch, recv_chunks, fwd_chunks, pending),
-            Msg::RetryFlush => self.maybe_start_flush(ctx),
+            } if epoch == self.epoch => {
+                // Only an actor the current wave polled has a slot: an ack
+                // from anyone else is malformed and counts for nothing.
+                if let Some(slot) = self.acks.get_mut(&from) {
+                    *slot = Some([recv_chunks, fwd_chunks, pending]);
+                    self.try_settle(ctx);
+                }
+            }
             Msg::ReshuffleCounts { group, histogram } => {
                 self.handle_reshuffle_counts(ctx, group, histogram.counts);
             }
@@ -1210,7 +1175,7 @@ impl Actor<Msg> for Scheduler {
                 if let Some(h) = self.hotkey_handoff.as_mut() {
                     h.done += 1;
                 }
-                self.maybe_start_flush(ctx);
+                self.try_settle(ctx);
             }
             Msg::Report(r) => self.handle_report(ctx, *r),
             _ => {}
@@ -1263,7 +1228,6 @@ mod tests {
             .collect();
         ctx.sent.clear();
         for (node, epoch) in queries {
-            let _ = node;
             sched.on_message(
                 ctx,
                 node,
@@ -1464,22 +1428,72 @@ mod tests {
     }
 
     #[test]
-    fn counting_barrier_retries_until_balanced() {
+    fn a_late_chunk_settles_the_barrier_through_a_second_unprompted_ack() {
         let (mut sched, mut ctx, _) = setup(Algorithm::OutOfCore, 2);
         sched.on_start(&mut ctx);
         ctx.sent.clear();
-        // Source sent 10 chunks but nodes only saw 8: barrier must re-poll.
+        // Source sent 10 chunks but the armed nodes have seen 8 so far: the
+        // barrier waits, and nothing is scheduled to wake it.
         drive_build_to_probe(&mut sched, &mut ctx, 10, 4);
-        assert_eq!(
-            ctx.count(|m| matches!(m, Msg::RetryFlush)),
-            1,
-            "imbalance schedules a retry"
-        );
         assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 0);
-        // Retry fires; now the counts match.
+        assert!(
+            ctx.sent_to(0).is_empty(),
+            "the scheduler sends itself nothing"
+        );
+        // The stragglers land; each node re-acks on its own, same epoch.
+        let epoch = sched.epoch;
+        for node in [N0, N1] {
+            assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 0);
+            sched.on_message(
+                &mut ctx,
+                node,
+                Msg::FlushAck {
+                    epoch,
+                    recv_chunks: 5,
+                    fwd_chunks: 0,
+                    pending: 0,
+                },
+            );
+        }
+        assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 1);
+        assert_eq!(ctx.count(|m| matches!(m, Msg::FlushQuery { .. })), 0);
+        assert!(ctx.sent_to(0).is_empty());
+    }
+
+    #[test]
+    fn an_expansion_under_an_armed_wave_re_arms_it_for_the_recruit() {
+        let (mut sched, mut ctx, _) = setup(Algorithm::Replicated, 2);
+        sched.on_start(&mut ctx);
+        let ack = |epoch, pending| Msg::FlushAck {
+            epoch,
+            recv_chunks: 6,
+            fwd_chunks: 0,
+            pending,
+        };
+        // Every chunk is in, but N0 still holds unhoused tuples: no settle.
+        sched.on_message(
+            &mut ctx,
+            SRC,
+            Msg::SourcePhaseDone {
+                phase: Phase::Build,
+                sent_chunks: 12,
+                sent_tuples: 1200,
+                comm: Box::new(CommCounters::new(100)),
+            },
+        );
+        let armed = sched.epoch;
+        sched.on_message(&mut ctx, N0, ack(armed, 3));
+        sched.on_message(&mut ctx, N1, ack(armed, 0));
         ctx.sent.clear();
-        sched.on_message(&mut ctx, 0, Msg::RetryFlush);
-        ack_all(&mut sched, &mut ctx, 5, 0);
+        // Its report recruits a node and moves the routing version: the
+        // wave is stale, and the next one polls the recruit too.
+        sched.on_message(&mut ctx, N0, Msg::MemoryFull { pending: 3 });
+        assert_eq!(sched.epoch, armed + 1);
+        assert_eq!(ctx.count(|m| matches!(m, Msg::FlushQuery { .. })), 3);
+        // N0 drains, but under the stale wave: that ack no longer counts.
+        sched.on_message(&mut ctx, N0, ack(armed, 0));
+        assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 0);
+        ack_all(&mut sched, &mut ctx, 4, 0);
         assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 1);
     }
 
@@ -1701,6 +1715,36 @@ mod tests {
     }
 
     #[test]
+    fn a_full_overlay_member_hands_its_replica_slot_to_the_recruit() {
+        let (mut sched, mut ctx) = hot_setup(Algorithm::Hybrid, 2);
+        sched.on_message(
+            &mut ctx,
+            SRC,
+            Msg::SketchUpdate {
+                sketch: skewed_sketch(),
+            },
+        );
+        ctx.sent.clear();
+        sched.on_message(&mut ctx, N0, Msg::MemoryFull { pending: 4 });
+        let recruit = ctx
+            .sent
+            .iter()
+            .find_map(|(to, m)| matches!(m, Msg::Activate { .. }).then_some(*to))
+            .expect("recruited");
+        // The full node stops receiving hot build tuples as well as cold
+        // ones, and the sources are told in the same broadcast.
+        let overlay = sched.routing.overlay().expect("overlay stays installed");
+        assert_eq!(overlay.replicas, vec![recruit, N1]);
+        let told = ctx.sent_to(SRC).into_iter().any(|m| match m {
+            Msg::RoutingUpdate { routing, .. } => {
+                routing.overlay().is_some_and(|o| !o.replicas.contains(&N0))
+            }
+            _ => false,
+        });
+        assert!(told, "sources learn the new replica list");
+    }
+
+    #[test]
     fn uniform_sketch_never_installs_an_overlay() {
         let (mut sched, mut ctx) = hot_setup(Algorithm::Replicated, 2);
         let mut sk = SpaceSaving::new(64);
@@ -1860,7 +1904,7 @@ mod robustness_tests {
             },
         );
         let epoch = sched.epoch;
-        assert!(sched.flush_in_progress);
+        assert!(sched.wave_version.is_some());
         // An ack from a previous epoch must not count.
         sched.on_message(
             &mut ctx,
@@ -1872,7 +1916,19 @@ mod robustness_tests {
                 pending: 0,
             },
         );
-        assert_eq!(sched.acks, 0, "stale epoch ignored");
+        assert_eq!(sched.acks[&2], None, "stale epoch ignored");
+        // Nor one from an actor this wave never polled.
+        sched.on_message(
+            &mut ctx,
+            7,
+            Msg::FlushAck {
+                epoch,
+                recv_chunks: 10,
+                fwd_chunks: 0,
+                pending: 0,
+            },
+        );
+        assert!(!sched.acks.contains_key(&7));
         // Correct-epoch acks complete the round.
         for node in [2u32, 3] {
             sched.on_message(
@@ -1886,7 +1942,8 @@ mod robustness_tests {
                 },
             );
         }
-        assert!(!sched.flush_in_progress);
+        assert!(sched.wave_version.is_none(), "settled");
+        assert_eq!(sched.phase, SchedPhase::Probe);
     }
 
     #[test]

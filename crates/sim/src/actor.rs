@@ -99,16 +99,6 @@ pub trait Context<M: Message> {
     fn should_yield(&mut self) -> bool {
         false
     }
-
-    /// Whether [`Context::now`] is **virtual** time. Timer-driven polling
-    /// protocols key their cadence off this: under simulation a retry delay
-    /// is part of the modelled observables and must stay stable, while on a
-    /// wall-clock backend the same delay is pure added latency and may be
-    /// shortened freely. Defaults to `true` (the simulated semantics);
-    /// wall-clock backends override.
-    fn virtual_time(&self) -> bool {
-        true
-    }
 }
 
 /// A state machine driven by messages.

@@ -1426,10 +1426,6 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
         // Real computation takes real time on this backend.
     }
 
-    fn virtual_time(&self) -> bool {
-        false
-    }
-
     fn disk_read(&mut self, _bytes: u64) {
         // Real I/O (if any) is performed by the storage backend itself.
     }

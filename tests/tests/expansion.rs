@@ -121,9 +121,9 @@ fn split_policies_reproduce_the_recorded_scale_1000_reports() {
         },
         Recorded {
             policy: SplitPolicy::RangeBisect,
-            net_bytes: 6_462_660,
-            sim_events: 2459,
-            total_secs_bits: 0x3fc1_6ce3_d902_e60e,
+            net_bytes: 6_459_280,
+            sim_events: 2432,
+            total_secs_bits: 0x3fc1_6c8e_df00_8104,
             build_chunks: 508,
             build_tuples_moved: 32_496,
             load: [

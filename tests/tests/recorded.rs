@@ -28,20 +28,20 @@ fn paper_scenario_reports_match_the_recorded_constants() {
     use Algorithm::{Hybrid, OutOfCore, Replicated, Split};
     #[rustfmt::skip]
     let recorded = [
-        Recorded { alg: Replicated, scale: 100, net_bytes: 64_460_052, disk_bytes: 0, sim_events: 11_930,
-            secs_bits: [0x3fd1_4d6e_de2f_1fd3, 0, 0x3fde_ab38_67fb_66e9, 0x3fe7_fc53_a315_435e] },
+        Recorded { alg: Replicated, scale: 100, net_bytes: 64_455_892, disk_bytes: 0, sim_events: 11_897,
+            secs_bits: [0x3fd1_3a21_fa50_be89, 0, 0x3fde_ab38_67fb_66e9, 0x3fe7_f2ad_3126_12b9] },
         Recorded { alg: Split, scale: 100, net_bytes: 32_638_500, disk_bytes: 0, sim_events: 6677,
             secs_bits: [0x3fd1_e3f8_8d6f_ea9f, 0, 0x3fbf_2942_c475_bb43, 0x3fd9_ae49_3e8d_596f] },
-        Recorded { alg: Hybrid, scale: 100, net_bytes: 38_110_224, disk_bytes: 0, sim_events: 7497,
-            secs_bits: [0x3fd1_4d6e_de2f_1fd3, 0x3fbd_f3cd_6caf_d69d, 0x3fbf_27a0_57f9_bc19, 0x3fe0_4a25_27ac_c240] },
+        Recorded { alg: Hybrid, scale: 100, net_bytes: 38_106_064, disk_bytes: 0, sim_events: 7464,
+            secs_bits: [0x3fd1_3a21_fa50_be89, 0x3fbd_f3cd_6caf_d69d, 0x3fbf_27a0_57f9_bc19, 0x3fe0_407e_b5bd_919b] },
         Recorded { alg: OutOfCore, scale: 100, net_bytes: 23_741_760, disk_bytes: 46_400_000, sim_events: 4461,
             secs_bits: [0x3fce_c7de_0df0_612f, 0, 0x3fdb_ab0b_083e_3466, 0x3fe5_877d_079b_327f] },
-        Recorded { alg: Replicated, scale: 1000, net_bytes: 7_406_324, disk_bytes: 0, sim_events: 2570,
-            secs_bits: [0x3fae_9bed_05fd_4510, 0, 0x3fac_4378_d0a1_42b0, 0x3fbd_6fb2_eb4f_43e0] },
+        Recorded { alg: Replicated, scale: 1000, net_bytes: 7_442_074, disk_bytes: 0, sim_events: 2841,
+            secs_bits: [0x3fae_d7ad_d15f_02c5, 0, 0x3fac_4378_d0a1_42b0, 0x3fbd_8d93_5100_22bb] },
         Recorded { alg: Split, scale: 1000, net_bytes: 3_707_992, disk_bytes: 0, sim_events: 1722,
             secs_bits: [0x3faa_ad59_69fe_a15b, 0, 0x3f91_7fcd_6aac_7138, 0x3fb1_b6a0_0faa_6cfc] },
-        Recorded { alg: Hybrid, scale: 1000, net_bytes: 4_768_052, disk_bytes: 0, sim_events: 2082,
-            secs_bits: [0x3fae_9bed_05fd_4510, 0x3f88_4e93_35fd_3d02, 0x3f91_8618_0788_b571, 0x3fb6_b94e_eba0_7784] },
+        Recorded { alg: Hybrid, scale: 1000, net_bytes: 4_803_802, disk_bytes: 0, sim_events: 2353,
+            secs_bits: [0x3fae_d7ad_d15f_02c5, 0x3f88_4e93_35fd_3d02, 0x3f91_8618_0788_b571, 0x3fb6_d72f_5151_565f] },
         Recorded { alg: OutOfCore, scale: 1000, net_bytes: 2_421_320, disk_bytes: 4_640_000, sim_events: 772,
             secs_bits: [0x3f9f_cab6_ea59_c7ea, 0, 0x3fa8_f844_9fc2_27ad, 0x3fb4_6ed0_0a77_85d1] },
     ];

@@ -2,8 +2,7 @@
 //! results (matches are deterministic data properties; timing is not).
 
 use ehj_core::{
-    expected_matches_for, Algorithm, Backend, HotKeyConfig, JoinConfig, JoinError, JoinRunner,
-    RunOptions,
+    expected_matches_for, Algorithm, Backend, HotKeyConfig, JoinConfig, JoinRunner, RunOptions,
 };
 use ehj_data::Distribution;
 use ehj_sim::SimTime;
@@ -37,6 +36,8 @@ fn threaded_backend_matches_reference_for_every_algorithm() {
                 alg.label()
             );
             assert!(report.times.total_secs > 0.0, "wall clock must have moved");
+            let exec = report.trace.executor.expect("executor counters");
+            assert_eq!(exec.timer_fires, 0, "the protocol arms no timer");
         }
     }
 }
@@ -66,12 +67,11 @@ fn threaded_out_of_core_uses_real_spill_files() {
 }
 
 #[test]
-fn a_budgeted_threaded_run_ends_as_a_report_or_a_stall_never_a_hang() {
-    // The hot-key overlay wedges on a wall clock (ROADMAP item 1): without
-    // a budget this configuration waits forever. With one, the run is
-    // cancelled and reaped when the budget runs out and the stall carries
-    // the trace tail — the path `JoinService::wait` takes for its deadline.
-    // A fixed overlay makes this return `Ok`; no duration is asserted.
+fn a_budgeted_threaded_hot_key_run_ends_as_a_report() {
+    // The configuration that used to wedge the hot-key overlay on a wall
+    // clock: a replica-set member fills, is retired, and hot build tuples
+    // keep landing on it. The budget only bounds a regression — a stall
+    // comes back as `JoinError::Stalled` with its trace tail, not a hang.
     for alg in [Algorithm::Hybrid, Algorithm::Replicated] {
         let mut cfg = JoinConfig::paper_scaled(alg, 100);
         let zipf = Distribution::Zipf { theta: 0.9 };
@@ -80,19 +80,10 @@ fn a_budgeted_threaded_run_ends_as_a_report_or_a_stall_never_a_hang() {
         cfg.hot_keys = HotKeyConfig::enabled();
         let opts = RunOptions {
             threads: Some(2),
-            max_sim_time: Some(SimTime::from_secs(1)),
+            max_sim_time: Some(SimTime::from_secs(20)),
             ..RunOptions::on(Backend::Threaded)
         };
-        match JoinRunner::run_with(&cfg, &opts) {
-            Ok(report) => assert_eq!(report.matches, expected_matches_for(&cfg)),
-            Err(JoinError::Stalled { trace }) => {
-                assert!(
-                    !trace.is_empty(),
-                    "{}: a stall carries its tail",
-                    alg.label()
-                );
-            }
-            Err(other) => panic!("{}: {other}", alg.label()),
-        }
+        let report = JoinRunner::run_with(&cfg, &opts).unwrap_or_else(|e| panic!("{alg:?}: {e}"));
+        assert_eq!(report.matches, expected_matches_for(&cfg), "{alg:?}");
     }
 }
