@@ -611,10 +611,18 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         self.matches += found;
         self.compares += compared;
         if let Some(o) = self.routing.as_ref().and_then(RoutingTable::overlay) {
-            let hits = tuples
-                .iter()
-                .filter(|t| o.is_hot(self.space.position_of(t.join_attr)))
-                .count() as u64;
+            // The batched kernel has just hashed exactly this slice into the
+            // scratch; the scalar reference fills nothing.
+            let hits = match kernel {
+                ProbeKernel::Scalar => {
+                    let positions = tuples.iter().map(|t| self.space.position_of(t.join_attr));
+                    positions.filter(|&pos| o.is_hot(pos)).count()
+                }
+                ProbeKernel::Batched => {
+                    let positions = self.probe_scratch.positions().iter();
+                    positions.filter(|&&pos| o.is_hot(pos)).count()
+                }
+            } as u64;
             if hits > 0 {
                 self.metrics.hotkey_hits.add(hits);
             }

@@ -30,7 +30,7 @@ pub enum AttrHasher {
 
 impl AttrHasher {
     /// Golden-ratio multiplier for Fibonacci hashing.
-    const PHI64: u64 = 0x9E37_79B9_7F4A_7C15;
+    pub(crate) const PHI64: u64 = 0x9E37_79B9_7F4A_7C15;
 
     /// Hash value for `attr` within `[0, domain)`.
     ///

@@ -2,8 +2,10 @@
 //!
 //! Both kernels are *host-side* choices: simulated observables (matches,
 //! compares, bytes, virtual times) are byte-identical between them, because
-//! the fingerprint filter only ever skips run scans whose comparison count
-//! it can charge exactly (see [`crate::JoinHashTable::probe_batch_with`]).
+//! the two-bit fingerprint filter only ever skips run scans whose
+//! comparison count it can charge exactly, and the long-run match memo only
+//! ever repeats a count the same run gave the same key (see
+//! [`crate::JoinHashTable::probe_batch_with`]).
 //! [`ProbeKernel::Scalar`] is the tuple-at-a-time reference the
 //! differential tests compare against; [`ProbeKernel::Batched`] is the
 //! production path.
@@ -41,7 +43,7 @@ pub enum ProbeKernel {
     /// differential-test reference.
     Scalar,
     /// Bulk positions, directory and run-start prefetch, tag test, run scan
-    /// (DESIGN §4e). The default.
+    /// or memo (DESIGN §4e). The default.
     #[default]
     Batched,
 }
@@ -86,7 +88,8 @@ impl std::str::FromStr for ProbeKernel {
 }
 
 /// Caller-owned scratch for the batched probe kernel, so steady-state
-/// probing allocates nothing: the hashed positions of the current batch.
+/// probing allocates nothing: the hashed positions of the current batch,
+/// which the caller may read back instead of hashing the batch again.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     /// Position of every tuple in the batch (pass-1 bulk hash output).

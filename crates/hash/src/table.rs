@@ -21,18 +21,20 @@
 //! directory at all, and one that spills ([`JoinHashTable::drain_all`])
 //! before anything reads it never allocates one.
 //!
-//! The directory — one `{start, count, tag}` entry per position — belongs
-//! to the readers. Every one of them (histograms, probes, range
+//! The directory — one 16-byte `{start, count, tag}` entry per position —
+//! belongs to the readers. Every one of them (histograms, probes, range
 //! extraction, the diagnostic accessors) first runs the private `settle()`:
 //! one pass over the not-yet-counted tail of the log, `pos[counted..]`,
 //! that finds the tail's span, makes the directory cover it, and then
-//! bumps each position's exact `count` and ORs the attribute's 16-bit
-//! bloom fingerprint ([`filter_fingerprint`]) into its `tag`. The
+//! bumps each position's exact `count` and ORs the attribute's two-bit
+//! bloom fingerprint ([`filter_fingerprint`]) into its 64-bit `tag`. The
 //! directory covers only the span `lo..hi` of positions the table holds
 //! and is based at `lo`: a node that owns 1/16 of the position space, or a
 //! Grace fragment that holds 1/64 of it, pays for that share and no more.
 //! A later tail outside the span (a reshuffle receiver's new range)
-//! re-bases the directory with the old counts copied. Bulk removals by
+//! re-bases the directory with the old counts copied, and a range
+//! extraction that empties either end of the span trims it, so a node that
+//! gave most of its range away stops paying for it. Bulk removals by
 //! predicate do not recount: they drop the directory and reset `counted`,
 //! so the next reader counts the survivors as one long tail.
 //!
@@ -52,14 +54,29 @@
 //! `compared = count` straight from the directory whatever the scan finds.
 //! The batched pipeline hashes a whole batch in one pass, prefetches
 //! directory entries and run starts a fixed distance ahead, and consults
-//! the tag before touching the arena: a rejection proves no element can
-//! match (bloom tags have no false negatives), so it charges the same
-//! `count` with `matches = 0` — byte-for-byte the scalar outcome.
+//! the tag before touching the arena: a probe can match only where the tag
+//! holds both bits of its fingerprint, and a rejection proves no element
+//! can (bloom tags have no false negatives), so it charges the same `count`
+//! with `matches = 0` — byte-for-byte the scalar outcome. The directory
+//! entry alone answers such a probe; at the paper's base case that is nine
+//! probes in ten.
+//!
+//! A probe the tag lets through scans its run — unless the run is long
+//! ([`MEMO_MIN_RUN`]), where the same key tends to come back: a small
+//! direct-mapped memo keyed by attribute remembers how many tuples of the
+//! run matched, so a hot run is scanned once per key rather than once per
+//! probe tuple, and every probe tuple is still charged its own `count` and
+//! credited its own exact `matches`. A memo entry is valid only under the
+//! *ordering generation* that wrote it. The generation moves in the two
+//! places a run can change while the arena stays ordered — a re-sort in
+//! `order()` (every insert and predicate drain leads there before the next
+//! probe) and `extract_range` — so a stale count is unreachable, not
+//! merely unlikely.
 //!
 //! The reference `BTreeMap`-chained layout survives as
 //! [`crate::ChainedTable`] for differential tests.
 
-use crate::hasher::PositionSpace;
+use crate::hasher::{AttrHasher, PositionSpace};
 use crate::kernels::{prefetch_read, ProbeKernel, ProbeScratch};
 use ehj_data::{JoinAttr, Schema, Tuple};
 
@@ -76,21 +93,66 @@ const DIR_PREFETCH_AHEAD: usize = 16;
 /// `start`, which the longer-range prefetch has already pulled in by then).
 const RUN_PREFETCH_AHEAD: usize = 4;
 
-/// 16-bit bloom fingerprint of a join attribute: exactly one bit set,
-/// selected by the *top* bits of a Fibonacci mix so it stays decorrelated
-/// from the position (which the identity hasher derives from the low bits).
+/// Runs at least this long are answered through the match memo. Measured
+/// on the benchmark replay's `hash.probe_ns_per_tuple`, three passes each:
+/// `skew-highmatch` (zipf 0.9, 528 compares per probe) reads 190 ns with
+/// the memo off and, at thresholds 16 / 32 / 64, 25 / 22 / – ns with 512
+/// slots and 19 / 22 / 27 with 1024 — so 16 wins only where the middling
+/// keys it admits have slots to spare. `expand-replicated` (runs of ~9.5,
+/// keys that never repeat) decides against it: 38 ns at 16, 30 at 32. A
+/// Poisson tail of its runs reaches 16 and pays a miss and a store each
+/// time; none reaches 32, so there the memo is never even allocated.
+const MEMO_MIN_RUN: u32 = 32;
+
+/// Slots in the direct-mapped match memo, a power of two (12 KB, allocated
+/// by the first run that qualifies). Same replay, `skew-highmatch` at
+/// threshold 32: 256 / 512 / 1024 / 4096 slots read 31 / 22 / 22 / 23 ns —
+/// conflict evictions stop mattering at 512.
+const MEMO_SLOTS: usize = 512;
+const _: () = assert!(MEMO_SLOTS.is_power_of_two());
+
+/// The Fibonacci mix every filter and memo bit is cut from. Its *top* bits
+/// stay decorrelated from the position, which the identity hasher derives
+/// from the attribute's low bits.
+#[inline]
+fn mix(attr: JoinAttr) -> u64 {
+    attr.wrapping_mul(AttrHasher::PHI64)
+}
+
+/// 64-bit bloom fingerprint of a join attribute: two bits of the word,
+/// selected by the two disjoint 6-bit fields at the top of the mix (they
+/// may coincide, leaving one). A stored attribute ORs both into its
+/// position's tag; a probe can match only where the tag holds *both*.
+///
+/// Why two bits of 64: at the base case's ~10 distinct attributes per
+/// position a one-hot 16-bit tag is half full and rejected
+/// `hash.reject_share` 0.34 of `expand-replicated`'s probes (0.037 of them
+/// match, so 0.96 is the ceiling); one bit of 64 reads 0.75, two 0.89,
+/// three 0.91 — but each extra bit fills the tag faster: by the fill
+/// arithmetic three bits reject less than two from ~20 attributes per
+/// position on.
 ///
 /// Two properties matter:
-/// * **no false negatives** — every stored attribute's bit is OR-ed into its
-///   position's tag, so a probe whose bit is absent cannot match anything;
-/// * duplicates are free — re-inserting an attribute sets the same bit, so
+/// * **no false negatives** — every stored attribute's bits are OR-ed into
+///   its position's tag, so a probe with a bit absent cannot match anything;
+/// * duplicates are free — re-inserting an attribute sets the same bits, so
 ///   heavy-duplicate chains (the paper's skewed workloads) never saturate
 ///   the tag.
 #[inline]
 #[must_use]
-pub fn filter_fingerprint(attr: JoinAttr) -> u16 {
-    let mixed = attr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    1u16 << (mixed >> 60)
+pub fn filter_fingerprint(attr: JoinAttr) -> u64 {
+    let mixed = mix(attr);
+    1u64 << (mixed >> 58) | 1u64 << ((mixed >> 52) & 63)
+}
+
+/// Memo slot of `attr`: the top bits of the mix, which spread consecutive
+/// attributes (a Zipf generator's hottest keys) furthest apart. Sharing
+/// them with the fingerprint costs nothing — the two are never compared —
+/// while a middle slice of the mix does collide hot keys: bits 43..52 read
+/// 27–41 ns on the `skew-highmatch` replay where these read 22–24.
+#[inline]
+fn memo_slot(attr: JoinAttr) -> usize {
+    (mix(attr) >> (u64::BITS - MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 /// Error returned when an insert would exceed the table's memory capacity.
@@ -165,7 +227,16 @@ struct Run {
     count: u32,
     /// OR of [`filter_fingerprint`] over every counted attribute stored
     /// here. Blooms cannot forget, so removals reset it.
-    tag: u16,
+    tag: u64,
+}
+
+/// One match-memo entry: `attr` had `matches` equal tuples in its run when
+/// the table's ordering generation was `generation`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Memo {
+    attr: JoinAttr,
+    generation: u64,
+    matches: u32,
 }
 
 /// A memory-bounded hash table over the global position space: an append
@@ -197,6 +268,14 @@ pub struct JoinHashTable {
     /// (which implies `counted == tuples.len()`). Any insert clears it;
     /// [`Self::order`] restores it.
     ordered: bool,
+    /// Direct-mapped match memo for long runs, [`MEMO_SLOTS`] entries once
+    /// a probe meets a run of [`MEMO_MIN_RUN`]; empty until then.
+    memo: Vec<Memo>,
+    /// Ordering generation: bumped by every re-sort in [`Self::order`] and
+    /// by [`Self::extract_range`], the only two places a run can change
+    /// while `ordered` holds. A memo entry is read only under the generation
+    /// that wrote it. Starts at 1, which no blank entry carries.
+    generation: u64,
     capacity_bytes: u64,
 }
 
@@ -214,6 +293,8 @@ impl JoinHashTable {
             hi: 0,
             counted: 0,
             ordered: true,
+            memo: Vec::new(),
+            generation: 1,
             capacity_bytes,
         }
     }
@@ -396,6 +477,7 @@ impl JoinHashTable {
         }
         self.settle();
         self.ordered = true;
+        self.generation += 1;
         let n = self.tuples.len();
         // Pass 1 leaves every run's *end* in `start`; pass 2 walks the log
         // backwards, stepping each run's cursor down to its true start, so
@@ -456,7 +538,9 @@ impl JoinHashTable {
     /// regardless of how many tuples match, and a fingerprint-tag rejection
     /// charges the same `count` with `matches = 0` — exactly the full
     /// scan's outcome, since a bloom tag has no false negatives. Tag false
-    /// positives simply fall through to the scan.
+    /// positives simply fall through to the scan, and a run of
+    /// [`MEMO_MIN_RUN`] or more is scanned once per key, its count then
+    /// served from the memo to every probe tuple that repeats the key.
     ///
     /// [`ProbeKernel::Scalar`] runs the tuple-at-a-time reference.
     /// [`ProbeKernel::Batched`] computes all positions in one pass, then
@@ -464,7 +548,9 @@ impl JoinHashTable {
     /// [`DIR_PREFETCH_AHEAD`] probes ahead and each run's first tuple
     /// [`RUN_PREFETCH_AHEAD`] ahead, so the random position-space accesses
     /// overlap instead of serializing on cache misses. `scratch` is
-    /// caller-owned so steady-state probing allocates nothing.
+    /// caller-owned so steady-state probing allocates nothing; the batched
+    /// kernel always leaves the batch's positions in it, the scalar one
+    /// never touches it.
     #[must_use]
     pub fn probe_batch_with(
         &mut self,
@@ -484,13 +570,13 @@ impl JoinHashTable {
             }
             return stats;
         }
+        self.space.bulk_positions(tuples, &mut scratch.positions);
         if self.tuples.is_empty() {
             // An empty table has no runs: every probe compares and matches
             // nothing, exactly like the scalar path.
             return stats;
         }
         self.order();
-        self.space.bulk_positions(tuples, &mut scratch.positions);
         let positions = scratch.positions.as_slice();
         for (i, (t, &pos)) in tuples.iter().zip(positions).enumerate() {
             // A position outside the covered span holds nothing: it has no
@@ -507,19 +593,54 @@ impl JoinHashTable {
                 // free of a branch that a mixed batch would mispredict.
                 let ahead = self.run_at(p);
                 let fp = filter_fingerprint(tuples[i + RUN_PREFETCH_AHEAD].join_attr);
-                let start = if ahead.tag & fp != 0 { ahead.start } else { 0 };
+                let start = if ahead.tag & fp == fp { ahead.start } else { 0 };
                 prefetch_read(self.tuples.as_ptr().wrapping_add(start as usize));
             }
             let run = self.run_at(pos);
             let attr = t.join_attr;
             stats.compared += u64::from(run.count);
-            if run.tag & filter_fingerprint(attr) == 0 {
+            let fp = filter_fingerprint(attr);
+            if run.tag & fp != fp {
                 stats.rejections += u64::from(run.count != 0);
                 continue;
             }
-            stats.matches += self.run(run).iter().filter(|b| b.join_attr == attr).count() as u64;
+            stats.matches += if run.count < MEMO_MIN_RUN {
+                self.matches_in(run, attr)
+            } else {
+                self.memoized_matches(run, attr)
+            };
         }
         stats
+    }
+
+    /// Tuples of `run` equal to `attr` (the arena must be ordered).
+    #[inline]
+    fn matches_in(&self, run: Run, attr: JoinAttr) -> u64 {
+        self.run(run).iter().filter(|b| b.join_attr == attr).count() as u64
+    }
+
+    /// [`Self::matches_in`] for a long run, scanned once per key and
+    /// ordering generation instead of once per probe tuple: a hot key's
+    /// probes repeat across batches far smaller than its run (the product
+    /// skew of arxiv 1005.5732), and the count they are owed cannot change
+    /// until a run does.
+    fn memoized_matches(&mut self, run: Run, attr: JoinAttr) -> u64 {
+        if self.memo.is_empty() {
+            self.memo = vec![Memo::default(); MEMO_SLOTS];
+        }
+        let slot = memo_slot(attr);
+        let seen = self.memo[slot];
+        if seen.attr == attr && seen.generation == self.generation {
+            return u64::from(seen.matches);
+        }
+        let matches = self.matches_in(run, attr);
+        self.memo[slot] = Memo {
+            attr,
+            generation: self.generation,
+            // A run's length is a `u32`, so its matches fit one.
+            matches: matches as u32,
+        };
+        matches
     }
 
     /// Exact chain length at `pos` (0 where nothing is stored). Test and
@@ -533,7 +654,7 @@ impl JoinHashTable {
     /// The bloom tag at `pos` (0 where nothing is stored). Test and
     /// diagnostic accessor for the probe filter.
     #[must_use]
-    pub fn filter_tag(&mut self, pos: u32) -> u16 {
+    pub fn filter_tag(&mut self, pos: u32) -> u64 {
         self.settle();
         self.run_at(pos).tag
     }
@@ -592,8 +713,9 @@ impl JoinHashTable {
     /// Removes and returns all tuples whose position lies in
     /// `[range_start, range_end)` (reshuffle redistribution), in
     /// position-major, insertion-minor order. Orders the arena once, then
-    /// each call drains one contiguous slice and shifts the starts behind
-    /// it — so only post-build callers should use it (see module docs).
+    /// each call drains one contiguous slice, shifts the starts behind it
+    /// and trims the covered span to what is left — so only post-build
+    /// callers should use it (see module docs).
     ///
     /// The bounds arrive in wire messages: anything outside the covered
     /// span, inverted or on a table that holds nothing extracts nothing.
@@ -617,6 +739,22 @@ impl JoinHashTable {
         for run in &mut self.dir[last..] {
             run.start -= to - from;
         }
+        // The span's two end positions are occupied whenever a directory
+        // exists (`cover` takes them from the log), so stripping the empty
+        // entries at either end costs nothing unless this slice emptied one:
+        // then the span shrinks to what is still held, and to nothing when
+        // that is nothing.
+        let occupied = |run: &Run| run.count != 0;
+        let keep = self.dir.iter().rposition(occupied).map_or(0, |i| i + 1);
+        self.dir.truncate(keep);
+        let gone = self.dir.iter().position(occupied).unwrap_or(0);
+        self.dir.drain(..gone);
+        self.dir.shrink_to_fit();
+        (self.lo, self.hi) = match self.dir.len() {
+            0 => (0, 0),
+            n => (self.lo + gone as u32, self.lo + (gone + n) as u32),
+        };
+        self.generation += 1;
         self.counted -= (to - from) as usize;
         self.pos.drain(from as usize..to as usize);
         self.tuples.drain(from as usize..to as usize).collect()
@@ -709,7 +847,6 @@ impl JoinHashTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hasher::AttrHasher;
 
     fn space() -> PositionSpace {
         // positions == domain, so position == attribute value directly.
@@ -1139,7 +1276,7 @@ mod tests {
         }
         assert_eq!(t.position_histogram(0, 100).iter().sum::<u64>(), 30);
         assert_eq!((t.lo, t.hi, t.dir.len()), (40, 50, 10));
-        let tags: Vec<u16> = (40..50).map(|p| t.filter_tag(p)).collect();
+        let tags: Vec<u64> = (40..50).map(|p| t.filter_tag(p)).collect();
         // A tail inside the span leaves the base alone...
         t.insert(Tuple::new(30, 45)).unwrap();
         assert_eq!(t.chain_count(45), 4);
@@ -1217,7 +1354,7 @@ mod tests {
     fn counting_on_demand_equals_a_brute_force_recount() {
         fn check(t: &mut JoinHashTable) {
             let mut recount = vec![0u64; 100];
-            let mut tags = [0u16; 100];
+            let mut tags = [0u64; 100];
             for tp in t.iter() {
                 let pos = t.position_of(tp.join_attr) as usize;
                 recount[pos] += 1;
@@ -1257,12 +1394,135 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_one_hot() {
-        for a in 0..4096u64 {
-            assert_eq!(filter_fingerprint(a).count_ones(), 1);
+    fn extract_range_trims_the_covered_span() {
+        let mk = || {
+            let mut t = table(1000);
+            for i in 0..60u64 {
+                t.insert(Tuple::new(i, 20 + i % 30)).unwrap(); // span [20, 50)
+            }
+            assert_eq!(t.chain_count(20), 2);
+            assert_eq!((t.lo, t.hi, t.dir.len()), (20, 50, 30));
+            t
+        };
+        // Head and tail move their end of the span; a range that overhangs
+        // the span trims like one that stops at its end.
+        let mut t = mk();
+        assert_eq!(t.extract_range(0, 25).len(), 10);
+        assert_eq!((t.lo, t.hi, t.dir.len()), (25, 50, 25));
+        assert_eq!(t.extract_range(45, 50).len(), 10);
+        assert_eq!((t.lo, t.hi, t.dir.len()), (25, 45, 20));
+        // The middle leaves both ends where they are...
+        assert_eq!(t.extract_range(30, 40).len(), 20);
+        assert_eq!((t.lo, t.hi, t.dir.len()), (25, 45, 20));
+        // ...and a later tail that reaches the hole takes it along.
+        assert_eq!(t.extract_range(40, 45).len(), 10);
+        assert_eq!((t.lo, t.hi, t.dir.len()), (25, 30, 5));
+        for attr in 0..100u64 {
+            let held = (25..30).contains(&attr);
+            let expect = ProbeResult {
+                matches: 2 * u64::from(held),
+                compared: 2 * u64::from(held),
+            };
+            assert_eq!(t.probe(attr), expect, "attr {attr}");
         }
-        // Distinct values spread over all 16 bits.
-        let bits: u16 = (0..4096u64).fold(0, |acc, a| acc | filter_fingerprint(a));
-        assert_eq!(bits, u16::MAX);
+        // A later tail outside the trimmed span re-bases over it.
+        t.insert_batch_unchecked(&[Tuple::new(90, 22), Tuple::new(91, 47)]);
+        assert_eq!(t.chain_count(47), 1);
+        assert_eq!((t.lo, t.hi, t.dir.len()), (22, 48, 26));
+        assert_eq!(t.position_histogram(20, 50).iter().sum::<u64>(), 12);
+        assert_eq!(t.probe(22).matches, 1);
+        assert_eq!(t.probe(27).matches, 2);
+        assert_eq!(t.probe(35).compared, 0, "extracted and still empty");
+        // The whole span: no directory at all.
+        let mut t = mk();
+        assert_eq!(t.extract_range(0, 100).len(), 60);
+        assert_eq!((t.lo, t.hi, t.dir.capacity()), (0, 0, 0));
+        t.insert(Tuple::new(0, 77)).unwrap();
+        assert_eq!(t.probe(77).matches, 1);
+        assert_eq!((t.lo, t.hi, t.dir.len()), (77, 78, 1));
+    }
+
+    #[test]
+    fn keys_sharing_a_memo_slot_alternate_and_both_count_exactly() {
+        let a = 7u64;
+        let b = (8..)
+            .find(|&b| memo_slot(b) == memo_slot(a))
+            .expect("finitely many slots");
+        let mut t = table(1000);
+        for i in 0..3 * u64::from(MEMO_MIN_RUN) {
+            t.insert(Tuple::new(i, if i % 3 == 0 { a } else { b }))
+                .unwrap();
+        }
+        let probes: Vec<Tuple> = (0..50u64)
+            .map(|i| Tuple::new(i, if i % 2 == 0 { a } else { b }))
+            .collect();
+        let expect = scalar_sum(&mut t, &probes);
+        assert_eq!(
+            expect.0,
+            25 * 3 * u64::from(MEMO_MIN_RUN),
+            "a's 25 + b's 50"
+        );
+        // Twice: the second batch starts on whatever the first left behind.
+        for _ in 0..2 {
+            let r = batched(&mut t, &probes);
+            assert_eq!((r.matches, r.compared), expect);
+        }
+        assert_eq!(t.memo.len(), MEMO_SLOTS, "the runs were long enough");
+    }
+
+    #[test]
+    fn a_late_insert_of_a_memoized_key_is_found_by_the_next_probe() {
+        let mut t = table(1000);
+        let n = u64::from(MEMO_MIN_RUN) + 8;
+        for i in 0..n {
+            t.insert(Tuple::new(i, 42)).unwrap();
+        }
+        let probes = [Tuple::new(0, 42), Tuple::new(1, 42)];
+        let r = batched(&mut t, &probes);
+        assert_eq!((r.matches, r.compared), (2 * n, 2 * n));
+        assert_eq!(t.memo[memo_slot(42)].matches as u64, n, "memoized");
+        t.insert(Tuple::new(n, 42)).unwrap();
+        let r = batched(&mut t, &probes);
+        assert_eq!((r.matches, r.compared), (2 * n + 2, 2 * n + 2));
+        // So is a removal that leaves the arena ordered.
+        t.insert(Tuple::new(n + 1, 50)).unwrap();
+        assert_eq!(batched(&mut t, &probes).matches, 2 * n + 2);
+        assert_eq!(t.extract_range(42, 43).len() as u64, n + 1);
+        assert!(t.ordered);
+        let r = batched(&mut t, &probes);
+        assert_eq!((r.matches, r.compared), (0, 0));
+    }
+
+    #[test]
+    fn the_filter_rejects_most_absent_keys_at_the_base_case_shape() {
+        // The paper's base case as one node sees it: identity hasher, ~10
+        // distinct attributes per position, probe keys that are not stored.
+        let positions = 1u32 << 10;
+        let space = PositionSpace::new(positions, 1 << 32, AttrHasher::Identity);
+        let mut t = JoinHashTable::new(space, Schema::default_paper(), u64::MAX);
+        let mut g = ehj_data::Xoshiro256StarStar::new(0xF117);
+        for i in 0..10 * u64::from(positions) {
+            // The domain's lower half is stored, its upper half probed.
+            t.insert(Tuple::new(i, g.next_below(1 << 31))).unwrap();
+        }
+        let probes: Vec<Tuple> = (0..10_000u64)
+            .map(|i| Tuple::new(i, (1 << 31) + g.next_below(1 << 31)))
+            .collect();
+        let (m, c) = scalar_sum(&mut t, &probes);
+        let r = batched(&mut t, &probes);
+        assert_eq!((r.matches, r.compared), (m, c));
+        assert_eq!(m, 0);
+        let (rejected, probed) = (r.rejections, r.probes);
+        assert!(rejected * 100 >= probed * 85, "{rejected} of {probed}");
+    }
+
+    #[test]
+    fn fingerprint_sets_one_or_two_of_64_bits() {
+        for a in 0..4096u64 {
+            assert!((1..=2).contains(&filter_fingerprint(a).count_ones()));
+        }
+        // Distinct values reach every bit of the word.
+        let bits: u64 = (0..4096u64).fold(0, |acc, a| acc | filter_fingerprint(a));
+        assert_eq!(bits, u64::MAX);
     }
 }

@@ -522,6 +522,114 @@ fn probe_kernels_agree_with_scalar_probe_sequence() {
     }
 }
 
+/// The long-run match memo must never answer from before a mutation: on a
+/// duplicate-heavy table (a few positions, a handful of keys, runs far past
+/// the memo threshold) every way the contents can change is interleaved
+/// with batched probes that repeat the same keys, and after every step the
+/// batched stats equal the scalar sum and the [`ChainedTable`] reference.
+#[test]
+fn long_run_memo_is_never_stale_across_mutations() {
+    let mut g = Xoshiro256StarStar::new(0x3E30);
+    for case in 0..60 {
+        let positions = 1 + g.next_below(8) as u32;
+        let domain = u64::from(positions) * (2 + g.next_below(6));
+        let hasher = if case % 2 == 0 {
+            AttrHasher::Identity
+        } else {
+            AttrHasher::Fibonacci
+        };
+        let space = PositionSpace::new(positions, domain, hasher);
+        let schema = Schema::default_paper();
+        let mut flat = JoinHashTable::new(space, schema, u64::MAX);
+        let mut chained = ChainedTable::new(space, schema, u64::MAX);
+        let keys: Vec<u64> = (0..3 + g.next_below(4))
+            .map(|_| g.next_below(domain))
+            .collect();
+        let mut scratch = ProbeScratch::new();
+        let mut next_index = 0u64;
+        for step in 0..40 {
+            match g.next_below(100) {
+                // A burst of one key, checked: its run outgrows the threshold.
+                0..=29 => {
+                    let key = keys[g.next_below(keys.len() as u64) as usize];
+                    for _ in 0..20 + g.next_below(60) {
+                        let t = Tuple::new(next_index, key);
+                        next_index += 1;
+                        flat.insert(t).expect("unbounded");
+                        chained.insert(t).expect("unbounded");
+                    }
+                }
+                // A mixed bulk batch (the reshuffle receiver's path).
+                30..=44 => {
+                    let batch: Vec<Tuple> = (0..g.next_below(80))
+                        .map(|i| {
+                            let key = keys[g.next_below(keys.len() as u64) as usize];
+                            Tuple::new(next_index + i, key)
+                        })
+                        .collect();
+                    next_index += batch.len() as u64;
+                    flat.insert_batch_unchecked(&batch);
+                    for &t in &batch {
+                        chained.insert_unchecked(t);
+                    }
+                }
+                45..=54 => {
+                    let a = g.next_below(u64::from(positions)) as u32;
+                    let b = a + g.next_below(u64::from(positions - a) + 1) as u32;
+                    let moved = flat.extract_range(a, b).len();
+                    assert_eq!(moved, chained.extract_range(a, b).len());
+                }
+                55..=62 => {
+                    let m = 2 + g.next_below(3);
+                    let moved = flat.drain_filter(|t| t.join_attr % m == 0).len();
+                    assert_eq!(moved, chained.drain_filter(|t| t.join_attr % m == 0).len());
+                }
+                63..=70 => {
+                    let cut = g.next_below(u64::from(positions)) as u32;
+                    let moved = flat.drain_positions(|p| p >= cut).len();
+                    let expect = chained.drain_filter(|t| space.position_of(t.join_attr) >= cut);
+                    assert_eq!(moved, expect.len());
+                }
+                71..=74 => {
+                    assert_eq!(flat.drain_all().len(), chained.drain_all().len());
+                }
+                // A copy carries its own memo and generation along.
+                75..=82 => flat = flat.clone(),
+                // Probe again with nothing changed: the memo's hit path.
+                _ => {}
+            }
+            let probes: Vec<Tuple> = (0..g.next_below(120))
+                .map(|i| {
+                    let attr = if g.next_below(8) == 0 {
+                        g.next_below(domain)
+                    } else {
+                        keys[g.next_below(keys.len() as u64) as usize]
+                    };
+                    Tuple::new(i, attr)
+                })
+                .collect();
+            let reference = probes.iter().fold((0, 0), |(m, c), p| {
+                let r = chained.probe(p.join_attr);
+                (m + r.matches, c + r.compared)
+            });
+            // Either kernel may be the first reader after the mutation, and
+            // so the one whose `order()` re-sorts.
+            let mut kernels = ProbeKernel::ALL;
+            if g.next_below(2) == 0 {
+                kernels.reverse();
+            }
+            for kernel in kernels {
+                let stats = flat.probe_batch_with(&probes, &mut scratch, kernel);
+                assert_eq!(
+                    (stats.matches, stats.compared),
+                    reference,
+                    "case {case}, step {step}, {kernel}"
+                );
+            }
+        }
+    }
+}
+
 /// `bulk_hash` and `bulk_positions` must agree with their per-value scalar
 /// counterparts over random domains, both hashers and awkward lengths.
 #[test]
