@@ -465,6 +465,23 @@ mod tests {
     }
 
     #[test]
+    fn bad_distribution_parameters_are_config_errors_on_both_backends() {
+        // They used to pass validation: the simulator panicked in the
+        // sampler, and on the pool a worker panicked and the run hung.
+        for line in [
+            "run --scale 1000 --zipf 0",
+            "run --scale 1000 --zipf -1",
+            "run --scale 1000 --sigma 0",
+            "run --scale 1000 --zipf 0 --backend threaded --threads 2",
+            "run --scale 1000 --sigma 0 --backend threaded --threads 2",
+            "service --scale 1000 --queries 2 --zipf 0 --backend threaded --threads 2",
+        ] {
+            let err = execute(&parse(line)).expect_err(line);
+            assert!(err.contains("invalid configuration"), "{line}: {err}");
+        }
+    }
+
+    #[test]
     fn trace_out_with_tracing_off_is_an_error_not_a_missing_file() {
         let path = std::env::temp_dir().join(format!("ehj-cli-off-{}.jsonl", std::process::id()));
         let line = format!(

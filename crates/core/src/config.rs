@@ -338,6 +338,14 @@ impl JoinConfig {
         if self.r.domain != self.s.domain {
             return Err("R and S must share one attribute domain".into());
         }
+        if self.r.domain == 0 {
+            return Err("the attribute domain must be non-empty".into());
+        }
+        for (name, spec) in [("R", &self.r), ("S", &self.s)] {
+            spec.dist
+                .validate()
+                .map_err(|e| format!("relation {name}: {e}"))?;
+        }
         if self.chunk_tuples == 0 {
             return Err("chunk_tuples must be positive".into());
         }
@@ -372,6 +380,7 @@ impl JoinConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ehj_data::Distribution;
 
     #[test]
     fn paper_default_is_valid() {
@@ -448,6 +457,72 @@ mod tests {
         assert!(cfg.validate().is_err(), "hot_fraction >= 1 must fail");
         cfg.hot_keys = HotKeyConfig::enabled();
         cfg.validate().expect("enabled defaults must validate");
+    }
+
+    /// Asserts that `dist` fails validation on either relation, naming it.
+    fn assert_rejected(dist: Distribution, what: &str) {
+        for side in ["R", "S"] {
+            let mut cfg = JoinConfig::paper_scaled(Algorithm::Hybrid, 1000);
+            let spec = if side == "R" { &mut cfg.r } else { &mut cfg.s };
+            spec.dist = dist;
+            let err = cfg.validate().expect_err(what);
+            assert!(err.starts_with(&format!("relation {side}: ")), "{err}");
+            assert!(err.contains(what), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_zipf_theta_is_rejected() {
+        assert_rejected(Distribution::Zipf { theta: 0.0 }, "theta");
+    }
+
+    #[test]
+    fn negative_zipf_theta_is_rejected() {
+        assert_rejected(Distribution::Zipf { theta: -1.0 }, "theta");
+    }
+
+    #[test]
+    fn zero_gaussian_sigma_is_rejected() {
+        let zero = Distribution::Gaussian {
+            mean: 0.5,
+            sigma: 0.0,
+        };
+        assert_rejected(zero, "sigma");
+    }
+
+    #[test]
+    fn non_finite_distribution_parameters_are_rejected() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert_rejected(Distribution::Zipf { theta: bad }, "theta");
+            assert_rejected(
+                Distribution::Gaussian {
+                    mean: 0.5,
+                    sigma: bad,
+                },
+                "sigma",
+            );
+        }
+    }
+
+    #[test]
+    fn empty_domain_is_rejected() {
+        let mut cfg = JoinConfig::paper_default(Algorithm::Split);
+        cfg.r = cfg.r.with_domain(0);
+        cfg.s = cfg.s.with_domain(0);
+        assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn skewed_distributions_validate() {
+        for good in [
+            Distribution::Zipf { theta: 0.9 },
+            Distribution::Zipf { theta: 1.2 },
+            Distribution::gaussian_extreme(),
+        ] {
+            let mut cfg = JoinConfig::paper_scaled(Algorithm::Hybrid, 1000);
+            (cfg.r.dist, cfg.s.dist) = (good, good);
+            cfg.validate().expect("good parameters validate");
+        }
     }
 
     #[test]

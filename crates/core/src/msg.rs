@@ -257,7 +257,7 @@ pub enum Msg {
     /// its sender (TCP-receive-window emulation; see `source.rs`).
     DataAck,
 
-    // ---- zero-delay self-sends ----
+    // ---- self-sends ----
     /// Data-source generation step.
     GenStep,
 }

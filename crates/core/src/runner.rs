@@ -356,8 +356,8 @@ pub(crate) struct RunEnd {
 }
 
 impl RunEnd {
-    /// The end of a pool group (every send and timer fire charged its wire
-    /// bytes, like the simulated network).
+    /// The end of a pool group (every send charged its wire bytes, a
+    /// self-send too).
     pub(crate) fn of_group(outcome: &GroupOutcome, cancelled: bool) -> Self {
         Self {
             at_nanos: u64::try_from(outcome.elapsed.as_nanos()).unwrap_or(u64::MAX),

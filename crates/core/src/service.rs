@@ -328,7 +328,7 @@ impl JoinService {
             .run
             .reap(&self.executor, &handle.admission, deadline)?;
         // Wall total and traffic come from the group's own ledger (wire
-        // bytes charged per send, timer fires included), not pool totals.
+        // bytes charged per send, self-sends included), not pool totals.
         let end = RunEnd::of_group(&outcome, handle.cancelled.load(Ordering::Relaxed));
         // Feed the admission gate's latency estimate — every completed
         // query counts, reaped or cancelled alike.
@@ -422,6 +422,27 @@ mod tests {
         });
         let err = service.run(&cfg).unwrap_err();
         assert!(matches!(err, JoinError::Admission(_)), "got {err:?}");
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_bad_distribution_is_refused_and_the_pool_runs_on() {
+        // Admitted, it used to panic a worker inside a source's
+        // `start_phase` and hang the pool; now `submit` refuses it.
+        let service = JoinService::start(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        let mut bad = quick(Algorithm::Hybrid);
+        bad.r.dist = ehj_data::Distribution::Zipf { theta: 0.0 };
+        let err = match service.submit(&bad) {
+            Ok(_) => panic!("theta = 0 must not be admitted"),
+            Err(e) => e,
+        };
+        assert!(matches!(err, JoinError::Config(_)), "got {err:?}");
+        let cfg = quick(Algorithm::Hybrid);
+        let report = service.run(&cfg).expect("the same pool runs a valid query");
+        assert_eq!(report.matches, expected_matches_for(&cfg));
         service.shutdown();
     }
 

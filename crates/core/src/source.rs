@@ -29,11 +29,11 @@ use crate::routing::RoutingTable;
 use ehj_data::{SourceGenerator, Tuple, TupleBatch};
 use ehj_hash::{PositionSpace, SpaceSaving};
 use ehj_metrics::{CommCategory, CommCounters, Phase, TraceKind, Tracer};
-use ehj_sim::{Actor, ActorId, Context, SimTime};
+use ehj_sim::{Actor, ActorId, Context};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Tuples generated per self-scheduled generation step (at least one chunk).
+/// Tuples generated per self-sent generation step (at least one chunk).
 const GEN_BATCH_MIN: u64 = 1024;
 
 /// Maximum unacknowledged chunks in flight per destination (the emulated
@@ -181,7 +181,7 @@ impl DataSource {
             Phase::Reshuffle => unreachable!("sources do not generate in reshuffle"),
         };
         self.gen = Some(spec.generator_for_source(self.index, self.cfg.sources));
-        ctx.schedule(SimTime::ZERO, Msg::GenStep);
+        ctx.send(ctx.me(), Msg::GenStep);
     }
 
     fn blocked_total(&self) -> usize {
@@ -260,7 +260,7 @@ impl DataSource {
         }
         if self.gen_paused && self.blocked_total() <= MAX_BLOCKED_CHUNKS / 2 {
             self.gen_paused = false;
-            ctx.schedule(SimTime::ZERO, Msg::GenStep);
+            ctx.send(ctx.me(), Msg::GenStep);
         }
         self.check_drained(ctx);
     }
@@ -435,7 +435,7 @@ impl DataSource {
         self.gen_scratch = produced;
         let remaining = self.gen.as_ref().map_or(0, SourceGenerator::remaining);
         if remaining > 0 {
-            ctx.schedule(SimTime::ZERO, Msg::GenStep);
+            ctx.send(ctx.me(), Msg::GenStep);
         } else {
             self.finish_phase(ctx);
         }
@@ -539,7 +539,7 @@ mod tests {
         RoutingTable::Disjoint(RangeMap::partitioned(1000, &[NODE_A, NODE_B]))
     }
 
-    /// Drives GenStep self-messages until the source stops scheduling them.
+    /// Drives GenStep self-messages until the source stops sending them.
     fn run_gen(src: &mut DataSource, ctx: &mut ScriptCtx) {
         loop {
             let gen_steps = ctx.count(|m| matches!(m, Msg::GenStep));
@@ -836,7 +836,7 @@ mod tests {
                     chunks.push((to, tuples.iter().map(|t| t.index).collect()));
                     src.on_message(ctx, to, Msg::DataAck);
                 }
-                // Keep the self-scheduled step and the final report.
+                // Keep the self-sent step and the final report.
                 other => ctx.sent.push((to, other)),
             }
         }

@@ -4,12 +4,12 @@
 use crate::msg::Msg;
 use ehj_sim::{ActorId, Context, SimTime};
 
-/// A recording context: sends and schedules are captured, CPU advances a
-/// virtual clock, disk traffic is tallied.
+/// A recording context: sends are captured, CPU advances a virtual clock,
+/// disk traffic is tallied.
 pub(crate) struct ScriptCtx {
     pub me: ActorId,
     pub now: SimTime,
-    /// Every `send` and `schedule` in order (`schedule` targets `me`).
+    /// Every `send` in order, self-sends included.
     pub sent: Vec<(ActorId, Msg)>,
     pub disk_written: u64,
     pub disk_read: u64,
@@ -58,10 +58,6 @@ impl Context<Msg> for ScriptCtx {
     }
     fn send(&mut self, to: ActorId, msg: Msg) {
         self.sent.push((to, msg));
-    }
-    fn schedule(&mut self, _delay: SimTime, msg: Msg) {
-        let me = self.me;
-        self.sent.push((me, msg));
     }
     fn consume_cpu(&mut self, amount: SimTime) {
         self.now += amount;

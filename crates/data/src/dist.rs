@@ -81,6 +81,23 @@ impl Distribution {
             Self::Zipf { theta } => format!("zipf theta = {theta}"),
         }
     }
+
+    /// Checks the parameters a [`JoinAttrSampler`] needs: a Gaussian σ and
+    /// a Zipf θ must be finite and positive.
+    ///
+    /// # Errors
+    /// Returns a human-readable description of the bad parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            Self::Gaussian { sigma, .. } if !(sigma.is_finite() && sigma > 0.0) => Err(format!(
+                "gaussian sigma must be positive and finite, got {sigma}"
+            )),
+            Self::Zipf { theta } if !(theta.is_finite() && theta > 0.0) => Err(format!(
+                "zipf theta must be positive and finite, got {theta}"
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Key of a shared Zipf normaliser: `(terms summed, theta.to_bits())`.
@@ -322,10 +339,6 @@ enum ZipfSampler {
 
 impl ZipfSampler {
     fn new(n: u64, theta: f64) -> Self {
-        assert!(
-            theta.is_finite() && theta > 0.0,
-            "zipf theta must be positive and finite, got {theta}"
-        );
         if theta < 1.0 {
             Self::Gray(ZipfState::new(n, theta))
         } else {
@@ -355,13 +368,12 @@ impl JoinAttrSampler {
     /// Creates a sampler with its own deterministic stream.
     ///
     /// # Panics
-    /// Panics if `domain == 0`, a Gaussian `sigma` is not positive, or a
-    /// Zipf `theta` is not positive and finite.
+    /// Panics if `domain == 0` or [`Distribution::validate`] rejects `dist`.
     #[must_use]
     pub fn new(dist: Distribution, domain: u64, seed: u64) -> Self {
         assert!(domain > 0, "attribute domain must be non-empty");
-        if let Distribution::Gaussian { sigma, .. } = dist {
-            assert!(sigma > 0.0, "gaussian sigma must be positive");
+        if let Err(e) = dist.validate() {
+            panic!("{e}");
         }
         let zipf = match dist {
             Distribution::Zipf { theta } => Some(ZipfSampler::new(domain, theta)),

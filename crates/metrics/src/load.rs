@@ -3,14 +3,6 @@
 //! Figures 12 and 13 report the maximum, minimum and average load (in
 //! chunks of tuples) across join nodes after the build (and, for the
 //! hybrid, the reshuffle).
-//!
-//! The distribution math is backed by the [`crate::registry`] instruments
-//! rather than bespoke vector scans: per-node counts feed a gauge (node
-//! count) and a histogram (the load distribution), whose snapshot carries
-//! the exact min / max / sum this report needs. The public shape of
-//! [`LoadStats`] is unchanged.
-
-use crate::registry::{HistogramSnapshot, MetricsRegistry};
 
 /// Min / avg / max of a per-node load distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -30,32 +22,15 @@ impl LoadStats {
     /// zeros.
     #[must_use]
     pub fn from_counts(counts: &[u64]) -> Self {
-        let registry = MetricsRegistry::new();
-        let handle = registry.handle();
-        let nodes = handle.gauge("load.nodes");
-        let distribution = handle.histogram("load.per_node_tuples");
-        for &count in counts {
-            nodes.add(1);
-            distribution.record(count);
-        }
-        let stats = Self::from_histogram(&distribution.snapshot());
-        debug_assert_eq!(stats.nodes as i64, nodes.value());
-        stats
-    }
-
-    /// Computes stats from a registry histogram over per-node counts.
-    /// Exact: the snapshot tracks min / max / sum / count outside the
-    /// log buckets.
-    #[must_use]
-    pub fn from_histogram(snapshot: &HistogramSnapshot) -> Self {
-        if snapshot.is_empty() {
+        let (Some(&min), Some(&max)) = (counts.iter().min(), counts.iter().max()) else {
             return Self::default();
-        }
+        };
+        let sum: u128 = counts.iter().map(|&c| u128::from(c)).sum();
         Self {
-            min: snapshot.min,
-            max: snapshot.max,
-            avg: snapshot.mean(),
-            nodes: usize::try_from(snapshot.count).unwrap_or(usize::MAX),
+            min,
+            max,
+            avg: sum as f64 / counts.len() as f64,
+            nodes: counts.len(),
         }
     }
 

@@ -45,12 +45,14 @@ pub trait Context<M: Message> {
     /// sender's egress NIC and the receiver's ingress NIC for
     /// `wire_bytes / bandwidth` and arrives after the configured latency;
     /// per-(sender, receiver) FIFO ordering is guaranteed by both backends.
+    ///
+    /// A send to [`Context::me`] is a local hand-off: under simulation it
+    /// arrives at the sender's local clock (after any CPU it consumed so
+    /// far) and charges no network bytes. It is how an actor drives a loop
+    /// of its own, like a data source's generation steps. No method takes
+    /// a delay, so an actor with nothing in flight stays quiet until
+    /// another actor sends to it.
     fn send(&mut self, to: ActorId, msg: M);
-
-    /// Schedules `msg` for delivery to *this* actor after `delay`, without
-    /// touching the network. Used for timers and self-driven generation
-    /// loops.
-    fn schedule(&mut self, delay: SimTime, msg: M);
 
     /// Charges `amount` of CPU time to this actor. Under simulation this
     /// advances the local clock (and thus delays subsequent sends and the
@@ -106,8 +108,8 @@ pub trait Actor<M: Message>: Send {
     /// Invoked once before any message is delivered, in actor-id order.
     fn on_start(&mut self, _ctx: &mut dyn Context<M>) {}
 
-    /// Handles one message. `from` is the sending actor (or `me()` for
-    /// self-scheduled timers).
+    /// Handles one message. `from` is the sending actor (`me()` for a
+    /// self-send).
     fn on_message(&mut self, ctx: &mut dyn Context<M>, from: ActorId, msg: M);
 
     /// Whether this actor parked a resumable slice of work (a handler that

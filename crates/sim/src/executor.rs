@@ -45,13 +45,6 @@
 //!   and always resumes parked work *before* draining the mailbox again,
 //!   so preemption never reorders or drops tuples — even against a stop
 //!   sentinel;
-//! * timers live in per-worker wheels (binary heaps). A worker fires its
-//!   own due timers every loop iteration and, as a thief, every other
-//!   wheel's too, so a busy owner delays another actor's deadline by no
-//!   more than `STEAL_PATIENCE` while any worker is free. There is no
-//!   global timer thread.
-//!   Timer fires are charged [`Message::wire_bytes`] exactly like sends,
-//!   so the [`ThreadedSummary`] totals really do include them;
 //! * [`Context::send`] coalesces per destination: envelopes buffer in a
 //!   small per-destination batch and flush in one mailbox lock / one
 //!   wakeup, so batched shipping (`TupleBatch`) translates into fewer
@@ -79,12 +72,11 @@
 //! one query finishing never drops another query's in-flight batches.
 
 use crate::actor::{Actor, ActorId, Context, Message};
-use crate::mailbox::{Mailbox, PushReport};
+use crate::mailbox::Mailbox;
 use crate::time::SimTime;
 use ehj_metrics::registry::names;
 use ehj_metrics::{Counter, Histogram, MetricsRegistry};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{
     AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
 };
@@ -104,7 +96,9 @@ const COALESCE_FLUSH: usize = 32;
 /// Distinct destinations buffered per handler before a full flush.
 const COALESCE_DESTS: usize = 16;
 
-/// Upper bound on one idle park (re-checks exit conditions and timers).
+/// Upper bound on one idle park. Every enqueue, admission, stop and
+/// shutdown wakes a parked worker, so this is only a safety net: no actor
+/// can arm a delay, and nothing else is due while the run queues are empty.
 const MAX_PARK: Duration = Duration::from_millis(20);
 
 /// How long a worker goes without local work, while work is queued on
@@ -193,7 +187,8 @@ pub struct ExecutorStats {
     pub overflows: u64,
     /// High-water mark of any single mailbox's depth.
     pub max_mailbox_depth: u64,
-    /// Timer-wheel fires delivered (each charged its wire bytes).
+    /// Always 0: the pool has no timers (an actor's own loop is a
+    /// self-send). Kept because the frozen benchmark package reads it.
     pub timer_fires: u64,
     /// Sends addressed outside the sender's own actor-id block, dropped
     /// (a protocol bug; zero in a healthy run).
@@ -407,33 +402,6 @@ struct Slot<M: Message> {
     body: Mutex<Option<SlotBody<M>>>,
 }
 
-/// An armed timer holds its target's group directly, so a fire after the
-/// group retired finds a dead slot and is dropped — never another group.
-struct Armed<M: Message> {
-    deadline: Instant,
-    seq: u64,
-    group: Arc<GroupState<M>>,
-    target: u32,
-    msg: M,
-}
-
-impl<M: Message> PartialEq for Armed<M> {
-    fn eq(&self, o: &Self) -> bool {
-        self.deadline == o.deadline && self.seq == o.seq
-    }
-}
-impl<M: Message> Eq for Armed<M> {}
-impl<M: Message> PartialOrd for Armed<M> {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl<M: Message> Ord for Armed<M> {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        self.deadline.cmp(&o.deadline).then(self.seq.cmp(&o.seq))
-    }
-}
-
 /// The published group table: live groups only (a group leaves it the
 /// moment its last member retires), re-published as a whole. Workers hold
 /// a local `(version, table)` snapshot refreshed via a version counter, so
@@ -460,7 +428,6 @@ struct Shared<M: Message> {
     next_base: AtomicU32,
     /// Home worker of the next admitted group (rotates).
     next_home: AtomicUsize,
-    timers: Vec<Mutex<BinaryHeap<Reverse<Armed<M>>>>>,
     idle_lock: Mutex<()>,
     wake: Condvar,
     idle_count: AtomicUsize,
@@ -468,12 +435,10 @@ struct Shared<M: Message> {
     shutdown: AtomicBool,
     live: AtomicUsize,
     workers: usize,
-    timer_seq: AtomicU64,
     start: Instant,
     steals: AtomicU64,
     parks: AtomicU64,
     overflows: AtomicU64,
-    timer_fires: AtomicU64,
     misrouted: AtomicU64,
     /// High-water mark of any mailbox's depth over the pool's lifetime.
     max_depth: AtomicUsize,
@@ -566,12 +531,6 @@ impl<M: Message> Shared<M> {
         let report = slot
             .mailbox
             .push_batch_or(batch, || group.stop.load(Ordering::Relaxed) || no_wait());
-        self.delivered(group, worker, to, report);
-    }
-
-    /// Books what a push into slot `to` of `group` observed and schedules
-    /// the receiver.
-    fn delivered(&self, group: &GroupState<M>, worker: usize, to: u32, report: PushReport) {
         if report.parks > 0 {
             self.parks.fetch_add(report.parks, Ordering::Relaxed);
         }
@@ -584,49 +543,6 @@ impl<M: Message> Shared<M> {
             .mailbox_depth
             .record(report.depth as u64);
         self.try_schedule(group, worker, to);
-    }
-
-    /// Fires every due timer in `wheel`, one lock hold per timer, into
-    /// `worker`'s run queue; returns how many fired.
-    fn fire_wheel(&self, worker: usize, wheel: usize) -> usize {
-        let now = Instant::now();
-        let mut fired = 0;
-        loop {
-            let armed = {
-                let mut heap = self.timers[wheel].lock().expect("timer wheel");
-                match heap.peek() {
-                    Some(Reverse(top)) if top.deadline <= now => heap.pop().expect("peeked").0,
-                    _ => return fired,
-                }
-            };
-            fired += 1;
-            // Timer fires are real self-sends: charge their wire bytes so
-            // `ThreadedSummary`'s "timer fires included" promise holds.
-            armed.group.charge(armed.msg.wire_bytes());
-            self.timer_fires.fetch_add(1, Ordering::Relaxed);
-            // Never parks; a target that died meanwhile has a closed
-            // mailbox, which drops the fire.
-            let report = armed.group.slots[armed.target as usize]
-                .mailbox
-                .push_control(Env::Msg {
-                    from: armed.group.base + armed.target,
-                    msg: armed.msg,
-                });
-            self.delivered(&armed.group, worker, armed.target, report);
-        }
-    }
-
-    /// Earliest armed deadline across every wheel.
-    fn next_deadline(&self) -> Option<Instant> {
-        self.timers
-            .iter()
-            .filter_map(|t| {
-                t.lock()
-                    .expect("timer wheel")
-                    .peek()
-                    .map(|Reverse(a)| a.deadline)
-            })
-            .min()
     }
 
     /// Whether any group other than `me` (any group at all for `None`) has
@@ -716,15 +632,15 @@ impl<M: Message> Admission<M> {
 
 /// What a pool measured over its lifetime: wall-clock time plus real
 /// traffic totals (the counterpart of the simulator's `RunSummary`). Every
-/// send **and every timer fire** is charged its [`Message::wire_bytes`], so
+/// send, self-sends included, is charged its [`Message::wire_bytes`], so
 /// byte accounting matches the simulated backend's per-batch charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadedSummary {
     /// Wall-clock time since the pool started.
     pub elapsed: SimTime,
-    /// Total bytes across all sends (self-sends and timer fires included).
+    /// Total bytes across all sends (self-sends included).
     pub net_bytes: u64,
-    /// Total messages sent (timer fires included).
+    /// Total messages sent (self-sends included).
     pub net_messages: u64,
     /// Executor observations: steals, parks, mailbox high-water marks.
     pub exec: ExecutorStats,
@@ -735,9 +651,9 @@ pub struct ThreadedSummary {
 pub struct GroupOutcome {
     /// Wall time from admission to the last member retiring.
     pub elapsed: Duration,
-    /// Bytes this group's actors sent (timer fires included).
+    /// Bytes this group's actors sent (self-sends included).
     pub net_bytes: u64,
-    /// Messages this group's actors sent (timer fires included).
+    /// Messages this group's actors sent (self-sends included).
     pub net_messages: u64,
 }
 
@@ -759,21 +675,16 @@ impl<M: Message> Executor<M> {
             groups_version: AtomicU64::new(0),
             next_base: AtomicU32::new(0),
             next_home: AtomicUsize::new(0),
-            timers: (0..workers)
-                .map(|_| Mutex::new(BinaryHeap::new()))
-                .collect(),
             idle_lock: Mutex::new(()),
             wake: Condvar::new(),
             idle_count: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
             workers,
-            timer_seq: AtomicU64::new(0),
             start: Instant::now(),
             steals: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             overflows: AtomicU64::new(0),
-            timer_fires: AtomicU64::new(0),
             misrouted: AtomicU64::new(0),
             max_depth: AtomicUsize::new(0),
             worker_metrics: (0..workers)
@@ -966,7 +877,7 @@ impl<M: Message> Executor<M> {
                 parks: shared.parks.load(Ordering::Relaxed),
                 overflows: shared.overflows.load(Ordering::Relaxed),
                 max_mailbox_depth: shared.max_depth.load(Ordering::Relaxed) as u64,
-                timer_fires: shared.timer_fires.load(Ordering::Relaxed),
+                timer_fires: 0,
                 misrouted: shared.misrouted.load(Ordering::Relaxed),
             },
         }
@@ -1026,8 +937,6 @@ fn worker_loop<M: Message>(shared: &Shared<M>, index: usize) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // Own timers first: cheap, usually empty.
-        shared.fire_wheel(index, index);
         if let Some((group, actor)) = next_task(shared, &mut local, false) {
             dry_since = None;
             run_actor(shared, &mut local, &group, actor);
@@ -1035,30 +944,20 @@ fn worker_loop<M: Message>(shared: &Shared<M>, index: usize) {
         }
         let now = Instant::now();
         if now.duration_since(*dry_since.get_or_insert(now)) >= STEAL_PATIENCE {
-            // Their owners have had their chance: take over every due timer
-            // (so a busy owner cannot sit on another actor's deadline) and
-            // one ready actor.
-            let fired: usize = (0..shared.workers)
-                .filter(|&w| w != index)
-                .map(|w| shared.fire_wheel(index, w))
-                .sum();
-            if fired > 0 {
-                continue;
-            }
+            // Their owners have had their chance: take one ready actor.
             if let Some((group, actor)) = next_task(shared, &mut local, true) {
                 run_actor(shared, &mut local, &group, actor);
                 continue;
             }
         }
-        // Work is queued or a timer is due, on another worker: give the
-        // owner its chance (and, on a shared core, the core).
-        let next_timer = shared.next_deadline();
-        if shared.group_runnable(&mut local.groups, None) || next_timer.is_some_and(|d| d <= now) {
+        // Work is queued on another worker: give the owner its chance (and,
+        // on a shared core, the core).
+        if shared.group_runnable(&mut local.groups, None) {
             thread::yield_now();
             continue;
         }
         // Nothing to run anywhere.
-        park(shared, &mut local, next_timer);
+        park(shared, &mut local);
         dry_since = None;
     }
 }
@@ -1151,11 +1050,8 @@ fn steal_within_group<M: Message>(
     None
 }
 
-/// Parks until woken by new work, `next_timer`, or `MAX_PARK`.
-fn park<M: Message>(shared: &Shared<M>, local: &mut Local<M>, next_timer: Option<Instant>) {
-    let wait = next_timer.map_or(MAX_PARK, |d| {
-        d.saturating_duration_since(Instant::now()).min(MAX_PARK)
-    });
+/// Parks until woken by new work or `MAX_PARK` passes.
+fn park<M: Message>(shared: &Shared<M>, local: &mut Local<M>) {
     let guard = shared.idle_lock.lock().expect("idle lock");
     shared.idle_count.fetch_add(1, Ordering::SeqCst);
     // Re-scan after registering as idle: an enqueue that raced with our
@@ -1171,7 +1067,7 @@ fn park<M: Message>(shared: &Shared<M>, local: &mut Local<M>, next_timer: Option
     let parked_at = wm.clock();
     let _ = shared
         .wake
-        .wait_timeout(guard, wait.max(Duration::from_micros(50)))
+        .wait_timeout(guard, MAX_PARK)
         .expect("idle lock");
     wm.charge_span(parked_at, &wm.park_ns);
     shared.idle_count.fetch_sub(1, Ordering::SeqCst);
@@ -1400,28 +1296,6 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
         self.buffer(to, Env::Msg { from, msg });
     }
 
-    fn schedule(&mut self, delay: SimTime, msg: M) {
-        if delay == SimTime::ZERO {
-            // Fast path: a charged self-send, no timer round-trip.
-            self.group.charge(msg.wire_bytes());
-            let from = self.me();
-            self.buffer(self.me, Env::Msg { from, msg });
-            return;
-        }
-        // Arm on this worker's wheel; charged when it fires.
-        let seq = self.shared.timer_seq.fetch_add(1, Ordering::Relaxed);
-        self.shared.timers[self.worker]
-            .lock()
-            .expect("timer wheel")
-            .push(Reverse(Armed {
-                deadline: Instant::now() + Duration::from_nanos(delay.as_nanos()),
-                seq,
-                group: Arc::clone(self.group),
-                target: self.me,
-                msg,
-            }));
-    }
-
     fn consume_cpu(&mut self, _amount: SimTime) {
         // Real computation takes real time on this backend.
     }
@@ -1571,7 +1445,7 @@ mod tests {
 
     #[test]
     fn per_group_traffic_ledgers_are_disjoint() {
-        /// Sends its peer five messages, arms a timer, and never stops.
+        /// Sends its peer five messages and itself one, and never stops.
         struct Lingerer {
             peer: ActorId,
         }
@@ -1580,7 +1454,7 @@ mod tests {
                 for i in 0..5 {
                     ctx.send(self.peer, Count(i));
                 }
-                ctx.schedule(SimTime::from_millis(1), Count(0));
+                ctx.send(ctx.me(), Count(0));
             }
             fn on_message(&mut self, _c: &mut dyn Context<Count>, _f: ActorId, _m: Count) {}
         }
@@ -1597,7 +1471,7 @@ mod tests {
         assert_eq!(b_out.net_messages, 70);
         assert_eq!(a_out.net_bytes, 40 * 8);
         // Mid-run: the pool totals are the finished groups' ledgers plus
-        // what a group that is still live has sent, its timer fire included.
+        // what a group that is still live has sent, its self-send included.
         let c = pool.admit_with(2, 1024, |base| {
             vec![
                 Box::new(Lingerer { peer: base + 1 }) as Box<dyn Actor<Count>>,
@@ -1609,8 +1483,7 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         let mid = pool.summary();
-        assert_eq!(mid.exec.timer_fires, 1);
-        assert_eq!(mid.net_messages, 40 + 70 + 6, "five sends and the fire");
+        assert_eq!(mid.net_messages, 40 + 70 + 6, "six sends, one to itself");
         assert_eq!(mid.net_bytes, (40 + 70 + 6) * 8);
         assert_eq!(pool.live(), (1, 2), "counted while the group is live");
         pool.cancel(&c);
@@ -1663,20 +1536,28 @@ mod tests {
         }
     }
 
-    /// Sends the slicer its workload, then stops the group from a timer —
-    /// the sentinel lands while the slicer is likely mid-slice.
-    struct TimedStopper {
+    /// Sends the slicer its workload, then counts down [`STOP_COUNTDOWN`]
+    /// self-sends — one actor run each, interleaved with the slicer's —
+    /// and stops the group: the sentinel lands while the slicer is likely
+    /// mid-slice, and always behind the workload.
+    struct CountdownStopper {
         target: ActorId,
         units: u64,
     }
 
-    impl Actor<Count> for TimedStopper {
+    const STOP_COUNTDOWN: u64 = 8;
+
+    impl Actor<Count> for CountdownStopper {
         fn on_start(&mut self, ctx: &mut dyn Context<Count>) {
             ctx.send(self.target, Count(self.units));
-            ctx.schedule(SimTime::from_nanos(3_000_000), Count(0));
+            ctx.send(ctx.me(), Count(STOP_COUNTDOWN));
         }
-        fn on_message(&mut self, ctx: &mut dyn Context<Count>, _f: ActorId, _m: Count) {
-            ctx.stop();
+        fn on_message(&mut self, ctx: &mut dyn Context<Count>, _f: ActorId, m: Count) {
+            if m.0 == 0 {
+                ctx.stop();
+            } else {
+                ctx.send(ctx.me(), Count(m.0 - 1));
+            }
         }
     }
 
@@ -1698,7 +1579,7 @@ mod tests {
         let done_in = Arc::clone(&done);
         let group = pool.admit_with(2, cfg.mailbox_capacity, move |base| {
             vec![
-                Box::new(TimedStopper {
+                Box::new(CountdownStopper {
                     target: base + 1,
                     units,
                 }) as Box<dyn Actor<Count>>,
@@ -1717,7 +1598,11 @@ mod tests {
             units,
             "work delivered before the sentinel completed exactly"
         );
-        assert!(out.net_messages >= 2, "workload send plus the timer fire");
+        assert_eq!(
+            out.net_messages,
+            2 + STOP_COUNTDOWN,
+            "the workload send plus every step of the countdown"
+        );
         pool.wait(&competitor);
         pool.shutdown();
     }
@@ -1781,7 +1666,7 @@ mod tests {
             Executor::start(&ExecutorConfig::default(), &MetricsRegistry::disabled());
         let group = pool.admit_weighted(2, 1024, 8, move |base| {
             vec![
-                Box::new(TimedStopper {
+                Box::new(CountdownStopper {
                     target: base + 1,
                     units: 10_000,
                 }) as Box<dyn Actor<Count>>,

@@ -37,11 +37,3 @@ pub use executor::{
 pub use mailbox::{Mailbox, PushReport};
 pub use net::{NetConfig, Network};
 pub use time::SimTime;
-
-/// One group alone on a pool of its own — what a standalone threaded run
-/// is. Tests only; the module path is the one their names were recorded
-/// under when a batch engine wrapped the pool.
-#[cfg(test)]
-mod threaded {
-    mod tests;
-}

@@ -89,8 +89,8 @@ impl<T> Mailbox<T> {
 
     /// Enqueues every item of `batch` (drained in order) under one lock
     /// acquisition, parking while the ring is full. `no_wait` skips the
-    /// backpressure parks entirely (self-sends, timer fires and shutdown
-    /// paths must not stall the calling worker).
+    /// backpressure parks entirely (self-sends and shutdown paths must not
+    /// stall the calling worker).
     pub fn push_batch(&self, batch: &mut Vec<T>, no_wait: bool) -> PushReport {
         self.push_batch_or(batch, || no_wait)
     }

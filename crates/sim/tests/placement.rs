@@ -9,7 +9,7 @@
 //! each other either.
 
 use ehj_metrics::MetricsRegistry;
-use ehj_sim::{Actor, ActorId, Admission, Context, Executor, ExecutorConfig, Message, SimTime};
+use ehj_sim::{Actor, ActorId, Admission, Context, Executor, ExecutorConfig, Message};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -159,7 +159,7 @@ struct Cruncher {
 }
 impl Actor<Count> for Cruncher {
     fn on_start(&mut self, ctx: &mut dyn Context<Count>) {
-        ctx.schedule(SimTime::ZERO, Count(self.steps));
+        ctx.send(ctx.me(), Count(self.steps));
     }
     fn on_message(&mut self, ctx: &mut dyn Context<Count>, _from: ActorId, msg: Count) {
         let mut x = msg.0;
@@ -175,7 +175,7 @@ impl Actor<Count> for Cruncher {
             .expect("seen")
             .insert(thread::current().id());
         if msg.0 > 1 {
-            ctx.schedule(SimTime::ZERO, Count(msg.0 - 1));
+            ctx.send(ctx.me(), Count(msg.0 - 1));
         } else if self.unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
             ctx.stop();
         }
