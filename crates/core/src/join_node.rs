@@ -5,7 +5,9 @@
 //! behaviour of all four algorithms:
 //!
 //! * inserting build tuples with byte-accurate memory accounting and
-//!   raising `memory full` exactly when an insert cannot be allocated;
+//!   raising `memory full` exactly when an insert cannot be allocated — a
+//!   chunk that lies in one table entry this node owns and wholly fits is
+//!   appended in one copy, exactly as inserting it tuple by tuple would;
 //! * queueing unhoused tuples ("pending buffers") and, on each routing
 //!   update, re-forwarding the ones whose range moved to a new node —
 //!   the replication-based hand-off of §4.2.2;
@@ -41,6 +43,8 @@ struct NodeMetrics {
     build_ns: ehj_metrics::Histogram,
     probe_ns: ehj_metrics::Histogram,
     batch_tuples: ehj_metrics::Histogram,
+    /// Build chunks that took the whole-chunk insert.
+    build_whole_chunks: Counter,
     chain_len: ehj_metrics::Histogram,
     occupancy: Gauge,
     /// Last table length folded into the gauge.
@@ -62,6 +66,7 @@ impl NodeMetrics {
             build_ns: handle.histogram(names::NODE_BUILD_NS),
             probe_ns: handle.histogram(names::NODE_PROBE_NS),
             batch_tuples: handle.histogram(names::NODE_BATCH_TUPLES),
+            build_whole_chunks: handle.counter(names::NODE_BUILD_WHOLE_CHUNKS),
             chain_len: handle.histogram(names::TABLE_CHAIN_LEN),
             occupancy: handle.gauge(names::NODE_ARENA_TUPLES),
             occupancy_seen: 0,
@@ -401,19 +406,62 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         self.trace_detail(ctx, Phase::Build, TraceKind::Spill { bytes, fragments });
     }
 
+    /// The whole-chunk build path: with no overlay installed and no spill
+    /// under way, a chunk whose lowest and highest positions fall in one
+    /// table entry that this node owns is appended in one copy — if all of
+    /// it fits. The tuple loop would have inserted the same tuples in the
+    /// same order and charged the same CPU, so nothing observable differs.
+    /// Returns false, having changed nothing, when any test fails.
+    fn insert_whole_chunk(&mut self, batch: &[Tuple], positions: &[u32]) -> bool {
+        let routing = self.routing.as_ref().expect("active node has routing");
+        if routing.overlay().is_some() || self.spill.is_some() {
+            return false;
+        }
+        let Some(&first) = positions.first() else {
+            return false;
+        };
+        let (lo, hi) = positions
+            .iter()
+            .fold((first, first), |(lo, hi), &p| (lo.min(p), hi.max(p)));
+        // Entries are contiguous ranges, so one entry at both ends covers
+        // every position between them.
+        routing.entry_index(lo) == routing.entry_index(hi)
+            && routing.build_dest_pos(lo) == self.me
+            && self.table.insert_batch_pre_hashed(batch, positions).is_ok()
+    }
+
     fn handle_build(&mut self, ctx: &mut dyn Context<Msg>, batch: TupleBatch) {
         let _timer = self.metrics.build_ns.start_timer();
         self.metrics.batch_tuples.record(batch.len() as u64);
+        // Hash once, in bulk: each position addresses both the routing
+        // table and the local hash table.
+        let mut positions = std::mem::take(&mut self.pos_scratch);
+        self.space.bulk_positions(&batch, &mut positions);
+        if self.insert_whole_chunk(&batch, &positions) {
+            self.metrics.build_whole_chunks.add(1);
+            ctx.consume_cpu(self.cfg.costs.insert_per_tuple * batch.len() as u64);
+        } else {
+            self.build_tuple_by_tuple(ctx, &batch, &positions);
+        }
+        self.pos_scratch = positions;
+    }
+
+    /// The build for a chunk the whole-chunk path refused (it straddles
+    /// entries, is not all ours, does not wholly fit, or meets an overlay
+    /// or a spill): each tuple is routed, and one this node owns is
+    /// inserted under a capacity check, queued as pending, or spilled.
+    fn build_tuple_by_tuple(
+        &mut self,
+        ctx: &mut dyn Context<Msg>,
+        batch: &TupleBatch,
+        positions: &[u32],
+    ) {
         let costs = self.cfg.costs;
         let routing = self.routing.take().expect("active node has routing");
         let mut to_spill: Vec<Tuple> = Vec::new();
         let mut inserted: u64 = 0;
         let mut newly_pending: u64 = 0;
-        // Hash once, in bulk: each position addresses both the routing
-        // table and the local hash table.
-        let mut positions = std::mem::take(&mut self.pos_scratch);
-        self.space.bulk_positions(&batch, &mut positions);
-        for (&t, &pos) in batch.iter().zip(&positions) {
+        for (&t, &pos) in batch.iter().zip(positions) {
             // Hot positions are replicated: a hot tuple landing anywhere is
             // validly homed, and the post-build hand-off copies it to every
             // clean participant (DESIGN §4i). Forwarding it would break the
@@ -459,13 +507,12 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             }
         }
         self.routing = Some(routing);
-        self.pos_scratch = positions;
         ctx.consume_cpu(costs.insert_per_tuple * inserted);
         let kept_local = inserted + to_spill.len() as u64 + newly_pending;
         self.spill_append_build(ctx, &to_spill);
         // If nothing stayed local, the original batch may be re-forwardable
         // wholesale (Arc clone) instead of copied out of the scatter buffer.
-        let whole = (kept_local == 0).then_some(&batch);
+        let whole = (kept_local == 0).then_some(batch);
         self.ship_scatter(ctx, Phase::Build, whole);
         if newly_pending > 0 && !self.awaiting_relief {
             self.report_overflow(ctx);
@@ -1868,5 +1915,156 @@ mod tests {
             [Msg::Data { tuples, .. }] => assert_eq!(tuples.as_slice(), [Tuple::new(2, 700)]),
             ref other => panic!("expected one forwarded chunk, got {other:?}"),
         }
+    }
+
+    /// Prepares two nodes alike, then feeds `chunk` to one through the
+    /// message handler and to the other straight through the tuple loop.
+    /// Asserts the same table, pending queue, CPU, disk traffic and
+    /// messages (the handler's `DataAck` and chunk charge aside), and
+    /// returns whether the handler appended the chunk whole.
+    fn handler_matches_tuple_loop(
+        algorithm: Algorithm,
+        cap_tuples: u64,
+        prepare: impl Fn(&mut JoinNode<MemBackend>, &mut ScriptCtx),
+        chunk: &[Tuple],
+    ) -> bool {
+        use ehj_metrics::MetricsRegistry;
+        let registry = MetricsRegistry::new();
+        let run = |through_handler: bool| {
+            let (mut node, mut ctx) = activated_node(algorithm, cap_tuples);
+            if through_handler {
+                node = node.with_metrics(&registry.handle_for(0));
+            }
+            prepare(&mut node, &mut ctx);
+            ctx.sent.clear();
+            let start = ctx.now;
+            if through_handler {
+                node.on_message(&mut ctx, 1, build_data(chunk.to_vec()));
+                ctx.sent.retain(|(_, m)| !matches!(m, Msg::DataAck));
+                ctx.now -= node.cfg.costs.chunk_handling;
+            } else {
+                let batch = TupleBatch::from(chunk.to_vec());
+                let mut positions = Vec::new();
+                node.space.bulk_positions(&batch, &mut positions);
+                node.build_tuple_by_tuple(&mut ctx, &batch, &positions);
+            }
+            let table: Vec<Tuple> = node.table.iter().copied().collect();
+            let sent = format!("{:?}", ctx.sent);
+            (table, node.pending, sent, ctx.now - start, ctx.disk_written)
+        };
+        let (handled, looped) = (run(true), run(false));
+        assert_eq!(handled, looped);
+        let snap = registry.snapshot();
+        let whole = snap.counters.get(names::NODE_BUILD_WHOLE_CHUNKS).copied();
+        whole == Some(1)
+    }
+
+    /// Tuples at positions `from..to`, one each.
+    fn at_positions(from: u64, to: u64) -> Vec<Tuple> {
+        (from..to).map(|v| Tuple::new(v, v)).collect()
+    }
+
+    #[test]
+    fn an_owned_chunk_that_fits_is_appended_whole() {
+        let no_prep = |_: &mut JoinNode<MemBackend>, _: &mut ScriptCtx| {};
+        let chunk = at_positions(100, 140);
+        for algorithm in [Algorithm::Split, Algorithm::Hybrid, Algorithm::OutOfCore] {
+            assert!(handler_matches_tuple_loop(algorithm, 40, no_prep, &chunk));
+        }
+    }
+
+    #[test]
+    fn a_chunk_across_two_entries_goes_tuple_by_tuple() {
+        // Positions 490..510 straddle ME's and OTHER's ranges.
+        let no_prep = |_: &mut JoinNode<MemBackend>, _: &mut ScriptCtx| {};
+        let chunk = at_positions(490, 510);
+        assert!(!handler_matches_tuple_loop(
+            Algorithm::Split,
+            100,
+            no_prep,
+            &chunk
+        ));
+        // Two entries with the same owner: still one entry test, failed.
+        let two_of_mine = |node: &mut JoinNode<MemBackend>, ctx: &mut ScriptCtx| {
+            let routing = RoutingTable::Disjoint(RangeMap::partitioned(1000, &[ME, ME, OTHER]));
+            node.on_message(
+                ctx,
+                SCHED,
+                Msg::RoutingUpdate {
+                    routing,
+                    version: 2,
+                },
+            );
+        };
+        let chunk = at_positions(320, 350);
+        assert!(!handler_matches_tuple_loop(
+            Algorithm::Split,
+            100,
+            two_of_mine,
+            &chunk
+        ));
+    }
+
+    #[test]
+    fn an_owned_chunk_that_partly_fits_goes_tuple_by_tuple() {
+        // Five of eight fit: the same prefix is inserted, the same tail
+        // waits, and one MemoryFull goes out.
+        let no_prep = |_: &mut JoinNode<MemBackend>, _: &mut ScriptCtx| {};
+        let chunk = at_positions(100, 108);
+        assert!(!handler_matches_tuple_loop(
+            Algorithm::Split,
+            5,
+            no_prep,
+            &chunk
+        ));
+        let (mut node, mut ctx) = activated_node(Algorithm::Split, 5);
+        node.on_message(&mut ctx, 1, build_data(chunk.clone()));
+        assert_eq!(node.table.iter().copied().collect::<Vec<_>>(), chunk[..5]);
+        assert!(node.pending.iter().eq(&chunk[5..]));
+        assert_eq!(ctx.count(|m| matches!(m, Msg::MemoryFull { .. })), 1);
+        // The baseline goes out of core mid-chunk instead.
+        assert!(!handler_matches_tuple_loop(
+            Algorithm::OutOfCore,
+            5,
+            no_prep,
+            &chunk
+        ));
+    }
+
+    #[test]
+    fn a_chunk_under_an_overlay_goes_tuple_by_tuple() {
+        let overlaid = |node: &mut JoinNode<MemBackend>, ctx: &mut ScriptCtx| {
+            let routing = hot_routing();
+            node.on_message(
+                ctx,
+                SCHED,
+                Msg::RoutingUpdate {
+                    routing,
+                    version: 2,
+                },
+            );
+        };
+        // All cold and ours, yet the overlay rules the fast path out.
+        let chunk = at_positions(100, 108);
+        assert!(!handler_matches_tuple_loop(
+            Algorithm::Hybrid,
+            100,
+            overlaid,
+            &chunk
+        ));
+    }
+
+    #[test]
+    fn a_chunk_after_spill_goes_tuple_by_tuple() {
+        let spilled = |node: &mut JoinNode<MemBackend>, ctx: &mut ScriptCtx| {
+            node.on_message(ctx, SCHED, Msg::NoMoreNodes);
+        };
+        let chunk = at_positions(100, 108);
+        assert!(!handler_matches_tuple_loop(
+            Algorithm::Split,
+            100,
+            spilled,
+            &chunk
+        ));
     }
 }

@@ -23,7 +23,7 @@
 //! positions fall through to the wrapped inner table (DESIGN §4i).
 
 use ehj_data::JoinAttr;
-use ehj_hash::{BucketMap, PositionSpace, RangeMap, ReplicaMap};
+use ehj_hash::{BucketMap, HashRange, PositionSpace, RangeMap, ReplicaMap};
 use ehj_sim::ActorId;
 
 /// The hot-position overlay installed by the scheduler when source-side
@@ -170,6 +170,31 @@ impl RoutingTable {
             Self::Replica(m) => m.index_of(pos),
             Self::Buckets(m) => m.bucket_of(pos as u64) as usize,
             Self::HotKeys { inner, .. } => inner.entry_index(pos),
+        }
+    }
+
+    /// Calls `f(range, entry)` for every base-table entry in position
+    /// order, `entry` being its [`Self::entry_index`]; the ranges tile the
+    /// position space (empty buckets are skipped). A caller that settles
+    /// something per range pays once per entry, not once per position.
+    pub fn for_each_entry(&self, mut f: impl FnMut(HashRange, usize)) {
+        match self {
+            Self::Disjoint(m) => {
+                for (i, &(range, _)) in m.entries().iter().enumerate() {
+                    f(range, i);
+                }
+            }
+            Self::Replica(m) => {
+                for (i, e) in m.entries().iter().enumerate() {
+                    f(e.range, i);
+                }
+            }
+            Self::Buckets(m) => {
+                for ((lo, hi), b) in m.ranges_in_order() {
+                    f(HashRange::new(lo as u32, hi as u32), b as usize);
+                }
+            }
+            Self::HotKeys { inner, .. } => inner.for_each_entry(f),
         }
     }
 
@@ -364,6 +389,16 @@ mod tests {
                 );
             }
             assert!(seen.iter().all(Option::is_some), "every entry is reachable");
+            // The entry walk tiles the space with exactly these indices.
+            let mut next = 0;
+            t.for_each_entry(|range, entry| {
+                assert_eq!(range.start, next, "entries are walked in order");
+                for pos in range.start..range.end {
+                    assert_eq!(t.entry_index(pos), entry, "position {pos}");
+                }
+                next = range.end;
+            });
+            assert_eq!(next, 100, "the walk covers the space");
         }
         // The wrapper numbers entries exactly as the table it wraps.
         for pos in 0..100u32 {

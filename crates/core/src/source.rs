@@ -8,6 +8,18 @@
 //! to every replica of its range (the broadcast ships one shared
 //! [`TupleBatch`] — an `Arc` clone per replica, never a tuple copy).
 //!
+//! ## Routing by the cell
+//!
+//! Ownership is settled per range of positions, not per tuple. The
+//! position space is cut into at most [`MAX_CELLS`] cells of equal
+//! power-of-two width, derived from `cfg.positions`; a cell that lies
+//! wholly inside one routing-table entry and holds no hot position maps to
+//! that entry's buffer, so a tuple finds its buffer with one array read.
+//! Only the tuples of a [`MIXED`] cell — one an entry boundary crosses, or
+//! one holding a hot position — are routed one by one. The cell table is
+//! built in one walk over the table's entries and dropped with every
+//! accepted routing change.
+//!
 //! ## Flow control
 //!
 //! The paper's sources wrote to blocking TCP sockets, so a source could
@@ -43,6 +55,13 @@ pub const CREDIT_CHUNKS: usize = 4;
 /// Generation pauses while more than this many chunks wait for credit.
 const MAX_BLOCKED_CHUNKS: usize = 16;
 
+/// Most cells a source's cell table holds (16 KB of slots).
+const MAX_CELLS: u32 = 4096;
+
+/// A cell-table value: the cell straddles a table-entry boundary or holds
+/// a hot position, so its tuples are routed one by one.
+const MIXED: u32 = u32::MAX;
+
 /// One data-source process.
 pub struct DataSource {
     cfg: Arc<JoinConfig>,
@@ -62,13 +81,22 @@ pub struct DataSource {
     buffers: Vec<(Vec<ActorId>, Vec<Tuple>)>,
     /// Destination set → its slot in `buffers`.
     set_slots: HashMap<Vec<ActorId>, usize>,
+    /// Cell → buffer slot: one entry per cell of `1 << cell_shift`
+    /// positions, read once per routed tuple. A cell whose positions all
+    /// lie in one table entry, none of them hot, holds that entry's slot;
+    /// any other cell holds [`MIXED`]. Empty means stale: cleared where
+    /// `entry_slots` is, rebuilt by the next route.
+    cell_slots: Vec<u32>,
+    /// log2 of the positions per cell: the smallest width that keeps the
+    /// cell count at or below [`MAX_CELLS`], derived from `cfg.positions`.
+    cell_shift: u32,
     /// Routing-table entry index ([`RoutingTable::entry_index`]) → slot in
-    /// `buffers`, filled by the first cold tuple of each entry so every
-    /// later one skips destination resolution and the `set_slots` hash.
-    /// Entry indices mean nothing across tables or phases: cleared at
-    /// `start_phase` and on every accepted routing update. The buffers stay
-    /// keyed by set, so tuples buffered under the old table keep their
-    /// destinations.
+    /// `buffers`, filled by the cell build and by the first cold tuple of a
+    /// [`MIXED`] cell's entry, so every later one skips destination
+    /// resolution and the `set_slots` hash. Entry indices mean nothing
+    /// across tables or phases: cleared at `start_phase` and on every
+    /// accepted routing update. The buffers stay keyed by set, so tuples
+    /// buffered under the old table keep their destinations.
     entry_slots: Vec<Option<usize>>,
     /// Per-destination credits remaining.
     credits: HashMap<ActorId, usize>,
@@ -104,6 +132,10 @@ impl DataSource {
     pub fn new(cfg: Arc<JoinConfig>, index: usize, scheduler: ActorId) -> Self {
         let space = PositionSpace::new(cfg.positions, cfg.r.domain, cfg.hasher);
         let chunk = cfg.chunk_tuples as u64;
+        let mut cell_shift = 0;
+        while cfg.positions.saturating_sub(1) >> cell_shift >= MAX_CELLS {
+            cell_shift += 1;
+        }
         Self {
             cfg,
             index,
@@ -115,6 +147,8 @@ impl DataSource {
             routing_version: 0,
             buffers: Vec::new(),
             set_slots: HashMap::new(),
+            cell_slots: Vec::new(),
+            cell_shift,
             entry_slots: Vec::new(),
             credits: HashMap::new(),
             blocked: HashMap::new(),
@@ -160,6 +194,7 @@ impl DataSource {
         self.buffers.clear();
         self.set_slots.clear();
         self.entry_slots.clear();
+        self.cell_slots.clear();
         self.credits.clear();
         self.blocked.clear();
         self.gen_paused = false;
@@ -315,8 +350,73 @@ impl DataSource {
         slot
     }
 
+    /// Builds the cell table for `routing` in one walk over its entries,
+    /// O(cells + entries): the cells wholly inside an entry take its slot,
+    /// resolved once per entry; a cell across an entry boundary stays
+    /// [`MIXED`], and so does every cell holding a hot position.
+    fn build_cells(&mut self, routing: &RoutingTable) {
+        let (shift, end) = (self.cell_shift, self.cfg.positions);
+        let mut cells = std::mem::take(&mut self.cell_slots);
+        cells.clear();
+        cells.resize((end.saturating_sub(1) >> shift) as usize + 1, MIXED);
+        let mut dests = std::mem::take(&mut self.dest_scratch);
+        // The entry's first position may be hot: resolve through the base
+        // table, which is what every cold position of the entry sees.
+        let base = routing.inner();
+        routing.for_each_entry(|range, entry| {
+            // The last cell ends where the position space does.
+            let first = range.start.div_ceil(1 << shift) as usize;
+            let last = if range.end >= end {
+                cells.len()
+            } else {
+                (range.end >> shift) as usize
+            };
+            if first < last {
+                let slot = self.resolve_entry(base, entry, range.start, &mut dests);
+                cells[first..last].fill(slot as u32);
+            }
+        });
+        for &pos in routing.overlay().map_or(&[][..], |o| &o.hot) {
+            if let Some(cell) = cells.get_mut((pos >> shift) as usize) {
+                *cell = MIXED;
+            }
+        }
+        self.dest_scratch = dests;
+        self.cell_slots = cells;
+    }
+
+    /// The buffer slot of a tuple in a [`MIXED`] cell.
+    fn route_mixed(&mut self, routing: &RoutingTable, pos: u32, dests: &mut Vec<ActorId>) -> usize {
+        // Hot positions are round-robined per source ticket: one copy per
+        // build tuple (replication happens in the post-barrier hand-off),
+        // one answering replica per probe tuple plus any spilled extras.
+        // The set changes tuple by tuple, so it is looked up by value.
+        if let Some(o) = routing.overlay().filter(|o| o.is_hot(pos)) {
+            self.hot_ticket += 1;
+            dests.clear();
+            match self.phase {
+                Phase::Build => dests.push(o.pick(self.hot_ticket)),
+                Phase::Probe => o.push_probe_dests(self.hot_ticket, dests),
+                Phase::Reshuffle => unreachable!("sources do not route in reshuffle"),
+            }
+            return self.slot_for_set(dests);
+        }
+        // Cold positions of one table entry share one set: the first
+        // resolves it, the rest index the entry table.
+        let entry = routing.entry_index(pos);
+        match self.entry_slots.get(entry).copied().flatten() {
+            Some(slot) => slot,
+            None => self.resolve_entry(routing, entry, pos, dests),
+        }
+    }
+
     fn route_tuples(&mut self, ctx: &mut dyn Context<Msg>, tuples: &[Tuple]) {
         let routing = self.routing.take().expect("routing set with phase");
+        if self.cell_slots.is_empty() {
+            self.build_cells(&routing);
+        }
+        let cells = std::mem::take(&mut self.cell_slots);
+        let shift = self.cell_shift;
         let tb = self.tuple_bytes();
         let mut dests = std::mem::take(&mut self.dest_scratch);
         let mut positions = std::mem::take(&mut self.pos_scratch);
@@ -327,36 +427,16 @@ impl DataSource {
         // Hash the whole batch once up front (unrolled bulk kernel); every
         // routing shape below addresses the precomputed positions.
         self.space.bulk_positions(tuples, &mut positions);
-        for (&t, &pos) in tuples.iter().zip(&positions) {
-            // Only a build phase with hot-key detection on has a sketch.
-            if let Some(sk) = self.sketch.as_mut() {
+        // Only a build phase with hot-key detection on has a sketch.
+        if let Some(sk) = self.sketch.as_mut() {
+            for &pos in &positions {
                 sk.observe(pos as u64);
             }
-            let slot = match routing.overlay().filter(|o| o.is_hot(pos)) {
-                // Hot positions are round-robined per source ticket: one
-                // copy per build tuple (replication happens in the
-                // post-barrier hand-off), one answering replica per probe
-                // tuple plus any spilled extras. The set changes tuple by
-                // tuple, so it is looked up by value.
-                Some(o) => {
-                    self.hot_ticket += 1;
-                    dests.clear();
-                    match self.phase {
-                        Phase::Build => dests.push(o.pick(self.hot_ticket)),
-                        Phase::Probe => o.push_probe_dests(self.hot_ticket, &mut dests),
-                        Phase::Reshuffle => unreachable!("sources do not route in reshuffle"),
-                    }
-                    self.slot_for_set(&dests)
-                }
-                // Cold positions of one table entry share one set: the
-                // first resolves it, the rest index the slot table.
-                None => {
-                    let entry = routing.entry_index(pos);
-                    match self.entry_slots.get(entry).copied().flatten() {
-                        Some(slot) => slot,
-                        None => self.resolve_entry(&routing, entry, pos, &mut dests),
-                    }
-                }
+        }
+        for (&t, &pos) in tuples.iter().zip(&positions) {
+            let slot = match cells[(pos >> shift) as usize] {
+                MIXED => self.route_mixed(&routing, pos, &mut dests),
+                slot => slot as usize,
             };
             let fanout = self.buffers[slot].0.len() as u64;
             delivered += u64::from(fanout > 0);
@@ -384,6 +464,7 @@ impl DataSource {
         );
         self.dest_scratch = dests;
         self.pos_scratch = positions;
+        self.cell_slots = cells;
         if self.routing.is_none() {
             self.routing = Some(routing);
         }
@@ -499,6 +580,7 @@ impl Actor<Msg> for DataSource {
                 self.routing = Some(routing);
                 self.routing_version = version;
                 self.entry_slots.clear();
+                self.cell_slots.clear();
                 self.reroute_blocked(ctx);
                 self.check_drained(ctx);
             }
@@ -523,15 +605,19 @@ mod tests {
     const NODE_B: ActorId = 3;
 
     fn cfg(r_tuples: u64, chunk: usize) -> Arc<JoinConfig> {
+        cfg_over(r_tuples, chunk, 1000)
+    }
+
+    fn cfg_over(r_tuples: u64, chunk: usize, positions: u32) -> Arc<JoinConfig> {
         let mut cfg = JoinConfig::paper_scaled(Algorithm::Replicated, 1000);
         cfg.sources = 1;
         cfg.r.tuples = r_tuples;
         cfg.s.tuples = r_tuples;
         cfg.chunk_tuples = chunk;
         // position == attribute for easy reasoning
-        cfg.positions = 1000;
-        cfg.r = cfg.r.with_domain(1000);
-        cfg.s = cfg.s.with_domain(1000);
+        cfg.positions = positions;
+        cfg.r = cfg.r.with_domain(u64::from(positions));
+        cfg.s = cfg.s.with_domain(u64::from(positions));
         Arc::new(cfg)
     }
 
@@ -844,14 +930,46 @@ mod tests {
         chunks
     }
 
-    /// Runs one phase of 6000 tuples in 400-tuple chunks through a source
-    /// and through the reference: `before` routes the first two generation
-    /// steps, a stale update arrives between them, `after` arrives as a
-    /// routing update on half-full buffers and routes the rest.
-    fn assert_matches_reference(phase: Phase, before: RoutingTable, after: RoutingTable) {
+    /// Every pure cell's slot holds exactly the set each of its positions
+    /// routes to under `routing`, and no pure cell holds a hot position.
+    fn assert_cells_route_like(src: &DataSource, routing: &RoutingTable) {
+        assert!(
+            src.cell_slots.iter().any(|&c| c != MIXED),
+            "some cell is pure"
+        );
+        let mut dests = Vec::new();
+        for pos in 0..src.cfg.positions {
+            let cell = src.cell_slots[(pos >> src.cell_shift) as usize];
+            if cell == MIXED {
+                continue;
+            }
+            let hot = routing.overlay().is_some_and(|o| o.is_hot(pos));
+            assert!(!hot, "hot position {pos} in a pure cell");
+            match src.phase {
+                Phase::Build => {
+                    dests.clear();
+                    dests.push(routing.build_dest_pos(pos));
+                }
+                _ => routing.probe_dests_pos(pos, &mut dests),
+            }
+            assert_eq!(src.buffers[cell as usize].0, dests, "position {pos}");
+        }
+    }
+
+    /// Runs one phase of 6000 tuples in 400-tuple chunks over `positions`
+    /// through a source and through the reference: `before` routes the
+    /// first two generation steps, a stale update arrives between them,
+    /// `after` arrives as a routing update on half-full buffers and routes
+    /// the rest. Returns the source, its cell table built for `after`.
+    fn assert_matches_reference(
+        positions: u32,
+        phase: Phase,
+        before: RoutingTable,
+        after: RoutingTable,
+    ) -> DataSource {
         const TUPLES: u64 = 6000;
         const CHUNK: usize = 400;
-        let cfg = cfg(TUPLES, CHUNK);
+        let cfg = cfg_over(TUPLES, CHUNK, positions);
         let mut src = DataSource::new(Arc::clone(&cfg), 0, SCHED);
         let mut ctx = ScriptCtx::new(ME);
         let mut reference = ReferenceRouter {
@@ -890,7 +1008,8 @@ mod tests {
 
         step(&mut src, &mut ctx);
         reference_step(&before);
-        let slots = src.entry_slots.clone();
+        assert_cells_route_like(&src, &before);
+        let (cells, slots) = (src.cell_slots.clone(), src.entry_slots.clone());
         assert!(
             slots.iter().any(Option::is_some),
             "the first step fills slots"
@@ -899,10 +1018,11 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: RoutingTable::Disjoint(RangeMap::partitioned(1000, &[NODE_B])),
+                routing: RoutingTable::Disjoint(RangeMap::partitioned(positions, &[NODE_B])),
                 version: 3,
             },
         );
+        assert_eq!(src.cell_slots, cells, "a stale update leaves the cells");
         assert_eq!(src.entry_slots, slots, "a stale update clears nothing");
         step(&mut src, &mut ctx);
         reference_step(&before);
@@ -916,12 +1036,17 @@ mod tests {
                 version: 6,
             },
         );
+        assert!(
+            src.cell_slots.is_empty(),
+            "an accepted update drops the cells"
+        );
         assert!(src.entry_slots.is_empty(), "an accepted update clears all");
         while ctx.count(|m| matches!(m, Msg::GenStep)) > 0 {
             step(&mut src, &mut ctx);
             reference_step(&after);
         }
         reference.flush();
+        assert_cells_route_like(&src, &after);
 
         assert_eq!(chunks, reference.chunks);
         let comm = ctx
@@ -933,69 +1058,144 @@ mod tests {
             })
             .expect("phase-done report");
         assert_eq!(comm, reference.comm);
+        src
     }
 
     const NODE_C: ActorId = 4;
     const NODE_D: ActorId = 5;
 
+    /// One position per cell (shift 0), and four (shift 2): every entry
+    /// boundary of a three-way split of 10 000 falls inside a cell.
+    const SPACES: [u32; 2] = [1000, 10_000];
+
+    #[test]
+    fn the_cell_width_is_derived_from_the_position_space() {
+        for (positions, shift, cells) in [
+            (1000, 0, 1000),
+            (4096, 0, 4096),
+            (4097, 1, 2049),
+            (10_000, 2, 2500),
+            (1 << 18, 6, 4096),
+        ] {
+            let mut src = DataSource::new(cfg_over(10, 10, positions), 0, SCHED);
+            assert_eq!(src.cell_shift, shift, "{positions} positions");
+            src.build_cells(&RoutingTable::Disjoint(RangeMap::partitioned(
+                positions,
+                &[NODE_A, NODE_B, NODE_C],
+            )));
+            assert_eq!(src.cell_slots.len(), cells, "{positions} positions");
+        }
+    }
+
     #[test]
     fn slot_table_survives_a_replica_hand_off() {
         // The middle range's active owner — its build destination, one of
         // its probe destinations — changes under an unchanged entry index.
-        let before = ReplicaMap::partitioned(1000, &[NODE_A, NODE_B, NODE_C]);
-        let mut after = before.clone();
-        let _ = after.replicate(NODE_B, NODE_D);
-        for phase in [Phase::Build, Phase::Probe] {
-            assert_matches_reference(
-                phase,
-                RoutingTable::Replica(before.clone()),
-                RoutingTable::Replica(after.clone()),
-            );
+        for positions in SPACES {
+            let before = ReplicaMap::partitioned(positions, &[NODE_A, NODE_B, NODE_C]);
+            let mut after = before.clone();
+            let _ = after.replicate(NODE_B, NODE_D);
+            for phase in [Phase::Build, Phase::Probe] {
+                assert_matches_reference(
+                    positions,
+                    phase,
+                    RoutingTable::Replica(before.clone()),
+                    RoutingTable::Replica(after.clone()),
+                );
+            }
         }
     }
 
     #[test]
     fn slot_table_survives_shifted_range_indices() {
-        // Splitting the first range in two shifts every later entry index.
-        let before = RangeMap::partitioned(1000, &[NODE_A, NODE_B, NODE_C]);
-        let mut after = before.clone();
-        after.replace_range(
-            HashRange::new(0, 333),
-            vec![
-                (HashRange::new(0, 100), NODE_A),
-                (HashRange::new(100, 333), NODE_D),
-            ],
-        );
-        assert_matches_reference(
-            Phase::Build,
-            RoutingTable::Disjoint(before.clone()),
-            RoutingTable::Disjoint(after.clone()),
-        );
-        // The same through a hot-key overlay, whose tuples bypass the table.
-        let overlay = crate::routing::HotKeyOverlay {
-            hot: (300..420).collect(),
-            replicas: vec![NODE_B, NODE_C],
-            extra: vec![],
-        };
-        let hot = |inner| RoutingTable::HotKeys {
-            overlay: overlay.clone(),
-            inner: Box::new(RoutingTable::Disjoint(inner)),
-        };
-        assert_matches_reference(Phase::Build, hot(before), hot(after));
+        for positions in SPACES {
+            // Splitting the first range in two shifts every later entry
+            // index; the cut, like the thirds, falls inside a cell.
+            let (third, cut) = (positions / 3, positions / 10 + 1);
+            let before = RangeMap::partitioned(positions, &[NODE_A, NODE_B, NODE_C]);
+            let mut after = before.clone();
+            after.replace_range(
+                HashRange::new(0, third),
+                vec![
+                    (HashRange::new(0, cut), NODE_A),
+                    (HashRange::new(cut, third), NODE_D),
+                ],
+            );
+            let src = assert_matches_reference(
+                positions,
+                Phase::Build,
+                RoutingTable::Disjoint(before.clone()),
+                RoutingTable::Disjoint(after.clone()),
+            );
+            let cell = |pos: u32| src.cell_slots[(pos >> src.cell_shift) as usize];
+            if src.cell_shift == 0 {
+                assert!(
+                    src.cell_slots.iter().all(|&c| c != MIXED),
+                    "a one-position cell never straddles an entry"
+                );
+            } else {
+                for boundary in [cut, third, 2 * third] {
+                    assert_eq!(cell(boundary), MIXED, "boundary {boundary}");
+                    assert_ne!(cell(boundary - 4), MIXED, "below {boundary}");
+                    assert_ne!(cell(boundary + 4), MIXED, "above {boundary}");
+                }
+            }
+            // The same through a hot-key overlay, whose tuples bypass the
+            // table.
+            let overlay = crate::routing::HotKeyOverlay {
+                hot: (positions * 3 / 10..positions * 42 / 100).collect(),
+                replicas: vec![NODE_B, NODE_C],
+                extra: vec![],
+            };
+            let hot = |inner| RoutingTable::HotKeys {
+                overlay: overlay.clone(),
+                inner: Box::new(RoutingTable::Disjoint(inner)),
+            };
+            assert_matches_reference(positions, Phase::Build, hot(before), hot(after));
+        }
     }
 
     #[test]
     fn slot_table_survives_a_bucket_split() {
-        // The split bucket keeps its number but loses its upper half to a
-        // new bucket on another node.
-        let before = BucketMap::new(vec![NODE_A, NODE_B], 1000);
-        let mut after = before.clone();
-        let _ = after.split(NODE_C);
-        assert_matches_reference(
-            Phase::Build,
-            RoutingTable::Buckets(before),
-            RoutingTable::Buckets(after),
-        );
+        for positions in SPACES {
+            // The split bucket keeps its number but loses its upper half to
+            // a new bucket on another node.
+            let before = BucketMap::new(vec![NODE_A, NODE_B, NODE_C], u64::from(positions));
+            let mut after = before.clone();
+            let _ = after.split(NODE_D);
+            assert_matches_reference(
+                positions,
+                Phase::Build,
+                RoutingTable::Buckets(before),
+                RoutingTable::Buckets(after),
+            );
+        }
+    }
+
+    #[test]
+    fn a_hot_position_inside_a_pure_cell_is_routed_alone() {
+        // The overlay arrives mid-phase; its positions sit inside cells
+        // whose every other position belongs to one entry.
+        const POSITIONS: u32 = 10_000;
+        let base = RoutingTable::Disjoint(RangeMap::partitioned(POSITIONS, &[NODE_A, NODE_B]));
+        let hot = [4321, 7002];
+        let overlaid = RoutingTable::HotKeys {
+            overlay: crate::routing::HotKeyOverlay {
+                hot: hot.to_vec(),
+                replicas: vec![NODE_B, NODE_C, NODE_D],
+                extra: vec![],
+            },
+            inner: Box::new(base.clone()),
+        };
+        for phase in [Phase::Build, Phase::Probe] {
+            let src = assert_matches_reference(POSITIONS, phase, base.clone(), overlaid.clone());
+            let cell = |pos: u32| src.cell_slots[(pos >> src.cell_shift) as usize];
+            for pos in hot {
+                assert_eq!(cell(pos), MIXED, "hot {pos}");
+                assert_ne!(cell(pos - 4), MIXED, "below hot {pos}");
+                assert_ne!(cell(pos + 4), MIXED, "above hot {pos}");
+            }
+        }
     }
 
     #[test]

@@ -129,10 +129,12 @@ impl<T: Copy + Eq> BucketMap<T> {
         self.split_ptr == 0
     }
 
-    /// Bucket holding hash value `v` (values ≥ `domain` wrap).
+    /// Bucket holding hash value `v` (values ≥ `domain` wrap). Routed
+    /// values are positions below the domain, so the division is skipped
+    /// for them.
     #[must_use]
     pub fn bucket_of(&self, v: u64) -> u32 {
-        let v = v % self.domain;
+        let v = if v < self.domain { v } else { v % self.domain };
         let i = self.index.partition_point(|&(lo, _)| lo <= v);
         debug_assert!(i > 0, "index covers the domain from 0");
         self.index[i - 1].1
@@ -142,6 +144,14 @@ impl<T: Copy + Eq> BucketMap<T> {
     #[must_use]
     pub fn range_of_bucket(&self, b: u32) -> (u64, u64) {
         self.buckets[b as usize]
+    }
+
+    /// Every non-empty bucket as `(subrange, bucket id)`, in value order:
+    /// the subranges tile `[0, domain)`.
+    pub fn ranges_in_order(&self) -> impl Iterator<Item = ((u64, u64), u32)> + '_ {
+        self.index
+            .iter()
+            .map(|&(_, b)| (self.buckets[b as usize], b))
     }
 
     /// Owner of the bucket for hash value `v`.
@@ -349,8 +359,33 @@ mod tests {
 
     #[test]
     fn values_beyond_domain_wrap() {
-        let m = BucketMap::new(vec![0u32, 1, 2, 3], 100);
+        let mut m = BucketMap::new(vec![0u32, 1, 2, 3], 100);
         assert_eq!(m.bucket_of(105), m.bucket_of(5));
+        // Below the domain the division is skipped; at and above it every
+        // value still lands where `v % domain` put it.
+        let _ = m.split(4);
+        for v in (0..1000u64).chain([u64::MAX - 1, u64::MAX]) {
+            let i = m.index.partition_point(|&(lo, _)| lo <= v % 100);
+            assert_eq!(m.bucket_of(v), m.index[i - 1].1, "value {v}");
+        }
+    }
+
+    #[test]
+    fn ordered_ranges_tile_the_domain_and_agree_with_bucket_of() {
+        let mut m = BucketMap::new(vec![0u32], 5);
+        for i in 1..9u32 {
+            let _ = m.split(i); // past width 1, splits leave empty buckets
+        }
+        let mut next = 0;
+        for ((lo, hi), b) in m.ranges_in_order() {
+            assert_eq!(lo, next, "ranges are contiguous");
+            assert!(lo < hi, "empty buckets are skipped");
+            for v in lo..hi {
+                assert_eq!(m.bucket_of(v), b);
+            }
+            next = hi;
+        }
+        assert_eq!(next, 5, "ranges reach the domain's end");
     }
 
     #[test]

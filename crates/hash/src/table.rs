@@ -458,11 +458,46 @@ impl JoinHashTable {
         if tuples.is_empty() {
             return;
         }
+        self.space.extend_positions(tuples, &mut self.pos);
+        self.append_tuples(tuples);
+    }
+
+    /// Bulk [`Self::insert_pre_hashed`], all or nothing: either the whole
+    /// batch fits and is appended in order — exactly what inserting it
+    /// tuple by tuple would leave — or nothing changes. `positions[i]` must
+    /// be `position_of(tuples[i].join_attr)`.
+    ///
+    /// # Errors
+    /// Returns [`TableFull`] when the whole batch would exceed capacity.
+    pub fn insert_batch_pre_hashed(
+        &mut self,
+        tuples: &[Tuple],
+        positions: &[u32],
+    ) -> Result<(), TableFull> {
+        debug_assert_eq!(tuples.len(), positions.len());
+        let bytes = tuples.len() as u64 * self.bytes_per_tuple();
+        if self.bytes_used() + bytes > self.capacity_bytes {
+            return Err(TableFull {
+                bytes_used: self.bytes_used(),
+                capacity_bytes: self.capacity_bytes,
+            });
+        }
+        debug_assert!(tuples
+            .iter()
+            .zip(positions)
+            .all(|(t, &p)| p == self.space.position_of(t.join_attr)));
+        self.pos.extend_from_slice(positions);
+        self.append_tuples(tuples);
+        Ok(())
+    }
+
+    /// The shared tail of the bulk inserts: appends `tuples`, whose
+    /// positions the caller has just pushed onto `pos`.
+    fn append_tuples(&mut self, tuples: &[Tuple]) {
         debug_assert!(
             self.tuples.len() + tuples.len() <= u32::MAX as usize,
             "arena index space exhausted"
         );
-        self.space.extend_positions(tuples, &mut self.pos);
         self.tuples.extend_from_slice(tuples);
         self.ordered = false;
     }
@@ -1140,6 +1175,56 @@ mod tests {
         }
         batched.insert_batch_unchecked(&[]);
         assert_eq!(batched.len(), 40, "empty batch is a no-op");
+    }
+
+    /// Length, bytes used, histogram, `(count, tag)` per position, probes.
+    type Readers = (u64, u64, Vec<u64>, Vec<(u32, u64)>, Vec<ProbeResult>);
+
+    /// Everything a reader of the table can see: sizes, the histogram,
+    /// every directory entry and every probe outcome.
+    fn readers(t: &mut JoinHashTable) -> Readers {
+        let dir = (0..100).map(|p| (t.chain_count(p), t.filter_tag(p)));
+        let dir = dir.collect();
+        let probes = (0..300).map(|a| t.probe(a)).collect();
+        let hist = t.position_histogram(0, 100);
+        (t.len(), t.bytes_used(), hist, dir, probes)
+    }
+
+    #[test]
+    fn insert_batch_pre_hashed_is_all_or_nothing() {
+        let positioned = |tuples: &[Tuple]| -> Vec<u32> {
+            tuples
+                .iter()
+                .map(|t| space().position_of(t.join_attr))
+                .collect()
+        };
+        let first: Vec<Tuple> = (0..6).map(|i| Tuple::new(i, 20 + i * 3)).collect();
+        // Positions outside the span the first batch covers: a leaked tail
+        // would re-base the directory.
+        let second: Vec<Tuple> = (0..5).map(|i| Tuple::new(10 + i, 290 - i * 41)).collect();
+        let mut t = table(10);
+        t.insert_batch_pre_hashed(&first, &positioned(&first))
+            .expect("six of ten fit");
+        let before = readers(&mut t);
+        let err = t
+            .insert_batch_pre_hashed(&second, &positioned(&second))
+            .expect_err("eleven of ten must be refused");
+        assert_eq!(err.bytes_used, 6 * t.bytes_per_tuple());
+        assert_eq!(err.capacity_bytes, t.capacity_bytes());
+        assert_eq!(readers(&mut t), before, "a refused batch changes nothing");
+
+        // A batch that fits exactly lands as tuple-by-tuple inserts would.
+        let mut scalar = table(10);
+        for &tuple in &first {
+            scalar.insert(tuple).unwrap();
+        }
+        t.insert_batch_pre_hashed(&second[..4], &positioned(&second[..4]))
+            .expect("ten of ten fit");
+        for &tuple in &second[..4] {
+            scalar.insert(tuple).unwrap();
+        }
+        assert_eq!(readers(&mut t), readers(&mut scalar));
+        assert_eq!(t.remaining_tuples(), 0);
     }
 
     #[test]

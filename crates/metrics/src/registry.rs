@@ -674,6 +674,8 @@ pub mod names {
     pub const NODE_PROBE_NS: &str = "node.probe_batch_ns";
     /// Histogram: tuples per build/probe batch.
     pub const NODE_BATCH_TUPLES: &str = "node.batch_tuples";
+    /// Counter: build chunks a node owned whole and appended in one copy.
+    pub const NODE_BUILD_WHOLE_CHUNKS: &str = "node.build_whole_chunks";
     /// Gauge: tuples resident in build arenas across all nodes.
     pub const NODE_ARENA_TUPLES: &str = "node.arena_tuples";
     /// Histogram: hash-chain length per occupied table position.

@@ -125,6 +125,10 @@ fn registry_report_covers_every_instrumented_layer_threaded() {
             .1
     };
     assert!(counter(names::EXEC_BUSY_NS) > 0, "workers did work");
+    assert!(
+        counter(names::NODE_BUILD_WHOLE_CHUNKS) > 0,
+        "nodes appended owned chunks whole"
+    );
     let hist_names: Vec<&str> = m.histograms.iter().map(|h| h.name.as_str()).collect();
     for required in [
         names::EXEC_MAILBOX_DEPTH,
