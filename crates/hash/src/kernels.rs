@@ -8,7 +8,8 @@
 //! [`crate::JoinHashTable::probe_batch_with`]).
 //! [`ProbeKernel::Scalar`] is the tuple-at-a-time reference the
 //! differential tests compare against; [`ProbeKernel::Batched`] is the
-//! production path.
+//! production path, which tests a whole block's tags before it scans the
+//! runs of the probes that got through, in batch order.
 
 /// Issues a best-effort cache prefetch for the line holding `p`. A no-op on
 /// architectures without a prefetch hint.
@@ -42,8 +43,9 @@ pub enum ProbeKernel {
     /// Tuple-at-a-time scan with no filter and no prefetch — the
     /// differential-test reference.
     Scalar,
-    /// Bulk positions, directory and run-start prefetch, tag test, run scan
-    /// or memo (DESIGN §4e). The default.
+    /// Bulk positions, then per block a branch-free tag filter over the
+    /// block and a run scan or memo read per survivor, both prefetched
+    /// (DESIGN §4e). The default.
     #[default]
     Batched,
 }

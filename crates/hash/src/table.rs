@@ -39,8 +39,9 @@
 //! so the next reader counts the survivors as one long tail.
 //!
 //! The first probe or range extraction after an insert also runs the
-//! private `order()`: a stable counting sort of the arena by position.
-//! From then on a position's chain is the contiguous run
+//! private `order()`: a stable counting sort of the arena by position,
+//! whose scatter prefetches the slot each tuple lands in a fixed number of
+//! tuples ahead. From then on a position's chain is the contiguous run
 //! `tuples[start..start + count]`, in insertion order. Build-time
 //! operations — histograms, predicate drains, spills — settle at most;
 //! they never order the arena, so until the build barrier it stays in
@@ -52,14 +53,22 @@
 //!
 //! Algorithm 1 always scans the entire chain, so a probe is charged
 //! `compared = count` straight from the directory whatever the scan finds.
-//! The batched pipeline hashes a whole batch in one pass, prefetches
-//! directory entries and run starts a fixed distance ahead, and consults
-//! the tag before touching the arena: a probe can match only where the tag
+//! The batched pipeline hashes a whole batch in one pass, then consults the
+//! tag before touching the arena: a probe can match only where the tag
 //! holds both bits of its fingerprint, and a rejection proves no element
 //! can (bloom tags have no false negatives), so it charges the same `count`
 //! with `matches = 0` — byte-for-byte the scalar outcome. The directory
 //! entry alone answers such a probe; at the paper's base case that is nine
 //! probes in ten.
+//!
+//! So the kernel filters before it scans, a block of `PROBE_BLOCK`
+//! probes at a time. The filter pass reads each probe's directory entry
+//! (prefetched a fixed distance ahead), charges its `count`, and writes the
+//! probe to the next slot of a fixed candidate buffer, keeping the slot
+//! only if the tag lets it through — a selection vector built without a
+//! branch on the tag test, which a one-in-ten survivor rate would
+//! mispredict. The scan pass then walks the survivors in probe order, each
+//! run's first line prefetched a few candidates ahead.
 //!
 //! A probe the tag lets through scans its run — unless the run is long
 //! ([`MEMO_MIN_RUN`]), where the same key tends to come back: a small
@@ -85,13 +94,41 @@ use ehj_data::{JoinAttr, Schema, Tuple};
 /// chain-pointer/allocator overhead on the paper's testbed).
 pub const ENTRY_OVERHEAD_BYTES: u64 = 16;
 
-/// How many probes ahead the batched pipeline prefetches directory entries.
+/// How many probes ahead the batched kernel's filter pass prefetches
+/// directory entries (counted over the whole batch, so it reaches into the
+/// next block). On the one-pass kernel this replaced, 16 / 32 / 64 read
+/// 32.9 / 30.5 / 32.2 ns per probe tuple (the replay and rounds of
+/// [`PROBE_BLOCK`]'s sweep): no distance helped there, and it was not
+/// re-swept.
 const DIR_PREFETCH_AHEAD: usize = 16;
 
-/// How many probes ahead the batched pipeline prefetches a run's first
-/// tuple (shorter than the directory distance: it needs the entry's
-/// `start`, which the longer-range prefetch has already pulled in by then).
-const RUN_PREFETCH_AHEAD: usize = 4;
+/// Probes per block of the batched kernel: the filter pass tests this many
+/// tags before the scan pass touches a run, into a candidate buffer of this
+/// many slots on the stack (4 KB), whatever the batch length.
+///
+/// The three constants below were swept on one replay: `expand-split`'s
+/// data (paper / 5) built into 16 tables, then probed in 2000-tuple chunks
+/// in generation order, as the join does. The host had 2 cores, and the
+/// variants ran in 6 interleaved rounds. Figures are medians and ranges in
+/// ns per probe tuple; the one-pass kernel this replaced read 32.9
+/// [29.8–38.8] in the same rounds. For this constant, 128 / 256 / 512
+/// read 20.6 [16.6–24.8] / 18.9 [15.5–22.0] / 20.5 [15.6–25.2]. An
+/// earlier, quieter 4-round sweep read 13.4 / 13.1 / 12.1 against ~24.
+/// The spreads overlap; 256 keeps the buffer at 4 KB.
+const PROBE_BLOCK: usize = 256;
+
+/// How many candidates ahead the scan pass prefetches a run's first tuple.
+/// Same replay: 4 / 8 / 16 read 23.2 [15.6–25.4] / 19.6 [16.0–24.5] /
+/// 20.2 [16.4–29.1] (the quieter sweep: 12.3 / 13.0 / 12.5). Past a few
+/// candidates the distance hardly matters.
+const RUN_PREFETCH_AHEAD: usize = 8;
+
+/// How many log entries ahead `order()`'s backward scatter prefetches the
+/// slot an entry will land in. Same replay, `order()` over all 16 tables
+/// in ms: 8 / 16 / 32 read 29.7 [25.9–31.8] / 23.4 [22.3–30.7] / 25.9
+/// [23.4–30.7]; 36.2 [31.3–43.8] without the prefetch. The quieter sweep
+/// read 19.4 / 17.5 / 17.0, and 28.4 without it.
+const SORT_PREFETCH_AHEAD: usize = 16;
 
 /// Runs at least this long are answered through the match memo. Measured
 /// on the benchmark replay's `hash.probe_ns_per_tuple`, three passes each:
@@ -228,6 +265,15 @@ struct Run {
     /// OR of [`filter_fingerprint`] over every counted attribute stored
     /// here. Blooms cannot forget, so removals reset it.
     tag: u64,
+}
+
+/// A probe the filter pass let through: the run it must scan and the
+/// attribute it scans for.
+#[derive(Debug, Clone, Copy, Default)]
+struct Candidate {
+    start: u32,
+    count: u32,
+    attr: JoinAttr,
 }
 
 /// One match-memo entry: `attr` had `matches` equal tuples in its run when
@@ -529,11 +575,21 @@ impl JoinHashTable {
         let mut pos = vec![0u32; n];
         let mut tuples = vec![Tuple::new(0, 0); n];
         let base = self.lo;
-        for (&p, &t) in self.pos.iter().zip(&self.tuples).rev() {
+        for i in (0..n).rev() {
+            // Every slot is a random write into two fresh arrays: fetch the
+            // one entry `i - SORT_PREFETCH_AHEAD` will land in, at its run's
+            // cursor now (a later entry of the same run may still move it
+            // down; a prefetch never faults).
+            if let Some(ahead) = i.checked_sub(SORT_PREFETCH_AHEAD) {
+                let cursor = self.dir[(self.pos[ahead] - base) as usize].start as usize;
+                prefetch_read(pos.as_ptr().wrapping_add(cursor.wrapping_sub(1)));
+                prefetch_read(tuples.as_ptr().wrapping_add(cursor.wrapping_sub(1)));
+            }
+            let p = self.pos[i];
             let run = &mut self.dir[(p - base) as usize];
             run.start -= 1;
             pos[run.start as usize] = p;
-            tuples[run.start as usize] = t;
+            tuples[run.start as usize] = self.tuples[i];
         }
         self.pos = pos;
         self.tuples = tuples;
@@ -579,13 +635,14 @@ impl JoinHashTable {
     ///
     /// [`ProbeKernel::Scalar`] runs the tuple-at-a-time reference.
     /// [`ProbeKernel::Batched`] computes all positions in one pass, then
-    /// visits them with directory entries prefetched
-    /// [`DIR_PREFETCH_AHEAD`] probes ahead and each run's first tuple
-    /// [`RUN_PREFETCH_AHEAD`] ahead, so the random position-space accesses
-    /// overlap instead of serializing on cache misses. `scratch` is
-    /// caller-owned so steady-state probing allocates nothing; the batched
-    /// kernel always leaves the batch's positions in it, the scalar one
-    /// never touches it.
+    /// works through them in blocks of `PROBE_BLOCK`: a filter pass tests
+    /// every tag of the block, directory entries prefetched
+    /// [`DIR_PREFETCH_AHEAD`] probes ahead, and collects the survivors
+    /// without branching on the test; a scan pass then scans (or memo-reads)
+    /// their runs in probe order, each run's first tuple prefetched
+    /// [`RUN_PREFETCH_AHEAD`] survivors ahead. `scratch` is caller-owned so
+    /// steady-state probing allocates nothing; the batched kernel always
+    /// leaves the batch's positions in it, the scalar one never touches it.
     #[must_use]
     pub fn probe_batch_with(
         &mut self,
@@ -612,46 +669,60 @@ impl JoinHashTable {
             return stats;
         }
         self.order();
-        let positions = scratch.positions.as_slice();
-        for (i, (t, &pos)) in tuples.iter().zip(positions).enumerate() {
-            // A position outside the covered span holds nothing: it has no
-            // entry to prefetch and reads as an empty run below.
-            if let Some(&p) = positions.get(i + DIR_PREFETCH_AHEAD) {
-                if let Some(entry) = self.dir.get(self.slot(p)) {
-                    prefetch_read(std::ptr::from_ref(entry));
+        let positions = &scratch.positions;
+        // On the stack, not in `scratch`: a heap buffer first grown here,
+        // after the table's arrays, raised `spill-ooc`'s peak RSS from 109
+        // to 118 MB (2 cores); this one reads 108–109 there.
+        let mut candidates = [Candidate::default(); PROBE_BLOCK];
+        for (b, block) in tuples.chunks(PROBE_BLOCK).enumerate() {
+            let first = b * PROBE_BLOCK;
+            // Filter: every probe is charged its run's length and written to
+            // the next candidate slot; only one the tag lets through keeps
+            // the slot. An empty position has an empty tag, so it never does.
+            let mut survivors = 0;
+            for (i, (t, &pos)) in block.iter().zip(&positions[first..]).enumerate() {
+                // A position outside the covered span holds nothing: it has
+                // no entry to prefetch and reads as an empty run below.
+                if let Some(&p) = positions.get(first + i + DIR_PREFETCH_AHEAD) {
+                    if let Some(entry) = self.dir.get(self.slot(p)) {
+                        prefetch_read(std::ptr::from_ref(entry));
+                    }
                 }
+                let run = self.run_at(pos);
+                let fp = filter_fingerprint(t.join_attr);
+                let pass = run.tag & fp == fp;
+                stats.compared += u64::from(run.count);
+                stats.rejections += u64::from((run.count != 0) & !pass);
+                candidates[survivors] = Candidate {
+                    start: run.start,
+                    count: run.count,
+                    attr: t.join_attr,
+                };
+                survivors += usize::from(pass);
             }
-            if let Some(&p) = positions.get(i + RUN_PREFETCH_AHEAD) {
-                // Only a probe the tag lets through will read its run (an
-                // empty position has an empty tag). The rest re-prefetch
-                // the arena's first line: selecting an address keeps this
-                // free of a branch that a mixed batch would mispredict.
-                let ahead = self.run_at(p);
-                let fp = filter_fingerprint(tuples[i + RUN_PREFETCH_AHEAD].join_attr);
-                let start = if ahead.tag & fp == fp { ahead.start } else { 0 };
-                prefetch_read(self.tuples.as_ptr().wrapping_add(start as usize));
+            // Scan: the survivors in probe order, so the memo sees the keys
+            // in the sequence a one-pass loop would show it.
+            let survivors = &candidates[..survivors];
+            for (k, &c) in survivors.iter().enumerate() {
+                if let Some(ahead) = survivors.get(k + RUN_PREFETCH_AHEAD) {
+                    prefetch_read(self.tuples.as_ptr().wrapping_add(ahead.start as usize));
+                }
+                stats.matches += if c.count < MEMO_MIN_RUN {
+                    self.matches_in(c)
+                } else {
+                    self.memoized_matches(c)
+                };
             }
-            let run = self.run_at(pos);
-            let attr = t.join_attr;
-            stats.compared += u64::from(run.count);
-            let fp = filter_fingerprint(attr);
-            if run.tag & fp != fp {
-                stats.rejections += u64::from(run.count != 0);
-                continue;
-            }
-            stats.matches += if run.count < MEMO_MIN_RUN {
-                self.matches_in(run, attr)
-            } else {
-                self.memoized_matches(run, attr)
-            };
         }
         stats
     }
 
-    /// Tuples of `run` equal to `attr` (the arena must be ordered).
+    /// Tuples of `c`'s run equal to its attribute (the arena must be
+    /// ordered).
     #[inline]
-    fn matches_in(&self, run: Run, attr: JoinAttr) -> u64 {
-        self.run(run).iter().filter(|b| b.join_attr == attr).count() as u64
+    fn matches_in(&self, c: Candidate) -> u64 {
+        let run = &self.tuples[c.start as usize..(c.start + c.count) as usize];
+        run.iter().filter(|b| b.join_attr == c.attr).count() as u64
     }
 
     /// [`Self::matches_in`] for a long run, scanned once per key and
@@ -659,18 +730,18 @@ impl JoinHashTable {
     /// probes repeat across batches far smaller than its run (the product
     /// skew of arxiv 1005.5732), and the count they are owed cannot change
     /// until a run does.
-    fn memoized_matches(&mut self, run: Run, attr: JoinAttr) -> u64 {
+    fn memoized_matches(&mut self, c: Candidate) -> u64 {
         if self.memo.is_empty() {
             self.memo = vec![Memo::default(); MEMO_SLOTS];
         }
-        let slot = memo_slot(attr);
+        let slot = memo_slot(c.attr);
         let seen = self.memo[slot];
-        if seen.attr == attr && seen.generation == self.generation {
+        if seen.attr == c.attr && seen.generation == self.generation {
             return u64::from(seen.matches);
         }
-        let matches = self.matches_in(run, attr);
+        let matches = self.matches_in(c);
         self.memo[slot] = Memo {
-            attr,
+            attr: c.attr,
             generation: self.generation,
             // A run's length is a `u32`, so its matches fit one.
             matches: matches as u32,
@@ -1599,6 +1670,143 @@ mod tests {
         assert_eq!(m, 0);
         let (rejected, probed) = (r.rejections, r.probes);
         assert!(rejected * 100 >= probed * 85, "{rejected} of {probed}");
+    }
+
+    /// Batch lengths on and around the batched kernel's block boundaries.
+    const BLOCK_EDGES: [usize; 6] = [
+        0,
+        1,
+        PROBE_BLOCK - 1,
+        PROBE_BLOCK,
+        PROBE_BLOCK + 1,
+        3 * PROBE_BLOCK + 17,
+    ];
+
+    /// `len` probes cycling over `attrs`.
+    fn cycle(attrs: &[u64], len: usize) -> Vec<Tuple> {
+        let attrs = attrs.iter().cycle().take(len);
+        attrs
+            .enumerate()
+            .map(|(i, &a)| Tuple::new(i as u64, a))
+            .collect()
+    }
+
+    #[test]
+    fn blocks_of_every_kind_equal_the_scalar_sum_at_block_boundaries() {
+        // Short runs at 0..40, two long runs at 60 and 61 (61 shared with
+        // 161), nothing at 80..100.
+        let mut t = table(10_000);
+        for i in 0..120u64 {
+            t.insert(Tuple::new(i, i % 40)).unwrap();
+        }
+        let long = u64::from(MEMO_MIN_RUN) + 5;
+        for i in 0..long {
+            t.insert(Tuple::new(i, 60)).unwrap();
+            t.insert(Tuple::new(i, if i % 4 == 0 { 161 } else { 61 }))
+                .unwrap();
+        }
+        let turned_away = |t: &mut JoinHashTable, attr: u64| {
+            let pos = t.position_of(attr);
+            let fp = filter_fingerprint(attr);
+            t.chain_count(pos) != 0 && t.filter_tag(pos) & fp != fp
+        };
+        let rejected: Vec<u64> = (100..100_000)
+            .filter(|&a| a % 100 < 40 && turned_away(&mut t, a))
+            .take(50)
+            .collect();
+        assert_eq!(rejected.len(), 50);
+        let stored: Vec<u64> = (0..40).chain([60, 61, 161]).collect();
+        let empty: Vec<u64> = (80..100).chain(180..200).collect();
+        // Hot keys only: with a block length that is not a multiple of the
+        // cycle, each key repeats on both sides of every block boundary.
+        let hot = [60u64, 161, 61, 60, 61];
+        let cases: [(&str, &[u64]); 4] = [
+            ("all rejected", &rejected),
+            ("all pass", &stored),
+            ("empty positions", &empty),
+            ("long runs", &hot),
+        ];
+        let mut scratch = ProbeScratch::new();
+        let mut check = |t: &mut JoinHashTable, probes: &[Tuple], what: &str| {
+            let r = t.probe_batch_with(probes, &mut scratch, ProbeKernel::Batched);
+            let turned: u64 = probes
+                .iter()
+                .map(|p| u64::from(turned_away(t, p.join_attr)))
+                .sum();
+            let positions: Vec<u32> = probes.iter().map(|p| t.position_of(p.join_attr)).collect();
+            assert_eq!((r.matches, r.compared), scalar_sum(t, probes), "{what}");
+            assert_eq!(r.rejections, turned, "{what}");
+            assert_eq!(r.probes, probes.len() as u64, "{what}");
+            assert_eq!(scratch.positions(), positions.as_slice(), "{what}");
+            r
+        };
+        for (what, attrs) in cases {
+            for len in BLOCK_EDGES {
+                let r = check(&mut t, &cycle(attrs, len), &format!("{what}, {len}"));
+                match what {
+                    "all rejected" => assert_eq!(r.rejections, len as u64),
+                    "empty positions" => assert_eq!((r.compared, r.rejections), (0, 0)),
+                    _ => assert_eq!(r.rejections, 0, "{what}, {len}"),
+                }
+            }
+        }
+        // One batch whose blocks take turns: each block's survivors must
+        // come from that block alone.
+        let mut mixed: Vec<Tuple> = cases
+            .iter()
+            .flat_map(|(_, attrs)| cycle(attrs, PROBE_BLOCK))
+            .collect();
+        mixed.truncate(3 * PROBE_BLOCK + 17);
+        check(&mut t, &mixed, "mixed blocks");
+        assert_eq!(
+            t.memo.len(),
+            MEMO_SLOTS,
+            "the long runs went through the memo"
+        );
+    }
+
+    #[test]
+    fn order_is_position_major_and_insertion_minor_around_the_prefetch_distance() {
+        // Each tuple's index is its insertion sequence number.
+        fn ordered(t: &JoinHashTable) -> bool {
+            let key = |tp: &Tuple| (t.position_of(tp.join_attr), tp.index);
+            t.iter().zip(t.iter().skip(1)).all(|(a, b)| key(a) < key(b))
+        }
+        let attr = |i: u64| (i * 7) % 13 + 100 * (i % 3);
+        for n in [
+            0,
+            1,
+            SORT_PREFETCH_AHEAD - 1,
+            SORT_PREFETCH_AHEAD,
+            SORT_PREFETCH_AHEAD + 1,
+            1000,
+        ] {
+            let n = n as u64;
+            let mut t = table(10_000);
+            let mut inserted: Vec<Tuple> = Vec::new();
+            // A re-sort after an appended tail sees the first sort's output
+            // followed by the tail.
+            for tail in [0..n, n..n + n / 2 + 3] {
+                for i in tail {
+                    let tuple = Tuple::new(i, attr(i));
+                    t.insert(tuple).unwrap();
+                    inserted.push(tuple);
+                }
+                let _ = t.probe(0);
+                assert!(ordered(&t), "{n} tuples");
+                let mut held: Vec<Tuple> = t.iter().copied().collect();
+                held.sort_unstable_by_key(|tp| tp.index);
+                assert_eq!(held, inserted, "{n} tuples");
+                for a in 0..300 {
+                    let expect: Vec<Tuple> = inserted
+                        .iter()
+                        .filter(|tp| tp.join_attr == a)
+                        .copied()
+                        .collect();
+                    assert_eq!(t.probe_collect(a), expect, "{n} tuples, attr {a}");
+                }
+            }
+        }
     }
 
     #[test]
