@@ -94,11 +94,6 @@ pub struct Args {
     /// Scheduling weights assigned to the service's queries round-robin
     /// (empty = every tenant at weight 1).
     pub weights: Vec<u64>,
-    /// Latency-targeted admission budget in milliseconds (None = admit on
-    /// quota alone).
-    pub latency_budget_ms: Option<u64>,
-    /// Tuples per resumable probe slice (None = whole-batch probes).
-    pub probe_slice: Option<usize>,
 }
 
 impl Default for Args {
@@ -129,8 +124,6 @@ impl Default for Args {
             queries: 8,
             memory_budget: None,
             weights: Vec::new(),
-            latency_budget_ms: None,
-            probe_slice: None,
         }
     }
 }
@@ -183,11 +176,6 @@ OPTIONS:
   --weights <W1,W2,..>   service: scheduling weights assigned to queries round-robin
                          (e.g. 1,1,8 gives every third query an 8x share of worker
                          time under deficit-weighted round-robin)
-  --latency-budget-ms <N>  service: refuse admissions whose predicted p99 latency
-                         would exceed N milliseconds (latency-targeted admission)
-  --probe-slice <N>      probe batches in resumable N-tuple slices so the scheduler
-                         can preempt long probes mid-batch (default: whole batches;
-                         simulated observables are identical either way)
   --help
 ";
 
@@ -338,23 +326,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
                     return Err("--weights needs positive comma-separated weights".into());
                 }
                 args.weights = weights;
-            }
-            "--latency-budget-ms" => {
-                let n: u64 = parse_num(
-                    &value(&mut it, "--latency-budget-ms")?,
-                    "--latency-budget-ms",
-                )?;
-                if n == 0 {
-                    return Err("--latency-budget-ms must be positive".into());
-                }
-                args.latency_budget_ms = Some(n);
-            }
-            "--probe-slice" => {
-                let n: usize = parse_num(&value(&mut it, "--probe-slice")?, "--probe-slice")?;
-                if n == 0 {
-                    return Err("--probe-slice must be positive".into());
-                }
-                args.probe_slice = Some(n);
             }
             "--help" | "-h" => {
                 args.command = Command::Help;
@@ -536,20 +507,15 @@ mod tests {
 
     #[test]
     fn scheduling_flags_parse() {
-        let a =
-            p("service --weights 1,1,8 --latency-budget-ms 250 --probe-slice 2048").expect("valid");
+        let a = p("service --weights 1,1,8").expect("valid");
         assert_eq!(a.weights, vec![1, 1, 8]);
-        assert_eq!(a.latency_budget_ms, Some(250));
-        assert_eq!(a.probe_slice, Some(2048));
         let d = p("service").expect("valid");
         assert!(d.weights.is_empty());
-        assert_eq!(d.latency_budget_ms, None);
-        assert_eq!(d.probe_slice, None);
         assert!(p("service --weights").is_err());
         assert!(p("service --weights 1,x").is_err());
         assert!(p("service --weights 1,0").is_err());
-        assert!(p("service --latency-budget-ms 0").is_err());
-        assert!(p("service --probe-slice 0").is_err());
+        assert!(p("service --probe-slice 512").is_err());
+        assert!(p("service --latency-budget-ms 250").is_err());
     }
 
     #[test]

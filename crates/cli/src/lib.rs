@@ -69,9 +69,6 @@ pub fn config_from_args(args: &Args, algorithm: Algorithm) -> JoinConfig {
     if let Some(kernel) = args.probe_kernel {
         cfg.probe_kernel = kernel;
     }
-    if let Some(slice) = args.probe_slice {
-        cfg.probe_slice = slice;
-    }
     cfg
 }
 
@@ -321,7 +318,6 @@ fn service(args: &Args) -> Result<String, String> {
                 memory_budget_bytes: args.memory_budget,
                 trace_level: args.trace_level,
                 metrics: !args.no_metrics,
-                latency_budget: args.latency_budget_ms.map(std::time::Duration::from_millis),
                 ..ServiceConfig::default()
             });
             let started = std::time::Instant::now();
@@ -451,17 +447,6 @@ mod tests {
         assert_eq!(idle(&sim), 0, "{sim}");
         let line = "sweep skew --scale 2000 --backend threaded --threads 2 --format json";
         assert_eq!(idle(&execute(&parse(line)).expect("threaded sweep")), 3);
-    }
-
-    #[test]
-    fn probe_slice_reaches_a_standalone_run() {
-        // Only `service` used to copy the flag into the configuration.
-        let cfg = config_from_args(&parse("run --probe-slice 64"), Algorithm::Hybrid);
-        assert_eq!(cfg.probe_slice, 64);
-        let out = execute(&parse("run --scale 2000 --probe-slice 64 --format json")).expect("runs");
-        assert!(out.contains("sched.slice_tuples"), "{out}");
-        let whole = execute(&parse("run --scale 2000 --format json")).expect("runs");
-        assert!(!whole.contains("sched.slice_tuples"));
     }
 
     #[test]

@@ -123,36 +123,6 @@ impl QuotaLedger {
             bytes: demand,
         })
     }
-
-    /// Reserves `demand` bytes only if they are free *right now* — the
-    /// zero-patience probe used by latency-targeted admission, which must
-    /// not park while it is re-evaluating its own latency gate.
-    ///
-    /// # Errors
-    /// [`QuotaError::Oversized`] if the demand can never fit,
-    /// [`QuotaError::TimedOut`] if it would fit but is currently held by
-    /// running queries.
-    pub fn try_reserve(&self, demand: u64) -> Result<QuotaGrant, QuotaError> {
-        let (lock, _cv) = &*self.inner;
-        let mut state = lock.lock().expect("quota ledger");
-        if demand > state.budget {
-            return Err(QuotaError::Oversized {
-                demand,
-                budget: state.budget,
-            });
-        }
-        if state.reserved + demand > state.budget {
-            return Err(QuotaError::TimedOut {
-                demand,
-                reserved: state.reserved,
-            });
-        }
-        state.reserved += demand;
-        Ok(QuotaGrant {
-            ledger: self.clone(),
-            bytes: demand,
-        })
-    }
 }
 
 /// An admitted query's reservation; dropping it releases the bytes and
@@ -213,38 +183,6 @@ mod tests {
             .expect("granted after release");
         assert_eq!(g2.bytes(), 40);
         assert_eq!(ledger.reserved(), 40);
-    }
-
-    #[test]
-    fn try_reserve_is_the_zero_patience_path() {
-        // The non-blocking probe must behave exactly like a zero-patience
-        // reserve: grant when free, TimedOut when held, Oversized when
-        // impossible — and never park.
-        let ledger = QuotaLedger::new(100);
-        let g1 = ledger.try_reserve(70).expect("fits immediately");
-        assert_eq!(ledger.reserved(), 70);
-        let t0 = Instant::now();
-        assert!(matches!(
-            ledger.try_reserve(40),
-            Err(QuotaError::TimedOut {
-                demand: 40,
-                reserved: 70
-            })
-        ));
-        assert!(
-            t0.elapsed() < Duration::from_millis(50),
-            "try_reserve must not block"
-        );
-        assert!(matches!(
-            ledger.try_reserve(101),
-            Err(QuotaError::Oversized {
-                demand: 101,
-                budget: 100
-            })
-        ));
-        drop(g1);
-        let g2 = ledger.try_reserve(100).expect("all freed");
-        assert_eq!(g2.bytes(), 100);
     }
 
     #[test]

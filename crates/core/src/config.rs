@@ -192,22 +192,19 @@ pub struct JoinConfig {
     /// wall-time. The scalar tuple-at-a-time path is kept as the reference
     /// for differential tests.
     ///
-    /// This and the two scheduling knobs below describe *how* a query is
-    /// run, not the workload, and would sit on `RunOptions` /
-    /// `ServiceConfig`; they stay here because the frozen `benchmark/`
-    /// package reads and writes them on `JoinConfig`.
+    /// This and the two fields below describe *how* a query is run, not
+    /// the workload, and would sit on `RunOptions` / `ServiceConfig` (or,
+    /// for `probe_slice`, nowhere); they stay here because the frozen
+    /// `benchmark/` package reads and writes them on `JoinConfig`.
     pub probe_kernel: ProbeKernel,
     /// Scheduling weight of this query's actor group on a shared executor
     /// (multi-tenant service): its share of worker time relative to other
     /// admitted queries under deficit-weighted round-robin. Minimum 1;
     /// ignored by standalone runs, which own the whole pool.
     pub tenant_weight: u64,
-    /// Tuples per resumable probe slice. `0` (default) processes each
-    /// probe batch whole; a positive value makes long probe batches
-    /// preemptible on the threaded executor — the join node parks a
-    /// cursor between slices when the scheduler asks it to yield. Slice
-    /// accounting is additive, so simulated observables are byte-identical
-    /// for any slicing.
+    /// Read by nothing: a join node probes every batch whole (DESIGN §4j).
+    /// The field stays only because the frozen `benchmark/` package sets
+    /// it.
     pub probe_slice: usize,
 }
 

@@ -55,9 +55,6 @@ struct NodeMetrics {
     filter_rejections: Counter,
     /// Probe tuples answered from a replicated hot position (DESIGN §4i).
     hotkey_hits: Counter,
-    /// Tuples per resumable probe slice (recorded only when slicing is
-    /// configured).
-    slice_tuples: ehj_metrics::Histogram,
 }
 
 impl NodeMetrics {
@@ -73,17 +70,8 @@ impl NodeMetrics {
             filter_probes: handle.counter(names::NODE_FILTER_PROBES),
             filter_rejections: handle.counter(names::NODE_FILTER_REJECTIONS),
             hotkey_hits: handle.counter(names::NODE_HOTKEY_HITS),
-            slice_tuples: handle.histogram(names::SCHED_SLICE_TUPLES),
         }
     }
-}
-
-/// A probe batch being processed in resumable slices: the cursor is the
-/// continuation. Parked between slices when the scheduler asks the node to
-/// yield; the executor resumes it before draining the mailbox again.
-struct ParkedProbe {
-    tuples: TupleBatch,
-    cursor: usize,
 }
 
 /// One join process. `B` selects the spill backend: in-memory under the
@@ -138,9 +126,6 @@ pub struct JoinNode<B: SpillBackend + Default + Send> {
     hotkey_stash: Vec<TupleBatch>,
     /// Whether this node's `HotKeyPlan` has been processed this run.
     hotkey_plan_seen: bool,
-    /// An in-flight sliced probe batch, parked between slices when the
-    /// scheduler preempts this node (see [`JoinConfig::probe_slice`]).
-    parked_probe: Option<ParkedProbe>,
 }
 
 impl<B: SpillBackend + Default + Send> JoinNode<B> {
@@ -185,7 +170,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             filter_batches: 0,
             hotkey_stash: Vec::new(),
             hotkey_plan_seen: false,
-            parked_probe: None,
         }
     }
 
@@ -591,56 +575,20 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
 
     fn handle_probe(&mut self, ctx: &mut dyn Context<Msg>, tuples: TupleBatch) {
         self.metrics.batch_tuples.record(tuples.len() as u64);
-        let costs = self.cfg.costs;
+        let _timer = self.metrics.probe_ns.start_timer();
         if let Some(grace) = self.spill.as_mut() {
-            let _timer = self.metrics.probe_ns.start_timer();
-            ctx.consume_cpu(costs.route_per_tuple * tuples.len() as u64);
+            ctx.consume_cpu(self.cfg.costs.route_per_tuple * tuples.len() as u64);
             let bytes = grace.append_probe(&tuples);
             let fragments = grace.fragments() as u64;
             ctx.disk_append(bytes);
             self.trace_detail(ctx, Phase::Probe, TraceKind::Spill { bytes, fragments });
             return;
         }
-        // The executor resumes parked work before delivering the next
-        // message, so a new batch can never land on top of a parked one.
-        debug_assert!(self.parked_probe.is_none(), "probe batch while parked");
-        self.parked_probe = Some(ParkedProbe { tuples, cursor: 0 });
-        self.run_parked_probe(ctx);
+        self.probe_batch(ctx, &tuples);
     }
 
-    /// Processes the parked probe batch in `probe_slice`-sized resumable
-    /// slices (the whole batch at once when slicing is off), parking the
-    /// cursor again if the scheduler asks this node to yield between
-    /// slices. Every per-slice cost and counter is additive in the tuple
-    /// ranges, so any slicing produces byte-identical simulated
-    /// observables — proved by the sliced-vs-whole differential tests.
-    fn run_parked_probe(&mut self, ctx: &mut dyn Context<Msg>) {
-        let _timer = self.metrics.probe_ns.start_timer();
-        while let Some(parked) = self.parked_probe.take() {
-            let remaining = parked.tuples.len() - parked.cursor;
-            let step = match self.cfg.probe_slice {
-                0 => remaining,
-                s => s.min(remaining),
-            };
-            let slice = parked.tuples.slice(parked.cursor, step);
-            self.probe_slice(ctx, &slice);
-            if self.cfg.probe_slice > 0 {
-                self.metrics.slice_tuples.record(step as u64);
-            }
-            if parked.cursor + step < parked.tuples.len() {
-                self.parked_probe = Some(ParkedProbe {
-                    cursor: parked.cursor + step,
-                    ..parked
-                });
-                if ctx.should_yield() {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Probes one slice of a batch and accounts for exactly that slice.
-    fn probe_slice(&mut self, ctx: &mut dyn Context<Msg>, tuples: &TupleBatch) {
+    /// Probes one batch against the table and accounts for it.
+    fn probe_batch(&mut self, ctx: &mut dyn Context<Msg>, tuples: &TupleBatch) {
         let costs = self.cfg.costs;
         let kernel = self.cfg.probe_kernel;
         let stats = self
@@ -658,7 +606,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         self.matches += found;
         self.compares += compared;
         if let Some(o) = self.routing.as_ref().and_then(RoutingTable::overlay) {
-            // The batched kernel has just hashed exactly this slice into the
+            // The batched kernel has just hashed exactly this batch into the
             // scratch; the scalar reference fills nothing.
             let hits = match kernel {
                 ProbeKernel::Scalar => {
@@ -1060,17 +1008,6 @@ impl<B: SpillBackend + Default + Send> Actor<Msg> for JoinNode<B> {
             return;
         }
         self.dispatch(ctx, from, msg);
-    }
-
-    // Delay charging for queued boot messages: they were already paid for
-    // when dispatched from `activate`.
-
-    fn has_parked_work(&self) -> bool {
-        self.parked_probe.is_some()
-    }
-
-    fn on_resume(&mut self, ctx: &mut dyn Context<Msg>) {
-        self.run_parked_probe(ctx);
     }
 }
 

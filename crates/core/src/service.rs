@@ -30,13 +30,12 @@
 use crate::config::JoinConfig;
 use crate::report::JoinReport;
 use crate::runner::{run_simulated, Backend, JoinError, QueryRun, RunEnd, RunOptions};
-use ehj_cluster::{QuotaError, QuotaGrant, QuotaLedger};
-use ehj_metrics::registry::names;
-use ehj_metrics::{Histogram, MetricsRegistry, TraceLevel};
+use ehj_cluster::QuotaLedger;
+use ehj_metrics::{MetricsRegistry, TraceLevel};
 use ehj_sim::{Admission, Executor, ExecutorConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use crate::msg::Msg;
 
@@ -70,11 +69,6 @@ pub struct ServiceConfig {
     pub trace_level: TraceLevel,
     /// Whether each query gets a live metrics registry.
     pub metrics: bool,
-    /// Latency-targeted admission: refuse (after the admission patience)
-    /// submissions whose predicted completion latency — the service's
-    /// observed p99 scaled by the post-admission inflight-to-worker ratio
-    /// — would exceed this budget. `None` admits on quota alone.
-    pub latency_budget: Option<Duration>,
 }
 
 impl Default for ServiceConfig {
@@ -87,7 +81,6 @@ impl Default for ServiceConfig {
             query_deadline: Duration::from_secs(120),
             trace_level: TraceLevel::Summary,
             metrics: true,
-            latency_budget: None,
         }
     }
 }
@@ -111,28 +104,6 @@ pub struct JoinService {
     quota: Option<QuotaLedger>,
     cfg: ServiceConfig,
     next_query: AtomicU64,
-    /// Query-latency histogram feeding latency-targeted admission, minted
-    /// from a service-scoped registry (per-query registries stay separate).
-    latency: Histogram,
-    /// Admitted-but-unfinished query count plus the condvar completions
-    /// signal, so a gated submission can re-evaluate its prediction.
-    inflight: Arc<(Mutex<usize>, Condvar)>,
-}
-
-/// Holds one slot of the service's inflight count for a query's lifetime;
-/// dropping it (when the query's group retires) decrements the count and
-/// wakes submissions parked on the latency gate.
-struct InflightGuard {
-    inflight: Arc<(Mutex<usize>, Condvar)>,
-}
-
-impl Drop for InflightGuard {
-    fn drop(&mut self) {
-        let (lock, cv) = &*self.inflight;
-        let mut count = lock.lock().expect("inflight gate");
-        *count = count.saturating_sub(1);
-        cv.notify_all();
-    }
 }
 
 impl JoinService {
@@ -148,16 +119,11 @@ impl JoinService {
         // carry the meaningful (join-side) metrics instead.
         let executor = Executor::start(&exec_cfg, &MetricsRegistry::disabled());
         let quota = cfg.memory_budget_bytes.map(QuotaLedger::new);
-        let latency = MetricsRegistry::new()
-            .handle()
-            .histogram(names::SERVICE_QUERY_LATENCY_NS);
         Self {
             executor,
             quota,
             cfg,
             next_query: AtomicU64::new(0),
-            latency,
-            inflight: Arc::new((Mutex::new(0), Condvar::new())),
         }
     }
 
@@ -167,115 +133,25 @@ impl JoinService {
         self.executor.workers()
     }
 
-    /// The service's observed p99 query latency scaled by what the
-    /// inflight-to-worker ratio would become if one more query were
-    /// admitted — the load model behind latency-targeted admission. Zero
-    /// until the first query completes (a cold service admits freely).
-    fn predicted_latency_ns(&self, inflight: usize) -> u64 {
-        let snap = self.latency.snapshot();
-        if snap.count == 0 {
-            return 0;
-        }
-        let p99 = snap.percentile(99.0);
-        let workers = self.executor.workers().max(1);
-        let load = ((inflight + 1) as f64 / workers as f64).max(1.0);
-        (p99 as f64 * load) as u64
-    }
-
-    /// Latency-targeted admission: holds the submission until its
-    /// predicted latency fits the budget *and* the memory quota is free
-    /// (probed without parking, so the prediction is re-evaluated on
-    /// every wakeup), or until the admission patience expires.
-    fn admit_latency_gated(
-        &self,
-        demand: u64,
-        budget: Duration,
-    ) -> Result<(Option<QuotaGrant>, InflightGuard), JoinError> {
-        let budget_ns = u64::try_from(budget.as_nanos()).unwrap_or(u64::MAX);
-        let deadline = Instant::now() + self.cfg.admission_patience;
-        let (lock, cv) = &*self.inflight;
-        let mut count = lock.lock().expect("inflight gate");
-        loop {
-            let predicted = self.predicted_latency_ns(*count);
-            if predicted <= budget_ns {
-                let grant = match &self.quota {
-                    None => None,
-                    Some(ledger) => match ledger.try_reserve(demand) {
-                        Ok(grant) => Some(grant),
-                        Err(e @ QuotaError::Oversized { .. }) => {
-                            return Err(JoinError::Admission(e.to_string()));
-                        }
-                        Err(QuotaError::TimedOut { .. }) => {
-                            // Quota held by running queries: park below and
-                            // re-probe when a completion signals the gate.
-                            let left = deadline.saturating_duration_since(Instant::now());
-                            if left.is_zero() {
-                                return Err(JoinError::Admission(format!(
-                                    "timed out waiting for {demand} bytes under a latency gate"
-                                )));
-                            }
-                            let (guard, _timeout) =
-                                cv.wait_timeout(count, left).expect("inflight gate");
-                            count = guard;
-                            continue;
-                        }
-                    },
-                };
-                *count += 1;
-                return Ok((
-                    grant,
-                    InflightGuard {
-                        inflight: Arc::clone(&self.inflight),
-                    },
-                ));
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(JoinError::Admission(format!(
-                    "predicted p99 of {predicted}ns exceeds the {budget_ns}ns latency budget \
-                     ({count} queries inflight on {} workers)",
-                    self.executor.workers()
-                )));
-            }
-            let (guard, _timeout) = cv.wait_timeout(count, left).expect("inflight gate");
-            count = guard;
-        }
-    }
-
     /// Admits one query: validates its configuration, reserves its memory
     /// quota (blocking up to the admission patience), and starts its
     /// actors on the shared executor with the configuration's scheduling
     /// weight. Returns immediately after admission; the query runs
     /// concurrently with every other admitted query.
     ///
-    /// With a [`ServiceConfig::latency_budget`] set, admission also
-    /// requires the predicted post-admission p99 to fit the budget; the
-    /// submission waits (up to the patience) for running queries to
-    /// finish, then is refused.
-    ///
     /// # Errors
     /// [`JoinError::Config`] on validation failure, [`JoinError::Admission`]
-    /// when the quota cannot be reserved or the latency budget would be
-    /// blown.
+    /// when the quota cannot be reserved.
     pub fn submit(&self, cfg: &JoinConfig) -> Result<QueryHandle, JoinError> {
         cfg.validate().map_err(JoinError::Config)?;
         let demand = cfg.cluster.total_hash_memory_bytes();
-        let (grant, inflight) = match self.cfg.latency_budget {
-            Some(budget) => {
-                let (grant, guard) = self.admit_latency_gated(demand, budget)?;
-                (grant, Some(guard))
-            }
-            None => {
-                let grant = match &self.quota {
-                    Some(ledger) => Some(
-                        ledger
-                            .reserve(demand, self.cfg.admission_patience)
-                            .map_err(|e| JoinError::Admission(e.to_string()))?,
-                    ),
-                    None => None,
-                };
-                (grant, None)
-            }
+        let grant = match &self.quota {
+            Some(ledger) => Some(
+                ledger
+                    .reserve(demand, self.cfg.admission_patience)
+                    .map_err(|e| JoinError::Admission(e.to_string()))?,
+            ),
+            None => None,
         };
         let id = QueryId(self.next_query.fetch_add(1, Ordering::Relaxed));
         let run = QueryRun::new(&RunOptions {
@@ -289,12 +165,11 @@ impl JoinService {
             &Arc::new(cfg.clone()),
             self.cfg.mailbox_capacity,
         );
-        if grant.is_some() || inflight.is_some() {
-            // The grant (and inflight slot) frees when the query
-            // *completes*, not when the caller reaps the handle — a
-            // submitter streaming admissions must not be able to wedge the
-            // ledger (or the latency gate) with unreaped handles.
-            admission.hold_until_done(Box::new((grant, inflight)));
+        if let Some(grant) = grant {
+            // The grant frees when the query *completes*, not when the
+            // caller reaps the handle — a submitter streaming admissions
+            // must not be able to wedge the ledger with unreaped handles.
+            admission.hold_until_done(Box::new(grant));
         }
         Ok(QueryHandle {
             id,
@@ -330,9 +205,6 @@ impl JoinService {
         // Wall total and traffic come from the group's own ledger (wire
         // bytes charged per send, self-sends included), not pool totals.
         let end = RunEnd::of_group(&outcome, handle.cancelled.load(Ordering::Relaxed));
-        // Feed the admission gate's latency estimate — every completed
-        // query counts, reaped or cancelled alike.
-        self.latency.record(end.at_nanos);
         handle.run.finish(end)
     }
 
@@ -468,33 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_budget_refuses_once_observed_p99_exceeds_it() {
-        let service = JoinService::start(ServiceConfig {
-            workers: 2,
-            // One nanosecond: any real completion blows it.
-            latency_budget: Some(Duration::from_nanos(1)),
-            admission_patience: Duration::from_millis(50),
-            ..ServiceConfig::default()
-        });
-        let cfg = quick(Algorithm::Hybrid);
-        // A cold service has no latency samples yet, so the first query
-        // admits freely and seeds the estimate.
-        let first = service.run(&cfg).expect("cold service admits");
-        assert_eq!(first.matches, expected_matches_for(&cfg));
-        // Now the observed p99 is a real (multi-microsecond) latency, far
-        // over the 1ns budget: the gate must refuse after the patience.
-        let err = match service.submit(&cfg) {
-            Ok(_) => panic!("hot service must refuse under a 1ns budget"),
-            Err(e) => e,
-        };
-        let JoinError::Admission(msg) = err else {
-            panic!("expected admission refusal, got {err:?}");
-        };
-        assert!(msg.contains("latency budget"), "unexpected message: {msg}");
-        service.shutdown();
-    }
-
-    #[test]
     fn weighted_tenants_share_the_pool_and_keep_their_counts() {
         let service = JoinService::start(ServiceConfig {
             workers: 2,
@@ -502,7 +347,6 @@ mod tests {
         });
         let mut heavy = quick(Algorithm::Split);
         heavy.tenant_weight = 8;
-        heavy.probe_slice = 64;
         let light = quick(Algorithm::Replicated);
         let h1 = service.submit(&heavy).expect("admitted");
         let h2 = service.submit(&light).expect("admitted");

@@ -73,10 +73,6 @@ pub fn sample_kind(snapshot: &MetricsSnapshot, seq: u64) -> TraceKind {
         .get(names::SCHED_PREEMPTIONS)
         .copied()
         .unwrap_or(0);
-    let slice_tuples = snapshot
-        .histograms
-        .get(names::SCHED_SLICE_TUPLES)
-        .map_or(0, |h| h.percentile(50.0));
     let group_deficit = snapshot
         .histograms
         .get(names::SCHED_GROUP_DEFICIT)
@@ -93,7 +89,6 @@ pub fn sample_kind(snapshot: &MetricsSnapshot, seq: u64) -> TraceKind {
         hotkey_fanout,
         sched_picks,
         preemptions,
-        slice_tuples,
         group_deficit,
     }
 }
@@ -182,9 +177,8 @@ mod tests {
         h.histogram(names::SCHED_HOTKEY_FANOUT).record(4);
         h.counter(names::SCHED_PICKS).add(300);
         h.counter(names::SCHED_PREEMPTIONS).add(9);
-        // Sub-resolution values: the histogram stores them exactly, so the
+        // A sub-resolution value: the histogram stores it exactly, so the
         // p50 read-back is the recorded value.
-        h.histogram(names::SCHED_SLICE_TUPLES).record(17);
         h.histogram(names::SCHED_GROUP_DEFICIT).record(25);
         let kind = sample_kind(&reg.snapshot(), 3);
         assert_eq!(
@@ -201,7 +195,6 @@ mod tests {
                 hotkey_fanout: 4,
                 sched_picks: 300,
                 preemptions: 9,
-                slice_tuples: 17,
                 group_deficit: 25,
             }
         );

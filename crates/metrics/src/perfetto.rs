@@ -109,7 +109,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], clock: Option<ClockKind>) -> Str
             hotkey_fanout,
             sched_picks,
             preemptions,
-            slice_tuples,
             group_deficit,
             ..
         } = ev.kind
@@ -124,8 +123,7 @@ pub fn chrome_trace_json(events: &[TraceEvent], clock: Option<ClockKind>) -> Str
                 ("sketch top-k size", sketch_topk),
                 ("hotkey fan-out", hotkey_fanout),
                 ("scheduler picks", sched_picks),
-                ("probe preemptions", preemptions),
-                ("slice tuples (p50)", slice_tuples),
+                ("scheduler preemptions", preemptions),
                 ("group deficit (p50)", group_deficit),
             ] {
                 lines.push((
@@ -219,7 +217,6 @@ mod tests {
                     hotkey_fanout: 2,
                     sched_picks: 40,
                     preemptions: 1,
-                    slice_tuples: 16,
                     group_deficit: 8,
                 },
             ),

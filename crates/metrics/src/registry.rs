@@ -697,17 +697,12 @@ pub mod names {
     pub const SCHED_HOTKEY_FANOUT: &str = "sched.hotkey_fanout";
     /// Counter: deficit-weighted round-robin group picks by workers.
     pub const SCHED_PICKS: &str = "sched.picks";
-    /// Counter: probe slices preempted because the group overran its
-    /// deficit while another group had runnable work.
+    /// Counter: actor runs cut short at a message boundary because the
+    /// group overran its deficit while another group had runnable work.
     pub const SCHED_PREEMPTIONS: &str = "sched.preemptions";
     /// Histogram: the picked group's remaining deficit at pick time
     /// (clamped at zero).
     pub const SCHED_GROUP_DEFICIT: &str = "sched.group_deficit";
-    /// Histogram: tuples per resumable probe slice (sliced probes only).
-    pub const SCHED_SLICE_TUPLES: &str = "sched.slice_tuples";
-    /// Histogram: end-to-end query latency (ns) observed by the join
-    /// service, the input to latency-targeted admission.
-    pub const SERVICE_QUERY_LATENCY_NS: &str = "service.query_latency_ns";
 }
 
 #[cfg(test)]

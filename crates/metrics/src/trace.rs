@@ -303,10 +303,9 @@ pub enum TraceKind {
         hotkey_fanout: u64,
         /// Cumulative deficit-weighted round-robin group picks by workers.
         sched_picks: u64,
-        /// Cumulative probe slices preempted for a competing group.
+        /// Cumulative actor runs cut short at a message boundary for a
+        /// competing group.
         preemptions: u64,
-        /// Median tuples per resumable probe slice (sliced probes only).
-        slice_tuples: u64,
         /// Median remaining deficit of picked groups (clamped at zero).
         group_deficit: u64,
     },
@@ -471,7 +470,6 @@ impl TraceKind {
                 hotkey_fanout,
                 sched_picks,
                 preemptions,
-                slice_tuples,
                 group_deficit,
             } => format!(
                 "metrics sample {seq}: {occupancy} arena tuples, mailbox hwm {depth_hwm}, \
@@ -479,7 +477,7 @@ impl TraceKind {
                  hotkey hits {hotkey_hits}, sketch top-k {sketch_topk}, \
                  fan-out {hotkey_fanout}, \
                  sched {sched_picks} picks / {preemptions} preemptions, \
-                 slice p50 {slice_tuples}, deficit p50 {group_deficit}"
+                 deficit p50 {group_deficit}"
             ),
             Self::ProtocolFault {
                 field,
@@ -601,7 +599,6 @@ impl TraceEvent {
                 hotkey_fanout,
                 sched_picks,
                 preemptions,
-                slice_tuples,
                 group_deficit,
             } => {
                 let _ = write!(
@@ -611,8 +608,7 @@ impl TraceEvent {
                      \"filter_rejections\":{filter_rejections},\
                      \"hotkey_hits\":{hotkey_hits},\"sketch_topk\":{sketch_topk},\
                      \"hotkey_fanout\":{hotkey_fanout},\"sched_picks\":{sched_picks},\
-                     \"preemptions\":{preemptions},\"slice_tuples\":{slice_tuples},\
-                     \"group_deficit\":{group_deficit}"
+                     \"preemptions\":{preemptions},\"group_deficit\":{group_deficit}"
                 );
             }
             TraceKind::ProtocolFault {
@@ -742,7 +738,6 @@ impl TraceEvent {
                 hotkey_fanout: num("hotkey_fanout").unwrap_or(0),
                 sched_picks: num("sched_picks").unwrap_or(0),
                 preemptions: num("preemptions").unwrap_or(0),
-                slice_tuples: num("slice_tuples").unwrap_or(0),
                 group_deficit: num("group_deficit").unwrap_or(0),
             },
             "protocol_fault" => TraceKind::ProtocolFault {
@@ -1355,7 +1350,6 @@ mod tests {
                 hotkey_fanout: 3,
                 sched_picks: 900,
                 preemptions: 12,
-                slice_tuples: 64,
                 group_deficit: 128,
             },
             TraceKind::EngineStop {
@@ -1404,10 +1398,14 @@ mod tests {
                 hotkey_fanout: 0,
                 sched_picks: 0,
                 preemptions: 0,
-                slice_tuples: 0,
                 group_deficit: 0,
             }
         );
+        // Samples written while probes ran in preemptible slices carry a
+        // `slice_tuples` field; it is ignored.
+        let sliced = old.replace("\"busy_ns\":77", "\"busy_ns\":77,\"slice_tuples\":64");
+        let back = TraceEvent::from_json_line(&sliced).expect("sliced sample must parse");
+        assert_eq!(back.kind, ev.kind);
     }
 
     #[test]

@@ -89,21 +89,12 @@ pub trait Context<M: Message> {
     /// dropped. Sends are charged to the traffic totals either way — the
     /// drop happens at the receiver, past the wire.
     fn stop(&mut self);
-
-    /// Whether a long-running handler should park its remaining work and
-    /// yield the worker. Cooperative preemption point: an actor processing
-    /// a large batch in resumable slices calls this between slices; each
-    /// call charges one slice quantum against the actor's group scheduling
-    /// deficit on the threaded executor. A backend without a scheduler to
-    /// yield to (the deterministic engine) always answers `false`, so a
-    /// sliced handler completes in one call there — with identical
-    /// accounting, since slice costs are additive.
-    fn should_yield(&mut self) -> bool {
-        false
-    }
 }
 
-/// A state machine driven by messages.
+/// A state machine driven by messages: it starts, then handles one message
+/// at a time, and every handler runs to completion. All it does to the
+/// world goes through the [`Context`]; there is no other entry point, so a
+/// backend schedules an actor only by delivering it a message.
 pub trait Actor<M: Message>: Send {
     /// Invoked once before any message is delivered, in actor-id order.
     fn on_start(&mut self, _ctx: &mut dyn Context<M>) {}
@@ -111,17 +102,4 @@ pub trait Actor<M: Message>: Send {
     /// Handles one message. `from` is the sending actor (`me()` for a
     /// self-send).
     fn on_message(&mut self, ctx: &mut dyn Context<M>, from: ActorId, msg: M);
-
-    /// Whether this actor parked a resumable slice of work (a handler that
-    /// honoured [`Context::should_yield`] mid-batch). The threaded executor
-    /// keeps such an actor scheduled and calls [`Actor::on_resume`] before
-    /// draining its mailbox again, so a parked slice always completes ahead
-    /// of later messages — including a stop sentinel.
-    fn has_parked_work(&self) -> bool {
-        false
-    }
-
-    /// Continues parked work. Must make forward progress (at least one
-    /// slice) per call; may park again if [`Context::should_yield`] says so.
-    fn on_resume(&mut self, _ctx: &mut dyn Context<M>) {}
 }

@@ -38,13 +38,10 @@
 //!   plus the live ones', summed on request), the scan cursor, coalescing
 //!   buffers and dequeue batch are the worker's own, and a mailbox pop
 //!   makes no system call unless a producer is parked on it;
-//! * long probe batches are cooperatively preemptible: a handler that
-//!   slices its work checks [`Context::should_yield`] between slices (each
-//!   check charges a slice quantum against the group's deficit) and parks a
-//!   resumable cursor when told to yield. The executor re-queues the actor
-//!   and always resumes parked work *before* draining the mailbox again,
-//!   so preemption never reorders or drops tuples — even against a stop
-//!   sentinel;
+//! * a handler always runs to completion: preemption happens only between
+//!   messages, and the unprocessed tail of a dequeue batch goes back to the
+//!   front of the mailbox, so it never reorders or drops a message — even
+//!   against a stop sentinel;
 //! * [`Context::send`] coalesces per destination: envelopes buffer in a
 //!   small per-destination batch and flush in one mailbox lock / one
 //!   wakeup, so batched shipping (`TupleBatch`) translates into fewer
@@ -120,13 +117,9 @@ const STEAL_PATIENCE: Duration = Duration::from_micros(50);
 
 /// Deficit units granted per unit of group weight at each refill round.
 /// One processed message costs one unit plus one unit per
-/// [`DEFICIT_BYTES_PER_UNIT`] of payload, one probe slice costs
-/// [`SLICE_DEFICIT_COST`] units.
+/// [`DEFICIT_BYTES_PER_UNIT`] of payload; a send costs one unit per
+/// [`DEFICIT_BYTES_PER_UNIT`].
 const GROUP_QUANTUM: i64 = 256;
-
-/// Deficit units one resumable probe slice charges (a slice is a batch of
-/// tuples, heavier than a control message).
-const SLICE_DEFICIT_COST: i64 = 4;
 
 /// Payload bytes that cost one extra deficit unit. Charging by bytes
 /// rather than by message count is what makes the weights mean *work*: a
@@ -263,7 +256,7 @@ struct GroupState<M: Message> {
     /// it.
     home: usize,
     /// Remaining deficit units this round. Drained by processed messages
-    /// and probe slices, refilled `weight * GROUP_QUANTUM` at a time when
+    /// and sent bytes, refilled `weight * GROUP_QUANTUM` at a time when
     /// no runnable group has any deficit left. Clamped at minus one full
     /// quantum so a solo group's overdraw stays bounded.
     deficit: AtomicI64,
@@ -1106,16 +1099,8 @@ fn run_actor<M: Message>(
             body.started = true;
             body.actor.on_start(&mut ctx);
         }
-        // A parked resumable slice runs before any further dequeue: work
-        // that entered the mailbox ahead of later messages — including a
-        // stop sentinel — completes first, so preemption never reorders
-        // or drops tuples.
-        if body.actor.has_parked_work() {
-            body.actor.on_resume(&mut ctx);
-            preempted = body.actor.has_parked_work();
-        }
         let mut processed = 0usize;
-        'budget: while !preempted && processed < MSG_BUDGET {
+        'budget: while processed < MSG_BUDGET {
             scratch.clear();
             let room = DEQUEUE_BATCH.min(MSG_BUDGET - processed);
             if slot.mailbox.pop_batch(scratch, room) == 0 {
@@ -1140,12 +1125,11 @@ fn run_actor<M: Message>(
                         body.actor.on_message(&mut ctx, from, msg);
                         processed += 1;
                         group.charge_deficit(cost);
-                        // The handler yielded mid-batch, or the group is
-                        // out of deficit with a rival waiting (work-
+                        // Out of deficit with a rival waiting (work-
                         // conserving — a solo group keeps running on an
                         // empty pool): hand the unprocessed tail back to
                         // the mailbox front and give up the worker.
-                        preempted = body.actor.has_parked_work() || ctx.out_of_deficit();
+                        preempted = ctx.out_of_deficit();
                         if preempted {
                             slot.mailbox.requeue_front(iter);
                             break 'budget;
@@ -1319,21 +1303,13 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
             self.shared.post_group_sentinels(self.group, self.worker);
         }
     }
-
-    fn should_yield(&mut self) -> bool {
-        // Every slice drains the group's deficit, whether or not it ends
-        // up yielding — slicing is how a heavy probe pays for its share.
-        // Out of deficit, preempt only if some other group actually wants
-        // this worker; a solo tenant keeps running (work-conserving).
-        self.group.charge_deficit(SLICE_DEFICIT_COST);
-        self.out_of_deficit()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
 
     struct Count(u64);
     impl Message for Count {
@@ -1501,185 +1477,153 @@ mod tests {
         );
     }
 
-    /// Processes `Count(n)` as `n` work units in resumable slices of
-    /// `slice`, honouring [`Context::should_yield`] between slices.
-    struct Slicer {
-        slice: u64,
-        parked: Option<u64>,
+    /// A message whose wire size is its value: the deficit charges scale
+    /// with it.
+    struct Sized(u64);
+    impl Message for Sized {
+        fn wire_bytes(&self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Holds the pool's only worker inside `on_start` until released, so
+    /// the groups admitted meanwhile are all queued before any of them runs.
+    struct Gate(mpsc::Receiver<()>);
+    impl Actor<Sized> for Gate {
+        fn on_start(&mut self, _ctx: &mut dyn Context<Sized>) {
+            let _ = self.0.recv_timeout(Duration::from_secs(60));
+        }
+        fn on_message(&mut self, _c: &mut dyn Context<Sized>, _f: ActorId, _m: Sized) {}
+    }
+
+    /// A self-send loop of `bytes`-sized messages, one message per actor
+    /// run, counting into `done`. After `limit` messages it notes what
+    /// `rival` has counted so far and stops its group.
+    struct Spinner {
+        bytes: u64,
+        limit: u64,
         done: Arc<AtomicU64>,
+        rival: Arc<AtomicU64>,
+        rival_at_stop: Arc<AtomicU64>,
     }
-
-    impl Slicer {
-        fn run(&mut self, ctx: &mut dyn Context<Count>) {
-            while let Some(rem) = self.parked {
-                let step = rem.min(self.slice);
-                self.done.fetch_add(step, Ordering::Relaxed);
-                self.parked = (rem > step).then_some(rem - step);
-                if self.parked.is_some() && ctx.should_yield() {
-                    return;
-                }
-            }
+    impl Actor<Sized> for Spinner {
+        fn on_start(&mut self, ctx: &mut dyn Context<Sized>) {
+            ctx.send(ctx.me(), Sized(self.bytes));
         }
-    }
-
-    impl Actor<Count> for Slicer {
-        fn on_message(&mut self, ctx: &mut dyn Context<Count>, _from: ActorId, msg: Count) {
-            assert!(self.parked.is_none(), "resumed before new work");
-            self.parked = Some(msg.0);
-            self.run(ctx);
-        }
-        fn has_parked_work(&self) -> bool {
-            self.parked.is_some()
-        }
-        fn on_resume(&mut self, ctx: &mut dyn Context<Count>) {
-            self.run(ctx);
-        }
-    }
-
-    /// Sends the slicer its workload, then counts down [`STOP_COUNTDOWN`]
-    /// self-sends — one actor run each, interleaved with the slicer's —
-    /// and stops the group: the sentinel lands while the slicer is likely
-    /// mid-slice, and always behind the workload.
-    struct CountdownStopper {
-        target: ActorId,
-        units: u64,
-    }
-
-    const STOP_COUNTDOWN: u64 = 8;
-
-    impl Actor<Count> for CountdownStopper {
-        fn on_start(&mut self, ctx: &mut dyn Context<Count>) {
-            ctx.send(self.target, Count(self.units));
-            ctx.send(ctx.me(), Count(STOP_COUNTDOWN));
-        }
-        fn on_message(&mut self, ctx: &mut dyn Context<Count>, _f: ActorId, m: Count) {
-            if m.0 == 0 {
+        fn on_message(&mut self, ctx: &mut dyn Context<Sized>, _f: ActorId, m: Sized) {
+            if self.done.fetch_add(1, Ordering::Relaxed) + 1 == self.limit {
+                let rival = self.rival.load(Ordering::Relaxed);
+                self.rival_at_stop.store(rival, Ordering::Relaxed);
                 ctx.stop();
             } else {
-                ctx.send(ctx.me(), Count(m.0 - 1));
+                ctx.send(ctx.me(), m);
             }
         }
     }
 
-    #[test]
-    fn stop_sentinel_mid_slice_completes_parked_work() {
-        // A competing group keeps the pool contended so the slicer's group
-        // really runs out of deficit and parks between slices; the stop
-        // sentinel then lands *behind* the in-flight batch. The batch was
-        // delivered before the sentinel, so every one of its units must be
-        // processed before the group retires — no lost tuples, no stall.
+    /// Deficit units one message of a [`Spinner`] costs its group: `1 +
+    /// bytes / unit` to handle it and `bytes / unit` to send the next.
+    fn spin_cost(bytes: u64) -> u64 {
+        1 + 2 * (bytes / DEFICIT_BYTES_PER_UNIT)
+    }
+
+    /// A pool of one worker, with a live registry to count preemptions.
+    fn one_worker() -> (Executor<Sized>, MetricsRegistry) {
+        let registry = MetricsRegistry::new();
         let cfg = ExecutorConfig {
             workers: 1,
             ..ExecutorConfig::default()
         };
-        let pool: Executor<Count> = Executor::start(&cfg, &MetricsRegistry::disabled());
-        let competitor = pool.admit_with(2, cfg.mailbox_capacity, |base| ring(base, 2, 50_000));
-        let done = Arc::new(AtomicU64::new(0));
-        let units = 100_000u64;
-        let done_in = Arc::clone(&done);
-        let group = pool.admit_with(2, cfg.mailbox_capacity, move |base| {
-            vec![
-                Box::new(CountdownStopper {
-                    target: base + 1,
-                    units,
-                }) as Box<dyn Actor<Count>>,
-                Box::new(Slicer {
-                    slice: 64,
-                    parked: None,
-                    done: done_in,
-                }),
-            ]
-        });
-        let out = pool
-            .wait_timeout(&group, Duration::from_secs(30))
-            .expect("group with a parked slice still retires");
-        assert_eq!(
-            done.load(Ordering::Relaxed),
-            units,
-            "work delivered before the sentinel completed exactly"
-        );
-        assert_eq!(
-            out.net_messages,
-            2 + STOP_COUNTDOWN,
-            "the workload send plus every step of the countdown"
-        );
-        pool.wait(&competitor);
-        pool.shutdown();
+        (Executor::start(&cfg, &registry), registry)
     }
 
-    #[test]
-    fn cancel_mid_slice_completes_parked_work() {
-        let cfg = ExecutorConfig {
-            workers: 1,
-            ..ExecutorConfig::default()
+    fn preemptions(registry: &MetricsRegistry) -> u64 {
+        let counters = registry.snapshot().counters;
+        counters.get(names::SCHED_PREEMPTIONS).copied().unwrap_or(0)
+    }
+
+    /// Runs two spinners as two groups on one worker, `(weight, bytes)`
+    /// each, until `b` has handled `b_limit` messages. Returns how many `a`
+    /// handled meanwhile and the preemptions the worker counted.
+    fn contend(a: (u64, u64), b: (u64, u64), b_limit: u64) -> (u64, u64) {
+        let (pool, registry) = one_worker();
+        let (release, gate) = mpsc::channel();
+        let held = pool.admit(vec![Box::new(Gate(gate))], 16);
+        let (a_done, b_done) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let a_at_stop = Arc::new(AtomicU64::new(0));
+        let spinner = |bytes, limit, done: &Arc<AtomicU64>, rival: &Arc<AtomicU64>| {
+            vec![Box::new(Spinner {
+                bytes,
+                limit,
+                done: Arc::clone(done),
+                rival: Arc::clone(rival),
+                rival_at_stop: Arc::clone(&a_at_stop),
+            }) as Box<dyn Actor<Sized>>]
         };
-        let pool: Executor<Count> = Executor::start(&cfg, &MetricsRegistry::disabled());
-        let competitor = pool.admit_with(2, cfg.mailbox_capacity, |base| ring(base, 2, 50_000));
-        let done = Arc::new(AtomicU64::new(0));
-        let units = 100_000u64;
-        let done_in = Arc::clone(&done);
-        struct Feeder {
-            target: ActorId,
-            units: u64,
+        let ga = pool.admit_weighted(1, 16, a.0, |_| spinner(a.1, u64::MAX, &a_done, &b_done));
+        let gb = pool.admit_weighted(1, 16, b.0, |_| spinner(b.1, b_limit, &b_done, &a_done));
+        release.send(()).expect("the gate is waiting");
+        pool.wait(&gb);
+        for group in [&ga, &held] {
+            pool.cancel(group);
+            pool.wait(group);
         }
-        impl Actor<Count> for Feeder {
-            fn on_start(&mut self, ctx: &mut dyn Context<Count>) {
-                ctx.send(self.target, Count(self.units));
-            }
-            fn on_message(&mut self, _c: &mut dyn Context<Count>, _f: ActorId, _m: Count) {}
-        }
-        let group = pool.admit_with(2, cfg.mailbox_capacity, move |base| {
-            vec![
-                Box::new(Feeder {
-                    target: base + 1,
-                    units,
-                }) as Box<dyn Actor<Count>>,
-                Box::new(Slicer {
-                    slice: 64,
-                    parked: None,
-                    done: done_in,
-                }),
-            ]
-        });
-        // External cancel races the sliced processing; the workload was
-        // enqueued ahead of the sentinels either way.
-        thread::sleep(Duration::from_millis(1));
-        pool.cancel(&group);
-        pool.wait_timeout(&group, Duration::from_secs(30))
-            .expect("cancelled group with a parked slice retires");
-        assert_eq!(
-            done.load(Ordering::Relaxed),
-            units,
-            "cancel mid-slice drops nothing delivered before the sentinel"
-        );
-        pool.wait(&competitor);
         pool.shutdown();
+        (a_at_stop.load(Ordering::Relaxed), preemptions(&registry))
     }
 
     #[test]
-    fn solo_sliced_group_never_parks_and_weights_plumb_through() {
-        // With no competing group the yield check is work-conserving: the
-        // whole sliced workload completes in one scheduling of the actor.
+    fn weights_divide_a_contended_worker_by_work() {
+        // Deficit-weighted round-robin on one worker: over whole rounds
+        // each group handles `weight * GROUP_QUANTUM` deficit units, so a
+        // group's share of messages is its weight over its per-message
+        // cost. The deficit of a message is byte-proportional, so a tenant
+        // of fat messages gets fewer of them for the same weight. One
+        // worker makes the pick order, and so every count, exact; the
+        // band is one round of `a`'s messages.
+        let b_limit = 8 * GROUP_QUANTUM as u64 * 4;
+        for (a, b) in [
+            ((1, 8), (1, 8)),
+            ((1, 8), (8, 8)),
+            ((8, 8), (1, 8)),
+            ((1, 8 * 1024), (1, 8)),
+            ((4, 8 * 1024), (1, 8)),
+        ] {
+            let (a_done, preemptions) = contend(a, b, b_limit);
+            let per_unit = |(weight, bytes): (u64, u64)| weight as f64 / spin_cost(bytes) as f64;
+            let want = b_limit as f64 * per_unit(a) / per_unit(b);
+            let round = (a.0 * GROUP_QUANTUM as u64).div_ceil(spin_cost(a.1)) as f64;
+            assert!(
+                (a_done as f64 - want).abs() <= round + 1.0,
+                "a = {a:?} handled {a_done} against b = {b:?}'s {b_limit}, want {want:.0} +- {round}"
+            );
+            assert!(
+                preemptions > 0,
+                "a = {a:?}, b = {b:?}: nobody was preempted"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lone_group_is_never_preempted() {
+        // Work-conserving: out of deficit with no rival queued, a group
+        // keeps the worker whatever its weight.
+        let (pool, registry) = one_worker();
         let done = Arc::new(AtomicU64::new(0));
-        let done_in = Arc::clone(&done);
-        let pool: Executor<Count> =
-            Executor::start(&ExecutorConfig::default(), &MetricsRegistry::disabled());
-        let group = pool.admit_weighted(2, 1024, 8, move |base| {
-            vec![
-                Box::new(CountdownStopper {
-                    target: base + 1,
-                    units: 10_000,
-                }) as Box<dyn Actor<Count>>,
-                Box::new(Slicer {
-                    slice: 16,
-                    parked: None,
-                    done: done_in,
-                }),
-            ]
+        let unused = Arc::new(AtomicU64::new(0));
+        let group = pool.admit_weighted(1, 16, 1, |_| {
+            vec![Box::new(Spinner {
+                bytes: 8 * 1024,
+                limit: 20 * GROUP_QUANTUM as u64,
+                done: Arc::clone(&done),
+                rival: Arc::clone(&unused),
+                rival_at_stop: Arc::clone(&unused),
+            }) as Box<dyn Actor<Sized>>]
         });
         pool.wait(&group);
-        assert_eq!(done.load(Ordering::Relaxed), 10_000);
         pool.shutdown();
+        assert_eq!(done.load(Ordering::Relaxed), 20 * GROUP_QUANTUM as u64);
+        assert_eq!(preemptions(&registry), 0);
     }
 
     #[test]

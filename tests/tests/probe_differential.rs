@@ -154,19 +154,15 @@ fn hot_key_routing_preserves_exact_match_counts() {
     }
 }
 
-/// Preemptible probe slices (DESIGN §4j) cut a probe batch into resumable
-/// chunks so the scheduler can interleave tenants mid-batch. Per-slice
-/// costs are additive — the same multiply-and-sum the whole batch charges
-/// — so every simulated observable must be byte-identical whether a batch
-/// is probed whole or in slices, at any slice length, under any kernel.
+/// Nothing reads `JoinConfig::probe_slice` (DESIGN §4j); it stays only
+/// because the frozen benchmark sets it. Whatever it is set to, every
+/// simulated observable must stay byte-identical, under any kernel.
 fn assert_sliced_probe_matches_whole(cfg: &JoinConfig) {
     let label = cfg.algorithm.label();
     for kernel in ProbeKernel::ALL {
         let mut whole = cfg.clone();
         whole.probe_kernel = kernel;
         whole.probe_slice = 0;
-        // 7 is deliberately odd and far below the batch size: nearly every
-        // batch splits, and the last slice is ragged.
         let mut sliced = whole.clone();
         sliced.probe_slice = 7;
         let a = JoinRunner::run(&whole).expect("whole-batch run must complete");
