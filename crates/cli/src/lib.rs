@@ -21,7 +21,7 @@ use ehj_core::{
     JoinService, RunOptions, ServiceConfig,
 };
 use ehj_data::Distribution;
-use ehj_metrics::{ClockKind, RingSink, TraceEvent, TraceLevel};
+use ehj_metrics::{ClockKind, RingSink, TraceEvent, TraceLevel, TRACE_SCHEMA};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -183,22 +183,31 @@ fn render_list(format: Format, title: &str, reports: &[JoinReport]) -> String {
 /// lanes plus the per-kind rollup table.
 ///
 /// # Errors
-/// Returns a message when any non-empty line fails to parse.
+/// Returns a message when the first line is not a header of schema
+/// [`TRACE_SCHEMA`] (naming both versions when it is another schema's) or
+/// any later non-empty line fails to parse.
 pub fn trace_summary(jsonl: &str) -> Result<String, String> {
+    let mut lines = jsonl
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty());
+    // The runner stamps the file with one schema-and-clock header.
+    let clock = match lines.next() {
+        None => None,
+        Some((lineno, line)) => {
+            let (schema, clock) = ClockKind::parse_header_line(line)
+                .ok_or_else(|| format!("line {}: not a trace header: {line}", lineno + 1))?;
+            if schema != TRACE_SCHEMA {
+                return Err(format!(
+                    "trace file has schema {schema}; this build reads schema {TRACE_SCHEMA}"
+                ));
+            }
+            Some(clock)
+        }
+    };
     let mut events = Vec::new();
     let mut rollup = ehj_metrics::TraceRollup::default();
-    let mut clock = None;
-    for (lineno, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        // The runner stamps the file with one clock-declaration header.
-        if lineno == 0 && clock.is_none() {
-            if let Some(kind) = ClockKind::parse_header_line(line) {
-                clock = Some(kind);
-                continue;
-            }
-        }
+    for (lineno, line) in lines {
         let ev = TraceEvent::from_json_line(line)
             .ok_or_else(|| format!("line {}: not a trace event: {line}", lineno + 1))?;
         rollup.note(&ev);

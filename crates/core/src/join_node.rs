@@ -49,8 +49,8 @@ struct NodeMetrics {
     occupancy: Gauge,
     /// Last table length folded into the gauge.
     occupancy_seen: i64,
-    /// Probe tuples through the filtered batch kernels (tag-rejection rate
-    /// numerator/denominator, sampled into Perfetto counter tracks).
+    /// Probe tuples through the filtered batch kernels and their tag
+    /// rejections: the node's only count of either.
     filter_probes: Counter,
     filter_rejections: Counter,
     /// Probe tuples answered from a replicated hot position (DESIGN §4i).
@@ -115,11 +115,6 @@ pub struct JoinNode<B: SpillBackend + Default + Send> {
     pos_scratch: Vec<u32>,
     /// Reusable position scratch for the batched probe kernel.
     probe_scratch: ProbeScratch,
-    /// Probe-filter effectiveness counters, emitted as one
-    /// `ProbeFilterStats` trace event with the node's final report.
-    filter_probes: u64,
-    filter_rejections: u64,
-    filter_batches: u64,
     /// Hot-key copies received before this node's own `HotKeyPlan`:
     /// inserting them early would re-ship a peer's copies during our own
     /// extraction, so they wait until the plan has been processed.
@@ -165,9 +160,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             scatter: Vec::new(),
             pos_scratch: Vec::new(),
             probe_scratch: ProbeScratch::new(),
-            filter_probes: 0,
-            filter_rejections: 0,
-            filter_batches: 0,
             hotkey_stash: Vec::new(),
             hotkey_plan_seen: false,
         }
@@ -596,9 +588,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             .probe_batch_with(tuples, &mut self.probe_scratch, kernel);
         // The scalar reference has no filter, so it keeps no filter stats.
         if kernel != ProbeKernel::Scalar {
-            self.filter_probes += stats.probes;
-            self.filter_rejections += stats.rejections;
-            self.filter_batches += 1;
             self.metrics.filter_probes.add(stats.probes);
             self.metrics.filter_rejections.add(stats.rejections);
         }
@@ -882,17 +871,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             self.matches += result.matches;
             self.compares += result.compares;
             self.grace_result = Some(result);
-        }
-        if self.filter_probes > 0 {
-            self.trace(
-                ctx,
-                Phase::Probe,
-                TraceKind::ProbeFilterStats {
-                    probes: self.filter_probes,
-                    rejections: self.filter_rejections,
-                    batches: self.filter_batches,
-                },
-            );
         }
         self.table.observe_metrics(&self.metrics.chain_len);
         let build_tuples = self.table.len() + self.spill_build_tuples;
@@ -1405,7 +1383,9 @@ mod tests {
             cfg.probe_kernel = kernel;
             let cfg = Arc::new(cfg);
             let cap = capacity_tuples(&cfg, 100);
-            let mut node = JoinNode::<MemBackend>::new(cfg, SCHED, ME, cap);
+            let registry = ehj_metrics::MetricsRegistry::new();
+            let mut node = JoinNode::<MemBackend>::new(cfg, SCHED, ME, cap)
+                .with_metrics(&registry.handle_for(0));
             let mut ctx = ScriptCtx::new(ME);
             node.on_message(
                 &mut ctx,
@@ -1426,19 +1406,24 @@ mod tests {
                     tuple_bytes: 116,
                 },
             );
-            (
-                node.matches,
-                node.compares,
-                node.filter_probes,
-                node.filter_batches,
-            )
+            // The registry is the node's only count of the filter's work;
+            // the batch count is the probe-latency histogram's.
+            let snapshot = registry.snapshot();
+            let counter = |name| snapshot.counters.get(name).copied().unwrap_or(0);
+            let filter = (
+                counter(names::NODE_FILTER_PROBES),
+                counter(names::NODE_FILTER_REJECTIONS),
+            );
+            let batches = snapshot.histograms[names::NODE_PROBE_NS].count;
+            (node.matches, node.compares, filter, batches)
         };
-        let (sm, sc, sfp, sfb) = run(ProbeKernel::Scalar);
-        assert_eq!((sfp, sfb), (0, 0), "scalar path keeps no filter stats");
-        let (bm, bc, bfp, bfb) = run(ProbeKernel::Batched);
+        let (sm, sc, sfilter, sb) = run(ProbeKernel::Scalar);
+        assert_eq!(sfilter, (0, 0), "scalar path keeps no filter stats");
+        let (bm, bc, (bfp, bfr), bb) = run(ProbeKernel::Batched);
         assert_eq!((sm, sc), (bm, bc), "batched must match the scalar oracle");
         assert_eq!(bfp, probe.len() as u64, "filter probes");
-        assert_eq!(bfb, 1, "filter batches");
+        assert!(bfr <= bfp, "tag rejections are a share of the probes");
+        assert_eq!((sb, bb), (1, 1), "one probe batch either way");
     }
 
     fn probe_data(tuples: Vec<Tuple>) -> Msg {

@@ -127,23 +127,4 @@ impl JoinReport {
     pub fn extra_reshuffle_chunks(&self) -> u64 {
         self.comm.extra_chunks(ehj_metrics::Phase::Reshuffle)
     }
-
-    /// Derived throughput view: `link_bytes_per_sec` is one node's link
-    /// bandwidth, `links` the number of transmitting parties (typically
-    /// sources + final join nodes).
-    #[must_use]
-    pub fn throughput(
-        &self,
-        link_bytes_per_sec: u64,
-        links: usize,
-    ) -> ehj_metrics::ThroughputSummary {
-        ehj_metrics::ThroughputSummary::compute(
-            &self.times,
-            self.build_tuples,
-            self.probe_tuples,
-            self.net_bytes,
-            link_bytes_per_sec,
-            links,
-        )
-    }
 }

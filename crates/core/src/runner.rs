@@ -352,6 +352,9 @@ pub(crate) struct RunEnd {
     pub(crate) events: u64,
     pub(crate) net_bytes: u64,
     pub(crate) disk_bytes: u64,
+    /// Metrics samples already emitted during the run: the end-of-run
+    /// sample's sequence number.
+    pub(crate) samples: u64,
     pub(crate) silent: SilentEnd,
 }
 
@@ -365,6 +368,7 @@ impl RunEnd {
             events: 0,
             net_bytes: outcome.net_bytes,
             disk_bytes: 0,
+            samples: 0,
             silent: if cancelled {
                 SilentEnd::Cancelled
             } else {
@@ -505,7 +509,12 @@ impl QueryRun {
         report.disk_bytes = end.disk_bytes;
         // A background monitor cannot observe virtual time, and a query
         // shorter than its period is never sampled: one end-of-run sample.
-        sample_once(&self.registry, &self.harness.tracer, end.at_nanos, 0);
+        sample_once(
+            &self.registry,
+            &self.harness.tracer,
+            end.at_nanos,
+            end.samples,
+        );
         report.metrics = MetricsReport::from_snapshot(&self.registry.snapshot());
         self.harness
             .finish(end.at_nanos, StopCause::Completed, Some(&mut report));
@@ -564,6 +573,7 @@ pub(crate) fn run_simulated(
             events: group.events,
             net_bytes: group.net_bytes,
             disk_bytes: group.disk_bytes,
+            samples: 0,
             // Only a query that never reported gets here: the engine either
             // erred or ran out of events or time elsewhere.
             silent: match &run {
@@ -634,9 +644,12 @@ impl JoinRunner {
             .max_sim_time
             .map(|t| Duration::from_nanos(t.as_nanos()));
         let outcome = query.reap(&executor, &admission, budget);
-        monitor.stop();
+        let samples = monitor.stop();
         let exec = executor.shutdown().exec;
-        let end = RunEnd::of_group(&outcome?, false);
+        let end = RunEnd {
+            samples,
+            ..RunEnd::of_group(&outcome?, false)
+        };
         tracer.emit(
             end.at_nanos,
             0,
@@ -755,6 +768,7 @@ mod tests {
                 events: 11,
                 net_bytes: 22,
                 disk_bytes: 33,
+                samples: 0,
                 silent: c.silent,
             });
             assert_eq!(variant(&result), c.want, "{}", c.name);

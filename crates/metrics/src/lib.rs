@@ -17,12 +17,11 @@ pub mod perfetto;
 pub mod phases;
 pub mod registry;
 pub mod report;
-pub mod summary;
 pub mod trace;
 
 pub use comm::{CommCategory, CommCell, CommCounters};
 pub use load::LoadStats;
-pub use monitor::{sample_kind, sample_once, MetricsMonitor};
+pub use monitor::{sample_kind, sample_once, MetricsMonitor, SAMPLED, SAMPLE_WIDTH};
 pub use perfetto::chrome_trace_json;
 pub use phases::{Phase, PhaseTimes};
 pub use registry::{
@@ -30,9 +29,8 @@ pub use registry::{
     MetricsReport, MetricsSnapshot, ScopedTimer,
 };
 pub use report::{fmt_secs, metrics_report_table, trace_rollup_table, TextTable};
-pub use summary::ThroughputSummary;
 pub use trace::{
     lane_marker, render_trace_lanes, render_trace_lanes_clocked, ClockKind, ExecutorCounters,
-    FaultField, JsonlSink, ProbeFilterCounters, RingSink, RollupSink, StopCause, TraceEvent,
-    TraceKind, TraceLevel, TraceRollup, TraceSink, Tracer,
+    FaultField, JsonlSink, RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel,
+    TraceRollup, TraceSink, Tracer, TRACE_SCHEMA,
 };

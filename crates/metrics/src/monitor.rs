@@ -1,16 +1,17 @@
-//! Background sampling monitor: periodically snapshots live registry
-//! gauges into [`TraceKind::MetricsSample`] trace events.
+//! Background sampling monitor: periodically snapshots the registry
+//! instruments listed in [`SAMPLED`] into [`TraceKind::MetricsSample`]
+//! trace events.
 //!
 //! The monitor is the bridge between the two observability layers: the
 //! registry holds *current* values (arena occupancy, busy time, mailbox
 //! depths), the trace holds *timestamped* events. Sampling turns the
 //! former into the latter, which is what the Perfetto exporter renders as
-//! counter tracks and what the planned multi-tenant service will use for
-//! straggler detection.
+//! counter tracks. A sample carries no count of its own: every value in it
+//! is a registry read, and [`SAMPLED`] is the one list of what is read.
 //!
 //! Only the threaded backend runs the monitor as a thread (a background
-//! thread cannot observe virtual time); the simulated runner emits a
-//! single end-of-run sample via [`sample_once`] instead.
+//! thread cannot observe virtual time). Every run ends with one more
+//! sample via [`sample_once`], numbered after the monitor's last.
 
 use crate::phases::Phase;
 use crate::registry::{names, MetricsRegistry, MetricsSnapshot};
@@ -20,76 +21,80 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+/// How a sampled instrument is read from a registry snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SampleRead {
+    /// A counter's sum.
+    Counter,
+    /// A gauge's sum, clamped at zero.
+    Gauge,
+    /// A histogram's exact maximum.
+    HistMax,
+    /// A histogram's median.
+    HistP50,
+}
+
+/// One instrument every metrics sample carries.
+#[derive(Debug, Clone, Copy)]
+pub struct Sampled {
+    /// Registry name, also the sample's JSONL key (unique in [`SAMPLED`]).
+    pub name: &'static str,
+    /// How the value is read.
+    pub read: SampleRead,
+    /// Human-readable label: the Perfetto counter track and the trace
+    /// description name the value by it.
+    pub label: &'static str,
+}
+
+impl Sampled {
+    /// This instrument's value in `snapshot` (0 when it was never minted).
+    fn value(&self, snapshot: &MetricsSnapshot) -> u64 {
+        match self.read {
+            SampleRead::Counter => snapshot.counters.get(self.name).copied().unwrap_or(0),
+            SampleRead::Gauge => snapshot
+                .gauges
+                .get(self.name)
+                .map_or(0, |g| (*g).max(0) as u64),
+            SampleRead::HistMax => snapshot.histograms.get(self.name).map_or(0, |h| h.max),
+            SampleRead::HistP50 => snapshot
+                .histograms
+                .get(self.name)
+                .map_or(0, |h| h.percentile(50.0)),
+        }
+    }
+}
+
+/// The sampled instruments, in the order of a sample's values. The
+/// monitor, the trace description, the JSONL writer and reader and the
+/// Perfetto exporter all walk this table; a new sampled metric is one row.
+#[rustfmt::skip]
+pub const SAMPLED: &[Sampled] = &[
+    row(names::NODE_ARENA_TUPLES,      SampleRead::Gauge,   "arena occupancy (tuples)"),
+    row(names::EXEC_MAILBOX_DEPTH,     SampleRead::HistMax, "mailbox depth hwm"),
+    row(names::EXEC_BUSY_NS,           SampleRead::Counter, "worker busy (ns)"),
+    row(names::NODE_FILTER_PROBES,     SampleRead::Counter, "probe filter probes"),
+    row(names::NODE_FILTER_REJECTIONS, SampleRead::Counter, "probe tag rejections"),
+    row(names::NODE_HOTKEY_HITS,       SampleRead::Counter, "hotkey probe hits"),
+    row(names::SCHED_SKETCH_TOPK,      SampleRead::Gauge,   "sketch top-k size"),
+    row(names::SCHED_HOTKEY_FANOUT,    SampleRead::HistMax, "hotkey fan-out"),
+    row(names::SCHED_PICKS,            SampleRead::Counter, "scheduler picks"),
+    row(names::SCHED_PREEMPTIONS,      SampleRead::Counter, "scheduler preemptions"),
+    row(names::SCHED_GROUP_DEFICIT,    SampleRead::HistP50, "group deficit (p50)"),
+];
+
+const fn row(name: &'static str, read: SampleRead, label: &'static str) -> Sampled {
+    Sampled { name, read, label }
+}
+
+/// Values per metrics sample: one per [`SAMPLED`] row.
+pub const SAMPLE_WIDTH: usize = SAMPLED.len();
+
 /// Builds one [`TraceKind::MetricsSample`] from a registry snapshot.
 #[must_use]
 pub fn sample_kind(snapshot: &MetricsSnapshot, seq: u64) -> TraceKind {
-    let occupancy = snapshot
-        .gauges
-        .get(names::NODE_ARENA_TUPLES)
-        .copied()
-        .unwrap_or(0)
-        .max(0) as u64;
-    let depth_hwm = snapshot
-        .histograms
-        .get(names::EXEC_MAILBOX_DEPTH)
-        .map_or(0, |h| h.max);
-    let busy_ns = snapshot
-        .counters
-        .get(names::EXEC_BUSY_NS)
-        .copied()
-        .unwrap_or(0);
-    let filter_probes = snapshot
-        .counters
-        .get(names::NODE_FILTER_PROBES)
-        .copied()
-        .unwrap_or(0);
-    let filter_rejections = snapshot
-        .counters
-        .get(names::NODE_FILTER_REJECTIONS)
-        .copied()
-        .unwrap_or(0);
-    let hotkey_hits = snapshot
-        .counters
-        .get(names::NODE_HOTKEY_HITS)
-        .copied()
-        .unwrap_or(0);
-    let sketch_topk = snapshot
-        .gauges
-        .get(names::SCHED_SKETCH_TOPK)
-        .copied()
-        .unwrap_or(0)
-        .max(0) as u64;
-    let hotkey_fanout = snapshot
-        .histograms
-        .get(names::SCHED_HOTKEY_FANOUT)
-        .map_or(0, |h| h.max);
-    let sched_picks = snapshot
-        .counters
-        .get(names::SCHED_PICKS)
-        .copied()
-        .unwrap_or(0);
-    let preemptions = snapshot
-        .counters
-        .get(names::SCHED_PREEMPTIONS)
-        .copied()
-        .unwrap_or(0);
-    let group_deficit = snapshot
-        .histograms
-        .get(names::SCHED_GROUP_DEFICIT)
-        .map_or(0, |h| h.percentile(50.0));
     TraceKind::MetricsSample {
         seq,
-        occupancy,
-        depth_hwm,
-        busy_ns,
-        filter_probes,
-        filter_rejections,
-        hotkey_hits,
-        sketch_topk,
-        hotkey_fanout,
-        sched_picks,
-        preemptions,
-        group_deficit,
+        values: std::array::from_fn(|i| SAMPLED[i].value(snapshot)),
     }
 }
 
@@ -107,7 +112,8 @@ pub fn sample_once(registry: &MetricsRegistry, tracer: &Tracer, at_nanos: u64, s
 /// stopped, stamping events with wall nanoseconds since its start.
 pub struct MetricsMonitor {
     stop: Arc<AtomicBool>,
-    join: Option<thread::JoinHandle<()>>,
+    /// The sampling thread; it returns how many samples it emitted.
+    join: Option<thread::JoinHandle<u64>>,
 }
 
 impl MetricsMonitor {
@@ -135,26 +141,28 @@ impl MetricsMonitor {
                     tracer.emit(at, 0, Phase::Probe, kind);
                     seq += 1;
                 }
+                seq
             })
             .ok();
         Self { stop, join }
     }
 
-    /// Stops the sampling thread and waits for it to exit.
-    pub fn stop(mut self) {
+    /// Stops the sampling thread, waits for it to exit and returns the
+    /// next sample sequence number (the count of samples it emitted), so a
+    /// final sample continues the sequence instead of repeating 0.
+    pub fn stop(mut self) -> u64 {
+        self.halt()
+    }
+
+    fn halt(&mut self) -> u64 {
         self.stop.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+        self.join.take().map_or(0, |join| join.join().unwrap_or(0))
     }
 }
 
 impl Drop for MetricsMonitor {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+        self.halt();
     }
 }
 
@@ -170,6 +178,7 @@ mod tests {
         h.gauge(names::NODE_ARENA_TUPLES).add(42);
         h.counter(names::EXEC_BUSY_NS).add(1000);
         h.histogram(names::EXEC_MAILBOX_DEPTH).record(7);
+        h.histogram(names::EXEC_MAILBOX_DEPTH).record(3);
         h.counter(names::NODE_FILTER_PROBES).add(500);
         h.counter(names::NODE_FILTER_REJECTIONS).add(450);
         h.counter(names::NODE_HOTKEY_HITS).add(12);
@@ -177,27 +186,59 @@ mod tests {
         h.histogram(names::SCHED_HOTKEY_FANOUT).record(4);
         h.counter(names::SCHED_PICKS).add(300);
         h.counter(names::SCHED_PREEMPTIONS).add(9);
-        // A sub-resolution value: the histogram stores it exactly, so the
-        // p50 read-back is the recorded value.
-        h.histogram(names::SCHED_GROUP_DEFICIT).record(25);
-        let kind = sample_kind(&reg.snapshot(), 3);
+        // Sub-resolution values: the histogram stores them exactly, so the
+        // p50 read-back is the median recorded value.
+        for v in [25, 30, 90] {
+            h.histogram(names::SCHED_GROUP_DEFICIT).record(v);
+        }
+        let TraceKind::MetricsSample { seq, values } = sample_kind(&reg.snapshot(), 3) else {
+            panic!("a metrics sample");
+        };
+        assert_eq!(seq, 3);
+        let by_name = |name| by_name_in(&values, name);
+        assert_eq!(by_name(names::NODE_ARENA_TUPLES), 42);
         assert_eq!(
-            kind,
+            by_name(names::EXEC_MAILBOX_DEPTH),
+            7,
+            "the max, not the last"
+        );
+        assert_eq!(by_name(names::EXEC_BUSY_NS), 1000);
+        assert_eq!(by_name(names::NODE_FILTER_PROBES), 500);
+        assert_eq!(by_name(names::NODE_FILTER_REJECTIONS), 450);
+        assert_eq!(by_name(names::NODE_HOTKEY_HITS), 12);
+        assert_eq!(by_name(names::SCHED_SKETCH_TOPK), 8);
+        assert_eq!(by_name(names::SCHED_HOTKEY_FANOUT), 4);
+        assert_eq!(by_name(names::SCHED_PICKS), 300);
+        assert_eq!(by_name(names::SCHED_PREEMPTIONS), 9);
+        assert_eq!(by_name(names::SCHED_GROUP_DEFICIT), 30, "the median");
+        // A negative gauge reads as zero; an unminted instrument as zero.
+        h.gauge(names::NODE_ARENA_TUPLES).add(-50);
+        let empty = sample_kind(&MetricsRegistry::new().snapshot(), 0);
+        assert_eq!(
+            empty,
             TraceKind::MetricsSample {
-                seq: 3,
-                occupancy: 42,
-                depth_hwm: 7,
-                busy_ns: 1000,
-                filter_probes: 500,
-                filter_rejections: 450,
-                hotkey_hits: 12,
-                sketch_topk: 8,
-                hotkey_fanout: 4,
-                sched_picks: 300,
-                preemptions: 9,
-                group_deficit: 25,
+                seq: 0,
+                values: [0; SAMPLE_WIDTH]
             }
         );
+        let TraceKind::MetricsSample { values, .. } = sample_kind(&reg.snapshot(), 4) else {
+            panic!("a metrics sample");
+        };
+        assert_eq!(by_name_in(&values, names::NODE_ARENA_TUPLES), 0);
+    }
+
+    fn by_name_in(values: &[u64; SAMPLE_WIDTH], name: &str) -> u64 {
+        values[SAMPLED.iter().position(|s| s.name == name).expect(name)]
+    }
+
+    #[test]
+    fn sampled_names_are_unique_keys() {
+        for (i, a) in SAMPLED.iter().enumerate() {
+            for b in &SAMPLED[i + 1..] {
+                assert_ne!(a.name, b.name, "a JSONL key appears twice");
+                assert_ne!(a.label, b.label, "a Perfetto track appears twice");
+            }
+        }
     }
 
     #[test]
@@ -208,17 +249,21 @@ mod tests {
         let tracer = Tracer::new(TraceLevel::Summary, vec![ring.clone()]);
         let monitor = MetricsMonitor::start(reg, tracer, Duration::from_micros(200));
         thread::sleep(Duration::from_millis(5));
-        monitor.stop();
+        let next = monitor.stop();
         let samples: Vec<_> = ring
             .tail()
             .into_iter()
             .filter(|e| matches!(e.kind, TraceKind::MetricsSample { .. }))
             .collect();
         assert!(!samples.is_empty(), "expected at least one sample");
-        assert!(matches!(
-            samples[0].kind,
-            TraceKind::MetricsSample { occupancy: 5, .. }
-        ));
+        assert_eq!(next, samples.len() as u64, "stop returns the next seq");
+        for (i, ev) in samples.iter().enumerate() {
+            let TraceKind::MetricsSample { seq, values } = ev.kind else {
+                unreachable!()
+            };
+            assert_eq!(seq, i as u64);
+            assert_eq!(by_name_in(&values, names::NODE_ARENA_TUPLES), 5);
+        }
     }
 
     #[test]
@@ -229,6 +274,6 @@ mod tests {
             Duration::from_millis(1),
         );
         assert!(monitor.join.is_none());
-        monitor.stop();
+        assert_eq!(monitor.stop(), 0);
     }
 }

@@ -12,14 +12,15 @@
 //!   human-readable description in `args` — steals, splits, spills and
 //!   stop reasons land on their emitting actor's track;
 //! * **counter tracks** (`"ph":"C"`) from [`TraceKind::MetricsSample`]
-//!   events: arena occupancy, mailbox depth high-water and worker busy
-//!   time, rendered by the UIs as stacked area charts.
+//!   events, one per [`SAMPLED`] row under its label, rendered by the UIs
+//!   as stacked area charts.
 //!
 //! Timestamps are microseconds (the trace-event unit) converted from the
 //! run's nanosecond stamps; the clock that produced them is recorded in
 //! the process name so a virtual-time simulated trace is not mistaken for
 //! wall time.
 
+use crate::monitor::SAMPLED;
 use crate::trace::{lane_marker, ClockKind, TraceEvent, TraceKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -98,40 +99,14 @@ pub fn chrome_trace_json(events: &[TraceEvent], clock: Option<ClockKind>) -> Str
 
     for ev in events {
         let ts = us(ev.at_nanos);
-        if let TraceKind::MetricsSample {
-            occupancy,
-            depth_hwm,
-            busy_ns,
-            filter_probes,
-            filter_rejections,
-            hotkey_hits,
-            sketch_topk,
-            hotkey_fanout,
-            sched_picks,
-            preemptions,
-            group_deficit,
-            ..
-        } = ev.kind
-        {
-            for (name, value) in [
-                ("arena occupancy (tuples)", occupancy),
-                ("mailbox depth hwm", depth_hwm),
-                ("worker busy (ns)", busy_ns),
-                ("probe filter probes", filter_probes),
-                ("probe tag rejections", filter_rejections),
-                ("hotkey probe hits", hotkey_hits),
-                ("sketch top-k size", sketch_topk),
-                ("hotkey fan-out", hotkey_fanout),
-                ("scheduler picks", sched_picks),
-                ("scheduler preemptions", preemptions),
-                ("group deficit (p50)", group_deficit),
-            ] {
+        if let TraceKind::MetricsSample { values, .. } = ev.kind {
+            for (s, value) in SAMPLED.iter().zip(values) {
                 lines.push((
                     ts,
                     format!(
-                        "{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":1,\
+                        "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":1,\
                          \"tid\":{},\"args\":{{\"value\":{value}}}}}",
-                        ev.node
+                        s.label, ev.node
                     ),
                 ));
             }
@@ -181,6 +156,7 @@ pub fn chrome_trace_json(events: &[TraceEvent], clock: Option<ClockKind>) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::SAMPLE_WIDTH;
     use crate::phases::Phase;
 
     fn ev(at: u64, node: u32, phase: Phase, kind: TraceKind) -> TraceEvent {
@@ -207,24 +183,18 @@ mod tests {
                 Phase::Probe,
                 TraceKind::MetricsSample {
                     seq: 0,
-                    occupancy: 10,
-                    depth_hwm: 2,
-                    busy_ns: 999,
-                    filter_probes: 100,
-                    filter_rejections: 90,
-                    hotkey_hits: 7,
-                    sketch_topk: 3,
-                    hotkey_fanout: 2,
-                    sched_picks: 40,
-                    preemptions: 1,
-                    group_deficit: 8,
+                    values: [1; SAMPLE_WIDTH],
                 },
             ),
         ];
         let json = chrome_trace_json(&events, Some(ClockKind::Virtual));
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("virtual time"));
-        assert!(json.contains("\"ph\":\"C\""));
+        // One counter track per sampled instrument, under its label.
+        for s in SAMPLED {
+            assert!(json.contains(&format!("\"name\":\"{}\"", s.label)));
+        }
+        assert_eq!(json.matches("\"ph\":\"C\"").count(), SAMPLE_WIDTH);
         let mut depth_by_tid: BTreeMap<&str, i64> = BTreeMap::new();
         let mut last_ts = -1.0f64;
         for line in json.lines().filter(|l| l.contains("\"ph\":\"")) {

@@ -127,25 +127,14 @@ pub fn trace_rollup_table(rollup: &crate::trace::TraceRollup) -> TextTable {
             ]);
         }
     }
-    if let Some(pf) = &rollup.probe_filter {
-        t.row(vec![
-            "(probe filter) probes/rejections".to_owned(),
-            format!(
-                "{}/{} ({:.1}%)",
-                pf.probes,
-                pf.rejections,
-                100.0 * pf.rejection_rate()
-            ),
-        ]);
-    }
     if let Some(exec) = &rollup.executor {
         t.row(vec![
             "(executor) workers/steals/parks".to_owned(),
             format!("{}/{}/{}", exec.workers, exec.steals, exec.parks),
         ]);
         t.row(vec![
-            "(executor) overflow/maxdepth/timers".to_owned(),
-            format!("{}/{}/{}", exec.overflows, exec.max_depth, exec.timer_fires),
+            "(executor) overflow/maxdepth".to_owned(),
+            format!("{}/{}", exec.overflows, exec.max_depth),
         ]);
     }
     t.row(vec!["total".to_owned(), rollup.total.to_string()]);

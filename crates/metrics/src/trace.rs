@@ -20,6 +20,7 @@
 //! Tracing is off by default; a disabled [`Tracer`] reduces every `emit` to
 //! a single branch so the hot paths pay nothing measurable.
 
+use crate::monitor::{SAMPLED, SAMPLE_WIDTH};
 use crate::phases::Phase;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -61,12 +62,18 @@ impl TraceLevel {
     }
 }
 
+/// Version of the JSONL trace schema, declared in every file's header line.
+/// Bump it whenever an event's keys change: a reader rejects a file of
+/// another version instead of guessing at missing keys. Headers written
+/// before the schema was versioned carry no `schema` key and read as 1.
+pub const TRACE_SCHEMA: u64 = 2;
+
 /// Which clock stamped a run's trace events: virtual nanoseconds on the
 /// simulated backend, wall nanoseconds on the threaded one.
 ///
-/// The JSONL writer records this in a header line (see
-/// [`ClockKind::header_line`]) so a trace file is self-describing and the
-/// timeline renderer can label its axis.
+/// The JSONL writer records this, with [`TRACE_SCHEMA`], in a header line
+/// (see [`ClockKind::header_line`]) so a trace file is self-describing and
+/// the timeline renderer can label its axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClockKind {
     /// Simulated virtual time.
@@ -94,26 +101,36 @@ impl ClockKind {
         }
     }
 
-    /// The JSONL header line recording this clock, written as the first
-    /// line of a `--trace-out` file.
+    /// The JSONL header line recording [`TRACE_SCHEMA`] and this clock,
+    /// written as the first line of a `--trace-out` file.
     #[must_use]
     pub fn header_line(self) -> String {
-        format!("{{\"clock\":\"{}\"}}", self.name())
+        format!(
+            "{{\"schema\":{TRACE_SCHEMA},\"clock\":\"{}\"}}",
+            self.name()
+        )
     }
 
-    /// Parses a JSONL header line (`{"clock":"virtual"}`). Returns `None`
-    /// when the line is not a clock header.
+    /// Parses a JSONL header line (`{"schema":2,"clock":"virtual"}`) into
+    /// its schema version and clock; a header without a `schema` key is
+    /// version 1. Returns `None` when the line is not a header.
     #[must_use]
-    pub fn parse_header_line(line: &str) -> Option<Self> {
+    pub fn parse_header_line(line: &str) -> Option<(u64, Self)> {
         let fields = parse_flat_json(line)?;
-        if fields.len() != 1 {
+        if !fields.keys().all(|k| k == "schema" || k == "clock") {
             return None;
         }
-        match fields.get("clock")? {
-            JsonVal::Str(s) if s == "virtual" => Some(Self::Virtual),
-            JsonVal::Str(s) if s == "wall" => Some(Self::Wall),
-            _ => None,
-        }
+        let schema = match fields.get("schema") {
+            None => 1,
+            Some(JsonVal::Num(n)) => *n,
+            Some(_) => return None,
+        };
+        let clock = match fields.get("clock")? {
+            JsonVal::Str(s) if s == "virtual" => Self::Virtual,
+            JsonVal::Str(s) if s == "wall" => Self::Wall,
+            _ => return None,
+        };
+        Some((schema, clock))
     }
 }
 
@@ -252,17 +269,6 @@ pub enum TraceKind {
     },
     /// The phase named by the event's `phase` field completed.
     PhaseDone,
-    /// End-of-probe filter effectiveness counters from one join node's
-    /// batched probe pipeline (emitted with the node's final report).
-    ProbeFilterStats {
-        /// Probe tuples processed through the batched pipeline.
-        probes: u64,
-        /// Probes whose chain walk a fingerprint-tag rejection skipped.
-        rejections: u64,
-        /// Probe batches processed (probes / batches = mean prefetch batch
-        /// size).
-        batches: u64,
-    },
     /// End-of-run counters from the threaded work-stealing executor.
     ExecutorStats {
         /// Worker threads in the pool.
@@ -275,39 +281,18 @@ pub enum TraceKind {
         overflows: u64,
         /// Highest queue depth any mailbox reached.
         max_depth: u64,
-        /// Timer-wheel fires (each charged like a send).
+        /// Always 0: the executor has had no timers since actors lost
+        /// delayed delivery. Kept because the frozen benchmark reads
+        /// `trace.executor.timer_fires`.
         timer_fires: u64,
     },
-    /// A periodic snapshot of live registry gauges (sampling monitor on
-    /// the threaded backend; one end-of-run sample on the simulated one).
+    /// A periodic snapshot of the registry (sampling monitor on the
+    /// threaded backend; one end-of-run sample on both).
     MetricsSample {
         /// Sample sequence number within the run.
         seq: u64,
-        /// Tuples resident in build arenas across all nodes.
-        occupancy: u64,
-        /// Mailbox depth high-water mark so far.
-        depth_hwm: u64,
-        /// Cumulative nanoseconds workers spent inside actor handlers.
-        busy_ns: u64,
-        /// Cumulative probe tuples through the filtered batch kernels.
-        filter_probes: u64,
-        /// Cumulative fingerprint-tag rejections (with `filter_probes`,
-        /// the kernel-effectiveness rate per join node).
-        filter_rejections: u64,
-        /// Cumulative probe tuples answered from replicated hot positions
-        /// (DESIGN §4i; zero when hot-key routing is off).
-        hotkey_hits: u64,
-        /// Monitored entries in the scheduler's merged heavy-hitter sketch.
-        sketch_topk: u64,
-        /// Latest hot-key replication fan-out (clean members per hand-off).
-        hotkey_fanout: u64,
-        /// Cumulative deficit-weighted round-robin group picks by workers.
-        sched_picks: u64,
-        /// Cumulative actor runs cut short at a message boundary for a
-        /// competing group.
-        preemptions: u64,
-        /// Median remaining deficit of picked groups (clamped at zero).
-        group_deficit: u64,
+        /// `values[i]` is [`SAMPLED`]`[i]` read at sample time.
+        values: [u64; SAMPLE_WIDTH],
     },
     /// A malformed or stale control message was rejected instead of
     /// applied: the value arrived off the wire, failed validation against
@@ -386,7 +371,6 @@ impl TraceKind {
             Self::HotKeysInstalled { .. } => "hot_keys_installed",
             Self::ProbeFanout { .. } => "probe_fanout",
             Self::PhaseDone => "phase_done",
-            Self::ProbeFilterStats { .. } => "probe_filter_stats",
             Self::ExecutorStats { .. } => "executor_stats",
             Self::MetricsSample { .. } => "metrics_sample",
             Self::ProtocolFault { .. } => "protocol_fault",
@@ -440,45 +424,25 @@ impl TraceKind {
                 format!("probe fan-out: {tuples} tuples -> {copies} copies")
             }
             Self::PhaseDone => "phase complete".to_owned(),
-            Self::ProbeFilterStats {
-                probes,
-                rejections,
-                batches,
-            } => format!(
-                "probe filter: {probes} probes, {rejections} tag rejections, {batches} batches"
-            ),
             Self::ExecutorStats {
                 workers,
                 steals,
                 parks,
                 overflows,
                 max_depth,
-                timer_fires,
+                ..
             } => format!(
                 "executor: {workers} workers, {steals} steals, {parks} parks, \
-                 {overflows} overflows, max mailbox {max_depth}, {timer_fires} timer fires"
+                 {overflows} overflows, max mailbox {max_depth}"
             ),
-            Self::MetricsSample {
-                seq,
-                occupancy,
-                depth_hwm,
-                busy_ns,
-                filter_probes,
-                filter_rejections,
-                hotkey_hits,
-                sketch_topk,
-                hotkey_fanout,
-                sched_picks,
-                preemptions,
-                group_deficit,
-            } => format!(
-                "metrics sample {seq}: {occupancy} arena tuples, mailbox hwm {depth_hwm}, \
-                 busy {busy_ns}ns, filter {filter_rejections}/{filter_probes} rejected, \
-                 hotkey hits {hotkey_hits}, sketch top-k {sketch_topk}, \
-                 fan-out {hotkey_fanout}, \
-                 sched {sched_picks} picks / {preemptions} preemptions, \
-                 deficit p50 {group_deficit}"
-            ),
+            Self::MetricsSample { seq, values } => {
+                let read: Vec<String> = SAMPLED
+                    .iter()
+                    .zip(values)
+                    .map(|(s, v)| format!("{} {v}", s.label))
+                    .collect();
+                format!("metrics sample {seq}: {}", read.join(", "))
+            }
             Self::ProtocolFault {
                 field,
                 value,
@@ -562,16 +526,6 @@ impl TraceEvent {
             TraceKind::ProbeFanout { tuples, copies } => {
                 let _ = write!(out, ",\"tuples\":{tuples},\"copies\":{copies}");
             }
-            TraceKind::ProbeFilterStats {
-                probes,
-                rejections,
-                batches,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"probes\":{probes},\"rejections\":{rejections},\"batches\":{batches}"
-                );
-            }
             TraceKind::ExecutorStats {
                 workers,
                 steals,
@@ -587,29 +541,11 @@ impl TraceEvent {
                      \"timer_fires\":{timer_fires}"
                 );
             }
-            TraceKind::MetricsSample {
-                seq,
-                occupancy,
-                depth_hwm,
-                busy_ns,
-                filter_probes,
-                filter_rejections,
-                hotkey_hits,
-                sketch_topk,
-                hotkey_fanout,
-                sched_picks,
-                preemptions,
-                group_deficit,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"seq\":{seq},\"occupancy\":{occupancy},\"depth_hwm\":{depth_hwm},\
-                     \"busy_ns\":{busy_ns},\"filter_probes\":{filter_probes},\
-                     \"filter_rejections\":{filter_rejections},\
-                     \"hotkey_hits\":{hotkey_hits},\"sketch_topk\":{sketch_topk},\
-                     \"hotkey_fanout\":{hotkey_fanout},\"sched_picks\":{sched_picks},\
-                     \"preemptions\":{preemptions},\"group_deficit\":{group_deficit}"
-                );
+            TraceKind::MetricsSample { seq, values } => {
+                let _ = write!(out, ",\"seq\":{seq}");
+                for (s, v) in SAMPLED.iter().zip(values) {
+                    let _ = write!(out, ",\"{}\":{v}", s.name);
+                }
             }
             TraceKind::ProtocolFault {
                 field,
@@ -630,8 +566,9 @@ impl TraceEvent {
         out
     }
 
-    /// Parses one JSONL line back into an event. Returns `None` for
-    /// malformed lines or unknown kinds.
+    /// Parses one JSONL line of schema [`TRACE_SCHEMA`] back into an event.
+    /// Returns `None` for malformed lines, unknown kinds and lines missing
+    /// any of their kind's keys.
     #[must_use]
     pub fn from_json_line(line: &str) -> Option<Self> {
         let fields = parse_flat_json(line)?;
@@ -711,11 +648,6 @@ impl TraceEvent {
                 copies: num("copies")?,
             },
             "phase_done" => TraceKind::PhaseDone,
-            "probe_filter_stats" => TraceKind::ProbeFilterStats {
-                probes: num("probes")?,
-                rejections: num("rejections")?,
-                batches: num("batches")?,
-            },
             "executor_stats" => TraceKind::ExecutorStats {
                 workers: num("workers")?,
                 steals: num("steals")?,
@@ -724,22 +656,16 @@ impl TraceEvent {
                 max_depth: num("max_depth")?,
                 timer_fires: num("timer_fires")?,
             },
-            "metrics_sample" => TraceKind::MetricsSample {
-                seq: num("seq")?,
-                occupancy: num("occupancy")?,
-                depth_hwm: num("depth_hwm")?,
-                busy_ns: num("busy_ns")?,
-                // Absent in pre-kernel traces: default to zero so old JSONL
-                // files keep parsing.
-                filter_probes: num("filter_probes").unwrap_or(0),
-                filter_rejections: num("filter_rejections").unwrap_or(0),
-                hotkey_hits: num("hotkey_hits").unwrap_or(0),
-                sketch_topk: num("sketch_topk").unwrap_or(0),
-                hotkey_fanout: num("hotkey_fanout").unwrap_or(0),
-                sched_picks: num("sched_picks").unwrap_or(0),
-                preemptions: num("preemptions").unwrap_or(0),
-                group_deficit: num("group_deficit").unwrap_or(0),
-            },
+            "metrics_sample" => {
+                let mut values = [0; SAMPLE_WIDTH];
+                for (v, s) in values.iter_mut().zip(SAMPLED) {
+                    *v = num(s.name)?;
+                }
+                TraceKind::MetricsSample {
+                    seq: num("seq")?,
+                    values,
+                }
+            }
             "protocol_fault" => TraceKind::ProtocolFault {
                 field: FaultField::parse(text("field")?)?,
                 value: num("value")?,
@@ -1042,34 +968,10 @@ pub struct ExecutorCounters {
     pub overflows: u64,
     /// Highest queue depth any mailbox reached.
     pub max_depth: u64,
-    /// Timer-wheel fires.
+    /// Always 0: the executor has had no timers since actors lost delayed
+    /// delivery. Kept because the frozen benchmark reads
+    /// `trace.executor.timer_fires`.
     pub timer_fires: u64,
-}
-
-/// Probe-filter counters aggregated from [`TraceKind::ProbeFilterStats`]
-/// events. Unlike [`ExecutorCounters`] (one emitter), every join node emits
-/// its own stats, so these *sum* across events and merges.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProbeFilterCounters {
-    /// Probe tuples processed through the batched pipeline.
-    pub probes: u64,
-    /// Probes whose chain walk a fingerprint-tag rejection skipped.
-    pub rejections: u64,
-    /// Probe batches processed.
-    pub batches: u64,
-}
-
-impl ProbeFilterCounters {
-    /// Fraction of probes rejected by the tag, in `[0, 1]` (0 when no
-    /// probes were recorded).
-    #[must_use]
-    pub fn rejection_rate(&self) -> f64 {
-        if self.probes == 0 {
-            0.0
-        } else {
-            self.rejections as f64 / self.probes as f64
-        }
-    }
 }
 
 /// Per-phase / per-node / per-kind event counts for one run.
@@ -1085,8 +987,6 @@ pub struct TraceRollup {
     pub by_node: BTreeMap<u32, u64>,
     /// Executor counters, when the run emitted them (threaded backend).
     pub executor: Option<ExecutorCounters>,
-    /// Probe-filter counters summed over every join node's stats event.
-    pub probe_filter: Option<ProbeFilterCounters>,
 }
 
 impl TraceRollup {
@@ -1114,17 +1014,6 @@ impl TraceRollup {
                 timer_fires,
             });
         }
-        if let TraceKind::ProbeFilterStats {
-            probes,
-            rejections,
-            batches,
-        } = ev.kind
-        {
-            let acc = self.probe_filter.get_or_insert_default();
-            acc.probes += probes;
-            acc.rejections += rejections;
-            acc.batches += batches;
-        }
     }
 
     /// Merges another rollup (e.g. across runs).
@@ -1141,12 +1030,6 @@ impl TraceRollup {
         }
         if other.executor.is_some() {
             self.executor = other.executor;
-        }
-        if let Some(pf) = other.probe_filter {
-            let acc = self.probe_filter.get_or_insert_default();
-            acc.probes += pf.probes;
-            acc.rejections += pf.rejections;
-            acc.batches += pf.batches;
         }
     }
 
@@ -1200,7 +1083,6 @@ pub const fn lane_marker(kind: &TraceKind) -> char {
         TraceKind::ReshufflePlanned { .. } | TraceKind::ReshuffleChunk { .. } => '#',
         TraceKind::HotKeysInstalled { .. } => 'H',
         TraceKind::ProbeFanout { .. } => 'f',
-        TraceKind::ProbeFilterStats { .. } => 'p',
         TraceKind::PhaseDone => '|',
         TraceKind::ExecutorStats { .. } => 'W',
         TraceKind::MetricsSample { .. } => 'm',
@@ -1260,7 +1142,7 @@ pub fn render_trace_lanes_clocked(
     let _ = writeln!(
         out,
         "legend: ! overflow  R recruit/replicate  S split  F full  X exhausted  \
-         v spill  ^ fetch  # reshuffle  f fan-out  p probe-filter  | phase-done  \
+         v spill  ^ fetch  # reshuffle  f fan-out  | phase-done  \
          W executor  m metrics  E stop  * mixed"
     );
     for ((node, phase_idx), lane) in &lanes {
@@ -1325,11 +1207,6 @@ mod tests {
                 copies: 20,
             },
             TraceKind::PhaseDone,
-            TraceKind::ProbeFilterStats {
-                probes: 100_000,
-                rejections: 93_750,
-                batches: 100,
-            },
             TraceKind::ExecutorStats {
                 workers: 8,
                 steals: 120,
@@ -1338,20 +1215,7 @@ mod tests {
                 max_depth: 512,
                 timer_fires: 2,
             },
-            TraceKind::MetricsSample {
-                seq: 4,
-                occupancy: 123_456,
-                depth_hwm: 77,
-                busy_ns: 9_876_543,
-                filter_probes: 10_000,
-                filter_rejections: 9_000,
-                hotkey_hits: 42,
-                sketch_topk: 16,
-                hotkey_fanout: 3,
-                sched_picks: 900,
-                preemptions: 12,
-                group_deficit: 128,
-            },
+            sample(),
             TraceKind::EngineStop {
                 reason: StopCause::Completed,
             },
@@ -1359,6 +1223,14 @@ mod tests {
                 reason: StopCause::TimeLimit,
             },
         ]
+    }
+
+    /// A metrics sample whose every value is distinct.
+    fn sample() -> TraceKind {
+        TraceKind::MetricsSample {
+            seq: 4,
+            values: std::array::from_fn(|i| 1000 * i as u64 + 7),
+        }
     }
 
     #[test]
@@ -1378,34 +1250,25 @@ mod tests {
     }
 
     #[test]
-    fn pre_hotkey_metrics_samples_parse_at_zero_defaults() {
-        // A sample rendered before the hot-key counters existed must keep
-        // parsing, with the new fields defaulting to zero.
-        let old = "{\"t_ns\":5,\"node\":0,\"phase\":\"probe\",\"kind\":\"metrics_sample\",\
-                   \"seq\":1,\"occupancy\":9,\"depth_hwm\":2,\"busy_ns\":77}";
-        let ev = TraceEvent::from_json_line(old).expect("old sample must parse");
-        assert_eq!(
-            ev.kind,
-            TraceKind::MetricsSample {
-                seq: 1,
-                occupancy: 9,
-                depth_hwm: 2,
-                busy_ns: 77,
-                filter_probes: 0,
-                filter_rejections: 0,
-                hotkey_hits: 0,
-                sketch_topk: 0,
-                hotkey_fanout: 0,
-                sched_picks: 0,
-                preemptions: 0,
-                group_deficit: 0,
-            }
-        );
-        // Samples written while probes ran in preemptible slices carry a
-        // `slice_tuples` field; it is ignored.
-        let sliced = old.replace("\"busy_ns\":77", "\"busy_ns\":77,\"slice_tuples\":64");
-        let back = TraceEvent::from_json_line(&sliced).expect("sliced sample must parse");
-        assert_eq!(back.kind, ev.kind);
+    fn a_metrics_sample_missing_any_key_is_rejected() {
+        let ev = TraceEvent {
+            at_nanos: 5,
+            node: 0,
+            phase: Phase::Probe,
+            kind: sample(),
+        };
+        let line = ev.to_json_line();
+        let keys = std::iter::once("seq").chain(SAMPLED.iter().map(|s| s.name));
+        for key in keys {
+            let start = line.find(&format!(",\"{key}\":")).expect(key);
+            let len = line[start + 1..].find([',', '}']).expect("delimited") + 1;
+            let dropped = format!("{}{}", &line[..start], &line[start + len..]);
+            assert!(
+                TraceEvent::from_json_line(&dropped).is_none(),
+                "accepted without {key}: {dropped}"
+            );
+        }
+        assert_eq!(TraceEvent::from_json_line(&line), Some(ev));
     }
 
     #[test]
@@ -1547,36 +1410,6 @@ mod tests {
     }
 
     #[test]
-    fn rollup_sums_probe_filter_counters_across_nodes() {
-        // Unlike executor counters (one emitter, replace), every join node
-        // emits its own probe-filter stats: they must accumulate.
-        let mut r = TraceRollup::default();
-        assert!(r.probe_filter.is_none());
-        for node in [3u32, 4] {
-            r.note(&TraceEvent {
-                at_nanos: 9,
-                node,
-                phase: Phase::Probe,
-                kind: TraceKind::ProbeFilterStats {
-                    probes: 100,
-                    rejections: 40,
-                    batches: 2,
-                },
-            });
-        }
-        let pf = r.probe_filter.expect("captured");
-        assert_eq!((pf.probes, pf.rejections, pf.batches), (200, 80, 4));
-        assert!((pf.rejection_rate() - 0.4).abs() < 1e-12);
-        // Merging sums as well.
-        let mut other = TraceRollup::default();
-        other.merge(&r);
-        other.merge(&r);
-        let pf2 = other.probe_filter.expect("merged");
-        assert_eq!((pf2.probes, pf2.rejections, pf2.batches), (400, 160, 8));
-        assert_eq!(ProbeFilterCounters::default().rejection_rate(), 0.0);
-    }
-
-    #[test]
     fn jsonl_sink_writes_parseable_lines() {
         let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         struct Shared(Arc<Mutex<Vec<u8>>>);
@@ -1660,14 +1493,25 @@ mod tests {
     fn clock_header_round_trips() {
         for clock in [ClockKind::Virtual, ClockKind::Wall] {
             let line = clock.header_line();
-            assert_eq!(ClockKind::parse_header_line(&line), Some(clock), "{line}");
+            assert_eq!(
+                ClockKind::parse_header_line(&line),
+                Some((TRACE_SCHEMA, clock)),
+                "{line}"
+            );
             // A header line must not parse as a trace event.
             assert!(TraceEvent::from_json_line(&line).is_none());
         }
+        // A header from before the schema was versioned reads as 1.
+        assert_eq!(
+            ClockKind::parse_header_line("{\"clock\":\"wall\"}"),
+            Some((1, ClockKind::Wall))
+        );
         for bad in [
             "",
             "{\"clock\":\"sundial\"}",
             "{\"clock\":\"wall\",\"extra\":1}",
+            "{\"schema\":\"two\",\"clock\":\"wall\"}",
+            "{\"schema\":2}",
             "{\"t_ns\":1,\"node\":0,\"phase\":\"build\",\"kind\":\"phase_done\"}",
         ] {
             assert!(

@@ -119,10 +119,9 @@ fn trace_events_round_trip_through_json_lines() {
             at_nanos: 3_000_000,
             node: 2,
             phase: Phase::Probe,
-            kind: TraceKind::ProbeFilterStats {
-                probes: 100_000,
-                rejections: 93_750,
-                batches: 98,
+            kind: TraceKind::MetricsSample {
+                seq: 9,
+                values: std::array::from_fn(|i| 93_750 + i as u64),
             },
         },
         TraceEvent {
@@ -187,33 +186,27 @@ fn rollup_counts_merge_and_render() {
 }
 
 #[test]
-fn rollup_table_shows_probe_filter_row() {
-    let ev = |node, kind| TraceEvent {
-        at_nanos: 1,
-        node,
-        phase: Phase::Probe,
-        kind,
-    };
+fn rollup_table_shows_executor_rows_without_timers() {
     let mut r = TraceRollup::default();
-    r.note(&ev(
-        0,
-        TraceKind::ProbeFilterStats {
-            probes: 80,
-            rejections: 60,
-            batches: 2,
+    r.note(&TraceEvent {
+        at_nanos: 1,
+        node: 0,
+        phase: Phase::Probe,
+        kind: TraceKind::ExecutorStats {
+            workers: 2,
+            steals: 5,
+            parks: 1,
+            overflows: 0,
+            max_depth: 64,
+            timer_fires: 0,
         },
-    ));
-    r.note(&ev(
-        1,
-        TraceKind::ProbeFilterStats {
-            probes: 20,
-            rejections: 15,
-            batches: 1,
-        },
-    ));
+    });
     let table = trace_rollup_table(&r).render();
-    assert!(table.contains("(probe filter) probes/rejections"));
-    assert!(table.contains("100/75 (75.0%)"));
+    assert!(table.contains("(executor) workers/steals/parks"));
+    assert!(table.contains("2/5/1"));
+    assert!(table.contains("(executor) overflow/maxdepth"));
+    assert!(table.contains("0/64"));
+    assert!(!table.contains("timer"), "{table}");
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ use ehj_cli::args::parse;
 use ehj_cli::execute;
 use ehj_core::{Algorithm, Backend, JoinConfig, JoinRunner, RunOptions};
 use ehj_metrics::registry::names;
+use ehj_metrics::{ClockKind, TRACE_SCHEMA};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -92,8 +93,10 @@ fn trace_summary_reads_header_and_labels_the_clock() {
     ));
     let text = std::fs::read_to_string(&trace).expect("trace written");
     assert!(
-        text.starts_with("{\"clock\":\"virtual\"}"),
-        "JSONL must lead with the clock header"
+        text.starts_with(&format!(
+            "{{\"schema\":{TRACE_SCHEMA},\"clock\":\"virtual\"}}\n"
+        )),
+        "JSONL must lead with the schema-and-clock header"
     );
     let summary = cli(&format!("trace-summary {}", trace.display()));
     let _ = std::fs::remove_file(&trace);
@@ -102,6 +105,41 @@ fn trace_summary_reads_header_and_labels_the_clock() {
         "timeline axis must name the clock: {summary}"
     );
     assert!(summary.contains("lanes"));
+}
+
+#[test]
+fn trace_summary_rejects_another_schema_naming_both_versions() {
+    let run = |tag: &str, text: &str| {
+        let path = temp(tag);
+        std::fs::write(&path, text).expect("trace written");
+        let args =
+            parse(["trace-summary".to_owned(), path.display().to_string()]).expect("valid args");
+        let result = execute(&args);
+        let _ = std::fs::remove_file(&path);
+        result
+    };
+    let event = "{\"t_ns\":1,\"node\":0,\"phase\":\"build\",\"kind\":\"phase_done\"}\n";
+    // A file from before the schema was versioned declares only its clock.
+    let old = run("old.jsonl", &format!("{{\"clock\":\"virtual\"}}\n{event}"));
+    let err = old.expect_err("an unversioned trace is schema 1");
+    assert!(
+        err.contains("schema 1") && err.contains(&format!("schema {TRACE_SCHEMA}")),
+        "{err}"
+    );
+    let next = TRACE_SCHEMA + 1;
+    let newer = run(
+        "newer.jsonl",
+        &format!("{{\"schema\":{next},\"clock\":\"wall\"}}\n{event}"),
+    );
+    let err = newer.expect_err("a newer schema is rejected");
+    assert!(err.contains(&format!("schema {next}")), "{err}");
+    // A file must declare its schema before its first event.
+    assert!(run("headless.jsonl", event).is_err());
+    let ok = run(
+        "current.jsonl",
+        &format!("{}\n{event}", ClockKind::Wall.header_line()),
+    );
+    assert!(ok.expect("current schema").contains("of wall time"));
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Structured event tracing: JSONL output validity, per-algorithm event
 //! coverage, per-node timestamp monotonicity, and diagnostic error tails.
 
-use ehj_core::{Algorithm, JoinConfig, JoinError, JoinReport, JoinRunner, RunOptions};
-use ehj_metrics::{TraceEvent, TraceLevel};
+use ehj_core::{Algorithm, Backend, JoinConfig, JoinError, JoinReport, JoinRunner, RunOptions};
+use ehj_metrics::{TraceEvent, TraceKind, TraceLevel};
 use ehj_sim::SimTime;
 use std::collections::BTreeMap;
 
@@ -35,7 +35,7 @@ fn run_traced(cfg: &JoinConfig, tag: &str) -> (JoinReport, Vec<TraceEvent>) {
     let header = lines.next().expect("non-empty trace file");
     assert_eq!(
         ehj_metrics::ClockKind::parse_header_line(header),
-        Some(ehj_metrics::ClockKind::Virtual),
+        Some((ehj_metrics::TRACE_SCHEMA, ehj_metrics::ClockKind::Virtual)),
         "first line must declare the clock: {header}"
     );
     let events: Vec<TraceEvent> = lines
@@ -182,5 +182,39 @@ fn summary_level_is_a_subset_of_detail() {
     assert!(
         summary_report.trace.total < detail_report.trace.total,
         "detail adds per-chunk events on an expanding workload"
+    );
+}
+
+#[test]
+fn threaded_metrics_samples_number_on_from_the_monitor() {
+    // The monitor samples the registry every 5 ms while the pool runs, and
+    // the runner adds one end-of-run sample: that one must continue the
+    // monitor's numbering, not restart it at 0.
+    let path = std::env::temp_dir().join(format!("ehj-trace-{}-seq.jsonl", std::process::id()));
+    let opts = RunOptions {
+        backend: Backend::Threaded,
+        threads: Some(2),
+        trace_out: Some(path.clone()),
+        ..RunOptions::default()
+    };
+    JoinRunner::run_with(&JoinConfig::paper_scaled(Algorithm::Hybrid, 100), &opts)
+        .expect("threaded run");
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let _ = std::fs::remove_file(&path);
+    let seqs: Vec<u64> = text
+        .lines()
+        .skip(1)
+        .map(|line| TraceEvent::from_json_line(line).expect("valid trace line"))
+        .filter_map(|ev| match ev.kind {
+            TraceKind::MetricsSample { seq, .. } => Some(seq),
+            _ => None,
+        })
+        .collect();
+    // A run of ~100 ms outlasts the 5 ms period many times over, so the
+    // monitor has sampled before the end-of-run sample.
+    assert!(seqs.len() >= 2, "monitor and end-of-run samples: {seqs:?}");
+    assert!(
+        seqs.windows(2).all(|w| w[0] < w[1]),
+        "sample seqs must strictly increase: {seqs:?}"
     );
 }
