@@ -23,7 +23,7 @@
 use crate::config::{Algorithm, JoinConfig, ProbeKernel};
 use crate::msg::{Histogram, Msg, NodeReport};
 use crate::routing::RoutingTable;
-use ehj_data::{Tuple, TupleBatch};
+use ehj_data::{BufferPool, Tuple, TupleBatch};
 use ehj_hash::{HashRange, JoinHashTable, PositionSpace, ProbeScratch, SplitStep};
 use ehj_metrics::registry::names;
 use ehj_metrics::{
@@ -336,6 +336,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         let n = drained.len() as u64;
         ctx.consume_cpu(self.cfg.costs.route_per_tuple * n);
         let bytes = grace.append_build(&drained);
+        BufferPool::global().give(drained);
         ctx.disk_write(bytes); // first spill positions the fragment files
         self.trace(
             ctx,

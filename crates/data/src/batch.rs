@@ -9,8 +9,12 @@
 //! wire chunks ([`TupleBatch::chunks`]) is equally free.
 //!
 //! Batches are immutable once frozen; staging buffers stay plain
-//! `Vec<Tuple>`s and convert with [`TupleBatch::from`] (zero-copy).
+//! `Vec<Tuple>`s and convert with [`TupleBatch::from`] (zero-copy). When
+//! the last view of a buffer drops, a buffer large enough for the
+//! [`BufferPool`] goes back to it: a range extract shipped as one batch is
+//! the next extract's buffer.
 
+use crate::pool::{BufferPool, MIN_POOLED_BYTES};
 use crate::tuple::Tuple;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -93,6 +97,18 @@ impl From<Vec<Tuple>> for TupleBatch {
             buf: Arc::new(v),
             start: 0,
             len,
+        }
+    }
+}
+
+impl Drop for TupleBatch {
+    fn drop(&mut self) {
+        // Checked first so a small batch never pays `get_mut`'s atomics.
+        if self.buf.capacity() * std::mem::size_of::<Tuple>() < MIN_POOLED_BYTES {
+            return;
+        }
+        if let Some(buf) = Arc::get_mut(&mut self.buf) {
+            BufferPool::global().give(std::mem::take(buf));
         }
     }
 }

@@ -172,10 +172,12 @@ impl<V: Clone> NormaliserTable<V> {
 /// Precomputed state for the Gray et al. Zipf approximation.
 #[derive(Debug, Clone, Copy)]
 struct ZipfState {
-    theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `1 + 0.5^theta`: a scaled draw below it is rank 1 (computed once
+    /// here rather than per sample; the same expression, so the same bits).
+    rank1_below: f64,
 }
 
 impl ZipfState {
@@ -223,10 +225,10 @@ impl ZipfState {
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         Self {
-            theta,
             alpha,
             zetan,
             eta,
+            rank1_below: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -236,7 +238,7 @@ impl ZipfState {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_below {
             return 1;
         }
         let rank = (n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -345,13 +347,6 @@ impl ZipfSampler {
             Self::Harmonic(ZipfHarmonic::new(n, theta))
         }
     }
-
-    fn sample(&self, n: u64, u: f64) -> u64 {
-        match self {
-            Self::Gray(s) => s.sample(n, u),
-            Self::Harmonic(s) => s.sample(n, u),
-        }
-    }
 }
 
 /// Samples join-attribute values from a [`Distribution`] over a concrete
@@ -395,23 +390,48 @@ impl JoinAttrSampler {
 
     /// Draws the next join-attribute value.
     pub fn sample(&mut self) -> JoinAttr {
-        match self.dist {
-            Distribution::Uniform => self.rng.next_below(self.domain),
-            Distribution::Gaussian { mean, sigma } => {
-                let z = self.rng.next_standard_normal();
-                let x = mean + sigma * z;
-                // Clamp into [0, 1) as the paper clamps into the value range.
-                let x = x.clamp(0.0, 1.0 - f64::EPSILON);
-                let v = (x * self.domain as f64) as u64;
-                v.min(self.domain - 1)
+        let mut attr = 0;
+        self.sample_each(1, |a| attr = a);
+        attr
+    }
+
+    /// Draws `n` values in stream order, handing each to `emit`: the
+    /// distribution is matched once per call, not once per value, and the
+    /// uniform path keeps the generator state in a local across the loop.
+    /// The draws are exactly `n` calls of [`Self::sample`].
+    #[inline]
+    pub(crate) fn sample_each(&mut self, n: u64, mut emit: impl FnMut(JoinAttr)) {
+        let domain = self.domain;
+        match (self.dist, &self.zipf) {
+            (Distribution::Uniform, _) => {
+                let mut rng = self.rng.clone();
+                for _ in 0..n {
+                    emit(rng.next_below(domain));
+                }
+                self.rng = rng;
             }
-            Distribution::Zipf { .. } => {
-                let u = self.rng.next_f64();
-                self.zipf
-                    .as_ref()
-                    .expect("built in new()")
-                    .sample(self.domain, u)
+            (Distribution::Gaussian { mean, sigma }, _) => {
+                for _ in 0..n {
+                    let z = self.rng.next_standard_normal();
+                    let x = mean + sigma * z;
+                    // Clamp into [0, 1) as the paper clamps into the value
+                    // range.
+                    let x = x.clamp(0.0, 1.0 - f64::EPSILON);
+                    let v = (x * domain as f64) as u64;
+                    emit(v.min(domain - 1));
+                }
             }
+            (Distribution::Zipf { .. }, Some(ZipfSampler::Gray(s))) => {
+                for _ in 0..n {
+                    emit(s.sample(domain, self.rng.next_f64()));
+                }
+            }
+            (Distribution::Zipf { .. }, Some(ZipfSampler::Harmonic(s))) => {
+                for _ in 0..n {
+                    emit(s.sample(domain, self.rng.next_f64()));
+                }
+            }
+            (Distribution::Zipf { .. }, None) => unreachable!("built in new()"),
         }
     }
 }

@@ -234,15 +234,22 @@ impl SourceGenerator {
     }
 
     /// Generates up to `n` tuples into `out`, returning how many were
-    /// produced. Avoids per-tuple `Option` overhead on the hot path.
+    /// produced: the same tuples as `n` calls of [`Self::next_tuple`], with
+    /// the distribution and the mirror decided once per call
+    /// (`JoinAttrSampler::sample_each`) instead of once per tuple.
     pub fn fill(&mut self, n: u64, out: &mut Vec<Tuple>) -> u64 {
         let take = n.min(self.remaining());
         out.reserve(take as usize);
-        for _ in 0..take {
-            let t = Tuple::new(self.next_index, self.attr());
-            self.next_index += 1;
-            out.push(t);
+        let mut index = self.next_index;
+        let mut push = |attr| {
+            out.push(Tuple::new(index, attr));
+            index += 1;
+        };
+        match self.mirror {
+            None => self.sampler.sample_each(take, push),
+            Some(m) => self.sampler.sample_each(take, |a| push(m - a)),
         }
+        self.next_index = index;
         take
     }
 }
@@ -301,16 +308,31 @@ mod tests {
 
     #[test]
     fn fill_matches_next_tuple_stream() {
-        let spec = RelationSpec::gaussian(257, 0.01, 42);
-        let mut a = spec.generator_for_source(0, 2);
-        let mut b = spec.generator_for_source(0, 2);
-        let mut via_next = Vec::new();
-        while let Some(t) = a.next_tuple() {
-            via_next.push(t);
+        let zipf = |theta| RelationSpec {
+            dist: Distribution::Zipf { theta },
+            ..RelationSpec::uniform(257, 42)
+        };
+        let specs = [
+            RelationSpec::gaussian(257, 0.01, 42),
+            RelationSpec::uniform(257, 42).with_domain(1000),
+            zipf(0.9).with_domain(1 << 12),
+            zipf(1.2).with_domain(1 << 18),
+            RelationSpec::uniform(257, 42).with_correlation(Correlation::AntiMatched),
+            zipf(0.5)
+                .with_domain(1 << 10)
+                .with_correlation(Correlation::AntiMatched),
+        ];
+        for spec in specs {
+            let mut a = spec.generator_for_source(0, 2);
+            let mut b = spec.generator_for_source(0, 2);
+            let mut via_next = Vec::new();
+            while let Some(t) = a.next_tuple() {
+                via_next.push(t);
+            }
+            let mut via_fill = Vec::new();
+            while b.fill(100, &mut via_fill) > 0 {}
+            assert_eq!(via_next, via_fill, "{spec:?}");
         }
-        let mut via_fill = Vec::new();
-        while b.fill(100, &mut via_fill) > 0 {}
-        assert_eq!(via_next, via_fill);
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub mod batch;
 pub mod chunk;
 pub mod dist;
 pub mod gen;
+pub mod pool;
 pub mod rng;
 pub mod schema;
 pub mod tuple;
@@ -33,6 +34,7 @@ pub use batch::TupleBatch;
 pub use chunk::{Chunk, ChunkBuffer, ChunkSet, CHUNK_HEADER_BYTES, DEFAULT_CHUNK_TUPLES};
 pub use dist::{Distribution, JoinAttrSampler, DEFAULT_ATTR_DOMAIN};
 pub use gen::{Correlation, RelationSpec, SourceGenerator, TupleGenerator};
+pub use pool::{BufferPool, Pooled};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use schema::Schema;
 pub use tuple::{JoinAttr, MatchPair, MaterializedTuple, Payload, Tuple, TupleIndex};

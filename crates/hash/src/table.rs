@@ -82,12 +82,22 @@
 //! probe) and `extract_range` — so a stale count is unreachable, not
 //! merely unlikely.
 //!
+//! ## Buffers
+//!
+//! The arena's two vectors, `order()`'s sorted copies and the vectors range
+//! extracts and drains return are the table's big allocations. All of them
+//! come from, and go back to, the process-wide [`BufferPool`]: an arena
+//! grows through [`BufferPool::reserve`] (a cold branch on the insert
+//! paths), `order()` gives the arena it replaces back, and dropping the
+//! table gives back what it still holds. Buffers below the pool's size
+//! floor are plain `Vec` growth, so a small table never touches the pool.
+//!
 //! The reference `BTreeMap`-chained layout survives as
 //! [`crate::ChainedTable`] for differential tests.
 
 use crate::hasher::{AttrHasher, PositionSpace};
 use crate::kernels::{prefetch_read, ProbeKernel, ProbeScratch};
-use ehj_data::{JoinAttr, Schema, Tuple};
+use ehj_data::{BufferPool, JoinAttr, Schema, Tuple};
 
 /// Bookkeeping bytes charged per stored tuple on top of the schema's raw
 /// tuple size (position tag + directory share, mirroring the
@@ -323,12 +333,24 @@ pub struct JoinHashTable {
     /// that wrote it. Starts at 1, which no blank entry carries.
     generation: u64,
     capacity_bytes: u64,
+    /// Where the arena's buffers come from and go back to.
+    pool: &'static BufferPool,
 }
 
 impl JoinHashTable {
     /// Creates an empty table with the given byte capacity.
     #[must_use]
     pub fn new(space: PositionSpace, schema: Schema, capacity_bytes: u64) -> Self {
+        Self::with_pool(space, schema, capacity_bytes, BufferPool::global())
+    }
+
+    /// [`Self::new`] drawing its buffers from `pool`.
+    fn with_pool(
+        space: PositionSpace,
+        schema: Schema,
+        capacity_bytes: u64,
+        pool: &'static BufferPool,
+    ) -> Self {
         Self {
             space,
             schema,
@@ -342,6 +364,7 @@ impl JoinHashTable {
             memo: Vec::new(),
             generation: 1,
             capacity_bytes,
+            pool,
         }
     }
 
@@ -403,8 +426,8 @@ impl JoinHashTable {
             self.tuples.len() < u32::MAX as usize,
             "arena index space exhausted"
         );
-        self.pos.push(pos);
-        self.tuples.push(t);
+        self.pool.push(&mut self.pos, pos);
+        self.pool.push(&mut self.tuples, t);
         self.ordered = false;
     }
 
@@ -504,6 +527,7 @@ impl JoinHashTable {
         if tuples.is_empty() {
             return;
         }
+        self.pool.reserve(&mut self.pos, tuples.len());
         self.space.extend_positions(tuples, &mut self.pos);
         self.append_tuples(tuples);
     }
@@ -532,6 +556,7 @@ impl JoinHashTable {
             .iter()
             .zip(positions)
             .all(|(t, &p)| p == self.space.position_of(t.join_attr)));
+        self.pool.reserve(&mut self.pos, positions.len());
         self.pos.extend_from_slice(positions);
         self.append_tuples(tuples);
         Ok(())
@@ -544,6 +569,7 @@ impl JoinHashTable {
             self.tuples.len() + tuples.len() <= u32::MAX as usize,
             "arena index space exhausted"
         );
+        self.pool.reserve(&mut self.tuples, tuples.len());
         self.tuples.extend_from_slice(tuples);
         self.ordered = false;
     }
@@ -572,8 +598,10 @@ impl JoinHashTable {
             end as usize, n,
             "directory counts must sum to the arena length"
         );
-        let mut pos = vec![0u32; n];
-        let mut tuples = vec![Tuple::new(0, 0); n];
+        let mut pos = self.pool.take(n);
+        pos.resize(n, 0u32);
+        let mut tuples = self.pool.take(n);
+        tuples.resize(n, Tuple::new(0, 0));
         let base = self.lo;
         for i in (0..n).rev() {
             // Every slot is a random write into two fresh arrays: fetch the
@@ -591,8 +619,8 @@ impl JoinHashTable {
             pos[run.start as usize] = p;
             tuples[run.start as usize] = self.tuples[i];
         }
-        self.pos = pos;
-        self.tuples = tuples;
+        self.pool.give(std::mem::replace(&mut self.pos, pos));
+        self.pool.give(std::mem::replace(&mut self.tuples, tuples));
     }
 
     /// The tuples of `run` (the arena must be ordered).
@@ -862,8 +890,12 @@ impl JoinHashTable {
         };
         self.generation += 1;
         self.counted -= (to - from) as usize;
-        self.pos.drain(from as usize..to as usize);
-        self.tuples.drain(from as usize..to as usize).collect()
+        let (from, to) = (from as usize, to as usize);
+        let mut out = self.pool.take(to - from);
+        out.extend_from_slice(&self.tuples[from..to]);
+        self.pos.drain(from..to);
+        self.tuples.drain(from..to);
+        out
     }
 
     /// Drops every arena entry matched by `take`, returning the extracted
@@ -878,7 +910,7 @@ impl JoinHashTable {
         for i in 0..self.tuples.len() {
             let (p, t) = (self.pos[i], self.tuples[i]);
             if take(p, &t) {
-                out.push(t);
+                self.pool.push(&mut out, t);
             } else {
                 self.pos[kept] = p;
                 self.tuples[kept] = t;
@@ -942,11 +974,18 @@ impl JoinHashTable {
     /// inserts again.
     pub fn drain_all(&mut self) -> Vec<Tuple> {
         self.dir = Vec::new();
-        self.pos = Vec::new();
+        self.pool.give(std::mem::take(&mut self.pos));
         (self.lo, self.hi) = (0, 0);
         self.counted = 0;
         self.ordered = true;
         std::mem::take(&mut self.tuples)
+    }
+}
+
+impl Drop for JoinHashTable {
+    fn drop(&mut self) {
+        self.pool.give(std::mem::take(&mut self.pos));
+        self.pool.give(std::mem::take(&mut self.tuples));
     }
 }
 
@@ -1817,5 +1856,100 @@ mod tests {
         // Distinct values reach every bit of the word.
         let bits: u64 = (0..4096u64).fold(0, |acc, a| acc | filter_fingerprint(a));
         assert_eq!(bits, u64::MAX);
+    }
+
+    /// A table whose arena, sort outputs and extracts come out of a pool
+    /// pre-filled with stale buffers behaves exactly like one on fresh
+    /// allocations: same probes, histograms, extracts and drains.
+    #[test]
+    fn a_table_on_recycled_buffers_matches_a_fresh_one() {
+        let leak = |cap| -> &'static BufferPool { Box::leak(Box::new(BufferPool::new(cap))) };
+        let recycled_pool = leak(usize::MAX);
+        for n in [1usize << 14, 40_000, 1 << 17, 300_000] {
+            recycled_pool.give(vec![Tuple::new(u64::MAX, 7); n]);
+            recycled_pool.give(vec![u32::MAX; n]);
+        }
+        let filled = recycled_pool.held_bytes();
+        let space = PositionSpace::new(1 << 12, 1 << 20, AttrHasher::Fibonacci);
+        let schema = Schema::default_paper();
+        let mut recycled = JoinHashTable::with_pool(space, schema, u64::MAX, recycled_pool);
+        // A pool that keeps nothing: plain `Vec` allocations.
+        let mut fresh = JoinHashTable::with_pool(space, schema, u64::MAX, leak(0));
+        let mut g = ehj_data::Xoshiro256StarStar::new(0x9001);
+        let mut next = 0u64;
+        let mut batch = |n: usize| -> Vec<Tuple> {
+            (0..n)
+                .map(|_| {
+                    next += 1;
+                    Tuple::new(next, g.next_below(1 << 20))
+                })
+                .collect()
+        };
+        let (a, b) = (batch(150_000), batch(70_000));
+        let mut positions = Vec::new();
+        space.bulk_positions(&b, &mut positions);
+        for t in [&mut recycled, &mut fresh] {
+            t.insert_batch_unchecked(&a);
+            t.insert_batch_pre_hashed(&b, &positions)
+                .expect("no capacity bound");
+            for &tp in &a[..20_000] {
+                t.insert_unchecked(tp);
+            }
+        }
+        assert!(
+            recycled_pool.held_bytes() < filled,
+            "the arena came from the pool"
+        );
+        let probes = batch(5_000);
+        let mut scratch = ProbeScratch::new();
+        let mut same = |recycled: &mut JoinHashTable, fresh: &mut JoinHashTable| {
+            assert_eq!(
+                recycled.position_histogram(0, 1 << 12),
+                fresh.position_histogram(0, 1 << 12)
+            );
+            let stats = recycled.probe_batch_with(&probes, &mut scratch, ProbeKernel::Batched);
+            assert_eq!(
+                stats,
+                fresh.probe_batch_with(&probes, &mut scratch, ProbeKernel::Batched)
+            );
+            assert_eq!(
+                recycled.probe_collect(a[3].join_attr),
+                fresh.probe_collect(a[3].join_attr)
+            );
+            assert!(recycled.iter().eq(fresh.iter()));
+        };
+        same(&mut recycled, &mut fresh);
+        assert_eq!(
+            recycled.extract_range(100, 1500),
+            fresh.extract_range(100, 1500)
+        );
+        same(&mut recycled, &mut fresh);
+        let (c, d) = (batch(90_000), batch(3_000));
+        for t in [&mut recycled, &mut fresh] {
+            t.insert_batch_unchecked(&c);
+            for &tp in &d {
+                t.insert_unchecked(tp);
+            }
+        }
+        let cut = |p: u32| p % 3 == 0;
+        assert_eq!(recycled.drain_positions(cut), fresh.drain_positions(cut));
+        same(&mut recycled, &mut fresh);
+        let odd = |tp: &Tuple| tp.join_attr % 2 == 1;
+        assert_eq!(recycled.drain_filter(odd), fresh.drain_filter(odd));
+        same(&mut recycled, &mut fresh);
+        assert_eq!(
+            recycled.extract_range(0, 1 << 12),
+            fresh.extract_range(0, 1 << 12)
+        );
+        for t in [&mut recycled, &mut fresh] {
+            t.insert_batch_unchecked(&c);
+        }
+        let before = recycled_pool.held_bytes();
+        assert_eq!(recycled.drain_all(), fresh.drain_all());
+        assert!(recycled.is_empty() && fresh.is_empty());
+        assert!(
+            recycled_pool.held_bytes() > before,
+            "the released position log went back"
+        );
     }
 }

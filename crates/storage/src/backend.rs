@@ -12,7 +12,7 @@
 //!   threaded runtime so the out-of-core path is exercised end-to-end
 //!   against a real filesystem.
 
-use ehj_data::Tuple;
+use ehj_data::{BufferPool, Tuple};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -87,8 +87,10 @@ const BLOCK_BYTES: usize = 64 * 1024;
 /// scratch directory, removed on drop. Appends collect in a per-partition
 /// block buffer and reach the file a block at a time; a read flushes the
 /// partial block first, so every partition's contents still go through the
-/// file system. No descriptor is held between calls, however many
-/// partitions (and backends: one per spilled node per query) are live.
+/// file system. A read decodes a block at a time into a vector taken from
+/// the [`BufferPool`], sized from the partition's count. No descriptor is
+/// held between calls, however many partitions (and backends: one per
+/// spilled node per query) are live.
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
@@ -176,20 +178,23 @@ impl SpillBackend for FileBackend {
         if !self.pending[part].is_empty() {
             write_block(path, &mut self.pending[part]);
         }
-        let mut buf = Vec::new();
-        File::open(path)
-            .expect("open spill file")
-            .read_to_end(&mut buf)
-            .expect("read spill");
-        assert_eq!(buf.len() % RECORD_BYTES, 0, "corrupt spill file");
-        buf.chunks_exact(RECORD_BYTES)
-            .map(|rec| {
+        let count = usize::try_from(self.counts[part]).expect("partition fits in memory");
+        let mut file = File::open(path).expect("open spill file");
+        let on_disk = file.metadata().expect("stat spill file").len();
+        assert_eq!(on_disk, (count * RECORD_BYTES) as u64, "corrupt spill file");
+        let mut out = BufferPool::global().take(count);
+        let mut block = vec![0u8; BLOCK_BYTES.min(count * RECORD_BYTES)];
+        while out.len() < count {
+            let n = block.len().min((count - out.len()) * RECORD_BYTES);
+            file.read_exact(&mut block[..n]).expect("read spill");
+            out.extend(block[..n].chunks_exact(RECORD_BYTES).map(|rec| {
                 Tuple::new(
                     u64::from_le_bytes(rec[0..8].try_into().expect("8 bytes")),
                     u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes")),
                 )
-            })
-            .collect()
+            }));
+        }
+        out
     }
 
     fn remove(&mut self, part: PartitionId) {

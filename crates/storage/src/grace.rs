@@ -18,10 +18,13 @@
 //!
 //! The struct only *stores* data and counts I/O volume; the caller charges
 //! simulated disk time from the returned byte counts (or real I/O happens
-//! inside a [`crate::backend::FileBackend`]).
+//! inside a [`crate::backend::FileBackend`]). Every fragment read goes back
+//! to the [`BufferPool`] once joined or re-partitioned, as does each
+//! in-memory table's arena, so finalizing fragment after fragment reuses
+//! one set of buffers.
 
 use crate::backend::{PartitionId, SpillBackend};
-use ehj_data::{Schema, Tuple};
+use ehj_data::{BufferPool, Schema, Tuple};
 use ehj_hash::{
     HashRange, JoinHashTable, PositionSpace, ProbeKernel, ProbeScratch, ENTRY_OVERHEAD_BYTES,
 };
@@ -280,6 +283,8 @@ impl<B: SpillBackend> GraceJoin<B> {
         let probe = self.backend.read(frag.probe);
         result.bytes_read += self.schema.tuples_bytes(probe.len() as u64);
         self.join_in_memory(&build, &probe, scratch, result);
+        BufferPool::global().give(build);
+        BufferPool::global().give(probe);
     }
 
     /// Re-partitions an oversized fragment into sub-fragments.
@@ -308,6 +313,7 @@ impl<B: SpillBackend> GraceJoin<B> {
                 &tuples,
                 probe_side,
             );
+            BufferPool::global().give(tuples);
         }
         work.extend(children);
     }
@@ -331,6 +337,8 @@ impl<B: SpillBackend> GraceJoin<B> {
             result.bytes_read += probe_bytes;
             self.join_in_memory(block, &probe, scratch, result);
         }
+        BufferPool::global().give(build);
+        BufferPool::global().give(probe);
     }
 }
 
