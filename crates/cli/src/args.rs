@@ -1,6 +1,6 @@
 //! Hand-rolled argument parsing for `ehjoin` (no external dependencies).
 
-use ehj_core::{Algorithm, Backend, ProbeKernel, SplitPolicy};
+use ehj_core::{Algorithm, Backend};
 use ehj_metrics::TraceLevel;
 
 /// Output formats for reports.
@@ -45,8 +45,6 @@ pub struct Args {
     pub command: Command,
     /// Algorithm for `run` and `sweep`.
     pub algorithm: Algorithm,
-    /// Split policy for the split algorithm.
-    pub split_policy: SplitPolicy,
     /// Workload scale divisor relative to the paper's 10M-tuple relations.
     pub scale: u64,
     /// Override R's tuple count (post-scale).
@@ -85,8 +83,6 @@ pub struct Args {
     pub perfetto_out: Option<String>,
     /// Disable the live metrics registry (no-op instruments everywhere).
     pub no_metrics: bool,
-    /// Probe kernel join nodes run (None = the config default, batched).
-    pub probe_kernel: Option<ProbeKernel>,
     /// Concurrent queries the `service` command admits.
     pub queries: usize,
     /// Service-wide hash-memory quota in bytes (None = unlimited).
@@ -101,7 +97,6 @@ impl Default for Args {
         Self {
             command: Command::Help,
             algorithm: Algorithm::Hybrid,
-            split_policy: SplitPolicy::default(),
             scale: 100,
             r_tuples: None,
             s_tuples: None,
@@ -120,7 +115,6 @@ impl Default for Args {
             trace_out: None,
             perfetto_out: None,
             no_metrics: false,
-            probe_kernel: None,
             queries: 8,
             memory_budget: None,
             weights: Vec::new(),
@@ -143,7 +137,6 @@ USAGE:
 
 OPTIONS:
   --algorithm <replicated|split|hybrid|ooc>   (run and sweep; default hybrid)
-  --split-policy <linear|bisect>              split-bucket policy
   --scale <N>            divide the paper's 10M-tuple workload by N (default 100)
   --r-tuples <N>         override R's size (after scaling)
   --s-tuples <N>         override S's size (after scaling)
@@ -166,9 +159,6 @@ OPTIONS:
                          level other than off)
   --perfetto-out <FILE>  write a Chrome trace-event (Perfetto) timeline (run only)
   --no-metrics           disable the live metrics registry (no-op instruments)
-  --probe-kernel <scalar|batched>   probe implementation (default batched; scalar is
-                         the tuple-at-a-time reference; both produce identical
-                         simulated results)
   --queries <N>          service: concurrent queries to admit (default 8; algorithms
                          round-robin across replicated/split/hybrid/ooc)
   --memory-budget <BYTES>  service: hash-memory quota shared by all queries; admissions
@@ -228,14 +218,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
                     "hybrid" => Algorithm::Hybrid,
                     "ooc" | "out-of-core" => Algorithm::OutOfCore,
                     _ => return Err(format!("unknown algorithm '{v}'")),
-                };
-            }
-            "--split-policy" => {
-                let v = value(&mut it, "--split-policy")?;
-                args.split_policy = match v.as_str() {
-                    "linear" | "linear-pointer" => SplitPolicy::LinearPointer,
-                    "bisect" | "range-bisect" => SplitPolicy::RangeBisect,
-                    _ => return Err(format!("unknown split policy '{v}'")),
                 };
             }
             "--scale" => {
@@ -299,10 +281,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
             "--trace-out" => args.trace_out = Some(value(&mut it, "--trace-out")?),
             "--perfetto-out" => args.perfetto_out = Some(value(&mut it, "--perfetto-out")?),
             "--no-metrics" => args.no_metrics = true,
-            "--probe-kernel" => {
-                let v = value(&mut it, "--probe-kernel")?;
-                args.probe_kernel = Some(ProbeKernel::parse(&v)?);
-            }
             "--queries" => {
                 let n: usize = parse_num(&value(&mut it, "--queries")?, "--queries")?;
                 if n == 0 {
@@ -474,21 +452,6 @@ mod tests {
         assert!(p("run --backend warp").is_err());
         assert!(p("run --threads 0").is_err());
         assert!(p("run --threads").is_err());
-    }
-
-    #[test]
-    fn probe_kernel_flag_parses() {
-        assert_eq!(
-            p("run --probe-kernel scalar").expect("valid").probe_kernel,
-            Some(ProbeKernel::Scalar)
-        );
-        assert_eq!(
-            p("run --probe-kernel batched").expect("valid").probe_kernel,
-            Some(ProbeKernel::Batched)
-        );
-        assert_eq!(p("run").expect("valid").probe_kernel, None);
-        assert!(p("run --probe-kernel swar").is_err());
-        assert!(p("run --probe-kernel").is_err());
     }
 
     #[test]

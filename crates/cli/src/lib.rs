@@ -32,7 +32,6 @@ const PERFETTO_RING_EVENTS: usize = 1 << 20;
 #[must_use]
 pub fn config_from_args(args: &Args, algorithm: Algorithm) -> JoinConfig {
     let mut cfg = JoinConfig::paper_scaled(algorithm, args.scale);
-    cfg.split_policy = args.split_policy;
     if let Some(n) = args.r_tuples {
         cfg.r.tuples = n;
     }
@@ -65,9 +64,6 @@ pub fn config_from_args(args: &Args, algorithm: Algorithm) -> JoinConfig {
     if let Some(seed) = args.seed {
         cfg.r.seed = seed;
         cfg.s.seed = seed ^ 0x0BAD_CAFE;
-    }
-    if let Some(kernel) = args.probe_kernel {
-        cfg.probe_kernel = kernel;
     }
     cfg
 }

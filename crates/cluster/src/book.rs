@@ -19,8 +19,6 @@ pub enum SelectionPolicy {
     LargestFreeMemory,
     /// First node in the potential list (recruitment order).
     FirstFit,
-    /// Rotate through the potential list (spreads background load).
-    RoundRobin,
 }
 
 /// The scheduler's view of the cluster during one join.
@@ -31,7 +29,6 @@ pub struct SchedulerBook {
     full: Vec<NodeId>,
     free_mem: Vec<u64>,
     policy: SelectionPolicy,
-    rr_cursor: usize,
 }
 
 impl SchedulerBook {
@@ -56,7 +53,6 @@ impl SchedulerBook {
             full: Vec::new(),
             free_mem: cluster.nodes.iter().map(|s| s.hash_memory_bytes).collect(),
             policy,
-            rr_cursor: 0,
         }
     }
 
@@ -105,11 +101,6 @@ impl SchedulerBook {
                 .map(|(i, _)| i)
                 .expect("non-empty"),
             SelectionPolicy::FirstFit => 0,
-            SelectionPolicy::RoundRobin => {
-                let i = self.rr_cursor % self.potential.len();
-                self.rr_cursor += 1;
-                i
-            }
         };
         let node = self.potential.remove(idx);
         self.working.push(node);
@@ -129,22 +120,6 @@ impl SchedulerBook {
             .expect("only working nodes can fill");
         self.working.remove(idx);
         self.full.push(node);
-    }
-
-    /// Returns a just-recruited node to the potential list (used when a
-    /// split attempt turns out to be futile, e.g. an unsplittable hot
-    /// range: the node was never assigned any hash range).
-    ///
-    /// # Panics
-    /// Panics if `node` is not currently working.
-    pub fn return_to_potential(&mut self, node: NodeId) {
-        let idx = self
-            .working
-            .iter()
-            .position(|&n| n == node)
-            .expect("only working nodes can be returned");
-        self.working.remove(idx);
-        self.potential.push(node);
     }
 
     /// Merges the full list back into the working list for the probe phase
@@ -195,15 +170,6 @@ mod tests {
         let mut b = SchedulerBook::new(&cluster(), 1, SelectionPolicy::FirstFit);
         assert_eq!(b.recruit(), Some(NodeId(1)));
         assert_eq!(b.recruit(), Some(NodeId(2)));
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let mut b = SchedulerBook::new(&cluster(), 3, SelectionPolicy::RoundRobin);
-        assert_eq!(b.recruit(), Some(NodeId(3)));
-        // Cursor advanced; next selection skips ahead in the shrunken list.
-        let second = b.recruit().unwrap();
-        assert_ne!(second, NodeId(3));
     }
 
     #[test]

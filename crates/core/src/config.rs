@@ -43,29 +43,6 @@ impl Algorithm {
     }
 }
 
-/// Which bucket the split-based algorithm splits on overflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitPolicy {
-    /// The paper's linear-hashing discipline: split the bucket at the split
-    /// pointer, in order (§4.2.1; Amin et al., Litwin).
-    #[default]
-    LinearPointer,
-    /// Directory-based alternative from the paper's abstract phrasing:
-    /// bisect the *overflowing node's own* hash range at its load median.
-    /// Ablation only.
-    RangeBisect,
-}
-
-/// Which relation builds the hash table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BuildSide {
-    /// Build from R, probe with S (the default everywhere in the paper).
-    #[default]
-    R,
-    /// Build from S, probe with R.
-    S,
-}
-
 /// CPU cost model, calibrated to the paper's Pentium III 933 MHz nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
@@ -155,8 +132,6 @@ impl HotKeyConfig {
 pub struct JoinConfig {
     /// Which algorithm to run.
     pub algorithm: Algorithm,
-    /// Split-bucket selection (split-based algorithm only).
-    pub split_policy: SplitPolicy,
     /// New-node selection policy at the scheduler.
     pub selection_policy: SelectionPolicy,
     /// The cluster (node count and per-node hash memory).
@@ -169,8 +144,6 @@ pub struct JoinConfig {
     pub r: RelationSpec,
     /// Relation S.
     pub s: RelationSpec,
-    /// Which relation builds the hash table.
-    pub build_side: BuildSide,
     /// Tuples per chunk (the paper uses 10 000).
     pub chunk_tuples: usize,
     /// Global hash-table position count.
@@ -228,7 +201,6 @@ impl JoinConfig {
         let seed = 0xE41A_u64 ^ 0x5EED_0001;
         Self {
             algorithm,
-            split_policy: SplitPolicy::default(),
             selection_policy: SelectionPolicy::default(),
             cluster: ClusterSpec::osumed(),
             initial_nodes: 4,
@@ -236,7 +208,6 @@ impl JoinConfig {
             r: RelationSpec::uniform(10_000_000, seed).with_domain(Self::PAPER_ATTR_DOMAIN),
             s: RelationSpec::uniform(10_000_000, seed ^ 0x0BAD_CAFE)
                 .with_domain(Self::PAPER_ATTR_DOMAIN),
-            build_side: BuildSide::default(),
             chunk_tuples: DEFAULT_CHUNK_TUPLES,
             positions: (Self::PAPER_ATTR_DOMAIN / Self::DOMAIN_PER_POSITION) as u32,
             hasher: AttrHasher::Identity,
@@ -287,22 +258,17 @@ impl JoinConfig {
         cfg
     }
 
-    /// The relation that builds the hash table.
+    /// The relation that builds the hash table: R, as everywhere in the
+    /// paper.
     #[must_use]
     pub fn build_spec(&self) -> &RelationSpec {
-        match self.build_side {
-            BuildSide::R => &self.r,
-            BuildSide::S => &self.s,
-        }
+        &self.r
     }
 
-    /// The relation that probes the hash table.
+    /// The relation that probes the hash table: S.
     #[must_use]
     pub fn probe_spec(&self) -> &RelationSpec {
-        match self.build_side {
-            BuildSide::R => &self.s,
-            BuildSide::S => &self.r,
-        }
+        &self.s
     }
 
     /// The shared row schema.
@@ -409,18 +375,6 @@ mod tests {
             c.r.tuples as f64 / (c.cluster.spec(ehj_cluster::NodeId(0)).hash_memory_bytes as f64)
         };
         assert!((ratio(&full) - ratio(&scaled)).abs() / ratio(&full) < 1e-6);
-    }
-
-    #[test]
-    fn build_side_selects_relation() {
-        let mut cfg = JoinConfig::paper_default(Algorithm::Replicated);
-        cfg.r.tuples = 1;
-        cfg.s.tuples = 2;
-        assert_eq!(cfg.build_spec().tuples, 1);
-        assert_eq!(cfg.probe_spec().tuples, 2);
-        cfg.build_side = BuildSide::S;
-        assert_eq!(cfg.build_spec().tuples, 2);
-        assert_eq!(cfg.probe_spec().tuples, 1);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! * queueing unhoused tuples ("pending buffers") and, on each routing
 //!   update, re-forwarding the ones whose range moved to a new node —
 //!   the replication-based hand-off of §4.2.2;
-//! * performing linear-pointer bucket splits (§4.2.1) and range-bisect
-//!   splits (the ablation policy);
+//! * performing linear-pointer bucket splits (§4.2.1);
 //! * answering reshuffle histogram queries and shipping reshuffle
 //!   extractions (§4.2.3);
 //! * probing with per-comparison CPU accounting; and
@@ -708,7 +707,9 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         // Scan the bucket (this node's whole table under linear hashing:
         // every node owns exactly one bucket) and extract the upper half of
         // its subrange. Linear hashing subdivides the position space,
-        // matching the routing table.
+        // matching the routing table. A position drain, not
+        // `extract_range`: nothing may order the arena before the build
+        // barrier (DESIGN §4c).
         let scanned = self.table.len();
         let moved = self
             .table
@@ -727,79 +728,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             Msg::SplitDone {
                 step,
                 moved_tuples: moved_count,
-            },
-        );
-    }
-
-    fn handle_range_split(
-        &mut self,
-        ctx: &mut dyn Context<Msg>,
-        new_node: ActorId,
-        range: HashRange,
-    ) {
-        // Cut at the load median of this node's histogram.
-        let hist = self.table.position_histogram(range.start, range.end);
-        let total: u64 = hist.iter().sum();
-        ctx.consume_cpu(self.cfg.costs.probe_per_compare * total);
-        let mut cut = range.start;
-        if total > 0 {
-            let mut prefix = 0u64;
-            for (i, &c) in hist.iter().enumerate() {
-                if prefix * 2 >= total {
-                    cut = range.start + i as u32;
-                    break;
-                }
-                prefix += c;
-                cut = range.start + i as u32 + 1;
-            }
-        }
-        let usable = cut > range.start && cut < range.end;
-        if !usable {
-            ctx.send(
-                self.scheduler,
-                Msg::RangeSplitDone {
-                    cut: range.start,
-                    moved_tuples: 0,
-                    ok: false,
-                },
-            );
-            return;
-        }
-        // A position drain, not `extract_range`: nothing may order the arena
-        // before the build barrier, or the receiver's capacity-checked
-        // inserts (and so its pending queue) would see a different order.
-        let moved = self
-            .table
-            .drain_positions(|pos| cut <= pos && pos < range.end);
-        let moved_count = moved.len() as u64;
-        ctx.consume_cpu(self.cfg.costs.route_per_tuple * moved_count);
-        self.send_tuples(
-            ctx,
-            new_node,
-            Phase::Build,
-            CommCategory::SplitTransfer,
-            moved.into(),
-        );
-        // Apply the cut to this node's own routing immediately: tuples for
-        // the upper half that arrive before the scheduler's broadcast must
-        // be forwarded, not silently re-inserted into a table the probe
-        // phase will no longer consult for that subrange.
-        if let Some(RoutingTable::Disjoint(m)) = self.routing.as_mut().map(RoutingTable::inner_mut)
-        {
-            m.replace_range(
-                range,
-                vec![
-                    (HashRange::new(range.start, cut), self.me),
-                    (HashRange::new(cut, range.end), new_node),
-                ],
-            );
-        }
-        ctx.send(
-            self.scheduler,
-            Msg::RangeSplitDone {
-                cut,
-                moved_tuples: moved_count,
-                ok: true,
             },
         );
     }
@@ -911,9 +839,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             }
             Msg::SplitRequest { step, new_node } => {
                 self.handle_split_request(ctx, step, new_node);
-            }
-            Msg::RangeSplitRequest { new_node, range } => {
-                self.handle_range_split(ctx, new_node, range);
             }
             Msg::ReshuffleQuery { group, range } => {
                 let counts = self.table.position_histogram(range.start, range.end);
@@ -1560,59 +1485,6 @@ mod tests {
                     }
                 )
         }));
-    }
-
-    #[test]
-    fn range_split_cuts_at_median() {
-        let (mut node, mut ctx) = activated_node(Algorithm::Split, 100);
-        // 10 tuples at positions 100,110,...,190.
-        let tuples: Vec<Tuple> = (0..10).map(|i| Tuple::new(i, 100 + i * 10)).collect();
-        node.on_message(&mut ctx, 1, build_data(tuples));
-        ctx.sent.clear();
-        node.on_message(
-            &mut ctx,
-            SCHED,
-            Msg::RangeSplitRequest {
-                new_node: OTHER,
-                range: HashRange::new(0, 500),
-            },
-        );
-        let done = ctx
-            .sent
-            .iter()
-            .find_map(|(_, m)| match m {
-                Msg::RangeSplitDone {
-                    cut,
-                    moved_tuples,
-                    ok,
-                } => Some((*cut, *moved_tuples, *ok)),
-                _ => None,
-            })
-            .expect("must reply");
-        assert!(done.2, "split must succeed");
-        assert_eq!(done.1, 5, "half the tuples move");
-        assert_eq!(node.resident_tuples(), 5);
-    }
-
-    #[test]
-    fn range_split_on_single_hot_position_fails_gracefully() {
-        let (mut node, mut ctx) = activated_node(Algorithm::Split, 100);
-        let tuples: Vec<Tuple> = (0..10).map(|i| Tuple::new(i, 100)).collect();
-        node.on_message(&mut ctx, 1, build_data(tuples));
-        ctx.sent.clear();
-        node.on_message(
-            &mut ctx,
-            SCHED,
-            Msg::RangeSplitRequest {
-                new_node: OTHER,
-                range: HashRange::new(100, 101),
-            },
-        );
-        assert!(ctx
-            .sent
-            .iter()
-            .any(|(_, m)| matches!(m, Msg::RangeSplitDone { ok: false, .. })));
-        assert_eq!(node.resident_tuples(), 10);
     }
 
     #[test]

@@ -59,9 +59,7 @@ pub(crate) mod testutil;
 pub mod topology;
 
 pub use analysis::OverheadModel;
-pub use config::{
-    Algorithm, BuildSide, CostModel, HotKeyConfig, JoinConfig, ProbeKernel, SplitPolicy,
-};
+pub use config::{Algorithm, CostModel, HotKeyConfig, JoinConfig, ProbeKernel};
 pub use msg::{Msg, NodeReport};
 pub use reference::{expected_matches, expected_matches_for};
 pub use report::JoinReport;

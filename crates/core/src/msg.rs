@@ -75,14 +75,6 @@ pub enum Msg {
         /// Actor receiving the new bucket.
         new_node: ActorId,
     },
-    /// Range-bisect split: the addressed (full) node must cut its own range
-    /// at its load median and ship the upper half to `new_node`.
-    RangeSplitRequest {
-        /// Actor receiving the upper half.
-        new_node: ActorId,
-        /// The full node's current range.
-        range: HashRange,
-    },
     /// Reshuffle step 1: report the per-position histogram of `range`.
     ReshuffleQuery {
         /// Replica-set group id.
@@ -108,8 +100,8 @@ pub enum Msg {
         /// The clean replica set sharing the hot build tuples.
         members: Vec<ActorId>,
     },
-    /// No potential nodes remain (or the hot range cannot be split): fall
-    /// back to spilling out of core.
+    /// No potential nodes remain (or the split pointer has reached a
+    /// spilled bucket): fall back to spilling out of core.
     NoMoreNodes,
     /// Arms the node for a phase-barrier wave: it acks its counts for
     /// `phase` at once and again whenever they move.
@@ -159,16 +151,6 @@ pub enum Msg {
         step: SplitStep,
         /// Tuples shipped to the new bucket.
         moved_tuples: u64,
-    },
-    /// A range-bisect split completed (or degenerately failed when
-    /// `moved_tuples == 0` and the range cannot be cut).
-    RangeSplitDone {
-        /// Chosen cut position; upper half `[cut, end)` moved.
-        cut: u32,
-        /// Tuples shipped.
-        moved_tuples: u64,
-        /// Whether a usable cut existed.
-        ok: bool,
     },
     /// Reshuffle histogram reply.
     ReshuffleCounts {

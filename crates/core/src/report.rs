@@ -19,8 +19,6 @@ pub enum TimelineKind {
     Recruited(u32),
     /// A linear-pointer bucket split completed (the old bucket id).
     SplitDone(u32),
-    /// A range-bisect split completed (the cut position).
-    RangeSplit(u32),
     /// A node went out of core (its cluster node id).
     Spilled(u32),
     /// The build phase completed.
@@ -40,7 +38,6 @@ impl TimelineKind {
         match self {
             Self::Recruited(n) => format!("recruited node n{n}"),
             Self::SplitDone(b) => format!("split bucket {b}"),
-            Self::RangeSplit(cut) => format!("range split at position {cut}"),
             Self::Spilled(n) => format!("node n{n} went out of core"),
             Self::BuildDone => "build phase complete".to_owned(),
             Self::ReshuffleDone => "reshuffle complete".to_owned(),

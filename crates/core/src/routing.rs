@@ -6,12 +6,10 @@
 //! every replica — §4.2.2). The three algorithm families use three shapes:
 //!
 //! * [`RoutingTable::Disjoint`] — contiguous position ranges, one owner
-//!   each: the initial configuration, the out-of-core baseline, the
-//!   range-bisect split ablation, and the hybrid's post-reshuffle probe
-//!   routing;
+//!   each: the out-of-core baseline;
 //! * [`RoutingTable::Replica`] — ranges with replica lists: the
-//!   replication-based and hybrid build phases and the replication-based
-//!   probe phase;
+//!   replication-based and hybrid build phases, the replication-based
+//!   probe phase and the hybrid's post-reshuffle probe routing;
 //! * [`RoutingTable::Buckets`] — linear-hashing buckets: the split-based
 //!   algorithm (the `(i, split pointer)` pair the scheduler broadcasts,
 //!   §4.2.1).
@@ -209,8 +207,8 @@ impl RoutingTable {
 
     /// The base table a hot-key overlay wraps (self when none is
     /// installed). Algorithm-specific table surgery — replica extension,
-    /// bucket splits, range bisection, reshuffle installs — always operates
-    /// on the base shape.
+    /// bucket splits, reshuffle installs — always operates on the base
+    /// shape.
     #[must_use]
     pub fn inner(&self) -> &RoutingTable {
         match self {
@@ -354,11 +352,13 @@ mod tests {
     fn entry_index_groups_positions_that_route_alike() {
         let mut replica = ReplicaMap::partitioned(100, &[10, 11, 12]);
         let _ = replica.replicate(11, 14);
-        let mut ranges = RangeMap::partitioned(100, &[10, 11, 12, 13]);
-        ranges.replace_range(
-            HashRange::new(25, 50),
-            vec![(HashRange::new(25, 30), 11), (HashRange::new(30, 50), 15)],
-        );
+        let ranges = RangeMap::from_entries(vec![
+            (HashRange::new(0, 25), 10),
+            (HashRange::new(25, 30), 11),
+            (HashRange::new(30, 50), 15),
+            (HashRange::new(50, 75), 12),
+            (HashRange::new(75, 100), 13),
+        ]);
         let mut buckets = BucketMap::new(vec![20, 21], 100);
         let _ = buckets.split(22);
         let _ = buckets.split(23);

@@ -19,7 +19,7 @@
 //! changes who must be polled) — the same path on both backends, where
 //! cross-sender message ordering is not guaranteed.
 
-use crate::config::{Algorithm, JoinConfig, SplitPolicy};
+use crate::config::{Algorithm, JoinConfig};
 use crate::msg::{Msg, NodeReport};
 use crate::report::{JoinReport, TimelineEvent, TimelineKind};
 use crate::routing::{HotKeyOverlay, RoutingTable};
@@ -42,13 +42,6 @@ enum SchedPhase {
     Probe,
     Reporting,
     Done,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RangeBisectOp {
-    started: SimTime,
-    full_actor: ActorId,
-    new_actor: ActorId,
 }
 
 /// State of the hot-key hand-off round (DESIGN §4i): after the build
@@ -117,7 +110,6 @@ pub struct Scheduler {
     /// level (still only two hash functions active) but a new level cannot
     /// begin until every split of the previous round reported done.
     lp_inflight: std::collections::HashMap<u32, SimTime>,
-    rb_op: Option<RangeBisectOp>,
     expansions: u64,
     split_time: SimTime,
     // barrier waves
@@ -162,14 +154,14 @@ impl Scheduler {
         let book = SchedulerBook::new(&cfg.cluster, cfg.initial_nodes, cfg.selection_policy);
         let initial_actors: Vec<ActorId> =
             book.working().iter().map(|&n| topo.node_actor(n)).collect();
-        let routing = match (cfg.algorithm, cfg.split_policy) {
-            (Algorithm::Replicated | Algorithm::Hybrid, _) => {
+        let routing = match cfg.algorithm {
+            Algorithm::Replicated | Algorithm::Hybrid => {
                 RoutingTable::Replica(ReplicaMap::partitioned(cfg.positions, &initial_actors))
             }
-            (Algorithm::Split, SplitPolicy::LinearPointer) => {
+            Algorithm::Split => {
                 RoutingTable::Buckets(BucketMap::new(initial_actors, cfg.positions as u64))
             }
-            (Algorithm::Split, SplitPolicy::RangeBisect) | (Algorithm::OutOfCore, _) => {
+            Algorithm::OutOfCore => {
                 RoutingTable::Disjoint(RangeMap::partitioned(cfg.positions, &initial_actors))
             }
         };
@@ -187,7 +179,6 @@ impl Scheduler {
             overflow_queue: VecDeque::new(),
             spilled_actors: std::collections::HashSet::new(),
             lp_inflight: std::collections::HashMap::new(),
-            rb_op: None,
             expansions: 0,
             split_time: SimTime::ZERO,
             epoch: 0,
@@ -451,22 +442,13 @@ impl Scheduler {
             if self.overflow_queue.is_empty() {
                 return;
             }
-            match self.cfg.algorithm {
-                Algorithm::Split if self.cfg.split_policy == SplitPolicy::LinearPointer => {
-                    // Barrier split pointer: the next split may proceed
-                    // concurrently unless it would open a new hashing level
-                    // while splits of the current round are still in flight.
-                    if let RoutingTable::Buckets(m) = &self.routing {
-                        let starts_new_round = m.next_split_starts_round();
-                        if starts_new_round && !self.lp_inflight.is_empty() {
-                            return; // resume on the next SplitDone
-                        }
-                    }
+            // Barrier split pointer: the next split may proceed concurrently
+            // unless it would open a new hashing level while splits of the
+            // current round are still in flight.
+            if let RoutingTable::Buckets(m) = &self.routing {
+                if m.next_split_starts_round() && !self.lp_inflight.is_empty() {
+                    return; // resume on the next SplitDone
                 }
-                Algorithm::Split if self.rb_op.is_some() => {
-                    return; // range-bisect splits stay serialized
-                }
-                _ => {}
             }
             let Some(full_actor) = self.overflow_queue.pop_front() else {
                 return;
@@ -535,104 +517,63 @@ impl Scheduler {
                 );
                 self.broadcast_routing(ctx);
             }
-            Algorithm::Split => match self.cfg.split_policy {
-                SplitPolicy::LinearPointer => {
-                    // The pointer bucket cannot split if its owner already
-                    // went out of core (the bucket's contents are on disk).
-                    // Expansion is over: the reporter must spill too.
-                    let pointer_owner = match self.routing.inner() {
-                        RoutingTable::Buckets(m) => m.owner_of_bucket(m.split_ptr()),
-                        _ => unreachable!("linear-pointer split uses bucket routing"),
-                    };
-                    if self.spilled_actors.contains(&pointer_owner) {
-                        self.spilled_actors.insert(full_actor);
-                        self.trace_at(ctx, full_actor, TraceKind::PoolExhausted);
-                        ctx.send(full_actor, Msg::NoMoreNodes);
-                        return;
-                    }
-                    let Some(new_node) = self.book.recruit() else {
-                        self.spilled_actors.insert(full_actor);
-                        self.trace_at(ctx, full_actor, TraceKind::PoolExhausted);
-                        ctx.send(full_actor, Msg::NoMoreNodes);
-                        return;
-                    };
-                    let new_actor = self.topo.node_actor(new_node);
-                    self.expansions += 1;
-                    self.record(ctx, TimelineKind::Recruited(new_node.0));
-                    self.trace(ctx, TraceKind::Recruited { node: new_node.0 });
-                    let (step, old_owner, pointer) = {
-                        let RoutingTable::Buckets(m) = self.routing.inner_mut() else {
-                            unreachable!("linear-pointer split uses bucket routing");
-                        };
-                        let (step, old_owner) = m.split(new_actor);
-                        (step, old_owner, m.split_ptr())
-                    };
-                    self.trace(
-                        ctx,
-                        TraceKind::SplitIssued {
-                            bucket: step.old,
-                            from: old_owner,
-                            to: new_actor,
-                        },
-                    );
-                    self.trace(ctx, TraceKind::SplitPointerAdvance { pointer });
-                    ctx.send(
-                        new_actor,
-                        Msg::Activate {
-                            routing: self.routing.clone(),
-                            version: self.version + 1,
-                        },
-                    );
-                    self.broadcast_routing(ctx);
-                    ctx.send(
-                        old_owner,
-                        Msg::SplitRequest {
-                            step,
-                            new_node: new_actor,
-                        },
-                    );
-                    self.lp_inflight.insert(step.old, ctx.now());
+            Algorithm::Split => {
+                // The pointer bucket cannot split if its owner already
+                // went out of core (the bucket's contents are on disk).
+                // Expansion is over: the reporter must spill too.
+                let pointer_owner = match self.routing.inner() {
+                    RoutingTable::Buckets(m) => m.owner_of_bucket(m.split_ptr()),
+                    _ => unreachable!("linear-pointer split uses bucket routing"),
+                };
+                if self.spilled_actors.contains(&pointer_owner) {
+                    self.spilled_actors.insert(full_actor);
+                    self.trace_at(ctx, full_actor, TraceKind::PoolExhausted);
+                    ctx.send(full_actor, Msg::NoMoreNodes);
+                    return;
                 }
-                SplitPolicy::RangeBisect => {
-                    let RoutingTable::Disjoint(m) = self.routing.inner() else {
-                        unreachable!("range-bisect split uses disjoint routing");
+                let Some(new_node) = self.book.recruit() else {
+                    self.spilled_actors.insert(full_actor);
+                    self.trace_at(ctx, full_actor, TraceKind::PoolExhausted);
+                    ctx.send(full_actor, Msg::NoMoreNodes);
+                    return;
+                };
+                let new_actor = self.topo.node_actor(new_node);
+                self.expansions += 1;
+                self.record(ctx, TimelineKind::Recruited(new_node.0));
+                self.trace(ctx, TraceKind::Recruited { node: new_node.0 });
+                let (step, old_owner, pointer) = {
+                    let RoutingTable::Buckets(m) = self.routing.inner_mut() else {
+                        unreachable!("linear-pointer split uses bucket routing");
                     };
-                    // Only a node that owns a range is sent tuples to park,
-                    // and a bisect leaves the owner its lower half: a
-                    // reporter with no range has nothing waiting on a reply.
-                    let Some(range) = m.range_of_owner(full_actor) else {
-                        return;
-                    };
-                    let Some(new_node) = self.book.recruit() else {
-                        self.spilled_actors.insert(full_actor);
-                        self.trace_at(ctx, full_actor, TraceKind::PoolExhausted);
-                        ctx.send(full_actor, Msg::NoMoreNodes);
-                        return;
-                    };
-                    let new_actor = self.topo.node_actor(new_node);
-                    self.record(ctx, TimelineKind::Recruited(new_node.0));
-                    self.trace(ctx, TraceKind::Recruited { node: new_node.0 });
-                    ctx.send(
-                        new_actor,
-                        Msg::Activate {
-                            routing: self.routing.clone(),
-                            version: self.version,
-                        },
-                    );
-                    ctx.send(
-                        full_actor,
-                        Msg::RangeSplitRequest {
-                            new_node: new_actor,
-                            range,
-                        },
-                    );
-                    self.rb_op = Some(RangeBisectOp {
-                        started: ctx.now(),
-                        full_actor,
-                        new_actor,
-                    });
-                }
-            },
+                    let (step, old_owner) = m.split(new_actor);
+                    (step, old_owner, m.split_ptr())
+                };
+                self.trace(
+                    ctx,
+                    TraceKind::SplitIssued {
+                        bucket: step.old,
+                        from: old_owner,
+                        to: new_actor,
+                    },
+                );
+                self.trace(ctx, TraceKind::SplitPointerAdvance { pointer });
+                ctx.send(
+                    new_actor,
+                    Msg::Activate {
+                        routing: self.routing.clone(),
+                        version: self.version + 1,
+                    },
+                );
+                self.broadcast_routing(ctx);
+                ctx.send(
+                    old_owner,
+                    Msg::SplitRequest {
+                        step,
+                        new_node: new_actor,
+                    },
+                );
+                self.lp_inflight.insert(step.old, ctx.now());
+            }
             Algorithm::OutOfCore => unreachable!("handled in handle_memory_full"),
         }
     }
@@ -654,53 +595,6 @@ impl Scheduler {
         self.try_settle(ctx);
     }
 
-    fn handle_range_split_done(
-        &mut self,
-        ctx: &mut dyn Context<Msg>,
-        cut: u32,
-        moved: u64,
-        ok: bool,
-    ) {
-        let Some(RangeBisectOp {
-            started,
-            full_actor,
-            new_actor,
-        }) = self.rb_op
-        else {
-            return;
-        };
-        self.split_time += ctx.now().saturating_sub(started);
-        self.rb_op = None;
-        self.trace(ctx, TraceKind::RangeSplit { cut, moved, ok });
-        if ok {
-            self.record(ctx, TimelineKind::RangeSplit(cut));
-            self.expansions += 1;
-            let RoutingTable::Disjoint(m) = self.routing.inner_mut() else {
-                unreachable!();
-            };
-            let range = m
-                .range_of_owner(full_actor)
-                .expect("owner still holds its range");
-            m.replace_range(
-                range,
-                vec![
-                    (HashRange::new(range.start, cut), full_actor),
-                    (HashRange::new(cut, range.end), new_actor),
-                ],
-            );
-            self.broadcast_routing(ctx);
-        } else {
-            if let Some(node) = self.topo.node_of_actor(new_actor) {
-                self.book.return_to_potential(node);
-            }
-            self.spilled_actors.insert(full_actor);
-            self.trace_at(ctx, full_actor, TraceKind::PoolExhausted);
-            ctx.send(full_actor, Msg::NoMoreNodes);
-        }
-        self.process_overflows(ctx);
-        self.try_settle(ctx);
-    }
-
     // ---- phase barriers ----
 
     fn barrier_preconditions_met(&self) -> bool {
@@ -718,7 +612,6 @@ impl Scheduler {
         (self.sources_done >= sources_needed)
             && self.overflow_queue.is_empty()
             && self.lp_inflight.is_empty()
-            && self.rb_op.is_none()
             && reshuffle_ready
             && handoff_ready
     }
@@ -1138,13 +1031,6 @@ impl Actor<Msg> for Scheduler {
             Msg::SplitDone { step, moved_tuples } => {
                 self.handle_split_done(ctx, step.old, moved_tuples);
             }
-            Msg::RangeSplitDone {
-                cut,
-                moved_tuples,
-                ok,
-            } => {
-                self.handle_range_split_done(ctx, cut, moved_tuples, ok);
-            }
             Msg::SourcePhaseDone {
                 sent_chunks, comm, ..
             } => {
@@ -1261,29 +1147,16 @@ mod tests {
 
     #[test]
     fn routing_shape_matches_algorithm() {
-        for (alg, policy) in [
-            (Algorithm::Replicated, SplitPolicy::LinearPointer),
-            (Algorithm::Hybrid, SplitPolicy::LinearPointer),
-            (Algorithm::Split, SplitPolicy::LinearPointer),
-            (Algorithm::Split, SplitPolicy::RangeBisect),
-            (Algorithm::OutOfCore, SplitPolicy::LinearPointer),
-        ] {
-            let mut cfg = JoinConfig::paper_scaled(alg, 1000);
-            cfg.cluster = ClusterSpec::homogeneous(NODES, 1 << 20);
-            cfg.initial_nodes = 2;
-            cfg.sources = SOURCES;
-            cfg.split_policy = policy;
-            let topo = Topology::standard(SOURCES, NODES);
-            let slot = Arc::new(Mutex::new(None));
-            let sched = Scheduler::new(Arc::new(cfg), topo, slot);
-            match (alg, policy) {
-                (Algorithm::Replicated | Algorithm::Hybrid, _) => {
+        for alg in Algorithm::ALL {
+            let (sched, _, _) = setup(alg, 2);
+            match alg {
+                Algorithm::Replicated | Algorithm::Hybrid => {
                     assert!(matches!(sched.routing, RoutingTable::Replica(_)));
                 }
-                (Algorithm::Split, SplitPolicy::LinearPointer) => {
-                    assert!(matches!(sched.routing, RoutingTable::Buckets(_)));
+                Algorithm::Split => assert!(matches!(sched.routing, RoutingTable::Buckets(_))),
+                Algorithm::OutOfCore => {
+                    assert!(matches!(sched.routing, RoutingTable::Disjoint(_)));
                 }
-                _ => assert!(matches!(sched.routing, RoutingTable::Disjoint(_))),
             }
         }
     }
@@ -1631,41 +1504,6 @@ mod tests {
         assert_eq!(report.load, vec![50, 50]);
     }
 
-    #[test]
-    fn range_split_failure_returns_the_spare_node() {
-        let (mut sched, mut ctx, _) = setup(Algorithm::Split, 2);
-        sched.cfg = {
-            let mut cfg = (*sched.cfg).clone();
-            cfg.split_policy = SplitPolicy::RangeBisect;
-            Arc::new(cfg)
-        };
-        // Rebuild routing for the policy (normally done in new()).
-        sched.routing =
-            RoutingTable::Disjoint(RangeMap::partitioned(sched.cfg.positions, &[N0, N1]));
-        sched.on_start(&mut ctx);
-        ctx.sent.clear();
-        let potential_before = sched.book.potential().len();
-        sched.on_message(&mut ctx, N0, Msg::MemoryFull { pending: 1 });
-        assert!(sched.rb_op.is_some());
-        sched.on_message(
-            &mut ctx,
-            N0,
-            Msg::RangeSplitDone {
-                cut: 0,
-                moved_tuples: 0,
-                ok: false,
-            },
-        );
-        assert!(sched.rb_op.is_none());
-        assert_eq!(
-            sched.book.potential().len(),
-            potential_before,
-            "the unused spare goes back to the pool"
-        );
-        assert!(matches!(ctx.sent_to(N0).last(), Some(Msg::NoMoreNodes)));
-        assert_eq!(sched.expansions, 0);
-    }
-
     // ---- hot-key routing (DESIGN §4i) ----
 
     fn hot_setup(algorithm: Algorithm, initial: usize) -> (Scheduler, ScriptCtx) {
@@ -1944,24 +1782,6 @@ mod robustness_tests {
         }
         assert!(sched.wave_version.is_none(), "settled");
         assert_eq!(sched.phase, SchedPhase::Probe);
-    }
-
-    #[test]
-    fn unexpected_range_split_done_is_ignored() {
-        let (mut sched, mut ctx) = setup(Algorithm::Split);
-        // No range-bisect op in flight: a spurious done must not panic or
-        // mutate routing.
-        let before = sched.routing.clone();
-        sched.on_message(
-            &mut ctx,
-            2,
-            Msg::RangeSplitDone {
-                cut: 5,
-                moved_tuples: 1,
-                ok: true,
-            },
-        );
-        assert_eq!(sched.routing, before);
     }
 
     #[test]

@@ -1113,14 +1113,12 @@ mod tests {
             // index; the cut, like the thirds, falls inside a cell.
             let (third, cut) = (positions / 3, positions / 10 + 1);
             let before = RangeMap::partitioned(positions, &[NODE_A, NODE_B, NODE_C]);
-            let mut after = before.clone();
-            after.replace_range(
-                HashRange::new(0, third),
-                vec![
-                    (HashRange::new(0, cut), NODE_A),
-                    (HashRange::new(cut, third), NODE_D),
-                ],
-            );
+            let mut entries = vec![
+                (HashRange::new(0, cut), NODE_A),
+                (HashRange::new(cut, third), NODE_D),
+            ];
+            entries.extend_from_slice(&before.entries()[1..]);
+            let after = RangeMap::from_entries(entries);
             let src = assert_matches_reference(
                 positions,
                 Phase::Build,

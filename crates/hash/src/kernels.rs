@@ -54,7 +54,7 @@ impl ProbeKernel {
     /// Both kernels, reference first (differential test matrix).
     pub const ALL: [Self; 2] = [Self::Scalar, Self::Batched];
 
-    /// Stable lowercase name (CLI flag values, bench labels, JSON keys).
+    /// Stable lowercase name (differential-test labels).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -62,30 +62,11 @@ impl ProbeKernel {
             Self::Batched => "batched",
         }
     }
-
-    /// Parses a [`Self::label`] back into a kernel.
-    ///
-    /// # Errors
-    /// Returns the unrecognized input.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .into_iter()
-            .find(|k| k.label() == s)
-            .ok_or_else(|| format!("unknown probe kernel {s:?} (expected scalar|batched)"))
-    }
 }
 
 impl std::fmt::Display for ProbeKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for ProbeKernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s)
     }
 }
 
@@ -119,10 +100,9 @@ mod tests {
     #[test]
     fn kernel_labels_round_trip() {
         for k in ProbeKernel::ALL {
-            assert_eq!(ProbeKernel::parse(k.label()), Ok(k));
             assert_eq!(k.to_string(), k.label());
         }
-        assert!(ProbeKernel::parse("swar").is_err());
+        assert_ne!(ProbeKernel::Scalar.label(), ProbeKernel::Batched.label());
     }
 
     #[test]

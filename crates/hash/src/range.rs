@@ -2,10 +2,10 @@
 //!
 //! The replication-based and hybrid algorithms partition the global hash
 //! table's position space into contiguous ranges, one per join node (§4.2.2,
-//! Figure 1). [`RangeMap`] is the disjoint form (build routing for the
-//! initial configuration, probe routing after the hybrid reshuffle);
-//! [`ReplicaMap`] extends it with per-range replica lists for the
-//! replication-based build and probe phases.
+//! Figure 1). [`RangeMap`] is the disjoint form (the out-of-core
+//! baseline's routing, fixed for the whole run); [`ReplicaMap`] extends it
+//! with per-range replica lists for the replication-based build and probe
+//! phases and the hybrid's post-reshuffle probe.
 
 /// A half-open range of hash-table positions `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,15 +153,6 @@ impl<T: Copy + Eq> RangeMap<T> {
         }
     }
 
-    /// Range currently owned by `owner` (first match), if any.
-    #[must_use]
-    pub fn range_of_owner(&self, owner: T) -> Option<HashRange> {
-        self.entries
-            .iter()
-            .find(|(_, o)| *o == owner)
-            .map(|(r, _)| *r)
-    }
-
     /// Distinct owners in position order.
     #[must_use]
     pub fn owners(&self) -> Vec<T> {
@@ -172,39 +163,6 @@ impl<T: Copy + Eq> RangeMap<T> {
             }
         }
         out
-    }
-
-    /// Replaces the owners of the entries covering `range` with sub-entries;
-    /// used by the hybrid reshuffle to install a new partitioning for one
-    /// replica set's range.
-    ///
-    /// # Panics
-    /// Panics if `range` does not exactly cover whole existing entries or
-    /// `sub` does not exactly cover `range`.
-    pub fn replace_range(&mut self, range: HashRange, sub: Vec<(HashRange, T)>) {
-        assert!(!sub.is_empty(), "replacement must be non-empty");
-        assert_eq!(sub.first().map(|(r, _)| r.start), Some(range.start));
-        assert_eq!(sub.last().map(|(r, _)| r.end), Some(range.end));
-        let mut expect = range.start;
-        for (r, _) in &sub {
-            assert_eq!(r.start, expect, "replacement ranges must be contiguous");
-            expect = r.end;
-        }
-        let begin = self
-            .entries
-            .iter()
-            .position(|(r, _)| r.start == range.start)
-            .expect("range start must align with an entry");
-        let mut end = begin;
-        while end < self.entries.len() && self.entries[end].0.end <= range.end {
-            end += 1;
-        }
-        assert_eq!(
-            self.entries[end - 1].0.end,
-            range.end,
-            "range end must align with an entry"
-        );
-        self.entries.splice(begin..end, sub);
     }
 }
 
@@ -400,13 +358,11 @@ mod tests {
         assert_eq!(m.owner_of(25), 2);
         assert_eq!(m.owner_of(99), 4);
         assert_eq!(m.owners(), vec![1, 2, 3, 4]);
-        assert_eq!(m.range_of_owner(3), Some(HashRange::new(50, 75)));
-        assert_eq!(m.range_of_owner(9), None);
     }
 
     #[test]
     fn index_of_addresses_the_covering_entry() {
-        let mut m = RangeMap::partitioned(100, &[1u32, 2, 3, 4]);
+        let m = RangeMap::partitioned(100, &[1u32, 2, 3, 4]);
         let mut r = ReplicaMap::partitioned(100, &[1u32, 2, 3, 4]);
         let _ = r.replicate(2, 9);
         for (pos, index) in [(0, 0), (24, 0), (25, 1), (74, 2), (75, 3), (99, 3)] {
@@ -414,13 +370,16 @@ mod tests {
             assert_eq!(r.index_of(pos), index);
         }
         assert_eq!(r.entries()[r.index_of(30)].owners, vec![2, 9]);
-        // Replacing a range renumbers every later entry.
-        m.replace_range(
-            HashRange::new(25, 50),
-            vec![(HashRange::new(25, 40), 2), (HashRange::new(40, 50), 5)],
-        );
-        assert_eq!(m.index_of(99), 4);
-        assert_eq!(m.entries()[m.index_of(45)].1, 5);
+        // One more entry below a position renumbers it.
+        let cut = RangeMap::from_entries(vec![
+            (HashRange::new(0, 25), 1u32),
+            (HashRange::new(25, 40), 2),
+            (HashRange::new(40, 50), 5),
+            (HashRange::new(50, 75), 3),
+            (HashRange::new(75, 100), 4),
+        ]);
+        assert_eq!(cut.index_of(99), 4);
+        assert_eq!(cut.entries()[cut.index_of(45)].1, 5);
     }
 
     #[test]
@@ -428,21 +387,6 @@ mod tests {
     fn range_map_out_of_space_panics() {
         let m = RangeMap::partitioned(100, &[1u32]);
         let _ = m.owner_of(100);
-    }
-
-    #[test]
-    fn replace_range_installs_reshuffled_partitioning() {
-        let mut m = RangeMap::partitioned(100, &[1u32, 2]);
-        // Reshuffle node 2's range [50,100) between nodes 2 and 5.
-        m.replace_range(
-            HashRange::new(50, 100),
-            vec![(HashRange::new(50, 80), 2), (HashRange::new(80, 100), 5)],
-        );
-        assert_eq!(m.owner_of(49), 1);
-        assert_eq!(m.owner_of(79), 2);
-        assert_eq!(m.owner_of(80), 5);
-        assert_eq!(m.owner_of(99), 5);
-        assert_eq!(m.entries().len(), 3);
     }
 
     #[test]

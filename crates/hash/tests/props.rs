@@ -8,7 +8,7 @@
 use ehj_data::{Schema, Tuple, Xoshiro256StarStar};
 use ehj_hash::{
     greedy_equal_partition, part_loads, AttrHasher, BucketMap, ChainedTable, HashRange,
-    JoinHashTable, PositionSpace, ProbeKernel, ProbeScratch, RangeMap, ReplicaMap,
+    JoinHashTable, PositionSpace, ProbeKernel, ProbeScratch, ReplicaMap,
 };
 
 #[test]
@@ -260,7 +260,7 @@ fn flat_table_equals_chained_reference() {
                         chained.position_histogram(a, b)
                     );
                 }
-                // Extract a random subrange (reshuffle / range split).
+                // Extract a random subrange (reshuffle).
                 90..=94 => {
                     let a = g.next_below(positions as u64) as u32;
                     let b = a + g.next_below((positions - a) as u64 + 1) as u32;
@@ -732,35 +732,6 @@ fn filters_track_histogram_across_mutations() {
                     "resident attr's fingerprint must be present (no false negatives)"
                 );
             }
-        }
-    }
-}
-
-/// RangeMap::replace_range preserves the disjoint cover.
-#[test]
-fn replace_range_preserves_cover() {
-    let mut g = Xoshiro256StarStar::new(0x7777);
-    for _ in 0..128 {
-        let positions = 16 + g.next_below(1024 - 16) as u32;
-        let owners = 2 + g.next_below(4) as usize;
-        let cut_frac = 0.01 + g.next_f64() * 0.98;
-
-        let ids: Vec<u32> = (0..owners as u32).collect();
-        let mut m = RangeMap::partitioned(positions, &ids);
-        let victim = m.range_of_owner(1).expect("owner 1 exists");
-        if victim.len() >= 2 {
-            let cut =
-                victim.start + ((victim.len() as f64 * cut_frac) as u32).clamp(1, victim.len() - 1);
-            m.replace_range(
-                victim,
-                vec![
-                    (HashRange::new(victim.start, cut), 1),
-                    (HashRange::new(cut, victim.end), 99),
-                ],
-            );
-        }
-        for pos in 0..positions {
-            let _ = m.owner_of(pos); // must never panic: cover is intact
         }
     }
 }

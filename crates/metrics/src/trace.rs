@@ -213,15 +213,6 @@ pub enum TraceKind {
         /// Tuples that moved to the new bucket.
         moved: u64,
     },
-    /// A range-bisect split completed (ablation policy).
-    RangeSplit {
-        /// Cut position (range start when `ok` is false).
-        cut: u32,
-        /// Tuples that moved.
-        moved: u64,
-        /// Whether a usable cut existed.
-        ok: bool,
-    },
     /// A full node stopped receiving build data (hand-off, §4.1.2).
     NodeFull,
     /// No potential nodes remained; the reporter falls back to spilling.
@@ -361,7 +352,6 @@ impl TraceKind {
             Self::SplitIssued { .. } => "split_issued",
             Self::SplitPointerAdvance { .. } => "split_pointer_advance",
             Self::SplitDone { .. } => "split_done",
-            Self::RangeSplit { .. } => "range_split",
             Self::NodeFull => "node_full",
             Self::PoolExhausted => "pool_exhausted",
             Self::Spill { .. } => "spill",
@@ -397,13 +387,6 @@ impl TraceKind {
             }
             Self::SplitDone { bucket, moved } => {
                 format!("bucket {bucket} split done ({moved} tuples moved)")
-            }
-            Self::RangeSplit { cut, moved, ok } => {
-                if *ok {
-                    format!("range split at {cut} ({moved} tuples moved)")
-                } else {
-                    format!("range split failed at {cut} (unsplittable)")
-                }
             }
             Self::NodeFull => "node marked full (stops receiving)".to_owned(),
             Self::PoolExhausted => "no potential nodes left".to_owned(),
@@ -503,9 +486,6 @@ impl TraceEvent {
             }
             TraceKind::SplitDone { bucket, moved } => {
                 let _ = write!(out, ",\"bucket\":{bucket},\"moved\":{moved}");
-            }
-            TraceKind::RangeSplit { cut, moved, ok } => {
-                let _ = write!(out, ",\"cut\":{cut},\"moved\":{moved},\"ok\":{ok}");
             }
             TraceKind::NodeFull | TraceKind::PoolExhausted | TraceKind::PhaseDone => {}
             TraceKind::Spill { bytes, fragments } => {
@@ -614,14 +594,6 @@ impl TraceEvent {
                 bucket: num32("bucket")?,
                 moved: num("moved")?,
             },
-            "range_split" => TraceKind::RangeSplit {
-                cut: num32("cut")?,
-                moved: num("moved")?,
-                ok: match fields.get("ok")? {
-                    JsonVal::Bool(b) => *b,
-                    _ => return None,
-                },
-            },
             "node_full" => TraceKind::NodeFull,
             "pool_exhausted" => TraceKind::PoolExhausted,
             "spill" => TraceKind::Spill {
@@ -687,12 +659,11 @@ impl TraceEvent {
 
 enum JsonVal {
     Num(u64),
-    Bool(bool),
     Str(String),
 }
 
 /// Minimal parser for the flat JSON objects this module emits: string keys,
-/// and unsigned-integer / boolean / escape-free string values.
+/// and unsigned-integer / escape-free string values.
 fn parse_flat_json(line: &str) -> Option<BTreeMap<String, JsonVal>> {
     let mut out = BTreeMap::new();
     let mut chars = line.trim().char_indices().peekable();
@@ -747,18 +718,6 @@ fn parse_flat_json(line: &str) -> Option<BTreeMap<String, JsonVal>> {
                     }
                 }
                 JsonVal::Str(s.get(start..end)?.to_owned())
-            }
-            (_, 't' | 'f') => {
-                let start = chars.peek()?.0;
-                while matches!(chars.peek(), Some((_, c)) if c.is_ascii_alphabetic()) {
-                    chars.next();
-                }
-                let end = chars.peek().map_or(s.len(), |&(i, _)| i);
-                match s.get(start..end)? {
-                    "true" => JsonVal::Bool(true),
-                    "false" => JsonVal::Bool(false),
-                    _ => return None,
-                }
             }
             (_, c) if c.is_ascii_digit() => {
                 let start = chars.peek()?.0;
@@ -1074,8 +1033,7 @@ pub const fn lane_marker(kind: &TraceKind) -> char {
         TraceKind::Recruited { .. } | TraceKind::Replicated { .. } => 'R',
         TraceKind::SplitIssued { .. }
         | TraceKind::SplitPointerAdvance { .. }
-        | TraceKind::SplitDone { .. }
-        | TraceKind::RangeSplit { .. } => 'S',
+        | TraceKind::SplitDone { .. } => 'S',
         TraceKind::NodeFull => 'F',
         TraceKind::PoolExhausted => 'X',
         TraceKind::Spill { .. } => 'v',
@@ -1175,16 +1133,6 @@ mod tests {
             TraceKind::SplitDone {
                 bucket: 3,
                 moved: 1234,
-            },
-            TraceKind::RangeSplit {
-                cut: 100,
-                moved: 55,
-                ok: true,
-            },
-            TraceKind::RangeSplit {
-                cut: 7,
-                moved: 0,
-                ok: false,
             },
             TraceKind::NodeFull,
             TraceKind::PoolExhausted,
