@@ -257,7 +257,7 @@ pub fn figures_2_to_5(scale: u64) -> Vec<Figure> {
     );
     for (init, reports) in &sweep {
         let split_t = reports[1].split_time_secs; // Split algorithm run
-        let resh_t = reports[2].reshuffle_time_secs; // Hybrid algorithm run
+        let resh_t = reports[2].times.reshuffle_secs; // Hybrid algorithm run
         t5.row(vec![init.to_string(), fmt_secs(split_t), fmt_secs(resh_t)]);
     }
     let fig5 = Figure {
@@ -269,11 +269,11 @@ pub fn figures_2_to_5(scale: u64) -> Vec<Figure> {
                 "split overhead exceeds reshuffle overhead when the initial estimate is poor",
                 [1usize, 2, 4]
                     .iter()
-                    .all(|&i| at(i, Split).split_time_secs > at(i, Hybrid).reshuffle_time_secs),
+                    .all(|&i| at(i, Split).split_time_secs > at(i, Hybrid).times.reshuffle_secs),
             ),
             ShapeCheck::new(
                 "no overhead at 16 initial nodes (table fits in aggregate memory)",
-                at(16, Split).split_time_secs == 0.0 && at(16, Hybrid).reshuffle_time_secs == 0.0,
+                at(16, Split).split_time_secs == 0.0 && at(16, Hybrid).times.reshuffle_secs == 0.0,
             ),
         ],
     };

@@ -258,7 +258,18 @@ fn sweep(args: &Args, axis: &str) -> Result<String, String> {
         other => return Err(format!("unknown sweep axis '{other}'")),
     }
     match args.format {
-        Format::Json => Ok(render_list(Format::Json, "", &reports)),
+        Format::Json => {
+            // Each object leads with its sweep point: the `case` label the
+            // text and CSV tables show.
+            let objects: Vec<String> = labels
+                .iter()
+                .zip(&reports)
+                .map(|(label, r)| {
+                    format!("{{\"case\":\"{label}\",{}", &output::render_json(r)[1..])
+                })
+                .collect();
+            Ok(format!("[{}]", objects.join(",")))
+        }
         _ => {
             let mut t = ehj_metrics::TextTable::new(
                 format!(
@@ -419,6 +430,21 @@ mod tests {
         assert_eq!(out.lines().count(), 4); // header + 3 cases
         assert!(out.contains("uniform"));
         assert!(out.contains("sigma=0.0001"));
+    }
+
+    #[test]
+    fn sweep_json_names_each_case() {
+        let a = parse("sweep skew --scale 2000 --format json");
+        let out = execute(&a).expect("runs");
+        let cases: Vec<&str> = out
+            .split("{\"case\":\"")
+            .skip(1)
+            .map(|rest| &rest[..rest.find('"').expect("closing quote")])
+            .collect();
+        assert_eq!(cases, ["uniform", "sigma=0.001", "sigma=0.0001"], "{out}");
+        // `run` and `compare` objects carry no case.
+        let run = execute(&parse("run --scale 2000 --format json")).expect("runs");
+        assert!(!run.contains("\"case\""));
     }
 
     #[test]

@@ -91,7 +91,13 @@ pub fn render_text(r: &JoinReport) -> String {
     if !r.timeline.is_empty() {
         let _ = writeln!(out, "timeline             :");
         for ev in &r.timeline {
-            let _ = writeln!(out, "  {:>10.4}s  {}", ev.at_secs, ev.kind.describe());
+            let _ = writeln!(
+                out,
+                "  {:>10.4}s  {:<9} {}",
+                ev.at_nanos as f64 / 1e9,
+                ev.phase.name(),
+                ev.kind.describe()
+            );
         }
     }
     if !r.trace.is_empty() {
@@ -188,8 +194,9 @@ pub fn render_json(r: &JoinReport) -> String {
         .iter()
         .map(|ev| {
             format!(
-                "{{\"at_secs\":{:.6},\"event\":\"{}\"}}",
-                ev.at_secs,
+                "{{\"at_secs\":{:.6},\"phase\":\"{}\",\"event\":\"{}\"}}",
+                ev.at_nanos as f64 / 1e9,
+                ev.phase.name(),
                 json_escape(&ev.kind.describe())
             )
         })

@@ -923,7 +923,7 @@ mod tests {
     use super::*;
     use crate::config::JoinConfig;
     use crate::testutil::ScriptCtx;
-    use ehj_hash::RangeMap;
+    use ehj_hash::ReplicaMap;
     use ehj_storage::MemBackend;
 
     const SCHED: ActorId = 0;
@@ -947,7 +947,7 @@ mod tests {
 
     /// Routing: positions [0,500) → ME, [500,1000) → OTHER.
     fn two_node_routing() -> RoutingTable {
-        RoutingTable::Disjoint(RangeMap::partitioned(1000, &[ME, OTHER]))
+        RoutingTable::Replica(ReplicaMap::partitioned(1000, &[ME, OTHER]))
     }
 
     fn activated_node(algorithm: Algorithm, cap_tuples: u64) -> (JoinNode<MemBackend>, ScriptCtx) {
@@ -1224,7 +1224,7 @@ mod tests {
         node.on_message(&mut ctx, 1, build_data(tuples));
         ctx.sent.clear();
         // New routing: our whole old range now actively owned by node 12.
-        let routing = RoutingTable::Disjoint(RangeMap::partitioned(1000, &[12, OTHER]));
+        let routing = RoutingTable::Replica(ReplicaMap::partitioned(1000, &[12, OTHER]));
         node.on_message(
             &mut ctx,
             SCHED,
@@ -1665,7 +1665,7 @@ mod tests {
         assert_eq!(flush_acks(&ctx), [(7, [2, 1, 1])]);
         // Relief: the drain forwards the parked tuple, and says so.
         ctx.sent.clear();
-        let routing = RoutingTable::Disjoint(RangeMap::partitioned(1000, &[12, OTHER]));
+        let routing = RoutingTable::Replica(ReplicaMap::partitioned(1000, &[12, OTHER]));
         node.on_message(
             &mut ctx,
             SCHED,
@@ -1781,7 +1781,7 @@ mod tests {
         ));
         // Two entries with the same owner: still one entry test, failed.
         let two_of_mine = |node: &mut JoinNode<MemBackend>, ctx: &mut ScriptCtx| {
-            let routing = RoutingTable::Disjoint(RangeMap::partitioned(1000, &[ME, ME, OTHER]));
+            let routing = RoutingTable::Replica(ReplicaMap::partitioned(1000, &[ME, ME, OTHER]));
             node.on_message(
                 ctx,
                 SCHED,

@@ -276,7 +276,7 @@ impl Message for Msg {
 mod tests {
     use super::*;
     use ehj_data::Tuple;
-    use ehj_hash::RangeMap;
+    use ehj_hash::ReplicaMap;
 
     #[test]
     fn data_wire_bytes_include_payload() {
@@ -299,11 +299,11 @@ mod tests {
     #[test]
     fn routing_messages_scale_with_table() {
         let small = Msg::RoutingUpdate {
-            routing: RoutingTable::Disjoint(RangeMap::partitioned(100, &[1, 2])),
+            routing: RoutingTable::Replica(ReplicaMap::partitioned(100, &[1, 2])),
             version: 1,
         };
         let large = Msg::RoutingUpdate {
-            routing: RoutingTable::Disjoint(RangeMap::partitioned(100, &[1, 2, 3, 4, 5, 6, 7, 8])),
+            routing: RoutingTable::Replica(ReplicaMap::partitioned(100, &[1, 2, 3, 4, 5, 6, 7, 8])),
             version: 1,
         };
         assert!(large.wire_bytes() > small.wire_bytes());

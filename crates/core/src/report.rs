@@ -1,51 +1,7 @@
 //! The result of one join run.
 
 use crate::config::Algorithm;
-use ehj_metrics::{CommCounters, LoadStats, MetricsReport, PhaseTimes, TraceRollup};
-
-/// One noteworthy event during a run, stamped with simulated time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelineEvent {
-    /// Simulated seconds since the run started.
-    pub at_secs: f64,
-    /// What happened.
-    pub kind: TimelineKind,
-}
-
-/// Event kinds recorded on the scheduler's timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimelineKind {
-    /// A new join node was recruited (its cluster node id).
-    Recruited(u32),
-    /// A linear-pointer bucket split completed (the old bucket id).
-    SplitDone(u32),
-    /// A node went out of core (its cluster node id).
-    Spilled(u32),
-    /// The build phase completed.
-    BuildDone,
-    /// The reshuffle step completed.
-    ReshuffleDone,
-    /// The probe phase completed (final reports collected).
-    ProbeDone,
-    /// The hot-key overlay was installed (number of hot positions).
-    HotKeysInstalled(u32),
-}
-
-impl TimelineKind {
-    /// Short human-readable form for log-style rendering.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        match self {
-            Self::Recruited(n) => format!("recruited node n{n}"),
-            Self::SplitDone(b) => format!("split bucket {b}"),
-            Self::Spilled(n) => format!("node n{n} went out of core"),
-            Self::BuildDone => "build phase complete".to_owned(),
-            Self::ReshuffleDone => "reshuffle complete".to_owned(),
-            Self::ProbeDone => "probe phase complete".to_owned(),
-            Self::HotKeysInstalled(k) => format!("hot-key overlay installed ({k} positions)"),
-        }
-    }
-}
+use ehj_metrics::{CommCounters, LoadStats, MetricsReport, PhaseTimes, TraceEvent, TraceRollup};
 
 /// Everything the paper's figures plot, for one run of one algorithm.
 #[derive(Debug, Clone)]
@@ -57,9 +13,6 @@ pub struct JoinReport {
     /// Cumulative time spent inside split operations (Figure 5's
     /// "split time"; zero for non-split algorithms).
     pub split_time_secs: f64,
-    /// Reshuffle-step duration (Figure 5's "reshuffle time"; equals
-    /// `times.reshuffle_secs`).
-    pub reshuffle_time_secs: f64,
     /// Aggregated communication counters (Figures 4 and 11 use the extra
     /// build-phase chunks).
     pub comm: CommCounters,
@@ -89,9 +42,10 @@ pub struct JoinReport {
     pub net_bytes: u64,
     /// Bytes moved through simulated disks.
     pub disk_bytes: u64,
-    /// Chronological record of expansions, splits, spills and phase
-    /// transitions, as observed by the scheduler.
-    pub timeline: Vec<TimelineEvent>,
+    /// The scheduler's milestone trace events in order (recruits, finished
+    /// splits, phase ends, the hot-key install), recorded whatever the
+    /// trace level.
+    pub timeline: Vec<TraceEvent>,
     /// Per-phase / per-node / per-kind structured trace event counts
     /// (empty when tracing is off).
     pub trace: TraceRollup,

@@ -3,25 +3,25 @@
 //! A routing table answers two questions for a join-attribute value:
 //! *where do build tuples go* (always exactly one node) and *where do probe
 //! tuples go* (one node, except for replicated ranges, which broadcast to
-//! every replica — §4.2.2). The three algorithm families use three shapes:
+//! every replica — §4.2.2). The algorithm families use two shapes:
 //!
-//! * [`RoutingTable::Disjoint`] — contiguous position ranges, one owner
-//!   each: the out-of-core baseline;
-//! * [`RoutingTable::Replica`] — ranges with replica lists: the
-//!   replication-based and hybrid build phases, the replication-based
-//!   probe phase and the hybrid's post-reshuffle probe routing;
+//! * [`RoutingTable::Replica`] — contiguous position ranges with replica
+//!   lists: the replication-based and hybrid build phases, the
+//!   replication-based probe phase, the hybrid's post-reshuffle probe
+//!   routing and the out-of-core baseline (one owner per range, fixed for
+//!   the whole run);
 //! * [`RoutingTable::Buckets`] — linear-hashing buckets: the split-based
 //!   algorithm (the `(i, split pointer)` pair the scheduler broadcasts,
 //!   §4.2.1).
 //!
-//! A fourth shape, [`RoutingTable::HotKeys`], is an *overlay* wrapped
-//! around any of the three: a short sorted list of hot positions whose
+//! A third shape, [`RoutingTable::HotKeys`], is an *overlay* wrapped
+//! around either: a short sorted list of hot positions whose
 //! build tuples are round-robined across (and later replicated to) a
 //! replica set, with probes for those positions round-robined too. Cold
 //! positions fall through to the wrapped inner table (DESIGN §4i).
 
 use ehj_data::JoinAttr;
-use ehj_hash::{BucketMap, HashRange, PositionSpace, RangeMap, ReplicaMap};
+use ehj_hash::{BucketMap, HashRange, PositionSpace, ReplicaMap};
 use ehj_sim::ActorId;
 
 /// The hot-position overlay installed by the scheduler when source-side
@@ -83,13 +83,11 @@ impl HotKeyOverlay {
 /// One routing table, versioned by the scheduler.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RoutingTable {
-    /// Disjoint contiguous position ranges.
-    Disjoint(RangeMap<ActorId>),
-    /// Ranges with replica lists.
+    /// Contiguous position ranges with replica lists.
     Replica(ReplicaMap<ActorId>),
     /// Linear-hashing bucket map.
     Buckets(BucketMap<ActorId>),
-    /// Hot-position overlay over one of the three base shapes.
+    /// Hot-position overlay over one of the two base shapes.
     HotKeys {
         /// The replicated hot positions and their destinations.
         overlay: HotKeyOverlay,
@@ -111,7 +109,6 @@ impl RoutingTable {
     #[must_use]
     pub fn build_dest_pos(&self, pos: u32) -> ActorId {
         match self {
-            Self::Disjoint(m) => m.owner_of(pos),
             Self::Replica(m) => m.active_of(pos),
             // Linear hashing subdivides the position space ("disjoint
             // subranges of hash values", §4), so it addresses positions.
@@ -138,13 +135,8 @@ impl RoutingTable {
     pub fn probe_dests_pos(&self, pos: u32, out: &mut Vec<ActorId>) {
         out.clear();
         match self {
-            Self::Disjoint(m) => out.push(m.owner_of(pos)),
-            Self::Replica(m) => {
-                out.extend_from_slice(m.owners_of(pos));
-            }
-            Self::Buckets(m) => {
-                out.push(m.route(pos as u64));
-            }
+            Self::Replica(m) => out.extend_from_slice(m.owners_of(pos)),
+            Self::Buckets(m) => out.push(m.route(pos as u64)),
             Self::HotKeys { overlay, inner } => {
                 if overlay.is_hot(pos) {
                     overlay.push_probe_dests(pos as u64, out);
@@ -164,7 +156,6 @@ impl RoutingTable {
     #[must_use]
     pub fn entry_index(&self, pos: u32) -> usize {
         match self {
-            Self::Disjoint(m) => m.index_of(pos),
             Self::Replica(m) => m.index_of(pos),
             Self::Buckets(m) => m.bucket_of(pos as u64) as usize,
             Self::HotKeys { inner, .. } => inner.entry_index(pos),
@@ -177,11 +168,6 @@ impl RoutingTable {
     /// something per range pays once per entry, not once per position.
     pub fn for_each_entry(&self, mut f: impl FnMut(HashRange, usize)) {
         match self {
-            Self::Disjoint(m) => {
-                for (i, &(range, _)) in m.entries().iter().enumerate() {
-                    f(range, i);
-                }
-            }
             Self::Replica(m) => {
                 for (i, e) in m.entries().iter().enumerate() {
                     f(e.range, i);
@@ -235,7 +221,6 @@ impl RoutingTable {
     #[must_use]
     pub fn all_nodes(&self) -> Vec<ActorId> {
         match self {
-            Self::Disjoint(m) => m.owners(),
             Self::Replica(m) => m.all_nodes(),
             Self::Buckets(m) => m.distinct_owners(),
             Self::HotKeys { overlay, inner } => {
@@ -254,7 +239,6 @@ impl RoutingTable {
     #[must_use]
     pub fn wire_bytes(&self) -> u64 {
         match self {
-            Self::Disjoint(m) => 16 * m.entries().len() as u64,
             Self::Replica(m) => m
                 .entries()
                 .iter()
@@ -273,7 +257,7 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ehj_hash::{AttrHasher, HashRange};
+    use ehj_hash::{AttrHasher, HashRange, ReplicaEntry};
 
     fn space() -> PositionSpace {
         // positions == domain, so position == attribute value directly.
@@ -282,7 +266,7 @@ mod tests {
 
     #[test]
     fn disjoint_routes_by_range() {
-        let t = RoutingTable::Disjoint(RangeMap::partitioned(100, &[10, 11, 12, 13]));
+        let t = RoutingTable::Replica(ReplicaMap::partitioned(100, &[10, 11, 12, 13]));
         let sp = space();
         assert_eq!(t.build_dest(&sp, 0), 10);
         assert_eq!(t.build_dest(&sp, 99), 13);
@@ -292,6 +276,8 @@ mod tests {
         assert!(t.owns_build(&sp, 50, 12));
         assert!(!t.owns_build(&sp, 50, 10));
         assert_eq!(t.all_nodes(), vec![10, 11, 12, 13]);
+        // 12 B of range plus 4 B for its one owner, per range.
+        assert_eq!(t.wire_bytes(), 4 * 16);
     }
 
     #[test]
@@ -331,7 +317,7 @@ mod tests {
         let mut m = ReplicaMap::partitioned(100, &[10, 11]);
         let _ = m.replicate(11, 12);
         let tables = [
-            RoutingTable::Disjoint(RangeMap::partitioned(100, &[10, 11, 12, 13])),
+            RoutingTable::Replica(ReplicaMap::partitioned(100, &[10, 11, 12, 13])),
             RoutingTable::Replica(m),
             RoutingTable::Buckets(BucketMap::new(vec![20, 21], 100)),
         ];
@@ -352,20 +338,27 @@ mod tests {
     fn entry_index_groups_positions_that_route_alike() {
         let mut replica = ReplicaMap::partitioned(100, &[10, 11, 12]);
         let _ = replica.replicate(11, 14);
-        let ranges = RangeMap::from_entries(vec![
-            (HashRange::new(0, 25), 10),
-            (HashRange::new(25, 30), 11),
-            (HashRange::new(30, 50), 15),
-            (HashRange::new(50, 75), 12),
-            (HashRange::new(75, 100), 13),
-        ]);
+        let ranges = ReplicaMap::from_entries(
+            [
+                (0, 25, 10),
+                (25, 30, 11),
+                (30, 50, 15),
+                (50, 75, 12),
+                (75, 100, 13),
+            ]
+            .map(|(start, end, owner)| ReplicaEntry {
+                range: HashRange::new(start, end),
+                owners: vec![owner],
+            })
+            .to_vec(),
+        );
         let mut buckets = BucketMap::new(vec![20, 21], 100);
         let _ = buckets.split(22);
         let _ = buckets.split(23);
         let _ = buckets.split(24);
         let hot = hot_table();
         let tables = [
-            (RoutingTable::Disjoint(ranges), 5),
+            (RoutingTable::Replica(ranges), 5),
             (RoutingTable::Replica(replica), 3),
             (RoutingTable::Buckets(buckets), 5),
             (hot.clone(), 4),
@@ -413,7 +406,7 @@ mod tests {
                 replicas: vec![10, 11, 12],
                 extra: vec![],
             },
-            inner: Box::new(RoutingTable::Disjoint(RangeMap::partitioned(
+            inner: Box::new(RoutingTable::Replica(ReplicaMap::partitioned(
                 100,
                 &[10, 11, 12, 13],
             ))),
@@ -424,7 +417,7 @@ mod tests {
     fn hot_keys_cold_positions_fall_through() {
         let t = hot_table();
         let sp = space();
-        let inner = RoutingTable::Disjoint(RangeMap::partitioned(100, &[10, 11, 12, 13]));
+        let inner = RoutingTable::Replica(ReplicaMap::partitioned(100, &[10, 11, 12, 13]));
         let mut a = Vec::new();
         let mut b = Vec::new();
         for attr in [0u64, 19, 21, 39, 41, 99] {
@@ -467,8 +460,8 @@ mod tests {
     fn hot_keys_inner_accessors_see_through() {
         let mut t = hot_table();
         assert!(t.overlay().is_some());
-        assert!(matches!(t.inner(), RoutingTable::Disjoint(_)));
-        assert!(matches!(t.inner_mut(), RoutingTable::Disjoint(_)));
+        assert!(matches!(t.inner(), RoutingTable::Replica(_)));
+        assert!(matches!(t.inner_mut(), RoutingTable::Replica(_)));
         let plain = RoutingTable::Buckets(BucketMap::new(vec![1], 100));
         assert!(plain.overlay().is_none());
         assert!(matches!(plain.inner(), RoutingTable::Buckets(_)));
@@ -489,8 +482,8 @@ mod tests {
 
     #[test]
     fn wire_bytes_grow_with_structure() {
-        let small = RoutingTable::Disjoint(RangeMap::partitioned(100, &[1, 2]));
-        let big = RoutingTable::Disjoint(RangeMap::partitioned(100, &[1, 2, 3, 4, 5, 6]));
+        let small = RoutingTable::Replica(ReplicaMap::partitioned(100, &[1, 2]));
+        let big = RoutingTable::Replica(ReplicaMap::partitioned(100, &[1, 2, 3, 4, 5, 6]));
         assert!(big.wire_bytes() > small.wire_bytes());
         let mut m = ReplicaMap::partitioned(100, &[1, 2]);
         let base = RoutingTable::Replica(m.clone()).wire_bytes();

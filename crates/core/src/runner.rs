@@ -19,8 +19,9 @@ use crate::scheduler::Scheduler;
 use crate::source::DataSource;
 use crate::topology::Topology;
 use ehj_metrics::{
-    sample_once, ClockKind, JsonlSink, MetricsMonitor, MetricsRegistry, MetricsReport, Phase,
-    RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel, TraceSink, Tracer,
+    sample_once, ClockKind, ExecutorCounters, JsonlSink, MetricsMonitor, MetricsRegistry,
+    MetricsReport, Phase, RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel,
+    TraceSink, Tracer,
 };
 use ehj_sim::{
     Actor, ActorId, Admission, Engine, EngineConfig, EngineError, Executor, ExecutorConfig,
@@ -654,14 +655,14 @@ impl JoinRunner {
             end.at_nanos,
             0,
             Phase::Probe,
-            TraceKind::ExecutorStats {
+            TraceKind::ExecutorStats(Box::new(ExecutorCounters {
                 workers: exec.workers,
                 steals: exec.steals,
                 parks: exec.parks,
                 overflows: exec.overflows,
                 max_depth: exec.max_mailbox_depth,
                 timer_fires: exec.timer_fires,
-            },
+            })),
         );
         query.finish(end)
     }

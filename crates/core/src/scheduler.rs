@@ -21,14 +21,15 @@
 
 use crate::config::{Algorithm, JoinConfig};
 use crate::msg::{Msg, NodeReport};
-use crate::report::{JoinReport, TimelineEvent, TimelineKind};
+use crate::report::JoinReport;
 use crate::routing::{HotKeyOverlay, RoutingTable};
 use crate::topology::Topology;
 use ehj_cluster::SchedulerBook;
-use ehj_hash::{skew_aware_partition, BucketMap, HashRange, RangeMap, ReplicaMap, SpaceSaving};
+use ehj_hash::{skew_aware_partition, BucketMap, HashRange, ReplicaMap, SpaceSaving};
 use ehj_metrics::registry::names;
 use ehj_metrics::{
-    CommCounters, FaultField, Gauge, MetricsHandle, Phase, PhaseTimes, TraceKind, Tracer,
+    CommCounters, FaultField, Gauge, MetricsHandle, Phase, PhaseTimes, TraceEvent, TraceKind,
+    Tracer,
 };
 use ehj_sim::{Actor, ActorId, Context, SimTime};
 use std::collections::VecDeque;
@@ -133,7 +134,8 @@ pub struct Scheduler {
     // timings
     build_done_at: SimTime,
     reshuffle_done_at: SimTime,
-    timeline: Vec<TimelineEvent>,
+    /// The [`Self::milestone`] events, whatever the trace level.
+    timeline: Vec<TraceEvent>,
     // final collection
     probe_routing: Option<RoutingTable>,
     node_reports: Vec<NodeReport>,
@@ -155,14 +157,13 @@ impl Scheduler {
         let initial_actors: Vec<ActorId> =
             book.working().iter().map(|&n| topo.node_actor(n)).collect();
         let routing = match cfg.algorithm {
-            Algorithm::Replicated | Algorithm::Hybrid => {
-                RoutingTable::Replica(ReplicaMap::partitioned(cfg.positions, &initial_actors))
-            }
             Algorithm::Split => {
                 RoutingTable::Buckets(BucketMap::new(initial_actors, cfg.positions as u64))
             }
-            Algorithm::OutOfCore => {
-                RoutingTable::Disjoint(RangeMap::partitioned(cfg.positions, &initial_actors))
+            // The out-of-core baseline's ranges keep their one owner: it
+            // never replicates (its full nodes spill) nor reshuffles.
+            Algorithm::Replicated | Algorithm::Hybrid | Algorithm::OutOfCore => {
+                RoutingTable::Replica(ReplicaMap::partitioned(cfg.positions, &initial_actors))
             }
         };
         let chunk = cfg.chunk_tuples as u64;
@@ -214,13 +215,6 @@ impl Scheduler {
         self
     }
 
-    fn record(&mut self, ctx: &dyn Context<Msg>, kind: TimelineKind) {
-        self.timeline.push(TimelineEvent {
-            at_secs: ctx.now().as_secs_f64(),
-            kind,
-        });
-    }
-
     /// Emits a structured trace event attributed to the scheduler itself.
     fn trace(&self, ctx: &dyn Context<Msg>, kind: TraceKind) {
         self.tracer
@@ -232,6 +226,17 @@ impl Scheduler {
     fn trace_at(&self, ctx: &dyn Context<Msg>, node: ActorId, kind: TraceKind) {
         self.tracer
             .emit(ctx.now().as_nanos(), node, self.data_phase(), kind);
+    }
+
+    /// [`Self::trace`] for a milestone — a recruit, a finished split, a
+    /// phase end, the hot-key install — which the report's timeline also
+    /// keeps, at any trace level.
+    fn milestone(&mut self, ctx: &dyn Context<Msg>, kind: TraceKind) {
+        let ev = self
+            .tracer
+            .event(ctx.now().as_nanos(), ctx.me(), self.data_phase(), kind);
+        self.tracer.emit_event(&ev);
+        self.timeline.push(ev);
     }
 
     fn active_actors(&self) -> Vec<ActorId> {
@@ -356,8 +361,7 @@ impl Scheduler {
         self.hotkey_installed = true;
         self.metrics.sketch_topk.add(hot.len() as i64);
         self.metrics.hotkey_fanout.record(replicas.len() as u64);
-        self.record(ctx, TimelineKind::HotKeysInstalled(hot.len() as u32));
-        self.trace(
+        self.milestone(
             ctx,
             TraceKind::HotKeysInstalled {
                 hot: hot.len() as u64,
@@ -483,8 +487,7 @@ impl Scheduler {
                 };
                 let new_actor = self.topo.node_actor(new_node);
                 self.expansions += 1;
-                self.record(ctx, TimelineKind::Recruited(new_node.0));
-                self.trace(ctx, TraceKind::Recruited { node: new_node.0 });
+                self.milestone(ctx, TraceKind::Recruited { node: new_node.0 });
                 let RoutingTable::Replica(m) = self.routing.inner_mut() else {
                     unreachable!();
                 };
@@ -539,8 +542,7 @@ impl Scheduler {
                 };
                 let new_actor = self.topo.node_actor(new_node);
                 self.expansions += 1;
-                self.record(ctx, TimelineKind::Recruited(new_node.0));
-                self.trace(ctx, TraceKind::Recruited { node: new_node.0 });
+                self.milestone(ctx, TraceKind::Recruited { node: new_node.0 });
                 let (step, old_owner, pointer) = {
                     let RoutingTable::Buckets(m) = self.routing.inner_mut() else {
                         unreachable!("linear-pointer split uses bucket routing");
@@ -583,8 +585,7 @@ impl Scheduler {
             return;
         };
         self.split_time += ctx.now().saturating_sub(started);
-        self.record(ctx, TimelineKind::SplitDone(old_bucket));
-        self.trace(
+        self.milestone(
             ctx,
             TraceKind::SplitDone {
                 bucket: old_bucket,
@@ -653,8 +654,7 @@ impl Scheduler {
         match self.phase {
             SchedPhase::Build => {
                 self.build_done_at = ctx.now();
-                self.record(ctx, TimelineKind::BuildDone);
-                self.trace(ctx, TraceKind::PhaseDone);
+                self.milestone(ctx, TraceKind::PhaseDone);
                 if self.cfg.algorithm == Algorithm::Hybrid && self.start_reshuffle(ctx) {
                     self.phase = SchedPhase::Reshuffle;
                 } else if self.start_hotkey_handoff(ctx) {
@@ -674,13 +674,12 @@ impl Scheduler {
                     return;
                 }
                 self.reshuffle_done_at = ctx.now();
-                self.record(ctx, TimelineKind::ReshuffleDone);
-                self.trace(ctx, TraceKind::PhaseDone);
+                self.milestone(ctx, TraceKind::PhaseDone);
                 self.install_reshuffled_routing();
                 self.start_probe(ctx);
             }
             SchedPhase::Probe => {
-                self.trace(ctx, TraceKind::PhaseDone);
+                self.milestone(ctx, TraceKind::PhaseDone);
                 self.phase = SchedPhase::Reporting;
                 let actors = self.active_actors();
                 self.reports_expected = actors.len();
@@ -942,7 +941,6 @@ impl Scheduler {
             return;
         }
         self.phase = SchedPhase::Done;
-        self.record(ctx, TimelineKind::ProbeDone);
         let now = ctx.now();
         let mut comm = self.src_comm.clone();
         let mut matches = 0u64;
@@ -968,7 +966,6 @@ impl Scheduler {
             algorithm: self.cfg.algorithm,
             times,
             split_time_secs: self.split_time.as_secs_f64(),
-            reshuffle_time_secs: times.reshuffle_secs,
             comm,
             load,
             matches,
@@ -1023,9 +1020,6 @@ impl Actor<Msg> for Scheduler {
             Msg::Relieved => self.handle_relieved(from),
             Msg::Spilled => {
                 self.spilled_actors.insert(from);
-                if let Some(node) = self.topo.node_of_actor(from) {
-                    self.record(ctx, TimelineKind::Spilled(node.0));
-                }
                 self.handle_relieved(from);
             }
             Msg::SplitDone { step, moved_tuples } => {
@@ -1155,7 +1149,12 @@ mod tests {
                 }
                 Algorithm::Split => assert!(matches!(sched.routing, RoutingTable::Buckets(_))),
                 Algorithm::OutOfCore => {
-                    assert!(matches!(sched.routing, RoutingTable::Disjoint(_)));
+                    // Disjoint ranges: a replica map with one owner each.
+                    let RoutingTable::Replica(m) = &sched.routing else {
+                        panic!("out of core starts on replica routing");
+                    };
+                    assert!(m.entries().iter().all(|e| e.owners.len() == 1));
+                    assert_eq!(m.all_nodes(), vec![N0, N1]);
                 }
             }
         }

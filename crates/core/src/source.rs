@@ -597,7 +597,7 @@ mod tests {
     use super::*;
     use crate::config::Algorithm;
     use crate::testutil::ScriptCtx;
-    use ehj_hash::{BucketMap, HashRange, RangeMap, ReplicaMap};
+    use ehj_hash::{BucketMap, HashRange, ReplicaEntry, ReplicaMap};
 
     const SCHED: ActorId = 0;
     const ME: ActorId = 1;
@@ -622,7 +622,7 @@ mod tests {
     }
 
     fn two_node_routing() -> RoutingTable {
-        RoutingTable::Disjoint(RangeMap::partitioned(1000, &[NODE_A, NODE_B]))
+        RoutingTable::Replica(ReplicaMap::partitioned(1000, &[NODE_A, NODE_B]))
     }
 
     /// Drives GenStep self-messages until the source stops sending them.
@@ -703,7 +703,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartBuild {
-                routing: RoutingTable::Disjoint(RangeMap::partitioned(1000, &[NODE_A])),
+                routing: RoutingTable::Replica(ReplicaMap::partitioned(1000, &[NODE_A])),
                 version: 1,
             },
         );
@@ -725,7 +725,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartBuild {
-                routing: RoutingTable::Disjoint(RangeMap::partitioned(1000, &[NODE_A])),
+                routing: RoutingTable::Replica(ReplicaMap::partitioned(1000, &[NODE_A])),
                 version: 1,
             },
         );
@@ -793,7 +793,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartBuild {
-                routing: RoutingTable::Disjoint(RangeMap::partitioned(1000, &[NODE_A])),
+                routing: RoutingTable::Replica(ReplicaMap::partitioned(1000, &[NODE_A])),
                 version: 1,
             },
         );
@@ -803,7 +803,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: RoutingTable::Disjoint(RangeMap::partitioned(1000, &[NODE_B])),
+                routing: RoutingTable::Replica(ReplicaMap::partitioned(1000, &[NODE_B])),
                 version: 2,
             },
         );
@@ -839,7 +839,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: RoutingTable::Disjoint(RangeMap::partitioned(1000, &[NODE_B])),
+                routing: RoutingTable::Replica(ReplicaMap::partitioned(1000, &[NODE_B])),
                 version: 3, // older than the active version
             },
         );
@@ -1018,7 +1018,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: RoutingTable::Disjoint(RangeMap::partitioned(positions, &[NODE_B])),
+                routing: RoutingTable::Replica(ReplicaMap::partitioned(positions, &[NODE_B])),
                 version: 3,
             },
         );
@@ -1079,7 +1079,7 @@ mod tests {
         ] {
             let mut src = DataSource::new(cfg_over(10, 10, positions), 0, SCHED);
             assert_eq!(src.cell_shift, shift, "{positions} positions");
-            src.build_cells(&RoutingTable::Disjoint(RangeMap::partitioned(
+            src.build_cells(&RoutingTable::Replica(ReplicaMap::partitioned(
                 positions,
                 &[NODE_A, NODE_B, NODE_C],
             )));
@@ -1112,18 +1112,19 @@ mod tests {
             // Splitting the first range in two shifts every later entry
             // index; the cut, like the thirds, falls inside a cell.
             let (third, cut) = (positions / 3, positions / 10 + 1);
-            let before = RangeMap::partitioned(positions, &[NODE_A, NODE_B, NODE_C]);
-            let mut entries = vec![
-                (HashRange::new(0, cut), NODE_A),
-                (HashRange::new(cut, third), NODE_D),
-            ];
+            let before = ReplicaMap::partitioned(positions, &[NODE_A, NODE_B, NODE_C]);
+            let entry = |start, end, owner| ReplicaEntry {
+                range: HashRange::new(start, end),
+                owners: vec![owner],
+            };
+            let mut entries = vec![entry(0, cut, NODE_A), entry(cut, third, NODE_D)];
             entries.extend_from_slice(&before.entries()[1..]);
-            let after = RangeMap::from_entries(entries);
+            let after = ReplicaMap::from_entries(entries);
             let src = assert_matches_reference(
                 positions,
                 Phase::Build,
-                RoutingTable::Disjoint(before.clone()),
-                RoutingTable::Disjoint(after.clone()),
+                RoutingTable::Replica(before.clone()),
+                RoutingTable::Replica(after.clone()),
             );
             let cell = |pos: u32| src.cell_slots[(pos >> src.cell_shift) as usize];
             if src.cell_shift == 0 {
@@ -1147,7 +1148,7 @@ mod tests {
             };
             let hot = |inner| RoutingTable::HotKeys {
                 overlay: overlay.clone(),
-                inner: Box::new(RoutingTable::Disjoint(inner)),
+                inner: Box::new(RoutingTable::Replica(inner)),
             };
             assert_matches_reference(positions, Phase::Build, hot(before), hot(after));
         }
@@ -1175,7 +1176,7 @@ mod tests {
         // The overlay arrives mid-phase; its positions sit inside cells
         // whose every other position belongs to one entry.
         const POSITIONS: u32 = 10_000;
-        let base = RoutingTable::Disjoint(RangeMap::partitioned(POSITIONS, &[NODE_A, NODE_B]));
+        let base = RoutingTable::Replica(ReplicaMap::partitioned(POSITIONS, &[NODE_A, NODE_B]));
         let hot = [4321, 7002];
         let overlaid = RoutingTable::HotKeys {
             overlay: crate::routing::HotKeyOverlay {
@@ -1211,7 +1212,7 @@ mod tests {
                 replicas: vec![NODE_A, NODE_B],
                 extra: vec![],
             },
-            inner: Box::new(RoutingTable::Disjoint(RangeMap::partitioned(
+            inner: Box::new(RoutingTable::Replica(ReplicaMap::partitioned(
                 1000,
                 &[NODE_A],
             ))),

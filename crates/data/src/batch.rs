@@ -19,6 +19,11 @@ use crate::tuple::Tuple;
 use std::ops::Deref;
 use std::sync::Arc;
 
+/// The paper's chunk granularity: 10 000 tuples per chunk (Figures 4, 11).
+/// A data source keeps one buffer per join process and ships it as one
+/// chunk when full (§4.1.2).
+pub const DEFAULT_CHUNK_TUPLES: usize = 10_000;
+
 /// An immutable, reference-counted slice of tuples.
 ///
 /// Dereferences to `[Tuple]`, so all slice reads work directly. Equality is

@@ -212,27 +212,6 @@ impl SourceGenerator {
         Some(t)
     }
 
-    /// Generates the next tuple with its payload materialized as real
-    /// bytes. The payload is a deterministic function of the tuple's index
-    /// and the schema's payload size, so any consumer can re-derive (and
-    /// verify) it; the simulation hot path uses [`Self::next_tuple`] and
-    /// byte accounting instead.
-    pub fn next_materialized(&mut self) -> Option<crate::tuple::MaterializedTuple> {
-        let head = self.next_tuple()?;
-        let n = self.schema.payload_bytes as usize;
-        let mut payload = Vec::with_capacity(n);
-        let mut state = crate::rng::SplitMix64::new(head.index ^ 0xD0_0D_F0_0D);
-        while payload.len() < n {
-            payload.extend_from_slice(&state.next_u64().to_le_bytes());
-        }
-        payload.truncate(n);
-        Some(crate::tuple::MaterializedTuple::new(
-            head.index,
-            head.join_attr,
-            crate::tuple::Payload::from(payload),
-        ))
-    }
-
     /// Generates up to `n` tuples into `out`, returning how many were
     /// produced: the same tuples as `n` calls of [`Self::next_tuple`], with
     /// the distribution and the mirror decided once per call
@@ -253,10 +232,6 @@ impl SourceGenerator {
         take
     }
 }
-
-/// Convenience alias used by older call sites; a [`SourceGenerator`] over the
-/// entire relation.
-pub type TupleGenerator = SourceGenerator;
 
 #[cfg(test)]
 mod tests {
@@ -365,40 +340,6 @@ mod tests {
         let all = spec.generate_all();
         assert_eq!(all.len(), 321);
         assert!(all.iter().all(|t| t.join_attr < (1 << 10)));
-    }
-
-    #[test]
-    fn materialized_payloads_are_sized_and_deterministic() {
-        let spec = RelationSpec::uniform(10, 4).with_payload(100);
-        let mut a = spec.generator_for_source(0, 1);
-        let mut b = spec.generator_for_source(0, 1);
-        while let Some(ta) = a.next_materialized() {
-            let tb = b.next_materialized().expect("same stream length");
-            assert_eq!(ta, tb, "payloads must be reproducible");
-            assert_eq!(ta.payload.len(), 100);
-            assert_eq!(ta.wire_bytes(), 116);
-        }
-        assert!(b.next_materialized().is_none());
-    }
-
-    #[test]
-    fn materialized_heads_match_plain_generation() {
-        let spec = RelationSpec::gaussian(50, 0.01, 7).with_payload(32);
-        let mut plain = spec.generator_for_source(0, 1);
-        let mut mat = spec.generator_for_source(0, 1);
-        while let Some(t) = plain.next_tuple() {
-            let m = mat.next_materialized().expect("same length");
-            assert_eq!(m.head, t, "payloads must not perturb the RNG stream");
-        }
-    }
-
-    #[test]
-    fn zero_payload_materializes_empty() {
-        let spec = RelationSpec::uniform(3, 1).with_payload(0);
-        let mut g = spec.generator_for_source(0, 1);
-        let m = g.next_materialized().expect("tuple");
-        assert!(m.payload.is_empty());
-        assert_eq!(m.wire_bytes(), 16);
     }
 
     #[test]

@@ -4,15 +4,14 @@
 //! Algorithms (Zhang et al., HPDC 2004): tuple and relation-schema types,
 //! deterministic random-number generation, the paper's synthetic workload
 //! generators (uniform and Gaussian join-attribute distributions), and the
-//! chunked buffering used by data sources to ship tuples to join processes.
+//! shared tuple batches that carry every chunk a data source ships to a
+//! join process.
 //!
 //! The paper's synthetic relations R and S share one column structure: a
 //! 64-bit index, a 64-bit join attribute and an `n`-byte opaque payload
 //! (§5, "Data Generation"). In this reproduction a [`Tuple`] carries the two
 //! 64-bit columns; the payload is represented *by size* through [`Schema`],
-//! which every byte-accounting site (network, memory, disk) consults. A
-//! [`MaterializedTuple`] with real payload bytes is provided for callers that
-//! need to move actual data.
+//! which every byte-accounting site (network, memory, disk) consults.
 //!
 //! All generation is deterministic: a single `u64` seed fans out into
 //! independent per-source streams via [`rng::SplitMix64`] /
@@ -22,7 +21,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod batch;
-pub mod chunk;
 pub mod dist;
 pub mod gen;
 pub mod pool;
@@ -30,11 +28,10 @@ pub mod rng;
 pub mod schema;
 pub mod tuple;
 
-pub use batch::TupleBatch;
-pub use chunk::{Chunk, ChunkBuffer, ChunkSet, CHUNK_HEADER_BYTES, DEFAULT_CHUNK_TUPLES};
+pub use batch::{TupleBatch, DEFAULT_CHUNK_TUPLES};
 pub use dist::{Distribution, JoinAttrSampler, DEFAULT_ATTR_DOMAIN};
-pub use gen::{Correlation, RelationSpec, SourceGenerator, TupleGenerator};
+pub use gen::{Correlation, RelationSpec, SourceGenerator};
 pub use pool::{BufferPool, Pooled};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use schema::Schema;
-pub use tuple::{JoinAttr, MatchPair, MaterializedTuple, Payload, Tuple, TupleIndex};
+pub use tuple::{JoinAttr, Tuple, TupleIndex};

@@ -4,15 +4,7 @@
 //! (`i`), a 64-bit join attribute (`ja`), and `n`-byte data." The algorithms
 //! only inspect the index and the join attribute, so the hot-path [`Tuple`]
 //! carries exactly those two columns; the payload contributes to every
-//! byte count through [`crate::Schema`]. [`MaterializedTuple`] carries real
-//! payload bytes for callers that need them (e.g. end-to-end examples).
-
-use std::sync::Arc;
-
-/// Cheaply cloneable, immutable payload bytes (shared via [`Arc`], so clones
-/// are reference bumps rather than copies, matching `bytes::Bytes` semantics
-/// without the external dependency).
-pub type Payload = Arc<[u8]>;
+//! byte count through [`crate::Schema`].
 
 /// The 64-bit row index column.
 pub type TupleIndex = u64;
@@ -38,49 +30,6 @@ impl Tuple {
     }
 }
 
-/// A tuple with its payload materialized as real bytes.
-///
-/// The EHJA hot path never inspects the payload, so the simulator moves
-/// [`Tuple`]s and accounts payload bytes through the schema; this type exists
-/// for applications that carry actual data through the same machinery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaterializedTuple {
-    /// The two fixed 64-bit columns.
-    pub head: Tuple,
-    /// The opaque `n`-byte data column.
-    pub payload: Payload,
-}
-
-impl MaterializedTuple {
-    /// Creates a materialized tuple from its columns.
-    #[must_use]
-    pub fn new(index: TupleIndex, join_attr: JoinAttr, payload: Payload) -> Self {
-        Self {
-            head: Tuple::new(index, join_attr),
-            payload,
-        }
-    }
-
-    /// Total on-wire size of this tuple in bytes.
-    #[must_use]
-    pub fn wire_bytes(&self) -> u64 {
-        16 + self.payload.len() as u64
-    }
-}
-
-/// A matched output pair `(r.index, s.index)` produced by the probe phase.
-///
-/// The paper "outputs r and s"; downstream consumers (disk, client, next
-/// query stage) are out of scope, so the reproduction forwards or counts
-/// these pairs. The pair is enough to reconstruct the full rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MatchPair {
-    /// Index of the build-side tuple (relation R by default).
-    pub build_index: TupleIndex,
-    /// Index of the probe-side tuple (relation S by default).
-    pub probe_index: TupleIndex,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,17 +38,5 @@ mod tests {
     fn tuple_is_two_words() {
         // The hot-path tuple must stay exactly two 64-bit columns.
         assert_eq!(std::mem::size_of::<Tuple>(), 16);
-    }
-
-    #[test]
-    fn materialized_wire_bytes_counts_payload() {
-        let t = MaterializedTuple::new(1, 2, Payload::from(vec![0u8; 100]));
-        assert_eq!(t.wire_bytes(), 116);
-    }
-
-    #[test]
-    fn materialized_empty_payload() {
-        let t = MaterializedTuple::new(1, 2, Payload::from(Vec::new()));
-        assert_eq!(t.wire_bytes(), 16);
     }
 }

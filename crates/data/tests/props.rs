@@ -2,10 +2,7 @@
 //! own deterministic generators (fixed seeds, no external property-testing
 //! dependency).
 
-use ehj_data::{
-    Chunk, ChunkSet, Distribution, JoinAttrSampler, RelationSpec, Schema, SplitMix64, Tuple,
-    Xoshiro256StarStar,
-};
+use ehj_data::{Distribution, JoinAttrSampler, RelationSpec, SplitMix64, Xoshiro256StarStar};
 
 #[test]
 fn xoshiro_next_below_is_always_in_range() {
@@ -98,42 +95,5 @@ fn distributed_generation_is_a_permutation_invariant_multiset() {
         indices.sort_unstable();
         let expect: Vec<u64> = (0..tuples).collect();
         assert_eq!(indices, expect);
-    }
-}
-
-#[test]
-fn chunk_set_conserves_tuples() {
-    let mut g = Xoshiro256StarStar::new(0x7007);
-    for _ in 0..64 {
-        let dests = 1 + g.next_below(5) as usize;
-        let cap = 1 + g.next_below(49) as usize;
-        let n = g.next_below(2000);
-        let mut cs = ChunkSet::new(dests, cap);
-        let mut emitted = 0u64;
-        for i in 0..n {
-            let t = Tuple::new(i, i * 17);
-            if let Some(chunk) = cs.push((i % dests as u64) as usize, t) {
-                assert_eq!(chunk.len(), cap);
-                emitted += chunk.len() as u64;
-            }
-        }
-        let flushed: u64 = cs.flush_all().iter().map(|(_, c)| c.len() as u64).sum();
-        assert_eq!(emitted + flushed, n);
-        assert_eq!(cs.buffered_tuples(), 0);
-    }
-}
-
-#[test]
-fn chunk_wire_bytes_scale_with_payload() {
-    let mut g = Xoshiro256StarStar::new(0x8008);
-    for _ in 0..256 {
-        let n = g.next_below(500) as usize;
-        let payload = g.next_below(1000) as u32;
-        let c = Chunk::new(vec![Tuple::new(0, 0); n]);
-        let s = Schema::with_payload(payload);
-        assert_eq!(
-            c.wire_bytes(s),
-            ehj_data::CHUNK_HEADER_BYTES + (n as u64) * (16 + u64::from(payload))
-        );
     }
 }

@@ -35,7 +35,7 @@ pub use hasher::{AttrHasher, PositionSpace};
 pub use kernels::{ProbeKernel, ProbeScratch};
 pub use linear::{BucketMap, SplitStep};
 pub use partition::{greedy_equal_partition, part_loads, skew_aware_partition};
-pub use range::{HashRange, RangeMap, ReplicaEntry, ReplicaMap};
+pub use range::{HashRange, ReplicaEntry, ReplicaMap};
 pub use sketch::SpaceSaving;
 pub use table::{
     filter_fingerprint, BatchProbeStats, JoinHashTable, ProbeResult, TableFull,

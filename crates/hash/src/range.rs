@@ -1,11 +1,11 @@
 //! Hash-range partitioning.
 //!
-//! The replication-based and hybrid algorithms partition the global hash
-//! table's position space into contiguous ranges, one per join node (§4.2.2,
-//! Figure 1). [`RangeMap`] is the disjoint form (the out-of-core
-//! baseline's routing, fixed for the whole run); [`ReplicaMap`] extends it
-//! with per-range replica lists for the replication-based build and probe
-//! phases and the hybrid's post-reshuffle probe.
+//! The replication-based, hybrid and out-of-core algorithms partition the
+//! global hash table's position space into contiguous ranges, one per join
+//! node (§4.2.2, Figure 1). [`ReplicaMap`] attaches a replica list to each
+//! range: one owner per range is the disjoint form (the out-of-core
+//! baseline's fixed routing and the hybrid's post-reshuffle probe), longer
+//! lists are the replication-based build and probe phases.
 
 /// A half-open range of hash-table positions `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,93 +79,6 @@ impl HashRange {
     }
 }
 
-/// A disjoint, covering map from position ranges to owners.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RangeMap<T> {
-    entries: Vec<(HashRange, T)>,
-}
-
-impl<T: Copy + Eq> RangeMap<T> {
-    /// Builds the initial map: `[0, positions)` split near-equally among
-    /// `owners` in order.
-    ///
-    /// # Panics
-    /// Panics if `owners` is empty.
-    #[must_use]
-    pub fn partitioned(positions: u32, owners: &[T]) -> Self {
-        assert!(!owners.is_empty(), "need at least one owner");
-        let ranges = HashRange::partition(positions, owners.len());
-        Self {
-            entries: ranges.into_iter().zip(owners.iter().copied()).collect(),
-        }
-    }
-
-    /// Builds a map from explicit `(range, owner)` pairs.
-    ///
-    /// # Panics
-    /// Panics if the ranges are not sorted, disjoint and covering.
-    #[must_use]
-    pub fn from_entries(entries: Vec<(HashRange, T)>) -> Self {
-        assert!(!entries.is_empty(), "need at least one entry");
-        let mut expect = entries[0].0.start;
-        for (r, _) in &entries {
-            assert_eq!(r.start, expect, "ranges must be contiguous");
-            expect = r.end;
-        }
-        Self { entries }
-    }
-
-    /// The `(range, owner)` entries in position order.
-    #[must_use]
-    pub fn entries(&self) -> &[(HashRange, T)] {
-        &self.entries
-    }
-
-    /// Owner of position `pos`.
-    ///
-    /// # Panics
-    /// Panics if `pos` is outside the covered space.
-    #[must_use]
-    pub fn owner_of(&self, pos: u32) -> T {
-        self.entry_of(pos).1
-    }
-
-    /// `(range, owner)` entry covering `pos`.
-    ///
-    /// # Panics
-    /// Panics if `pos` is outside the covered space.
-    #[must_use]
-    pub fn entry_of(&self, pos: u32) -> (HashRange, T) {
-        self.entries[self.index_of(pos)]
-    }
-
-    /// Index into [`Self::entries`] of the entry covering `pos`. Stable
-    /// until the map is next mutated.
-    ///
-    /// # Panics
-    /// Panics if `pos` is outside the covered space.
-    #[must_use]
-    pub fn index_of(&self, pos: u32) -> usize {
-        let idx = self.entries.partition_point(|(r, _)| r.end <= pos);
-        match self.entries.get(idx) {
-            Some((r, _)) if r.contains(pos) => idx,
-            _ => panic!("position {pos} outside the covered space"),
-        }
-    }
-
-    /// Distinct owners in position order.
-    #[must_use]
-    pub fn owners(&self) -> Vec<T> {
-        let mut out = Vec::new();
-        for (_, o) in &self.entries {
-            if !out.contains(o) {
-                out.push(*o);
-            }
-        }
-        out
-    }
-}
-
 /// One replicated range: every owner holds part of the build side; the
 /// *active* owner (the most recently recruited) receives new build tuples,
 /// and probe tuples are broadcast to all owners (§4.2.2).
@@ -199,12 +112,11 @@ impl<T: Copy + Eq> ReplicaMap<T> {
     /// Panics if `owners` is empty.
     #[must_use]
     pub fn partitioned(positions: u32, owners: &[T]) -> Self {
-        let base = RangeMap::partitioned(positions, owners);
         Self {
-            entries: base
-                .entries()
-                .iter()
-                .map(|&(range, o)| ReplicaEntry {
+            entries: HashRange::partition(positions, owners.len())
+                .into_iter()
+                .zip(owners)
+                .map(|(range, &o)| ReplicaEntry {
                     range,
                     owners: vec![o],
                 })
@@ -315,6 +227,13 @@ impl<T: Copy + Eq> ReplicaMap<T> {
 mod tests {
     use super::*;
 
+    fn entry(start: u32, end: u32, owners: &[u32]) -> ReplicaEntry<u32> {
+        ReplicaEntry {
+            range: HashRange::new(start, end),
+            owners: owners.to_vec(),
+        }
+    }
+
     #[test]
     fn partition_covers_exactly() {
         for total in [1u32, 7, 100, 1 << 20] {
@@ -352,18 +271,20 @@ mod tests {
 
     #[test]
     fn range_map_lookup() {
-        let m = RangeMap::partitioned(100, &[1u32, 2, 3, 4]);
-        assert_eq!(m.owner_of(0), 1);
-        assert_eq!(m.owner_of(24), 1);
-        assert_eq!(m.owner_of(25), 2);
-        assert_eq!(m.owner_of(99), 4);
-        assert_eq!(m.owners(), vec![1, 2, 3, 4]);
+        // One owner per range: the disjoint form.
+        let m = ReplicaMap::partitioned(100, &[1u32, 2, 3, 4]);
+        assert_eq!(m.active_of(0), 1);
+        assert_eq!(m.active_of(24), 1);
+        assert_eq!(m.owners_of(25), &[2]);
+        assert_eq!(m.active_of(99), 4);
+        assert_eq!(m.all_nodes(), vec![1, 2, 3, 4]);
+        assert_eq!(m.max_replication(), 1);
     }
 
     #[test]
     fn index_of_addresses_the_covering_entry() {
-        let m = RangeMap::partitioned(100, &[1u32, 2, 3, 4]);
-        let mut r = ReplicaMap::partitioned(100, &[1u32, 2, 3, 4]);
+        let m = ReplicaMap::partitioned(100, &[1u32, 2, 3, 4]);
+        let mut r = m.clone();
         let _ = r.replicate(2, 9);
         for (pos, index) in [(0, 0), (24, 0), (25, 1), (74, 2), (75, 3), (99, 3)] {
             assert_eq!(m.index_of(pos), index);
@@ -371,22 +292,22 @@ mod tests {
         }
         assert_eq!(r.entries()[r.index_of(30)].owners, vec![2, 9]);
         // One more entry below a position renumbers it.
-        let cut = RangeMap::from_entries(vec![
-            (HashRange::new(0, 25), 1u32),
-            (HashRange::new(25, 40), 2),
-            (HashRange::new(40, 50), 5),
-            (HashRange::new(50, 75), 3),
-            (HashRange::new(75, 100), 4),
+        let cut = ReplicaMap::from_entries(vec![
+            entry(0, 25, &[1]),
+            entry(25, 40, &[2]),
+            entry(40, 50, &[5]),
+            entry(50, 75, &[3]),
+            entry(75, 100, &[4]),
         ]);
         assert_eq!(cut.index_of(99), 4);
-        assert_eq!(cut.entries()[cut.index_of(45)].1, 5);
+        assert_eq!(cut.entries()[cut.index_of(45)].owners, vec![5]);
     }
 
     #[test]
     #[should_panic(expected = "outside")]
     fn range_map_out_of_space_panics() {
-        let m = RangeMap::partitioned(100, &[1u32]);
-        let _ = m.owner_of(100);
+        let m = ReplicaMap::partitioned(100, &[1u32]);
+        let _ = m.active_of(100);
     }
 
     #[test]
@@ -419,19 +340,20 @@ mod tests {
 
     #[test]
     fn from_entries_validates_contiguity() {
-        let ok = RangeMap::from_entries(vec![
-            (HashRange::new(0, 5), 1u32),
-            (HashRange::new(5, 9), 2),
-        ]);
-        assert_eq!(ok.owner_of(5), 2);
+        let ok = ReplicaMap::from_entries(vec![entry(0, 5, &[1]), entry(5, 9, &[2, 3])]);
+        assert_eq!(ok.active_of(5), 3);
+        assert_eq!(ok.owners_of(4), &[1]);
     }
 
     #[test]
     #[should_panic(expected = "contiguous")]
     fn from_entries_rejects_gaps() {
-        let _ = RangeMap::from_entries(vec![
-            (HashRange::new(0, 5), 1u32),
-            (HashRange::new(6, 9), 2),
-        ]);
+        let _ = ReplicaMap::from_entries(vec![entry(0, 5, &[1]), entry(6, 9, &[2])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs an owner")]
+    fn from_entries_rejects_ownerless_entries() {
+        let _ = ReplicaMap::from_entries(vec![entry(0, 5, &[1]), entry(5, 9, &[])]);
     }
 }

@@ -94,7 +94,7 @@ pub const SAMPLE_WIDTH: usize = SAMPLED.len();
 pub fn sample_kind(snapshot: &MetricsSnapshot, seq: u64) -> TraceKind {
     TraceKind::MetricsSample {
         seq,
-        values: std::array::from_fn(|i| SAMPLED[i].value(snapshot)),
+        values: Box::new(std::array::from_fn(|i| SAMPLED[i].value(snapshot))),
     }
 }
 
@@ -218,7 +218,7 @@ mod tests {
             empty,
             TraceKind::MetricsSample {
                 seq: 0,
-                values: [0; SAMPLE_WIDTH]
+                values: Box::new([0; SAMPLE_WIDTH])
             }
         );
         let TraceKind::MetricsSample { values, .. } = sample_kind(&reg.snapshot(), 4) else {
@@ -258,11 +258,11 @@ mod tests {
         assert!(!samples.is_empty(), "expected at least one sample");
         assert_eq!(next, samples.len() as u64, "stop returns the next seq");
         for (i, ev) in samples.iter().enumerate() {
-            let TraceKind::MetricsSample { seq, values } = ev.kind else {
+            let TraceKind::MetricsSample { seq, values } = &ev.kind else {
                 unreachable!()
             };
-            assert_eq!(seq, i as u64);
-            assert_eq!(by_name_in(&values, names::NODE_ARENA_TUPLES), 5);
+            assert_eq!(*seq, i as u64);
+            assert_eq!(by_name_in(values, names::NODE_ARENA_TUPLES), 5);
         }
     }
 

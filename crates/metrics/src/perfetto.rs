@@ -99,8 +99,8 @@ pub fn chrome_trace_json(events: &[TraceEvent], clock: Option<ClockKind>) -> Str
 
     for ev in events {
         let ts = us(ev.at_nanos);
-        if let TraceKind::MetricsSample { values, .. } = ev.kind {
-            for (s, value) in SAMPLED.iter().zip(values) {
+        if let TraceKind::MetricsSample { values, .. } = &ev.kind {
+            for (s, value) in SAMPLED.iter().zip(values.iter()) {
                 lines.push((
                     ts,
                     format!(
@@ -183,7 +183,7 @@ mod tests {
                 Phase::Probe,
                 TraceKind::MetricsSample {
                     seq: 0,
-                    values: [1; SAMPLE_WIDTH],
+                    values: Box::new([1; SAMPLE_WIDTH]),
                 },
             ),
         ];

@@ -173,7 +173,7 @@ impl StopCause {
 /// What happened. Node ids in payloads are actor ids of the run topology
 /// (scheduler, sources, then join nodes), except `Recruited::node`, which
 /// is the recruit's cluster node id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceKind {
     /// A join node ran out of hash-table memory (`pending` unhoused tuples).
     BucketOverflow {
@@ -260,30 +260,16 @@ pub enum TraceKind {
     },
     /// The phase named by the event's `phase` field completed.
     PhaseDone,
-    /// End-of-run counters from the threaded work-stealing executor.
-    ExecutorStats {
-        /// Worker threads in the pool.
-        workers: u64,
-        /// Tasks taken from another worker's run queue.
-        steals: u64,
-        /// Producer backpressure parks on full mailboxes.
-        parks: u64,
-        /// Envelopes enqueued past a mailbox bound (liveness escape).
-        overflows: u64,
-        /// Highest queue depth any mailbox reached.
-        max_depth: u64,
-        /// Always 0: the executor has had no timers since actors lost
-        /// delayed delivery. Kept because the frozen benchmark reads
-        /// `trace.executor.timer_fires`.
-        timer_fires: u64,
-    },
+    /// End-of-run counters from the threaded work-stealing executor (boxed,
+    /// like a sample's values, so that every event stays small).
+    ExecutorStats(Box<ExecutorCounters>),
     /// A periodic snapshot of the registry (sampling monitor on the
     /// threaded backend; one end-of-run sample on both).
     MetricsSample {
         /// Sample sequence number within the run.
         seq: u64,
         /// `values[i]` is [`SAMPLED`]`[i]` read at sample time.
-        values: [u64; SAMPLE_WIDTH],
+        values: Box<[u64; SAMPLE_WIDTH]>,
     },
     /// A malformed or stale control message was rejected instead of
     /// applied: the value arrived off the wire, failed validation against
@@ -344,7 +330,7 @@ impl FaultField {
 impl TraceKind {
     /// Stable snake_case name used as the JSONL `kind` discriminator.
     #[must_use]
-    pub const fn name(self) -> &'static str {
+    pub const fn name(&self) -> &'static str {
         match self {
             Self::BucketOverflow { .. } => "bucket_overflow",
             Self::Recruited { .. } => "recruited",
@@ -361,7 +347,7 @@ impl TraceKind {
             Self::HotKeysInstalled { .. } => "hot_keys_installed",
             Self::ProbeFanout { .. } => "probe_fanout",
             Self::PhaseDone => "phase_done",
-            Self::ExecutorStats { .. } => "executor_stats",
+            Self::ExecutorStats(_) => "executor_stats",
             Self::MetricsSample { .. } => "metrics_sample",
             Self::ProtocolFault { .. } => "protocol_fault",
             Self::EngineStop { .. } => "engine_stop",
@@ -407,21 +393,14 @@ impl TraceKind {
                 format!("probe fan-out: {tuples} tuples -> {copies} copies")
             }
             Self::PhaseDone => "phase complete".to_owned(),
-            Self::ExecutorStats {
-                workers,
-                steals,
-                parks,
-                overflows,
-                max_depth,
-                ..
-            } => format!(
-                "executor: {workers} workers, {steals} steals, {parks} parks, \
-                 {overflows} overflows, max mailbox {max_depth}"
+            Self::ExecutorStats(c) => format!(
+                "executor: {} workers, {} steals, {} parks, {} overflows, max mailbox {}",
+                c.workers, c.steals, c.parks, c.overflows, c.max_depth
             ),
             Self::MetricsSample { seq, values } => {
                 let read: Vec<String> = SAMPLED
                     .iter()
-                    .zip(values)
+                    .zip(values.iter())
                     .map(|(s, v)| format!("{} {v}", s.label))
                     .collect();
                 format!("metrics sample {seq}: {}", read.join(", "))
@@ -440,7 +419,7 @@ impl TraceKind {
 }
 
 /// One structured trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Nanoseconds since the run started. Which clock produced them —
     /// virtual (simulated backend) or wall (threaded backend) — is
@@ -468,7 +447,7 @@ impl TraceEvent {
             self.phase.name(),
             self.kind.name()
         );
-        match self.kind {
+        match &self.kind {
             TraceKind::BucketOverflow { pending } => {
                 let _ = write!(out, ",\"pending\":{pending}");
             }
@@ -506,24 +485,17 @@ impl TraceEvent {
             TraceKind::ProbeFanout { tuples, copies } => {
                 let _ = write!(out, ",\"tuples\":{tuples},\"copies\":{copies}");
             }
-            TraceKind::ExecutorStats {
-                workers,
-                steals,
-                parks,
-                overflows,
-                max_depth,
-                timer_fires,
-            } => {
+            TraceKind::ExecutorStats(c) => {
                 let _ = write!(
                     out,
-                    ",\"workers\":{workers},\"steals\":{steals},\"parks\":{parks},\
-                     \"overflows\":{overflows},\"max_depth\":{max_depth},\
-                     \"timer_fires\":{timer_fires}"
+                    ",\"workers\":{},\"steals\":{},\"parks\":{},\"overflows\":{},\
+                     \"max_depth\":{},\"timer_fires\":{}",
+                    c.workers, c.steals, c.parks, c.overflows, c.max_depth, c.timer_fires
                 );
             }
             TraceKind::MetricsSample { seq, values } => {
                 let _ = write!(out, ",\"seq\":{seq}");
-                for (s, v) in SAMPLED.iter().zip(values) {
+                for (s, v) in SAMPLED.iter().zip(values.iter()) {
                     let _ = write!(out, ",\"{}\":{v}", s.name);
                 }
             }
@@ -620,14 +592,14 @@ impl TraceEvent {
                 copies: num("copies")?,
             },
             "phase_done" => TraceKind::PhaseDone,
-            "executor_stats" => TraceKind::ExecutorStats {
+            "executor_stats" => TraceKind::ExecutorStats(Box::new(ExecutorCounters {
                 workers: num("workers")?,
                 steals: num("steals")?,
                 parks: num("parks")?,
                 overflows: num("overflows")?,
                 max_depth: num("max_depth")?,
                 timer_fires: num("timer_fires")?,
-            },
+            })),
             "metrics_sample" => {
                 let mut values = [0; SAMPLE_WIDTH];
                 for (v, s) in values.iter_mut().zip(SAMPLED) {
@@ -635,7 +607,7 @@ impl TraceEvent {
                 }
                 TraceKind::MetricsSample {
                     seq: num("seq")?,
-                    values,
+                    values: Box::new(values),
                 }
             }
             "protocol_fault" => TraceKind::ProtocolFault {
@@ -805,32 +777,41 @@ impl Tracer {
         self.level >= TraceLevel::Detail && !self.sinks.is_empty()
     }
 
-    /// Emits a summary-level event.
+    /// The event [`Self::emit`] would record, built whatever the level
+    /// (the node id rebased).
     #[inline]
-    pub fn emit(&self, at_nanos: u64, node: u32, phase: Phase, kind: TraceKind) {
-        if !self.enabled() {
-            return;
-        }
-        self.dispatch(&TraceEvent {
+    #[must_use]
+    pub fn event(&self, at_nanos: u64, node: u32, phase: Phase, kind: TraceKind) -> TraceEvent {
+        TraceEvent {
             at_nanos,
             node: node.saturating_sub(self.node_base),
             phase,
             kind,
-        });
+        }
+    }
+
+    /// Emits a summary-level event.
+    #[inline]
+    pub fn emit(&self, at_nanos: u64, node: u32, phase: Phase, kind: TraceKind) {
+        if self.enabled() {
+            self.dispatch(&self.event(at_nanos, node, phase, kind));
+        }
+    }
+
+    /// Emits an event built by [`Self::event`] at summary level.
+    #[inline]
+    pub fn emit_event(&self, ev: &TraceEvent) {
+        if self.enabled() {
+            self.dispatch(ev);
+        }
     }
 
     /// Emits a detail-level event (per-chunk data movement, fan-out).
     #[inline]
     pub fn emit_detail(&self, at_nanos: u64, node: u32, phase: Phase, kind: TraceKind) {
-        if !self.detail() {
-            return;
+        if self.detail() {
+            self.dispatch(&self.event(at_nanos, node, phase, kind));
         }
-        self.dispatch(&TraceEvent {
-            at_nanos,
-            node: node.saturating_sub(self.node_base),
-            phase,
-            kind,
-        });
     }
 
     fn dispatch(&self, ev: &TraceEvent) {
@@ -870,7 +851,7 @@ impl RingSink {
             .lock()
             .expect("ring lock")
             .iter()
-            .copied()
+            .cloned()
             .collect()
     }
 }
@@ -881,7 +862,7 @@ impl TraceSink for RingSink {
         if buf.len() == self.capacity {
             buf.pop_front();
         }
-        buf.push_back(*ev);
+        buf.push_back(ev.clone());
     }
 }
 
@@ -913,8 +894,9 @@ impl TraceSink for JsonlSink {
 
 use std::io::Write as _;
 
-/// Executor counters captured from a [`TraceKind::ExecutorStats`] event
-/// (threaded backend only; a simulated run leaves them absent).
+/// Executor counters: the payload of a [`TraceKind::ExecutorStats`] event,
+/// which the rollup keeps (threaded backend only; a simulated run leaves
+/// them absent).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorCounters {
     /// Worker threads in the pool.
@@ -955,23 +937,8 @@ impl TraceRollup {
         self.by_phase[ev.phase.index()] += 1;
         *self.by_kind.entry(ev.kind.name()).or_insert(0) += 1;
         *self.by_node.entry(ev.node).or_insert(0) += 1;
-        if let TraceKind::ExecutorStats {
-            workers,
-            steals,
-            parks,
-            overflows,
-            max_depth,
-            timer_fires,
-        } = ev.kind
-        {
-            self.executor = Some(ExecutorCounters {
-                workers,
-                steals,
-                parks,
-                overflows,
-                max_depth,
-                timer_fires,
-            });
+        if let TraceKind::ExecutorStats(c) = &ev.kind {
+            self.executor = Some(**c);
         }
     }
 
@@ -1042,7 +1009,7 @@ pub const fn lane_marker(kind: &TraceKind) -> char {
         TraceKind::HotKeysInstalled { .. } => 'H',
         TraceKind::ProbeFanout { .. } => 'f',
         TraceKind::PhaseDone => '|',
-        TraceKind::ExecutorStats { .. } => 'W',
+        TraceKind::ExecutorStats(_) => 'W',
         TraceKind::MetricsSample { .. } => 'm',
         TraceKind::ProtocolFault { .. } => '?',
         TraceKind::EngineStop { .. } => 'E',
@@ -1155,14 +1122,14 @@ mod tests {
                 copies: 20,
             },
             TraceKind::PhaseDone,
-            TraceKind::ExecutorStats {
+            TraceKind::ExecutorStats(Box::new(ExecutorCounters {
                 workers: 8,
                 steals: 120,
                 parks: 3,
                 overflows: 0,
                 max_depth: 512,
                 timer_fires: 2,
-            },
+            })),
             sample(),
             TraceKind::EngineStop {
                 reason: StopCause::Completed,
@@ -1177,7 +1144,7 @@ mod tests {
     fn sample() -> TraceKind {
         TraceKind::MetricsSample {
             seq: 4,
-            values: std::array::from_fn(|i| 1000 * i as u64 + 7),
+            values: Box::new(std::array::from_fn(|i| 1000 * i as u64 + 7)),
         }
     }
 
@@ -1251,6 +1218,27 @@ mod tests {
         t.emit_detail(2, 0, Phase::Build, TraceKind::PhaseDone);
         assert!(!t.enabled());
         assert!(ring.tail().is_empty());
+    }
+
+    #[test]
+    fn an_event_stays_five_words() {
+        // Every join report keeps its scheduler's milestones as events, and
+        // a service holds many reports: the bulky payloads stay boxed.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
+    }
+
+    #[test]
+    fn an_event_is_built_at_any_level_and_emitted_at_its_own() {
+        let ring = Arc::new(RingSink::new(8));
+        let off = Tracer::new(TraceLevel::Off, vec![ring.clone()]).rebased(40);
+        let ev = off.event(1, 42, Phase::Build, TraceKind::PhaseDone);
+        assert_eq!(ev.node, 2);
+        off.emit_event(&ev);
+        assert!(ring.tail().is_empty());
+        let on = Tracer::new(TraceLevel::Summary, vec![ring.clone()]).rebased(40);
+        on.emit(1, 42, Phase::Build, TraceKind::PhaseDone);
+        on.emit_event(&ev);
+        assert_eq!(ring.tail(), vec![ev.clone(), ev]);
     }
 
     #[test]
@@ -1338,14 +1326,14 @@ mod tests {
             at_nanos: 9,
             node: 0,
             phase: Phase::Probe,
-            kind: TraceKind::ExecutorStats {
+            kind: TraceKind::ExecutorStats(Box::new(ExecutorCounters {
                 workers: 4,
                 steals: 10,
                 parks: 1,
                 overflows: 0,
                 max_depth: 33,
                 timer_fires: 2,
-            },
+            })),
         });
         let exec = r.executor.expect("captured");
         assert_eq!(exec.workers, 4);

@@ -3,8 +3,8 @@
 //! exactly as downstream crates use them.
 
 use ehj_metrics::{
-    trace_rollup_table, CommCategory, CommCounters, LoadStats, Phase, PhaseTimes, StopCause,
-    TraceEvent, TraceKind, TraceLevel, TraceRollup,
+    trace_rollup_table, CommCategory, CommCounters, ExecutorCounters, LoadStats, Phase, PhaseTimes,
+    StopCause, TraceEvent, TraceKind, TraceLevel, TraceRollup,
 };
 
 #[test]
@@ -121,7 +121,7 @@ fn trace_events_round_trip_through_json_lines() {
             phase: Phase::Probe,
             kind: TraceKind::MetricsSample {
                 seq: 9,
-                values: std::array::from_fn(|i| 93_750 + i as u64),
+                values: Box::new(std::array::from_fn(|i| 93_750 + i as u64)),
             },
         },
         TraceEvent {
@@ -192,14 +192,14 @@ fn rollup_table_shows_executor_rows_without_timers() {
         at_nanos: 1,
         node: 0,
         phase: Phase::Probe,
-        kind: TraceKind::ExecutorStats {
+        kind: TraceKind::ExecutorStats(Box::new(ExecutorCounters {
             workers: 2,
             steals: 5,
             parks: 1,
             overflows: 0,
             max_depth: 64,
             timer_fires: 0,
-        },
+        })),
     });
     let table = trace_rollup_table(&r).render();
     assert!(table.contains("(executor) workers/steals/parks"));

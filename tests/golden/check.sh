@@ -5,9 +5,12 @@
 # matches, node counts, extra chunks, network bytes, trace events) is a
 # column there, so a change that moves one must re-record the goldens
 # with `--record` and say in its description which columns moved and why.
+# The `figures` binary beside the given `ehjoin` must likewise reproduce
+# `figures-scale-100.txt` (`figures all --scale 100`: every simulated
+# figure table and shape check, each figure's out-of-core column included).
 #
 # Usage: tests/golden/check.sh [--record] [path/to/ehjoin]
-# (default binary: target/release/ehjoin; build it with
+# (default binary: target/release/ehjoin; build it and `figures` with
 # `cargo build --release` first).
 set -euo pipefail
 
@@ -18,6 +21,7 @@ if [[ "${1:-}" == "--record" ]]; then
     shift
 fi
 bin=${1:-target/release/ehjoin}
+figures="$(dirname "$bin")/figures"
 
 # name|arguments
 settings=(
@@ -43,4 +47,15 @@ for setting in "${settings[@]}"; do
         status=1
     fi
 done
+
+golden="$dir/figures-scale-100.txt"
+if (( record )); then
+    "$figures" all --scale 100 > "$golden"
+    echo "recorded $golden"
+elif diff -u "$golden" <("$figures" all --scale 100); then
+    echo "ok: figures all --scale 100"
+else
+    echo "MISMATCH: figures all --scale 100 differs from $golden" >&2
+    status=1
+fi
 exit "$status"

@@ -4,8 +4,8 @@
 //! matters when capacities differ.
 
 use ehj_cluster::{ClusterSpec, NodeSpec, SelectionPolicy};
-use ehj_core::report::TimelineKind;
 use ehj_core::{expected_matches_for, Algorithm, JoinConfig, JoinRunner};
+use ehj_metrics::TraceKind;
 
 /// A cluster whose later nodes are big: 8 small nodes then 4 big ones.
 fn skewed_cluster(small: u64, big: u64) -> ClusterSpec {
@@ -61,7 +61,7 @@ fn largest_free_memory_recruits_the_big_nodes_first() {
         .timeline
         .iter()
         .filter_map(|e| match e.kind {
-            TimelineKind::Recruited(n) => Some(n),
+            TraceKind::Recruited { node } => Some(node),
             _ => None,
         })
         .collect();
@@ -87,7 +87,7 @@ fn first_fit_recruits_in_id_order_regardless_of_size() {
         .timeline
         .iter()
         .filter_map(|e| match e.kind {
-            TimelineKind::Recruited(n) => Some(n),
+            TraceKind::Recruited { node } => Some(node),
             _ => None,
         })
         .collect();

@@ -1,8 +1,7 @@
 //! Report integrity: timelines, serde round-trips and counter coherence.
 
-use ehj_core::report::TimelineKind;
 use ehj_core::{Algorithm, JoinConfig, JoinRunner};
-use ehj_metrics::Phase;
+use ehj_metrics::{Phase, TraceKind};
 
 fn run(alg: Algorithm) -> (JoinConfig, ehj_core::JoinReport) {
     let cfg = JoinConfig::paper_scaled(alg, 1000);
@@ -15,23 +14,28 @@ fn timeline_is_ordered_and_phase_complete() {
     for alg in Algorithm::ALL {
         let (_, r) = run(alg);
         assert!(
-            r.timeline.windows(2).all(|w| w[0].at_secs <= w[1].at_secs),
+            r.timeline
+                .windows(2)
+                .all(|w| w[0].at_nanos <= w[1].at_nanos),
             "{}: timeline must be chronological",
             alg.label()
         );
-        let kinds: Vec<_> = r.timeline.iter().map(|e| e.kind).collect();
-        let pos = |k: TimelineKind| kinds.iter().position(|&x| x == k);
-        let build = pos(TimelineKind::BuildDone).expect("build completes");
-        let probe = pos(TimelineKind::ProbeDone).expect("probe completes");
+        let done = |phase: Phase| {
+            r.timeline
+                .iter()
+                .position(|e| e.kind == TraceKind::PhaseDone && e.phase == phase)
+        };
+        let build = done(Phase::Build).expect("build completes");
+        let probe = done(Phase::Probe).expect("probe completes");
         assert!(build < probe);
         // Every recruitment happens before the build phase ends.
-        for (i, k) in kinds.iter().enumerate() {
-            if matches!(k, TimelineKind::Recruited(_)) {
+        for (i, e) in r.timeline.iter().enumerate() {
+            if matches!(e.kind, TraceKind::Recruited { .. }) {
                 assert!(i < build, "{}: recruit after build end", alg.label());
             }
         }
         if alg == Algorithm::Hybrid {
-            if let Some(resh) = pos(TimelineKind::ReshuffleDone) {
+            if let Some(resh) = done(Phase::Reshuffle) {
                 assert!(build < resh && resh < probe);
             }
         }
@@ -44,7 +48,7 @@ fn timeline_recruit_count_matches_expansions() {
     let recruits = r
         .timeline
         .iter()
-        .filter(|e| matches!(e.kind, TimelineKind::Recruited(_)))
+        .filter(|e| matches!(e.kind, TraceKind::Recruited { .. }))
         .count() as u64;
     assert_eq!(recruits, r.expansions);
 }

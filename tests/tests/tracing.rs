@@ -2,9 +2,10 @@
 //! coverage, per-node timestamp monotonicity, and diagnostic error tails.
 
 use ehj_core::{Algorithm, Backend, JoinConfig, JoinError, JoinReport, JoinRunner, RunOptions};
-use ehj_metrics::{TraceEvent, TraceKind, TraceLevel};
+use ehj_metrics::{RingSink, TraceEvent, TraceKind, TraceLevel};
 use ehj_sim::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A workload small enough for tests but guaranteed to overflow the first
 /// node's hash memory, so every expanding algorithm actually expands.
@@ -183,6 +184,37 @@ fn summary_level_is_a_subset_of_detail() {
         summary_report.trace.total < detail_report.trace.total,
         "detail adds per-chunk events on an expanding workload"
     );
+}
+
+#[test]
+fn the_timeline_is_the_schedulers_milestones_at_every_level() {
+    for alg in Algorithm::ALL {
+        let cfg = base(alg);
+        let collector = Arc::new(RingSink::new(1 << 20));
+        let run = |trace_level, extra_sinks| {
+            let opts = RunOptions {
+                trace_level,
+                extra_sinks,
+                ..RunOptions::default()
+            };
+            JoinRunner::run_with(&cfg, &opts)
+                .expect("join runs")
+                .timeline
+        };
+        let summary = run(TraceLevel::Summary, vec![Arc::clone(&collector) as _]);
+        assert!(!summary.is_empty(), "{}", alg.label());
+        assert_eq!(run(TraceLevel::Off, vec![]), summary, "{}", alg.label());
+        assert_eq!(run(TraceLevel::Detail, vec![]), summary, "{}", alg.label());
+        // Every milestone reached the sinks too, in timeline order.
+        let mut received = collector.tail().into_iter();
+        for ev in &summary {
+            assert!(
+                received.any(|r| r == *ev),
+                "{}: {ev:?} missing from the trace or out of order",
+                alg.label()
+            );
+        }
+    }
 }
 
 #[test]
