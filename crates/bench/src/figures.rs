@@ -53,12 +53,6 @@ impl Figure {
         }
         out
     }
-
-    /// Whether every shape check passed.
-    #[must_use]
-    pub fn all_pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
 }
 
 /// All figure identifiers in paper order.

@@ -48,9 +48,7 @@ pub fn config_from_args(args: &Args, algorithm: Algorithm) -> JoinConfig {
         cfg.r.dist = dist;
         cfg.s.dist = dist;
     }
-    if args.hot_keys {
-        cfg.hot_keys = ehj_core::HotKeyConfig::enabled();
-    }
+    cfg.hot_keys = args.hot_keys;
     if args.anti_matched {
         cfg.s.correlation = ehj_data::Correlation::AntiMatched;
     }
@@ -534,12 +532,8 @@ mod tests {
     fn hot_keys_flag_flows_into_config() {
         let a = parse("run --zipf 0.9 --hot-keys");
         let cfg = config_from_args(&a, Algorithm::Hybrid);
-        assert!(cfg.hot_keys.enabled);
-        assert!(
-            !config_from_args(&parse("run"), Algorithm::Hybrid)
-                .hot_keys
-                .enabled
-        );
+        assert!(cfg.hot_keys);
+        assert!(!config_from_args(&parse("run"), Algorithm::Hybrid).hot_keys);
     }
 
     #[test]

@@ -10,36 +10,26 @@
 
 use crate::node::{ClusterSpec, NodeId};
 
-/// How the scheduler picks the next join node from the potential list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionPolicy {
-    /// The paper's policy: largest available memory first (minimizes the
-    /// number of additional nodes).
-    #[default]
-    LargestFreeMemory,
-    /// First node in the potential list (recruitment order).
-    FirstFit,
-}
-
 /// The scheduler's view of the cluster during one join.
 #[derive(Debug, Clone)]
 pub struct SchedulerBook {
     working: Vec<NodeId>,
+    /// Largest hash memory first, ties in id order: a potential node has
+    /// never held a tuple, so its available memory is its capacity and the
+    /// paper's pick is always the front.
     potential: Vec<NodeId>,
     full: Vec<NodeId>,
-    free_mem: Vec<u64>,
-    policy: SelectionPolicy,
 }
 
 impl SchedulerBook {
     /// Creates the book: the first `initial` nodes of `cluster` start as
-    /// working join nodes, the rest as potential join nodes. Free memory of
-    /// a potential node starts at its full hash-memory capacity.
+    /// working join nodes, the rest as potential join nodes in recruit
+    /// order.
     ///
     /// # Panics
     /// Panics if `initial` is zero or exceeds the cluster size.
     #[must_use]
-    pub fn new(cluster: &ClusterSpec, initial: usize, policy: SelectionPolicy) -> Self {
+    pub fn new(cluster: &ClusterSpec, initial: usize) -> Self {
         assert!(initial > 0, "need at least one initial join node");
         assert!(
             initial <= cluster.len(),
@@ -47,12 +37,12 @@ impl SchedulerBook {
             cluster.len()
         );
         let all: Vec<NodeId> = cluster.node_ids().collect();
+        let mut potential = all[initial..].to_vec();
+        potential.sort_by_key(|&n| std::cmp::Reverse(cluster.spec(n).hash_memory_bytes));
         Self {
             working: all[..initial].to_vec(),
-            potential: all[initial..].to_vec(),
+            potential,
             full: Vec::new(),
-            free_mem: cluster.nodes.iter().map(|s| s.hash_memory_bytes).collect(),
-            policy,
         }
     }
 
@@ -74,35 +64,14 @@ impl SchedulerBook {
         &self.full
     }
 
-    /// Free memory the scheduler believes `node` has.
-    #[must_use]
-    pub fn free_mem(&self, node: NodeId) -> u64 {
-        self.free_mem[node.0 as usize]
-    }
-
-    /// Updates the scheduler's free-memory estimate for `node` (piggybacked
-    /// on status messages in the real system).
-    pub fn set_free_mem(&mut self, node: NodeId, bytes: u64) {
-        self.free_mem[node.0 as usize] = bytes;
-    }
-
-    /// Selects and recruits a new join node from the potential list, moving
-    /// it to the working list. Returns `None` when no nodes remain.
+    /// Recruits the potential node with the most hash memory (the earliest
+    /// id on a tie), moving it to the working list. Returns `None` when no
+    /// nodes remain.
     pub fn recruit(&mut self) -> Option<NodeId> {
         if self.potential.is_empty() {
             return None;
         }
-        let idx = match self.policy {
-            SelectionPolicy::LargestFreeMemory => self
-                .potential
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, n)| (self.free_mem[n.0 as usize], usize::MAX - i))
-                .map(|(i, _)| i)
-                .expect("non-empty"),
-            SelectionPolicy::FirstFit => 0,
-        };
-        let node = self.potential.remove(idx);
+        let node = self.potential.remove(0);
         self.working.push(node);
         Some(node)
     }
@@ -147,41 +116,36 @@ mod tests {
 
     #[test]
     fn initial_partition() {
-        let b = SchedulerBook::new(&cluster(), 2, SelectionPolicy::default());
+        let b = SchedulerBook::new(&cluster(), 2);
         assert_eq!(b.working(), &[NodeId(0), NodeId(1)]);
         assert_eq!(b.potential().len(), 4);
         assert!(b.full().is_empty());
     }
 
     #[test]
-    fn largest_free_memory_wins() {
-        let mut b = SchedulerBook::new(&cluster(), 2, SelectionPolicy::LargestFreeMemory);
-        b.set_free_mem(NodeId(4), 5000);
-        b.set_free_mem(NodeId(3), 4000);
+    fn largest_capacity_recruits_first() {
+        let mut c = cluster();
+        c.nodes[4].hash_memory_bytes = 5000;
+        c.nodes[3].hash_memory_bytes = 4000;
+        let mut b = SchedulerBook::new(&c, 2);
         assert_eq!(b.recruit(), Some(NodeId(4)));
         assert_eq!(b.recruit(), Some(NodeId(3)));
-        // Ties break toward the earliest-listed node.
+        // Ties break toward the earliest id.
         assert_eq!(b.recruit(), Some(NodeId(2)));
         assert_eq!(b.working().len(), 5);
-    }
-
-    #[test]
-    fn first_fit_takes_list_order() {
-        let mut b = SchedulerBook::new(&cluster(), 1, SelectionPolicy::FirstFit);
-        assert_eq!(b.recruit(), Some(NodeId(1)));
-        assert_eq!(b.recruit(), Some(NodeId(2)));
+        assert_eq!(b.recruit(), Some(NodeId(5)));
     }
 
     #[test]
     fn recruit_exhausts() {
-        let mut b = SchedulerBook::new(&cluster(), 5, SelectionPolicy::FirstFit);
+        let mut b = SchedulerBook::new(&cluster(), 5);
         assert_eq!(b.recruit(), Some(NodeId(5)));
         assert_eq!(b.recruit(), None);
     }
 
     #[test]
     fn full_list_lifecycle() {
-        let mut b = SchedulerBook::new(&cluster(), 3, SelectionPolicy::FirstFit);
+        let mut b = SchedulerBook::new(&cluster(), 3);
         b.mark_full(NodeId(1));
         assert_eq!(b.working(), &[NodeId(0), NodeId(2)]);
         assert_eq!(b.full(), &[NodeId(1)]);
@@ -194,19 +158,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "working")]
     fn mark_full_requires_working() {
-        let mut b = SchedulerBook::new(&cluster(), 1, SelectionPolicy::FirstFit);
+        let mut b = SchedulerBook::new(&cluster(), 1);
         b.mark_full(NodeId(5));
     }
 
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_initial_panics() {
-        let _ = SchedulerBook::new(&cluster(), 0, SelectionPolicy::default());
+        let _ = SchedulerBook::new(&cluster(), 0);
     }
 
     #[test]
     #[should_panic(expected = "exceed")]
     fn too_many_initial_panics() {
-        let _ = SchedulerBook::new(&cluster(), 7, SelectionPolicy::default());
+        let _ = SchedulerBook::new(&cluster(), 7);
     }
 }

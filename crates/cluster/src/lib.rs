@@ -2,8 +2,7 @@
 //!
 //! Node descriptors and the scheduler's bookkeeping over them: the
 //! working / potential / full join-node lists of §4.1.1–4.1.2 and the
-//! new-node selection policies (the paper's largest-available-memory rule
-//! plus ablation alternatives).
+//! paper's new-node selection rule (largest available memory first).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -12,6 +11,6 @@ pub mod book;
 pub mod node;
 pub mod quota;
 
-pub use book::{SchedulerBook, SelectionPolicy};
+pub use book::SchedulerBook;
 pub use node::{ClusterSpec, NodeId, NodeSpec};
 pub use quota::{QuotaError, QuotaGrant, QuotaLedger};

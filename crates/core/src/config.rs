@@ -1,7 +1,7 @@
 //! Join configuration: which algorithm, on what cluster, over which data,
 //! with what cost model.
 
-use ehj_cluster::{ClusterSpec, SelectionPolicy};
+use ehj_cluster::ClusterSpec;
 use ehj_data::{RelationSpec, Schema, DEFAULT_CHUNK_TUPLES};
 use ehj_hash::AttrHasher;
 pub use ehj_hash::ProbeKernel;
@@ -79,61 +79,11 @@ impl Default for CostModel {
     }
 }
 
-/// Skew-conscious routing knobs (DESIGN §4i): sources keep space-saving
-/// sketches of the build key stream and ship them to the scheduler, which
-/// may install a [`RoutingTable::HotKeys`](crate::routing::RoutingTable)
-/// overlay replicating the hottest positions' build tuples and
-/// round-robining their probes.
-///
-/// [`HotKeyConfig::default`] is **off**: every existing workload keeps
-/// byte-identical observables unless hot-key routing is asked for.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HotKeyConfig {
-    /// Master switch; when false no sketches are kept and no overlay is
-    /// ever installed.
-    pub enabled: bool,
-    /// Counters per source-side sketch (the space-saving `k`).
-    pub sketch_capacity: usize,
-    /// Minimum observed build tuples (merged across sources) before the
-    /// scheduler considers installing the overlay — avoids acting on noise.
-    pub min_total: u64,
-    /// Install threshold: the hottest key's estimated share of the build
-    /// stream must exceed this fraction.
-    pub hot_fraction: f64,
-    /// At most this many positions are promoted to the hot set.
-    pub max_hot: usize,
-}
-
-impl Default for HotKeyConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            sketch_capacity: 64,
-            min_total: 8192,
-            hot_fraction: 0.01,
-            max_hot: 32,
-        }
-    }
-}
-
-impl HotKeyConfig {
-    /// The default knobs with the master switch on.
-    #[must_use]
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-}
-
 /// Complete description of one join run.
 #[derive(Debug, Clone)]
 pub struct JoinConfig {
     /// Which algorithm to run.
     pub algorithm: Algorithm,
-    /// New-node selection policy at the scheduler.
-    pub selection_policy: SelectionPolicy,
     /// The cluster (node count and per-node hash memory).
     pub cluster: ClusterSpec,
     /// Join nodes allocated before execution starts (the Figure 2/3 axis).
@@ -158,8 +108,13 @@ pub struct JoinConfig {
     pub disk: DiskConfig,
     /// Out-of-core tuning.
     pub grace: GraceConfig,
-    /// Skew-conscious routing knobs (DESIGN §4i; off by default).
-    pub hot_keys: HotKeyConfig,
+    /// Skew-conscious routing (DESIGN §4i): sources keep space-saving
+    /// sketches of the build key stream and ship them to the scheduler,
+    /// which may install a [`RoutingTable::HotKeys`](crate::routing::RoutingTable)
+    /// overlay replicating the hottest positions' build tuples and
+    /// round-robining their probes. Off by default, so every other
+    /// workload keeps byte-identical observables.
+    pub hot_keys: bool,
     /// Which probe kernel join nodes run (DESIGN §4g). Both produce
     /// byte-identical simulated observables; they differ only in host
     /// wall-time. The scalar tuple-at-a-time path is kept as the reference
@@ -201,7 +156,6 @@ impl JoinConfig {
         let seed = 0xE41A_u64 ^ 0x5EED_0001;
         Self {
             algorithm,
-            selection_policy: SelectionPolicy::default(),
             cluster: ClusterSpec::osumed(),
             initial_nodes: 4,
             sources: 8,
@@ -215,7 +169,7 @@ impl JoinConfig {
             net: NetConfig::fast_ethernet_100mbps(),
             disk: DiskConfig::ide_2004(),
             grace: GraceConfig::default(),
-            hot_keys: HotKeyConfig::default(),
+            hot_keys: false,
             probe_kernel: ProbeKernel::default(),
             tenant_weight: 1,
             probe_slice: 0,
@@ -318,24 +272,6 @@ impl JoinConfig {
         if self.tenant_weight == 0 {
             return Err("tenant_weight must be at least 1".into());
         }
-        if self.hot_keys.enabled {
-            let hk = &self.hot_keys;
-            if hk.sketch_capacity == 0 {
-                return Err("hot_keys.sketch_capacity must be positive".into());
-            }
-            if hk.max_hot == 0 {
-                return Err("hot_keys.max_hot must be positive".into());
-            }
-            if hk.max_hot > hk.sketch_capacity {
-                return Err(format!(
-                    "hot_keys.max_hot ({}) exceeds sketch_capacity ({})",
-                    hk.max_hot, hk.sketch_capacity
-                ));
-            }
-            if !(hk.hot_fraction > 0.0 && hk.hot_fraction < 1.0) {
-                return Err("hot_keys.hot_fraction must lie in (0, 1)".into());
-            }
-        }
         Ok(())
     }
 }
@@ -398,16 +334,6 @@ mod tests {
         let mut cfg = JoinConfig::paper_default(Algorithm::Split);
         cfg.s = cfg.s.with_domain(1);
         assert!(cfg.validate().is_err(), "domain mismatch must fail");
-
-        let mut cfg = JoinConfig::paper_default(Algorithm::Split);
-        cfg.hot_keys = HotKeyConfig::enabled();
-        cfg.hot_keys.max_hot = cfg.hot_keys.sketch_capacity + 1;
-        assert!(cfg.validate().is_err(), "max_hot > capacity must fail");
-        cfg.hot_keys = HotKeyConfig::enabled();
-        cfg.hot_keys.hot_fraction = 1.5;
-        assert!(cfg.validate().is_err(), "hot_fraction >= 1 must fail");
-        cfg.hot_keys = HotKeyConfig::enabled();
-        cfg.validate().expect("enabled defaults must validate");
     }
 
     /// Asserts that `dist` fails validation on either relation, naming it.

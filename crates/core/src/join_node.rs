@@ -402,7 +402,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         // Entries are contiguous ranges, so one entry at both ends covers
         // every position between them.
         routing.entry_index(lo) == routing.entry_index(hi)
-            && routing.build_dest_pos(lo) == self.me
+            && routing.build_dest(lo) == self.me
             && self.table.insert_batch_pre_hashed(batch, positions).is_ok()
     }
 
@@ -446,7 +446,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             let dest = if hot {
                 self.me
             } else {
-                routing.build_dest_pos(pos)
+                routing.build_dest(pos)
             };
             if dest != self.me {
                 self.scatter_push(dest, t);
@@ -469,7 +469,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                     // once: relief only ever reaches the owner, so parked
                     // here it could wait for an update that never comes.
                     let owner = if hot {
-                        routing.inner().build_dest_pos(pos)
+                        routing.inner().build_dest(pos)
                     } else {
                         self.me
                     };
@@ -538,9 +538,9 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 }
             }
             let dest = if hot {
-                routing.inner().build_dest_pos(pos)
+                routing.inner().build_dest(pos)
             } else {
-                routing.build_dest_pos(pos)
+                routing.build_dest(pos)
             };
             if dest != self.me {
                 self.scatter_push(dest, t);

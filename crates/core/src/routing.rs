@@ -1,6 +1,6 @@
 //! Routing tables shared by data sources, join nodes and the scheduler.
 //!
-//! A routing table answers two questions for a join-attribute value:
+//! A routing table answers two questions for a hash position:
 //! *where do build tuples go* (always exactly one node) and *where do probe
 //! tuples go* (one node, except for replicated ranges, which broadcast to
 //! every replica — §4.2.2). The algorithm families use two shapes:
@@ -20,9 +20,22 @@
 //! replica set, with probes for those positions round-robined too. Cold
 //! positions fall through to the wrapped inner table (DESIGN §4i).
 
-use ehj_data::JoinAttr;
-use ehj_hash::{BucketMap, HashRange, PositionSpace, ReplicaMap};
+use ehj_hash::{BucketMap, HashRange, ReplicaMap};
 use ehj_sim::ActorId;
+
+/// Counters per source-side space-saving sketch (its `k`); the scheduler
+/// rejects a larger sketch as a protocol fault.
+pub(crate) const SKETCH_CAPACITY: usize = 64;
+/// Build tuples observed across all sources before the scheduler
+/// considers an overlay, so it never acts on noise. Each source ships its
+/// first snapshot at its share of this.
+pub(crate) const HOT_MIN_TOTAL: u64 = 8192;
+/// A position is hot when its guaranteed count clears this share of the
+/// merged build stream.
+pub(crate) const HOT_FRACTION: f64 = 0.01;
+/// At most this many positions are promoted to the hot set.
+pub(crate) const MAX_HOT: usize = 32;
+const _: () = assert!(MAX_HOT <= SKETCH_CAPACITY);
 
 /// The hot-position overlay installed by the scheduler when source-side
 /// sketches report heavy hitters (DESIGN §4i).
@@ -97,17 +110,9 @@ pub enum RoutingTable {
 }
 
 impl RoutingTable {
-    /// The single destination for a build tuple.
+    /// The single destination for a build tuple at hash position `pos`.
     #[must_use]
-    pub fn build_dest(&self, space: &PositionSpace, attr: JoinAttr) -> ActorId {
-        self.build_dest_pos(space.position_of(attr))
-    }
-
-    /// [`Self::build_dest`] for a pre-computed hash position, so callers
-    /// that also need the position (e.g. to insert into the local table)
-    /// hash each attribute exactly once.
-    #[must_use]
-    pub fn build_dest_pos(&self, pos: u32) -> ActorId {
+    pub fn build_dest(&self, pos: u32) -> ActorId {
         match self {
             Self::Replica(m) => m.active_of(pos),
             // Linear hashing subdivides the position space ("disjoint
@@ -119,20 +124,16 @@ impl RoutingTable {
                 if overlay.is_hot(pos) {
                     overlay.pick(pos as u64)
                 } else {
-                    inner.build_dest_pos(pos)
+                    inner.build_dest(pos)
                 }
             }
         }
     }
 
-    /// Appends the probe destinations for a tuple to `out` (cleared first).
-    /// Exactly one destination except for replicated ranges.
-    pub fn probe_dests(&self, space: &PositionSpace, attr: JoinAttr, out: &mut Vec<ActorId>) {
-        self.probe_dests_pos(space.position_of(attr), out);
-    }
-
-    /// [`Self::probe_dests`] for a pre-computed hash position.
-    pub fn probe_dests_pos(&self, pos: u32, out: &mut Vec<ActorId>) {
+    /// Appends the probe destinations for a tuple at hash position `pos`
+    /// to `out` (cleared first). Exactly one destination except for
+    /// replicated ranges.
+    pub fn probe_dests(&self, pos: u32, out: &mut Vec<ActorId>) {
         out.clear();
         match self {
             Self::Replica(m) => out.extend_from_slice(m.owners_of(pos)),
@@ -141,7 +142,7 @@ impl RoutingTable {
                 if overlay.is_hot(pos) {
                     overlay.push_probe_dests(pos as u64, out);
                 } else {
-                    inner.probe_dests_pos(pos, out);
+                    inner.probe_dests(pos, out);
                 }
             }
         }
@@ -149,8 +150,8 @@ impl RoutingTable {
 
     /// Dense index of the base-table entry — range, replica entry or bucket
     /// — covering `pos`, seen through a hot-key overlay. Every *cold*
-    /// position with the same index has the same [`Self::build_dest_pos`]
-    /// and [`Self::probe_dests_pos`], so callers can cache per entry what
+    /// position with the same index has the same [`Self::build_dest`]
+    /// and [`Self::probe_dests`], so callers can cache per entry what
     /// they would otherwise resolve per tuple. Indices are only comparable
     /// within one table value: any table change may renumber them.
     #[must_use]
@@ -211,12 +212,6 @@ impl RoutingTable {
         }
     }
 
-    /// Whether `node` owns `attr` for the build phase under this table.
-    #[must_use]
-    pub fn owns_build(&self, space: &PositionSpace, attr: JoinAttr, node: ActorId) -> bool {
-        self.build_dest(space, attr) == node
-    }
-
     /// Every node that currently holds (or receives) part of the table.
     #[must_use]
     pub fn all_nodes(&self) -> Vec<ActorId> {
@@ -257,24 +252,17 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ehj_hash::{AttrHasher, HashRange, ReplicaEntry};
-
-    fn space() -> PositionSpace {
-        // positions == domain, so position == attribute value directly.
-        PositionSpace::new(100, 100, AttrHasher::Identity)
-    }
+    use ehj_hash::{HashRange, ReplicaEntry};
 
     #[test]
     fn disjoint_routes_by_range() {
         let t = RoutingTable::Replica(ReplicaMap::partitioned(100, &[10, 11, 12, 13]));
-        let sp = space();
-        assert_eq!(t.build_dest(&sp, 0), 10);
-        assert_eq!(t.build_dest(&sp, 99), 13);
+        assert_eq!(t.build_dest(0), 10);
+        assert_eq!(t.build_dest(99), 13);
         let mut dests = Vec::new();
-        t.probe_dests(&sp, 50, &mut dests);
+        t.probe_dests(50, &mut dests);
         assert_eq!(dests, vec![12]);
-        assert!(t.owns_build(&sp, 50, 12));
-        assert!(!t.owns_build(&sp, 50, 10));
+        assert_eq!(t.build_dest(50), 12);
         assert_eq!(t.all_nodes(), vec![10, 11, 12, 13]);
         // 12 B of range plus 4 B for its one owner, per range.
         assert_eq!(t.wire_bytes(), 4 * 16);
@@ -285,13 +273,12 @@ mod tests {
         let mut m = ReplicaMap::partitioned(100, &[10, 11]);
         let _ = m.replicate(11, 12);
         let t = RoutingTable::Replica(m);
-        let sp = space();
         // Range [50,100) has owners [11, 12], active 12.
-        assert_eq!(t.build_dest(&sp, 80), 12);
+        assert_eq!(t.build_dest(80), 12);
         let mut dests = Vec::new();
-        t.probe_dests(&sp, 80, &mut dests);
+        t.probe_dests(80, &mut dests);
         assert_eq!(dests, vec![11, 12]);
-        t.probe_dests(&sp, 10, &mut dests);
+        t.probe_dests(10, &mut dests);
         assert_eq!(dests, vec![10], "out must be cleared between calls");
     }
 
@@ -301,37 +288,14 @@ mod tests {
         let mut m = BucketMap::new(vec![20, 21], 100);
         let _ = m.split(22);
         let t = RoutingTable::Buckets(m);
-        let sp = space();
         // Bucket 0 was [0,50) positions; after the split its upper half
         // [25,50) belongs to the new bucket owned by 22.
-        assert_eq!(t.build_dest(&sp, 10), 20);
-        assert_eq!(t.build_dest(&sp, 30), 22);
-        assert_eq!(t.build_dest(&sp, 70), 21);
+        assert_eq!(t.build_dest(10), 20);
+        assert_eq!(t.build_dest(30), 22);
+        assert_eq!(t.build_dest(70), 21);
         let mut dests = Vec::new();
-        t.probe_dests(&sp, 30, &mut dests);
+        t.probe_dests(30, &mut dests);
         assert_eq!(dests, vec![22]);
-    }
-
-    #[test]
-    fn pos_based_routing_matches_attr_based() {
-        let mut m = ReplicaMap::partitioned(100, &[10, 11]);
-        let _ = m.replicate(11, 12);
-        let tables = [
-            RoutingTable::Replica(ReplicaMap::partitioned(100, &[10, 11, 12, 13])),
-            RoutingTable::Replica(m),
-            RoutingTable::Buckets(BucketMap::new(vec![20, 21], 100)),
-        ];
-        let sp = space();
-        for t in &tables {
-            for attr in [0, 37, 50, 99] {
-                let pos = sp.position_of(attr);
-                assert_eq!(t.build_dest(&sp, attr), t.build_dest_pos(pos));
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                t.probe_dests(&sp, attr, &mut a);
-                t.probe_dests_pos(pos, &mut b);
-                assert_eq!(a, b);
-            }
-        }
     }
 
     #[test]
@@ -373,8 +337,8 @@ mod tests {
                 }
                 let entry = t.entry_index(pos);
                 assert!(entry < *entries, "indices are dense");
-                t.probe_dests_pos(pos, &mut dests);
-                let routed = (t.build_dest_pos(pos), dests.clone());
+                t.probe_dests(pos, &mut dests);
+                let routed = (t.build_dest(pos), dests.clone());
                 let first = seen[entry].get_or_insert_with(|| routed.clone());
                 assert_eq!(
                     *first, routed,
@@ -416,26 +380,24 @@ mod tests {
     #[test]
     fn hot_keys_cold_positions_fall_through() {
         let t = hot_table();
-        let sp = space();
         let inner = RoutingTable::Replica(ReplicaMap::partitioned(100, &[10, 11, 12, 13]));
         let mut a = Vec::new();
         let mut b = Vec::new();
-        for attr in [0u64, 19, 21, 39, 41, 99] {
-            assert_eq!(t.build_dest(&sp, attr), inner.build_dest(&sp, attr));
-            t.probe_dests(&sp, attr, &mut a);
-            inner.probe_dests(&sp, attr, &mut b);
-            assert_eq!(a, b, "cold attr {attr} must route like the base table");
+        for pos in [0, 19, 21, 39, 41, 99] {
+            assert_eq!(t.build_dest(pos), inner.build_dest(pos));
+            t.probe_dests(pos, &mut a);
+            inner.probe_dests(pos, &mut b);
+            assert_eq!(a, b, "cold position {pos} must route like the base table");
         }
     }
 
     #[test]
     fn hot_keys_hot_positions_route_to_one_replica() {
         let t = hot_table();
-        let sp = space();
-        let d = t.build_dest(&sp, 20);
+        let d = t.build_dest(20);
         assert!([10, 11, 12].contains(&d));
         let mut dests = Vec::new();
-        t.probe_dests(&sp, 40, &mut dests);
+        t.probe_dests(40, &mut dests);
         assert_eq!(dests.len(), 1, "no extras: one replica answers the probe");
         assert!([10, 11, 12].contains(&dests[0]));
     }
@@ -446,12 +408,11 @@ mod tests {
         if let RoutingTable::HotKeys { overlay, .. } = &mut t {
             overlay.extra = vec![15];
         }
-        let sp = space();
         let mut dests = Vec::new();
-        t.probe_dests(&sp, 20, &mut dests);
+        t.probe_dests(20, &mut dests);
         assert!(dests.contains(&15), "spilled member must see hot probes");
         assert_eq!(dests.len(), 2);
-        t.probe_dests(&sp, 21, &mut dests);
+        t.probe_dests(21, &mut dests);
         assert_eq!(dests, vec![10], "cold probes skip the extras");
         assert!(t.all_nodes().contains(&15));
     }

@@ -22,7 +22,9 @@
 use crate::config::{Algorithm, JoinConfig};
 use crate::msg::{Msg, NodeReport};
 use crate::report::JoinReport;
-use crate::routing::{HotKeyOverlay, RoutingTable};
+use crate::routing::{
+    HotKeyOverlay, RoutingTable, HOT_FRACTION, HOT_MIN_TOTAL, MAX_HOT, SKETCH_CAPACITY,
+};
 use crate::topology::Topology;
 use ehj_cluster::SchedulerBook;
 use ehj_hash::{skew_aware_partition, BucketMap, HashRange, ReplicaMap, SpaceSaving};
@@ -153,7 +155,7 @@ impl Scheduler {
         topo: Topology,
         result: Arc<Mutex<Option<JoinReport>>>,
     ) -> Self {
-        let book = SchedulerBook::new(&cfg.cluster, cfg.initial_nodes, cfg.selection_policy);
+        let book = SchedulerBook::new(&cfg.cluster, cfg.initial_nodes);
         let initial_actors: Vec<ActorId> =
             book.working().iter().map(|&n| topo.node_actor(n)).collect();
         let routing = match cfg.algorithm {
@@ -293,10 +295,10 @@ impl Scheduler {
         from: ActorId,
         sketch: SpaceSaving,
     ) {
-        if !self.cfg.hot_keys.enabled {
+        if !self.cfg.hot_keys {
             return;
         }
-        let cap = self.cfg.hot_keys.sketch_capacity as u64;
+        let cap = SKETCH_CAPACITY as u64;
         if sketch.len() as u64 > cap {
             self.protocol_fault(ctx, FaultField::SketchSize, sketch.len() as u64, cap);
             return;
@@ -310,8 +312,7 @@ impl Scheduler {
     /// during the build phase (the hand-off that makes the replica sets
     /// consistent runs at the build/reshuffle barrier).
     fn maybe_install_overlay(&mut self, ctx: &mut dyn Context<Msg>) {
-        let knobs = self.cfg.hot_keys;
-        if !knobs.enabled || self.hotkey_installed || self.phase != SchedPhase::Build {
+        if !self.cfg.hot_keys || self.hotkey_installed || self.phase != SchedPhase::Build {
             return;
         }
         // Merge in source-id order: the min-count filler makes the merge
@@ -327,18 +328,18 @@ impl Scheduler {
             }
         }
         let Some(merged) = merged else { return };
-        if merged.total() < knobs.min_total {
+        if merged.total() < HOT_MIN_TOTAL {
             return;
         }
         // Promote the top keys whose *guaranteed* count (estimate minus
         // over-count error) clears the share threshold — the conservative
         // side of the space-saving bounds, so a uniform stream cannot
         // promote anything by noise.
-        let threshold = (knobs.hot_fraction * merged.total() as f64).ceil() as u64;
+        let threshold = (HOT_FRACTION * merged.total() as f64).ceil() as u64;
         let mut hot: Vec<u32> = merged
             .top_k()
             .into_iter()
-            .take(knobs.max_hot)
+            .take(MAX_HOT)
             .filter(|&(key, count, err)| {
                 key < u64::from(self.cfg.positions) && count - err > threshold
             })
@@ -461,6 +462,13 @@ impl Scheduler {
         }
     }
 
+    /// Expansion is over for `full_actor`: it spills and goes out of core.
+    fn refuse_expansion(&mut self, ctx: &mut dyn Context<Msg>, full_actor: ActorId) {
+        self.spilled_actors.insert(full_actor);
+        self.trace_at(ctx, full_actor, TraceKind::PoolExhausted);
+        ctx.send(full_actor, Msg::NoMoreNodes);
+    }
+
     fn process_one_overflow(&mut self, ctx: &mut dyn Context<Msg>, full_actor: ActorId) {
         match self.cfg.algorithm {
             Algorithm::Replicated | Algorithm::Hybrid => {
@@ -480,9 +488,7 @@ impl Scheduler {
                     return;
                 }
                 let Some(new_node) = self.book.recruit() else {
-                    self.spilled_actors.insert(full_actor);
-                    self.trace_at(ctx, full_actor, TraceKind::PoolExhausted);
-                    ctx.send(full_actor, Msg::NoMoreNodes);
+                    self.refuse_expansion(ctx, full_actor);
                     return;
                 };
                 let new_actor = self.topo.node_actor(new_node);
@@ -529,15 +535,11 @@ impl Scheduler {
                     _ => unreachable!("linear-pointer split uses bucket routing"),
                 };
                 if self.spilled_actors.contains(&pointer_owner) {
-                    self.spilled_actors.insert(full_actor);
-                    self.trace_at(ctx, full_actor, TraceKind::PoolExhausted);
-                    ctx.send(full_actor, Msg::NoMoreNodes);
+                    self.refuse_expansion(ctx, full_actor);
                     return;
                 }
                 let Some(new_node) = self.book.recruit() else {
-                    self.spilled_actors.insert(full_actor);
-                    self.trace_at(ctx, full_actor, TraceKind::PoolExhausted);
-                    ctx.send(full_actor, Msg::NoMoreNodes);
+                    self.refuse_expansion(ctx, full_actor);
                     return;
                 };
                 let new_actor = self.topo.node_actor(new_node);
@@ -1510,8 +1512,7 @@ mod tests {
         cfg.cluster = ClusterSpec::homogeneous(NODES, 1 << 20);
         cfg.initial_nodes = initial;
         cfg.sources = SOURCES;
-        cfg.hot_keys = crate::config::HotKeyConfig::enabled();
-        cfg.hot_keys.min_total = 100;
+        cfg.hot_keys = true;
         let topo = Topology::standard(SOURCES, NODES);
         let slot = Arc::new(Mutex::new(None));
         let mut sched = Scheduler::new(Arc::new(cfg), topo, slot);
@@ -1521,10 +1522,12 @@ mod tests {
         (sched, ctx)
     }
 
+    /// 8320 observed tuples, over the minimum total: key 700 holds 96 %
+    /// and key 10 about 4 %, both above the hot fraction.
     fn skewed_sketch() -> SpaceSaving {
         let mut sk = SpaceSaving::new(8);
-        sk.observe_n(700, 500);
-        sk.observe_n(10, 20);
+        sk.observe_n(700, 8000);
+        sk.observe_n(10, 320);
         sk
     }
 
@@ -1584,9 +1587,9 @@ mod tests {
     #[test]
     fn uniform_sketch_never_installs_an_overlay() {
         let (mut sched, mut ctx) = hot_setup(Algorithm::Replicated, 2);
-        let mut sk = SpaceSaving::new(64);
-        for key in 0..64u64 {
-            sk.observe_n(key, 2); // 128 total, no key clears its share
+        let mut sk = SpaceSaving::new(SKETCH_CAPACITY);
+        for key in 0..1024u64 {
+            sk.observe_n(key, 8); // 8192 total, no key clears its share
         }
         sched.on_message(&mut ctx, SRC, Msg::SketchUpdate { sketch: sk });
         assert!(sched.routing.overlay().is_none());
@@ -1597,16 +1600,16 @@ mod tests {
     fn replacing_a_sketch_snapshot_never_double_counts() {
         let (mut sched, mut ctx) = hot_setup(Algorithm::Replicated, 2);
         // Two cumulative snapshots from the same source: only the latest
-        // counts. 80 observed tuples stay under min_total = 100.
+        // counts. 6000 observed tuples stay under `HOT_MIN_TOTAL` = 8192.
         let mut first = SpaceSaving::new(8);
-        first.observe_n(700, 60);
+        first.observe_n(700, 5000);
         let mut second = SpaceSaving::new(8);
-        second.observe_n(700, 80);
+        second.observe_n(700, 6000);
         sched.on_message(&mut ctx, SRC, Msg::SketchUpdate { sketch: first });
         sched.on_message(&mut ctx, SRC, Msg::SketchUpdate { sketch: second });
         assert!(
             sched.routing.overlay().is_none(),
-            "60 + 80 would clear min_total; a replaced snapshot must not"
+            "5000 + 6000 would clear the minimum; a replaced snapshot must not"
         );
     }
 
@@ -1618,7 +1621,7 @@ mod tests {
             sk.observe(key);
         }
         sched.on_message(&mut ctx, SRC, Msg::SketchUpdate { sketch: sk });
-        assert!(ctx.stopped, "a sketch beyond the configured capacity");
+        assert!(ctx.stopped, "a sketch beyond the sketch capacity");
         assert!(sched.routing.overlay().is_none());
     }
 

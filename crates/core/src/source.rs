@@ -11,11 +11,11 @@
 //! ## Routing by the cell
 //!
 //! Ownership is settled per range of positions, not per tuple. The
-//! position space is cut into at most [`MAX_CELLS`] cells of equal
+//! position space is cut into at most `MAX_CELLS` cells of equal
 //! power-of-two width, derived from `cfg.positions`; a cell that lies
 //! wholly inside one routing-table entry and holds no hot position maps to
 //! that entry's buffer, so a tuple finds its buffer with one array read.
-//! Only the tuples of a [`MIXED`] cell — one an entry boundary crosses, or
+//! Only the tuples of a `MIXED` cell — one an entry boundary crosses, or
 //! one holding a hot position — are routed one by one. The cell table is
 //! built in one walk over the table's entries and dropped with every
 //! accepted routing change.
@@ -37,7 +37,7 @@
 
 use crate::config::JoinConfig;
 use crate::msg::Msg;
-use crate::routing::RoutingTable;
+use crate::routing::{RoutingTable, HOT_MIN_TOTAL, SKETCH_CAPACITY};
 use ehj_data::{SourceGenerator, Tuple, TupleBatch};
 use ehj_hash::{PositionSpace, SpaceSaving};
 use ehj_metrics::{CommCategory, CommCounters, Phase, TraceKind, Tracer};
@@ -115,7 +115,7 @@ pub struct DataSource {
     /// reused across generation batches.
     pos_scratch: Vec<u32>,
     /// Space-saving sketch over routed build positions (hot-key detection,
-    /// DESIGN §4i). `None` unless `cfg.hot_keys.enabled`.
+    /// DESIGN §4i). `None` unless `cfg.hot_keys`.
     sketch: Option<SpaceSaving>,
     /// Observed-tuple count at which the next cumulative sketch snapshot
     /// goes to the scheduler (doubles after each send).
@@ -200,12 +200,11 @@ impl DataSource {
         self.gen_paused = false;
         self.draining = false;
         self.phase_done_sent = false;
-        if phase == Phase::Build && self.cfg.hot_keys.enabled {
-            self.sketch = Some(SpaceSaving::new(self.cfg.hot_keys.sketch_capacity));
+        if phase == Phase::Build && self.cfg.hot_keys {
+            self.sketch = Some(SpaceSaving::new(SKETCH_CAPACITY));
             // First snapshot once this source alone has seen its share of
             // the global install threshold; then at every doubling.
-            self.sketch_next_send =
-                (self.cfg.hot_keys.min_total / self.cfg.sources as u64).max(256);
+            self.sketch_next_send = (HOT_MIN_TOTAL / self.cfg.sources as u64).max(256);
         } else {
             self.sketch = None;
             self.sketch_next_send = u64::MAX;
@@ -337,9 +336,9 @@ impl DataSource {
         match self.phase {
             Phase::Build => {
                 dests.clear();
-                dests.push(routing.build_dest_pos(pos));
+                dests.push(routing.build_dest(pos));
             }
-            Phase::Probe => routing.probe_dests_pos(pos, dests),
+            Phase::Probe => routing.probe_dests(pos, dests),
             Phase::Reshuffle => unreachable!("sources do not route in reshuffle"),
         }
         let slot = self.slot_for_set(dests);
@@ -849,7 +848,7 @@ mod tests {
     }
 
     /// The routing loop as it was before the slot table: every tuple
-    /// resolved with `build_dest_pos` / `probe_dests_pos` and buffered in a
+    /// resolved with `build_dest` / `probe_dests` and buffered in a
     /// map keyed by destination set. Credits never run out here.
     struct ReferenceRouter {
         phase: Phase,
@@ -876,8 +875,8 @@ mod tests {
                         }
                     }
                     None => match self.phase {
-                        Phase::Build => dests.push(routing.build_dest_pos(pos)),
-                        _ => routing.probe_dests_pos(pos, &mut dests),
+                        Phase::Build => dests.push(routing.build_dest(pos)),
+                        _ => routing.probe_dests(pos, &mut dests),
                     },
                 }
                 for i in 0..dests.len() {
@@ -948,9 +947,9 @@ mod tests {
             match src.phase {
                 Phase::Build => {
                     dests.clear();
-                    dests.push(routing.build_dest_pos(pos));
+                    dests.push(routing.build_dest(pos));
                 }
-                _ => routing.probe_dests_pos(pos, &mut dests),
+                _ => routing.probe_dests(pos, &mut dests),
             }
             assert_eq!(src.buffers[cell as usize].0, dests, "position {pos}");
         }
@@ -1199,9 +1198,10 @@ mod tests {
 
     #[test]
     fn hot_key_sources_sketch_and_round_robin_builds() {
-        let mut c = (*cfg(2000, 50)).clone();
-        c.hot_keys = crate::config::HotKeyConfig::enabled();
-        c.hot_keys.min_total = 512;
+        // 16 generation batches: a snapshot at `HOT_MIN_TOTAL` = 8192
+        // tuples and another at the doubling, which is the last tuple.
+        let mut c = (*cfg(16_384, 400)).clone();
+        c.hot_keys = true;
         let mut src = DataSource::new(Arc::new(c), 0, SCHED);
         let mut ctx = ScriptCtx::new(ME);
         // Cold positions all belong to NODE_A; the hot tenth round-robins
@@ -1236,7 +1236,7 @@ mod tests {
         }
         assert_eq!(
             data_tuples_to(&ctx, NODE_A) + data_tuples_to(&ctx, NODE_B),
-            2000,
+            16_384,
             "hot routing must not duplicate or drop build tuples"
         );
         assert!(
@@ -1253,7 +1253,7 @@ mod tests {
             .collect::<Vec<_>>();
         assert!(!sketches.is_empty(), "threshold crossed: sketch must ship");
         let last = sketches.last().unwrap();
-        assert_eq!(last.total(), 2000, "snapshots are cumulative");
+        assert_eq!(last.total(), 16_384, "snapshots are cumulative");
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub enum Distribution {
     /// rejection-free approximation, as popularized by YCSB (draws are
     /// byte-identical to earlier releases); `theta ≥ 1`, where that
     /// approximation is singular, switches to a generalized-harmonic
-    /// inverse-CDF sampler ([`ZipfHarmonic`] internally): exact prefix
+    /// inverse-CDF sampler (`ZipfHarmonic` internally): exact prefix
     /// probabilities for the hot head, closed-form tail inversion beyond.
     Zipf {
         /// Skew exponent, `> 0`; larger is more skewed. `theta = 1` is the

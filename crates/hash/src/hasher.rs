@@ -32,16 +32,6 @@ impl AttrHasher {
     /// Golden-ratio multiplier for Fibonacci hashing.
     pub(crate) const PHI64: u64 = 0x9E37_79B9_7F4A_7C15;
 
-    /// Hash value for `attr` within `[0, domain)`.
-    ///
-    /// # Panics
-    /// Panics if `domain == 0`.
-    #[must_use]
-    pub fn hash_value(&self, attr: JoinAttr, domain: u64) -> u64 {
-        assert!(domain > 0, "attribute domain must be non-empty");
-        self.mix(attr) % domain
-    }
-
     /// The hash value before it is reduced into the domain.
     #[inline]
     fn mix(self, attr: JoinAttr) -> u64 {
@@ -49,56 +39,6 @@ impl AttrHasher {
             Self::Identity => attr,
             Self::Fibonacci => attr.wrapping_mul(Self::PHI64),
         }
-    }
-
-    /// Bulk [`Self::hash_value`]: hashes a whole attribute slice into `out`
-    /// (cleared first) in one pass with the hasher dispatch hoisted out of
-    /// the loop and the body unrolled four wide, so the multiply/modulo
-    /// chains of independent attributes pipeline instead of serializing.
-    /// `out[i] == self.hash_value(attrs[i], domain)` for every `i`.
-    ///
-    /// # Panics
-    /// Panics if `domain == 0`.
-    pub fn bulk_hash(&self, attrs: &[JoinAttr], domain: u64, out: &mut Vec<u64>) {
-        assert!(domain > 0, "attribute domain must be non-empty");
-        out.clear();
-        out.reserve(attrs.len());
-        // x % 2^k == x & (2^k - 1) for unsigned x: power-of-two domains
-        // (the common configuration) strength-reduce the modulo to a mask,
-        // which also lets the unrolled loop vectorize.
-        if domain.is_power_of_two() {
-            let dm = domain - 1;
-            match self {
-                Self::Identity => fill_unrolled(attrs, out, |a| a & dm),
-                Self::Fibonacci => {
-                    fill_unrolled(attrs, out, |a| a.wrapping_mul(Self::PHI64) & dm);
-                }
-            }
-        } else {
-            match self {
-                Self::Identity => fill_unrolled(attrs, out, |a| a % domain),
-                Self::Fibonacci => {
-                    fill_unrolled(attrs, out, |a| a.wrapping_mul(Self::PHI64) % domain);
-                }
-            }
-        }
-    }
-}
-
-/// Four-wide unrolled map from attribute values to `f` (the shared body of
-/// the bulk-hash kernels: `chunks_exact` lets the compiler keep four
-/// independent computations in flight per iteration).
-#[inline]
-fn fill_unrolled<T>(attrs: &[JoinAttr], out: &mut Vec<T>, f: impl Fn(JoinAttr) -> T) {
-    let mut chunks = attrs.chunks_exact(4);
-    for c in chunks.by_ref() {
-        out.push(f(c[0]));
-        out.push(f(c[1]));
-        out.push(f(c[2]));
-        out.push(f(c[3]));
-    }
-    for &a in chunks.remainder() {
-        out.push(f(a));
     }
 }
 
@@ -188,7 +128,7 @@ impl PositionSpace {
         self.by_positions.rem(hv)
     }
 
-    /// Position of `attr`: `hash_value mod positions`.
+    /// Position of `attr`: its hash value mod `positions`.
     ///
     /// Modulo (rather than linear scaling) is what makes the skew behaviour
     /// match the paper's Figure 10: a Gaussian whose width exceeds the
@@ -339,31 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_hash_matches_per_attr_hash_value() {
-        // Deterministic pseudo-random attrs; lengths straddle the 4-wide
-        // unroll boundary (0..=9 covers empty, remainder-only and mixed).
-        let mut state = 0x1D_5EEDu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 3
-        };
-        for hasher in [AttrHasher::Identity, AttrHasher::Fibonacci] {
-            for len in 0..=9usize {
-                let domain = 1 + next() % (1 << 30);
-                let attrs: Vec<u64> = (0..len).map(|_| next()).collect();
-                let mut out = vec![0xDEAD; 3]; // must be cleared
-                hasher.bulk_hash(&attrs, domain, &mut out);
-                assert_eq!(out.len(), len);
-                for (a, &hv) in attrs.iter().zip(&out) {
-                    assert_eq!(hv, hasher.hash_value(*a, domain));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn bulk_positions_matches_per_tuple_position_of() {
         let mut state = 0xB17_C0DEu64;
         let mut next = move || {
@@ -426,7 +341,7 @@ mod tests {
                     let ps = PositionSpace::new(positions, domain, hasher);
                     ps.bulk_positions(&tuples, &mut out);
                     for (&a, &bulk) in attrs.iter().zip(&out) {
-                        let plain = hasher.hash_value(a, domain) % u64::from(positions);
+                        let plain = hasher.mix(a) % domain % u64::from(positions);
                         assert_eq!(
                             u64::from(ps.position_of(a)),
                             plain,
@@ -450,13 +365,6 @@ mod tests {
         let mut fresh = vec![9];
         ps.bulk_positions(&tuples, &mut fresh);
         assert_eq!(&out[2..], fresh.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "domain")]
-    fn bulk_hash_zero_domain_panics() {
-        let mut out = Vec::new();
-        AttrHasher::Identity.bulk_hash(&[1, 2], 0, &mut out);
     }
 
     #[test]

@@ -140,12 +140,6 @@ impl<T: Copy + Eq> BucketMap<T> {
         self.index[i - 1].1
     }
 
-    /// Subrange of bucket `b`.
-    #[must_use]
-    pub fn range_of_bucket(&self, b: u32) -> (u64, u64) {
-        self.buckets[b as usize]
-    }
-
     /// Every non-empty bucket as `(subrange, bucket id)`, in value order:
     /// the subranges tile `[0, domain)`.
     pub fn ranges_in_order(&self) -> impl Iterator<Item = ((u64, u64), u32)> + '_ {

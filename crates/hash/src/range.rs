@@ -45,21 +45,6 @@ impl HashRange {
         (self.start..self.end).contains(&pos)
     }
 
-    /// Splits into `[start, mid)` and `[mid, end)`.
-    ///
-    /// # Panics
-    /// Panics if `mid` is outside the range.
-    #[must_use]
-    pub fn split_at(&self, mid: u32) -> (Self, Self) {
-        assert!(
-            self.start <= mid && mid <= self.end,
-            "split point {mid} outside [{}, {})",
-            self.start,
-            self.end
-        );
-        (Self::new(self.start, mid), Self::new(mid, self.end))
-    }
-
     /// Partitions `[0, total)` into `k` near-equal contiguous ranges
     /// (the initial bucket assignment; sizes differ by at most one).
     ///
@@ -211,16 +196,6 @@ impl<T: Copy + Eq> ReplicaMap<T> {
         }
         out
     }
-
-    /// Largest replica-list length (1 = no replication happened).
-    #[must_use]
-    pub fn max_replication(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| e.owners.len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -258,8 +233,6 @@ mod tests {
         assert_eq!(r.len(), 10);
         assert!(r.contains(10) && r.contains(19));
         assert!(!r.contains(20) && !r.contains(9));
-        let (a, b) = r.split_at(15);
-        assert_eq!((a.start, a.end, b.start, b.end), (10, 15, 15, 20));
         assert!(HashRange::new(5, 5).is_empty());
     }
 
@@ -278,7 +251,7 @@ mod tests {
         assert_eq!(m.owners_of(25), &[2]);
         assert_eq!(m.active_of(99), 4);
         assert_eq!(m.all_nodes(), vec![1, 2, 3, 4]);
-        assert_eq!(m.max_replication(), 1);
+        assert!(m.entries().iter().all(|e| e.owners.len() == 1));
     }
 
     #[test]
@@ -325,7 +298,8 @@ mod tests {
         assert_eq!(r2, r);
         assert_eq!(m.active_of(45), 8);
         assert_eq!(m.owners_of(45), &[2, 7, 8]);
-        assert_eq!(m.max_replication(), 3);
+        let longest = m.entries().iter().map(|e| e.owners.len()).max();
+        assert_eq!(longest, Some(3));
         assert_eq!(m.all_nodes(), vec![1, 2, 7, 8, 3]);
     }
 

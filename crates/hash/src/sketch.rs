@@ -146,15 +146,6 @@ impl SpaceSaving {
             .map_or_else(|| self.min_count(), |&i| self.entries[i].count)
     }
 
-    /// Guaranteed lower bound on `key`'s true count (`count - err`, 0 if
-    /// unmonitored).
-    #[must_use]
-    pub fn lower_bound(&self, key: u64) -> u64 {
-        self.index
-            .get(&key)
-            .map_or(0, |&i| self.entries[i].count - self.entries[i].err)
-    }
-
     /// Monitored keys as `(key, estimated_count, error_bound)`, sorted by
     /// count descending, key ascending on ties (deterministic across
     /// platforms regardless of hash-map iteration order).
@@ -366,9 +357,11 @@ mod tests {
         assert_eq!(s.min_count(), 0, "free slots: nothing was ever evicted");
         for k in 0..10u64 {
             assert_eq!(s.estimate(k), k + 1);
-            assert_eq!(s.lower_bound(k), k + 1);
         }
         let top = s.top_k();
+        for &(k, count, err) in &top {
+            assert_eq!(count - err, k + 1, "guaranteed count of {k}");
+        }
         assert_eq!(top[0], (9, 10, 0));
         assert_eq!(top.last().copied(), Some((0, 1, 0)));
     }

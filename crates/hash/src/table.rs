@@ -71,7 +71,7 @@
 //! run's first line prefetched a few candidates ahead.
 //!
 //! A probe the tag lets through scans its run — unless the run is long
-//! ([`MEMO_MIN_RUN`]), where the same key tends to come back: a small
+//! (`MEMO_MIN_RUN`), where the same key tends to come back: a small
 //! direct-mapped memo keyed by attribute remembers how many tuples of the
 //! run matched, so a hot run is scanned once per key rather than once per
 //! probe tuple, and every probe tuple is still charged its own `count` and
@@ -658,17 +658,17 @@ impl JoinHashTable {
     /// charges the same `count` with `matches = 0` — exactly the full
     /// scan's outcome, since a bloom tag has no false negatives. Tag false
     /// positives simply fall through to the scan, and a run of
-    /// [`MEMO_MIN_RUN`] or more is scanned once per key, its count then
+    /// `MEMO_MIN_RUN` or more is scanned once per key, its count then
     /// served from the memo to every probe tuple that repeats the key.
     ///
     /// [`ProbeKernel::Scalar`] runs the tuple-at-a-time reference.
     /// [`ProbeKernel::Batched`] computes all positions in one pass, then
     /// works through them in blocks of `PROBE_BLOCK`: a filter pass tests
     /// every tag of the block, directory entries prefetched
-    /// [`DIR_PREFETCH_AHEAD`] probes ahead, and collects the survivors
+    /// `DIR_PREFETCH_AHEAD` probes ahead, and collects the survivors
     /// without branching on the test; a scan pass then scans (or memo-reads)
     /// their runs in probe order, each run's first tuple prefetched
-    /// [`RUN_PREFETCH_AHEAD`] survivors ahead. `scratch` is caller-owned so
+    /// `RUN_PREFETCH_AHEAD` survivors ahead. `scratch` is caller-owned so
     /// steady-state probing allocates nothing; the batched kernel always
     /// leaves the batch's positions in it, the scalar one never touches it.
     #[must_use]

@@ -630,12 +630,11 @@ fn long_run_memo_is_never_stale_across_mutations() {
     }
 }
 
-/// `bulk_hash` and `bulk_positions` must agree with their per-value scalar
-/// counterparts over random domains, both hashers and awkward lengths.
+/// `bulk_positions` must agree with per-tuple `position_of` over random
+/// domains, both hashers and awkward lengths.
 #[test]
-fn bulk_hash_agrees_with_hash_value() {
+fn bulk_positions_agrees_with_position_of() {
     let mut g = Xoshiro256StarStar::new(0xB01_CA5E);
-    let mut hashes = Vec::new();
     let mut positions_out = Vec::new();
     for _ in 0..200 {
         let domain = 1 + g.next_below(u64::MAX / 2);
@@ -644,13 +643,7 @@ fn bulk_hash_agrees_with_hash_value() {
         let tuples: Vec<Tuple> = (0..len as u64)
             .map(|i| Tuple::new(i, g.next_u64()))
             .collect();
-        let attrs: Vec<u64> = tuples.iter().map(|t| t.join_attr).collect();
         for hasher in [AttrHasher::Identity, AttrHasher::Fibonacci] {
-            hasher.bulk_hash(&attrs, domain, &mut hashes);
-            assert_eq!(hashes.len(), len);
-            for (&a, &hv) in attrs.iter().zip(&hashes) {
-                assert_eq!(hv, hasher.hash_value(a, domain), "{hasher:?}");
-            }
             let ps = PositionSpace::new(positions, domain, hasher);
             ps.bulk_positions(&tuples, &mut positions_out);
             assert_eq!(positions_out.len(), len);

@@ -135,18 +135,6 @@ impl CommCounters {
         self.extra_tuples(phase).div_ceil(self.chunk_tuples)
     }
 
-    /// Extra tuples across all phases.
-    #[must_use]
-    pub fn total_extra_tuples(&self) -> u64 {
-        Phase::ALL.iter().map(|p| self.extra_tuples(*p)).sum()
-    }
-
-    /// Extra chunks across all phases.
-    #[must_use]
-    pub fn total_extra_chunks(&self) -> u64 {
-        self.total_extra_tuples().div_ceil(self.chunk_tuples)
-    }
-
     /// Total bytes across every category and phase.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
@@ -210,8 +198,9 @@ mod tests {
         c.record(Phase::Reshuffle, CommCategory::ReshuffleTransfer, 20, 200);
         c.record(Phase::Probe, CommCategory::ProbeBroadcastExtra, 30, 300);
         c.record(Phase::Probe, CommCategory::SourceDelivery, 99, 990);
-        assert_eq!(c.total_extra_tuples(), 60);
-        assert_eq!(c.total_extra_chunks(), 6);
+        assert_eq!(c.extra_chunks(Phase::Build), 1);
+        assert_eq!(c.extra_chunks(Phase::Reshuffle), 2);
+        assert_eq!(c.extra_chunks(Phase::Probe), 3, "delivery is not extra");
         assert_eq!(c.total_bytes(), 1590);
     }
 

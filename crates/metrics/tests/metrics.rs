@@ -43,8 +43,8 @@ fn comm_counters_merge_is_cellwise_addition() {
         300
     );
     assert_eq!(total.extra_tuples(Phase::Probe), 60);
-    assert_eq!(total.total_extra_tuples(), 360);
-    assert_eq!(total.total_extra_chunks(), 4); // ceil(360 / 100)
+    assert_eq!(total.extra_chunks(Phase::Reshuffle), 3);
+    assert_eq!(total.extra_chunks(Phase::Probe), 1); // ceil(60 / 100)
 }
 
 #[test]

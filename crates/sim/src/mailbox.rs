@@ -5,7 +5,7 @@
 //! condition variable for producer-side backpressure. Producers that find
 //! the ring at capacity **park with wakeup** (bounded waits on the
 //! condvar) instead of growing the queue; only after
-//! [`BACKPRESSURE_ROUNDS`] expired waits — or once the engine is shutting
+//! `BACKPRESSURE_ROUNDS` expired waits — or once the engine is shutting
 //! down — does a push overflow the bound, which keeps cyclic actor
 //! topologies live (a worker blocked forever on a peer that is itself
 //! blocked sending back would deadlock the pool). Overflows are counted

@@ -43,16 +43,6 @@ impl NetConfig {
         }
     }
 
-    /// Gigabit Ethernet (for the paper's future-work network sweep).
-    #[must_use]
-    pub const fn gigabit_ethernet() -> Self {
-        Self {
-            bandwidth_bytes_per_sec: 125_000_000,
-            latency: SimTime::from_micros(30),
-            per_message_overhead_bytes: 66,
-        }
-    }
-
     /// An effectively infinite network (isolates CPU/memory effects in
     /// ablations).
     #[must_use]

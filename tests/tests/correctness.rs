@@ -3,16 +3,12 @@
 
 use ehj_core::{expected_matches_for, Algorithm, JoinConfig, JoinRunner};
 use ehj_data::Distribution;
+use ehj_integration_tests::narrow;
 
 /// Small, fast base configuration with a domain narrow enough to produce
 /// plenty of matches.
 fn base(alg: Algorithm) -> JoinConfig {
-    let mut cfg = JoinConfig::paper_scaled(alg, 1000);
-    let domain = 1 << 14;
-    cfg.r = cfg.r.with_domain(domain);
-    cfg.s = cfg.s.with_domain(domain);
-    cfg.positions = (domain / 4) as u32;
-    cfg
+    narrow(alg, 1000, 1 << 14)
 }
 
 fn assert_exact(cfg: &JoinConfig) {

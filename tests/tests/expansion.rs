@@ -5,15 +5,11 @@ use ehj_cluster::{ClusterSpec, NodeId};
 use ehj_core::{Algorithm, JoinConfig, JoinRunner};
 use ehj_data::Distribution;
 use ehj_hash::ENTRY_OVERHEAD_BYTES;
+use ehj_integration_tests::narrow;
 use ehj_metrics::Phase;
 
 fn base(alg: Algorithm) -> JoinConfig {
-    let mut cfg = JoinConfig::paper_scaled(alg, 1000);
-    let domain = 1 << 14;
-    cfg.r = cfg.r.with_domain(domain);
-    cfg.s = cfg.s.with_domain(domain);
-    cfg.positions = (domain / 4) as u32;
-    cfg
+    narrow(alg, 1000, 1 << 14)
 }
 
 fn capacity_tuples(cfg: &JoinConfig) -> u64 {
@@ -196,20 +192,6 @@ fn hybrid_balances_load_under_extreme_skew() {
         hybrid.load_stats().imbalance(),
         split.load_stats().imbalance()
     );
-}
-
-#[test]
-fn selection_policies_all_work() {
-    use ehj_cluster::SelectionPolicy;
-    for policy in [
-        SelectionPolicy::LargestFreeMemory,
-        SelectionPolicy::FirstFit,
-    ] {
-        let mut cfg = base(Algorithm::Replicated);
-        cfg.selection_policy = policy;
-        let report = JoinRunner::run(&cfg).expect("join runs");
-        assert_eq!(report.matches, ehj_core::expected_matches_for(&cfg));
-    }
 }
 
 #[test]

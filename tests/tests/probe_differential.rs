@@ -10,15 +10,11 @@
 
 use ehj_core::{Algorithm, JoinConfig, JoinRunner, ProbeKernel};
 use ehj_data::Distribution;
+use ehj_integration_tests::narrow;
 
 /// Small, fast base configuration (mirrors `correctness.rs`).
 fn base(alg: Algorithm) -> JoinConfig {
-    let mut cfg = JoinConfig::paper_scaled(alg, 1000);
-    let domain = 1 << 14;
-    cfg.r = cfg.r.with_domain(domain);
-    cfg.s = cfg.s.with_domain(domain);
-    cfg.positions = (domain / 4) as u32;
-    cfg
+    narrow(alg, 1000, 1 << 14)
 }
 
 /// Runs `cfg` under both probe kernels and asserts every simulated
@@ -117,7 +113,7 @@ fn hot_key_routing_preserves_exact_match_counts() {
             off.s.dist = dist;
             off.probe_kernel = ProbeKernel::Scalar;
             let mut on = off.clone();
-            on.hot_keys = ehj_core::HotKeyConfig::enabled();
+            on.hot_keys = true;
             let label = format!("{}/{name}", alg.label());
             let oracle = JoinRunner::run(&off).expect("oracle run must complete");
             let routed = JoinRunner::run(&on).expect("hot-key run must complete");

@@ -6,6 +6,7 @@
 
 use ehj_core::{expected_matches_for, Algorithm, JoinConfig, JoinRunner};
 use ehj_data::{Distribution, Xoshiro256StarStar};
+use ehj_integration_tests::narrow;
 
 const ALGORITHMS: [Algorithm; 4] = [
     Algorithm::Replicated,
@@ -34,17 +35,13 @@ fn build_cfg(
     initial_nodes: usize,
     sources: usize,
 ) -> JoinConfig {
-    let mut cfg = JoinConfig::paper_scaled(alg, 1000);
+    let mut cfg = narrow(alg, 1000, 1 << 13);
     cfg.r.tuples = r_tuples;
     cfg.s.tuples = s_tuples;
     cfg.r.seed = seed;
     cfg.s.seed = seed.wrapping_mul(0x9E37_79B9);
     cfg.r.dist = dist;
     cfg.s.dist = dist;
-    let domain = 1 << 13;
-    cfg.r = cfg.r.with_domain(domain);
-    cfg.s = cfg.s.with_domain(domain);
-    cfg.positions = (domain / 4) as u32;
     cfg.initial_nodes = initial_nodes;
     cfg.sources = sources;
     cfg

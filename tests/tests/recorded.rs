@@ -7,13 +7,13 @@
 //! `assert_eq!` prints the new value). Host wall-clock speed is not
 //! measured here; that is the repository benchmark's job (`BENCHMARK.json`).
 
-use ehj_core::{Algorithm, HotKeyConfig, JoinConfig, JoinRunner};
+use ehj_core::{Algorithm, JoinConfig, JoinRunner};
 use ehj_data::Distribution;
 
 /// The paper workload at 1/100 and 1/1000 scale under all four algorithms:
 /// counts, traffic, event count and the bit pattern of every simulated
 /// phase time. (`expansion.rs` additionally pins split@1000's per-node
-/// loads and chunk counts under both split policies.)
+/// loads and chunk counts.)
 #[test]
 fn paper_scenario_reports_match_the_recorded_constants() {
     struct Recorded {
@@ -91,7 +91,7 @@ fn hot_key_routing_keeps_counts_and_bounds_load_and_traffic() {
             cfg.r.dist = Distribution::Zipf { theta };
             cfg.s.dist = Distribution::Zipf { theta };
             let unrouted = JoinRunner::run(&cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
-            cfg.hot_keys = HotKeyConfig::enabled();
+            cfg.hot_keys = true;
             let routed = JoinRunner::run(&cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!(unrouted.matches, matches, "{label}: unrouted");
             assert_eq!(routed.matches, matches, "{label}: routed");

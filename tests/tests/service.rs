@@ -12,6 +12,7 @@ use ehj_core::{
     QueryId, ServiceConfig,
 };
 use ehj_data::Distribution;
+use ehj_integration_tests::narrow;
 use std::time::Duration;
 
 /// The comparable rendering of a report: everything except the `*_ns`
@@ -26,12 +27,7 @@ fn rendered(mut report: JoinReport) -> String {
 }
 
 fn small(alg: Algorithm) -> JoinConfig {
-    let mut cfg = JoinConfig::paper_scaled(alg, 2000);
-    let domain = 1 << 12;
-    cfg.r = cfg.r.with_domain(domain);
-    cfg.s = cfg.s.with_domain(domain);
-    cfg.positions = (domain / 4) as u32;
-    cfg
+    narrow(alg, 2000, 1 << 12)
 }
 
 /// Two interleaved queries must produce reports byte-identical to the same

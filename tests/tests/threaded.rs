@@ -1,19 +1,13 @@
 //! The threaded runtime must execute the same protocol with the same
 //! results (matches are deterministic data properties; timing is not).
 
-use ehj_core::{
-    expected_matches_for, Algorithm, Backend, HotKeyConfig, JoinConfig, JoinRunner, RunOptions,
-};
+use ehj_core::{expected_matches_for, Algorithm, Backend, JoinConfig, JoinRunner, RunOptions};
 use ehj_data::Distribution;
+use ehj_integration_tests::narrow;
 use ehj_sim::SimTime;
 
 fn small(alg: Algorithm) -> JoinConfig {
-    let mut cfg = JoinConfig::paper_scaled(alg, 2000);
-    let domain = 1 << 12;
-    cfg.r = cfg.r.with_domain(domain);
-    cfg.s = cfg.s.with_domain(domain);
-    cfg.positions = (domain / 4) as u32;
-    cfg
+    narrow(alg, 2000, 1 << 12)
 }
 
 #[test]
@@ -77,7 +71,7 @@ fn a_budgeted_threaded_hot_key_run_ends_as_a_report() {
         let zipf = Distribution::Zipf { theta: 0.9 };
         cfg.r.dist = zipf;
         cfg.s.dist = zipf;
-        cfg.hot_keys = HotKeyConfig::enabled();
+        cfg.hot_keys = true;
         let opts = RunOptions {
             threads: Some(2),
             max_sim_time: Some(SimTime::from_secs(20)),

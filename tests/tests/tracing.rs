@@ -2,6 +2,7 @@
 //! coverage, per-node timestamp monotonicity, and diagnostic error tails.
 
 use ehj_core::{Algorithm, Backend, JoinConfig, JoinError, JoinReport, JoinRunner, RunOptions};
+use ehj_integration_tests::narrow;
 use ehj_metrics::{RingSink, TraceEvent, TraceKind, TraceLevel};
 use ehj_sim::SimTime;
 use std::collections::BTreeMap;
@@ -10,12 +11,7 @@ use std::sync::Arc;
 /// A workload small enough for tests but guaranteed to overflow the first
 /// node's hash memory, so every expanding algorithm actually expands.
 fn base(alg: Algorithm) -> JoinConfig {
-    let mut cfg = JoinConfig::paper_scaled(alg, 1000);
-    let domain = 1 << 14;
-    cfg.r = cfg.r.with_domain(domain);
-    cfg.s = cfg.s.with_domain(domain);
-    cfg.positions = (domain / 4) as u32;
-    cfg
+    narrow(alg, 1000, 1 << 14)
 }
 
 /// Runs `cfg` with detail tracing streamed to a temp JSONL file, then reads
