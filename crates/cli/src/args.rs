@@ -132,8 +132,8 @@ USAGE:
   ehjoin sweep <axis> [options]   sweep initial-nodes | skew | size
   ehjoin trace-summary <file>     render a --trace-out JSONL file as timelines
   ehjoin service [options]        run concurrent mixed-algorithm joins as one service
-                                  (--backend sim interleaves them deterministically in
-                                  one engine; --backend threaded shares one worker pool)
+                                  (--backend sim runs them one by one, each in its own
+                                  engine; --backend threaded shares one worker pool)
 
 OPTIONS:
   --algorithm <replicated|split|hybrid|ooc>   (run and sweep; default hybrid)

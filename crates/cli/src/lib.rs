@@ -295,10 +295,10 @@ fn sweep(args: &Args, axis: &str) -> Result<String, String> {
     }
 }
 
-/// Runs the `service` command: a batch of concurrent mixed-algorithm
-/// queries on one [`JoinService`]. The simulated backend interleaves all
-/// queries deterministically in one engine; the threaded backend admits
-/// them onto one shared worker pool and reports wall-clock throughput.
+/// Runs the `service` command: a batch of mixed-algorithm queries. The
+/// simulated backend runs each query alone, one after another; the
+/// threaded backend admits them concurrently onto one [`JoinService`]'s
+/// shared worker pool and reports wall-clock throughput.
 fn service(args: &Args) -> Result<String, String> {
     let cfgs: Vec<JoinConfig> = (0..args.queries)
         .map(|i| {
@@ -311,16 +311,16 @@ fn service(args: &Args) -> Result<String, String> {
         .collect();
     let (reports, summary) = match args.backend {
         Backend::Simulated => {
-            let results = JoinService::run_interleaved(&cfgs).map_err(|e| e.to_string())?;
-            let mut reports = Vec::with_capacity(results.len());
-            for (i, (cfg, result)) in cfgs.iter().zip(results).enumerate() {
-                let report =
-                    result.map_err(|e| format!("query {i} ({}): {e}", cfg.algorithm.label()))?;
+            let opts = run_options(args);
+            let mut reports = Vec::with_capacity(cfgs.len());
+            for (i, cfg) in cfgs.iter().enumerate() {
+                let report = JoinRunner::run_with(cfg, &opts)
+                    .map_err(|e| format!("query {i} ({}): {e}", cfg.algorithm.label()))?;
                 check_matches(args, i, cfg, &report)?;
                 reports.push(report);
             }
             let title = format!(
-                "service: {} interleaved queries (simulated, scale 1/{})",
+                "service: {} queries (simulated, scale 1/{})",
                 reports.len(),
                 args.scale
             );
@@ -511,12 +511,31 @@ mod tests {
     }
 
     #[test]
-    fn service_command_interleaves_simulated_queries() {
+    fn service_command_runs_simulated_queries() {
         let a = parse("service --queries 4 --scale 2000 --verify");
         let out = execute(&a).expect("service batch");
-        assert!(out.contains("interleaved queries"));
+        assert!(out.contains("service: 4 queries (simulated, scale 1/2000)"));
         for label in ["Replicated", "Split", "Hybrid", "Out of Core"] {
             assert!(out.contains(label), "missing {label}");
+        }
+    }
+
+    #[test]
+    fn service_trace_level_off_records_no_events_on_either_backend() {
+        for backend in ["sim", "threaded --threads 2"] {
+            let line = format!(
+                "service --queries 4 --scale 2000 --trace-level off --format csv --backend {backend}"
+            );
+            let out = execute(&parse(&line)).expect(&line);
+            let mut lines = out.lines();
+            let header: Vec<&str> = lines.next().expect("csv header").split(',').collect();
+            let col = header.iter().position(|h| *h == "trace_events");
+            let col = col.expect("trace_events column");
+            let rows: Vec<&str> = lines.collect();
+            assert_eq!(rows.len(), 4, "{line}");
+            for row in rows {
+                assert_eq!(row.split(',').nth(col), Some("0"), "{line}: {row}");
+            }
         }
     }
 

@@ -78,12 +78,6 @@ impl QuotaLedger {
         }
     }
 
-    /// The total budget.
-    #[must_use]
-    pub fn budget(&self) -> u64 {
-        self.inner.0.lock().expect("quota ledger").budget
-    }
-
     /// Bytes currently reserved by admitted queries.
     #[must_use]
     pub fn reserved(&self) -> u64 {

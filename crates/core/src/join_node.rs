@@ -203,13 +203,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             .emit_detail(ctx.now().as_nanos(), self.me, phase, kind);
     }
 
-    /// Tuples currently resident in the in-memory table (post-run
-    /// inspection).
-    #[must_use]
-    pub fn resident_tuples(&self) -> u64 {
-        self.table.len()
-    }
-
     fn tuple_bytes(&self) -> u64 {
         self.cfg.schema().tuple_bytes()
     }
@@ -1034,7 +1027,7 @@ mod tests {
             1,
             build_data(vec![Tuple::new(1, 100), Tuple::new(2, 700)]),
         );
-        assert_eq!(node.resident_tuples(), 1);
+        assert_eq!(node.table.len(), 1);
         // One DataAck back to the sender plus one forwarded chunk.
         assert!(ctx
             .sent
@@ -1091,7 +1084,7 @@ mod tests {
             1,
             build_data(vec![Tuple::new(1, 700), Tuple::new(2, 100)]),
         );
-        assert_eq!(node.resident_tuples(), 2);
+        assert_eq!(node.table.len(), 2);
         assert!(
             ctx.sent.iter().all(|(_, m)| !matches!(m, Msg::Data { .. })),
             "hot tuple must not be forwarded"
@@ -1124,7 +1117,7 @@ mod tests {
             },
         );
         // The original stays resident; a copy ships to the other member.
-        assert_eq!(node.resident_tuples(), 2);
+        assert_eq!(node.table.len(), 2);
         let shipped: Vec<_> = ctx
             .sent
             .iter()
@@ -1169,7 +1162,7 @@ mod tests {
                 tuple_bytes: 116,
             },
         );
-        assert_eq!(node.resident_tuples(), 0, "copy stashed, not inserted");
+        assert_eq!(node.table.len(), 0, "copy stashed, not inserted");
         node.on_message(
             &mut ctx,
             SCHED,
@@ -1178,7 +1171,7 @@ mod tests {
                 members: vec![ME, OTHER],
             },
         );
-        assert_eq!(node.resident_tuples(), 1, "stash drains after the plan");
+        assert_eq!(node.table.len(), 1, "stash drains after the plan");
         assert!(ctx
             .sent
             .iter()
@@ -1192,7 +1185,7 @@ mod tests {
                 tuple_bytes: 116,
             },
         );
-        assert_eq!(node.resident_tuples(), 2);
+        assert_eq!(node.table.len(), 2);
     }
 
     #[test]
@@ -1200,7 +1193,7 @@ mod tests {
         let (mut node, mut ctx) = activated_node(Algorithm::Replicated, 2);
         let tuples: Vec<Tuple> = (0..5).map(|i| Tuple::new(i, 100 + i)).collect();
         node.on_message(&mut ctx, 1, build_data(tuples));
-        assert_eq!(node.resident_tuples(), 2);
+        assert_eq!(node.table.len(), 2);
         assert_eq!(node.pending.len(), 3);
         let fulls: Vec<_> = ctx
             .sent
@@ -1415,7 +1408,7 @@ mod tests {
             (4 + 4, 4 + 4),
             "the hot-key copy must be probed"
         );
-        assert_eq!(node.resident_tuples(), 5);
+        assert_eq!(node.table.len(), 5);
     }
 
     #[test]
@@ -1425,7 +1418,7 @@ mod tests {
         let mut node = JoinNode::<MemBackend>::new(cfg, SCHED, ME, cap);
         let mut ctx = ScriptCtx::new(ME);
         node.on_message(&mut ctx, 1, build_data(vec![Tuple::new(1, 100)]));
-        assert_eq!(node.resident_tuples(), 0);
+        assert_eq!(node.table.len(), 0);
         node.on_message(
             &mut ctx,
             SCHED,
@@ -1434,7 +1427,7 @@ mod tests {
                 version: 1,
             },
         );
-        assert_eq!(node.resident_tuples(), 1, "boot queue replayed");
+        assert_eq!(node.table.len(), 1, "boot queue replayed");
     }
 
     #[test]
@@ -1461,7 +1454,7 @@ mod tests {
             },
         );
         // Positions 300 and 499 move; 100 and 240 stay.
-        assert_eq!(node.resident_tuples(), 2);
+        assert_eq!(node.table.len(), 2);
         let mut moved: Vec<u64> = ctx
             .sent
             .iter()
@@ -1534,7 +1527,7 @@ mod tests {
                 ],
             },
         );
-        assert_eq!(node.resident_tuples(), 2);
+        assert_eq!(node.table.len(), 2);
         assert!(ctx.sent.iter().any(|(to, m)| *to == OTHER
             && matches!(
                 m,

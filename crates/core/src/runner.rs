@@ -8,8 +8,8 @@
 //! builds the actor set at whatever id block the backend gives it, and has
 //! the only function that ends a query (report or classified error, totals,
 //! metrics snapshot, rollup, flush). [`JoinRunner::run_with`] is that
-//! lifecycle for one query: an interleaved batch of one on the simulator,
-//! the only group of a pool of its own on the threaded backend.
+//! lifecycle for one query: in an engine of its own on the simulator, the
+//! only group of a pool of its own on the threaded backend.
 
 use crate::config::JoinConfig;
 use crate::join_node::JoinNode;
@@ -331,7 +331,7 @@ impl TraceHarness {
 
 /// What an empty result slot means once a query's actors are gone.
 pub(crate) enum SilentEnd {
-    /// The group went quiet, or ran out of its time budget
+    /// The query's actors went quiet, or ran out of its time budget
     /// ([`StopCause::TimeLimit`]), without the scheduler reporting.
     Stalled(StopCause),
     /// The caller cancelled the query.
@@ -341,10 +341,10 @@ pub(crate) enum SilentEnd {
 }
 
 /// How one query's actor set ended, as its backend measured it on the
-/// query's own clock: the simulator's per-group accounting or the pool's
-/// per-group ledger.
+/// query's own clock: the simulator's run summary or the pool's per-group
+/// ledger.
 pub(crate) struct RunEnd {
-    /// When the group's last handler finished.
+    /// When the query's last handler finished.
     pub(crate) at_nanos: u64,
     /// Whether that is wall time. The scheduler stamps the report's total
     /// when it assembles it; on a wall clock the group's retirement is the
@@ -523,72 +523,6 @@ impl QueryRun {
     }
 }
 
-/// Runs `cfgs` interleaved in one deterministic simulation, one engine
-/// group per query in disjoint actor-id blocks; `opts` (tracing, metrics,
-/// the virtual-time budget) apply to every query. A standalone simulated
-/// run is the batch of one. All queries must share the net/disk cost model
-/// (they model one cluster).
-///
-/// # Errors
-/// An outer [`JoinError::Config`] for an invalid or incompatible batch;
-/// per-query errors are returned in the corresponding slot.
-pub(crate) fn run_simulated(
-    cfgs: &[JoinConfig],
-    opts: &RunOptions,
-) -> Result<Vec<Result<JoinReport, JoinError>>, JoinError> {
-    let Some(first) = cfgs.first() else {
-        return Ok(Vec::new());
-    };
-    for cfg in cfgs {
-        cfg.validate().map_err(JoinError::Config)?;
-        if cfg.net != first.net || cfg.disk != first.disk {
-            return Err(JoinError::Config(
-                "interleaved queries must share the net/disk cost model".to_owned(),
-            ));
-        }
-    }
-    let mut engine: Engine<Msg> = Engine::new(EngineConfig {
-        net: first.net,
-        disk: first.disk,
-        // One standalone run's event budget per interleaved query.
-        max_events: EngineConfig::default()
-            .max_events
-            .saturating_mul(cfgs.len() as u64),
-        max_time: opts.max_sim_time,
-    });
-    let mut queries = Vec::with_capacity(cfgs.len());
-    for (q, cfg) in cfgs.iter().enumerate() {
-        let query = QueryRun::new(opts)?;
-        let base = engine.actor_count() as ActorId;
-        for actor in query.actors::<MemBackend>(&Arc::new(cfg.clone()), base) {
-            engine.add_actor_in_group(actor, q);
-        }
-        queries.push(query);
-    }
-    let run = engine.run();
-    let reports = queries.iter().enumerate().map(|(q, query)| {
-        let group = engine.group_summary(q);
-        query.finish(RunEnd {
-            at_nanos: group.end_time.as_nanos(),
-            wall: false,
-            events: group.events,
-            net_bytes: group.net_bytes,
-            disk_bytes: group.disk_bytes,
-            samples: 0,
-            // Only a query that never reported gets here: the engine either
-            // erred or ran out of events or time elsewhere.
-            silent: match &run {
-                Err(source) => SilentEnd::Engine(source.clone()),
-                Ok(summary) if summary.reason == StopReason::TimeLimit => {
-                    SilentEnd::Stalled(StopCause::TimeLimit)
-                }
-                Ok(_) => SilentEnd::Stalled(StopCause::Quiescent),
-            },
-        })
-    });
-    Ok(reports.collect())
-}
-
 /// Runs joins described by a [`JoinConfig`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinRunner;
@@ -602,27 +536,52 @@ impl JoinRunner {
         Self::run_with(cfg, &RunOptions::default())
     }
 
-    /// Runs one join on the chosen backend with default tracing.
-    ///
-    /// # Errors
-    /// See [`JoinError`].
-    pub fn run_on(cfg: &JoinConfig, backend: Backend) -> Result<JoinReport, JoinError> {
-        Self::run_with(cfg, &RunOptions::on(backend))
-    }
-
     /// Runs one join with full control over backend and tracing: on the
-    /// simulator as an interleaved batch of one, on the threaded backend as
-    /// the only group of a pool of its own.
+    /// simulator in an engine of its own, on the threaded backend as the
+    /// only group of a pool of its own.
     ///
     /// # Errors
     /// See [`JoinError`].
     pub fn run_with(cfg: &JoinConfig, opts: &RunOptions) -> Result<JoinReport, JoinError> {
         match opts.backend {
-            Backend::Simulated => run_simulated(std::slice::from_ref(cfg), opts)?
-                .pop()
-                .expect("one result per query"),
+            Backend::Simulated => Self::run_simulated(cfg, opts),
             Backend::Threaded => Self::run_threaded(cfg, opts),
         }
+    }
+
+    fn run_simulated(cfg: &JoinConfig, opts: &RunOptions) -> Result<JoinReport, JoinError> {
+        cfg.validate().map_err(JoinError::Config)?;
+        let query = QueryRun::new(opts)?;
+        let mut engine: Engine<Msg> = Engine::new(EngineConfig {
+            net: cfg.net,
+            disk: cfg.disk,
+            max_time: opts.max_sim_time,
+            ..EngineConfig::default()
+        });
+        for actor in query.actors::<MemBackend>(&Arc::new(cfg.clone()), 0) {
+            engine.add_actor(actor);
+        }
+        let run = engine.run();
+        let summary = run.as_ref().ok();
+        query.finish(RunEnd {
+            // The engine's clock, not the summary's: an aborted run has no
+            // summary, and its stop is stamped when its last handler ended.
+            at_nanos: engine.end_time().as_nanos(),
+            wall: false,
+            events: summary.map_or(0, |s| s.events),
+            net_bytes: summary.map_or(0, |s| s.net_bytes),
+            disk_bytes: summary.map_or(0, |s| s.disk_bytes),
+            samples: 0,
+            // Only a query that never reported reads this: the scheduler
+            // stops the engine the moment it reports.
+            silent: match run {
+                Err(source) => SilentEnd::Engine(source),
+                Ok(s) if s.reason == StopReason::TimeLimit => {
+                    SilentEnd::Stalled(StopCause::TimeLimit)
+                }
+                Ok(_) => SilentEnd::Stalled(StopCause::Quiescent),
+            },
+        })
     }
 
     fn run_threaded(cfg: &JoinConfig, opts: &RunOptions) -> Result<JoinReport, JoinError> {

@@ -1091,7 +1091,7 @@ mod tests {
         cfg.cluster = ClusterSpec::homogeneous(NODES, 1 << 20);
         cfg.initial_nodes = initial;
         cfg.sources = SOURCES;
-        let topo = Topology::standard(SOURCES, NODES);
+        let topo = Topology::with_base(0, SOURCES, NODES);
         let slot: Arc<Mutex<Option<JoinReport>>> = Arc::new(Mutex::new(None));
         let sched = Scheduler::new(Arc::new(cfg), topo, Arc::clone(&slot));
         let ctx = ScriptCtx::new(0);
@@ -1513,7 +1513,7 @@ mod tests {
         cfg.initial_nodes = initial;
         cfg.sources = SOURCES;
         cfg.hot_keys = true;
-        let topo = Topology::standard(SOURCES, NODES);
+        let topo = Topology::with_base(0, SOURCES, NODES);
         let slot = Arc::new(Mutex::new(None));
         let mut sched = Scheduler::new(Arc::new(cfg), topo, slot);
         let mut ctx = ScriptCtx::new(0);
@@ -1687,7 +1687,7 @@ mod robustness_tests {
         cfg.cluster = ClusterSpec::homogeneous(6, 1 << 20);
         cfg.initial_nodes = 2;
         cfg.sources = 1;
-        let topo = Topology::standard(1, 6);
+        let topo = Topology::with_base(0, 1, 6);
         let slot = Arc::new(Mutex::new(None));
         let mut sched = Scheduler::new(Arc::new(cfg), topo, slot);
         let mut ctx = ScriptCtx::new(0);

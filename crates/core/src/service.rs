@@ -21,15 +21,12 @@
 //!   unpolluted by its neighbours (the registries and monitors used to
 //!   assume one run per process).
 //!
-//! For the deterministic backend, [`JoinService::run_interleaved`] runs a
-//! batch of queries *interleaved in one simulation* — per-actor NIC, CPU
-//! and disk state means disjoint queries do not contend in the cost model,
-//! and per-group accounting reproduces each query's standalone report
-//! byte for byte (the service-suite test pins this).
+//! The service is the threaded backend's: a simulated query runs alone, in
+//! an engine of its own, through [`crate::runner::JoinRunner::run_with`].
 
 use crate::config::JoinConfig;
 use crate::report::JoinReport;
-use crate::runner::{run_simulated, Backend, JoinError, QueryRun, RunEnd, RunOptions};
+use crate::runner::{Backend, JoinError, QueryRun, RunEnd, RunOptions};
 use ehj_cluster::QuotaLedger;
 use ehj_metrics::{MetricsRegistry, TraceLevel};
 use ehj_sim::{Admission, Executor, ExecutorConfig};
@@ -222,26 +219,6 @@ impl JoinService {
     pub fn shutdown(self) -> ehj_sim::ThreadedSummary {
         self.executor.shutdown()
     }
-
-    /// Runs a batch of queries **interleaved in one deterministic
-    /// simulation**: every query's actors are registered up front in
-    /// disjoint id blocks (one engine group per query), the event loop
-    /// interleaves them, and per-group accounting gives each query a
-    /// report identical to what it would get running alone — per-actor
-    /// NIC/CPU/disk state means disjoint queries never contend in the
-    /// cost model, and relative event order within a query is preserved.
-    ///
-    /// All queries must share the same net/disk cost model (they model
-    /// one cluster).
-    ///
-    /// # Errors
-    /// An outer [`JoinError::Config`] for an invalid or incompatible
-    /// batch; per-query errors are returned in the corresponding slot.
-    pub fn run_interleaved(
-        cfgs: &[JoinConfig],
-    ) -> Result<Vec<Result<JoinReport, JoinError>>, JoinError> {
-        run_simulated(cfgs, &RunOptions::default())
-    }
 }
 
 #[cfg(test)]
@@ -249,39 +226,9 @@ mod tests {
     use super::*;
     use crate::config::Algorithm;
     use crate::reference::expected_matches_for;
-    use ehj_sim::SimTime;
 
     fn quick(algorithm: Algorithm) -> JoinConfig {
         JoinConfig::paper_scaled(algorithm, 1000)
-    }
-
-    #[test]
-    fn empty_interleaved_batch_is_fine() {
-        let out = JoinService::run_interleaved(&[]).expect("empty batch");
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn interleaved_batch_must_share_the_cost_model() {
-        let a = quick(Algorithm::Split);
-        let mut b = quick(Algorithm::Replicated);
-        b.net.latency = SimTime::from_millis(42);
-        let err = JoinService::run_interleaved(&[a, b]).unwrap_err();
-        assert!(matches!(err, JoinError::Config(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn interleaved_queries_each_produce_their_own_report() {
-        let cfgs = [quick(Algorithm::Split), quick(Algorithm::Replicated)];
-        let reports = JoinService::run_interleaved(&cfgs).expect("batch runs");
-        assert_eq!(reports.len(), 2);
-        for (cfg, report) in cfgs.iter().zip(&reports) {
-            let report = report.as_ref().expect("query completed");
-            assert_eq!(report.algorithm, cfg.algorithm);
-            assert_eq!(report.matches, expected_matches_for(cfg));
-            assert!(report.sim_events > 0);
-            assert!(report.net_bytes > 0);
-        }
     }
 
     #[test]

@@ -17,14 +17,8 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds the standard wiring for `sources` sources and `nodes` cluster
-    /// nodes.
-    #[must_use]
-    pub fn standard(sources: usize, nodes: usize) -> Self {
-        Self::with_base(0, sources, nodes)
-    }
-
-    /// Builds the standard wiring shifted to start at actor id `base`:
+    /// Builds the wiring for `sources` sources and `nodes` cluster nodes,
+    /// starting at actor id `base`:
     /// scheduler at `base`, sources at `base+1..`, nodes after them. This
     /// is how the multi-tenant service namespaces one query's actors — each
     /// admitted query gets a disjoint dense id block, so concurrent
@@ -72,7 +66,7 @@ mod tests {
 
     #[test]
     fn standard_wiring_is_dense() {
-        let t = Topology::standard(3, 5);
+        let t = Topology::with_base(0, 3, 5);
         assert_eq!(t.scheduler, 0);
         assert_eq!(t.sources, vec![1, 2, 3]);
         assert_eq!(t.nodes, vec![4, 5, 6, 7, 8]);
@@ -94,7 +88,7 @@ mod tests {
 
     #[test]
     fn node_actor_round_trip() {
-        let t = Topology::standard(2, 4);
+        let t = Topology::with_base(0, 2, 4);
         for i in 0..4u32 {
             let a = t.node_actor(NodeId(i));
             assert_eq!(t.node_of_actor(a), Some(NodeId(i)));

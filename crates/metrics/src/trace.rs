@@ -1019,15 +1019,9 @@ pub const fn lane_marker(kind: &TraceKind) -> char {
 /// Renders per-node, per-phase timeline lanes: one `width`-column lane per
 /// (actor, phase) that saw events, with kind markers placed by timestamp
 /// (`*` marks a cell where different kinds collide). The axis is labelled
-/// with nanoseconds of an unspecified clock; use
-/// [`render_trace_lanes_clocked`] when the clock is known.
-#[must_use]
-pub fn render_trace_lanes(events: &[TraceEvent], width: usize) -> String {
-    render_trace_lanes_clocked(events, width, None)
-}
-
-/// [`render_trace_lanes`] with the axis labelled by the clock that stamped
-/// the events (from the JSONL header or the backend that ran).
+/// by the clock that stamped the events (from the JSONL header or the
+/// backend that ran), or with nanoseconds of an unspecified clock for
+/// `None`.
 #[must_use]
 pub fn render_trace_lanes_clocked(
     events: &[TraceEvent],
@@ -1401,14 +1395,17 @@ mod tests {
                 kind: TraceKind::PhaseDone,
             },
         ];
-        let s = render_trace_lanes(&events, 40);
+        let s = render_trace_lanes_clocked(&events, 40, None);
         assert!(s.contains("actor   2 build"));
         assert!(s.contains("actor   3 probe"));
         assert!(s.contains('!'));
         assert!(s.contains('S'));
         assert!(s.contains("legend"));
         assert!(s.contains("unlabelled time"));
-        assert_eq!(render_trace_lanes(&[], 40), "no trace events\n");
+        assert_eq!(
+            render_trace_lanes_clocked(&[], 40, None),
+            "no trace events\n"
+        );
     }
 
     #[test]

@@ -74,13 +74,13 @@ pub trait Context<M: Message> {
     /// common case for per-chunk spill appends).
     fn disk_append(&mut self, bytes: u64);
 
-    /// Requests shutdown of this actor's *group* — the set of actors it
-    /// was registered (simulation) or admitted (threaded) with; a whole
-    /// standalone run, or one query of a multi-tenant service. Event
-    /// processing for the group stops once the current handler returns
-    /// (simulation) or all its members observe the stop signal (threaded);
-    /// remaining queued events of the group are discarded. Other groups
-    /// sharing the runtime are unaffected.
+    /// Requests shutdown of this actor's *group*: the whole engine on the
+    /// simulator, the set of actors it was admitted with (one query of a
+    /// multi-tenant service) on the threaded backend. Event processing
+    /// stops once the current handler returns (simulation) or all group
+    /// members observe the stop signal (threaded); remaining queued events
+    /// of the group are discarded. Other groups sharing the pool are
+    /// unaffected.
     ///
     /// On the threaded backend the stop signal is a sentinel placed at the
     /// tail of every *group member's* mailbox: messages enqueued *before*

@@ -67,25 +67,6 @@ pub struct RunSummary {
     pub reason: StopReason,
 }
 
-/// Per-group accounting of one run: everything attributed to handlers of
-/// actors registered in that group (see [`Engine::add_actor_in_group`]).
-/// Because the network reserves per-actor NICs and CPUs are per-actor,
-/// disjoint groups do not interfere — a group's summary is identical to
-/// what the same actors produce running alone in their own engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupSummary {
-    /// Events dispatched to this group's actors.
-    pub events: u64,
-    /// Bytes this group's handlers pushed through the network.
-    pub net_bytes: u64,
-    /// Bytes this group's handlers moved through simulated disks.
-    pub disk_bytes: u64,
-    /// Virtual time at which the group's last handler finished.
-    pub end_time: SimTime,
-    /// Whether an actor of this group called [`Context::stop`].
-    pub stopped: bool,
-}
-
 /// Errors surfaced by [`Engine::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
@@ -145,12 +126,8 @@ pub struct Engine<M: Message> {
     net: Network,
     disk: DiskState,
     cpu_free: Vec<SimTime>,
-    /// Group of each actor (parallel to `actors`).
-    groups: Vec<usize>,
-    /// Per-group stop flags: [`Context::stop`] quiesces only the calling
-    /// actor's group; the run ends `Stopped` once every group stopped.
-    group_stopped: Vec<bool>,
-    group_stats: Vec<GroupSummary>,
+    /// Virtual time at which the last handler so far finished.
+    end_time: SimTime,
     seq: u64,
     max_events: u64,
     max_time: Option<SimTime>,
@@ -166,55 +143,28 @@ impl<M: Message> Engine<M> {
             net: Network::new(config.net, 0),
             disk: DiskState::new(config.disk, 0),
             cpu_free: Vec::new(),
-            groups: Vec::new(),
-            group_stopped: Vec::new(),
-            group_stats: Vec::new(),
+            end_time: SimTime::ZERO,
             seq: 0,
             max_events: config.max_events,
             max_time: config.max_time,
         }
     }
 
-    /// Registers an actor in group 0; ids are assigned densely in
-    /// registration order.
+    /// Registers an actor; ids are assigned densely in registration order.
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
-        self.add_actor_in_group(actor, 0)
-    }
-
-    /// Registers an actor in `group`. Groups partition the actor set into
-    /// independent quiesce domains: a [`Context::stop`] from a group-`g`
-    /// actor drops only group `g`'s remaining events, other groups keep
-    /// running, and the run ends [`StopReason::Stopped`] once every group
-    /// has stopped. Per-group accounting is read back with
-    /// [`Engine::group_summary`].
-    pub fn add_actor_in_group(&mut self, actor: Box<dyn Actor<M>>, group: usize) -> ActorId {
         let id = self.actors.len() as ActorId;
         self.actors.push(Some(actor));
         self.cpu_free.push(SimTime::ZERO);
-        self.groups.push(group);
-        if group >= self.group_stopped.len() {
-            self.group_stopped.resize(group + 1, false);
-            self.group_stats.resize(group + 1, GroupSummary::default());
-        }
         self.net.ensure_node(id);
         id
     }
 
-    /// Per-group accounting after (or during) a run.
-    ///
-    /// # Panics
-    /// Panics if `group` was never registered.
+    /// Virtual time at which the last handler so far finished: a finished
+    /// run's [`RunSummary::end_time`], and how far a run got before
+    /// [`Engine::run`] returned an error.
     #[must_use]
-    pub fn group_summary(&self, group: usize) -> GroupSummary {
-        let mut s = self.group_stats[group];
-        s.stopped = self.group_stopped[group];
-        s
-    }
-
-    /// Number of registered actors.
-    #[must_use]
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
+    pub fn end_time(&self) -> SimTime {
+        self.end_time
     }
 
     /// Injects a bootstrap message delivered to `to` at `time` (bypasses the
@@ -244,43 +194,19 @@ impl<M: Message> Engine<M> {
     /// Returns [`EngineError::EventLimitExceeded`] if the configured event
     /// budget runs out.
     pub fn run(&mut self) -> Result<RunSummary, EngineError> {
-        let mut makespan = SimTime::ZERO;
-        // Start hooks. An actor stopping during start quiesces its group;
-        // later actors of an already-stopped group are not started.
+        // An actor that stops during its start hook ends the run before the
+        // later actors start.
         for id in 0..self.actors.len() as ActorId {
-            let group = self.groups[id as usize];
-            if self.group_stopped[group] {
-                continue;
-            }
-            let mut stopped = false;
-            let mut actor = self.actors[id as usize].take().expect("actor present");
-            let (net0, disk0) = (self.net.bytes_sent(), self.disk.total_bytes());
-            let local = self.dispatch_start(id, &mut actor, &mut stopped, &mut makespan);
-            self.cpu_free[id as usize] = local;
-            self.actors[id as usize] = Some(actor);
-            self.attribute(group, net0, disk0, local, 0);
-            if stopped {
-                self.group_stopped[group] = true;
-                if self.all_groups_stopped() {
-                    return Ok(self.summary(makespan, 0, StopReason::Stopped));
-                }
+            if self.dispatch(id, SimTime::ZERO, None) {
+                return Ok(self.summary(0, StopReason::Stopped));
             }
         }
 
         let mut events: u64 = 0;
         while let Some(ev) = self.queue.pop() {
-            if let Some(limit) = self.max_time {
-                if ev.time > limit {
-                    self.queue.clear();
-                    return Ok(self.summary(makespan, events, StopReason::TimeLimit));
-                }
-            }
-            let idx = ev.target as usize;
-            let group = self.groups[idx];
-            if self.group_stopped[group] {
-                // Everything a stopped group still had in flight is
-                // dropped, exactly like the full-queue clear at the end.
-                continue;
+            if self.max_time.is_some_and(|limit| ev.time > limit) {
+                self.queue.clear();
+                return Ok(self.summary(events, StopReason::TimeLimit));
             }
             events += 1;
             if events > self.max_events {
@@ -288,74 +214,44 @@ impl<M: Message> Engine<M> {
                     limit: self.max_events,
                 });
             }
-            let mut stopped = false;
-            let mut actor = self.actors[idx].take().expect("actor present");
-            let start = ev.time.max(self.cpu_free[idx]);
-            let (net0, disk0) = (self.net.bytes_sent(), self.disk.total_bytes());
-            let mut ctx = EngineCtx {
-                me: ev.target,
-                local: start,
-                net: &mut self.net,
-                disk: &mut self.disk,
-                staged: Vec::new(),
-                stopped: &mut stopped,
-            };
-            actor.on_message(&mut ctx, ev.from, ev.msg);
-            let local = ctx.local;
-            let staged = std::mem::take(&mut ctx.staged);
-            drop(ctx);
-            self.commit(staged);
-            self.cpu_free[idx] = local;
-            makespan = makespan.max(local);
-            self.actors[idx] = Some(actor);
-            self.attribute(group, net0, disk0, local, 1);
-            if stopped {
-                self.group_stopped[group] = true;
-                if self.all_groups_stopped() {
-                    self.queue.clear();
-                    return Ok(self.summary(makespan, events, StopReason::Stopped));
-                }
+            let start = ev.time.max(self.cpu_free[ev.target as usize]);
+            if self.dispatch(ev.target, start, Some((ev.from, ev.msg))) {
+                self.queue.clear();
+                return Ok(self.summary(events, StopReason::Stopped));
             }
         }
-        Ok(self.summary(makespan, events, StopReason::Quiescent))
+        Ok(self.summary(events, StopReason::Quiescent))
     }
 
-    fn all_groups_stopped(&self) -> bool {
-        self.group_stopped.iter().all(|s| *s)
-    }
-
-    /// Charges one handler dispatch to its group: the net/disk deltas the
-    /// handler produced, its event, and the group makespan.
-    fn attribute(&mut self, group: usize, net0: u64, disk0: u64, local: SimTime, events: u64) {
-        let g = &mut self.group_stats[group];
-        g.events += events;
-        g.net_bytes += self.net.bytes_sent() - net0;
-        g.disk_bytes += self.disk.total_bytes() - disk0;
-        g.end_time = g.end_time.max(local);
-    }
-
-    fn dispatch_start(
-        &mut self,
-        id: ActorId,
-        actor: &mut Box<dyn Actor<M>>,
-        stopped: &mut bool,
-        makespan: &mut SimTime,
-    ) -> SimTime {
+    /// Runs one handler of actor `id` on its CPU from `start` — its start
+    /// hook, or `on_message` for a `(from, msg)` delivery — commits its
+    /// sends, and returns whether it stopped the engine.
+    fn dispatch(&mut self, id: ActorId, start: SimTime, delivery: Option<(ActorId, M)>) -> bool {
+        let idx = id as usize;
+        let mut actor = self.actors[idx].take().expect("actor present");
         let mut ctx = EngineCtx {
             me: id,
-            local: SimTime::ZERO,
+            local: start,
             net: &mut self.net,
             disk: &mut self.disk,
             staged: Vec::new(),
-            stopped,
+            stopped: false,
         };
-        actor.on_start(&mut ctx);
-        let local = ctx.local;
-        let staged = std::mem::take(&mut ctx.staged);
-        drop(ctx);
+        match delivery {
+            None => actor.on_start(&mut ctx),
+            Some((from, msg)) => actor.on_message(&mut ctx, from, msg),
+        }
+        let EngineCtx {
+            local,
+            staged,
+            stopped,
+            ..
+        } = ctx;
         self.commit(staged);
-        *makespan = (*makespan).max(local);
-        local
+        self.cpu_free[idx] = local;
+        self.end_time = self.end_time.max(local);
+        self.actors[idx] = Some(actor);
+        stopped
     }
 
     fn commit(&mut self, staged: Vec<(SimTime, ActorId, ActorId, M)>) {
@@ -371,9 +267,9 @@ impl<M: Message> Engine<M> {
         }
     }
 
-    fn summary(&self, makespan: SimTime, events: u64, reason: StopReason) -> RunSummary {
+    fn summary(&self, events: u64, reason: StopReason) -> RunSummary {
         RunSummary {
-            end_time: makespan,
+            end_time: self.end_time,
             events,
             net_bytes: self.net.bytes_sent(),
             net_messages: self.net.messages_sent(),
@@ -392,7 +288,7 @@ struct EngineCtx<'a, M: Message> {
     /// (delivery time, target, from, msg) — committed to the heap after the
     /// handler returns, preserving send order via sequence numbers.
     staged: Vec<(SimTime, ActorId, ActorId, M)>,
-    stopped: &'a mut bool,
+    stopped: bool,
 }
 
 impl<M: Message> Context<M> for EngineCtx<'_, M> {
@@ -426,7 +322,7 @@ impl<M: Message> Context<M> for EngineCtx<'_, M> {
     }
 
     fn stop(&mut self) {
-        *self.stopped = true;
+        self.stopped = true;
     }
 }
 
@@ -518,94 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn groups_stop_independently_with_standalone_identical_accounting() {
-        // Two bouncer pairs in separate groups. Group 0 stops early; group
-        // 1 keeps bouncing and must see exactly the events, bytes and
-        // virtual makespan it produces running alone in its own engine.
-        let cpu = SimTime::from_nanos(50);
-        let standalone = |limit: u64| {
-            let mut e = bouncer_engine(limit, cpu);
-            let s = e.run().expect("runs");
-            (s.events, s.net_bytes, s.end_time)
-        };
-        let solo_a = standalone(10);
-        let solo_b = standalone(40);
-
-        let mut e = Engine::new(EngineConfig::default());
-        for (group, limit) in [(0usize, 10u64), (1, 40)] {
-            let base = (group * 2) as ActorId;
-            for offset in 0..2u32 {
-                let id = e.add_actor_in_group(
-                    Box::new(Bouncer {
-                        peer: base + (offset + 1) % 2,
-                        limit,
-                        seen: vec![],
-                        initiator: offset == 0,
-                        cpu_per_msg: cpu,
-                    }),
-                    group,
-                );
-                assert_eq!(id, base + offset);
-            }
-        }
-        let s = e.run().expect("runs");
-        assert_eq!(s.reason, StopReason::Stopped, "both groups stopped");
-        for (group, solo) in [(0usize, solo_a), (1, solo_b)] {
-            let g = e.group_summary(group);
-            assert!(g.stopped);
-            assert_eq!((g.events, g.net_bytes, g.end_time), solo, "group {group}");
-        }
-        assert_eq!(s.events, solo_a.0 + solo_b.0);
-        assert_eq!(s.net_bytes, solo_a.1 + solo_b.1);
-        assert_eq!(s.end_time, solo_a.2.max(solo_b.2));
-    }
-
-    #[test]
-    fn stopped_groups_drop_their_leftover_events_only() {
-        // Group 0's stopper leaves a message in flight when it stops; the
-        // event is dropped without being dispatched, while group 1's
-        // traffic keeps flowing afterwards.
-        struct StopAndSend {
-            peer: ActorId,
-        }
-        impl Actor<Ping> for StopAndSend {
-            fn on_start(&mut self, ctx: &mut dyn Context<Ping>) {
-                ctx.send(self.peer, Ping(0));
-                ctx.stop();
-            }
-            fn on_message(&mut self, _c: &mut dyn Context<Ping>, _f: ActorId, _m: Ping) {
-                panic!("events of a stopped group must not be dispatched");
-            }
-        }
-        let mut e = Engine::new(EngineConfig::default());
-        let _a = e.add_actor_in_group(Box::new(StopAndSend { peer: 1 }), 0);
-        let _victim = e.add_actor_in_group(Box::new(StopAndSend { peer: 0 }), 0);
-        let b0 = e.add_actor_in_group(
-            Box::new(Bouncer {
-                peer: 3,
-                limit: 5,
-                seen: vec![],
-                initiator: true,
-                cpu_per_msg: SimTime::ZERO,
-            }),
-            1,
-        );
-        let _b1 = e.add_actor_in_group(
-            Box::new(Bouncer {
-                peer: b0,
-                limit: 5,
-                seen: vec![],
-                initiator: false,
-                cpu_per_msg: SimTime::ZERO,
-            }),
-            1,
-        );
-        let s = e.run().expect("runs");
-        assert_eq!(s.reason, StopReason::Stopped);
-        assert_eq!(e.group_summary(1).events, 6, "group 1 bounced to its limit");
-    }
-
-    #[test]
     fn quiescent_when_no_initiator() {
         let mut e = Engine::new(EngineConfig::default());
         let _ = e.add_actor(Box::new(Bouncer {
@@ -629,6 +437,7 @@ mod tests {
                 ctx.send(ctx.me(), Ping(0));
             }
             fn on_message(&mut self, ctx: &mut dyn Context<Ping>, _f: ActorId, m: Ping) {
+                ctx.consume_cpu(SimTime::from_micros(1));
                 ctx.send(ctx.me(), m);
             }
         }
@@ -639,6 +448,8 @@ mod tests {
         let _ = e.add_actor(Box::new(Loopy));
         let err = e.run().expect_err("must hit the event limit");
         assert_eq!(err, EngineError::EventLimitExceeded { limit: 1000 });
+        // How far the aborted run got: its 1000 handlers, 1 µs each.
+        assert_eq!(e.end_time(), SimTime::from_micros(1000));
     }
 
     #[test]

@@ -601,7 +601,7 @@ pub struct Executor<M: Message> {
 }
 
 /// Handle to one admitted group: its actor-id block plus the private
-/// completion/cancel state. Obtained from [`Executor::admit`].
+/// completion/cancel state. Obtained from [`Executor::admit_with`].
 pub struct Admission<M: Message> {
     /// First actor id of the group's dense block.
     pub base: ActorId,
@@ -700,13 +700,6 @@ impl<M: Message> Executor<M> {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.shared.workers
-    }
-
-    /// Admits `actors` as one new group at the next free actor-id block.
-    /// The actors must address peers relative to the base id this returns —
-    /// use [`Executor::admit_with`] when they need the base to be built.
-    pub fn admit(&self, actors: Vec<Box<dyn Actor<M>>>, mailbox_capacity: usize) -> Admission<M> {
-        self.admit_with(actors.len(), mailbox_capacity, move |_| actors)
     }
 
     /// Admits a group of `count` actors built by `build`, which receives
@@ -1371,7 +1364,7 @@ mod tests {
         };
         let pool: Executor<Count> = Executor::start(&cfg, &MetricsRegistry::disabled());
         let b = pool.admit_with(4, cfg.mailbox_capacity, |base| ring(base, 4, 300));
-        let a = pool.admit(vec![Box::new(StopOnStart)], cfg.mailbox_capacity);
+        let a = pool.admit_with(1, cfg.mailbox_capacity, |_| vec![Box::new(StopOnStart)]);
         let a_out = pool.wait(&a);
         let b_out = pool.wait(&b);
         assert_eq!(a_out.net_messages, 0, "the stopper sent nothing");
@@ -1386,7 +1379,7 @@ mod tests {
     fn groups_admitted_after_a_stop_still_run() {
         let pool: Executor<Count> =
             Executor::start(&ExecutorConfig::default(), &MetricsRegistry::disabled());
-        let a = pool.admit(vec![Box::new(StopOnStart)], 1024);
+        let a = pool.admit_with(1, 1024, |_| vec![Box::new(StopOnStart)]);
         pool.wait(&a);
         // Admitted after group A fully quiesced: must be unaffected.
         let b = pool.admit_with(3, 1024, |base| ring(base, 3, 50));
@@ -1406,7 +1399,7 @@ mod tests {
         }
         let pool: Executor<Count> =
             Executor::start(&ExecutorConfig::default(), &MetricsRegistry::disabled());
-        let adm = pool.admit(vec![Box::new(Idle), Box::new(Idle)], 1024);
+        let adm = pool.admit_with(2, 1024, |_| vec![Box::new(Idle), Box::new(Idle)]);
         assert!(
             pool.wait_timeout(&adm, Duration::from_millis(10)).is_none(),
             "idle group does not finish on its own"
@@ -1548,7 +1541,7 @@ mod tests {
     fn contend(a: (u64, u64), b: (u64, u64), b_limit: u64) -> (u64, u64) {
         let (pool, registry) = one_worker();
         let (release, gate) = mpsc::channel();
-        let held = pool.admit(vec![Box::new(Gate(gate))], 16);
+        let held = pool.admit_with(1, 16, |_| vec![Box::new(Gate(gate))]);
         let (a_done, b_done) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
         let a_at_stop = Arc::new(AtomicU64::new(0));
         let spinner = |bytes, limit, done: &Arc<AtomicU64>, rival: &Arc<AtomicU64>| {
@@ -1652,10 +1645,11 @@ mod tests {
         let pool: Executor<Count> = Executor::start(&cfg, &MetricsRegistry::disabled());
         let drops = Arc::new(AtomicU64::new(0));
         for round in 1..=200 {
-            let actors = (0..5)
-                .map(|i| Box::new(Dropper(i == 0, Arc::clone(&drops))) as Box<dyn Actor<Count>>)
-                .collect();
-            let adm = pool.admit(actors, cfg.mailbox_capacity);
+            let adm = pool.admit_with(5, cfg.mailbox_capacity, |_| {
+                (0..5)
+                    .map(|i| Box::new(Dropper(i == 0, Arc::clone(&drops))) as Box<dyn Actor<Count>>)
+                    .collect()
+            });
             pool.wait(&adm);
             assert_eq!(drops.load(Ordering::SeqCst), round * 5, "round {round}");
             assert_eq!(pool.live(), (0, 0), "round {round}");

@@ -30,7 +30,7 @@ pub mod time;
 
 pub use actor::{Actor, ActorId, Context, Message};
 pub use disk::{DiskConfig, DiskState};
-pub use engine::{Engine, EngineConfig, EngineError, GroupSummary, RunSummary, StopReason};
+pub use engine::{Engine, EngineConfig, EngineError, RunSummary, StopReason};
 pub use executor::{
     Admission, Executor, ExecutorConfig, ExecutorStats, GroupOutcome, ThreadedSummary,
 };

@@ -63,7 +63,7 @@ fn occupy_a_worker(pool: &Executor<Count>) -> (Admission<Count>, mpsc::Sender<()
         entered: entered_tx,
         release: release_rx,
     };
-    let admission = pool.admit(vec![Box::new(blocker)], 1024);
+    let admission = pool.admit_with(1, 1024, |_| vec![Box::new(blocker)]);
     entered_rx
         .recv_timeout(Duration::from_secs(30))
         .expect("the blocker started");
@@ -190,7 +190,7 @@ fn crunch(workers: usize) -> (Duration, usize, u64) {
     let seen = Arc::new(Mutex::new(HashSet::new()));
     let unfinished = Arc::new(AtomicUsize::new(16));
     let started = Instant::now();
-    let group = pool.admit(
+    let group = pool.admit_with(16, cfg.mailbox_capacity, |_| {
         (0..16)
             .map(|_| {
                 Box::new(Cruncher {
@@ -199,9 +199,8 @@ fn crunch(workers: usize) -> (Duration, usize, u64) {
                     seen: Arc::clone(&seen),
                 }) as Box<dyn Actor<Count>>
             })
-            .collect(),
-        cfg.mailbox_capacity,
-    );
+            .collect()
+    });
     pool.wait(&group);
     let wall = started.elapsed();
     let threads = seen.lock().expect("seen").len();

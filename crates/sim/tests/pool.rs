@@ -29,7 +29,7 @@ fn run_alone(
         ..ExecutorConfig::default()
     };
     let pool = Executor::start(&cfg, &MetricsRegistry::disabled());
-    let group = pool.admit(actors, mailbox_capacity);
+    let group = pool.admit_with(actors.len(), mailbox_capacity, |_| actors);
     let outcome = pool.wait(&group);
     assert_eq!(pool.live(), (0, 0), "every actor retired");
     (outcome, pool.shutdown())

@@ -109,7 +109,7 @@ fn a_send_toward_a_dead_peer_is_dropped() {
     }
     let pool = pool();
     let (received, dropped) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-    let adm = pool.admit(
+    let adm = pool.admit_with(2, 1024, |_| {
         vec![
             Box::new(StopThenSend {
                 peer_dropped: Arc::clone(&dropped),
@@ -118,9 +118,8 @@ fn a_send_toward_a_dead_peer_is_dropped() {
                 received: Arc::clone(&received),
                 dropped: Arc::clone(&dropped),
             }),
-        ],
-        1024,
-    );
+        ]
+    });
     let out = pool.wait(&adm);
     assert_eq!(dropped.load(Ordering::SeqCst), 1, "the peer died first");
     assert_eq!(received.load(Ordering::SeqCst), 0);
@@ -171,19 +170,17 @@ fn a_send_outside_the_senders_block_is_counted_and_dropped() {
     let pool = pool();
     let (received, dropped) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
     // A live, idle neighbour group: the trespasser aims at its block.
-    let neighbour = pool.admit(
+    let neighbour = pool.admit_with(1, 1024, |_| {
         vec![Box::new(Sink {
             received: Arc::clone(&received),
             dropped: Arc::clone(&dropped),
-        })],
-        1024,
-    );
-    let adm = pool.admit(
+        })]
+    });
+    let adm = pool.admit_with(1, 1024, |_| {
         vec![Box::new(Trespasser {
             foreign: neighbour.base,
-        })],
-        1024,
-    );
+        })]
+    });
     pool.wait(&adm);
     pool.cancel(&neighbour);
     pool.wait(&neighbour);

@@ -7,7 +7,9 @@
 # with `--record` and say in its description which columns moved and why.
 # The `figures` binary beside the given `ehjoin` must likewise reproduce
 # `figures-scale-100.txt` (`figures all --scale 100`: every simulated
-# figure table and shape check, each figure's out-of-core column included).
+# figure table and shape check, each figure's out-of-core column included),
+# and `ehjoin service --scale 2000 --format csv` must reproduce
+# `service-scale-2000.csv` (eight queries, each alone in its own engine).
 #
 # Usage: tests/golden/check.sh [--record] [path/to/ehjoin]
 # (default binary: target/release/ehjoin; build it and `figures` with
@@ -47,6 +49,17 @@ for setting in "${settings[@]}"; do
         status=1
     fi
 done
+
+golden="$dir/service-scale-2000.csv"
+if (( record )); then
+    "$bin" service --scale 2000 --format csv > "$golden"
+    echo "recorded $golden"
+elif diff -u "$golden" <("$bin" service --scale 2000 --format csv); then
+    echo "ok: service --scale 2000"
+else
+    echo "MISMATCH: service --scale 2000 differs from $golden" >&2
+    status=1
+fi
 
 golden="$dir/figures-scale-100.txt"
 if (( record )); then

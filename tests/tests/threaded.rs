@@ -39,8 +39,8 @@ fn threaded_backend_matches_reference_for_every_algorithm() {
 #[test]
 fn threaded_and_simulated_agree_on_data_outcomes() {
     let cfg = small(Algorithm::Hybrid);
-    let sim = JoinRunner::run_on(&cfg, Backend::Simulated).expect("simulated");
-    let thr = JoinRunner::run_on(&cfg, Backend::Threaded).expect("threaded");
+    let sim = JoinRunner::run_with(&cfg, &RunOptions::on(Backend::Simulated)).expect("simulated");
+    let thr = JoinRunner::run_with(&cfg, &RunOptions::on(Backend::Threaded)).expect("threaded");
     assert_eq!(sim.matches, thr.matches);
     assert_eq!(sim.build_tuples, thr.build_tuples);
     // Expansion counts can differ (timing-dependent recruitment), but both
@@ -52,7 +52,8 @@ fn threaded_out_of_core_uses_real_spill_files() {
     let mut cfg = small(Algorithm::OutOfCore);
     cfg.initial_nodes = 2;
     let expect = expected_matches_for(&cfg);
-    let report = JoinRunner::run_on(&cfg, Backend::Threaded).expect("threaded ooc");
+    let report =
+        JoinRunner::run_with(&cfg, &RunOptions::on(Backend::Threaded)).expect("threaded ooc");
     assert_eq!(report.matches, expect);
     assert!(
         report.spilled_nodes > 0,
