@@ -52,12 +52,6 @@ impl SchedulerBook {
         &self.working
     }
 
-    /// Potential join nodes.
-    #[must_use]
-    pub fn potential(&self) -> &[NodeId] {
-        &self.potential
-    }
-
     /// Nodes whose bucket filled (replication/hybrid bookkeeping).
     #[must_use]
     pub fn full(&self) -> &[NodeId] {
@@ -116,10 +110,14 @@ mod tests {
 
     #[test]
     fn initial_partition() {
-        let b = SchedulerBook::new(&cluster(), 2);
+        let mut b = SchedulerBook::new(&cluster(), 2);
         assert_eq!(b.working(), &[NodeId(0), NodeId(1)]);
-        assert_eq!(b.potential().len(), 4);
         assert!(b.full().is_empty());
+        // Four potential nodes: recruitment drains them, then runs dry.
+        for _ in 0..4 {
+            assert!(b.recruit().is_some());
+        }
+        assert_eq!(b.recruit(), None);
     }
 
     #[test]

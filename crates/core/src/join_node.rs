@@ -29,7 +29,7 @@ use ehj_metrics::{
     CommCategory, CommCounters, Counter, Gauge, MetricsHandle, Phase, TraceKind, Tracer,
 };
 use ehj_sim::{Actor, ActorId, Context};
-use ehj_storage::{GraceJoin, GraceResult, SpillBackend};
+use ehj_storage::{GraceJoin, SpillBackend};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -101,8 +101,6 @@ pub struct JoinNode<B: SpillBackend + Default + Send> {
     matches: u64,
     compares: u64,
     spill: Option<GraceJoin<B>>,
-    spill_build_tuples: u64,
-    grace_result: Option<GraceResult>,
     reported: bool,
     tracer: Tracer,
     metrics: NodeMetrics,
@@ -151,8 +149,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             matches: 0,
             compares: 0,
             spill: None,
-            spill_build_tuples: 0,
-            grace_result: None,
             reported: false,
             tracer: Tracer::off(),
             metrics: NodeMetrics::new(&MetricsHandle::disabled()),
@@ -239,7 +235,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 to,
                 Msg::Data {
                     phase,
-                    category: cat,
                     tuples: chunk,
                     tuple_bytes: tb,
                 },
@@ -360,7 +355,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         self.reported_full = true;
         let pending = self.pending.len() as u64;
         self.trace(ctx, Phase::Build, TraceKind::BucketOverflow { pending });
-        ctx.send(self.scheduler, Msg::MemoryFull { pending });
+        ctx.send(self.scheduler, Msg::MemoryFull);
     }
 
     fn spill_append_build(&mut self, ctx: &mut dyn Context<Msg>, tuples: &[Tuple]) {
@@ -624,7 +619,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         members: Vec<ActorId>,
     ) {
         self.hotkey_plan_seen = true;
-        let mut sent: u64 = 0;
         if self.spill.is_none() && !positions.is_empty() {
             let scanned = self.table.len();
             let copies = self.table.collect_positions(&positions);
@@ -641,12 +635,11 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                             tuples: batch.len() as u64,
                         },
                     );
-                    sent += batch.len() as u64;
                     self.send_hotkey_data(ctx, m, batch.clone());
                 }
             }
         }
-        ctx.send(self.scheduler, Msg::HotKeyDone { sent_tuples: sent });
+        ctx.send(self.scheduler, Msg::HotKeyDone);
         let stash = std::mem::take(&mut self.hotkey_stash);
         for batch in stash {
             self.insert_hotkey_batch(ctx, &batch);
@@ -731,7 +724,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         group: u32,
         assignments: Vec<(HashRange, ActorId)>,
     ) {
-        let mut sent: u64 = 0;
         for (subrange, owner) in assignments {
             if owner == self.me || subrange.is_empty() {
                 continue;
@@ -740,7 +732,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             if extracted.is_empty() {
                 continue;
             }
-            sent += extracted.len() as u64;
             ctx.consume_cpu(self.cfg.costs.route_per_tuple * extracted.len() as u64);
             self.trace_detail(
                 ctx,
@@ -758,13 +749,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 extracted.into(),
             );
         }
-        ctx.send(
-            self.scheduler,
-            Msg::ReshuffleDone {
-                group,
-                sent_tuples: sent,
-            },
-        );
+        ctx.send(self.scheduler, Msg::ReshuffleDone { group });
     }
 
     fn handle_report_request(&mut self, ctx: &mut dyn Context<Msg>) {
@@ -772,8 +757,10 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             return;
         }
         self.reported = true;
+        let spilled = self.spill.is_some();
+        let mut build_tuples = self.table.len();
         if let Some(grace) = self.spill.take() {
-            self.spill_build_tuples = grace.build_tuples();
+            build_tuples += grace.build_tuples();
             let result = grace.finalize();
             ctx.disk_read(result.bytes_read);
             ctx.disk_write(result.bytes_rewritten);
@@ -792,10 +779,8 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             );
             self.matches += result.matches;
             self.compares += result.compares;
-            self.grace_result = Some(result);
         }
         self.table.observe_metrics(&self.metrics.chain_len);
-        let build_tuples = self.table.len() + self.spill_build_tuples;
         ctx.send(
             self.scheduler,
             Msg::Report(Box::new(NodeReport {
@@ -803,8 +788,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 matches: self.matches,
                 compares: self.compares,
                 comm: self.comm.clone(),
-                spilled: self.grace_result.is_some(),
-                grace: self.grace_result,
+                spilled,
             })),
         );
     }
@@ -963,7 +947,6 @@ mod tests {
     fn build_data(tuples: Vec<Tuple>) -> Msg {
         Msg::Data {
             phase: Phase::Build,
-            category: CommCategory::SourceDelivery,
             tuples: tuples.into(),
             tuple_bytes: 116,
         }
@@ -996,7 +979,6 @@ mod tests {
             1,
             Msg::Data {
                 phase: Phase::Probe,
-                category: CommCategory::SourceDelivery,
                 tuples: vec![Tuple::new(3, 100)].into(),
                 tuple_bytes: 116,
             },
@@ -1044,12 +1026,22 @@ mod tests {
         match msg {
             Msg::Data {
                 phase: Phase::Build,
-                category: CommCategory::ReplicaForward,
                 tuples,
                 ..
             } => assert_eq!(tuples.as_slice(), [Tuple::new(2, 700)]),
             other => panic!("expected forwarded data, got {other:?}"),
         }
+    }
+
+    /// Tuples in every `HotKeyData` send captured so far.
+    fn hotkey_tuples_sent(ctx: &ScriptCtx) -> usize {
+        ctx.sent
+            .iter()
+            .map(|(_, m)| match m {
+                Msg::HotKeyData { tuples, .. } => tuples.len(),
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Hot-key wrapper over the two-node routing: position 700 (inner says
@@ -1132,12 +1124,15 @@ mod tests {
             }
             other => panic!("expected HotKeyData, got {other:?}"),
         }
-        assert!(
-            ctx.sent
-                .iter()
-                .any(|(to, m)| *to == SCHED && matches!(m, Msg::HotKeyDone { sent_tuples: 1 })),
-            "HotKeyDone must report the shipped copy"
+        assert_eq!(
+            hotkey_tuples_sent(&ctx),
+            1,
+            "one copy shipped before HotKeyDone"
         );
+        assert!(ctx
+            .sent
+            .iter()
+            .any(|(to, m)| *to == SCHED && matches!(m, Msg::HotKeyDone)));
     }
 
     #[test]
@@ -1172,10 +1167,11 @@ mod tests {
             },
         );
         assert_eq!(node.table.len(), 1, "stash drains after the plan");
+        assert_eq!(hotkey_tuples_sent(&ctx), 0, "nothing of ours was hot");
         assert!(ctx
             .sent
             .iter()
-            .any(|(to, m)| *to == SCHED && matches!(m, Msg::HotKeyDone { sent_tuples: 0 })));
+            .any(|(to, m)| *to == SCHED && matches!(m, Msg::HotKeyDone)));
         // Late copies insert directly once the plan has been seen.
         node.on_message(
             &mut ctx,
@@ -1198,16 +1194,13 @@ mod tests {
         let fulls: Vec<_> = ctx
             .sent
             .iter()
-            .filter(|(to, m)| *to == SCHED && matches!(m, Msg::MemoryFull { .. }))
+            .filter(|(to, m)| *to == SCHED && matches!(m, Msg::MemoryFull))
             .collect();
         assert_eq!(fulls.len(), 1, "exactly one memory-full report");
         // A second overflowing chunk must not re-report while awaiting.
         ctx.sent.clear();
         node.on_message(&mut ctx, 1, build_data(vec![Tuple::new(9, 120)]));
-        assert!(ctx
-            .sent
-            .iter()
-            .all(|(_, m)| !matches!(m, Msg::MemoryFull { .. })));
+        assert!(ctx.sent.iter().all(|(_, m)| !matches!(m, Msg::MemoryFull)));
     }
 
     #[test]
@@ -1259,7 +1252,7 @@ mod tests {
         assert!(ctx
             .sent
             .iter()
-            .any(|(to, m)| *to == SCHED && matches!(m, Msg::MemoryFull { .. })));
+            .any(|(to, m)| *to == SCHED && matches!(m, Msg::MemoryFull)));
     }
 
     #[test]
@@ -1279,7 +1272,6 @@ mod tests {
             1,
             Msg::Data {
                 phase: Phase::Probe,
-                category: CommCategory::SourceDelivery,
                 tuples: vec![Tuple::new(9, 100), Tuple::new(10, 101)].into(),
                 tuple_bytes: 116,
             },
@@ -1320,7 +1312,6 @@ mod tests {
                 1,
                 Msg::Data {
                     phase: Phase::Probe,
-                    category: CommCategory::SourceDelivery,
                     tuples: probe.clone().into(),
                     tuple_bytes: 116,
                 },
@@ -1348,7 +1339,6 @@ mod tests {
     fn probe_data(tuples: Vec<Tuple>) -> Msg {
         Msg::Data {
             phase: Phase::Probe,
-            category: CommCategory::SourceDelivery,
             tuples: tuples.into(),
             tuple_bytes: 116,
         }
@@ -1382,7 +1372,6 @@ mod tests {
             OTHER,
             Msg::Data {
                 phase: Phase::Reshuffle,
-                category: CommCategory::ReshuffleTransfer,
                 tuples: vec![Tuple::new(3, 100), Tuple::new(4, 300)].into(),
                 tuple_bytes: 116,
             },
@@ -1528,18 +1517,23 @@ mod tests {
             },
         );
         assert_eq!(node.table.len(), 2);
-        assert!(ctx.sent.iter().any(|(to, m)| *to == OTHER
-            && matches!(
-                m,
+        let shipped: usize = ctx
+            .sent
+            .iter()
+            .map(|(to, m)| match m {
                 Msg::Data {
                     phase: Phase::Reshuffle,
+                    tuples,
                     ..
-                }
-            )));
+                } if *to == OTHER => tuples.len(),
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(shipped, 1, "the one entry in [200, 500) moved");
         assert!(ctx
             .sent
             .iter()
-            .any(|(_, m)| matches!(m, Msg::ReshuffleDone { sent_tuples: 1, .. })));
+            .any(|(_, m)| matches!(m, Msg::ReshuffleDone { group: 0 })));
     }
 
     #[test]
@@ -1549,17 +1543,13 @@ mod tests {
         node.on_message(&mut ctx, 1, build_data(tuples));
         assert!(node.spill.is_some(), "baseline must spill, not expand");
         assert!(ctx.disk_written > 0);
-        assert!(ctx
-            .sent
-            .iter()
-            .all(|(_, m)| !matches!(m, Msg::MemoryFull { .. })));
+        assert!(ctx.sent.iter().all(|(_, m)| !matches!(m, Msg::MemoryFull)));
         // Probe: 2 tuples matching the two hot attrs.
         node.on_message(
             &mut ctx,
             1,
             Msg::Data {
                 phase: Phase::Probe,
-                category: CommCategory::SourceDelivery,
                 tuples: vec![Tuple::new(50, 100), Tuple::new(51, 101)].into(),
                 tuple_bytes: 116,
             },
@@ -1698,7 +1688,7 @@ mod tests {
         // inner table homes it on OTHER — where any relief would go.
         node.on_message(&mut ctx, 1, build_data(vec![Tuple::new(2, 700)]));
         assert!(node.pending.is_empty());
-        assert_eq!(ctx.count(|m| matches!(m, Msg::MemoryFull { .. })), 0);
+        assert_eq!(ctx.count(|m| matches!(m, Msg::MemoryFull)), 0);
         match ctx.sent_to(OTHER)[..] {
             [Msg::Data { tuples, .. }] => assert_eq!(tuples.as_slice(), [Tuple::new(2, 700)]),
             ref other => panic!("expected one forwarded chunk, got {other:?}"),
@@ -1809,7 +1799,7 @@ mod tests {
         node.on_message(&mut ctx, 1, build_data(chunk.clone()));
         assert_eq!(node.table.iter().copied().collect::<Vec<_>>(), chunk[..5]);
         assert!(node.pending.iter().eq(&chunk[5..]));
-        assert_eq!(ctx.count(|m| matches!(m, Msg::MemoryFull { .. })), 1);
+        assert_eq!(ctx.count(|m| matches!(m, Msg::MemoryFull)), 1);
         // The baseline goes out of core mid-chunk instead.
         assert!(!handler_matches_tuple_loop(
             Algorithm::OutOfCore,

@@ -3,9 +3,8 @@
 use crate::routing::RoutingTable;
 use ehj_data::TupleBatch;
 use ehj_hash::{HashRange, SpaceSaving, SplitStep};
-use ehj_metrics::{CommCategory, CommCounters, Phase};
+use ehj_metrics::{CommCounters, Phase};
 use ehj_sim::{ActorId, Message};
-use ehj_storage::GraceResult;
 
 /// Wire size charged for a bare control message.
 pub const CONTROL_BYTES: u64 = 64;
@@ -43,8 +42,6 @@ pub struct NodeReport {
     pub comm: CommCounters,
     /// Whether the node spilled out of core.
     pub spilled: bool,
-    /// Out-of-core join statistics when spilled.
-    pub grace: Option<GraceResult>,
 }
 
 /// Everything that flows between actors.
@@ -133,10 +130,7 @@ pub enum Msg {
 
     // ---- join nodes → scheduler ----
     /// "Memory for data elements cannot be allocated" (§4.1.3).
-    MemoryFull {
-        /// Tuples queued pending relief.
-        pending: u64,
-    },
+    MemoryFull,
     /// Retracts an earlier [`Msg::MemoryFull`]: the node's pending queue
     /// drained (a split or ownership change relieved it), so any still-
     /// queued overflow report for it must not trigger another split.
@@ -163,14 +157,9 @@ pub enum Msg {
     ReshuffleDone {
         /// Replica-set group id.
         group: u32,
-        /// Tuples shipped to other members.
-        sent_tuples: u64,
     },
     /// Hot-key hand-off complete at this node.
-    HotKeyDone {
-        /// Hot tuple copies shipped to the other members.
-        sent_tuples: u64,
-    },
+    HotKeyDone,
     /// An armed node's current counts: the first answers the
     /// [`Msg::FlushQuery`], later ones are unprompted.
     FlushAck {
@@ -196,12 +185,8 @@ pub enum Msg {
     },
     /// A source finished generating and flushing one phase.
     SourcePhaseDone {
-        /// Which phase finished.
-        phase: Phase,
         /// Chunks this source sent to join nodes in that phase.
         sent_chunks: u64,
-        /// Tuples sent (probe broadcasts count every copy).
-        sent_tuples: u64,
         /// The source's communication counters (moved, not merged, so the
         /// scheduler aggregates exactly once).
         comm: Box<CommCounters>,
@@ -211,12 +196,11 @@ pub enum Msg {
     /// A batch of tuples. `tuple_bytes` is the schema's payload-inclusive
     /// row size, carried so the wire charge is payload-accurate. The batch
     /// is a shared view: fanning one out to every replica of a range clones
-    /// an `Arc`, not the tuples.
+    /// an `Arc`, not the tuples. Why it was sent (delivery, split transfer,
+    /// forward, ...) is recorded in the sender's communication counters.
     Data {
         /// Phase the data belongs to.
         phase: Phase,
-        /// Why it was sent (delivery, split transfer, forward, ...).
-        category: CommCategory,
         /// The tuples.
         tuples: TupleBatch,
         /// Row size under the run's schema.
@@ -282,7 +266,6 @@ mod tests {
     fn data_wire_bytes_include_payload() {
         let m = Msg::Data {
             phase: Phase::Build,
-            category: CommCategory::SourceDelivery,
             tuples: vec![Tuple::new(0, 0); 10].into(),
             tuple_bytes: 116,
         };
@@ -293,7 +276,7 @@ mod tests {
     fn control_messages_are_small() {
         assert_eq!(Msg::GenStep.wire_bytes(), CONTROL_BYTES);
         assert_eq!(Msg::ReportRequest.wire_bytes(), CONTROL_BYTES);
-        assert_eq!(Msg::MemoryFull { pending: 5 }.wire_bytes(), CONTROL_BYTES);
+        assert_eq!(Msg::MemoryFull.wire_bytes(), CONTROL_BYTES);
     }
 
     #[test]
@@ -325,10 +308,7 @@ mod tests {
         sk.observe(42);
         let upd = Msg::SketchUpdate { sketch: sk };
         assert_eq!(upd.wire_bytes(), CONTROL_BYTES + 24);
-        assert_eq!(
-            Msg::HotKeyDone { sent_tuples: 9 }.wire_bytes(),
-            CONTROL_BYTES
-        );
+        assert_eq!(Msg::HotKeyDone.wire_bytes(), CONTROL_BYTES);
     }
 
     #[test]

@@ -19,9 +19,8 @@ use crate::scheduler::Scheduler;
 use crate::source::DataSource;
 use crate::topology::Topology;
 use ehj_metrics::{
-    sample_once, ClockKind, ExecutorCounters, JsonlSink, MetricsMonitor, MetricsRegistry,
-    MetricsReport, Phase, RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel,
-    TraceSink, Tracer,
+    sample_once, ClockKind, JsonlSink, MetricsMonitor, MetricsRegistry, MetricsReport, Phase,
+    RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel, TraceSink, Tracer,
 };
 use ehj_sim::{
     Actor, ActorId, Admission, Engine, EngineConfig, EngineError, Executor, ExecutorConfig,
@@ -442,15 +441,11 @@ impl QueryRun {
     }
 
     /// Starts the query as one group of `executor`, at the configuration's
-    /// scheduling weight.
-    pub(crate) fn admit(
-        &self,
-        executor: &Executor<Msg>,
-        cfg: &Arc<JoinConfig>,
-        mailbox_capacity: usize,
-    ) -> Admission<Msg> {
+    /// scheduling weight and the default mailbox capacity.
+    pub(crate) fn admit(&self, executor: &Executor<Msg>, cfg: &Arc<JoinConfig>) -> Admission<Msg> {
         let count = 1 + cfg.sources + cfg.cluster.len();
-        executor.admit_weighted(count, mailbox_capacity, cfg.tenant_weight, |base| {
+        let capacity = ExecutorConfig::default().mailbox_capacity;
+        executor.admit_weighted(count, capacity, cfg.tenant_weight, |base| {
             self.actors::<FileBackend>(cfg, base)
         })
     }
@@ -599,7 +594,7 @@ impl JoinRunner {
         let tracer = &query.harness.tracer;
         let monitor =
             MetricsMonitor::start(query.registry.clone(), tracer.clone(), MONITOR_INTERVAL);
-        let admission = query.admit(&executor, &cfg, pool.mailbox_capacity);
+        let admission = query.admit(&executor, &cfg);
         let budget = opts
             .max_sim_time
             .map(|t| Duration::from_nanos(t.as_nanos()));
@@ -614,14 +609,7 @@ impl JoinRunner {
             end.at_nanos,
             0,
             Phase::Probe,
-            TraceKind::ExecutorStats(Box::new(ExecutorCounters {
-                workers: exec.workers,
-                steals: exec.steals,
-                parks: exec.parks,
-                overflows: exec.overflows,
-                max_depth: exec.max_mailbox_depth,
-                timer_fires: exec.timer_fires,
-            })),
+            TraceKind::ExecutorStats(Box::new(exec)),
         );
         query.finish(end)
     }

@@ -1015,7 +1015,7 @@ impl Actor<Msg> for Scheduler {
 
     fn on_message(&mut self, ctx: &mut dyn Context<Msg>, from: ActorId, msg: Msg) {
         match msg {
-            Msg::MemoryFull { .. } => {
+            Msg::MemoryFull => {
                 self.handle_memory_full(ctx, from);
                 self.try_settle(ctx);
             }
@@ -1053,7 +1053,7 @@ impl Actor<Msg> for Scheduler {
             }
             Msg::ReshuffleDone { group, .. } => self.handle_reshuffle_done(ctx, group),
             Msg::SketchUpdate { sketch } => self.handle_sketch_update(ctx, from, sketch),
-            Msg::HotKeyDone { .. } => {
+            Msg::HotKeyDone => {
                 if let Some(h) = self.hotkey_handoff.as_mut() {
                     h.done += 1;
                 }
@@ -1167,7 +1167,7 @@ mod tests {
         let (mut sched, mut ctx, _) = setup(Algorithm::Replicated, 2);
         sched.on_start(&mut ctx);
         ctx.sent.clear();
-        sched.on_message(&mut ctx, N0, Msg::MemoryFull { pending: 5 });
+        sched.on_message(&mut ctx, N0, Msg::MemoryFull);
         // New node activated with the updated replica map.
         let activate_to: Vec<ActorId> = ctx
             .sent
@@ -1194,11 +1194,11 @@ mod tests {
     fn stale_replicated_overflow_is_skipped() {
         let (mut sched, mut ctx, _) = setup(Algorithm::Replicated, 2);
         sched.on_start(&mut ctx);
-        sched.on_message(&mut ctx, N0, Msg::MemoryFull { pending: 5 });
+        sched.on_message(&mut ctx, N0, Msg::MemoryFull);
         ctx.sent.clear();
         // N0 is no longer active for its range; a duplicate report must not
         // recruit again.
-        sched.on_message(&mut ctx, N0, Msg::MemoryFull { pending: 5 });
+        sched.on_message(&mut ctx, N0, Msg::MemoryFull);
         assert_eq!(sched.expansions, 1);
         assert_eq!(ctx.count(|m| matches!(m, Msg::Activate { .. })), 0);
     }
@@ -1208,7 +1208,7 @@ mod tests {
         let (mut sched, mut ctx, _) = setup(Algorithm::Replicated, NODES);
         sched.on_start(&mut ctx);
         ctx.sent.clear();
-        sched.on_message(&mut ctx, N2, Msg::MemoryFull { pending: 1 });
+        sched.on_message(&mut ctx, N2, Msg::MemoryFull);
         assert_eq!(ctx.sent_to(N2).len(), 1);
         assert!(matches!(ctx.sent_to(N2)[0], Msg::NoMoreNodes));
         assert_eq!(sched.expansions, 0);
@@ -1221,7 +1221,7 @@ mod tests {
         sched.on_start(&mut ctx);
         ctx.sent.clear();
         // N1 reports full; the pointer bucket (bucket 0) is owned by N0.
-        sched.on_message(&mut ctx, N1, Msg::MemoryFull { pending: 9 });
+        sched.on_message(&mut ctx, N1, Msg::MemoryFull);
         let reqs: Vec<(ActorId, &Msg)> = ctx
             .sent
             .iter()
@@ -1239,11 +1239,11 @@ mod tests {
         sched.on_start(&mut ctx);
         ctx.sent.clear();
         // Two reports: bucket 0 and bucket 1 split concurrently (same round).
-        sched.on_message(&mut ctx, N0, Msg::MemoryFull { pending: 1 });
-        sched.on_message(&mut ctx, N1, Msg::MemoryFull { pending: 1 });
+        sched.on_message(&mut ctx, N0, Msg::MemoryFull);
+        sched.on_message(&mut ctx, N1, Msg::MemoryFull);
         assert_eq!(sched.lp_inflight.len(), 2, "same-round splits overlap");
         // A third report would start a new round: it must queue.
-        sched.on_message(&mut ctx, N2, Msg::MemoryFull { pending: 1 });
+        sched.on_message(&mut ctx, N2, Msg::MemoryFull);
         assert_eq!(sched.lp_inflight.len(), 2);
         assert_eq!(sched.overflow_queue.len(), 1);
         // Completing the first two releases the round barrier.
@@ -1274,9 +1274,9 @@ mod tests {
         let (mut sched, mut ctx, _) = setup(Algorithm::Split, 2);
         sched.on_start(&mut ctx);
         ctx.sent.clear();
-        sched.on_message(&mut ctx, N0, Msg::MemoryFull { pending: 1 });
-        sched.on_message(&mut ctx, N1, Msg::MemoryFull { pending: 1 });
-        sched.on_message(&mut ctx, N2, Msg::MemoryFull { pending: 1 });
+        sched.on_message(&mut ctx, N0, Msg::MemoryFull);
+        sched.on_message(&mut ctx, N1, Msg::MemoryFull);
+        sched.on_message(&mut ctx, N2, Msg::MemoryFull);
         assert_eq!(sched.overflow_queue.len(), 1);
         sched.on_message(&mut ctx, N2, Msg::Relieved);
         assert!(sched.overflow_queue.is_empty(), "stale report dropped");
@@ -1292,9 +1292,7 @@ mod tests {
             ctx,
             SRC,
             Msg::SourcePhaseDone {
-                phase: Phase::Build,
                 sent_chunks,
-                sent_tuples: sent_chunks * 100,
                 comm: Box::new(CommCounters::new(100)),
             },
         );
@@ -1349,9 +1347,7 @@ mod tests {
             &mut ctx,
             SRC,
             Msg::SourcePhaseDone {
-                phase: Phase::Build,
                 sent_chunks: 12,
-                sent_tuples: 1200,
                 comm: Box::new(CommCounters::new(100)),
             },
         );
@@ -1361,7 +1357,7 @@ mod tests {
         ctx.sent.clear();
         // Its report recruits a node and moves the routing version: the
         // wave is stale, and the next one polls the recruit too.
-        sched.on_message(&mut ctx, N0, Msg::MemoryFull { pending: 3 });
+        sched.on_message(&mut ctx, N0, Msg::MemoryFull);
         assert_eq!(sched.epoch, armed + 1);
         assert_eq!(ctx.count(|m| matches!(m, Msg::FlushQuery { .. })), 3);
         // N0 drains, but under the stale wave: that ack no longer counts.
@@ -1387,7 +1383,7 @@ mod tests {
         let (mut sched, mut ctx, _) = setup(Algorithm::Hybrid, 2);
         sched.on_start(&mut ctx);
         // One replication: N0's range gains a new replica.
-        sched.on_message(&mut ctx, N0, Msg::MemoryFull { pending: 1 });
+        sched.on_message(&mut ctx, N0, Msg::MemoryFull);
         let new_actor = ctx
             .sent
             .iter()
@@ -1431,14 +1427,7 @@ mod tests {
         assert_eq!(planned.len(), 2);
         ctx.sent.clear();
         for &member in &[N0, new_actor] {
-            sched.on_message(
-                &mut ctx,
-                member,
-                Msg::ReshuffleDone {
-                    group: 0,
-                    sent_tuples: 3,
-                },
-            );
+            sched.on_message(&mut ctx, member, Msg::ReshuffleDone { group: 0 });
         }
         // Reshuffle data barrier: nodes report balanced reshuffle chunks.
         ack_all(&mut sched, &mut ctx, 1, 1);
@@ -1470,9 +1459,7 @@ mod tests {
             &mut ctx,
             SRC,
             Msg::SourcePhaseDone {
-                phase: Phase::Probe,
                 sent_chunks: 4,
-                sent_tuples: 400,
                 comm: Box::new(CommCounters::new(100)),
             },
         );
@@ -1489,7 +1476,6 @@ mod tests {
                     compares: 70,
                     comm: CommCounters::new(100),
                     spilled: false,
-                    grace: None,
                 })),
             );
         }
@@ -1565,7 +1551,7 @@ mod tests {
             },
         );
         ctx.sent.clear();
-        sched.on_message(&mut ctx, N0, Msg::MemoryFull { pending: 4 });
+        sched.on_message(&mut ctx, N0, Msg::MemoryFull);
         let recruit = ctx
             .sent
             .iter()
@@ -1647,7 +1633,7 @@ mod tests {
         assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 0);
         ctx.sent.clear();
         for &member in &[N0, N1] {
-            sched.on_message(&mut ctx, member, Msg::HotKeyDone { sent_tuples: 5 });
+            sched.on_message(&mut ctx, member, Msg::HotKeyDone);
         }
         // Hand-off barrier: both members report balanced reshuffle-lane
         // chunk counts (each shipped one chunk, each received one).
@@ -1699,7 +1685,7 @@ mod robustness_tests {
     #[test]
     fn duplicate_split_done_is_ignored() {
         let (mut sched, mut ctx) = setup(Algorithm::Split);
-        sched.on_message(&mut ctx, 2, Msg::MemoryFull { pending: 1 });
+        sched.on_message(&mut ctx, 2, Msg::MemoryFull);
         let step = ctx
             .sent
             .iter()
@@ -1737,9 +1723,7 @@ mod robustness_tests {
             &mut ctx,
             1,
             Msg::SourcePhaseDone {
-                phase: Phase::Build,
                 sent_chunks: 10,
-                sent_tuples: 1000,
                 comm: Box::new(CommCounters::new(100)),
             },
         );
@@ -1798,7 +1782,6 @@ mod robustness_tests {
             compares: 0,
             comm: CommCounters::new(100),
             spilled: false,
-            grace: None,
         };
         sched.on_message(&mut ctx, 2, Msg::Report(Box::new(report.clone())));
         assert!(ctx.stopped);
@@ -1809,7 +1792,7 @@ mod robustness_tests {
     #[test]
     fn memory_full_in_ooc_mode_is_a_no_op() {
         let (mut sched, mut ctx) = setup(Algorithm::OutOfCore);
-        sched.on_message(&mut ctx, 2, Msg::MemoryFull { pending: 99 });
+        sched.on_message(&mut ctx, 2, Msg::MemoryFull);
         assert_eq!(sched.expansions, 0);
         assert!(sched.overflow_queue.is_empty());
         assert_eq!(ctx.count(|m| matches!(m, Msg::Activate { .. })), 0);
@@ -1861,7 +1844,6 @@ mod robustness_tests {
             2,
             Msg::ReshuffleDone {
                 group: 1, // one past the last valid gid
-                sent_tuples: 5,
             },
         );
         assert!(ctx.stopped);

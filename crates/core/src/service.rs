@@ -52,8 +52,6 @@ pub struct ServiceConfig {
     /// Worker threads of the shared executor (`0` = available
     /// parallelism).
     pub workers: usize,
-    /// Bounded mailbox capacity per actor.
-    pub mailbox_capacity: usize,
     /// Total hash-memory budget arbitrated across concurrent queries;
     /// `None` admits without memory arbitration.
     pub memory_budget_bytes: Option<u64>,
@@ -72,7 +70,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             workers: 0,
-            mailbox_capacity: 1024,
             memory_budget_bytes: None,
             admission_patience: Duration::from_secs(30),
             query_deadline: Duration::from_secs(120),
@@ -110,7 +107,7 @@ impl JoinService {
     pub fn start(cfg: ServiceConfig) -> Self {
         let exec_cfg = ExecutorConfig {
             workers: cfg.workers,
-            mailbox_capacity: cfg.mailbox_capacity,
+            ..ExecutorConfig::default()
         };
         // Worker-level instruments would mix tenants; per-query registries
         // carry the meaningful (join-side) metrics instead.
@@ -157,11 +154,7 @@ impl JoinService {
             metrics: self.cfg.metrics,
             ..RunOptions::default()
         })?;
-        let admission = run.admit(
-            &self.executor,
-            &Arc::new(cfg.clone()),
-            self.cfg.mailbox_capacity,
-        );
+        let admission = run.admit(&self.executor, &Arc::new(cfg.clone()));
         if let Some(grant) = grant {
             // The grant frees when the query *completes*, not when the
             // caller reaps the handle — a submitter streaming admissions
@@ -200,7 +193,8 @@ impl JoinService {
             .run
             .reap(&self.executor, &handle.admission, deadline)?;
         // Wall total and traffic come from the group's own ledger (wire
-        // bytes charged per send, self-sends included), not pool totals.
+        // bytes charged per send, self-sends included); the pool keeps no
+        // traffic total.
         let end = RunEnd::of_group(&outcome, handle.cancelled.load(Ordering::Relaxed));
         handle.run.finish(end)
     }
@@ -215,7 +209,7 @@ impl JoinService {
     }
 
     /// Stops the workers (running queries are abandoned) and returns the
-    /// pool's lifetime totals.
+    /// pool's lifetime executor stats.
     pub fn shutdown(self) -> ehj_sim::ThreadedSummary {
         self.executor.shutdown()
     }

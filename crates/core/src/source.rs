@@ -106,7 +106,6 @@ pub struct DataSource {
     draining: bool,
     phase_done_sent: bool,
     sent_chunks: u64,
-    sent_tuples: u64,
     comm: CommCounters,
     dest_scratch: Vec<ActorId>,
     /// Generation output buffer, reused across generation steps.
@@ -156,7 +155,6 @@ impl DataSource {
             draining: false,
             phase_done_sent: false,
             sent_chunks: 0,
-            sent_tuples: 0,
             comm: CommCounters::new(chunk),
             dest_scratch: Vec::new(),
             gen_scratch: Vec::new(),
@@ -190,7 +188,6 @@ impl DataSource {
         self.routing = Some(routing);
         self.routing_version = version;
         self.sent_chunks = 0;
-        self.sent_tuples = 0;
         self.buffers.clear();
         self.set_slots.clear();
         self.entry_slots.clear();
@@ -225,12 +222,10 @@ impl DataSource {
     /// Transmits one chunk now (credit already taken).
     fn transmit(&mut self, ctx: &mut dyn Context<Msg>, dest: ActorId, tuples: TupleBatch) {
         self.sent_chunks += 1;
-        self.sent_tuples += tuples.len() as u64;
         ctx.send(
             dest,
             Msg::Data {
                 phase: self.phase,
-                category: CommCategory::SourceDelivery,
                 tuples,
                 tuple_bytes: self.tuple_bytes(),
             },
@@ -554,9 +549,7 @@ impl DataSource {
         ctx.send(
             self.scheduler,
             Msg::SourcePhaseDone {
-                phase: self.phase,
                 sent_chunks: self.sent_chunks,
-                sent_tuples: self.sent_tuples,
                 comm: Box::new(std::mem::replace(
                     &mut self.comm,
                     CommCounters::new(self.cfg.chunk_tuples as u64),
@@ -648,6 +641,17 @@ mod tests {
             .sum()
     }
 
+    /// Tuples in every `Data` send captured so far, to any node.
+    fn data_tuples_sent(ctx: &ScriptCtx) -> u64 {
+        ctx.sent
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Msg::Data { tuples, .. } => Some(tuples.len() as u64),
+                _ => None,
+            })
+            .sum()
+    }
+
     #[test]
     fn build_phase_generates_routes_and_reports() {
         let mut src = DataSource::new(cfg(500, 50), 0, SCHED);
@@ -674,22 +678,17 @@ mod tests {
         let total = data_tuples_to(&ctx, NODE_A) + data_tuples_to(&ctx, NODE_B);
         assert_eq!(total, 500);
         // And the scheduler learned the final chunk count.
-        let done = ctx
+        let sent_chunks = ctx
             .sent
             .iter()
             .find_map(|(_, m)| match m {
-                Msg::SourcePhaseDone {
-                    phase: Phase::Build,
-                    sent_chunks,
-                    sent_tuples,
-                    ..
-                } => Some((*sent_chunks, *sent_tuples)),
+                Msg::SourcePhaseDone { sent_chunks, .. } => Some(*sent_chunks),
                 _ => None,
             })
             .expect("phase-done report");
-        assert_eq!(done.1, 500);
+        assert_eq!(data_tuples_sent(&ctx), 500);
         let actual_chunks = ctx.count(|m| matches!(m, Msg::Data { .. }));
-        assert_eq!(done.0, actual_chunks as u64);
+        assert_eq!(sent_chunks, actual_chunks as u64);
     }
 
     #[test]
@@ -1285,18 +1284,14 @@ mod tests {
             },
         );
         run_gen(&mut src, &mut ctx);
-        let done = ctx
+        let sent_chunks = ctx
             .sent
             .iter()
             .find_map(|(_, m)| match m {
-                Msg::SourcePhaseDone {
-                    sent_chunks,
-                    sent_tuples,
-                    ..
-                } => Some((*sent_chunks, *sent_tuples)),
+                Msg::SourcePhaseDone { sent_chunks, .. } => Some(*sent_chunks),
                 _ => None,
             })
             .expect("immediate done");
-        assert_eq!(done, (0, 0));
+        assert_eq!((sent_chunks, data_tuples_sent(&ctx)), (0, 0));
     }
 }

@@ -30,7 +30,7 @@ pub use registry::{
 };
 pub use report::{fmt_secs, metrics_report_table, trace_rollup_table, TextTable};
 pub use trace::{
-    lane_marker, render_trace_lanes_clocked, ClockKind, ExecutorCounters, FaultField, JsonlSink,
+    lane_marker, render_trace_lanes_clocked, ClockKind, ExecutorStats, FaultField, JsonlSink,
     RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel, TraceRollup, TraceSink,
     Tracer, TRACE_SCHEMA,
 };

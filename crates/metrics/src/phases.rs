@@ -51,18 +51,6 @@ pub struct PhaseTimes {
     pub total_secs: f64,
 }
 
-impl PhaseTimes {
-    /// Time of one phase by enum.
-    #[must_use]
-    pub fn of(&self, phase: Phase) -> f64 {
-        match phase {
-            Phase::Build => self.build_secs,
-            Phase::Reshuffle => self.reshuffle_secs,
-            Phase::Probe => self.probe_secs,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,18 +67,5 @@ mod tests {
         assert_eq!(Phase::Build.name(), "build");
         assert_eq!(Phase::Reshuffle.name(), "reshuffle");
         assert_eq!(Phase::Probe.name(), "probe");
-    }
-
-    #[test]
-    fn of_selects_field() {
-        let t = PhaseTimes {
-            build_secs: 1.0,
-            reshuffle_secs: 2.0,
-            probe_secs: 3.0,
-            total_secs: 6.5,
-        };
-        assert_eq!(t.of(Phase::Build), 1.0);
-        assert_eq!(t.of(Phase::Reshuffle), 2.0);
-        assert_eq!(t.of(Phase::Probe), 3.0);
     }
 }

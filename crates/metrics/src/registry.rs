@@ -15,10 +15,8 @@
 //! * **Log-bucketed histograms.** HDR-style: values below
 //!   2^[`HIST_SUB_BITS`] get exact buckets, larger values share
 //!   2^`HIST_SUB_BITS` sub-buckets per power of two, bounding the relative
-//!   quantile error at `1/2^HIST_SUB_BITS` (~3%). Bucket arrays are plain
-//!   atomics, and two histograms over disjoint streams merge by bucket-wise
-//!   addition — merged percentiles are *identical* to whole-stream
-//!   percentiles, which the property tests pin down.
+//!   quantile error at `1/2^HIST_SUB_BITS` (~3%), which the property
+//!   tests pin down. Bucket arrays are plain atomics.
 //! * **No-op mode.** A registry built with [`MetricsRegistry::disabled`]
 //!   hands out instruments whose inner `Option` is `None`: every `add` /
 //!   `record` is a single branch, and scoped timers skip the
@@ -204,34 +202,6 @@ impl MetricsRegistry {
         MetricsHandle {
             inner: self.inner.clone(),
             shard: shard & (SHARDS - 1),
-        }
-    }
-
-    /// Clears every instrument in place: counters and gauge deltas back to
-    /// zero, histograms emptied. Instruments minted earlier stay wired to
-    /// the same cells, so a long-lived registry can be reused across
-    /// back-to-back runs without gauge deltas or histogram state leaking
-    /// into the next report.
-    pub fn reset(&self) {
-        let Some(inner) = &self.inner else { return };
-        for cells in inner.counters.lock().expect("metrics lock").values() {
-            for s in &cells.shards {
-                s.0.store(0, Ordering::Relaxed);
-            }
-        }
-        for cells in inner.gauges.lock().expect("metrics lock").values() {
-            for s in &cells.shards {
-                s.0.store(0, Ordering::Relaxed);
-            }
-        }
-        for cells in inner.histograms.lock().expect("metrics lock").values() {
-            for b in &cells.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            cells.count.store(0, Ordering::Relaxed);
-            cells.sum.store(0, Ordering::Relaxed);
-            cells.min.store(u64::MAX, Ordering::Relaxed);
-            cells.max.store(0, Ordering::Relaxed);
         }
     }
 
@@ -465,8 +435,7 @@ impl Drop for ScopedTimer {
     }
 }
 
-/// A point-in-time copy of one histogram, with quantile reads and
-/// bucket-wise merge.
+/// A point-in-time copy of one histogram, with quantile reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of recorded samples.
@@ -545,26 +514,6 @@ impl HistogramSnapshot {
             }
         }
         self.max
-    }
-
-    /// Folds `other` into `self` bucket-wise. Merging snapshots of two
-    /// disjoint streams yields exactly the snapshot of the combined
-    /// stream.
-    pub fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
-            return;
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.min = if self.count == 0 {
-            other.min
-        } else {
-            self.min.min(other.min)
-        };
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-        self.sum += other.sum;
     }
 }
 
@@ -662,8 +611,6 @@ pub mod names {
     pub const EXEC_PARKS: &str = "exec.parks";
     /// Counter: steal attempts (a scan over victims counts once).
     pub const EXEC_STEAL_ATTEMPTS: &str = "exec.steal_attempts";
-    /// Counter: successful steals.
-    pub const EXEC_STEALS: &str = "exec.steals";
     /// Histogram: mailbox depth observed after each delivery.
     pub const EXEC_MAILBOX_DEPTH: &str = "exec.mailbox_depth";
     /// Histogram: coalesced send-buffer sizes at flush.
@@ -789,31 +736,6 @@ mod tests {
         assert_eq!(snap.percentile(250.0), snap.max);
         assert_eq!(snap.percentile(f64::INFINITY), snap.max);
         assert_eq!(snap.percentile(f64::NEG_INFINITY), snap.min);
-    }
-
-    #[test]
-    fn reset_clears_gauge_deltas_and_histogram_state() {
-        // Regression: a registry reused across back-to-back runs used to
-        // carry gauge deltas and histogram extrema into the next report.
-        let reg = MetricsRegistry::new();
-        let h = reg.handle();
-        let g = h.gauge("g");
-        let c = h.counter("c");
-        let hist = h.histogram("h");
-        g.add(40);
-        c.add(7);
-        hist.record(1_000_000);
-        reg.reset();
-        assert_eq!(g.value(), 0, "gauge delta cleared");
-        assert_eq!(c.value(), 0, "counter cleared");
-        assert!(hist.snapshot().is_empty(), "histogram emptied");
-        // The same instruments stay wired after the reset.
-        g.add(2);
-        hist.record(5);
-        let snap = reg.snapshot();
-        assert_eq!(snap.gauges["g"], 2);
-        let hs = &snap.histograms["h"];
-        assert_eq!((hs.count, hs.min, hs.max), (1, 5, 5));
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub fn trace_rollup_table(rollup: &crate::trace::TraceRollup) -> TextTable {
         ]);
         t.row(vec![
             "(executor) overflow/maxdepth".to_owned(),
-            format!("{}/{}", exec.overflows, exec.max_depth),
+            format!("{}/{}", exec.overflows, exec.max_mailbox_depth),
         ]);
     }
     t.row(vec!["total".to_owned(), rollup.total.to_string()]);

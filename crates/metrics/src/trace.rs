@@ -66,7 +66,7 @@ impl TraceLevel {
 /// Bump it whenever an event's keys change: a reader rejects a file of
 /// another version instead of guessing at missing keys. Headers written
 /// before the schema was versioned carry no `schema` key and read as 1.
-pub const TRACE_SCHEMA: u64 = 2;
+pub const TRACE_SCHEMA: u64 = 3;
 
 /// Which clock stamped a run's trace events: virtual nanoseconds on the
 /// simulated backend, wall nanoseconds on the threaded one.
@@ -262,7 +262,7 @@ pub enum TraceKind {
     PhaseDone,
     /// End-of-run counters from the threaded work-stealing executor (boxed,
     /// like a sample's values, so that every event stays small).
-    ExecutorStats(Box<ExecutorCounters>),
+    ExecutorStats(Box<ExecutorStats>),
     /// A periodic snapshot of the registry (sampling monitor on the
     /// threaded backend; one end-of-run sample on both).
     MetricsSample {
@@ -395,7 +395,7 @@ impl TraceKind {
             Self::PhaseDone => "phase complete".to_owned(),
             Self::ExecutorStats(c) => format!(
                 "executor: {} workers, {} steals, {} parks, {} overflows, max mailbox {}",
-                c.workers, c.steals, c.parks, c.overflows, c.max_depth
+                c.workers, c.steals, c.parks, c.overflows, c.max_mailbox_depth
             ),
             Self::MetricsSample { seq, values } => {
                 let read: Vec<String> = SAMPLED
@@ -489,8 +489,14 @@ impl TraceEvent {
                 let _ = write!(
                     out,
                     ",\"workers\":{},\"steals\":{},\"parks\":{},\"overflows\":{},\
-                     \"max_depth\":{},\"timer_fires\":{}",
-                    c.workers, c.steals, c.parks, c.overflows, c.max_depth, c.timer_fires
+                     \"max_mailbox_depth\":{},\"timer_fires\":{},\"misrouted\":{}",
+                    c.workers,
+                    c.steals,
+                    c.parks,
+                    c.overflows,
+                    c.max_mailbox_depth,
+                    c.timer_fires,
+                    c.misrouted
                 );
             }
             TraceKind::MetricsSample { seq, values } => {
@@ -592,13 +598,14 @@ impl TraceEvent {
                 copies: num("copies")?,
             },
             "phase_done" => TraceKind::PhaseDone,
-            "executor_stats" => TraceKind::ExecutorStats(Box::new(ExecutorCounters {
+            "executor_stats" => TraceKind::ExecutorStats(Box::new(ExecutorStats {
                 workers: num("workers")?,
                 steals: num("steals")?,
                 parks: num("parks")?,
                 overflows: num("overflows")?,
-                max_depth: num("max_depth")?,
+                max_mailbox_depth: num("max_mailbox_depth")?,
                 timer_fires: num("timer_fires")?,
+                misrouted: num("misrouted")?,
             })),
             "metrics_sample" => {
                 let mut values = [0; SAMPLE_WIDTH];
@@ -894,25 +901,28 @@ impl TraceSink for JsonlSink {
 
 use std::io::Write as _;
 
-/// Executor counters: the payload of a [`TraceKind::ExecutorStats`] event,
-/// which the rollup keeps (threaded backend only; a simulated run leaves
-/// them absent).
+/// What the threaded work-stealing executor observed over its lifetime:
+/// the payload of a [`TraceKind::ExecutorStats`] event, which the rollup
+/// keeps (threaded backend only; a simulated run leaves it absent).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecutorCounters {
+pub struct ExecutorStats {
     /// Worker threads in the pool.
     pub workers: u64,
-    /// Tasks taken from another worker's run queue.
+    /// Ready actors taken from another worker's queue.
     pub steals: u64,
-    /// Producer backpressure parks on full mailboxes.
+    /// Producer backpressure parks plus idle-worker parks.
     pub parks: u64,
-    /// Envelopes enqueued past a mailbox bound.
+    /// Envelopes enqueued past a mailbox's bound (liveness escape; zero in
+    /// a healthy run).
     pub overflows: u64,
-    /// Highest queue depth any mailbox reached.
-    pub max_depth: u64,
-    /// Always 0: the executor has had no timers since actors lost delayed
-    /// delivery. Kept because the frozen benchmark reads
-    /// `trace.executor.timer_fires`.
+    /// High-water mark of any single mailbox's depth.
+    pub max_mailbox_depth: u64,
+    /// Always 0: the pool has no timers (an actor's own loop is a
+    /// self-send). Kept because the frozen benchmark package reads it.
     pub timer_fires: u64,
+    /// Sends addressed outside the sender's own actor-id block, dropped
+    /// (a protocol bug; zero in a healthy run).
+    pub misrouted: u64,
 }
 
 /// Per-phase / per-node / per-kind event counts for one run.
@@ -927,7 +937,7 @@ pub struct TraceRollup {
     /// Events per emitting actor.
     pub by_node: BTreeMap<u32, u64>,
     /// Executor counters, when the run emitted them (threaded backend).
-    pub executor: Option<ExecutorCounters>,
+    pub executor: Option<ExecutorStats>,
 }
 
 impl TraceRollup {
@@ -939,23 +949,6 @@ impl TraceRollup {
         *self.by_node.entry(ev.node).or_insert(0) += 1;
         if let TraceKind::ExecutorStats(c) = &ev.kind {
             self.executor = Some(**c);
-        }
-    }
-
-    /// Merges another rollup (e.g. across runs).
-    pub fn merge(&mut self, other: &Self) {
-        self.total += other.total;
-        for (acc, v) in self.by_phase.iter_mut().zip(other.by_phase) {
-            *acc += v;
-        }
-        for (k, v) in &other.by_kind {
-            *self.by_kind.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in &other.by_node {
-            *self.by_node.entry(*k).or_insert(0) += v;
-        }
-        if other.executor.is_some() {
-            self.executor = other.executor;
         }
     }
 
@@ -1116,13 +1109,14 @@ mod tests {
                 copies: 20,
             },
             TraceKind::PhaseDone,
-            TraceKind::ExecutorStats(Box::new(ExecutorCounters {
+            TraceKind::ExecutorStats(Box::new(ExecutorStats {
                 workers: 8,
                 steals: 120,
                 parks: 3,
                 overflows: 0,
-                max_depth: 512,
+                max_mailbox_depth: 512,
                 timer_fires: 2,
+                misrouted: 1,
             })),
             sample(),
             TraceKind::EngineStop {
@@ -1289,20 +1283,18 @@ mod tests {
             phase: Phase::Build,
             kind: TraceKind::NodeFull,
         });
-        let mut b = TraceRollup::default();
-        b.note(&TraceEvent {
+        a.note(&TraceEvent {
             at_nanos: 2,
             node: 2,
             phase: Phase::Probe,
             kind: TraceKind::NodeFull,
         });
-        b.note(&TraceEvent {
+        a.note(&TraceEvent {
             at_nanos: 3,
             node: 4,
             phase: Phase::Build,
             kind: TraceKind::PhaseDone,
         });
-        a.merge(&b);
         assert_eq!(a.total, 3);
         assert_eq!(a.by_phase, [2, 0, 1]);
         assert_eq!(a.kind_count("node_full"), 2);
@@ -1320,23 +1312,20 @@ mod tests {
             at_nanos: 9,
             node: 0,
             phase: Phase::Probe,
-            kind: TraceKind::ExecutorStats(Box::new(ExecutorCounters {
+            kind: TraceKind::ExecutorStats(Box::new(ExecutorStats {
                 workers: 4,
                 steals: 10,
                 parks: 1,
                 overflows: 0,
-                max_depth: 33,
+                max_mailbox_depth: 33,
                 timer_fires: 2,
+                misrouted: 0,
             })),
         });
         let exec = r.executor.expect("captured");
         assert_eq!(exec.workers, 4);
         assert_eq!(exec.steals, 10);
-        assert_eq!(exec.max_depth, 33);
-        // Merging keeps the counters of whichever side has them.
-        let mut empty = TraceRollup::default();
-        empty.merge(&r);
-        assert_eq!(empty.executor, Some(exec));
+        assert_eq!(exec.max_mailbox_depth, 33);
     }
 
     #[test]

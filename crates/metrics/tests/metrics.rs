@@ -3,7 +3,7 @@
 //! exactly as downstream crates use them.
 
 use ehj_metrics::{
-    trace_rollup_table, CommCategory, CommCounters, ExecutorCounters, LoadStats, Phase, PhaseTimes,
+    trace_rollup_table, CommCategory, CommCounters, ExecutorStats, LoadStats, Phase, PhaseTimes,
     StopCause, TraceEvent, TraceKind, TraceLevel, TraceRollup,
 };
 
@@ -64,7 +64,7 @@ fn phase_times_cover_the_total() {
         probe_secs: 7.5,
         total_secs: 21.0,
     };
-    let phase_sum: f64 = Phase::ALL.iter().map(|p| t.of(*p)).sum();
+    let phase_sum = t.build_secs + t.reshuffle_secs + t.probe_secs;
     assert!((phase_sum - 20.0).abs() < 1e-12);
     // Barrier time between phases makes the total exceed the phase sum.
     assert!(t.total_secs >= phase_sum);
@@ -173,9 +173,7 @@ fn rollup_counts_merge_and_render() {
     let mut a = TraceRollup::default();
     a.note(&ev(0, TraceKind::NodeFull));
     a.note(&ev(0, TraceKind::Recruited { node: 4 }));
-    let mut b = TraceRollup::default();
-    b.note(&ev(1, TraceKind::NodeFull));
-    a.merge(&b);
+    a.note(&ev(1, TraceKind::NodeFull));
     assert_eq!(a.total, 3);
     assert_eq!(a.kind_count("node_full"), 2);
     assert_eq!(a.kind_count("recruited"), 1);
@@ -192,13 +190,14 @@ fn rollup_table_shows_executor_rows_without_timers() {
         at_nanos: 1,
         node: 0,
         phase: Phase::Probe,
-        kind: TraceKind::ExecutorStats(Box::new(ExecutorCounters {
+        kind: TraceKind::ExecutorStats(Box::new(ExecutorStats {
             workers: 2,
             steals: 5,
             parks: 1,
             overflows: 0,
-            max_depth: 64,
+            max_mailbox_depth: 64,
             timer_fires: 0,
+            misrouted: 0,
         })),
     });
     let table = trace_rollup_table(&r).render();
@@ -210,7 +209,7 @@ fn rollup_table_shows_executor_rows_without_timers() {
 }
 
 // ---------------------------------------------------------------------------
-// Registry property tests: histogram merge/percentile laws, counter
+// Registry property tests: the histogram percentile bound, counter
 // linearizability under concurrent shard writers, empty-distribution edges.
 // ---------------------------------------------------------------------------
 
@@ -242,33 +241,21 @@ fn exact_quantile(sorted: &[u64], p: f64) -> u64 {
 }
 
 #[test]
-fn merged_percentiles_equal_whole_stream_within_bucket_error() {
-    use ehj_metrics::MetricsRegistry;
+fn percentiles_stay_within_one_sub_bucket() {
     let mut rng = Lcg(0x5eed_cafe);
     for round in 0..8 {
         let reg = ehj_metrics::MetricsRegistry::new();
-        let whole_reg = MetricsRegistry::new();
-        let a = reg.handle_for(0).histogram("a");
-        let b = reg.handle_for(1).histogram("b");
-        let whole = whole_reg.handle_for(round).histogram("whole");
-        let mut all: Vec<u64> = Vec::new();
-        for i in 0..(500 + round * 137) {
-            let v = rng.sample();
-            if i % 3 == 0 { &a } else { &b }.record(v);
-            whole.record(v);
-            all.push(v);
+        let h = reg.handle_for(round).histogram("h");
+        let mut all: Vec<u64> = (0..(500 + round * 137)).map(|_| rng.sample()).collect();
+        for &v in &all {
+            h.record(v);
         }
         all.sort_unstable();
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        let reference = whole.snapshot();
-        // Law 1: bucket-wise merge of disjoint streams IS the whole-stream
-        // snapshot (exactly — not just approximately).
-        assert_eq!(merged, reference, "round {round}: merge must be exact");
-        // Law 2: every percentile is within one sub-bucket (1/32 relative)
-        // of the true quantile, and never below it.
+        let snap = h.snapshot();
+        // Every percentile is within one sub-bucket (1/32 relative) of the
+        // true quantile, and never below it.
         for p in [1.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
-            let est = merged.percentile(p);
+            let est = snap.percentile(p);
             let truth = exact_quantile(&all, p);
             assert!(
                 est >= truth,
@@ -279,26 +266,9 @@ fn merged_percentiles_equal_whole_stream_within_bucket_error() {
                 "round {round} p{p}: estimate {est} beyond bucket error of {truth}"
             );
         }
-        assert_eq!(merged.percentile(100.0), *all.last().expect("non-empty"));
-        assert_eq!(merged.min, all[0]);
+        assert_eq!(snap.percentile(100.0), *all.last().expect("non-empty"));
+        assert_eq!(snap.min, all[0]);
     }
-}
-
-#[test]
-fn histogram_merge_is_commutative() {
-    let reg = ehj_metrics::MetricsRegistry::new();
-    let a = reg.handle_for(3).histogram("a");
-    let b = reg.handle_for(7).histogram("b");
-    let mut rng = Lcg(42);
-    for _ in 0..300 {
-        a.record(rng.sample());
-        b.record(rng.sample() % 97);
-    }
-    let mut ab = a.snapshot();
-    ab.merge(&b.snapshot());
-    let mut ba = b.snapshot();
-    ba.merge(&a.snapshot());
-    assert_eq!(ab, ba);
 }
 
 #[test]
@@ -349,19 +319,4 @@ fn empty_histogram_edge_cases() {
     for p in [0.0, 50.0, 100.0] {
         assert_eq!(empty.percentile(p), 0, "empty percentile is 0");
     }
-    // merge(empty, empty) stays empty; merge with data in either order
-    // equals the data alone.
-    let mut e2 = empty.clone();
-    e2.merge(&empty);
-    assert!(e2.is_empty());
-    let full = reg.handle().histogram("full");
-    full.record(7);
-    full.record(900);
-    let mut left = empty.clone();
-    left.merge(&full.snapshot());
-    assert_eq!(left, full.snapshot(), "empty is a left identity");
-    let mut right = full.snapshot();
-    right.merge(&empty);
-    assert_eq!(right, full.snapshot(), "empty is a right identity");
-    assert_eq!(left.min, 7, "min must come from the non-empty side");
 }

@@ -34,10 +34,10 @@
 //!   pool — everything a stolen actor readies lands on the thief's queue —
 //!   while work its owner reaches within a migration's cost stays put;
 //! * nothing on the per-message path is pool-global: traffic is charged to
-//!   the sender's group (the pool totals are the finished groups' ledgers
-//!   plus the live ones', summed on request), the scan cursor, coalescing
-//!   buffers and dequeue batch are the worker's own, and a mailbox pop
-//!   makes no system call unless a producer is parked on it;
+//!   the sender's group (each query keeps its own ledger; the pool keeps no
+//!   traffic total), the scan cursor, coalescing buffers and dequeue batch
+//!   are the worker's own, and a mailbox pop makes no system call unless a
+//!   producer is parked on it;
 //! * a handler always runs to completion: preemption happens only between
 //!   messages, and the unprocessed tail of a dequeue batch goes back to the
 //!   front of the mailbox, so it never reorders or drops a message — even
@@ -72,7 +72,7 @@ use crate::actor::{Actor, ActorId, Context, Message};
 use crate::mailbox::Mailbox;
 use crate::time::SimTime;
 use ehj_metrics::registry::names;
-use ehj_metrics::{Counter, Histogram, MetricsRegistry};
+use ehj_metrics::{Counter, ExecutorStats, Histogram, MetricsRegistry};
 use std::collections::VecDeque;
 use std::sync::atomic::{
     AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
@@ -165,29 +165,6 @@ impl ExecutorConfig {
     }
 }
 
-/// What the executor observed during one run (folded into the trace
-/// rollup by the runner).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecutorStats {
-    /// Worker threads in the pool.
-    pub workers: u64,
-    /// Ready actors taken from another worker's queue.
-    pub steals: u64,
-    /// Producer backpressure parks plus idle-worker parks.
-    pub parks: u64,
-    /// Envelopes enqueued past a mailbox's bound (liveness escape; zero in
-    /// a healthy run).
-    pub overflows: u64,
-    /// High-water mark of any single mailbox's depth.
-    pub max_mailbox_depth: u64,
-    /// Always 0: the pool has no timers (an actor's own loop is a
-    /// self-send). Kept because the frozen benchmark package reads it.
-    pub timer_fires: u64,
-    /// Sends addressed outside the sender's own actor-id block, dropped
-    /// (a protocol bug; zero in a healthy run).
-    pub misrouted: u64,
-}
-
 enum Env<M> {
     Msg { from: ActorId, msg: M },
     Stop,
@@ -202,7 +179,6 @@ struct WorkerMetrics {
     park_ns: Counter,
     park_count: Counter,
     steal_attempts: Counter,
-    steal_count: Counter,
     mailbox_depth: Histogram,
     coalesce_batch: Histogram,
     sched_picks: Counter,
@@ -219,7 +195,6 @@ impl WorkerMetrics {
             park_ns: handle.counter(names::EXEC_PARK_NS),
             park_count: handle.counter(names::EXEC_PARKS),
             steal_attempts: handle.counter(names::EXEC_STEAL_ATTEMPTS),
-            steal_count: handle.counter(names::EXEC_STEALS),
             mailbox_depth: handle.histogram(names::EXEC_MAILBOX_DEPTH),
             coalesce_batch: handle.histogram(names::EXEC_COALESCE_BATCH),
             sched_picks: handle.counter(names::SCHED_PICKS),
@@ -274,8 +249,7 @@ struct GroupState<M: Message> {
     net_messages: AtomicU64,
     /// Admission time: the zero of the group's [`Context::now`] clock.
     admitted: Instant,
-    /// `Some` once every member retired: the ledger as folded into the
-    /// pool totals.
+    /// `Some` once every member retired: the group's final ledger.
     done: Mutex<Option<GroupOutcome>>,
     done_cv: Condvar,
     /// Caller resources scoped to the group's run (e.g. an admission
@@ -401,19 +375,9 @@ struct Slot<M: Message> {
 /// steady-state scheduling never takes the publish lock.
 type Groups<M> = Arc<Vec<Arc<GroupState<M>>>>;
 
-/// The publish point: the live table plus what the finished groups sent.
-/// A group's ledger moves from "live" to "retired" under this one lock, so
-/// the pool totals — retired plus the live groups' ledgers — never count a
-/// group twice or not at all, and no send has to touch a pool-wide counter.
-struct GroupTable<M: Message> {
-    live: Groups<M>,
-    retired_bytes: u64,
-    retired_messages: u64,
-}
-
 struct Shared<M: Message> {
     /// Publish point of the group table (see [`Groups`]).
-    groups: Mutex<GroupTable<M>>,
+    groups: Mutex<Groups<M>>,
     /// Bumped on every group-table publish; workers compare against their
     /// snapshot's version before scanning.
     groups_version: AtomicU64,
@@ -428,7 +392,6 @@ struct Shared<M: Message> {
     shutdown: AtomicBool,
     live: AtomicUsize,
     workers: usize,
-    start: Instant,
     steals: AtomicU64,
     parks: AtomicU64,
     overflows: AtomicU64,
@@ -444,31 +407,21 @@ impl<M: Message> Shared<M> {
     fn groups_snapshot(&self, cache: &mut (u64, Groups<M>)) {
         let version = self.groups_version.load(Ordering::Acquire);
         if cache.0 != version {
-            cache.1 = Arc::clone(&self.groups.lock().expect("group table").live);
+            cache.1 = Arc::clone(&self.groups.lock().expect("group table"));
             cache.0 = version;
         }
     }
 
-    /// Republishes the live-group table with `group` added (`retired` is
-    /// `None`) or removed, folding its final ledger into the pool totals.
-    fn publish(&self, group: &Arc<GroupState<M>>, retired: Option<&GroupOutcome>) {
+    /// Republishes the live-group table with `group` in it (`live`) or
+    /// out of it.
+    fn publish(&self, group: &Arc<GroupState<M>>, live: bool) {
         let mut table = self.groups.lock().expect("group table");
-        let mut next = Vec::with_capacity(table.live.len() + 1);
-        next.extend(
-            table
-                .live
-                .iter()
-                .filter(|g| !Arc::ptr_eq(g, group))
-                .cloned(),
-        );
-        match retired {
-            None => next.push(Arc::clone(group)),
-            Some(ledger) => {
-                table.retired_bytes += ledger.net_bytes;
-                table.retired_messages += ledger.net_messages;
-            }
+        let mut next = Vec::with_capacity(table.len() + 1);
+        next.extend(table.iter().filter(|g| !Arc::ptr_eq(g, group)).cloned());
+        if live {
+            next.push(Arc::clone(group));
         }
-        table.live = Arc::new(next);
+        *table = Arc::new(next);
         self.groups_version.fetch_add(1, Ordering::Release);
     }
 
@@ -581,7 +534,7 @@ impl<M: Message> Shared<M> {
         self.live.fetch_sub(1, Ordering::AcqRel);
         if group.live.fetch_sub(1, Ordering::AcqRel) == 1 {
             let outcome = group.ledger();
-            self.publish(group, Some(&outcome));
+            self.publish(group, false);
             group.finish(outcome);
         }
     }
@@ -623,23 +576,17 @@ impl<M: Message> Admission<M> {
     }
 }
 
-/// What a pool measured over its lifetime: wall-clock time plus real
-/// traffic totals (the counterpart of the simulator's `RunSummary`). Every
-/// send, self-sends included, is charged its [`Message::wire_bytes`], so
-/// byte accounting matches the simulated backend's per-batch charges.
+/// What a pool observed over its lifetime: its [`ExecutorStats`]. Traffic
+/// is each group's own ([`GroupOutcome`]); the pool keeps no total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadedSummary {
-    /// Wall-clock time since the pool started.
-    pub elapsed: SimTime,
-    /// Total bytes across all sends (self-sends included).
-    pub net_bytes: u64,
-    /// Total messages sent (self-sends included).
-    pub net_messages: u64,
     /// Executor observations: steals, parks, mailbox high-water marks.
     pub exec: ExecutorStats,
 }
 
-/// What one admitted group measured by the time it completed.
+/// What one admitted group measured by the time it completed. Every send,
+/// self-sends included, is charged its [`Message::wire_bytes`], so byte
+/// accounting matches the simulated backend's per-batch charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupOutcome {
     /// Wall time from admission to the last member retiring.
@@ -660,11 +607,7 @@ impl<M: Message> Executor<M> {
     pub fn start(cfg: &ExecutorConfig, metrics: &MetricsRegistry) -> Self {
         let workers = cfg.effective_workers().max(1);
         let shared = Arc::new(Shared {
-            groups: Mutex::new(GroupTable {
-                live: Arc::new(Vec::new()),
-                retired_bytes: 0,
-                retired_messages: 0,
-            }),
+            groups: Mutex::new(Arc::new(Vec::new())),
             groups_version: AtomicU64::new(0),
             next_base: AtomicU32::new(0),
             next_home: AtomicUsize::new(0),
@@ -674,7 +617,6 @@ impl<M: Message> Executor<M> {
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
             workers,
-            start: Instant::now(),
             steals: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             overflows: AtomicU64::new(0),
@@ -783,7 +725,7 @@ impl<M: Message> Executor<M> {
                 .expect("group run queue")
                 .extend(0..count as u32);
             group.queued.store(count, Ordering::SeqCst);
-            shared.publish(&group, None);
+            shared.publish(&group, true);
             let _g = shared.idle_lock.lock().expect("idle lock");
             shared.wake.notify_all();
         }
@@ -836,27 +778,15 @@ impl<M: Message> Executor<M> {
     /// `(groups, actors)` admitted and not yet retired.
     #[must_use]
     pub fn live(&self) -> (usize, usize) {
-        let groups = self.shared.groups.lock().expect("group table").live.len();
+        let groups = self.shared.groups.lock().expect("group table").len();
         (groups, self.shared.live.load(Ordering::Acquire))
     }
 
-    /// Pool-wide totals and executor counters as of now. The traffic
-    /// totals are the finished groups' ledgers plus what the live groups
-    /// have sent so far.
+    /// The executor counters as of now.
     #[must_use]
     pub fn summary(&self) -> ThreadedSummary {
         let shared = &self.shared;
-        let (net_bytes, net_messages) = {
-            let table = shared.groups.lock().expect("group table");
-            table.live.iter().map(|g| g.ledger()).fold(
-                (table.retired_bytes, table.retired_messages),
-                |(bytes, messages), g| (bytes + g.net_bytes, messages + g.net_messages),
-            )
-        };
         ThreadedSummary {
-            elapsed: SimTime::from_nanos(shared.start.elapsed().as_nanos() as u64),
-            net_bytes,
-            net_messages,
             exec: ExecutorStats {
                 workers: shared.workers as u64,
                 steals: shared.steals.load(Ordering::Relaxed),
@@ -1029,7 +959,6 @@ fn steal_within_group<M: Message>(
         }
         if let Some(a) = group.steal_ready(victim) {
             shared.steals.fetch_add(1, Ordering::Relaxed);
-            wm.steal_count.add(1);
             return Some(a);
         }
     }
@@ -1248,10 +1177,8 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
 
     fn send(&mut self, to: ActorId, msg: M) {
         // Charge the wire bytes exactly as the simulated network does, so
-        // both backends report comparable traffic totals — to the sender's
-        // group, so each query keeps its own traffic ledger (the pool's
-        // totals are the sum of the ledgers). The
-        // bytes also drain the sender's scheduling deficit: producing a
+        // both backends report comparable traffic — to the sender's group,
+        // so each query keeps its own traffic ledger. The bytes also drain the sender's scheduling deficit: producing a
         // fat batch costs worker time on the *sending* side (generation,
         // hashing, routing), and charging it here is what lets the
         // scheduler preempt a source that fans out heavy data from cheap
@@ -1385,8 +1312,7 @@ mod tests {
         let b = pool.admit_with(3, 1024, |base| ring(base, 3, 50));
         let b_out = pool.wait(&b);
         assert_eq!(b_out.net_messages, 50);
-        let summary = pool.shutdown();
-        assert_eq!(summary.net_messages, 50);
+        pool.shutdown();
     }
 
     #[test]
@@ -1439,35 +1365,21 @@ mod tests {
         assert_eq!(a_out.net_messages, 40);
         assert_eq!(b_out.net_messages, 70);
         assert_eq!(a_out.net_bytes, 40 * 8);
-        // Mid-run: the pool totals are the finished groups' ledgers plus
-        // what a group that is still live has sent, its self-send included.
+        // A group that never stops by itself: its start task still runs
+        // before the cancel's sentinel, so its ledger holds every send of
+        // `on_start`, its self-send included.
         let c = pool.admit_with(2, 1024, |base| {
             vec![
                 Box::new(Lingerer { peer: base + 1 }) as Box<dyn Actor<Count>>,
                 Box::new(Mute),
             ]
         });
-        let until = Instant::now() + Duration::from_secs(10);
-        while pool.summary().net_messages < 116 && Instant::now() < until {
-            thread::sleep(Duration::from_millis(1));
-        }
-        let mid = pool.summary();
-        assert_eq!(mid.net_messages, 40 + 70 + 6, "six sends, one to itself");
-        assert_eq!(mid.net_bytes, (40 + 70 + 6) * 8);
-        assert_eq!(pool.live(), (1, 2), "counted while the group is live");
+        assert_eq!(pool.live(), (1, 2), "the group is live until cancelled");
         pool.cancel(&c);
         let c_out = pool.wait(&c);
-        assert_eq!(c_out.net_messages, 6);
-        let summary = pool.shutdown();
-        assert_eq!(
-            summary.net_messages,
-            a_out.net_messages + b_out.net_messages + c_out.net_messages,
-            "pool totals are the sum"
-        );
-        assert_eq!(
-            summary.net_bytes,
-            a_out.net_bytes + b_out.net_bytes + c_out.net_bytes
-        );
+        assert_eq!(c_out.net_messages, 6, "six sends, one to itself");
+        assert_eq!(c_out.net_bytes, 6 * 8);
+        pool.shutdown();
     }
 
     /// A message whose wire size is its value: the deficit charges scale

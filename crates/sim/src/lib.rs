@@ -30,10 +30,9 @@ pub mod time;
 
 pub use actor::{Actor, ActorId, Context, Message};
 pub use disk::{DiskConfig, DiskState};
+pub use ehj_metrics::ExecutorStats;
 pub use engine::{Engine, EngineConfig, EngineError, RunSummary, StopReason};
-pub use executor::{
-    Admission, Executor, ExecutorConfig, ExecutorStats, GroupOutcome, ThreadedSummary,
-};
+pub use executor::{Admission, Executor, ExecutorConfig, GroupOutcome, ThreadedSummary};
 pub use mailbox::{Mailbox, PushReport};
 pub use net::{NetConfig, Network};
 pub use time::SimTime;

@@ -18,7 +18,7 @@ impl Message for Count {
 }
 
 /// Runs `actors` as the only group of a fresh pool: the group's own ledger
-/// and the pool's lifetime totals.
+/// and the pool's executor stats.
 fn run_alone(
     workers: usize,
     mailbox_capacity: usize,
@@ -78,9 +78,6 @@ fn accounting_is_identical_across_worker_counts() {
         assert_eq!(outcome.net_messages, 100, "{workers} workers");
         assert_eq!(outcome.net_bytes, 800, "{workers} workers");
         assert!(outcome.elapsed > Duration::ZERO);
-        // The pool ran nothing else: its totals are the group's.
-        assert_eq!(summary.net_messages, 100, "{workers} workers");
-        assert_eq!(summary.net_bytes, 800, "{workers} workers");
         assert_eq!(summary.exec.workers, workers as u64);
     }
 }
@@ -187,9 +184,8 @@ fn messages_sent_before_stop_are_delivered_after_are_dropped() {
 #[test]
 fn empty_engine_returns_immediately() {
     // An admission of no actors has nothing to wait for.
-    let (outcome, summary) = run_alone(0, 1024, Vec::new());
+    let (outcome, _) = run_alone(0, 1024, Vec::new());
     assert_eq!(outcome.net_messages, 0);
-    assert_eq!(summary.net_messages, 0);
 }
 
 #[test]

@@ -246,3 +246,42 @@ fn threaded_metrics_samples_number_on_from_the_monitor() {
         "sample seqs must strictly increase: {seqs:?}"
     );
 }
+
+#[test]
+fn threaded_executor_stats_reach_the_report_and_the_jsonl_whole() {
+    // The pool's one ledger type travels unchanged: the report's rollup
+    // holds it, and the JSONL line carrying it parses back to the same
+    // seven fields.
+    let path = std::env::temp_dir().join(format!("ehj-trace-{}-exec.jsonl", std::process::id()));
+    let opts = RunOptions {
+        backend: Backend::Threaded,
+        threads: Some(2),
+        trace_level: TraceLevel::Summary,
+        trace_out: Some(path.clone()),
+        ..RunOptions::default()
+    };
+    let report = JoinRunner::run_with(&JoinConfig::paper_scaled(Algorithm::Hybrid, 1000), &opts)
+        .expect("threaded run");
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let _ = std::fs::remove_file(&path);
+    let s = report
+        .trace
+        .executor
+        .expect("the pool's stats reach the report");
+    assert_eq!(s.workers, 2);
+    assert_eq!(s.misrouted, 0);
+    assert_eq!(s.timer_fires, 0);
+    let mut lines = text.lines();
+    let header = lines.next().expect("non-empty trace file");
+    assert_eq!(
+        ehj_metrics::ClockKind::parse_header_line(header),
+        Some((ehj_metrics::TRACE_SCHEMA, ehj_metrics::ClockKind::Wall)),
+        "header: {header}"
+    );
+    let stats: Vec<TraceKind> = lines
+        .map(|line| TraceEvent::from_json_line(line).expect("valid trace line"))
+        .filter(|ev| matches!(ev.kind, TraceKind::ExecutorStats(_)))
+        .map(|ev| ev.kind)
+        .collect();
+    assert_eq!(stats, vec![TraceKind::ExecutorStats(Box::new(s))]);
+}
