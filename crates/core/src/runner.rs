@@ -5,7 +5,7 @@
 //! A query's run state lives in one `QueryRun`: it builds the [`Tracer`]
 //! shared by the scheduler, sources and join nodes, always keeps a bounded
 //! ring of recent events so every [`JoinError`] carries a diagnostic tail,
-//! builds the actor set at whatever id block the backend gives it, and has
+//! builds the actor set (ids are the query's own, on both backends), and has
 //! the only function that ends a query (report or classified error, totals,
 //! metrics snapshot, rollup, flush). [`JoinRunner::run_with`] is that
 //! lifecycle for one query: in an engine of its own on the simulator, the
@@ -23,8 +23,8 @@ use ehj_metrics::{
     RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel, TraceSink, Tracer,
 };
 use ehj_sim::{
-    Actor, ActorId, Admission, Engine, EngineConfig, EngineError, Executor, ExecutorConfig,
-    GroupOutcome, SimTime, StopReason,
+    Actor, Admission, Engine, EngineConfig, EngineError, Executor, ExecutorConfig, GroupOutcome,
+    SimTime, StopReason,
 };
 use ehj_storage::{FileBackend, MemBackend, SpillBackend};
 use std::io::Write;
@@ -402,16 +402,15 @@ impl QueryRun {
     }
 
     /// Builds the query's actor set — scheduler, then sources, then join
-    /// nodes — in the dense id block starting at `base`. The tracer is
-    /// rebased, so the query's events (and its rollup) stay in its own
-    /// 0-based actor namespace wherever the block landed.
+    /// nodes — at ids 0, 1, 2, ... in that order. Ids are the query's own,
+    /// on both backends: an engine registers them from 0, and a pool group
+    /// numbers its actors from 0 too.
     fn actors<B: SpillBackend + Default + Send + 'static>(
         &self,
         cfg: &Arc<JoinConfig>,
-        base: ActorId,
     ) -> Vec<Box<dyn Actor<Msg>>> {
-        let topo = Topology::with_base(base, cfg.sources, cfg.cluster.len());
-        let tracer = self.harness.tracer.rebased(base);
+        let topo = Topology::new(cfg.sources, cfg.cluster.len());
+        let tracer = &self.harness.tracer;
         let mut actors: Vec<Box<dyn Actor<Msg>>> = Vec::with_capacity(topo.actor_count());
         actors.push(Box::new(
             Scheduler::new(Arc::clone(cfg), topo.clone(), Arc::clone(&self.result))
@@ -443,11 +442,8 @@ impl QueryRun {
     /// Starts the query as one group of `executor`, at the configuration's
     /// scheduling weight and the default mailbox capacity.
     pub(crate) fn admit(&self, executor: &Executor<Msg>, cfg: &Arc<JoinConfig>) -> Admission<Msg> {
-        let count = 1 + cfg.sources + cfg.cluster.len();
         let capacity = ExecutorConfig::default().mailbox_capacity;
-        executor.admit_weighted(count, capacity, cfg.tenant_weight, |base| {
-            self.actors::<FileBackend>(cfg, base)
-        })
+        executor.admit_weighted(self.actors::<FileBackend>(cfg), capacity, cfg.tenant_weight)
     }
 
     /// Waits for the query's group to retire. A group still live after
@@ -553,7 +549,7 @@ impl JoinRunner {
             max_time: opts.max_sim_time,
             ..EngineConfig::default()
         });
-        for actor in query.actors::<MemBackend>(&Arc::new(cfg.clone()), 0) {
+        for actor in query.actors::<MemBackend>(&Arc::new(cfg.clone())) {
             engine.add_actor(actor);
         }
         let run = engine.run();

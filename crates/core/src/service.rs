@@ -8,9 +8,10 @@
 //! Each query is built, waited for and ended by the same `QueryRun` a
 //! standalone run uses; what the service adds is around it:
 //!
-//! * **Namespacing** — every admitted query gets a dense, disjoint actor-id
-//!   block ([`crate::Topology::with_base`]), so concurrent schedulers,
-//!   sources and join nodes coexist without id collisions, and a query's
+//! * **Namespacing** — every admitted query is a pool group of its own, and
+//!   a group numbers its actors from 0 ([`crate::Topology::new`]): ids are
+//!   the query's own, on both backends, so concurrent schedulers, sources
+//!   and join nodes never address one another, and a query's
 //!   [`ehj_sim::Context::stop`] quiesces only its own group.
 //! * **Admission control** — a query's demand is the aggregate hash memory
 //!   its cluster spec declares; the service's [`QuotaLedger`] blocks
@@ -85,8 +86,6 @@ impl Default for ServiceConfig {
 pub struct QueryHandle {
     /// The query's id (dense, in admission order).
     pub id: QueryId,
-    /// First actor id of the query's block (its scheduler).
-    pub base_actor: u32,
     admission: Admission<Msg>,
     run: QueryRun,
     cancelled: AtomicBool,
@@ -119,12 +118,6 @@ impl JoinService {
             cfg,
             next_query: AtomicU64::new(0),
         }
-    }
-
-    /// Worker threads in the shared pool.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.executor.workers()
     }
 
     /// Admits one query: validates its configuration, reserves its memory
@@ -163,7 +156,6 @@ impl JoinService {
         }
         Ok(QueryHandle {
             id,
-            base_actor: admission.base,
             admission,
             run,
             cancelled: AtomicBool::new(false),
@@ -270,7 +262,6 @@ mod tests {
         let h2 = service.submit(&cfg).expect("admitted");
         assert_eq!(h1.id, QueryId(0));
         assert_eq!(h2.id, QueryId(1));
-        assert_ne!(h1.base_actor, h2.base_actor, "disjoint id blocks");
         let r1 = service.wait(h1).expect("q0 completes");
         let r2 = service.wait(h2).expect("q1 completes");
         let want = expected_matches_for(&cfg);

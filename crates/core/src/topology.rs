@@ -3,9 +3,9 @@
 use ehj_cluster::NodeId;
 use ehj_sim::ActorId;
 
-/// Maps the system's roles onto engine actor ids. The runner registers the
-/// scheduler first, then the data sources, then every cluster node's join
-/// process (active or not), so ids are dense and predictable.
+/// Maps the system's roles onto the query's actor ids. The runner registers
+/// the scheduler first, then the data sources, then every cluster node's
+/// join process (active or not), so ids are dense and predictable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     /// The scheduler actor (always 0).
@@ -17,22 +17,17 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds the wiring for `sources` sources and `nodes` cluster nodes,
-    /// starting at actor id `base`:
-    /// scheduler at `base`, sources at `base+1..`, nodes after them. This
-    /// is how the multi-tenant service namespaces one query's actors — each
-    /// admitted query gets a disjoint dense id block, so concurrent
-    /// schedulers, sources and join nodes never collide.
+    /// Builds the wiring for `sources` sources and `nodes` cluster nodes:
+    /// scheduler at 0, sources at `1..=sources`, nodes after them. Ids are
+    /// the query's own, on both backends: an engine and a pool group both
+    /// number their actors from 0.
     #[must_use]
-    pub fn with_base(base: ActorId, sources: usize, nodes: usize) -> Self {
-        let scheduler = base;
-        let sources: Vec<ActorId> = (base + 1..=base + sources as ActorId).collect();
-        let first = base + sources.len() as ActorId + 1;
-        let nodes = (first..first + nodes as ActorId).collect();
+    pub fn new(sources: usize, nodes: usize) -> Self {
+        let first = sources as ActorId + 1;
         Self {
-            scheduler,
-            sources,
-            nodes,
+            scheduler: 0,
+            sources: (1..first).collect(),
+            nodes: (first..first + nodes as ActorId).collect(),
         }
     }
 
@@ -66,7 +61,7 @@ mod tests {
 
     #[test]
     fn standard_wiring_is_dense() {
-        let t = Topology::with_base(0, 3, 5);
+        let t = Topology::new(3, 5);
         assert_eq!(t.scheduler, 0);
         assert_eq!(t.sources, vec![1, 2, 3]);
         assert_eq!(t.nodes, vec![4, 5, 6, 7, 8]);
@@ -74,21 +69,8 @@ mod tests {
     }
 
     #[test]
-    fn based_wiring_shifts_the_whole_block() {
-        let t = Topology::with_base(10, 2, 3);
-        assert_eq!(t.scheduler, 10);
-        assert_eq!(t.sources, vec![11, 12]);
-        assert_eq!(t.nodes, vec![13, 14, 15]);
-        assert_eq!(t.actor_count(), 6);
-        assert_eq!(t.node_actor(NodeId(1)), 14);
-        assert_eq!(t.node_of_actor(14), Some(NodeId(1)));
-        assert_eq!(t.node_of_actor(12), None);
-        assert_eq!(t.node_of_actor(16), None);
-    }
-
-    #[test]
     fn node_actor_round_trip() {
-        let t = Topology::with_base(0, 2, 4);
+        let t = Topology::new(2, 4);
         for i in 0..4u32 {
             let a = t.node_actor(NodeId(i));
             assert_eq!(t.node_of_actor(a), Some(NodeId(i)));

@@ -727,11 +727,6 @@ pub trait TraceSink: Send + Sync {
 pub struct Tracer {
     level: TraceLevel,
     sinks: Vec<Arc<dyn TraceSink>>,
-    /// Subtracted from every emitted node id. A multi-tenant runtime bases
-    /// each query's actors at an arbitrary id block; rebasing the query's
-    /// tracer keeps its trace in the query's own 0-based namespace, so a
-    /// query's events read identically wherever its block landed.
-    node_base: u32,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -753,21 +748,7 @@ impl Tracer {
     /// A tracer at `level` feeding `sinks`.
     #[must_use]
     pub fn new(level: TraceLevel, sinks: Vec<Arc<dyn TraceSink>>) -> Self {
-        Self {
-            level,
-            sinks,
-            node_base: 0,
-        }
-    }
-
-    /// A clone that records node ids relative to `base` (same level and
-    /// sinks). Hand this to actors living in an id block based at `base`.
-    #[must_use]
-    pub fn rebased(&self, base: u32) -> Self {
-        Self {
-            node_base: base,
-            ..self.clone()
-        }
+        Self { level, sinks }
     }
 
     /// Whether summary-level events are recorded.
@@ -784,14 +765,13 @@ impl Tracer {
         self.level >= TraceLevel::Detail && !self.sinks.is_empty()
     }
 
-    /// The event [`Self::emit`] would record, built whatever the level
-    /// (the node id rebased).
+    /// The event [`Self::emit`] would record, built whatever the level.
     #[inline]
     #[must_use]
     pub fn event(&self, at_nanos: u64, node: u32, phase: Phase, kind: TraceKind) -> TraceEvent {
         TraceEvent {
             at_nanos,
-            node: node.saturating_sub(self.node_base),
+            node,
             phase,
             kind,
         }
@@ -920,8 +900,8 @@ pub struct ExecutorStats {
     /// Always 0: the pool has no timers (an actor's own loop is a
     /// self-send). Kept because the frozen benchmark package reads it.
     pub timer_fires: u64,
-    /// Sends addressed outside the sender's own actor-id block, dropped
-    /// (a protocol bug; zero in a healthy run).
+    /// Sends addressed to an id beyond the sender's group, dropped (a
+    /// protocol bug; zero in a healthy run).
     pub misrouted: u64,
 }
 
@@ -1218,13 +1198,13 @@ mod tests {
     #[test]
     fn an_event_is_built_at_any_level_and_emitted_at_its_own() {
         let ring = Arc::new(RingSink::new(8));
-        let off = Tracer::new(TraceLevel::Off, vec![ring.clone()]).rebased(40);
-        let ev = off.event(1, 42, Phase::Build, TraceKind::PhaseDone);
+        let off = Tracer::new(TraceLevel::Off, vec![ring.clone()]);
+        let ev = off.event(1, 2, Phase::Build, TraceKind::PhaseDone);
         assert_eq!(ev.node, 2);
         off.emit_event(&ev);
         assert!(ring.tail().is_empty());
-        let on = Tracer::new(TraceLevel::Summary, vec![ring.clone()]).rebased(40);
-        on.emit(1, 42, Phase::Build, TraceKind::PhaseDone);
+        let on = Tracer::new(TraceLevel::Summary, vec![ring.clone()]);
+        on.emit(1, 2, Phase::Build, TraceKind::PhaseDone);
         on.emit_event(&ev);
         assert_eq!(ring.tail(), vec![ev.clone(), ev]);
     }

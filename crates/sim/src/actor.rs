@@ -14,8 +14,8 @@
 
 use crate::time::SimTime;
 
-/// Identifies an actor within one engine instance. Ids are assigned densely
-/// in registration order starting at 0.
+/// Identifies an actor within one query: its engine, or its pool group.
+/// Ids are assigned densely in registration order starting at 0.
 pub type ActorId = u32;
 
 /// Messages exchanged between actors.

@@ -50,17 +50,14 @@ pub enum StopReason {
     TimeLimit,
 }
 
-/// Summary statistics of one simulation run.
+/// Summary statistics of one simulation run. Its makespan is
+/// [`Engine::end_time`].
 #[derive(Debug, Clone, Copy)]
 pub struct RunSummary {
-    /// Virtual time at which the last handler finished (makespan).
-    pub end_time: SimTime,
     /// Number of events processed.
     pub events: u64,
     /// Bytes pushed through the network (incl. per-message overhead).
     pub net_bytes: u64,
-    /// Messages transferred.
-    pub net_messages: u64,
     /// Bytes moved through all simulated disks.
     pub disk_bytes: u64,
     /// Why the run ended.
@@ -160,8 +157,8 @@ impl<M: Message> Engine<M> {
     }
 
     /// Virtual time at which the last handler so far finished: a finished
-    /// run's [`RunSummary::end_time`], and how far a run got before
-    /// [`Engine::run`] returned an error.
+    /// run's makespan, and how far a run got before [`Engine::run`]
+    /// returned an error.
     #[must_use]
     pub fn end_time(&self) -> SimTime {
         self.end_time
@@ -269,10 +266,8 @@ impl<M: Message> Engine<M> {
 
     fn summary(&self, events: u64, reason: StopReason) -> RunSummary {
         RunSummary {
-            end_time: self.end_time,
             events,
             net_bytes: self.net.bytes_sent(),
-            net_messages: self.net.messages_sent(),
             disk_bytes: self.disk.total_bytes(),
             reason,
         }
@@ -396,11 +391,11 @@ mod tests {
     fn time_advances_with_network_and_cpu() {
         let cpu = SimTime::from_micros(10);
         let mut e = bouncer_engine(3, cpu);
-        let s = e.run().expect("runs");
+        e.run().expect("runs");
         let net = NetConfig::fast_ethernet_100mbps();
         let hop = net.transfer_time(100) + net.latency;
         // 4 hops (msgs 0,1,2,3) + 4 handler CPU charges.
-        assert_eq!(s.end_time, (hop + cpu) * 4);
+        assert_eq!(e.end_time(), (hop + cpu) * 4);
     }
 
     #[test]
@@ -408,7 +403,7 @@ mod tests {
         let run = || {
             let mut e = bouncer_engine(50, SimTime::from_nanos(123));
             let s = e.run().expect("runs");
-            (s.end_time, s.events, s.net_bytes)
+            (e.end_time(), s.events, s.net_bytes)
         };
         assert_eq!(run(), run());
     }
@@ -426,7 +421,7 @@ mod tests {
         let s = e.run().expect("runs");
         assert_eq!(s.reason, StopReason::Quiescent);
         assert_eq!(s.events, 0);
-        assert_eq!(s.end_time, SimTime::ZERO);
+        assert_eq!(e.end_time(), SimTime::ZERO);
     }
 
     #[test]
@@ -468,7 +463,7 @@ mod tests {
         e.inject(SimTime::from_secs(1), id, id, Ping(4));
         let s = e.run().expect("runs");
         assert_eq!(s.events, 2);
-        assert_eq!(s.end_time, SimTime::from_secs(3));
+        assert_eq!(e.end_time(), SimTime::from_secs(3));
     }
 
     #[test]
@@ -495,7 +490,7 @@ mod tests {
         let s = e.run().expect("runs");
         assert_eq!(s.reason, StopReason::Quiescent);
         assert_eq!(s.events, 4);
-        assert_eq!(s.end_time, SimTime::from_millis(5));
+        assert_eq!(e.end_time(), SimTime::from_millis(5));
         assert_eq!(s.net_bytes, 0);
     }
 
@@ -516,8 +511,8 @@ mod tests {
         let id = e.add_actor(Box::new(Burner { starts: vec![] }));
         e.inject(SimTime::ZERO, id, id, Ping(0));
         e.inject(SimTime::from_nanos(1), id, id, Ping(1));
-        let s = e.run().expect("runs");
-        assert_eq!(s.end_time, SimTime::from_secs(2));
+        e.run().expect("runs");
+        assert_eq!(e.end_time(), SimTime::from_secs(2));
     }
 
     #[test]
@@ -533,7 +528,10 @@ mod tests {
         let id = e.add_actor(Box::new(Spiller));
         e.inject(SimTime::ZERO, id, id, Ping(0));
         let s = e.run().expect("runs");
-        assert_eq!(s.end_time, SimTime::from_secs(2) + SimTime::from_millis(18));
+        assert_eq!(
+            e.end_time(),
+            SimTime::from_secs(2) + SimTime::from_millis(18)
+        );
         assert_eq!(s.disk_bytes, 75_000_000);
     }
 
@@ -562,10 +560,10 @@ mod tests {
         let a = e.add_actor(Box::new(SendAfterBurn { to: 1 }));
         let _b = e.add_actor(Box::new(ArrivalProbe { arrived: None }));
         e.inject(SimTime::ZERO, a, a, Ping(0));
-        let s = e.run().expect("runs");
+        e.run().expect("runs");
         let net = NetConfig::fast_ethernet_100mbps();
         assert_eq!(
-            s.end_time,
+            e.end_time(),
             SimTime::from_secs(1) + net.transfer_time(100) + net.latency
         );
     }
@@ -624,7 +622,7 @@ mod time_limit_tests {
         assert_eq!(s.reason, StopReason::TimeLimit);
         // Hops landing at t = 1..=10 ran; t = 11 was beyond the limit.
         assert_eq!(s.events, 10);
-        assert_eq!(s.end_time, SimTime::from_secs(10));
+        assert_eq!(e.end_time(), SimTime::from_secs(10));
     }
 
     #[test]

@@ -50,11 +50,12 @@
 //! The pool is **long-lived and multi-tenant**: an [`Executor`] outlives
 //! any single run and admits independent actor *groups* over its lifetime
 //! (one group per query in the join service; a standalone run is a pool
-//! that admits one). Each group owns the slots
-//! of its own actor-id block; the only shared table is the list of *live*
-//! groups, republished at admission and when a group finishes, and workers
-//! follow it through a version-checked snapshot, so the hot path never
-//! takes the publish lock. An actor's body and mailbox ring are freed the
+//! that admits one). Each group owns its actors' slots and numbers its
+//! actors from 0, as an engine does: ids are the query's own, on both
+//! backends. The only shared table is the list of *live* groups,
+//! republished at admission and when a group finishes, and workers follow
+//! it through a version-checked snapshot, so the hot path never takes the
+//! publish lock. An actor's body and mailbox ring are freed the
 //! moment it dies: a finished query costs nothing.
 //!
 //! Scheduling state machine: every actor is `Idle`, `Queued` (in exactly
@@ -74,9 +75,7 @@ use crate::time::SimTime;
 use ehj_metrics::registry::names;
 use ehj_metrics::{Counter, ExecutorStats, Histogram, MetricsRegistry};
 use std::collections::VecDeque;
-use std::sync::atomic::{
-    AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -215,13 +214,10 @@ impl WorkerMetrics {
     }
 }
 
-/// Per-admission (per-query) state: the group's own block of actor slots,
-/// the group-scoped stop flag, the live count that signals completion, and
-/// the group's own traffic totals.
+/// Per-admission (per-query) state: the group's actor slots (actor `i`
+/// lives in `slots[i]`), the group-scoped stop flag, the live count that
+/// signals completion, and the group's own traffic totals.
 struct GroupState<M: Message> {
-    /// First id of the group's dense actor-id block; actor `base + i`
-    /// lives in `slots[i]`.
-    base: ActorId,
     slots: Box<[Slot<M>]>,
     /// Scheduling weight: this group's share of worker time relative to
     /// other runnable groups (deficit-weighted round-robin). Minimum 1.
@@ -264,13 +260,6 @@ impl<M: Message> GroupState<M> {
     fn charge(&self, bytes: u64) {
         self.net_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.net_messages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Resolves a global actor id inside this group's block; `None` for an
-    /// id that belongs to another group.
-    fn local(&self, id: ActorId) -> Option<u32> {
-        let local = id.wrapping_sub(self.base);
-        ((local as usize) < self.slots.len()).then_some(local)
     }
 
     /// Pushes a ready actor into this group's queue for `worker` (front
@@ -381,8 +370,6 @@ struct Shared<M: Message> {
     /// Bumped on every group-table publish; workers compare against their
     /// snapshot's version before scanning.
     groups_version: AtomicU64,
-    /// First actor id of the next admitted block.
-    next_base: AtomicU32,
     /// Home worker of the next admitted group (rotates).
     next_home: AtomicUsize,
     idle_lock: Mutex<()>,
@@ -544,22 +531,19 @@ impl<M: Message> Shared<M> {
 ///
 /// An `Executor` admits independent actor **groups** over its lifetime —
 /// the multi-tenant join service admits one group per query, a standalone
-/// run starts a pool for its one. Each admission gets a dense, disjoint
-/// actor-id block;
-/// a [`Context::stop`] from inside a group (or [`Executor::cancel`])
-/// quiesces only that group.
+/// run starts a pool for its one. A group's actors are ids `0..n` of that
+/// group, as in an engine; a [`Context::stop`] from inside a group (or
+/// [`Executor::cancel`]) quiesces only that group.
 pub struct Executor<M: Message> {
     shared: Arc<Shared<M>>,
     handles: Vec<thread::JoinHandle<()>>,
 }
 
-/// Handle to one admitted group: its actor-id block plus the private
-/// completion/cancel state. Obtained from [`Executor::admit_with`].
+/// Handle to one admitted group: its completion and cancel state.
+/// Obtained from [`Executor::admit_weighted`] or [`Executor::admit_with`].
+/// The group's actors are ids `0..n` of the group itself: ids are the
+/// query's own, on both backends.
 pub struct Admission<M: Message> {
-    /// First actor id of the group's dense block.
-    pub base: ActorId,
-    /// Number of actors in the block.
-    pub count: usize,
     group: Arc<GroupState<M>>,
 }
 
@@ -609,7 +593,6 @@ impl<M: Message> Executor<M> {
         let shared = Arc::new(Shared {
             groups: Mutex::new(Arc::new(Vec::new())),
             groups_version: AtomicU64::new(0),
-            next_base: AtomicU32::new(0),
             next_home: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
             wake: Condvar::new(),
@@ -638,15 +621,9 @@ impl<M: Message> Executor<M> {
         Self { shared, handles }
     }
 
-    /// Worker threads in the pool.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.shared.workers
-    }
-
-    /// Admits a group of `count` actors built by `build`, which receives
-    /// the base actor id of the new block (ids `base .. base + count`).
-    /// The admitted actors start immediately, at scheduling weight 1.
+    /// Admits the `count` actors `build(0)` returns, at scheduling weight
+    /// 1 (see [`Executor::admit_weighted`]). `build` receives the group's
+    /// first id, which is always 0.
     ///
     /// # Panics
     /// Panics if `build` returns a different number of actors.
@@ -654,37 +631,29 @@ impl<M: Message> Executor<M> {
     where
         F: FnOnce(ActorId) -> Vec<Box<dyn Actor<M>>>,
     {
-        self.admit_weighted(count, mailbox_capacity, 1, build)
+        let actors = build(0);
+        assert_eq!(actors.len(), count, "admitted actor count mismatch");
+        self.admit_weighted(actors, mailbox_capacity, 1)
     }
 
-    /// [`Executor::admit_with`] with an explicit scheduling weight: the
-    /// group's share of worker time relative to other runnable groups
-    /// under deficit-weighted round-robin (`0` is treated as `1`). Every
-    /// start task goes to one *home* worker (homes rotate per admission):
-    /// a group small enough for one worker never leaves it, and a bigger
-    /// one spreads by being stolen from. The cost is linear in `count` and
-    /// in the groups live right now — independent of how many groups the
-    /// pool has ever run.
-    ///
-    /// # Panics
-    /// Panics if `build` returns a different number of actors.
-    pub fn admit_weighted<F>(
+    /// Admits `actors` as one group — actor `i` is id `i` of the group —
+    /// at scheduling weight `weight`: the group's share of worker time
+    /// relative to other runnable groups under deficit-weighted
+    /// round-robin (`0` is treated as `1`). The actors start immediately.
+    /// Every start task goes to one *home* worker (homes rotate per
+    /// admission): a group small enough for one worker never leaves it,
+    /// and a bigger one spreads by being stolen from. The cost is linear in
+    /// the group's size and in the groups live right now — independent of
+    /// how many groups the pool has ever run.
+    pub fn admit_weighted(
         &self,
-        count: usize,
+        actors: Vec<Box<dyn Actor<M>>>,
         mailbox_capacity: usize,
         weight: u64,
-        build: F,
-    ) -> Admission<M>
-    where
-        F: FnOnce(ActorId) -> Vec<Box<dyn Actor<M>>>,
-    {
+    ) -> Admission<M> {
         let shared = &self.shared;
         let weight = weight.max(1);
-        let base = shared
-            .next_base
-            .fetch_add(count as ActorId, Ordering::Relaxed);
-        let actors = build(base);
-        assert_eq!(actors.len(), count, "admitted actor count mismatch");
+        let count = actors.len();
         let slots = actors.into_iter().map(|actor| Slot {
             mailbox: Mailbox::new(mailbox_capacity.max(1)),
             // Seeded as QUEUED: every actor gets one start task.
@@ -695,7 +664,6 @@ impl<M: Message> Executor<M> {
             })),
         });
         let group = Arc::new(GroupState {
-            base,
             slots: slots.collect(),
             weight,
             home: shared.next_home.fetch_add(1, Ordering::Relaxed) % shared.workers,
@@ -729,7 +697,7 @@ impl<M: Message> Executor<M> {
             let _g = shared.idle_lock.lock().expect("idle lock");
             shared.wake.notify_all();
         }
-        Admission { base, count, group }
+        Admission { group }
     }
 
     /// Blocks until every actor of `admission`'s group has retired.
@@ -1087,7 +1055,7 @@ struct ExecCtx<'a, M: Message> {
     /// The running worker's snapshot of the live-group table.
     groups: &'a mut (u64, Groups<M>),
     worker: usize,
-    /// The running actor's slot in `group` (its id is `group.base + me`).
+    /// The running actor's slot in `group`, which is its id.
     me: u32,
     group: &'a Arc<GroupState<M>>,
     /// Per-destination-slot coalescing buffers, flushed on size or at the
@@ -1172,7 +1140,7 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
     }
 
     fn me(&self) -> ActorId {
-        self.group.base + self.me
+        self.me
     }
 
     fn send(&mut self, to: ActorId, msg: M) {
@@ -1189,14 +1157,13 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
         if cost > 0 {
             self.group.charge_deficit(cost);
         }
-        // Actors address only their own block; an id outside it is a
-        // protocol bug, dropped and counted rather than delivered to some
-        // other query.
-        let Some(to) = self.group.local(to) else {
+        // Actors address only their own group; an id beyond it is a
+        // protocol bug, dropped and counted rather than delivered anywhere.
+        if to as usize >= self.group.slots.len() {
             self.shared.misrouted.fetch_add(1, Ordering::Relaxed);
             return;
-        };
-        let from = self.me();
+        }
+        let from = self.me;
         self.buffer(to, Env::Msg { from, msg });
     }
 
@@ -1238,7 +1205,7 @@ mod tests {
         }
     }
 
-    /// Relays a counter around a ring of `n` actors starting at `base`.
+    /// Relays a counter around a ring of `n` actors.
     struct RingNode {
         next: ActorId,
         limit: u64,
@@ -1259,11 +1226,11 @@ mod tests {
         }
     }
 
-    fn ring(base: ActorId, n: u32, limit: u64) -> Vec<Box<dyn Actor<Count>>> {
+    fn ring(n: u32, limit: u64) -> Vec<Box<dyn Actor<Count>>> {
         (0..n)
             .map(|i| {
                 Box::new(RingNode {
-                    next: base + (i + 1) % n,
+                    next: (i + 1) % n,
                     limit,
                     initiator: i == 0,
                 }) as Box<dyn Actor<Count>>
@@ -1290,7 +1257,7 @@ mod tests {
             ..ExecutorConfig::default()
         };
         let pool: Executor<Count> = Executor::start(&cfg, &MetricsRegistry::disabled());
-        let b = pool.admit_with(4, cfg.mailbox_capacity, |base| ring(base, 4, 300));
+        let b = pool.admit_with(4, cfg.mailbox_capacity, |_| ring(4, 300));
         let a = pool.admit_with(1, cfg.mailbox_capacity, |_| vec![Box::new(StopOnStart)]);
         let a_out = pool.wait(&a);
         let b_out = pool.wait(&b);
@@ -1309,7 +1276,7 @@ mod tests {
         let a = pool.admit_with(1, 1024, |_| vec![Box::new(StopOnStart)]);
         pool.wait(&a);
         // Admitted after group A fully quiesced: must be unaffected.
-        let b = pool.admit_with(3, 1024, |base| ring(base, 3, 50));
+        let b = pool.admit_with(3, 1024, |_| ring(3, 50));
         let b_out = pool.wait(&b);
         assert_eq!(b_out.net_messages, 50);
         pool.shutdown();
@@ -1359,8 +1326,8 @@ mod tests {
         }
         let pool: Executor<Count> =
             Executor::start(&ExecutorConfig::default(), &MetricsRegistry::disabled());
-        let a = pool.admit_with(2, 1024, |base| ring(base, 2, 40));
-        let b = pool.admit_with(2, 1024, |base| ring(base, 2, 70));
+        let a = pool.admit_with(2, 1024, |_| ring(2, 40));
+        let b = pool.admit_with(2, 1024, |_| ring(2, 70));
         let (a_out, b_out) = (pool.wait(&a), pool.wait(&b));
         assert_eq!(a_out.net_messages, 40);
         assert_eq!(b_out.net_messages, 70);
@@ -1368,9 +1335,9 @@ mod tests {
         // A group that never stops by itself: its start task still runs
         // before the cancel's sentinel, so its ledger holds every send of
         // `on_start`, its self-send included.
-        let c = pool.admit_with(2, 1024, |base| {
+        let c = pool.admit_with(2, 1024, |_| {
             vec![
-                Box::new(Lingerer { peer: base + 1 }) as Box<dyn Actor<Count>>,
+                Box::new(Lingerer { peer: 1 }) as Box<dyn Actor<Count>>,
                 Box::new(Mute),
             ]
         });
@@ -1465,8 +1432,8 @@ mod tests {
                 rival_at_stop: Arc::clone(&a_at_stop),
             }) as Box<dyn Actor<Sized>>]
         };
-        let ga = pool.admit_weighted(1, 16, a.0, |_| spinner(a.1, u64::MAX, &a_done, &b_done));
-        let gb = pool.admit_weighted(1, 16, b.0, |_| spinner(b.1, b_limit, &b_done, &a_done));
+        let ga = pool.admit_weighted(spinner(a.1, u64::MAX, &a_done, &b_done), 16, a.0);
+        let gb = pool.admit_weighted(spinner(b.1, b_limit, &b_done, &a_done), 16, b.0);
         release.send(()).expect("the gate is waiting");
         pool.wait(&gb);
         for group in [&ga, &held] {
@@ -1516,15 +1483,14 @@ mod tests {
         let (pool, registry) = one_worker();
         let done = Arc::new(AtomicU64::new(0));
         let unused = Arc::new(AtomicU64::new(0));
-        let group = pool.admit_weighted(1, 16, 1, |_| {
-            vec![Box::new(Spinner {
-                bytes: 8 * 1024,
-                limit: 20 * GROUP_QUANTUM as u64,
-                done: Arc::clone(&done),
-                rival: Arc::clone(&unused),
-                rival_at_stop: Arc::clone(&unused),
-            }) as Box<dyn Actor<Sized>>]
-        });
+        let spinner = Spinner {
+            bytes: 8 * 1024,
+            limit: 20 * GROUP_QUANTUM as u64,
+            done: Arc::clone(&done),
+            rival: Arc::clone(&unused),
+            rival_at_stop: Arc::clone(&unused),
+        };
+        let group = pool.admit_weighted(vec![Box::new(spinner)], 16, 1);
         pool.wait(&group);
         pool.shutdown();
         assert_eq!(done.load(Ordering::Relaxed), 20 * GROUP_QUANTUM as u64);

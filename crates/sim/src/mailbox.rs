@@ -40,9 +40,6 @@ const BACKPRESSURE_ROUNDS: u32 = 4;
 /// What one batch push observed (feeds the executor counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PushReport {
-    /// The queue was empty before this push (the consumer may need a
-    /// wakeup / scheduling).
-    pub was_empty: bool,
     /// Times the producer parked on the not-full condvar.
     pub parks: u64,
     /// Items enqueued past the capacity bound (liveness escape).
@@ -126,7 +123,6 @@ impl<T> Mailbox<T> {
         if inner.closed {
             return report;
         }
-        report.was_empty = inner.ring.is_empty();
         if inner.ring.len() + items.len() > self.capacity && !no_wait() {
             let mut rounds = 0u32;
             while inner.ring.len() + items.len() > self.capacity && rounds < BACKPRESSURE_ROUNDS {
@@ -145,8 +141,6 @@ impl<T> Mailbox<T> {
                     rounds += 1;
                 }
             }
-            // The consumer may have fully drained us while we parked.
-            report.was_empty = inner.ring.is_empty();
         }
         report.overflows = (inner.ring.len() + items.len())
             .saturating_sub(self.capacity.max(inner.ring.len())) as u64;
@@ -221,11 +215,10 @@ mod tests {
         let mb = Mailbox::new(16);
         let mut batch: Vec<u32> = (0..10).collect();
         let report = mb.push_batch(&mut batch, false);
-        assert!(report.was_empty);
         assert_eq!(report.depth, 10, "depth is the post-push queue length");
         assert!(batch.is_empty(), "push drains the input batch");
         let mut more: Vec<u32> = (10..14).collect();
-        assert!(!mb.push_batch(&mut more, false).was_empty);
+        assert_eq!(mb.push_batch(&mut more, false).depth, 14);
         let mut out = Vec::new();
         assert_eq!(mb.pop_batch(&mut out, 8), 8);
         assert_eq!(mb.pop_batch(&mut out, 100), 6);

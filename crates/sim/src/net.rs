@@ -72,7 +72,6 @@ pub struct Network {
     ingress_free: Vec<SimTime>,
     /// Total bytes accepted for transfer (incl. overhead), for reporting.
     bytes_sent: u64,
-    messages_sent: u64,
 }
 
 impl Network {
@@ -84,7 +83,6 @@ impl Network {
             egress_free: vec![SimTime::ZERO; nodes],
             ingress_free: vec![SimTime::ZERO; nodes],
             bytes_sent: 0,
-            messages_sent: 0,
         }
     }
 
@@ -109,7 +107,6 @@ impl Network {
     /// A self-send bypasses the NICs entirely (local hand-off).
     pub fn transfer(&mut self, from: ActorId, to: ActorId, bytes: u64, now: SimTime) -> SimTime {
         self.ensure_node(from.max(to));
-        self.messages_sent += 1;
         if from == to {
             return now;
         }
@@ -132,12 +129,6 @@ impl Network {
     #[must_use]
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
-    }
-
-    /// Total messages transferred (incl. self-sends).
-    #[must_use]
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
     }
 }
 
@@ -233,7 +224,6 @@ mod tests {
         let mut n = net();
         let _ = n.transfer(0, 1, 1000, SimTime::ZERO);
         let _ = n.transfer(1, 0, 500, SimTime::ZERO);
-        assert_eq!(n.messages_sent(), 2);
         assert_eq!(
             n.bytes_sent(),
             1500 + 2 * n.config().per_message_overhead_bytes

@@ -106,11 +106,11 @@ fn small_groups_stay_on_their_home_worker() {
         .map(|_| {
             let seen = Arc::new(Mutex::new(HashSet::new()));
             let hops = Arc::new(AtomicU64::new(0));
-            let admission = pool.admit_with(3, cfg.mailbox_capacity, |base| {
+            let admission = pool.admit_with(3, cfg.mailbox_capacity, |_| {
                 (0..3)
                     .map(|i| {
                         Box::new(TrackedRingNode {
-                            next: base + (i + 1) % 3,
+                            next: (i + 1) % 3,
                             initiator: i == 0,
                             seen: Arc::clone(&seen),
                             hops: Arc::clone(&hops),
@@ -231,8 +231,8 @@ fn a_lone_group_still_spreads_over_every_worker() {
     }
 }
 
-/// Relays a counter around a ring of `n` actors starting at `base`; the
-/// hop that reaches `limit` stops the group.
+/// Relays a counter around a ring of `n` actors; the hop that reaches
+/// `limit` stops the group.
 struct RingNode {
     next: ActorId,
     limit: u64,
@@ -265,11 +265,11 @@ fn an_idle_worker_takes_over_a_stalled_homes_group() {
     // the other's.
     let rings: Vec<_> = (0..2)
         .map(|_| {
-            pool.admit_with(3, cfg.mailbox_capacity, |base| {
+            pool.admit_with(3, cfg.mailbox_capacity, |_| {
                 (0..3)
                     .map(|i| {
                         Box::new(RingNode {
-                            next: base + (i + 1) % 3,
+                            next: (i + 1) % 3,
                             limit: 100,
                             initiator: i == 0,
                         }) as Box<dyn Actor<Count>>

@@ -142,7 +142,7 @@ fn engine_runs_deterministically() {
             }
             engine.inject(SimTime::ZERO, 0, 0, Hop(path.clone()));
             let summary = engine.run().expect("no livelock");
-            (summary.end_time, summary.events, summary.net_bytes)
+            (engine.end_time(), summary.events, summary.net_bytes)
         };
         assert_eq!(run(), run());
     }

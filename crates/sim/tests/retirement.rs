@@ -1,12 +1,13 @@
 //! Late traffic to a retired group on a long-lived [`Executor`] pool: a
-//! send toward a dead peer, a cancel after completion and a send outside
-//! the sender's block are all dropped — no panic, no delivery to any other
-//! group, later groups' counts exact.
+//! send toward a dead peer, a cancel after completion and a send to an id
+//! beyond the sender's group are all dropped — no panic, no delivery to any
+//! other group, later groups' counts exact. Ids are the query's own, on both
+//! backends: every group numbers its actors from 0.
 
 use ehj_metrics::MetricsRegistry;
 use ehj_sim::{Actor, ActorId, Context, Executor, ExecutorConfig, Message};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 struct Count(u64);
@@ -24,8 +25,8 @@ fn pool() -> Executor<Count> {
     Executor::start(&cfg, &MetricsRegistry::disabled())
 }
 
-/// Relays a counter around a ring of `n` actors starting at `base`; the
-/// hop that reaches `limit` stops the group.
+/// Relays a counter around a ring of actors; the hop that reaches `limit`
+/// stops the group.
 struct RingNode {
     next: ActorId,
     limit: u64,
@@ -52,11 +53,11 @@ impl Actor<Count> for RingNode {
 /// exactly its own traffic.
 fn assert_ring_exact(pool: &Executor<Count>, limit: u64) {
     let received = Arc::new(AtomicU64::new(0));
-    let adm = pool.admit_with(3, 1024, |base| {
+    let adm = pool.admit_with(3, 1024, |_| {
         (0..3)
             .map(|i| {
                 Box::new(RingNode {
-                    next: base + (i + 1) % 3,
+                    next: (i + 1) % 3,
                     limit,
                     initiator: i == 0,
                     received: Arc::clone(&received),
@@ -132,11 +133,11 @@ fn a_send_toward_a_dead_peer_is_dropped() {
 fn cancel_after_completion_is_a_no_op() {
     let pool = pool();
     let received = Arc::new(AtomicU64::new(0));
-    let adm = pool.admit_with(2, 1024, |base| {
+    let adm = pool.admit_with(2, 1024, |_| {
         (0..2)
             .map(|i| {
                 Box::new(RingNode {
-                    next: base + (i + 1) % 2,
+                    next: (i + 1) % 2,
                     limit: 10,
                     initiator: i == 0,
                     received: Arc::clone(&received),
@@ -155,13 +156,12 @@ fn cancel_after_completion_is_a_no_op() {
 
 #[test]
 fn a_send_outside_the_senders_block_is_counted_and_dropped() {
-    /// Sends one message to a foreign id, then stops its own group.
-    struct Trespasser {
-        foreign: ActorId,
-    }
+    /// Sends to the first id past its one-actor group and to the last id
+    /// there is, then stops its own group.
+    struct Trespasser;
     impl Actor<Count> for Trespasser {
         fn on_start(&mut self, ctx: &mut dyn Context<Count>) {
-            ctx.send(self.foreign, Count(1));
+            ctx.send(1, Count(1));
             ctx.send(ActorId::MAX, Count(2));
             ctx.stop();
         }
@@ -169,23 +169,82 @@ fn a_send_outside_the_senders_block_is_counted_and_dropped() {
     }
     let pool = pool();
     let (received, dropped) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-    // A live, idle neighbour group: the trespasser aims at its block.
-    let neighbour = pool.admit_with(1, 1024, |_| {
-        vec![Box::new(Sink {
-            received: Arc::clone(&received),
-            dropped: Arc::clone(&dropped),
-        })]
+    // A live, idle neighbour group that does hold an id 1 of its own.
+    let neighbour = pool.admit_with(2, 1024, |_| {
+        (0..2)
+            .map(|_| {
+                Box::new(Sink {
+                    received: Arc::clone(&received),
+                    dropped: Arc::clone(&dropped),
+                }) as Box<dyn Actor<Count>>
+            })
+            .collect()
     });
-    let adm = pool.admit_with(1, 1024, |_| {
-        vec![Box::new(Trespasser {
-            foreign: neighbour.base,
-        })]
-    });
+    let adm = pool.admit_with(1, 1024, |_| vec![Box::new(Trespasser)]);
     pool.wait(&adm);
     pool.cancel(&neighbour);
     pool.wait(&neighbour);
     assert_eq!(received.load(Ordering::SeqCst), 0, "never crosses groups");
-    assert_eq!(dropped.load(Ordering::SeqCst), 1);
+    assert_eq!(dropped.load(Ordering::SeqCst), 2);
     let summary = pool.shutdown();
     assert_eq!(summary.exec.misrouted, 2);
+}
+
+#[test]
+fn every_group_numbers_its_actors_from_0() {
+    /// Adds its own id to `ids` at start; the `sender` then sends to id 0,
+    /// which records `(from, me)` and stops the group.
+    struct Member {
+        sender: bool,
+        ids: Arc<AtomicU64>,
+        seen: Arc<Mutex<Vec<(ActorId, ActorId)>>>,
+    }
+    impl Actor<Count> for Member {
+        fn on_start(&mut self, ctx: &mut dyn Context<Count>) {
+            self.ids.fetch_add(u64::from(ctx.me()), Ordering::SeqCst);
+            if self.sender {
+                ctx.send(0, Count(1));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut dyn Context<Count>, from: ActorId, _m: Count) {
+            self.seen.lock().expect("record").push((from, ctx.me()));
+            ctx.stop();
+        }
+    }
+    let pool = pool();
+    let (received, dropped) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    // Admitted first and left live: the next group must not start where
+    // this one ends.
+    let neighbour = pool.admit_with(3, 1024, |_| {
+        (0..3)
+            .map(|_| {
+                Box::new(Sink {
+                    received: Arc::clone(&received),
+                    dropped: Arc::clone(&dropped),
+                }) as Box<dyn Actor<Count>>
+            })
+            .collect()
+    });
+    let ids = Arc::new(AtomicU64::new(0));
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let adm = pool.admit_with(2, 1024, |_| {
+        (0..2)
+            .map(|i| {
+                Box::new(Member {
+                    sender: i == 1,
+                    ids: Arc::clone(&ids),
+                    seen: Arc::clone(&seen),
+                }) as Box<dyn Actor<Count>>
+            })
+            .collect()
+    });
+    // Bounded: were the send misrouted, the group would never stop.
+    let out = pool.wait_timeout(&adm, Duration::from_secs(10));
+    assert!(out.is_some(), "the group stops itself");
+    assert_eq!(ids.load(Ordering::SeqCst), 1, "ids 0 and 1");
+    assert_eq!(*seen.lock().expect("record"), vec![(1, 0)]);
+    pool.cancel(&neighbour);
+    pool.wait(&neighbour);
+    assert_eq!(received.load(Ordering::SeqCst), 0, "never crosses groups");
+    assert_eq!(pool.shutdown().exec.misrouted, 0);
 }
