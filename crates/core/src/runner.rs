@@ -22,10 +22,7 @@ use ehj_metrics::{
     sample_once, ClockKind, JsonlSink, MetricsMonitor, MetricsRegistry, MetricsReport, Phase,
     RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel, TraceSink, Tracer,
 };
-use ehj_sim::{
-    Actor, Admission, Engine, EngineConfig, EngineError, Executor, ExecutorConfig, GroupOutcome,
-    SimTime, StopReason,
-};
+use ehj_sim::{Actor, Admission, Engine, EngineConfig, Executor, ExecutorConfig, SimTime};
 use ehj_storage::{FileBackend, MemBackend, SpillBackend};
 use std::io::Write;
 use std::path::PathBuf;
@@ -65,22 +62,19 @@ impl Backend {
     }
 }
 
-/// Errors surfaced by [`JoinRunner`]. The engine and stall variants carry
-/// the tail of the structured trace so a failed run is diagnosable.
+/// Errors surfaced by [`JoinRunner`]. Every variant but `Config` and
+/// `Admission` carries the tail of the structured trace so a failed run is
+/// diagnosable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JoinError {
     /// The configuration failed validation.
     Config(String),
-    /// The simulation engine aborted (event-budget livelock guard).
-    Engine {
-        /// The underlying engine error.
-        source: EngineError,
-        /// Last trace events before the abort (empty when tracing is off).
-        trace: Vec<TraceEvent>,
-    },
-    /// The run ended without producing a report — a protocol stall (or an
-    /// exceeded virtual-time budget).
+    /// The run ended without producing a report: its actors went quiet
+    /// ([`StopCause::Quiescent`]), or it ran out of its time or event
+    /// budget ([`StopCause::TimeLimit`], [`StopCause::EventLimit`]).
     Stalled {
+        /// How the run ended.
+        cause: StopCause,
         /// Last trace events before the stall (empty when tracing is off).
         trace: Vec<TraceEvent>,
     },
@@ -111,17 +105,16 @@ impl JoinError {
     pub fn trace_tail(&self) -> &[TraceEvent] {
         match self {
             Self::Config(_) | Self::Admission(_) => &[],
-            Self::Engine { trace, .. }
-            | Self::Stalled { trace }
+            Self::Stalled { trace, .. }
             | Self::Protocol { trace, .. }
             | Self::Cancelled { trace } => trace,
         }
     }
 
     /// Builds the no-report error: a [`JoinError::Protocol`] when the tail
-    /// records a rejected control message, a [`JoinError::Stalled`]
-    /// otherwise.
-    pub(crate) fn from_silent_end(trace: Vec<TraceEvent>) -> Self {
+    /// records a rejected control message, a [`JoinError::Stalled`] with
+    /// `cause` otherwise.
+    pub(crate) fn from_silent_end(cause: StopCause, trace: Vec<TraceEvent>) -> Self {
         let detail = trace
             .iter()
             .rev()
@@ -129,7 +122,7 @@ impl JoinError {
             .map(|ev| ev.kind.describe());
         match detail {
             Some(detail) => Self::Protocol { detail, trace },
-            None => Self::Stalled { trace },
+            None => Self::Stalled { cause, trace },
         }
     }
 
@@ -157,12 +150,12 @@ impl std::fmt::Display for JoinError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Config(e) => write!(f, "invalid configuration: {e}"),
-            Self::Engine { source, trace } => {
-                write!(f, "engine error: {source}")?;
-                Self::fmt_tail(trace, f)
-            }
-            Self::Stalled { trace } => {
-                write!(f, "join protocol stalled without a report")?;
+            Self::Stalled { cause, trace } => {
+                write!(
+                    f,
+                    "join protocol stalled without a report ({})",
+                    cause.name()
+                )?;
                 Self::fmt_tail(trace, f)
             }
             Self::Protocol { detail, trace } => {
@@ -203,8 +196,8 @@ pub struct RunOptions {
     /// Optional time budget on the run's own clock — virtual time on the
     /// simulated backend, wall time since admission on the threaded one. A
     /// run that exceeds it is stopped (cancelled and reaped, on the pool)
-    /// and surfaces as a stall diagnostic ([`JoinError::Stalled`]). `None`
-    /// waits without bound.
+    /// and surfaces as a stall diagnostic ([`JoinError::Stalled`] with
+    /// [`StopCause::TimeLimit`]). `None` waits without bound.
     pub max_sim_time: Option<SimTime>,
 }
 
@@ -330,18 +323,16 @@ impl TraceHarness {
 
 /// What an empty result slot means once a query's actors are gone.
 pub(crate) enum SilentEnd {
-    /// The query's actors went quiet, or ran out of its time budget
-    /// ([`StopCause::TimeLimit`]), without the scheduler reporting.
+    /// The query's actors went quiet, or ran out of its time or event
+    /// budget, without the scheduler reporting.
     Stalled(StopCause),
     /// The caller cancelled the query.
     Cancelled,
-    /// The simulation engine aborted.
-    Engine(EngineError),
 }
 
 /// How one query's actor set ended, as its backend measured it on the
 /// query's own clock: the simulator's run summary or the pool's per-group
-/// ledger.
+/// ledger (every send charged its wire bytes, a self-send too).
 pub(crate) struct RunEnd {
     /// When the query's last handler finished.
     pub(crate) at_nanos: u64,
@@ -356,26 +347,6 @@ pub(crate) struct RunEnd {
     /// sample's sequence number.
     pub(crate) samples: u64,
     pub(crate) silent: SilentEnd,
-}
-
-impl RunEnd {
-    /// The end of a pool group (every send charged its wire bytes, a
-    /// self-send too).
-    pub(crate) fn of_group(outcome: &GroupOutcome, cancelled: bool) -> Self {
-        Self {
-            at_nanos: u64::try_from(outcome.elapsed.as_nanos()).unwrap_or(u64::MAX),
-            wall: true,
-            events: 0,
-            net_bytes: outcome.net_bytes,
-            disk_bytes: 0,
-            samples: 0,
-            silent: if cancelled {
-                SilentEnd::Cancelled
-            } else {
-                SilentEnd::Stalled(StopCause::Quiescent)
-            },
-        }
-    }
 }
 
 /// One query's run state, whichever way it runs: the slot its scheduler
@@ -446,31 +417,52 @@ impl QueryRun {
         executor.admit_weighted(self.actors::<FileBackend>(cfg), capacity, cfg.tenant_weight)
     }
 
-    /// Waits for the query's group to retire. A group still live after
-    /// `budget` is cancelled and then reaped, so a wedged protocol ends as a
-    /// stall diagnostic instead of a hang; `None` waits without bound.
+    /// Waits for the query's group to retire and says how it ended:
+    /// cancelled by the caller (`cancelled`), out of its time budget, or
+    /// quiet. A group still live after `budget` is cancelled and then
+    /// reaped, so a wedged protocol ends as a [`StopCause::TimeLimit`]
+    /// stall instead of a hang; `None` waits without bound.
     ///
     /// # Errors
-    /// [`JoinError::Stalled`] when even the cancelled group would not
-    /// retire within another `budget`.
+    /// [`JoinError::Stalled`] with [`StopCause::TimeLimit`] when even the
+    /// cancelled group would not retire within another `budget`.
     pub(crate) fn reap(
         &self,
         executor: &Executor<Msg>,
         admission: &Admission<Msg>,
         budget: Option<Duration>,
-    ) -> Result<GroupOutcome, JoinError> {
-        let Some(budget) = budget else {
-            return Ok(executor.wait(admission));
+        cancelled: bool,
+    ) -> Result<RunEnd, JoinError> {
+        let mut cause = StopCause::Quiescent;
+        let outcome = match budget {
+            None => executor.wait(admission),
+            Some(budget) => match executor.wait_timeout(admission, budget) {
+                Some(outcome) => outcome,
+                None => {
+                    executor.cancel(admission);
+                    cause = StopCause::TimeLimit;
+                    executor
+                        .wait_timeout(admission, budget)
+                        .ok_or_else(|| JoinError::Stalled {
+                            cause,
+                            trace: self.harness.tail(),
+                        })?
+                }
+            },
         };
-        if let Some(outcome) = executor.wait_timeout(admission, budget) {
-            return Ok(outcome);
-        }
-        executor.cancel(admission);
-        executor
-            .wait_timeout(admission, budget)
-            .ok_or_else(|| JoinError::Stalled {
-                trace: self.harness.tail(),
-            })
+        Ok(RunEnd {
+            at_nanos: u64::try_from(outcome.elapsed.as_nanos()).unwrap_or(u64::MAX),
+            wall: true,
+            events: 0,
+            net_bytes: outcome.net_bytes,
+            disk_bytes: 0,
+            samples: 0,
+            silent: if cancelled {
+                SilentEnd::Cancelled
+            } else {
+                SilentEnd::Stalled(cause)
+            },
+        })
     }
 
     /// Ends the query: takes the report its scheduler left — or says why
@@ -480,17 +472,15 @@ impl QueryRun {
     pub(crate) fn finish(&self, end: RunEnd) -> Result<JoinReport, JoinError> {
         let report = self.result.lock().expect("report lock").take();
         let Some(mut report) = report else {
-            let cause = match &end.silent {
-                SilentEnd::Stalled(cause) => *cause,
+            let cause = match end.silent {
+                SilentEnd::Stalled(cause) => cause,
                 SilentEnd::Cancelled => StopCause::Quiescent,
-                SilentEnd::Engine(_) => StopCause::EventLimit,
             };
             self.harness.finish(end.at_nanos, cause, None);
             let trace = self.harness.tail();
             return Err(match end.silent {
-                SilentEnd::Stalled(_) => JoinError::from_silent_end(trace),
+                SilentEnd::Stalled(cause) => JoinError::from_silent_end(cause, trace),
                 SilentEnd::Cancelled => JoinError::Cancelled { trace },
-                SilentEnd::Engine(source) => JoinError::Engine { source, trace },
             });
         };
         if end.wall {
@@ -543,35 +533,28 @@ impl JoinRunner {
     fn run_simulated(cfg: &JoinConfig, opts: &RunOptions) -> Result<JoinReport, JoinError> {
         cfg.validate().map_err(JoinError::Config)?;
         let query = QueryRun::new(opts)?;
-        let mut engine: Engine<Msg> = Engine::new(EngineConfig {
+        let config = EngineConfig {
             net: cfg.net,
             disk: cfg.disk,
             max_time: opts.max_sim_time,
             ..EngineConfig::default()
-        });
-        for actor in query.actors::<MemBackend>(&Arc::new(cfg.clone())) {
-            engine.add_actor(actor);
-        }
+        };
+        let mut engine = Engine::new(config, query.actors::<MemBackend>(&Arc::new(cfg.clone())));
         let run = engine.run();
-        let summary = run.as_ref().ok();
         query.finish(RunEnd {
-            // The engine's clock, not the summary's: an aborted run has no
-            // summary, and its stop is stamped when its last handler ended.
             at_nanos: engine.end_time().as_nanos(),
             wall: false,
-            events: summary.map_or(0, |s| s.events),
-            net_bytes: summary.map_or(0, |s| s.net_bytes),
-            disk_bytes: summary.map_or(0, |s| s.disk_bytes),
+            events: run.events,
+            net_bytes: run.net_bytes,
+            disk_bytes: run.disk_bytes,
             samples: 0,
             // Only a query that never reported reads this: the scheduler
-            // stops the engine the moment it reports.
-            silent: match run {
-                Err(source) => SilentEnd::Engine(source),
-                Ok(s) if s.reason == StopReason::TimeLimit => {
-                    SilentEnd::Stalled(StopCause::TimeLimit)
-                }
-                Ok(_) => SilentEnd::Stalled(StopCause::Quiescent),
-            },
+            // stops the engine the moment it reports, so a stop without a
+            // report is its protocol-fault stop, classified from the tail.
+            silent: SilentEnd::Stalled(match run.cause {
+                StopCause::Completed => StopCause::Quiescent,
+                cause => cause,
+            }),
         })
     }
 
@@ -594,13 +577,10 @@ impl JoinRunner {
         let budget = opts
             .max_sim_time
             .map(|t| Duration::from_nanos(t.as_nanos()));
-        let outcome = query.reap(&executor, &admission, budget);
+        let end = query.reap(&executor, &admission, budget, false);
         let samples = monitor.stop();
         let exec = executor.shutdown().exec;
-        let end = RunEnd {
-            samples,
-            ..RunEnd::of_group(&outcome?, false)
-        };
+        let end = RunEnd { samples, ..end? };
         tracer.emit(
             end.at_nanos,
             0,
@@ -635,7 +615,6 @@ mod tests {
             Err(JoinError::Protocol { .. }) => "protocol",
             Err(JoinError::Cancelled { .. }) => "cancelled",
             Err(JoinError::Stalled { .. }) => "stalled",
-            Err(JoinError::Engine { .. }) => "engine",
             Err(JoinError::Config(_) | JoinError::Admission(_)) => "other",
         }
     }
@@ -679,8 +658,8 @@ mod tests {
                 false,
                 false,
                 false,
-                SilentEnd::Engine(EngineError::EventLimitExceeded { limit: 7 }),
-                "engine",
+                SilentEnd::Stalled(StopCause::EventLimit),
+                "stalled",
             ),
         ];
         let template = JoinRunner::run(&JoinConfig::paper_scaled(Algorithm::Hybrid, 2000))

@@ -27,7 +27,7 @@
 
 use crate::config::JoinConfig;
 use crate::report::JoinReport;
-use crate::runner::{Backend, JoinError, QueryRun, RunEnd, RunOptions};
+use crate::runner::{Backend, JoinError, QueryRun, RunOptions};
 use ehj_cluster::QuotaLedger;
 use ehj_metrics::{MetricsRegistry, TraceLevel};
 use ehj_sim::{Admission, Executor, ExecutorConfig};
@@ -178,16 +178,17 @@ impl JoinService {
     /// # Errors
     /// [`JoinError::Cancelled`] for a cancelled query,
     /// [`JoinError::Stalled`] / [`JoinError::Protocol`] when the query
-    /// quiesced without a report (the deadline cancels it first).
+    /// quiesced without a report; a query past the deadline is cancelled
+    /// and ends `Stalled` with [`ehj_metrics::StopCause::TimeLimit`].
     pub fn wait(&self, handle: QueryHandle) -> Result<JoinReport, JoinError> {
-        let deadline = Some(self.cfg.query_deadline);
-        let outcome = handle
-            .run
-            .reap(&self.executor, &handle.admission, deadline)?;
-        // Wall total and traffic come from the group's own ledger (wire
-        // bytes charged per send, self-sends included); the pool keeps no
-        // traffic total.
-        let end = RunEnd::of_group(&outcome, handle.cancelled.load(Ordering::Relaxed));
+        // Wall total and traffic come from the group's own ledger; the pool
+        // keeps no traffic total.
+        let end = handle.run.reap(
+            &self.executor,
+            &handle.admission,
+            Some(self.cfg.query_deadline),
+            handle.cancelled.load(Ordering::Relaxed),
+        )?;
         handle.run.finish(end)
     }
 

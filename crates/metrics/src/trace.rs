@@ -134,14 +134,18 @@ impl ClockKind {
     }
 }
 
-/// Why the engine stopped, as recorded on the trace.
+/// How a run ended, on either backend: the simulator's run summary, a
+/// stalled join's error and the trace's `engine_stop` event all say it
+/// with this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopCause {
-    /// The scheduler collected all reports and stopped the run.
+    /// An actor stopped the run: in a join, the scheduler once it has every
+    /// report.
     Completed,
-    /// The event queue drained without a stop — a protocol stall.
+    /// The actors went quiet without a stop — a protocol stall.
     Quiescent,
-    /// The virtual-time budget was exhausted.
+    /// The time budget was exhausted: virtual time on the simulator, wall
+    /// time on the pool.
     TimeLimit,
     /// The event budget was exhausted (livelock guard).
     EventLimit,

@@ -51,7 +51,8 @@ pub trait Context<M: Message> {
     /// far) and charges no network bytes. It is how an actor drives a loop
     /// of its own, like a data source's generation steps. No method takes
     /// a delay, so an actor with nothing in flight stays quiet until
-    /// another actor sends to it.
+    /// another actor sends to it. A send to an id the query does not hold
+    /// is a protocol bug: both backends count it as misrouted and drop it.
     fn send(&mut self, to: ActorId, msg: M);
 
     /// Charges `amount` of CPU time to this actor. Under simulation this

@@ -71,7 +71,7 @@ pub struct DiskState {
 }
 
 impl DiskState {
-    /// Creates state for `nodes` actors.
+    /// Creates state for `nodes` actors, ids `0..nodes`.
     #[must_use]
     pub fn new(config: DiskConfig, nodes: usize) -> Self {
         Self {
@@ -88,18 +88,8 @@ impl DiskState {
         &self.config
     }
 
-    fn ensure(&mut self, id: ActorId) {
-        let need = id as usize + 1;
-        if self.free_at.len() < need {
-            self.free_at.resize(need, SimTime::ZERO);
-            self.bytes_read.resize(need, 0);
-            self.bytes_written.resize(need, 0);
-        }
-    }
-
     /// Blocking read issued by `node` at `now`; returns completion time.
     pub fn read(&mut self, node: ActorId, bytes: u64, now: SimTime) -> SimTime {
-        self.ensure(node);
         self.bytes_read[node as usize] += bytes;
         let start = now.max(self.free_at[node as usize]);
         let done = start + self.config.read_time(bytes);
@@ -109,7 +99,6 @@ impl DiskState {
 
     /// Blocking write issued by `node` at `now`; returns completion time.
     pub fn write(&mut self, node: ActorId, bytes: u64, now: SimTime) -> SimTime {
-        self.ensure(node);
         self.bytes_written[node as usize] += bytes;
         let start = now.max(self.free_at[node as usize]);
         let done = start + self.config.write_time(bytes);
@@ -119,7 +108,6 @@ impl DiskState {
 
     /// Blocking buffered append: transfer time only, no positioning delay.
     pub fn append(&mut self, node: ActorId, bytes: u64, now: SimTime) -> SimTime {
-        self.ensure(node);
         self.bytes_written[node as usize] += bytes;
         let start = now.max(self.free_at[node as usize]);
         let done = start + DiskConfig::transfer(bytes, self.config.write_bytes_per_sec);
@@ -182,10 +170,10 @@ mod tests {
 
     #[test]
     fn accounting_accumulates() {
-        let mut d = DiskState::new(DiskConfig::infinite(), 1);
+        let mut d = DiskState::new(DiskConfig::infinite(), 6);
         let _ = d.write(0, 100, SimTime::ZERO);
         let _ = d.read(0, 40, SimTime::ZERO);
-        let _ = d.read(5, 2, SimTime::ZERO); // auto-grown node
+        let _ = d.read(5, 2, SimTime::ZERO);
         assert_eq!(d.bytes_written(0), 100);
         assert_eq!(d.bytes_read(0), 40);
         assert_eq!(d.bytes_read(5), 2);

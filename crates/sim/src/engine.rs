@@ -1,16 +1,26 @@
 //! Deterministic discrete-event engine.
 //!
-//! Events are processed in `(time, sequence)` order; the sequence number is
-//! assigned at insertion, so runs are bit-for-bit reproducible. Each actor
-//! has a CPU that processes one message at a time: a message arriving while
-//! the actor is busy waits until the CPU frees up, and CPU consumed inside a
-//! handler delays everything the handler does afterwards (sends depart at
-//! the actor's *local* clock).
+//! An engine is built from one query's actor list — actor `i` is id `i`,
+//! as in a pool group — and takes its input only from them: every event is
+//! a send made by an actor's `on_start` or message handler, pushed into
+//! the queue the moment it is made. Events are processed in `(time,
+//! sequence)` order; the sequence number is assigned at the send, so runs
+//! are bit-for-bit reproducible, and each (sender, receiver) channel's
+//! delivery times never decrease (a self-send arrives at the sender's
+//! monotone local clock, any other send departs no earlier than the
+//! sender's egress frees and lands no earlier than the receiver's ingress
+//! frees). Each actor has a CPU that processes one message at a time: a
+//! message arriving while the actor is busy waits until the CPU frees up,
+//! and CPU consumed inside a handler delays everything the handler does
+//! afterwards (sends depart at the actor's *local* clock). A send to an id
+//! past the actor list is counted in [`RunSummary::misrouted`] and dropped,
+//! as the pool counts it in `ExecutorStats::misrouted`.
 
 use crate::actor::{Actor, ActorId, Context, Message};
 use crate::disk::{DiskConfig, DiskState};
 use crate::net::{NetConfig, Network};
 use crate::time::SimTime;
+use ehj_metrics::StopCause;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -21,7 +31,8 @@ pub struct EngineConfig {
     pub net: NetConfig,
     /// Disk model parameters.
     pub disk: DiskConfig,
-    /// Safety valve: abort if more than this many events are processed.
+    /// Safety valve: the run ends as [`StopCause::EventLimit`] once this
+    /// many events have been processed and another is due.
     pub max_events: u64,
     /// Optional virtual-time limit: event processing stops once the next
     /// event lies beyond this point (remaining events are discarded).
@@ -39,20 +50,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Why a run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// The event queue drained: the system is quiescent.
-    Quiescent,
-    /// An actor called [`Context::stop`].
-    Stopped,
-    /// The configured virtual-time limit was reached.
-    TimeLimit,
-}
-
 /// Summary statistics of one simulation run. Its makespan is
 /// [`Engine::end_time`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSummary {
     /// Number of events processed.
     pub events: u64,
@@ -60,32 +60,15 @@ pub struct RunSummary {
     pub net_bytes: u64,
     /// Bytes moved through all simulated disks.
     pub disk_bytes: u64,
-    /// Why the run ended.
-    pub reason: StopReason,
+    /// Sends to an id past the engine's actors: dropped, and charged no
+    /// NIC time and no bytes.
+    pub misrouted: u64,
+    /// Why the run ended: [`StopCause::Completed`] when an actor called
+    /// [`Context::stop`], [`StopCause::Quiescent`] when the queue drained,
+    /// [`StopCause::TimeLimit`] at [`EngineConfig::max_time`] and
+    /// [`StopCause::EventLimit`] at [`EngineConfig::max_events`].
+    pub cause: StopCause,
 }
-
-/// Errors surfaced by [`Engine::run`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// The configured event budget was exhausted — almost always a protocol
-    /// livelock in the actors.
-    EventLimitExceeded {
-        /// The configured limit.
-        limit: u64,
-    },
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::EventLimitExceeded { limit } => {
-                write!(f, "event limit exceeded ({limit} events): likely livelock")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
 
 struct Event<M> {
     time: SimTime,
@@ -118,7 +101,7 @@ impl<M> Ord for Event<M> {
 
 /// The discrete-event simulation engine.
 pub struct Engine<M: Message> {
-    actors: Vec<Option<Box<dyn Actor<M>>>>,
+    actors: Vec<Box<dyn Actor<M>>>,
     queue: BinaryHeap<Event<M>>,
     net: Network,
     disk: DiskState,
@@ -126,150 +109,103 @@ pub struct Engine<M: Message> {
     /// Virtual time at which the last handler so far finished.
     end_time: SimTime,
     seq: u64,
+    misrouted: u64,
     max_events: u64,
     max_time: Option<SimTime>,
 }
 
 impl<M: Message> Engine<M> {
-    /// Creates an empty engine.
+    /// Creates an engine running `actors`: actor `i` is id `i`, and its
+    /// CPU, NICs and disk are sized here, once.
     #[must_use]
-    pub fn new(config: EngineConfig) -> Self {
+    pub fn new(config: EngineConfig, actors: Vec<Box<dyn Actor<M>>>) -> Self {
+        let count = actors.len();
         Self {
-            actors: Vec::new(),
+            actors,
             queue: BinaryHeap::new(),
-            net: Network::new(config.net, 0),
-            disk: DiskState::new(config.disk, 0),
-            cpu_free: Vec::new(),
+            net: Network::new(config.net, count),
+            disk: DiskState::new(config.disk, count),
+            cpu_free: vec![SimTime::ZERO; count],
             end_time: SimTime::ZERO,
             seq: 0,
+            misrouted: 0,
             max_events: config.max_events,
             max_time: config.max_time,
         }
     }
 
-    /// Registers an actor; ids are assigned densely in registration order.
-    pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
-        let id = self.actors.len() as ActorId;
-        self.actors.push(Some(actor));
-        self.cpu_free.push(SimTime::ZERO);
-        self.net.ensure_node(id);
-        id
-    }
-
     /// Virtual time at which the last handler so far finished: a finished
-    /// run's makespan, and how far a run got before [`Engine::run`]
-    /// returned an error.
+    /// run's makespan, and how far a run got before a limit stopped it.
     #[must_use]
     pub fn end_time(&self) -> SimTime {
         self.end_time
     }
 
-    /// Injects a bootstrap message delivered to `to` at `time` (bypasses the
-    /// network). Useful for tests; production drivers use
-    /// [`Actor::on_start`].
-    pub fn inject(&mut self, time: SimTime, to: ActorId, from: ActorId, msg: M) {
-        let seq = self.next_seq();
-        self.queue.push(Event {
-            time,
-            seq,
-            target: to,
-            from,
-            msg,
-        });
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
     /// Runs `on_start` for every actor (in id order), then processes events
-    /// until quiescence or an actor stops the engine.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::EventLimitExceeded`] if the configured event
-    /// budget runs out.
-    pub fn run(&mut self) -> Result<RunSummary, EngineError> {
+    /// until an actor stops the run, the queue drains or a limit is hit.
+    pub fn run(&mut self) -> RunSummary {
         // An actor that stops during its start hook ends the run before the
         // later actors start.
         for id in 0..self.actors.len() as ActorId {
             if self.dispatch(id, SimTime::ZERO, None) {
-                return Ok(self.summary(0, StopReason::Stopped));
+                return self.end(0, StopCause::Completed);
             }
         }
 
         let mut events: u64 = 0;
         while let Some(ev) = self.queue.pop() {
             if self.max_time.is_some_and(|limit| ev.time > limit) {
-                self.queue.clear();
-                return Ok(self.summary(events, StopReason::TimeLimit));
+                return self.end(events, StopCause::TimeLimit);
+            }
+            if events == self.max_events {
+                return self.end(events, StopCause::EventLimit);
             }
             events += 1;
-            if events > self.max_events {
-                return Err(EngineError::EventLimitExceeded {
-                    limit: self.max_events,
-                });
-            }
             let start = ev.time.max(self.cpu_free[ev.target as usize]);
             if self.dispatch(ev.target, start, Some((ev.from, ev.msg))) {
-                self.queue.clear();
-                return Ok(self.summary(events, StopReason::Stopped));
+                return self.end(events, StopCause::Completed);
             }
         }
-        Ok(self.summary(events, StopReason::Quiescent))
+        self.end(events, StopCause::Quiescent)
     }
 
     /// Runs one handler of actor `id` on its CPU from `start` — its start
-    /// hook, or `on_message` for a `(from, msg)` delivery — commits its
-    /// sends, and returns whether it stopped the engine.
+    /// hook, or `on_message` for a `(from, msg)` delivery — and returns
+    /// whether it stopped the engine. Its sends go into the queue as it
+    /// makes them.
     fn dispatch(&mut self, id: ActorId, start: SimTime, delivery: Option<(ActorId, M)>) -> bool {
         let idx = id as usize;
-        let mut actor = self.actors[idx].take().expect("actor present");
         let mut ctx = EngineCtx {
             me: id,
             local: start,
+            actors: self.actors.len(),
             net: &mut self.net,
             disk: &mut self.disk,
-            staged: Vec::new(),
+            queue: &mut self.queue,
+            seq: &mut self.seq,
+            misrouted: &mut self.misrouted,
             stopped: false,
         };
+        let actor = &mut self.actors[idx];
         match delivery {
             None => actor.on_start(&mut ctx),
             Some((from, msg)) => actor.on_message(&mut ctx, from, msg),
         }
-        let EngineCtx {
-            local,
-            staged,
-            stopped,
-            ..
-        } = ctx;
-        self.commit(staged);
+        let EngineCtx { local, stopped, .. } = ctx;
         self.cpu_free[idx] = local;
         self.end_time = self.end_time.max(local);
-        self.actors[idx] = Some(actor);
         stopped
     }
 
-    fn commit(&mut self, staged: Vec<(SimTime, ActorId, ActorId, M)>) {
-        for (time, target, from, msg) in staged {
-            let seq = self.next_seq();
-            self.queue.push(Event {
-                time,
-                seq,
-                target,
-                from,
-                msg,
-            });
-        }
-    }
-
-    fn summary(&self, events: u64, reason: StopReason) -> RunSummary {
+    /// Discards what is still queued and summarises the run.
+    fn end(&mut self, events: u64, cause: StopCause) -> RunSummary {
+        self.queue.clear();
         RunSummary {
             events,
             net_bytes: self.net.bytes_sent(),
             disk_bytes: self.disk.total_bytes(),
-            reason,
+            misrouted: self.misrouted,
+            cause,
         }
     }
 }
@@ -278,11 +214,14 @@ impl<M: Message> Engine<M> {
 struct EngineCtx<'a, M: Message> {
     me: ActorId,
     local: SimTime,
+    /// How many actors the engine holds: a send to an id at or past it is
+    /// misrouted.
+    actors: usize,
     net: &'a mut Network,
     disk: &'a mut DiskState,
-    /// (delivery time, target, from, msg) — committed to the heap after the
-    /// handler returns, preserving send order via sequence numbers.
-    staged: Vec<(SimTime, ActorId, ActorId, M)>,
+    queue: &'a mut BinaryHeap<Event<M>>,
+    seq: &'a mut u64,
+    misrouted: &'a mut u64,
     stopped: bool,
 }
 
@@ -296,8 +235,20 @@ impl<M: Message> Context<M> for EngineCtx<'_, M> {
     }
 
     fn send(&mut self, to: ActorId, msg: M) {
-        let arrival = self.net.transfer(self.me, to, msg.wire_bytes(), self.local);
-        self.staged.push((arrival, to, self.me, msg));
+        if to as usize >= self.actors {
+            *self.misrouted += 1;
+            return;
+        }
+        let time = self.net.transfer(self.me, to, msg.wire_bytes(), self.local);
+        let seq = *self.seq;
+        *self.seq += 1;
+        self.queue.push(Event {
+            time,
+            seq,
+            target: to,
+            from: self.me,
+            msg,
+        });
     }
 
     fn consume_cpu(&mut self, amount: SimTime) {
@@ -360,30 +311,31 @@ mod tests {
     }
 
     fn bouncer_engine(limit: u64, cpu: SimTime) -> Engine<Ping> {
-        let mut e = Engine::new(EngineConfig::default());
-        let a = e.add_actor(Box::new(Bouncer {
-            peer: 1,
-            limit,
-            seen: vec![],
-            initiator: true,
-            cpu_per_msg: cpu,
-        }));
-        let b = e.add_actor(Box::new(Bouncer {
-            peer: 0,
-            limit,
-            seen: vec![],
-            initiator: false,
-            cpu_per_msg: cpu,
-        }));
-        assert_eq!((a, b), (0, 1));
-        e
+        let bouncer = |peer, initiator| -> Box<dyn Actor<Ping>> {
+            Box::new(Bouncer {
+                peer,
+                limit,
+                seen: vec![],
+                initiator,
+                cpu_per_msg: cpu,
+            })
+        };
+        Engine::new(
+            EngineConfig::default(),
+            vec![bouncer(1, true), bouncer(0, false)],
+        )
+    }
+
+    /// An engine of one actor.
+    fn solo(actor: impl Actor<Ping> + 'static) -> Engine<Ping> {
+        Engine::new(EngineConfig::default(), vec![Box::new(actor)])
     }
 
     #[test]
     fn ping_pong_terminates_by_stop() {
         let mut e = bouncer_engine(10, SimTime::ZERO);
-        let s = e.run().expect("no livelock");
-        assert_eq!(s.reason, StopReason::Stopped);
+        let s = e.run();
+        assert_eq!(s.cause, StopCause::Completed);
         assert_eq!(s.events, 11); // messages 0..=10
     }
 
@@ -391,7 +343,7 @@ mod tests {
     fn time_advances_with_network_and_cpu() {
         let cpu = SimTime::from_micros(10);
         let mut e = bouncer_engine(3, cpu);
-        e.run().expect("runs");
+        e.run();
         let net = NetConfig::fast_ethernet_100mbps();
         let hop = net.transfer_time(100) + net.latency;
         // 4 hops (msgs 0,1,2,3) + 4 handler CPU charges.
@@ -402,24 +354,23 @@ mod tests {
     fn determinism_across_runs() {
         let run = || {
             let mut e = bouncer_engine(50, SimTime::from_nanos(123));
-            let s = e.run().expect("runs");
-            (e.end_time(), s.events, s.net_bytes)
+            let s = e.run();
+            (e.end_time(), s)
         };
         assert_eq!(run(), run());
     }
 
     #[test]
     fn quiescent_when_no_initiator() {
-        let mut e = Engine::new(EngineConfig::default());
-        let _ = e.add_actor(Box::new(Bouncer {
+        let mut e = solo(Bouncer {
             peer: 0,
             limit: 5,
             seen: vec![],
             initiator: false,
             cpu_per_msg: SimTime::ZERO,
-        }));
-        let s = e.run().expect("runs");
-        assert_eq!(s.reason, StopReason::Quiescent);
+        });
+        let s = e.run();
+        assert_eq!(s.cause, StopCause::Quiescent);
         assert_eq!(s.events, 0);
         assert_eq!(e.end_time(), SimTime::ZERO);
     }
@@ -436,34 +387,45 @@ mod tests {
                 ctx.send(ctx.me(), m);
             }
         }
-        let mut e = Engine::new(EngineConfig {
+        let config = EngineConfig {
             max_events: 1000,
             ..EngineConfig::default()
-        });
-        let _ = e.add_actor(Box::new(Loopy));
-        let err = e.run().expect_err("must hit the event limit");
-        assert_eq!(err, EngineError::EventLimitExceeded { limit: 1000 });
-        // How far the aborted run got: its 1000 handlers, 1 µs each.
+        };
+        let mut e = Engine::new(config, vec![Box::new(Loopy)]);
+        let s = e.run();
+        assert_eq!(s.cause, StopCause::EventLimit);
+        // The run stops before the event past the budget.
+        assert_eq!(s.events, 1000);
+        // How far the stopped run got: its 1000 handlers, 1 µs each.
         assert_eq!(e.end_time(), SimTime::from_micros(1000));
     }
 
     #[test]
-    fn inject_bootstraps_without_network() {
-        struct Recorder {
-            at: Vec<(SimTime, u64)>,
-        }
-        impl Actor<Ping> for Recorder {
-            fn on_message(&mut self, ctx: &mut dyn Context<Ping>, _f: ActorId, m: Ping) {
-                self.at.push((ctx.now(), m.0));
+    fn a_send_beyond_the_engine_is_counted_and_dropped() {
+        struct Stray;
+        impl Actor<Ping> for Stray {
+            fn on_start(&mut self, ctx: &mut dyn Context<Ping>) {
+                if ctx.me() == 0 {
+                    ctx.send(2, Ping(0));
+                    ctx.send(1, Ping(1));
+                }
+            }
+            fn on_message(&mut self, _c: &mut dyn Context<Ping>, _f: ActorId, m: Ping) {
+                assert_eq!(m.0, 1, "only the send to a held id arrives");
             }
         }
-        let mut e = Engine::new(EngineConfig::default());
-        let id = e.add_actor(Box::new(Recorder { at: vec![] }));
-        e.inject(SimTime::from_secs(3), id, id, Ping(7));
-        e.inject(SimTime::from_secs(1), id, id, Ping(4));
-        let s = e.run().expect("runs");
-        assert_eq!(s.events, 2);
-        assert_eq!(e.end_time(), SimTime::from_secs(3));
+        let mut e = Engine::new(
+            EngineConfig::default(),
+            vec![Box::new(Stray), Box::new(Stray)],
+        );
+        let s = e.run();
+        assert_eq!(s.cause, StopCause::Quiescent);
+        assert_eq!(s.events, 1);
+        assert_eq!(s.misrouted, 1);
+        // Only the second send crossed the network.
+        let net = NetConfig::fast_ethernet_100mbps();
+        assert_eq!(s.net_bytes, 100 + net.per_message_overhead_bytes);
+        assert_eq!(e.end_time(), net.transfer_time(100) + net.latency);
     }
 
     #[test]
@@ -485,10 +447,9 @@ mod tests {
                 }
             }
         }
-        let mut e = Engine::new(EngineConfig::default());
-        let _ = e.add_actor(Box::new(Stepper));
-        let s = e.run().expect("runs");
-        assert_eq!(s.reason, StopReason::Quiescent);
+        let mut e = solo(Stepper);
+        let s = e.run();
+        assert_eq!(s.cause, StopCause::Quiescent);
         assert_eq!(s.events, 4);
         assert_eq!(e.end_time(), SimTime::from_millis(5));
         assert_eq!(s.net_bytes, 0);
@@ -496,22 +457,21 @@ mod tests {
 
     #[test]
     fn busy_cpu_delays_next_message() {
-        // Two messages injected at t=0 and t=1ns; handler burns 1s of CPU,
-        // so the second handler starts at ~1s, not at 1ns.
-        struct Burner {
-            starts: Vec<SimTime>,
-        }
+        // Two self-sends both arrive at t = 0; the handler burns 1 s of
+        // CPU, so the second handler starts at 1 s, not at 0.
+        struct Burner;
         impl Actor<Ping> for Burner {
-            fn on_message(&mut self, ctx: &mut dyn Context<Ping>, _f: ActorId, _m: Ping) {
-                self.starts.push(ctx.now());
+            fn on_start(&mut self, ctx: &mut dyn Context<Ping>) {
+                ctx.send(ctx.me(), Ping(0));
+                ctx.send(ctx.me(), Ping(1));
+            }
+            fn on_message(&mut self, ctx: &mut dyn Context<Ping>, _f: ActorId, m: Ping) {
+                assert_eq!(ctx.now(), SimTime::from_secs(m.0), "message {}", m.0);
                 ctx.consume_cpu(SimTime::from_secs(1));
             }
         }
-        let mut e = Engine::new(EngineConfig::default());
-        let id = e.add_actor(Box::new(Burner { starts: vec![] }));
-        e.inject(SimTime::ZERO, id, id, Ping(0));
-        e.inject(SimTime::from_nanos(1), id, id, Ping(1));
-        e.run().expect("runs");
+        let mut e = solo(Burner);
+        assert_eq!(e.run().events, 2);
         assert_eq!(e.end_time(), SimTime::from_secs(2));
     }
 
@@ -519,15 +479,16 @@ mod tests {
     fn disk_io_blocks_the_actor() {
         struct Spiller;
         impl Actor<Ping> for Spiller {
+            fn on_start(&mut self, ctx: &mut dyn Context<Ping>) {
+                ctx.send(ctx.me(), Ping(0));
+            }
             fn on_message(&mut self, ctx: &mut dyn Context<Ping>, _f: ActorId, _m: Ping) {
                 ctx.disk_write(35_000_000); // 1s at 35 MB/s + 9ms seek
                 ctx.disk_read(40_000_000); // 1s at 40 MB/s + 9ms seek
             }
         }
-        let mut e = Engine::new(EngineConfig::default());
-        let id = e.add_actor(Box::new(Spiller));
-        e.inject(SimTime::ZERO, id, id, Ping(0));
-        let s = e.run().expect("runs");
+        let mut e = solo(Spiller);
+        let s = e.run();
         assert_eq!(
             e.end_time(),
             SimTime::from_secs(2) + SimTime::from_millis(18)
@@ -545,6 +506,9 @@ mod tests {
             arrived: Option<SimTime>,
         }
         impl Actor<Ping> for SendAfterBurn {
+            fn on_start(&mut self, ctx: &mut dyn Context<Ping>) {
+                ctx.send(ctx.me(), Ping(0));
+            }
             fn on_message(&mut self, ctx: &mut dyn Context<Ping>, _f: ActorId, m: Ping) {
                 ctx.consume_cpu(SimTime::from_secs(1));
                 ctx.send(self.to, m);
@@ -556,11 +520,12 @@ mod tests {
                 ctx.stop();
             }
         }
-        let mut e = Engine::new(EngineConfig::default());
-        let a = e.add_actor(Box::new(SendAfterBurn { to: 1 }));
-        let _b = e.add_actor(Box::new(ArrivalProbe { arrived: None }));
-        e.inject(SimTime::ZERO, a, a, Ping(0));
-        e.run().expect("runs");
+        let actors: Vec<Box<dyn Actor<Ping>>> = vec![
+            Box::new(SendAfterBurn { to: 1 }),
+            Box::new(ArrivalProbe { arrived: None }),
+        ];
+        let mut e = Engine::new(EngineConfig::default(), actors);
+        assert_eq!(e.run().cause, StopCause::Completed);
         let net = NetConfig::fast_ethernet_100mbps();
         assert_eq!(
             e.end_time(),
@@ -599,17 +564,16 @@ mod time_limit_tests {
 
     /// Two tickers on a network whose every hop takes exactly one second.
     fn ticker_pair(config: EngineConfig) -> Engine<Tick> {
-        let mut e = Engine::new(EngineConfig {
+        let config = EngineConfig {
             net: NetConfig {
                 latency: SimTime::from_secs(1),
                 ..NetConfig::infinite()
             },
             ..config
-        });
-        for (peer, initiator) in [(1, true), (0, false)] {
-            let _ = e.add_actor(Box::new(Ticker { peer, initiator }));
-        }
-        e
+        };
+        let tickers = [(1, true), (0, false)]
+            .map(|(peer, initiator)| Box::new(Ticker { peer, initiator }) as Box<dyn Actor<Tick>>);
+        Engine::new(config, tickers.into())
     }
 
     #[test]
@@ -618,8 +582,8 @@ mod time_limit_tests {
             max_time: Some(SimTime::from_secs(10)),
             ..EngineConfig::default()
         });
-        let s = e.run().expect("bounded by time, not events");
-        assert_eq!(s.reason, StopReason::TimeLimit);
+        let s = e.run();
+        assert_eq!(s.cause, StopCause::TimeLimit);
         // Hops landing at t = 1..=10 ran; t = 11 was beyond the limit.
         assert_eq!(s.events, 10);
         assert_eq!(e.end_time(), SimTime::from_secs(10));
@@ -631,6 +595,12 @@ mod time_limit_tests {
             max_events: 5,
             ..EngineConfig::default()
         });
-        assert!(e.run().is_err(), "unbounded ticker must trip the budget");
+        let s = e.run();
+        assert_eq!(
+            s.cause,
+            StopCause::EventLimit,
+            "unbounded ticker trips the budget"
+        );
+        assert_eq!(s.events, 5);
     }
 }

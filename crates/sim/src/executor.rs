@@ -242,7 +242,6 @@ struct GroupState<M: Message> {
     stop: AtomicBool,
     live: AtomicUsize,
     net_bytes: AtomicU64,
-    net_messages: AtomicU64,
     /// Admission time: the zero of the group's [`Context::now`] clock.
     admitted: Instant,
     /// `Some` once every member retired: the group's final ledger.
@@ -259,7 +258,6 @@ struct GroupState<M: Message> {
 impl<M: Message> GroupState<M> {
     fn charge(&self, bytes: u64) {
         self.net_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.net_messages.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Pushes a ready actor into this group's queue for `worker` (front
@@ -328,7 +326,6 @@ impl<M: Message> GroupState<M> {
         GroupOutcome {
             elapsed: self.admitted.elapsed(),
             net_bytes: self.net_bytes.load(Ordering::Relaxed),
-            net_messages: self.net_messages.load(Ordering::Relaxed),
         }
     }
 
@@ -577,8 +574,6 @@ pub struct GroupOutcome {
     pub elapsed: Duration,
     /// Bytes this group's actors sent (self-sends included).
     pub net_bytes: u64,
-    /// Messages this group's actors sent (self-sends included).
-    pub net_messages: u64,
 }
 
 impl<M: Message> Executor<M> {
@@ -677,7 +672,6 @@ impl<M: Message> Executor<M> {
             stop: AtomicBool::new(false),
             live: AtomicUsize::new(count),
             net_bytes: AtomicU64::new(0),
-            net_messages: AtomicU64::new(0),
             admitted: Instant::now(),
             done: Mutex::new(None),
             done_cv: Condvar::new(),
@@ -1261,9 +1255,10 @@ mod tests {
         let a = pool.admit_with(1, cfg.mailbox_capacity, |_| vec![Box::new(StopOnStart)]);
         let a_out = pool.wait(&a);
         let b_out = pool.wait(&b);
-        assert_eq!(a_out.net_messages, 0, "the stopper sent nothing");
+        assert_eq!(a_out.net_bytes, 0, "the stopper sent nothing");
         assert_eq!(
-            b_out.net_messages, 300,
+            b_out.net_bytes,
+            300 * 8,
             "every hop of group B delivered despite group A's stop"
         );
         pool.shutdown();
@@ -1278,7 +1273,7 @@ mod tests {
         // Admitted after group A fully quiesced: must be unaffected.
         let b = pool.admit_with(3, 1024, |_| ring(3, 50));
         let b_out = pool.wait(&b);
-        assert_eq!(b_out.net_messages, 50);
+        assert_eq!(b_out.net_bytes, 50 * 8);
         pool.shutdown();
     }
 
@@ -1301,7 +1296,7 @@ mod tests {
         let out = pool
             .wait_timeout(&adm, Duration::from_secs(10))
             .expect("cancel retires the group");
-        assert_eq!(out.net_messages, 0);
+        assert_eq!(out.net_bytes, 0);
         pool.shutdown();
     }
 
@@ -1329,9 +1324,8 @@ mod tests {
         let a = pool.admit_with(2, 1024, |_| ring(2, 40));
         let b = pool.admit_with(2, 1024, |_| ring(2, 70));
         let (a_out, b_out) = (pool.wait(&a), pool.wait(&b));
-        assert_eq!(a_out.net_messages, 40);
-        assert_eq!(b_out.net_messages, 70);
         assert_eq!(a_out.net_bytes, 40 * 8);
+        assert_eq!(b_out.net_bytes, 70 * 8);
         // A group that never stops by itself: its start task still runs
         // before the cancel's sentinel, so its ledger holds every send of
         // `on_start`, its self-send included.
@@ -1344,8 +1338,7 @@ mod tests {
         assert_eq!(pool.live(), (1, 2), "the group is live until cancelled");
         pool.cancel(&c);
         let c_out = pool.wait(&c);
-        assert_eq!(c_out.net_messages, 6, "six sends, one to itself");
-        assert_eq!(c_out.net_bytes, 6 * 8);
+        assert_eq!(c_out.net_bytes, 6 * 8, "six sends, one to itself");
         pool.shutdown();
     }
 

@@ -75,7 +75,7 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates NIC state for `nodes` actors.
+    /// Creates NIC state for `nodes` actors, ids `0..nodes`.
     #[must_use]
     pub fn new(config: NetConfig, nodes: usize) -> Self {
         Self {
@@ -92,21 +92,12 @@ impl Network {
         &self.config
     }
 
-    /// Grows NIC state to cover actor id `id`.
-    pub fn ensure_node(&mut self, id: ActorId) {
-        let need = id as usize + 1;
-        if self.egress_free.len() < need {
-            self.egress_free.resize(need, SimTime::ZERO);
-            self.ingress_free.resize(need, SimTime::ZERO);
-        }
-    }
-
     /// Computes the delivery (fully-received) time of a message of `bytes`
     /// from `from` to `to`, submitted at `now`, and reserves both NICs.
     ///
-    /// A self-send bypasses the NICs entirely (local hand-off).
+    /// A self-send bypasses the NICs entirely (local hand-off). Both ids
+    /// must be below the node count the state was created for.
     pub fn transfer(&mut self, from: ActorId, to: ActorId, bytes: u64, now: SimTime) -> SimTime {
-        self.ensure_node(from.max(to));
         if from == to {
             return now;
         }
@@ -209,14 +200,6 @@ mod tests {
             last = n.transfer(0, 1, 1_000_000, SimTime::ZERO);
         }
         assert_eq!(last, t * 10 + c.latency);
-    }
-
-    #[test]
-    fn ensure_node_grows_state() {
-        let mut n = Network::new(NetConfig::infinite(), 1);
-        // div_ceil rounds any non-zero transfer up to 1 ns.
-        let done = n.transfer(0, 9, 1, SimTime::ZERO);
-        assert!(done <= SimTime::from_nanos(1));
     }
 
     #[test]

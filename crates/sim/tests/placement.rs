@@ -282,7 +282,7 @@ fn an_idle_worker_takes_over_a_stalled_homes_group() {
         let out = pool
             .wait_timeout(ring, Duration::from_secs(30))
             .expect("finished behind a stalled worker");
-        assert_eq!(out.net_messages, 100);
+        assert_eq!(out.net_bytes, 8 * 100);
     }
     assert_eq!(pool.live(), (1, 1), "the blocker is still in its handler");
     assert!(pool.summary().exec.steals > steals_before);

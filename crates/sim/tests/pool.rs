@@ -1,7 +1,10 @@
 //! What a standalone run relies on: one group alone on a pool of its own,
 //! driven through the public [`Executor`] API — accounting, backpressure,
-//! self-send loops, stop semantics and stealing.
+//! self-send loops, stop semantics, stealing and per-channel order.
 
+mod common;
+
+use common::{Chatter, Tally};
 use ehj_metrics::MetricsRegistry;
 use ehj_sim::{
     Actor, ActorId, Context, Executor, ExecutorConfig, GroupOutcome, Message, ThreadedSummary,
@@ -75,8 +78,7 @@ fn accounting_is_identical_across_worker_counts() {
     for workers in [1, 2, 8] {
         let (outcome, summary) = run_alone(workers, 1024, ring());
         // 100 counter hops at 8 B each (the initial send is hop 1).
-        assert_eq!(outcome.net_messages, 100, "{workers} workers");
-        assert_eq!(outcome.net_bytes, 800, "{workers} workers");
+        assert_eq!(outcome.net_bytes, 8 * 100, "{workers} workers");
         assert!(outcome.elapsed > Duration::ZERO);
         assert_eq!(summary.exec.workers, workers as u64);
     }
@@ -87,7 +89,7 @@ fn tiny_mailboxes_apply_backpressure_without_losing_messages() {
     // A 4-deep mailbox under a 100-hop ring: pushes park (or overflow
     // under the liveness escape), yet every hop is still delivered.
     let (outcome, summary) = run_alone(2, 4, ring());
-    assert_eq!(outcome.net_messages, 100);
+    assert_eq!(outcome.net_bytes, 8 * 100);
     assert!(summary.exec.max_mailbox_depth >= 1);
 }
 
@@ -108,10 +110,10 @@ fn self_send_loops() {
     }
     let (outcome, summary) = run_alone(0, 1024, vec![Box::new(Looper)]);
     assert_eq!(
-        outcome.net_messages, 1001,
+        outcome.net_bytes,
+        1001 * 8,
         "each lap is a charged self-send"
     );
-    assert_eq!(outcome.net_bytes, 1001 * 8);
     assert_eq!(summary.exec.misrouted, 0, "its own id is in its block");
 }
 
@@ -177,7 +179,7 @@ fn messages_sent_before_stop_are_delivered_after_are_dropped() {
         );
         // Both sends are charged: the drop happens at the receiver,
         // after the wire.
-        assert_eq!(outcome.net_messages, 2);
+        assert_eq!(outcome.net_bytes, 2 * 8);
     }
 }
 
@@ -185,7 +187,7 @@ fn messages_sent_before_stop_are_delivered_after_are_dropped() {
 fn empty_engine_returns_immediately() {
     // An admission of no actors has nothing to wait for.
     let (outcome, _) = run_alone(0, 1024, Vec::new());
-    assert_eq!(outcome.net_messages, 0);
+    assert_eq!(outcome.net_bytes, 0);
 }
 
 #[test]
@@ -220,5 +222,32 @@ fn stealing_spreads_start_work() {
         actors.push(Box::new(Blaster { to: 0 }));
     }
     let (outcome, _) = run_alone(4, 1024, actors);
-    assert_eq!(outcome.net_messages, 400);
+    assert_eq!(outcome.net_bytes, 400 * 8);
+}
+
+#[test]
+fn every_channel_delivers_in_send_order() {
+    // Six chatters, 500 numbered sends each to random peers (themselves
+    // included), at every worker count and at a mailbox small enough to
+    // park senders. A wedged group fails the wait instead of hanging it.
+    for workers in [1, 2, 8] {
+        for capacity in [2, 1024] {
+            let tally = Arc::new(Tally::default());
+            let actors = Chatter::group(0x55EE, 6, 500, 4096, 0, &tally);
+            let pool = Executor::start(
+                &ExecutorConfig {
+                    workers,
+                    ..ExecutorConfig::default()
+                },
+                &MetricsRegistry::disabled(),
+            );
+            let group = pool.admit_with(actors.len(), capacity, |_| actors);
+            let retired = pool.wait_timeout(&group, Duration::from_secs(60));
+            let case = format!("{workers} workers, capacity {capacity}");
+            assert!(retired.is_some(), "{case}: the group did not retire");
+            assert_eq!(tally.received.load(Ordering::Relaxed), 6 * 500, "{case}");
+            assert_eq!(tally.out_of_order.load(Ordering::Relaxed), 0, "{case}");
+            assert_eq!(pool.shutdown().exec.misrouted, 0, "{case}");
+        }
+    }
 }

@@ -1,31 +1,16 @@
 //! Randomized-property tests for the simulation substrate: causality, FIFO
 //! ordering and determinism of the engine and its models.
-//!
-//! `ehj-sim` sits below `ehj-data`, so a minimal SplitMix64 is inlined here
-//! to drive the random cases deterministically (fixed seeds, no external
-//! property-testing dependency).
 
+mod common;
+
+use common::{Chatter, Tally, TestRng};
+use ehj_metrics::StopCause;
 use ehj_sim::{
     Actor, ActorId, Context, DiskConfig, DiskState, Engine, EngineConfig, Message, NetConfig,
     Network, SimTime,
 };
-
-/// Minimal deterministic generator for test-case construction (SplitMix64).
-struct TestRng(u64);
-
-impl TestRng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound
-    }
-}
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Network deliveries never precede send + latency, and repeated sends
 /// between one pair arrive in order (per-sender FIFO).
@@ -98,14 +83,22 @@ impl Message for Hop {
     }
 }
 
-/// Relays a token along a scripted path, recording what it saw.
+/// Relays a token along a scripted path, recording what it saw. The relay
+/// holding the token at the start sends it to itself.
 struct Relay {
     script: Vec<ActorId>,
     hops_seen: u64,
     cpu: SimTime,
+    token: Option<Hop>,
 }
 
 impl Actor<Hop> for Relay {
+    fn on_start(&mut self, ctx: &mut dyn Context<Hop>) {
+        if let Some(token) = self.token.take() {
+            ctx.send(ctx.me(), token);
+        }
+    }
+
     fn on_message(&mut self, ctx: &mut dyn Context<Hop>, _from: ActorId, msg: Hop) {
         self.hops_seen += 1;
         ctx.consume_cpu(self.cpu);
@@ -131,19 +124,44 @@ fn engine_runs_deterministically() {
         let cpu_ns = g.below(10_000);
 
         let run = || {
-            let mut engine: Engine<Hop> = Engine::new(EngineConfig::default());
             let ids: Vec<ActorId> = (0..actors as ActorId).collect();
-            for _ in 0..actors {
-                let _ = engine.add_actor(Box::new(Relay {
-                    script: ids.clone(),
-                    hops_seen: 0,
-                    cpu: SimTime::from_nanos(cpu_ns),
-                }));
-            }
-            engine.inject(SimTime::ZERO, 0, 0, Hop(path.clone()));
-            let summary = engine.run().expect("no livelock");
-            (engine.end_time(), summary.events, summary.net_bytes)
+            let relays = (0..actors)
+                .map(|i| {
+                    Box::new(Relay {
+                        script: ids.clone(),
+                        hops_seen: 0,
+                        cpu: SimTime::from_nanos(cpu_ns),
+                        token: (i == 0).then(|| Hop(path.clone())),
+                    }) as Box<dyn Actor<Hop>>
+                })
+                .collect();
+            let mut engine = Engine::new(EngineConfig::default(), relays);
+            let summary = engine.run();
+            assert_eq!(summary.cause, StopCause::Completed);
+            (engine.end_time(), summary)
         };
         assert_eq!(run(), run());
+    }
+}
+
+/// Every (sender, receiver) channel delivers in send order, whatever the
+/// actor count, message sizes and CPU charges: the property a delivery
+/// policy choosing among channel heads relies on.
+#[test]
+fn every_channel_delivers_in_send_order() {
+    let mut g = TestRng(0x44DD);
+    for case in 0..32 {
+        let peers = 1 + g.below(8) as usize;
+        let sends = 1 + g.below(200);
+        let max_bytes = 1 + g.below(200_000);
+        let max_cpu_ns = g.below(50_000);
+        let tally = Arc::new(Tally::default());
+        let actors = Chatter::group(g.next_u64(), peers, sends, max_bytes, max_cpu_ns, &tally);
+        let summary = Engine::new(EngineConfig::default(), actors).run();
+        let total = sends * peers as u64;
+        assert_eq!(summary.cause, StopCause::Completed, "case {case}");
+        assert_eq!(summary.misrouted, 0, "case {case}");
+        assert_eq!(tally.received.load(Ordering::Relaxed), total, "case {case}");
+        assert_eq!(tally.out_of_order.load(Ordering::Relaxed), 0, "case {case}");
     }
 }

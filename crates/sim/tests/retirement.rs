@@ -66,7 +66,7 @@ fn assert_ring_exact(pool: &Executor<Count>, limit: u64) {
             .collect()
     });
     let out = pool.wait(&adm);
-    assert_eq!(out.net_messages, limit, "the ring's own ledger");
+    assert_eq!(out.net_bytes, 8 * limit, "the ring's own ledger");
     assert_eq!(
         received.load(Ordering::SeqCst),
         limit,
@@ -124,7 +124,7 @@ fn a_send_toward_a_dead_peer_is_dropped() {
     let out = pool.wait(&adm);
     assert_eq!(dropped.load(Ordering::SeqCst), 1, "the peer died first");
     assert_eq!(received.load(Ordering::SeqCst), 0);
-    assert_eq!(out.net_messages, 1, "charged: the drop is past the wire");
+    assert_eq!(out.net_bytes, 8, "charged: the drop is past the wire");
     assert_ring_exact(&pool, 25);
     assert_eq!(pool.shutdown().exec.misrouted, 0);
 }

@@ -1,10 +1,14 @@
 //! The threaded runtime must execute the same protocol with the same
 //! results (matches are deterministic data properties; timing is not).
 
-use ehj_core::{expected_matches_for, Algorithm, Backend, JoinConfig, JoinRunner, RunOptions};
+use ehj_core::{
+    expected_matches_for, Algorithm, Backend, JoinConfig, JoinError, JoinRunner, RunOptions,
+};
 use ehj_data::Distribution;
 use ehj_integration_tests::narrow;
+use ehj_metrics::{RingSink, StopCause, TraceKind};
 use ehj_sim::SimTime;
+use std::sync::Arc;
 
 fn small(alg: Algorithm) -> JoinConfig {
     narrow(alg, 2000, 1 << 12)
@@ -80,5 +84,30 @@ fn a_budgeted_threaded_hot_key_run_ends_as_a_report() {
         };
         let report = JoinRunner::run_with(&cfg, &opts).unwrap_or_else(|e| panic!("{alg:?}: {e}"));
         assert_eq!(report.matches, expected_matches_for(&cfg), "{alg:?}");
+    }
+}
+
+#[test]
+fn a_threaded_run_past_its_budget_ends_as_a_time_limit_stall() {
+    // A 1 ms wall budget is far too small for paper / 100: the group is
+    // cancelled at the budget, and the error names why it ended.
+    let stops = Arc::new(RingSink::new(1 << 12));
+    let opts = RunOptions {
+        threads: Some(2),
+        max_sim_time: Some(SimTime::from_millis(1)),
+        extra_sinks: vec![Arc::clone(&stops) as _],
+        ..RunOptions::on(Backend::Threaded)
+    };
+    let cfg = JoinConfig::paper_scaled(Algorithm::Hybrid, 100);
+    match JoinRunner::run_with(&cfg, &opts).map(|report| report.matches) {
+        Err(JoinError::Stalled { cause, .. }) => assert_eq!(cause, StopCause::TimeLimit),
+        other => panic!("expected a time-limit stall, got {other:?}"),
+    }
+    // A group that retires after the cancel ends with one stop event; one
+    // that does not retire in time emits none.
+    for ev in stops.tail() {
+        if let TraceKind::EngineStop { reason } = ev.kind {
+            assert_eq!(reason, StopCause::TimeLimit);
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use ehj_core::{Algorithm, Backend, JoinConfig, JoinError, JoinReport, JoinRunner, RunOptions};
 use ehj_integration_tests::narrow;
-use ehj_metrics::{RingSink, TraceEvent, TraceKind, TraceLevel};
+use ehj_metrics::{RingSink, StopCause, TraceEvent, TraceKind, TraceLevel};
 use ehj_sim::SimTime;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -143,7 +143,8 @@ fn stalled_run_carries_a_diagnostic_tail() {
     };
     let err = JoinRunner::run_with(&base(Algorithm::Split), &opts).expect_err("must stall");
     match &err {
-        JoinError::Stalled { trace } => {
+        JoinError::Stalled { cause, trace } => {
+            assert_eq!(*cause, StopCause::TimeLimit);
             assert!(
                 !trace.is_empty(),
                 "default tracing must leave a diagnostic tail"
@@ -152,7 +153,10 @@ fn stalled_run_carries_a_diagnostic_tail() {
         other => panic!("expected a stall, got {other:?}"),
     }
     let msg = err.to_string();
-    assert!(msg.contains("stalled"), "got: {msg}");
+    assert!(
+        msg.contains("stalled without a report (time_limit)"),
+        "got: {msg}"
+    );
     assert!(msg.contains("trace events"), "got: {msg}");
     assert!(!err.trace_tail().is_empty());
 }
