@@ -6,8 +6,9 @@
 //!
 //! * inserting build tuples with byte-accurate memory accounting and
 //!   raising `memory full` exactly when an insert cannot be allocated — a
-//!   chunk that lies in one table entry this node owns and wholly fits is
-//!   appended in one copy, exactly as inserting it tuple by tuple would;
+//!   chunk that lies in one table entry this node owns is appended in one
+//!   call, to the table if it wholly fits or to the spill once one is under
+//!   way, exactly as storing it tuple by tuple would;
 //! * queueing unhoused tuples ("pending buffers") and, on each routing
 //!   update, re-forwarding the ones whose range moved to a new node —
 //!   the replication-based hand-off of §4.2.2;
@@ -319,12 +320,13 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             self.cfg.grace,
             B::default(),
         );
-        let drained = self.table.drain_all();
+        let (drained, positions) = self.table.drain_all_with_positions();
         let n = drained.len() as u64;
         ctx.consume_cpu(self.cfg.costs.route_per_tuple * n);
-        let bytes = grace.append_build(&drained);
+        let bytes = grace.append_build_pre_hashed(&drained, &positions);
         BufferPool::global().give(drained);
-        ctx.disk_write(bytes); // first spill positions the fragment files
+        BufferPool::global().give(positions);
+        ctx.disk_write(bytes); // the first spill pays a seek; later appends stream
         self.trace(
             ctx,
             Phase::Build,
@@ -343,7 +345,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
     /// post-spill pending drain.
     fn spill_pending(&mut self, ctx: &mut dyn Context<Msg>) {
         let pending: Vec<Tuple> = std::mem::take(&mut self.pending).into();
-        self.spill_append_build(ctx, &pending);
+        self.spill_append_build(ctx, &pending, None);
         self.awaiting_relief = false;
         self.retract_full_report(ctx);
     }
@@ -358,27 +360,43 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         ctx.send(self.scheduler, Msg::MemoryFull);
     }
 
-    fn spill_append_build(&mut self, ctx: &mut dyn Context<Msg>, tuples: &[Tuple]) {
+    /// Spills build tuples, passing their `positions` on when the caller
+    /// has them so Grace does not hash them again.
+    fn spill_append_build(
+        &mut self,
+        ctx: &mut dyn Context<Msg>,
+        tuples: &[Tuple],
+        positions: Option<&[u32]>,
+    ) {
         if tuples.is_empty() {
             return;
         }
         let grace = self.spill.as_mut().expect("spill active");
         ctx.consume_cpu(self.cfg.costs.route_per_tuple * tuples.len() as u64);
-        let bytes = grace.append_build(tuples);
+        let bytes = match positions {
+            Some(positions) => grace.append_build_pre_hashed(tuples, positions),
+            None => grace.append_build(tuples),
+        };
         let fragments = grace.fragments() as u64;
         ctx.disk_append(bytes);
         self.trace_detail(ctx, Phase::Build, TraceKind::Spill { bytes, fragments });
     }
 
-    /// The whole-chunk build path: with no overlay installed and no spill
-    /// under way, a chunk whose lowest and highest positions fall in one
-    /// table entry that this node owns is appended in one copy — if all of
-    /// it fits. The tuple loop would have inserted the same tuples in the
-    /// same order and charged the same CPU, so nothing observable differs.
-    /// Returns false, having changed nothing, when any test fails.
-    fn insert_whole_chunk(&mut self, batch: &[Tuple], positions: &[u32]) -> bool {
+    /// The whole-chunk build path: a chunk with no overlay installed whose
+    /// lowest and highest positions fall in one table entry this node owns
+    /// is appended in one call — to the spill once one is under way, else
+    /// to the table if all of it fits. The tuple loop would have stored the
+    /// same tuples in the same order and charged the same CPU and disk, so
+    /// nothing observable differs. Returns false, having changed nothing,
+    /// when any test fails.
+    fn build_whole_chunk(
+        &mut self,
+        ctx: &mut dyn Context<Msg>,
+        batch: &[Tuple],
+        positions: &[u32],
+    ) -> bool {
         let routing = self.routing.as_ref().expect("active node has routing");
-        if routing.overlay().is_some() || self.spill.is_some() {
+        if routing.overlay().is_some() {
             return false;
         }
         let Some(&first) = positions.first() else {
@@ -389,31 +407,37 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             .fold((first, first), |(lo, hi), &p| (lo.min(p), hi.max(p)));
         // Entries are contiguous ranges, so one entry at both ends covers
         // every position between them.
-        routing.entry_index(lo) == routing.entry_index(hi)
-            && routing.build_dest(lo) == self.me
-            && self.table.insert_batch_pre_hashed(batch, positions).is_ok()
+        if routing.entry_index(lo) != routing.entry_index(hi) || routing.build_dest(lo) != self.me {
+            return false;
+        }
+        if self.spill.is_some() {
+            self.spill_append_build(ctx, batch, Some(positions));
+        } else if self.table.insert_batch_pre_hashed(batch, positions).is_ok() {
+            ctx.consume_cpu(self.cfg.costs.insert_per_tuple * batch.len() as u64);
+        } else {
+            return false;
+        }
+        self.metrics.build_whole_chunks.add(1);
+        true
     }
 
     fn handle_build(&mut self, ctx: &mut dyn Context<Msg>, batch: TupleBatch) {
         let _timer = self.metrics.build_ns.start_timer();
         self.metrics.batch_tuples.record(batch.len() as u64);
         // Hash once, in bulk: each position addresses both the routing
-        // table and the local hash table.
+        // table and the local hash table, or the spill's fragments.
         let mut positions = std::mem::take(&mut self.pos_scratch);
         self.space.bulk_positions(&batch, &mut positions);
-        if self.insert_whole_chunk(&batch, &positions) {
-            self.metrics.build_whole_chunks.add(1);
-            ctx.consume_cpu(self.cfg.costs.insert_per_tuple * batch.len() as u64);
-        } else {
+        if !self.build_whole_chunk(ctx, &batch, &positions) {
             self.build_tuple_by_tuple(ctx, &batch, &positions);
         }
         self.pos_scratch = positions;
     }
 
     /// The build for a chunk the whole-chunk path refused (it straddles
-    /// entries, is not all ours, does not wholly fit, or meets an overlay
-    /// or a spill): each tuple is routed, and one this node owns is
-    /// inserted under a capacity check, queued as pending, or spilled.
+    /// entries, is not all ours, does not wholly fit, or meets an overlay):
+    /// each tuple is routed, and one this node owns is inserted under a
+    /// capacity check, queued as pending, or spilled with its position.
     fn build_tuple_by_tuple(
         &mut self,
         ctx: &mut dyn Context<Msg>,
@@ -423,6 +447,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         let costs = self.cfg.costs;
         let routing = self.routing.take().expect("active node has routing");
         let mut to_spill: Vec<Tuple> = Vec::new();
+        let mut spill_positions: Vec<u32> = Vec::new();
         let mut inserted: u64 = 0;
         let mut newly_pending: u64 = 0;
         for (&t, &pos) in batch.iter().zip(positions) {
@@ -442,6 +467,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             }
             if self.spill.is_some() {
                 to_spill.push(t);
+                spill_positions.push(pos);
                 continue;
             }
             match self.table.insert_pre_hashed(t, pos) {
@@ -450,6 +476,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                     // The baseline never expands: go out of core now.
                     self.activate_spill(ctx);
                     to_spill.push(t);
+                    spill_positions.push(pos);
                 }
                 Err(_) => {
                     // A hot tuple that does not fit on a member that is not
@@ -473,7 +500,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         self.routing = Some(routing);
         ctx.consume_cpu(costs.insert_per_tuple * inserted);
         let kept_local = inserted + to_spill.len() as u64 + newly_pending;
-        self.spill_append_build(ctx, &to_spill);
+        self.spill_append_build(ctx, &to_spill, Some(&spill_positions));
         // If nothing stayed local, the original batch may be re-forwardable
         // wholesale (Arc clone) instead of copied out of the scatter buffer.
         let whole = (kept_local == 0).then_some(batch);
@@ -671,7 +698,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         if self.spill.is_some() {
             // Spilled members are excluded from the hand-off, but a racing
             // spill still needs the copies to land somewhere durable.
-            self.spill_append_build(ctx, tuples);
+            self.spill_append_build(ctx, tuples, None);
         } else {
             self.table.insert_batch_unchecked(tuples);
         }
@@ -1697,9 +1724,9 @@ mod tests {
 
     /// Prepares two nodes alike, then feeds `chunk` to one through the
     /// message handler and to the other straight through the tuple loop.
-    /// Asserts the same table, pending queue, CPU, disk traffic and
-    /// messages (the handler's `DataAck` and chunk charge aside), and
-    /// returns whether the handler appended the chunk whole.
+    /// Asserts the same table, pending queue, spill partitions, CPU, disk
+    /// traffic and messages (the handler's `DataAck` and chunk charge
+    /// aside), and returns whether the handler appended the chunk whole.
     fn handler_matches_tuple_loop(
         algorithm: Algorithm,
         cap_tuples: u64,
@@ -1710,10 +1737,10 @@ mod tests {
         let registry = MetricsRegistry::new();
         let run = |through_handler: bool| {
             let (mut node, mut ctx) = activated_node(algorithm, cap_tuples);
+            prepare(&mut node, &mut ctx);
             if through_handler {
                 node = node.with_metrics(&registry.handle_for(0));
             }
-            prepare(&mut node, &mut ctx);
             ctx.sent.clear();
             let start = ctx.now;
             if through_handler {
@@ -1727,8 +1754,9 @@ mod tests {
                 node.build_tuple_by_tuple(&mut ctx, &batch, &positions);
             }
             let table: Vec<Tuple> = node.table.iter().copied().collect();
-            let sent = format!("{:?}", ctx.sent);
-            (table, node.pending, sent, ctx.now - start, ctx.disk_written)
+            let (sent, spill) = (format!("{:?}", ctx.sent), format!("{:?}", node.spill));
+            let disk = ctx.disk_written;
+            (table, node.pending, spill, sent, ctx.now - start, disk)
         };
         let (handled, looped) = (run(true), run(false));
         assert_eq!(handled, looped);
@@ -1832,12 +1860,45 @@ mod tests {
         ));
     }
 
+    /// Sends `NoMoreNodes`, so the node drains its table into a spill.
+    fn spilled(node: &mut JoinNode<MemBackend>, ctx: &mut ScriptCtx) {
+        node.on_message(ctx, SCHED, Msg::NoMoreNodes);
+        assert!(node.spill.is_some());
+    }
+
     #[test]
-    fn a_chunk_after_spill_goes_tuple_by_tuple() {
-        let spilled = |node: &mut JoinNode<MemBackend>, ctx: &mut ScriptCtx| {
-            node.on_message(ctx, SCHED, Msg::NoMoreNodes);
+    fn an_owned_chunk_after_spill_is_spilled_whole() {
+        // Spilled with tuples already drained from the table, then a chunk
+        // spread over several fragments; and on the baseline, whose
+        // table overflows into the spill.
+        let fill = |node: &mut JoinNode<MemBackend>, ctx: &mut ScriptCtx| {
+            node.on_message(ctx, 1, build_data(at_positions(0, 30)));
+            spilled(node, ctx);
         };
-        let chunk = at_positions(100, 108);
+        let chunk = at_positions(10, 400);
+        assert!(handler_matches_tuple_loop(
+            Algorithm::Split,
+            100,
+            fill,
+            &chunk
+        ));
+        let overflowed = |node: &mut JoinNode<MemBackend>, ctx: &mut ScriptCtx| {
+            node.on_message(ctx, 1, build_data(at_positions(0, 30)));
+            assert!(node.spill.is_some());
+        };
+        assert!(handler_matches_tuple_loop(
+            Algorithm::OutOfCore,
+            20,
+            overflowed,
+            &chunk
+        ));
+    }
+
+    #[test]
+    fn a_chunk_across_two_entries_after_spill_goes_tuple_by_tuple() {
+        // Positions 490..510 straddle ME's and OTHER's ranges: ours are
+        // spilled, theirs forwarded.
+        let chunk = at_positions(490, 510);
         assert!(!handler_matches_tuple_loop(
             Algorithm::Split,
             100,

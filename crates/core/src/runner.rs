@@ -421,48 +421,55 @@ impl QueryRun {
     /// cancelled by the caller (`cancelled`), out of its time budget, or
     /// quiet. A group still live after `budget` is cancelled and then
     /// reaped, so a wedged protocol ends as a [`StopCause::TimeLimit`]
-    /// stall instead of a hang; `None` waits without bound.
-    ///
-    /// # Errors
-    /// [`JoinError::Stalled`] with [`StopCause::TimeLimit`] when even the
-    /// cancelled group would not retire within another `budget`.
+    /// stall instead of a hang; `None` waits without bound. A group that
+    /// does not retire within another `budget` even then ends the same
+    /// way, at the group's clock, with no report: its ledger cannot be
+    /// read while its actors run.
     pub(crate) fn reap(
         &self,
         executor: &Executor<Msg>,
         admission: &Admission<Msg>,
         budget: Option<Duration>,
         cancelled: bool,
-    ) -> Result<RunEnd, JoinError> {
+    ) -> RunEnd {
         let mut cause = StopCause::Quiescent;
         let outcome = match budget {
-            None => executor.wait(admission),
-            Some(budget) => match executor.wait_timeout(admission, budget) {
-                Some(outcome) => outcome,
-                None => {
-                    executor.cancel(admission);
-                    cause = StopCause::TimeLimit;
-                    executor
-                        .wait_timeout(admission, budget)
-                        .ok_or_else(|| JoinError::Stalled {
-                            cause,
-                            trace: self.harness.tail(),
-                        })?
-                }
-            },
+            None => Some(executor.wait(admission)),
+            Some(budget) => executor.wait_timeout(admission, budget).or_else(|| {
+                executor.cancel(admission);
+                cause = StopCause::TimeLimit;
+                executor.wait_timeout(admission, budget)
+            }),
         };
-        Ok(RunEnd {
-            at_nanos: u64::try_from(outcome.elapsed.as_nanos()).unwrap_or(u64::MAX),
+        let (elapsed, net_bytes, silent) = match outcome {
+            Some(outcome) if cancelled => {
+                (outcome.elapsed, outcome.net_bytes, SilentEnd::Cancelled)
+            }
+            Some(outcome) => (
+                outcome.elapsed,
+                outcome.net_bytes,
+                SilentEnd::Stalled(cause),
+            ),
+            None => {
+                // A report left by a group that is still running is not
+                // trusted.
+                self.result.lock().expect("report lock").take();
+                (
+                    admission.elapsed(),
+                    0,
+                    SilentEnd::Stalled(StopCause::TimeLimit),
+                )
+            }
+        };
+        RunEnd {
+            at_nanos: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
             wall: true,
             events: 0,
-            net_bytes: outcome.net_bytes,
+            net_bytes,
             disk_bytes: 0,
             samples: 0,
-            silent: if cancelled {
-                SilentEnd::Cancelled
-            } else {
-                SilentEnd::Stalled(cause)
-            },
-        })
+            silent,
+        }
     }
 
     /// Ends the query: takes the report its scheduler left — or says why
@@ -580,7 +587,7 @@ impl JoinRunner {
         let end = query.reap(&executor, &admission, budget, false);
         let samples = monitor.stop();
         let exec = executor.shutdown().exec;
-        let end = RunEnd { samples, ..end? };
+        let end = RunEnd { samples, ..end };
         tracer.emit(
             end.at_nanos,
             0,
@@ -730,5 +737,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_group_that_outlives_its_cancel_still_ends_the_trace() {
+        /// Holds its worker until the test lets it go, then stops.
+        struct Wedged(std::sync::mpsc::Receiver<()>);
+        impl Actor<Msg> for Wedged {
+            fn on_start(&mut self, ctx: &mut dyn ehj_sim::Context<Msg>) {
+                let _ = self.0.recv();
+                ctx.stop();
+            }
+            fn on_message(
+                &mut self,
+                _: &mut dyn ehj_sim::Context<Msg>,
+                _: ehj_sim::ActorId,
+                _: Msg,
+            ) {
+            }
+        }
+        let stops = Arc::new(ehj_metrics::RingSink::new(16));
+        let opts = RunOptions {
+            extra_sinks: vec![Arc::clone(&stops) as _],
+            ..RunOptions::on(Backend::Threaded)
+        };
+        let run = QueryRun::new(&opts).expect("no trace file");
+        let executor = Executor::start(&ExecutorConfig::default(), &run.registry);
+        let (release, wait) = std::sync::mpsc::channel();
+        let admission = executor.admit_weighted(vec![Box::new(Wedged(wait))], 16, 1);
+        let end = run.reap(&executor, &admission, Some(Duration::from_millis(1)), false);
+        let result = run.finish(end);
+        release.send(()).expect("the actor is waiting");
+        executor.wait(&admission);
+        executor.shutdown();
+        assert!(
+            matches!(
+                result,
+                Err(JoinError::Stalled {
+                    cause: StopCause::TimeLimit,
+                    ..
+                })
+            ),
+            "{result:?}"
+        );
+        let reasons: Vec<StopCause> = stops
+            .tail()
+            .into_iter()
+            .filter_map(|ev| match ev.kind {
+                TraceKind::EngineStop { reason } => Some(reason),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reasons, [StopCause::TimeLimit]);
     }
 }

@@ -188,7 +188,7 @@ impl JoinService {
             &handle.admission,
             Some(self.cfg.query_deadline),
             handle.cancelled.load(Ordering::Relaxed),
-        )?;
+        );
         handle.run.finish(end)
     }
 

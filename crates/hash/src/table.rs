@@ -973,12 +973,23 @@ impl JoinHashTable {
     /// spill support). The directory is released too: a spilled node never
     /// inserts again.
     pub fn drain_all(&mut self) -> Vec<Tuple> {
+        let (tuples, positions) = self.drain_all_with_positions();
+        self.pool.give(positions);
+        tuples
+    }
+
+    /// [`Self::drain_all`] that hands over the position log with the
+    /// tuples: `positions[i]` is `tuples[i]`'s position, so a spill never
+    /// hashes them again. Both vectors can go back to the [`BufferPool`].
+    pub fn drain_all_with_positions(&mut self) -> (Vec<Tuple>, Vec<u32>) {
         self.dir = Vec::new();
-        self.pool.give(std::mem::take(&mut self.pos));
         (self.lo, self.hi) = (0, 0);
         self.counted = 0;
         self.ordered = true;
-        std::mem::take(&mut self.tuples)
+        (
+            std::mem::take(&mut self.tuples),
+            std::mem::take(&mut self.pos),
+        )
     }
 }
 
@@ -1139,6 +1150,20 @@ mod tests {
         assert_eq!(all.len(), 5);
         assert!(t.is_empty());
         assert_eq!(t.bytes_used(), 0);
+        // The positions come out aligned with the tuples, also after a
+        // probe has put the arena in position order.
+        let mut t = table(100);
+        for i in (0..20u64).rev() {
+            t.insert(Tuple::new(i, i * 3)).unwrap();
+        }
+        let _ = t.probe(9);
+        let (all, positions) = t.drain_all_with_positions();
+        assert_eq!(all.len(), 20);
+        assert!(positions.windows(2).all(|w| w[0] <= w[1]), "ordered");
+        for (t0, &p) in all.iter().zip(&positions) {
+            assert_eq!(p, space().position_of(t0.join_attr));
+        }
+        assert!(t.is_empty());
     }
 
     #[test]

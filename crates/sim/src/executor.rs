@@ -545,6 +545,13 @@ pub struct Admission<M: Message> {
 }
 
 impl<M: Message> Admission<M> {
+    /// Wall time since admission: the group's own clock, which its actors
+    /// read as [`Context::now`].
+    #[must_use]
+    pub fn elapsed(&self) -> Duration {
+        self.group.admitted.elapsed()
+    }
+
     /// Attaches a resource to the group's lifetime: it is dropped the
     /// moment the group's last actor retires (immediately, if the group
     /// already finished) — not when this `Admission` is reaped. Use for
@@ -1064,7 +1071,8 @@ impl<M: Message> ExecCtx<'_, M> {
     /// Flushes one destination's coalesced buffer (leaves it empty,
     /// keeping the allocation). A self-send must never park on the
     /// sender's own full mailbox — the sender is the consumer that would
-    /// drain it. Backpressure parks also yield to rival tenants: a worker
+    /// drain it — and no send parks on a one-worker pool, whose only
+    /// worker is the sender. Backpressure parks also yield to rival tenants: a worker
     /// never sleeps on one group's full mailbox while another group has
     /// work queued — the full ring overflows instead (bounded upstream by
     /// the source credit windows) and the worker's time goes to the group
@@ -1078,7 +1086,7 @@ impl<M: Message> ExecCtx<'_, M> {
             let (shared, groups, group, me, to) =
                 (self.shared, &mut *self.groups, self.group, self.me, *to);
             shared.deliver(group, self.worker, to, buf, || {
-                to == me || shared.group_runnable(groups, Some(group))
+                to == me || shared.workers == 1 || shared.group_runnable(groups, Some(group))
             });
         }
     }
@@ -1138,6 +1146,13 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
     }
 
     fn send(&mut self, to: ActorId, msg: M) {
+        // Actors address only their own group; an id beyond it is a
+        // protocol bug, dropped and counted rather than delivered anywhere,
+        // and charged nothing, as on the simulated network.
+        if to as usize >= self.group.slots.len() {
+            self.shared.misrouted.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         // Charge the wire bytes exactly as the simulated network does, so
         // both backends report comparable traffic — to the sender's group,
         // so each query keeps its own traffic ledger. The bytes also drain the sender's scheduling deficit: producing a
@@ -1150,12 +1165,6 @@ impl<M: Message> Context<M> for ExecCtx<'_, M> {
         let cost = (bytes / DEFICIT_BYTES_PER_UNIT) as i64;
         if cost > 0 {
             self.group.charge_deficit(cost);
-        }
-        // Actors address only their own group; an id beyond it is a
-        // protocol bug, dropped and counted rather than delivered anywhere.
-        if to as usize >= self.group.slots.len() {
-            self.shared.misrouted.fetch_add(1, Ordering::Relaxed);
-            return;
         }
         let from = self.me;
         self.buffer(to, Env::Msg { from, msg });

@@ -229,7 +229,8 @@ fn stealing_spreads_start_work() {
 fn every_channel_delivers_in_send_order() {
     // Six chatters, 500 numbered sends each to random peers (themselves
     // included), at every worker count and at a mailbox small enough to
-    // park senders. A wedged group fails the wait instead of hanging it.
+    // park senders (on more than one worker; a lone worker overflows the
+    // ring at once). A wedged group fails the wait instead of hanging it.
     for workers in [1, 2, 8] {
         for capacity in [2, 1024] {
             let tally = Arc::new(Tally::default());

@@ -181,7 +181,8 @@ fn a_send_outside_the_senders_block_is_counted_and_dropped() {
             .collect()
     });
     let adm = pool.admit_with(1, 1024, |_| vec![Box::new(Trespasser)]);
-    pool.wait(&adm);
+    // Dropped before it is charged, as the simulated network does.
+    assert_eq!(pool.wait(&adm).net_bytes, 0);
     pool.cancel(&neighbour);
     pool.wait(&neighbour);
     assert_eq!(received.load(Ordering::SeqCst), 0, "never crosses groups");

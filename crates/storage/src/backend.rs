@@ -7,15 +7,14 @@
 //! * [`MemBackend`] — holds partition contents in memory. Used under the
 //!   discrete-event simulator, where I/O *cost* is charged through the
 //!   engine's disk model by the caller; only the byte volumes matter.
-//! * [`FileBackend`] — real append-only files in a scratch directory,
-//!   16 bytes per tuple record, written a block at a time. Used by the
-//!   threaded runtime so the out-of-core path is exercised end-to-end
-//!   against a real filesystem.
+//! * [`FileBackend`] — one real spill file per backend (one backend per
+//!   spilling node), 16 bytes per tuple record, every partition a list of
+//!   64 KB blocks in that file. Used by the threaded runtime so the
+//!   out-of-core path is exercised end-to-end against a real file system.
 
 use ehj_data::{BufferPool, Tuple};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::os::unix::fs::FileExt;
 
 /// Handle to one spill partition within a backend.
 pub type PartitionId = usize;
@@ -25,8 +24,8 @@ pub trait SpillBackend {
     /// Creates a new, empty partition.
     fn create(&mut self) -> PartitionId;
 
-    /// Appends tuples to a partition.
-    fn append(&mut self, part: PartitionId, tuples: &[Tuple]);
+    /// Appends one tuple to a partition.
+    fn push(&mut self, part: PartitionId, t: Tuple);
 
     /// Reads a partition's full contents (in append order).
     fn read(&mut self, part: PartitionId) -> Vec<Tuple>;
@@ -58,8 +57,9 @@ impl SpillBackend for MemBackend {
         self.parts.len() - 1
     }
 
-    fn append(&mut self, part: PartitionId, tuples: &[Tuple]) {
-        self.parts[part].extend_from_slice(tuples);
+    #[inline]
+    fn push(&mut self, part: PartitionId, t: Tuple) {
+        self.parts[part].push(t);
     }
 
     fn read(&mut self, part: PartitionId) -> Vec<Tuple> {
@@ -78,61 +78,78 @@ impl SpillBackend for MemBackend {
 /// Bytes of one tuple record in a spill file.
 const RECORD_BYTES: usize = 16;
 
-/// A partition's records reach its file once this many bytes are pending:
-/// incoming chunks carry a few hundred bytes per fragment, and an
-/// open/write/close per chunk costs more than the bytes it moves.
+/// A partition's records reach the file once this many bytes are pending:
+/// incoming chunks carry a few hundred bytes per fragment, and a write per
+/// chunk costs more than the bytes it moves.
 const BLOCK_BYTES: usize = 64 * 1024;
 
-/// Real-file backend: one append-only file per partition under a private
-/// scratch directory, removed on drop. Appends collect in a per-partition
-/// block buffer and reach the file a block at a time; a read flushes the
-/// partial block first, so every partition's contents still go through the
-/// file system. A read decodes a block at a time into a vector taken from
-/// the [`BufferPool`], sized from the partition's count. No descriptor is
-/// held between calls, however many partitions (and backends: one per
-/// spilled node per query) are live.
+/// One partition of a [`FileBackend`].
+#[derive(Debug, Default)]
+struct FilePartition {
+    /// `(offset, bytes)` of each block written to the file, in append
+    /// order.
+    blocks: Vec<(u64, usize)>,
+    /// Encoded records not yet written: the partition's next block.
+    pending: Vec<u8>,
+    count: u64,
+}
+
+/// Real-file backend: one spill file for all of its partitions, created
+/// under [`std::env::temp_dir`] and unlinked at once, so no exit — a
+/// panic or a kill included — leaves a name behind; the space goes back
+/// when the backend drops its handle. Each partition is a list of blocks
+/// at offsets in that file. Appends encode straight into the partition's
+/// pending block, which is written at the file's end once it holds
+/// `BLOCK_BYTES` (64 KB); a read writes the partial block first, so every
+/// partition's contents still go through the file system, then decodes a
+/// block at a time into a vector taken from the [`BufferPool`], sized from
+/// the partition's count. A removed partition's blocks stay as dead space
+/// until the backend drops, so the file holds one record for every tuple
+/// ever appended — what the spill wrote and re-wrote — and never more.
 #[derive(Debug)]
 pub struct FileBackend {
-    dir: PathBuf,
-    files: Vec<Option<PathBuf>>,
-    /// Encoded records not yet written to the partition's file.
-    pending: Vec<Vec<u8>>,
-    counts: Vec<u64>,
+    file: File,
+    /// Bytes written to the file: where the next block goes.
+    end: u64,
+    parts: Vec<FilePartition>,
 }
 
 impl FileBackend {
-    /// Creates a scratch directory under the system temp dir.
+    /// Creates the backend's spill file under the system temp dir and
+    /// removes its name.
     ///
     /// # Panics
-    /// Panics if the scratch directory cannot be created.
+    /// Panics if the spill file cannot be created or unlinked.
     #[must_use]
     pub fn new() -> Self {
         use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("ehj-spill-{}-{}", std::process::id(), n));
-        fs::create_dir_all(&dir).expect("create spill scratch dir");
+        let path = std::env::temp_dir().join(format!("ehj-spill-{}-{}", std::process::id(), n));
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .expect("create spill file");
+        fs::remove_file(&path).expect("unlink spill file");
         Self {
-            dir,
-            files: Vec::new(),
-            pending: Vec::new(),
-            counts: Vec::new(),
+            file,
+            end: 0,
+            parts: Vec::new(),
         }
     }
 
-    fn path(&self, part: PartitionId) -> PathBuf {
-        self.dir.join(format!("part-{part}.bin"))
+    /// Writes partition `part`'s pending block at the file's end.
+    fn write_pending(&mut self, part: PartitionId) {
+        let p = &mut self.parts[part];
+        self.file
+            .write_all_at(&p.pending, self.end)
+            .expect("write spill");
+        p.blocks.push((self.end, p.pending.len()));
+        self.end += p.pending.len() as u64;
+        p.pending.clear();
     }
-}
-
-/// Appends `block` to the file at `path` and empties it.
-fn write_block(path: &Path, block: &mut Vec<u8>) {
-    let mut file = OpenOptions::new()
-        .append(true)
-        .open(path)
-        .expect("open spill file");
-    file.write_all(block).expect("write spill");
-    block.clear();
 }
 
 impl Default for FileBackend {
@@ -141,87 +158,84 @@ impl Default for FileBackend {
     }
 }
 
-impl Drop for FileBackend {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.dir);
-    }
-}
-
 impl SpillBackend for FileBackend {
     fn create(&mut self) -> PartitionId {
-        let id = self.files.len();
-        let path = self.path(id);
-        File::create(&path).expect("create spill file");
-        self.files.push(Some(path));
-        self.pending.push(Vec::new());
-        self.counts.push(0);
-        id
+        self.parts.push(FilePartition::default());
+        self.parts.len() - 1
     }
 
-    fn append(&mut self, part: PartitionId, tuples: &[Tuple]) {
-        let path = self.files[part].as_ref().expect("partition exists");
-        let block = &mut self.pending[part];
-        for t in tuples {
-            block.extend_from_slice(&t.index.to_le_bytes());
-            block.extend_from_slice(&t.join_attr.to_le_bytes());
-            if block.len() >= BLOCK_BYTES {
-                write_block(path, block);
-            }
+    #[inline]
+    fn push(&mut self, part: PartitionId, t: Tuple) {
+        let p = &mut self.parts[part];
+        let mut rec = [0u8; RECORD_BYTES];
+        rec[..8].copy_from_slice(&t.index.to_le_bytes());
+        rec[8..].copy_from_slice(&t.join_attr.to_le_bytes());
+        p.pending.extend_from_slice(&rec);
+        p.count += 1;
+        if p.pending.len() >= BLOCK_BYTES {
+            self.write_pending(part);
         }
-        self.counts[part] += tuples.len() as u64;
     }
 
     fn read(&mut self, part: PartitionId) -> Vec<Tuple> {
-        let Some(path) = self.files[part].as_ref() else {
-            return Vec::new();
-        };
-        if !self.pending[part].is_empty() {
-            write_block(path, &mut self.pending[part]);
+        if !self.parts[part].pending.is_empty() {
+            self.write_pending(part);
         }
-        let count = usize::try_from(self.counts[part]).expect("partition fits in memory");
-        let mut file = File::open(path).expect("open spill file");
-        let on_disk = file.metadata().expect("stat spill file").len();
-        assert_eq!(on_disk, (count * RECORD_BYTES) as u64, "corrupt spill file");
+        let p = &self.parts[part];
+        let count = usize::try_from(p.count).expect("partition fits in memory");
         let mut out = BufferPool::global().take(count);
         let mut block = vec![0u8; BLOCK_BYTES.min(count * RECORD_BYTES)];
-        while out.len() < count {
-            let n = block.len().min((count - out.len()) * RECORD_BYTES);
-            file.read_exact(&mut block[..n]).expect("read spill");
-            out.extend(block[..n].chunks_exact(RECORD_BYTES).map(|rec| {
+        for &(offset, bytes) in &p.blocks {
+            let block = &mut block[..bytes];
+            self.file.read_exact_at(block, offset).expect("read spill");
+            out.extend(block.chunks_exact(RECORD_BYTES).map(|rec| {
                 Tuple::new(
                     u64::from_le_bytes(rec[0..8].try_into().expect("8 bytes")),
                     u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes")),
                 )
             }));
         }
+        assert_eq!(out.len(), count, "corrupt spill file");
         out
     }
 
     fn remove(&mut self, part: PartitionId) {
-        if let Some(path) = self.files[part].take() {
-            let _ = fs::remove_file(path);
-        }
-        self.pending[part] = Vec::new();
-        self.counts[part] = 0;
+        self.parts[part] = FilePartition::default();
     }
 
     fn len(&self, part: PartitionId) -> u64 {
-        self.counts[part]
+        self.parts[part].count
     }
+}
+
+/// Serialises the tests that create a [`FileBackend`]: one of them lists
+/// the temp dir, and another test's spill file is briefly named there
+/// between its creation and its unlink.
+#[cfg(test)]
+pub(crate) fn temp_dir_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn append(b: &mut impl SpillBackend, part: PartitionId, tuples: &[Tuple]) {
+        for &t in tuples {
+            b.push(part, t);
+        }
+    }
+
     fn roundtrip(mut b: impl SpillBackend) {
         let p0 = b.create();
         let p1 = b.create();
         let batch1: Vec<Tuple> = (0..10).map(|i| Tuple::new(i, i * 3)).collect();
         let batch2: Vec<Tuple> = (10..15).map(|i| Tuple::new(i, i * 3)).collect();
-        b.append(p0, &batch1);
-        b.append(p0, &batch2);
-        b.append(p1, &batch2);
+        append(&mut b, p0, &batch1);
+        append(&mut b, p0, &batch2);
+        append(&mut b, p1, &batch2);
         assert_eq!(b.len(p0), 15);
         assert_eq!(b.len(p1), 5);
         let got = b.read(p0);
@@ -242,64 +256,109 @@ mod tests {
 
     #[test]
     fn file_backend_roundtrip() {
+        let _lock = temp_dir_lock();
         roundtrip(FileBackend::new());
-        // Appends reach the file a block at a time.
-        let per_block = (BLOCK_BYTES / RECORD_BYTES) as u64;
-        let on_disk = |b: &FileBackend, p: PartitionId| {
-            fs::metadata(b.files[p].as_ref().expect("live partition"))
-                .expect("spill file exists")
-                .len()
-        };
-        let mut b = FileBackend::new();
-        let p = b.create();
-        let q = b.create();
-        let all: Vec<Tuple> = (0..3 * per_block + 10)
+    }
+
+    /// Block layout of a partition: `(offset, bytes)` of each block.
+    fn blocks(b: &FileBackend, p: PartitionId) -> Vec<(u64, usize)> {
+        b.parts[p].blocks.clone()
+    }
+
+    fn pending(b: &FileBackend, p: PartitionId) -> usize {
+        b.parts[p].pending.len()
+    }
+
+    #[test]
+    fn file_partitions_interleave_in_one_file_a_block_at_a_time() {
+        let _lock = temp_dir_lock();
+        let per_block = BLOCK_BYTES / RECORD_BYTES;
+        let block = BLOCK_BYTES as u64;
+        let all: Vec<Tuple> = (0..4 * per_block as u64 + 10)
             .map(|i| Tuple::new(i, i * 7))
             .collect();
+        let mut b = FileBackend::new();
+        let (p, q) = (b.create(), b.create());
         // Short of a block: counted, buffered, nothing written yet.
-        let (head, rest) = all.split_at(per_block as usize - 3);
-        b.append(p, head);
-        assert_eq!(b.len(p), per_block - 3);
-        assert_eq!(on_disk(&b, p), 0);
+        let (head, rest) = all.split_at(per_block - 3);
+        append(&mut b, p, head);
+        assert_eq!(b.len(p), per_block as u64 - 3);
+        assert_eq!((b.end, pending(&b, p)), (0, head.len() * RECORD_BYTES));
         // Straddling the boundary writes exactly the full block.
         let (straddle, rest) = rest.split_at(8);
-        b.append(p, straddle);
-        assert_eq!(on_disk(&b, p), BLOCK_BYTES as u64);
-        assert_eq!(b.pending[p].len(), 5 * RECORD_BYTES);
-        // A read taken while a partial block is buffered flushes it and
-        // sees everything, in append order; so does one after more appends.
-        assert_eq!(b.len(p), per_block + 5);
-        assert_eq!(b.read(p), all[..per_block as usize + 5]);
-        assert_eq!(on_disk(&b, p), (per_block + 5) * RECORD_BYTES as u64);
-        // One append larger than two blocks is cut into blocks as it goes.
-        b.append(p, rest);
-        assert_eq!(b.pending[p].len(), 5 * RECORD_BYTES);
-        assert_eq!(b.len(p), all.len() as u64);
-        assert_eq!(b.read(p), all);
-        // Removal discards a buffered partial block with the file.
-        b.append(q, &all[..4]);
+        append(&mut b, p, straddle);
+        assert_eq!(blocks(&b, p), [(0, BLOCK_BYTES)]);
+        assert_eq!(pending(&b, p), 5 * RECORD_BYTES);
+        // The other partition's first block lands after it in the file.
+        let (theirs, rest) = rest.split_at(per_block);
+        append(&mut b, q, theirs);
+        assert_eq!(blocks(&b, q), [(block, BLOCK_BYTES)]);
+        // A read taken while a partial block is buffered writes it as a
+        // short block and sees everything, in append order.
+        assert_eq!(b.read(p), all[..per_block + 5]);
+        let short = 5 * RECORD_BYTES;
+        assert_eq!(blocks(&b, p), [(0, BLOCK_BYTES), (2 * block, short)]);
+        assert_eq!(b.end, 2 * block + short as u64);
+        // One append past two more blocks is cut into blocks as it goes,
+        // and the partition reads back across all four of its blocks.
+        let (mine, rest) = rest.split_at(2 * per_block + 3);
+        append(&mut b, p, mine);
+        let after = 2 * block + short as u64;
+        assert_eq!(
+            blocks(&b, p),
+            [
+                (0, BLOCK_BYTES),
+                (2 * block, short),
+                (after, BLOCK_BYTES),
+                (after + block, BLOCK_BYTES)
+            ]
+        );
+        let expected: Vec<Tuple> = [head, straddle, mine].concat();
+        assert_eq!(b.read(p), expected);
+        assert_eq!(b.read(q), theirs);
+        assert_eq!(b.len(p), expected.len() as u64);
+        // A removed partition reads as nothing, buffered block and all,
+        // and writes nothing; its neighbour still reads whole.
+        append(&mut b, q, rest);
         b.remove(q);
         assert_eq!(b.len(q), 0);
+        let end = b.end;
         assert!(b.read(q).is_empty());
-        assert!(b.pending[q].is_empty());
+        assert_eq!(b.end, end);
+        assert_eq!(b.read(p), expected);
+    }
+
+    /// Names of this process's spill files in the temp dir.
+    fn spill_names() -> Vec<String> {
+        let prefix = format!("ehj-spill-{}-", std::process::id());
+        fs::read_dir(std::env::temp_dir())
+            .expect("list temp dir")
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with(&prefix))
+            .collect()
     }
 
     #[test]
     fn file_backend_cleans_up_on_drop() {
-        let dir;
+        let _lock = temp_dir_lock();
         {
             let mut b = FileBackend::new();
             let p = b.create();
-            b.append(p, &[Tuple::new(1, 2)]);
-            dir = b.dir.clone();
-            assert!(dir.exists());
+            append(&mut b, p, &[Tuple::new(1, 2)]);
+            assert_eq!(b.read(p), [Tuple::new(1, 2)]);
+            assert_eq!(spill_names(), Vec::<String>::new(), "while live");
         }
-        assert!(!dir.exists(), "scratch dir must be removed on drop");
+        assert_eq!(spill_names(), Vec::<String>::new(), "after drop");
     }
 
     #[test]
     fn empty_partition_reads_empty() {
         let mut b = MemBackend::new();
+        let p = b.create();
+        assert!(b.read(p).is_empty());
+        assert_eq!(b.len(p), 0);
+        let _lock = temp_dir_lock();
+        let mut b = FileBackend::new();
         let p = b.create();
         assert!(b.read(p).is_empty());
         assert_eq!(b.len(p), 0);

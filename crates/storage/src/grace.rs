@@ -10,15 +10,23 @@
 //!
 //! [`GraceJoin`] implements that per node: once a node's in-memory table
 //! overflows, its contents and all subsequent build tuples are partitioned
-//! into fragment files by position subrange; probe tuples stream into
-//! matching fragment files; [`GraceJoin::finalize`] then joins each
-//! fragment pair in memory, recursively re-partitioning fragments that
-//! still do not fit and falling back to block nested-loop when a fragment
-//! cannot be subdivided (e.g. one hot value under extreme skew).
+//! into fragments by position subrange — the equal cuts of the node's
+//! range, so a tuple's fragment is one multiply and one divide on its
+//! position — and each fragment's build and probe side is a partition of
+//! the node's one spill backend; probe tuples stream into the matching
+//! fragments; [`GraceJoin::finalize`] then joins each fragment pair in
+//! memory, recursively re-partitioning fragments that still do not fit and
+//! falling back to block nested-loop when a fragment cannot be subdivided
+//! (e.g. one hot value under extreme skew). A caller that has already
+//! hashed its build tuples passes their positions in
+//! ([`GraceJoin::append_build_pre_hashed`]), so nothing is hashed twice.
 //!
 //! The struct only *stores* data and counts I/O volume; the caller charges
 //! simulated disk time from the returned byte counts (or real I/O happens
-//! inside a [`crate::backend::FileBackend`]). Every fragment read goes back
+//! inside a [`crate::backend::FileBackend`]: one spill file per node, which
+//! keeps a removed partition's blocks as dead space and so holds one record
+//! for each tuple behind [`GraceJoin::bytes_written`] and
+//! [`GraceResult::bytes_rewritten`], never more). Every fragment read goes back
 //! to the [`BufferPool`] once joined or re-partitioned, as does each
 //! in-memory table's arena, so finalizing fragment after fragment reuses
 //! one set of buffers.
@@ -69,6 +77,7 @@ pub struct GraceResult {
     pub nested_loop_fragments: u64,
 }
 
+#[derive(Debug)]
 struct Fragment {
     range: HashRange,
     build: PartitionId,
@@ -76,45 +85,32 @@ struct Fragment {
     depth: u32,
 }
 
-/// Reused routing scratch: the incoming batch's positions and one outgoing
-/// buffer per fragment.
-#[derive(Default)]
-struct Scatter {
-    positions: Vec<u32>,
-    groups: Vec<Vec<Tuple>>,
-}
-
-impl Scatter {
-    /// Appends each tuple to the build or probe partition of the fragment
-    /// of `frags` whose subrange holds its position (the last one for a
-    /// position past them all): one bulk hash of the batch, one backend
-    /// append per fragment that received anything.
-    fn append<B: SpillBackend>(
-        &mut self,
-        space: PositionSpace,
-        backend: &mut B,
-        frags: &[Fragment],
-        tuples: &[Tuple],
-        probe_side: bool,
-    ) {
-        space.bulk_positions(tuples, &mut self.positions);
-        if self.groups.len() < frags.len() {
-            self.groups.resize_with(frags.len(), Vec::new);
-        }
-        for (t, &pos) in tuples.iter().zip(&self.positions) {
-            let i = frags
-                .partition_point(|f| f.range.end <= pos)
-                .min(frags.len() - 1);
-            self.groups[i].push(*t);
-        }
-        for (frag, group) in frags.iter().zip(&mut self.groups) {
-            if group.is_empty() {
-                continue;
-            }
-            let part = if probe_side { frag.probe } else { frag.build };
-            backend.append(part, group);
-            group.clear();
-        }
+/// Appends each tuple to the build or probe partition of its fragment in
+/// `frags`, given its position. `frags` are the equal cuts of one range
+/// ([`partition_range`]), so a position's fragment is computed rather
+/// than searched for; a position past them all goes to the last.
+fn scatter<B: SpillBackend>(
+    backend: &mut B,
+    frags: &[Fragment],
+    tuples: &[Tuple],
+    positions: &[u32],
+    probe_side: bool,
+) {
+    debug_assert_eq!(tuples.len(), positions.len());
+    let (Some(first), Some(last)) = (frags.first(), frags.last()) else {
+        return;
+    };
+    let start = first.range.start;
+    let len = u64::from(last.range.end - start);
+    let k = frags.len() as u64;
+    for (&t, &pos) in tuples.iter().zip(positions) {
+        // Fragment `i` starts at `floor(len * i / k)` past `start`, so the
+        // last one starting at or before offset `x` is
+        // `floor(((x + 1) * k - 1) / len)`. Both factors are below 2^32.
+        let x = u64::from(pos.saturating_sub(start));
+        let i = (((x + 1) * k - 1) / len).min(k - 1) as usize;
+        let frag = &frags[i];
+        backend.push(if probe_side { frag.probe } else { frag.build }, t);
     }
 }
 
@@ -122,6 +118,7 @@ impl Scatter {
 const PROBE_CHUNK: usize = 4096;
 
 /// Per-node Grace out-of-core join state.
+#[derive(Debug)]
 pub struct GraceJoin<B: SpillBackend> {
     space: PositionSpace,
     schema: Schema,
@@ -130,7 +127,9 @@ pub struct GraceJoin<B: SpillBackend> {
     backend: B,
     frags: Vec<Fragment>,
     bytes_written: u64,
-    scatter: Scatter,
+    /// Positions of the batch being appended, for a caller that has not
+    /// hashed it.
+    positions: Vec<u32>,
 }
 
 impl<B: SpillBackend> GraceJoin<B> {
@@ -167,7 +166,7 @@ impl<B: SpillBackend> GraceJoin<B> {
             backend,
             frags,
             bytes_written: 0,
-            scatter: Scatter::default(),
+            positions: Vec::new(),
         }
     }
 
@@ -176,12 +175,14 @@ impl<B: SpillBackend> GraceJoin<B> {
         self.schema.tuple_bytes() + ENTRY_OVERHEAD_BYTES
     }
 
-    fn append_side(&mut self, tuples: &[Tuple], probe_side: bool) -> u64 {
-        self.scatter.append(
-            self.space,
+    /// Spills `tuples` at `positions` (`positions[i]` is
+    /// `tuples[i]`'s); returns the bytes written.
+    fn append_side(&mut self, tuples: &[Tuple], positions: &[u32], probe_side: bool) -> u64 {
+        scatter(
             &mut self.backend,
             &self.frags,
             tuples,
+            positions,
             probe_side,
         );
         let bytes = self.schema.tuples_bytes(tuples.len() as u64);
@@ -189,16 +190,36 @@ impl<B: SpillBackend> GraceJoin<B> {
         bytes
     }
 
-    /// Spills build-side tuples (the drained in-memory table on activation,
-    /// then every subsequent build arrival). Returns bytes written so the
-    /// caller can charge disk time.
+    /// Hashes `tuples` and spills them.
+    fn hash_and_append(&mut self, tuples: &[Tuple], probe_side: bool) -> u64 {
+        let mut positions = std::mem::take(&mut self.positions);
+        self.space.bulk_positions(tuples, &mut positions);
+        let bytes = self.append_side(tuples, &positions, probe_side);
+        self.positions = positions;
+        bytes
+    }
+
+    /// Spills build-side tuples (every build arrival after activation).
+    /// Returns bytes written so the caller can charge disk time.
     pub fn append_build(&mut self, tuples: &[Tuple]) -> u64 {
-        self.append_side(tuples, false)
+        self.hash_and_append(tuples, false)
+    }
+
+    /// [`Self::append_build`] for tuples whose positions the caller has
+    /// already computed (`positions[i]` is `tuples[i]`'s): the drained
+    /// in-memory table on activation, or a chunk the node has just hashed
+    /// to route it. Nothing is hashed again.
+    pub fn append_build_pre_hashed(&mut self, tuples: &[Tuple], positions: &[u32]) -> u64 {
+        debug_assert!(tuples
+            .iter()
+            .zip(positions)
+            .all(|(t, &p)| p == self.space.position_of(t.join_attr)));
+        self.append_side(tuples, positions, false)
     }
 
     /// Spills probe-side tuples. Returns bytes written.
     pub fn append_probe(&mut self, tuples: &[Tuple]) -> u64 {
-        self.append_side(tuples, true)
+        self.hash_and_append(tuples, true)
     }
 
     /// Total raw bytes appended so far (both sides).
@@ -306,11 +327,12 @@ impl<B: SpillBackend> GraceJoin<B> {
             let bytes = self.schema.tuples_bytes(tuples.len() as u64);
             result.bytes_read += bytes;
             result.bytes_rewritten += bytes;
-            self.scatter.append(
-                self.space,
+            self.space.bulk_positions(&tuples, &mut self.positions);
+            scatter(
                 &mut self.backend,
                 &children,
                 &tuples,
+                &self.positions,
                 probe_side,
             );
             BufferPool::global().give(tuples);
@@ -474,6 +496,7 @@ mod tests {
 
     #[test]
     fn file_backend_end_to_end() {
+        let _lock = crate::backend::temp_dir_lock();
         let (r, s) = make_relations(1000, 200);
         let result = run_grace(
             FileBackend::new(),
@@ -483,6 +506,79 @@ mod tests {
             GraceConfig::default(),
         );
         assert_eq!(result.matches, expected_matches(&r, &s));
+    }
+
+    /// Every fragment's build and probe partition, in order.
+    fn contents(g: &mut GraceJoin<MemBackend>) -> Vec<(Vec<Tuple>, Vec<Tuple>)> {
+        g.frags
+            .iter()
+            .map(|f| (g.backend.read(f.build), g.backend.read(f.probe)))
+            .collect()
+    }
+
+    #[test]
+    fn drained_positions_fill_the_fragments_re_hashing_fills() {
+        // A table drained after a probe has ordered its arena, so the
+        // drained order is not the insertion order.
+        let (r, s) = make_relations(3000, 10_000);
+        let mut table = JoinHashTable::new(space(), schema(), u64::MAX);
+        table.insert_batch_unchecked(&r);
+        let _ = table.probe(r[7].join_attr);
+        let (drained, positions) = table.drain_all_with_positions();
+        let grace = || {
+            GraceJoin::new(
+                space(),
+                schema(),
+                HashRange::new(0, 1000),
+                capacity_for(500),
+                GraceConfig::default(),
+                MemBackend::new(),
+            )
+        };
+        let (mut hashed, mut given) = (grace(), grace());
+        let written = hashed.append_build(&drained);
+        assert_eq!(given.append_build_pre_hashed(&drained, &positions), written);
+        for g in [&mut hashed, &mut given] {
+            let _ = g.append_probe(&s);
+        }
+        let frags = contents(&mut hashed);
+        assert_eq!(frags.len(), 16);
+        assert!(frags.iter().all(|(b, p)| !b.is_empty() && !p.is_empty()));
+        assert_eq!(contents(&mut given), frags);
+        // Each fragment holds exactly the positions of its subrange.
+        for (f, (build, _)) in hashed.frags.iter().zip(&frags) {
+            assert!(build
+                .iter()
+                .all(|t| f.range.contains(space().position_of(t.join_attr))));
+        }
+        assert_eq!(hashed.finalize(), given.finalize());
+    }
+
+    #[test]
+    fn a_position_goes_to_the_cut_that_holds_it() {
+        // Uneven cuts (7 over 100 positions, offset by 3), every position.
+        let positions: Vec<u32> = (3..103).collect();
+        let tuples: Vec<Tuple> = positions
+            .iter()
+            .map(|&p| Tuple::new(0, u64::from(p)))
+            .collect();
+        let mut backend = MemBackend::new();
+        let frags: Vec<Fragment> = partition_range(HashRange::new(3, 103), 7)
+            .into_iter()
+            .map(|range| Fragment {
+                range,
+                build: backend.create(),
+                probe: backend.create(),
+                depth: 0,
+            })
+            .collect();
+        scatter(&mut backend, &frags, &tuples, &positions, false);
+        for f in &frags {
+            let got = backend.read(f.build);
+            let want: Vec<u64> = (f.range.start..f.range.end).map(u64::from).collect();
+            assert_eq!(got.iter().map(|t| t.join_attr).collect::<Vec<_>>(), want);
+            assert!(backend.read(f.probe).is_empty());
+        }
     }
 
     #[test]
