@@ -90,7 +90,9 @@ pub struct JoinNode<B: SpillBackend + Default + Send> {
     awaiting_relief: bool,
     /// Whether a MemoryFull report may still be queued at the scheduler.
     reported_full: bool,
-    routing: Option<RoutingTable>,
+    /// The table last accepted, shared with the scheduler and every other
+    /// recipient of the same routing message.
+    routing: Option<Arc<RoutingTable>>,
     routing_version: u64,
     recv_chunks: [u64; 3],
     fwd_chunks: [u64; 3],
@@ -107,7 +109,7 @@ pub struct JoinNode<B: SpillBackend + Default + Send> {
     metrics: NodeMetrics,
     /// Reusable per-destination scatter buffers for routing whole batches
     /// (the destination slots persist across messages; no per-tuple map
-    /// lookups or per-call rebuilds).
+    /// lookups or per-call rebuilds), sorted by destination.
     scatter: Vec<(ActorId, Vec<Tuple>)>,
     /// Reusable position buffer for the hash-once build path.
     pos_scratch: Vec<u32>,
@@ -244,18 +246,29 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
     }
 
     /// Stages one routed tuple for `dest` in the reusable scatter buffers.
-    /// Destinations are few (active nodes a batch fans out to), so a linear
-    /// slot scan beats any map.
+    /// Destinations are few (active nodes a batch fans out to), so a search
+    /// of the sorted slots beats any map, and a new one is inserted in
+    /// order. A buffer [`Self::ship_scatter`] handed off reserves once, for
+    /// `batch` tuples (what the caller is routing), so it does not regrow
+    /// tuple by tuple.
     #[inline]
-    fn scatter_push(&mut self, dest: ActorId, t: Tuple) {
-        match self.scatter.iter_mut().find(|(d, _)| *d == dest) {
-            Some((_, buf)) => buf.push(t),
-            None => self.scatter.push((dest, vec![t])),
+    fn scatter_push(&mut self, dest: ActorId, t: Tuple, batch: usize) {
+        let i = match self.scatter.binary_search_by_key(&dest, |&(d, _)| d) {
+            Ok(i) => i,
+            Err(i) => {
+                self.scatter.insert(i, (dest, Vec::new()));
+                i
+            }
+        };
+        let buf = &mut self.scatter[i].1;
+        if buf.capacity() == 0 {
+            buf.reserve_exact(batch);
         }
+        buf.push(t);
     }
 
-    /// Ships every staged scatter group (in destination order, for
-    /// deterministic traffic) and charges the routing CPU. When `whole` is
+    /// Ships every staged scatter group (in destination order, the slots'
+    /// own, for deterministic traffic) and charges the routing CPU. When `whole` is
     /// the original incoming batch and every tuple routed to one
     /// destination, that batch is re-forwarded as an `Arc` clone instead of
     /// re-materializing the tuples — the common stale-routing case where a
@@ -268,13 +281,12 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
     ) {
         let costs = self.cfg.costs;
         let fwd_cat = self.forward_category();
-        let mut order: Vec<usize> = (0..self.scatter.len())
-            .filter(|&i| !self.scatter[i].1.is_empty())
-            .collect();
-        order.sort_by_key(|&i| self.scatter[i].0);
-        for i in order {
+        for i in 0..self.scatter.len() {
             let dest = self.scatter[i].0;
             let n = self.scatter[i].1.len();
+            if n == 0 {
+                continue;
+            }
             ctx.consume_cpu(costs.route_per_tuple * n as u64);
             let batch = match whole {
                 Some(b) if b.len() == n => {
@@ -287,7 +299,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         }
     }
 
-    fn activate(&mut self, ctx: &mut dyn Context<Msg>, routing: RoutingTable, version: u64) {
+    fn activate(&mut self, ctx: &mut dyn Context<Msg>, routing: Arc<RoutingTable>, version: u64) {
         if self.active {
             // Re-activation of a warm spare: just refresh routing.
             if version > self.routing_version {
@@ -462,7 +474,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 routing.build_dest(pos)
             };
             if dest != self.me {
-                self.scatter_push(dest, t);
+                self.scatter_push(dest, t, batch.len());
                 continue;
             }
             if self.spill.is_some() {
@@ -489,8 +501,14 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                         self.me
                     };
                     if owner != self.me {
-                        self.scatter_push(owner, t);
+                        self.scatter_push(owner, t, batch.len());
                     } else {
+                        // The queue is kept from then on (see
+                        // `drain_pending`), so it is sized once, for a
+                        // chunk.
+                        if self.pending.capacity() == 0 {
+                            self.pending.reserve(batch.len());
+                        }
                         self.pending.push_back(t);
                         newly_pending += 1;
                     }
@@ -534,9 +552,13 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         }
         let costs = self.cfg.costs;
         let routing = self.routing.take().expect("active node has routing");
-        let mut still = VecDeque::new();
         let mut inserted: u64 = 0;
-        for t in std::mem::take(&mut self.pending) {
+        // One pass over the queue in place: each tuple is popped from the
+        // front, and one still unhoused goes to the back, so what stays
+        // keeps its order and the queue its allocation.
+        let queued = self.pending.len();
+        for _ in 0..queued {
+            let t = self.pending.pop_front().expect("counted above");
             let pos = self.space.position_of(t.join_attr);
             let hot = routing.overlay().is_some_and(|o| o.is_hot(pos));
             if hot {
@@ -558,16 +580,15 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 routing.build_dest(pos)
             };
             if dest != self.me {
-                self.scatter_push(dest, t);
+                self.scatter_push(dest, t, queued);
             } else {
                 match self.table.insert_pre_hashed(t, pos) {
                     Ok(()) => inserted += 1,
-                    Err(_) => still.push_back(t),
+                    Err(_) => self.pending.push_back(t),
                 }
             }
         }
         self.routing = Some(routing);
-        self.pending = still;
         ctx.consume_cpu(costs.insert_per_tuple * inserted);
         self.ship_scatter(ctx, Phase::Build, None);
         if self.pending.is_empty() {
@@ -609,7 +630,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         let (compared, found) = (stats.compared, stats.matches);
         self.matches += found;
         self.compares += compared;
-        if let Some(o) = self.routing.as_ref().and_then(RoutingTable::overlay) {
+        if let Some(o) = self.routing.as_deref().and_then(RoutingTable::overlay) {
             // The batched kernel has just hashed exactly this batch into the
             // scratch; the scalar reference fills nothing.
             let hits = match kernel {
@@ -963,7 +984,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::Activate {
-                routing: two_node_routing(),
+                routing: Arc::new(two_node_routing()),
                 version: 1,
             },
         );
@@ -992,7 +1013,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::Activate {
-                routing: two_node_routing(),
+                routing: Arc::new(two_node_routing()),
                 version: 1,
             },
         );
@@ -1091,7 +1112,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: hot_routing(),
+                routing: Arc::new(hot_routing()),
                 version: 2,
             },
         );
@@ -1117,7 +1138,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: hot_routing(),
+                routing: Arc::new(hot_routing()),
                 version: 2,
             },
         );
@@ -1169,7 +1190,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: hot_routing(),
+                routing: Arc::new(hot_routing()),
                 version: 2,
             },
         );
@@ -1242,7 +1263,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing,
+                routing: Arc::new(routing),
                 version: 2,
             },
         );
@@ -1270,7 +1291,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: two_node_routing(),
+                routing: Arc::new(two_node_routing()),
                 version: 2,
             },
         );
@@ -1329,7 +1350,7 @@ mod tests {
                 &mut ctx,
                 SCHED,
                 Msg::Activate {
-                    routing: two_node_routing(),
+                    routing: Arc::new(two_node_routing()),
                     version: 1,
                 },
             );
@@ -1439,7 +1460,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::Activate {
-                routing: two_node_routing(),
+                routing: Arc::new(two_node_routing()),
                 version: 1,
             },
         );
@@ -1680,7 +1701,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: routing.clone(),
+                routing: Arc::new(routing.clone()),
                 version: 2,
             },
         );
@@ -1691,7 +1712,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing,
+                routing: Arc::new(routing),
                 version: 3,
             },
         );
@@ -1705,7 +1726,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: hot_routing(),
+                routing: Arc::new(hot_routing()),
                 version: 2,
             },
         );
@@ -1797,7 +1818,7 @@ mod tests {
                 ctx,
                 SCHED,
                 Msg::RoutingUpdate {
-                    routing,
+                    routing: Arc::new(routing),
                     version: 2,
                 },
             );
@@ -1845,7 +1866,7 @@ mod tests {
                 ctx,
                 SCHED,
                 Msg::RoutingUpdate {
-                    routing,
+                    routing: Arc::new(routing),
                     version: 2,
                 },
             );

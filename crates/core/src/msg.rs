@@ -5,6 +5,7 @@ use ehj_data::TupleBatch;
 use ehj_hash::{HashRange, SpaceSaving, SplitStep};
 use ehj_metrics::{CommCounters, Phase};
 use ehj_sim::{ActorId, Message};
+use std::sync::Arc;
 
 /// Wire size charged for a bare control message.
 pub const CONTROL_BYTES: u64 = 64;
@@ -50,16 +51,21 @@ pub enum Msg {
     // ---- scheduler → join nodes ----
     /// Activates a join node (initial setup or recruitment) with the
     /// current routing state. Handling charges the recruit latency.
+    ///
+    /// The four routing messages carry the scheduler's table by `Arc`:
+    /// every recipient of one routing state shares one immutable copy (the
+    /// scheduler copies on write), while the wire is still charged the
+    /// whole table per message.
     Activate {
         /// Routing table at activation time.
-        routing: RoutingTable,
+        routing: Arc<RoutingTable>,
         /// Routing version.
         version: u64,
     },
     /// New routing state after an expansion (broadcast to sources too).
     RoutingUpdate {
         /// The new table.
-        routing: RoutingTable,
+        routing: Arc<RoutingTable>,
         /// Monotonic version; stale updates are ignored.
         version: u64,
     },
@@ -116,14 +122,14 @@ pub enum Msg {
     /// Begin generating and routing the build relation.
     StartBuild {
         /// Build routing.
-        routing: RoutingTable,
+        routing: Arc<RoutingTable>,
         /// Routing version.
         version: u64,
     },
     /// Begin generating and routing the probe relation.
     StartProbe {
         /// Probe routing (final; never changes during the probe).
-        routing: RoutingTable,
+        routing: Arc<RoutingTable>,
         /// Routing version.
         version: u64,
     },
@@ -282,11 +288,14 @@ mod tests {
     #[test]
     fn routing_messages_scale_with_table() {
         let small = Msg::RoutingUpdate {
-            routing: RoutingTable::Replica(ReplicaMap::partitioned(100, &[1, 2])),
+            routing: Arc::new(RoutingTable::Replica(ReplicaMap::partitioned(100, &[1, 2]))),
             version: 1,
         };
         let large = Msg::RoutingUpdate {
-            routing: RoutingTable::Replica(ReplicaMap::partitioned(100, &[1, 2, 3, 4, 5, 6, 7, 8])),
+            routing: Arc::new(RoutingTable::Replica(ReplicaMap::partitioned(
+                100,
+                &[1, 2, 3, 4, 5, 6, 7, 8],
+            ))),
             version: 1,
         };
         assert!(large.wire_bytes() > small.wire_bytes());

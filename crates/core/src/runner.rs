@@ -19,8 +19,9 @@ use crate::scheduler::Scheduler;
 use crate::source::DataSource;
 use crate::topology::Topology;
 use ehj_metrics::{
-    sample_once, ClockKind, JsonlSink, MetricsMonitor, MetricsRegistry, MetricsReport, Phase,
-    RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel, TraceSink, Tracer,
+    sample_once, ClockKind, ExecutorStats, JsonlSink, MetricsMonitor, MetricsRegistry,
+    MetricsReport, Phase, RingSink, RollupSink, StopCause, TraceEvent, TraceKind, TraceLevel,
+    TraceSink, Tracer,
 };
 use ehj_sim::{Actor, Admission, Engine, EngineConfig, Executor, ExecutorConfig, SimTime};
 use ehj_storage::{FileBackend, MemBackend, SpillBackend};
@@ -346,6 +347,13 @@ pub(crate) struct RunEnd {
     /// Metrics samples already emitted during the run: the end-of-run
     /// sample's sequence number.
     pub(crate) samples: u64,
+    /// What the run's `executor_stats` trace line reports, if it has one:
+    /// the pool's counters on a pool of the run's own, and on the simulator,
+    /// which has no workers, its count of sends to an id past the query —
+    /// both backends drop such a send — when there was one (a correct run
+    /// has none, and its trace no such line). `None` for a query sharing a
+    /// pool.
+    pub(crate) exec: Option<ExecutorStats>,
     pub(crate) silent: SilentEnd,
 }
 
@@ -468,15 +476,24 @@ impl QueryRun {
             net_bytes,
             disk_bytes: 0,
             samples: 0,
+            exec: None,
             silent,
         }
     }
 
-    /// Ends the query: takes the report its scheduler left — or says why
-    /// there is none — stamps the backend's totals on it, takes the
-    /// end-of-run metrics sample and the registry snapshot, folds the trace
-    /// rollup in and flushes the sinks.
+    /// Ends the query: emits its executor counters, takes the report its
+    /// scheduler left — or says why there is none — stamps the backend's
+    /// totals on it, takes the end-of-run metrics sample and the registry
+    /// snapshot, folds the trace rollup in and flushes the sinks.
     pub(crate) fn finish(&self, end: RunEnd) -> Result<JoinReport, JoinError> {
+        if let Some(exec) = end.exec {
+            self.harness.tracer.emit(
+                end.at_nanos,
+                0,
+                Phase::Probe,
+                TraceKind::ExecutorStats(Box::new(exec)),
+            );
+        }
         let report = self.result.lock().expect("report lock").take();
         let Some(mut report) = report else {
             let cause = match end.silent {
@@ -555,6 +572,10 @@ impl JoinRunner {
             net_bytes: run.net_bytes,
             disk_bytes: run.disk_bytes,
             samples: 0,
+            exec: (run.misrouted > 0).then(|| ExecutorStats {
+                misrouted: run.misrouted,
+                ..ExecutorStats::default()
+            }),
             // Only a query that never reported reads this: the scheduler
             // stops the engine the moment it reports, so a stop without a
             // report is its protocol-fault stop, classified from the tail.
@@ -586,15 +607,12 @@ impl JoinRunner {
             .map(|t| Duration::from_nanos(t.as_nanos()));
         let end = query.reap(&executor, &admission, budget, false);
         let samples = monitor.stop();
-        let exec = executor.shutdown().exec;
-        let end = RunEnd { samples, ..end };
-        tracer.emit(
-            end.at_nanos,
-            0,
-            Phase::Probe,
-            TraceKind::ExecutorStats(Box::new(exec)),
-        );
-        query.finish(end)
+        let exec = Some(executor.shutdown().exec);
+        query.finish(RunEnd {
+            samples,
+            exec,
+            ..end
+        })
     }
 }
 
@@ -699,6 +717,7 @@ mod tests {
                 net_bytes: 22,
                 disk_bytes: 33,
                 samples: 0,
+                exec: None,
                 silent: c.silent,
             });
             assert_eq!(variant(&result), c.want, "{}", c.name);
@@ -736,6 +755,45 @@ mod tests {
                     assert_eq!(tail.len(), 2 + usize::from(c.fault), "{}", c.name);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_misrouted_send_reaches_the_executor_stats_line_however_the_query_ends() {
+        // The simulator's count rides `RunEnd` to the line the pool's
+        // reaches: the report's rollup, or the error's trace tail.
+        let template = JoinRunner::run(&JoinConfig::paper_scaled(Algorithm::Split, 2000))
+            .expect("template run");
+        assert!(
+            template.trace.executor.is_none(),
+            "a correct simulated run has no executor line"
+        );
+        for reported in [true, false] {
+            let run = QueryRun::new(&RunOptions::default()).expect("no trace file");
+            if reported {
+                *run.result.lock().expect("report lock") = Some(template.clone());
+            }
+            let result = run.finish(RunEnd {
+                at_nanos: 1_000,
+                wall: false,
+                events: 1,
+                net_bytes: 0,
+                disk_bytes: 0,
+                samples: 0,
+                exec: Some(ExecutorStats {
+                    misrouted: 1,
+                    ..ExecutorStats::default()
+                }),
+                silent: SilentEnd::Stalled(StopCause::Quiescent),
+            });
+            let exec = match result {
+                Ok(report) => report.trace.executor,
+                Err(err) => err.trace_tail().iter().find_map(|ev| match &ev.kind {
+                    TraceKind::ExecutorStats(exec) => Some(**exec),
+                    _ => None,
+                }),
+            };
+            assert_eq!(exec.map(|e| e.misrouted), Some(1), "reported: {reported}");
         }
     }
 

@@ -96,7 +96,11 @@ pub struct Scheduler {
     cfg: Arc<JoinConfig>,
     topo: Topology,
     book: SchedulerBook,
-    routing: RoutingTable,
+    /// The current routing state, shared with every message that carries
+    /// it: an expansion mutates it through `Arc::make_mut`, so the first
+    /// change after a broadcast makes the one copy, and the recipients keep
+    /// the version they were sent.
+    routing: Arc<RoutingTable>,
     version: u64,
     phase: SchedPhase,
     // per-phase source accounting
@@ -139,6 +143,7 @@ pub struct Scheduler {
     /// The [`Self::milestone`] events, whatever the trace level.
     timeline: Vec<TraceEvent>,
     // final collection
+    /// The hybrid's reshuffled assignments, the probe's cold routing.
     probe_routing: Option<RoutingTable>,
     node_reports: Vec<NodeReport>,
     reports_expected: usize,
@@ -173,7 +178,7 @@ impl Scheduler {
             cfg,
             topo,
             book,
-            routing,
+            routing: Arc::new(routing),
             version: 1,
             phase: SchedPhase::Build,
             sources_done: 0,
@@ -257,14 +262,24 @@ impl Scheduler {
         }
     }
 
+    /// Sends the new routing state to every source and active node: one
+    /// shared table, an `Arc` clone per recipient.
     fn broadcast_routing(&mut self, ctx: &mut dyn Context<Msg>) {
         self.version += 1;
-        let update = |routing: RoutingTable, version: u64| Msg::RoutingUpdate { routing, version };
-        for &s in &self.topo.sources {
-            ctx.send(s, update(self.routing.clone(), self.version));
-        }
-        for a in self.active_actors() {
-            ctx.send(a, update(self.routing.clone(), self.version));
+        let recipients = self
+            .topo
+            .sources
+            .iter()
+            .copied()
+            .chain(self.active_actors());
+        for to in recipients {
+            ctx.send(
+                to,
+                Msg::RoutingUpdate {
+                    routing: Arc::clone(&self.routing),
+                    version: self.version,
+                },
+            );
         }
     }
 
@@ -369,15 +384,15 @@ impl Scheduler {
                 replicas: replicas.len() as u64,
             },
         );
-        let inner = self.routing.clone();
-        self.routing = RoutingTable::HotKeys {
+        let inner = RoutingTable::clone(&self.routing);
+        self.routing = Arc::new(RoutingTable::HotKeys {
             overlay: HotKeyOverlay {
                 hot,
                 replicas,
                 extra: Vec::new(),
             },
             inner: Box::new(inner),
-        };
+        });
         self.broadcast_routing(ctx);
     }
 
@@ -450,7 +465,7 @@ impl Scheduler {
             // Barrier split pointer: the next split may proceed concurrently
             // unless it would open a new hashing level while splits of the
             // current round are still in flight.
-            if let RoutingTable::Buckets(m) = &self.routing {
+            if let RoutingTable::Buckets(m) = &*self.routing {
                 if m.next_split_starts_round() && !self.lp_inflight.is_empty() {
                     return; // resume on the next SplitDone
                 }
@@ -494,12 +509,13 @@ impl Scheduler {
                 let new_actor = self.topo.node_actor(new_node);
                 self.expansions += 1;
                 self.milestone(ctx, TraceKind::Recruited { node: new_node.0 });
-                let RoutingTable::Replica(m) = self.routing.inner_mut() else {
+                let routing = Arc::make_mut(&mut self.routing);
+                let RoutingTable::Replica(m) = routing.inner_mut() else {
                     unreachable!();
                 };
                 let range = m.replicate(full_actor, new_actor);
                 // §4.2.2, the full node stops receiving — hot tuples too.
-                if let RoutingTable::HotKeys { overlay, .. } = &mut self.routing {
+                if let RoutingTable::HotKeys { overlay, .. } = routing {
                     overlay.hand_over(full_actor, new_actor);
                 }
                 self.trace_at(
@@ -520,7 +536,7 @@ impl Scheduler {
                 ctx.send(
                     new_actor,
                     Msg::Activate {
-                        routing: self.routing.clone(),
+                        routing: Arc::clone(&self.routing),
                         version: self.version + 1,
                     },
                 );
@@ -546,7 +562,8 @@ impl Scheduler {
                 self.expansions += 1;
                 self.milestone(ctx, TraceKind::Recruited { node: new_node.0 });
                 let (step, old_owner, pointer) = {
-                    let RoutingTable::Buckets(m) = self.routing.inner_mut() else {
+                    let RoutingTable::Buckets(m) = Arc::make_mut(&mut self.routing).inner_mut()
+                    else {
                         unreachable!("linear-pointer split uses bucket routing");
                     };
                     let (step, old_owner) = m.split(new_actor);
@@ -564,7 +581,7 @@ impl Scheduler {
                 ctx.send(
                     new_actor,
                     Msg::Activate {
-                        routing: self.routing.clone(),
+                        routing: Arc::clone(&self.routing),
                         version: self.version + 1,
                     },
                 );
@@ -888,7 +905,7 @@ impl Scheduler {
         // redistribution, otherwise the build table sans any hot overlay.
         let base = self
             .probe_routing
-            .clone()
+            .take()
             .unwrap_or_else(|| self.routing.inner().clone());
         let routing = match self.hotkey_handoff.as_ref() {
             // Post-hand-off, every clean member holds the full hot build
@@ -921,17 +938,18 @@ impl Scheduler {
             }
             None => base,
         };
+        // One table for every source.
+        let routing = Arc::new(routing);
         self.version += 1;
         for &s in &self.topo.sources {
             ctx.send(
                 s,
                 Msg::StartProbe {
-                    routing: routing.clone(),
+                    routing: Arc::clone(&routing),
                     version: self.version,
                 },
             );
         }
-        self.probe_routing = Some(routing);
     }
 
     fn handle_report(&mut self, ctx: &mut dyn Context<Msg>, report: NodeReport) {
@@ -997,7 +1015,7 @@ impl Actor<Msg> for Scheduler {
             ctx.send(
                 a,
                 Msg::Activate {
-                    routing: self.routing.clone(),
+                    routing: Arc::clone(&self.routing),
                     version: self.version,
                 },
             );
@@ -1006,7 +1024,7 @@ impl Actor<Msg> for Scheduler {
             ctx.send(
                 s,
                 Msg::StartBuild {
-                    routing: self.routing.clone(),
+                    routing: Arc::clone(&self.routing),
                     version: self.version,
                 },
             );
@@ -1147,12 +1165,12 @@ mod tests {
             let (sched, _, _) = setup(alg, 2);
             match alg {
                 Algorithm::Replicated | Algorithm::Hybrid => {
-                    assert!(matches!(sched.routing, RoutingTable::Replica(_)));
+                    assert!(matches!(*sched.routing, RoutingTable::Replica(_)));
                 }
-                Algorithm::Split => assert!(matches!(sched.routing, RoutingTable::Buckets(_))),
+                Algorithm::Split => assert!(matches!(*sched.routing, RoutingTable::Buckets(_))),
                 Algorithm::OutOfCore => {
                     // Disjoint ranges: a replica map with one owner each.
-                    let RoutingTable::Replica(m) = &sched.routing else {
+                    let RoutingTable::Replica(m) = &*sched.routing else {
                         panic!("out of core starts on replica routing");
                     };
                     assert!(m.entries().iter().all(|e| e.owners.len() == 1));
@@ -1188,6 +1206,56 @@ mod tests {
         assert_eq!(sched.expansions, 1);
         // The full node moved to the full list.
         assert_eq!(sched.book.full().len(), 1);
+    }
+
+    /// The tables the captured `Activate`s and `RoutingUpdate`s carry, in
+    /// send order.
+    fn sent_tables(ctx: &ScriptCtx) -> Vec<Arc<RoutingTable>> {
+        ctx.sent
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Msg::Activate { routing, .. } | Msg::RoutingUpdate { routing, .. } => {
+                    Some(Arc::clone(routing))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_expansion_sends_one_shared_table_and_the_next_copies_it_on_write() {
+        for alg in [Algorithm::Replicated, Algorithm::Split] {
+            let (mut sched, mut ctx, _) = setup(alg, 2);
+            sched.on_start(&mut ctx);
+            ctx.sent.clear();
+            sched.on_message(&mut ctx, N1, Msg::MemoryFull);
+            let tables = sent_tables(&ctx);
+            // The recruit's activation, then one update per source and per
+            // active node (both initial nodes and the recruit).
+            assert_eq!(tables.len(), 1 + SOURCES + 3, "{alg:?}");
+            assert!(
+                tables.iter().all(|t| Arc::ptr_eq(t, &sched.routing)),
+                "{alg:?}: every recipient shares the scheduler's table"
+            );
+            let sent = RoutingTable::clone(&tables[0]);
+            ctx.sent.clear();
+            sched.on_message(&mut ctx, N0, Msg::MemoryFull);
+            assert_eq!(sched.expansions, 2, "{alg:?}");
+            assert!(
+                !Arc::ptr_eq(&tables[0], &sched.routing),
+                "{alg:?}: the next expansion copied the table"
+            );
+            assert_eq!(
+                *tables[0], sent,
+                "{alg:?}: a recipient keeps what it was sent"
+            );
+            assert_ne!(*sched.routing, sent, "{alg:?}: the copy moved on");
+            let next = sent_tables(&ctx);
+            assert!(
+                next.iter().all(|t| Arc::ptr_eq(t, &sched.routing)),
+                "{alg:?}"
+            );
+        }
     }
 
     #[test]
@@ -1402,7 +1470,7 @@ mod tests {
         assert!(queried.contains(&N0) && queried.contains(&new_actor));
         ctx.sent.clear();
         // Histograms: members hold equal loads over the range.
-        let range_len = match &sched.routing {
+        let range_len = match &*sched.routing {
             RoutingTable::Replica(m) => m.entries()[0].range.len(),
             _ => panic!("hybrid uses replica routing"),
         };
@@ -1440,7 +1508,7 @@ mod tests {
             })
             .expect("probe starts after reshuffle");
         // The reshuffled range is now disjoint: every entry has one owner.
-        match probe_routing {
+        match &*probe_routing {
             RoutingTable::Replica(m) => {
                 assert!(m.entries().iter().all(|e| e.owners.len() == 1));
             }

@@ -70,17 +70,20 @@ pub struct DataSource {
     space: PositionSpace,
     phase: Phase,
     gen: Option<SourceGenerator>,
-    routing: Option<RoutingTable>,
+    /// The table last accepted, shared with the scheduler and every other
+    /// recipient of the same routing message.
+    routing: Option<Arc<RoutingTable>>,
     routing_version: u64,
     /// Accumulation buffers (not-yet-full chunks), one slot per *destination
     /// set*: a full buffer freezes into one immutable [`TupleBatch`] that is
     /// shipped to every member, so a probe broadcast to N replicas clones an
     /// `Arc` N times instead of deep-copying the tuples. In the build phase
     /// every set is a single node and this degenerates to per-destination
-    /// buffering. A slot lives until the next phase starts.
+    /// buffering. A slot lives until the next phase starts. Each set is
+    /// stored here only: a phase has a few dozen slots at most, and only
+    /// the first cold tuple of a table entry or a hot tuple looks one up,
+    /// so a linear scan over the slots finds it.
     buffers: Vec<(Vec<ActorId>, Vec<Tuple>)>,
-    /// Destination set → its slot in `buffers`.
-    set_slots: HashMap<Vec<ActorId>, usize>,
     /// Cell → buffer slot: one entry per cell of `1 << cell_shift`
     /// positions, read once per routed tuple. A cell whose positions all
     /// lie in one table entry, none of them hot, holds that entry's slot;
@@ -93,7 +96,7 @@ pub struct DataSource {
     /// Routing-table entry index ([`RoutingTable::entry_index`]) → slot in
     /// `buffers`, filled by the cell build and by the first cold tuple of a
     /// [`MIXED`] cell's entry, so every later one skips destination
-    /// resolution and the `set_slots` hash. Entry indices mean nothing
+    /// resolution and the scan over the sets. Entry indices mean nothing
     /// across tables or phases: cleared at `start_phase` and on every
     /// accepted routing update. The buffers stay keyed by set, so tuples
     /// buffered under the old table keep their destinations.
@@ -145,7 +148,6 @@ impl DataSource {
             routing: None,
             routing_version: 0,
             buffers: Vec::new(),
-            set_slots: HashMap::new(),
             cell_slots: Vec::new(),
             cell_shift,
             entry_slots: Vec::new(),
@@ -181,7 +183,7 @@ impl DataSource {
         &mut self,
         ctx: &mut dyn Context<Msg>,
         phase: Phase,
-        routing: RoutingTable,
+        routing: Arc<RoutingTable>,
         version: u64,
     ) {
         self.phase = phase;
@@ -189,7 +191,6 @@ impl DataSource {
         self.routing_version = version;
         self.sent_chunks = 0;
         self.buffers.clear();
-        self.set_slots.clear();
         self.entry_slots.clear();
         self.cell_slots.clear();
         self.credits.clear();
@@ -252,15 +253,15 @@ impl DataSource {
         }
     }
 
-    /// The buffer slot of a destination set, created on first use.
+    /// The buffer slot of a destination set, created on first use with
+    /// room for a whole chunk, so it never regrows on its way to a freeze.
     fn slot_for_set(&mut self, dests: &[ActorId]) -> usize {
-        if let Some(&slot) = self.set_slots.get(dests) {
+        if let Some(slot) = self.buffers.iter().position(|(set, _)| set == dests) {
             return slot;
         }
-        let slot = self.buffers.len();
-        self.buffers.push((dests.to_vec(), Vec::new()));
-        self.set_slots.insert(dests.to_vec(), slot);
-        slot
+        let chunk = Vec::with_capacity(self.cfg.chunk_tuples);
+        self.buffers.push((dests.to_vec(), chunk));
+        self.buffers.len() - 1
     }
 
     /// Buffers one tuple in `slot`, shipping the buffer when it reaches
@@ -660,7 +661,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartBuild {
-                routing: two_node_routing(),
+                routing: Arc::new(two_node_routing()),
                 version: 1,
             },
         );
@@ -701,7 +702,10 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartBuild {
-                routing: RoutingTable::Replica(ReplicaMap::partitioned(1000, &[NODE_A])),
+                routing: Arc::new(RoutingTable::Replica(ReplicaMap::partitioned(
+                    1000,
+                    &[NODE_A],
+                ))),
                 version: 1,
             },
         );
@@ -723,7 +727,10 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartBuild {
-                routing: RoutingTable::Replica(ReplicaMap::partitioned(1000, &[NODE_A])),
+                routing: Arc::new(RoutingTable::Replica(ReplicaMap::partitioned(
+                    1000,
+                    &[NODE_A],
+                ))),
                 version: 1,
             },
         );
@@ -756,7 +763,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartProbe {
-                routing: RoutingTable::Replica(m),
+                routing: Arc::new(RoutingTable::Replica(m)),
                 version: 5,
             },
         );
@@ -791,7 +798,10 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartBuild {
-                routing: RoutingTable::Replica(ReplicaMap::partitioned(1000, &[NODE_A])),
+                routing: Arc::new(RoutingTable::Replica(ReplicaMap::partitioned(
+                    1000,
+                    &[NODE_A],
+                ))),
                 version: 1,
             },
         );
@@ -801,7 +811,10 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: RoutingTable::Replica(ReplicaMap::partitioned(1000, &[NODE_B])),
+                routing: Arc::new(RoutingTable::Replica(ReplicaMap::partitioned(
+                    1000,
+                    &[NODE_B],
+                ))),
                 version: 2,
             },
         );
@@ -829,7 +842,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartBuild {
-                routing: two_node_routing(),
+                routing: Arc::new(two_node_routing()),
                 version: 5,
             },
         );
@@ -837,7 +850,10 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: RoutingTable::Replica(ReplicaMap::partitioned(1000, &[NODE_B])),
+                routing: Arc::new(RoutingTable::Replica(ReplicaMap::partitioned(
+                    1000,
+                    &[NODE_B],
+                ))),
                 version: 3, // older than the active version
             },
         );
@@ -991,7 +1007,7 @@ mod tests {
             reference.route(routing, &tuples);
         };
 
-        let (routing, version) = (before.clone(), 5);
+        let (routing, version) = (Arc::new(before.clone()), 5);
         let start = match phase {
             Phase::Build => Msg::StartBuild { routing, version },
             _ => Msg::StartProbe { routing, version },
@@ -1016,7 +1032,10 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: RoutingTable::Replica(ReplicaMap::partitioned(positions, &[NODE_B])),
+                routing: Arc::new(RoutingTable::Replica(ReplicaMap::partitioned(
+                    positions,
+                    &[NODE_B],
+                ))),
                 version: 3,
             },
         );
@@ -1030,7 +1049,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::RoutingUpdate {
-                routing: after.clone(),
+                routing: Arc::new(after.clone()),
                 version: 6,
             },
         );
@@ -1220,7 +1239,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartBuild {
-                routing,
+                routing: Arc::new(routing),
                 version: 1,
             },
         );
@@ -1263,7 +1282,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartBuild {
-                routing: two_node_routing(),
+                routing: Arc::new(two_node_routing()),
                 version: 1,
             },
         );
@@ -1279,7 +1298,7 @@ mod tests {
             &mut ctx,
             SCHED,
             Msg::StartBuild {
-                routing: two_node_routing(),
+                routing: Arc::new(two_node_routing()),
                 version: 1,
             },
         );

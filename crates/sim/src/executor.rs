@@ -372,6 +372,9 @@ struct Shared<M: Message> {
     idle_lock: Mutex<()>,
     wake: Condvar,
     idle_count: AtomicUsize,
+    /// Workers parked right now on a full mailbox (backpressure), as
+    /// opposed to idle: none of them can drain a ring until its park ends.
+    backpressured: AtomicUsize,
     /// Pool shutdown (workers exit). Distinct from any group's stop flag.
     shutdown: AtomicBool,
     live: AtomicUsize,
@@ -443,6 +446,12 @@ impl<M: Message> Shared<M> {
     /// only when the ring is full. A stop of the *destination's own group*
     /// also lifts backpressure — that group is quiescing and its mailboxes
     /// close shortly — while other groups keep full blocking semantics.
+    /// The last worker not parked on a full ring never parks on one either
+    /// (on a one-worker pool, no worker ever does): with every other worker
+    /// parked there, none is left to drain the ring it would wait on, so it
+    /// overflows at once instead of sleeping out its rounds. An idle worker
+    /// does not count as parked: the push that filled the ring has already
+    /// woken one to run its actor.
     fn deliver(
         &self,
         group: &GroupState<M>,
@@ -458,9 +467,21 @@ impl<M: Message> Shared<M> {
             batch.clear();
             return;
         }
-        let report = slot
-            .mailbox
-            .push_batch_or(batch, || group.stop.load(Ordering::Relaxed) || no_wait());
+        let mut parked = false;
+        let report = slot.mailbox.push_batch_or(batch, || {
+            if group.stop.load(Ordering::Relaxed) || no_wait() {
+                return true;
+            }
+            if self.backpressured.fetch_add(1, Ordering::SeqCst) + 1 >= self.workers {
+                self.backpressured.fetch_sub(1, Ordering::SeqCst);
+                return true;
+            }
+            parked = true;
+            false
+        });
+        if parked {
+            self.backpressured.fetch_sub(1, Ordering::SeqCst);
+        }
         if report.parks > 0 {
             self.parks.fetch_add(report.parks, Ordering::Relaxed);
         }
@@ -599,6 +620,7 @@ impl<M: Message> Executor<M> {
             idle_lock: Mutex::new(()),
             wake: Condvar::new(),
             idle_count: AtomicUsize::new(0),
+            backpressured: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
             workers,
@@ -1071,13 +1093,14 @@ impl<M: Message> ExecCtx<'_, M> {
     /// Flushes one destination's coalesced buffer (leaves it empty,
     /// keeping the allocation). A self-send must never park on the
     /// sender's own full mailbox — the sender is the consumer that would
-    /// drain it — and no send parks on a one-worker pool, whose only
-    /// worker is the sender. Backpressure parks also yield to rival tenants: a worker
-    /// never sleeps on one group's full mailbox while another group has
-    /// work queued — the full ring overflows instead (bounded upstream by
-    /// the source credit windows) and the worker's time goes to the group
-    /// that can use it. Whether a rival has work queued is a scan of every
-    /// live group, so it is looked up only once the ring is full.
+    /// drain it — nor does the last worker not parked on a full ring
+    /// (`Shared::deliver`). Backpressure parks also yield to rival
+    /// tenants: a worker never sleeps on one group's full mailbox while
+    /// another group has work queued — the full ring overflows instead
+    /// (bounded upstream by the source credit windows) and the worker's
+    /// time goes to the group that can use it. Whether a rival has work
+    /// queued is a scan of every live group, so it is looked up only once
+    /// the ring is full.
     fn flush(&mut self, i: usize) {
         let (to, buf) = &mut self.pending[i];
         if !buf.is_empty() {
@@ -1086,7 +1109,7 @@ impl<M: Message> ExecCtx<'_, M> {
             let (shared, groups, group, me, to) =
                 (self.shared, &mut *self.groups, self.group, self.me, *to);
             shared.deliver(group, self.worker, to, buf, || {
-                to == me || shared.workers == 1 || shared.group_runnable(groups, Some(group))
+                to == me || shared.group_runnable(groups, Some(group))
             });
         }
     }
