@@ -47,8 +47,10 @@ pub enum Backend {
     /// 2004-cluster cost model (the figures' backend).
     #[default]
     Simulated,
-    /// A fixed work-stealing worker pool over bounded batch mailboxes,
-    /// with real temp-file spills (wall-clock benchmarking backend).
+    /// A fixed work-stealing worker pool over unbounded batch mailboxes —
+    /// every channel a FIFO that never blocks its sender, as on the
+    /// simulator — with real temp-file spills (wall-clock benchmarking
+    /// backend).
     Threaded,
 }
 
@@ -419,10 +421,9 @@ impl QueryRun {
     }
 
     /// Starts the query as one group of `executor`, at the configuration's
-    /// scheduling weight and the default mailbox capacity.
+    /// scheduling weight.
     pub(crate) fn admit(&self, executor: &Executor<Msg>, cfg: &Arc<JoinConfig>) -> Admission<Msg> {
-        let capacity = ExecutorConfig::default().mailbox_capacity;
-        executor.admit_weighted(self.actors::<FileBackend>(cfg), capacity, cfg.tenant_weight)
+        executor.admit_weighted(self.actors::<FileBackend>(cfg), cfg.tenant_weight)
     }
 
     /// Waits for the query's group to retire and says how it ended:
@@ -822,7 +823,7 @@ mod tests {
         let run = QueryRun::new(&opts).expect("no trace file");
         let executor = Executor::start(&ExecutorConfig::default(), &run.registry);
         let (release, wait) = std::sync::mpsc::channel();
-        let admission = executor.admit_weighted(vec![Box::new(Wedged(wait))], 16, 1);
+        let admission = executor.admit_weighted(vec![Box::new(Wedged(wait))], 1);
         let end = run.reap(&executor, &admission, Some(Duration::from_millis(1)), false);
         let result = run.finish(end);
         release.send(()).expect("the actor is waiting");

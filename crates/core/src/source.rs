@@ -42,7 +42,7 @@ use ehj_data::{SourceGenerator, Tuple, TupleBatch};
 use ehj_hash::{PositionSpace, SpaceSaving};
 use ehj_metrics::{CommCategory, CommCounters, Phase, TraceKind, Tracer};
 use ehj_sim::{Actor, ActorId, Context};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Tuples generated per self-sent generation step (at least one chunk).
@@ -61,6 +61,17 @@ const MAX_CELLS: u32 = 4096;
 /// A cell-table value: the cell straddles a table-entry boundary or holds
 /// a hot position, so its tuples are routed one by one.
 const MIXED: u32 = u32::MAX;
+
+/// One destination's side of the credit window.
+#[derive(Default)]
+struct Window {
+    /// Credits remaining; `None` until this phase first ships to or hears
+    /// from the destination (a first ship finds the full window, a first
+    /// ack an empty one).
+    credits: Option<usize>,
+    /// Full chunks waiting for credit.
+    blocked: VecDeque<TupleBatch>,
+}
 
 /// One data-source process.
 pub struct DataSource {
@@ -101,10 +112,12 @@ pub struct DataSource {
     /// accepted routing update. The buffers stay keyed by set, so tuples
     /// buffered under the old table keep their destinations.
     entry_slots: Vec<Option<usize>>,
-    /// Per-destination credits remaining.
-    credits: HashMap<ActorId, usize>,
-    /// Full chunks waiting for credit, per destination.
-    blocked: HashMap<ActorId, VecDeque<TupleBatch>>,
+    /// Credit window per destination, indexed by actor id (a query's ids
+    /// are dense from 0); grown to the highest id heard from, and reset in
+    /// place at each phase.
+    windows: Vec<Window>,
+    /// Chunks waiting for credit, over every window.
+    blocked: usize,
     gen_paused: bool,
     draining: bool,
     phase_done_sent: bool,
@@ -151,8 +164,8 @@ impl DataSource {
             cell_slots: Vec::new(),
             cell_shift,
             entry_slots: Vec::new(),
-            credits: HashMap::new(),
-            blocked: HashMap::new(),
+            windows: Vec::new(),
+            blocked: 0,
             gen_paused: false,
             draining: false,
             phase_done_sent: false,
@@ -193,8 +206,11 @@ impl DataSource {
         self.buffers.clear();
         self.entry_slots.clear();
         self.cell_slots.clear();
-        self.credits.clear();
-        self.blocked.clear();
+        for window in &mut self.windows {
+            window.credits = None;
+            window.blocked.clear();
+        }
+        self.blocked = 0;
         self.gen_paused = false;
         self.draining = false;
         self.phase_done_sent = false;
@@ -217,7 +233,16 @@ impl DataSource {
     }
 
     fn blocked_total(&self) -> usize {
-        self.blocked.values().map(VecDeque::len).sum()
+        self.blocked
+    }
+
+    /// `dest`'s credit window, created on first use.
+    fn window(&mut self, dest: ActorId) -> &mut Window {
+        let i = dest as usize;
+        if i >= self.windows.len() {
+            self.windows.resize_with(i + 1, Window::default);
+        }
+        &mut self.windows[i]
     }
 
     /// Transmits one chunk now (credit already taken).
@@ -235,12 +260,14 @@ impl DataSource {
 
     /// Ships a full chunk, or parks it until a credit returns.
     fn ship(&mut self, ctx: &mut dyn Context<Msg>, dest: ActorId, tuples: TupleBatch) {
-        let credit = self.credits.entry(dest).or_insert(CREDIT_CHUNKS);
+        let window = self.window(dest);
+        let credit = window.credits.get_or_insert(CREDIT_CHUNKS);
         if *credit > 0 {
             *credit -= 1;
             self.transmit(ctx, dest, tuples);
         } else {
-            self.blocked.entry(dest).or_default().push_back(tuples);
+            window.blocked.push_back(tuples);
+            self.blocked += 1;
         }
     }
 
@@ -281,11 +308,12 @@ impl DataSource {
     fn handle_ack(&mut self, ctx: &mut dyn Context<Msg>, from: ActorId) {
         // Release one blocked chunk for this destination, or bank the
         // credit.
-        let queued = self.blocked.get_mut(&from).and_then(VecDeque::pop_front);
-        if let Some(tuples) = queued {
+        let window = self.window(from);
+        if let Some(tuples) = window.blocked.pop_front() {
+            self.blocked -= 1;
             self.transmit(ctx, from, tuples);
         } else {
-            let credit = self.credits.entry(from).or_insert(0);
+            let credit = window.credits.get_or_insert(0);
             *credit = (*credit + 1).min(CREDIT_CHUNKS);
         }
         if self.gen_paused && self.blocked_total() <= MAX_BLOCKED_CHUNKS / 2 {
@@ -302,18 +330,16 @@ impl DataSource {
         if self.phase != Phase::Build {
             return;
         }
-        // Drain in destination-id order: hash-map iteration order would
-        // otherwise leak into the re-routed tuple sequence — and from there
-        // into table fill order and every downstream simulated observable.
-        let mut queues: Vec<(&ActorId, &mut VecDeque<TupleBatch>)> =
-            self.blocked.iter_mut().collect();
-        queues.sort_unstable_by_key(|&(id, _)| id);
+        // In destination-id order, which is index order: the re-routed
+        // tuple sequence reaches table fill order and every downstream
+        // simulated observable.
         let mut parked: Vec<Tuple> = Vec::new();
-        for (_, q) in queues {
-            for batch in q.drain(..) {
+        for window in &mut self.windows {
+            for batch in window.blocked.drain(..) {
                 parked.extend_from_slice(&batch);
             }
         }
+        self.blocked = 0;
         if parked.is_empty() {
             return;
         }
@@ -591,6 +617,7 @@ mod tests {
     use crate::config::Algorithm;
     use crate::testutil::ScriptCtx;
     use ehj_hash::{BucketMap, HashRange, ReplicaEntry, ReplicaMap};
+    use std::collections::HashMap;
 
     const SCHED: ActorId = 0;
     const ME: ActorId = 1;

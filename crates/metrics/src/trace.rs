@@ -894,10 +894,11 @@ pub struct ExecutorStats {
     pub workers: u64,
     /// Ready actors taken from another worker's queue.
     pub steals: u64,
-    /// Producer backpressure parks plus idle-worker parks.
+    /// Idle-worker parks (a send never parks: mailboxes are unbounded).
     pub parks: u64,
-    /// Envelopes enqueued past a mailbox's bound (liveness escape; zero in
-    /// a healthy run).
+    /// Always 0: a mailbox has no bound to overflow. Kept because the
+    /// frozen benchmark package reads it and the schema-3 parser requires
+    /// it.
     pub overflows: u64,
     /// High-water mark of any single mailbox's depth.
     pub max_mailbox_depth: u64,

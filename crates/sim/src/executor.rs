@@ -7,8 +7,9 @@
 //! figures use the deterministic simulated backend. The pool multiplexes
 //! every actor:
 //!
-//! * each actor owns a bounded batch [`Mailbox`] with producer-side
-//!   backpressure (see [`crate::mailbox`]);
+//! * each actor owns an unbounded batch [`Mailbox`]: a send never waits
+//!   for room, so a handler never sleeps inside the pool and every channel
+//!   is an unbounded FIFO, as in the simulator (see [`crate::mailbox`]);
 //! * run queues are **per group per worker**, and locality is the default:
 //!   an admission seeds every start task on one *home* worker (homes rotate
 //!   per admission), an actor runs where it was readied — newly-readied
@@ -36,8 +37,8 @@
 //! * nothing on the per-message path is pool-global: traffic is charged to
 //!   the sender's group (each query keeps its own ledger; the pool keeps no
 //!   traffic total), the scan cursor, coalescing buffers and dequeue batch
-//!   are the worker's own, and a mailbox pop makes no system call unless a
-//!   producer is parked on it;
+//!   are the worker's own, and a mailbox push or pop is one lock
+//!   acquisition;
 //! * a handler always runs to completion: preemption happens only between
 //!   messages, and the unprocessed tail of a dequeue batch goes back to the
 //!   front of the mailbox, so it never reorders or drops a message — even
@@ -66,7 +67,7 @@
 //! stop sentinel in every mailbox of the *calling actor's group* only.
 //! Within that group, messages enqueued before the sentinel are still
 //! delivered and everything after it is dropped — and other groups'
-//! mailboxes, backpressure and deliveries are completely unaffected, so
+//! mailboxes and deliveries are completely unaffected, so
 //! one query finishing never drops another query's in-flight batches.
 
 use crate::actor::{Actor, ActorId, Context, Message};
@@ -136,9 +137,8 @@ const DEAD: u8 = 3;
 pub struct ExecutorConfig {
     /// Worker threads. `0` means `std::thread::available_parallelism()`.
     pub workers: usize,
-    /// Bounded mailbox capacity, in envelopes, per actor. The pool does not
-    /// read it — every admission names its own capacity; it is the default
-    /// a caller that owns both the pool and its admissions passes on.
+    /// Accepted and ignored: a mailbox is unbounded. The field stays
+    /// because the repository benchmark builds this struct field by field.
     pub mailbox_capacity: usize,
 }
 
@@ -237,8 +237,8 @@ struct GroupState<M: Message> {
     /// Ready actors across all of this group's queues (fast runnable
     /// check; updated under the owning queue's lock).
     queued: AtomicUsize,
-    /// Set by the group's own [`Context::stop`] (or an external cancel):
-    /// deliveries *to this group* switch to non-blocking from then on.
+    /// Set by the group's own [`Context::stop`] (or an external cancel);
+    /// whoever flips it posts the group's stop sentinels.
     stop: AtomicBool,
     live: AtomicUsize,
     net_bytes: AtomicU64,
@@ -372,16 +372,12 @@ struct Shared<M: Message> {
     idle_lock: Mutex<()>,
     wake: Condvar,
     idle_count: AtomicUsize,
-    /// Workers parked right now on a full mailbox (backpressure), as
-    /// opposed to idle: none of them can drain a ring until its park ends.
-    backpressured: AtomicUsize,
     /// Pool shutdown (workers exit). Distinct from any group's stop flag.
     shutdown: AtomicBool,
     live: AtomicUsize,
     workers: usize,
     steals: AtomicU64,
     parks: AtomicU64,
-    overflows: AtomicU64,
     misrouted: AtomicU64,
     /// High-water mark of any mailbox's depth over the pool's lifetime.
     max_depth: AtomicUsize,
@@ -441,25 +437,8 @@ impl<M: Message> Shared<M> {
     }
 
     /// Delivers a coalesced batch to slot `to` of `group` and schedules
-    /// it. `no_wait` skips backpressure (a self-send must not stall the
-    /// worker that would drain the very queue it waits on); it is asked
-    /// only when the ring is full. A stop of the *destination's own group*
-    /// also lifts backpressure — that group is quiescing and its mailboxes
-    /// close shortly — while other groups keep full blocking semantics.
-    /// The last worker not parked on a full ring never parks on one either
-    /// (on a one-worker pool, no worker ever does): with every other worker
-    /// parked there, none is left to drain the ring it would wait on, so it
-    /// overflows at once instead of sleeping out its rounds. An idle worker
-    /// does not count as parked: the push that filled the ring has already
-    /// woken one to run its actor.
-    fn deliver(
-        &self,
-        group: &GroupState<M>,
-        worker: usize,
-        to: u32,
-        batch: &mut Vec<Env<M>>,
-        no_wait: impl FnOnce() -> bool,
-    ) {
+    /// it. Never waits: the mailbox takes the whole batch.
+    fn deliver(&self, group: &GroupState<M>, worker: usize, to: u32, batch: &mut Vec<Env<M>>) {
         let slot = &group.slots[to as usize];
         if slot.state.load(Ordering::Acquire) == DEAD {
             // Like sending on a closed channel in the old runtime: the
@@ -467,32 +446,11 @@ impl<M: Message> Shared<M> {
             batch.clear();
             return;
         }
-        let mut parked = false;
-        let report = slot.mailbox.push_batch_or(batch, || {
-            if group.stop.load(Ordering::Relaxed) || no_wait() {
-                return true;
-            }
-            if self.backpressured.fetch_add(1, Ordering::SeqCst) + 1 >= self.workers {
-                self.backpressured.fetch_sub(1, Ordering::SeqCst);
-                return true;
-            }
-            parked = true;
-            false
-        });
-        if parked {
-            self.backpressured.fetch_sub(1, Ordering::SeqCst);
-        }
-        if report.parks > 0 {
-            self.parks.fetch_add(report.parks, Ordering::Relaxed);
-        }
-        if report.overflows > 0 {
-            self.overflows
-                .fetch_add(report.overflows, Ordering::Relaxed);
-        }
-        self.note_depth(report.depth);
+        let depth = slot.mailbox.append(batch);
+        self.note_depth(depth);
         self.worker_metrics[worker]
             .mailbox_depth
-            .record(report.depth as u64);
+            .record(depth as u64);
         self.try_schedule(group, worker, to);
     }
 
@@ -520,7 +478,7 @@ impl<M: Message> Shared<M> {
     /// own the `false -> true` transition of `group.stop`.
     fn post_group_sentinels(&self, group: &GroupState<M>, worker: usize) {
         for (id, slot) in (0..).zip(group.slots.iter()) {
-            slot.mailbox.push_control(Env::Stop);
+            slot.mailbox.push(Env::Stop);
             self.try_schedule(group, worker, id);
         }
         let _g = self.idle_lock.lock().expect("idle lock");
@@ -620,13 +578,11 @@ impl<M: Message> Executor<M> {
             idle_lock: Mutex::new(()),
             wake: Condvar::new(),
             idle_count: AtomicUsize::new(0),
-            backpressured: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
             workers,
             steals: AtomicU64::new(0),
             parks: AtomicU64::new(0),
-            overflows: AtomicU64::new(0),
             misrouted: AtomicU64::new(0),
             max_depth: AtomicUsize::new(0),
             worker_metrics: (0..workers)
@@ -647,17 +603,19 @@ impl<M: Message> Executor<M> {
 
     /// Admits the `count` actors `build(0)` returns, at scheduling weight
     /// 1 (see [`Executor::admit_weighted`]). `build` receives the group's
-    /// first id, which is always 0.
+    /// first id, which is always 0, and `mailbox_capacity` is ignored: a
+    /// mailbox is unbounded. Both stay because the repository benchmark
+    /// calls this signature.
     ///
     /// # Panics
     /// Panics if `build` returns a different number of actors.
-    pub fn admit_with<F>(&self, count: usize, mailbox_capacity: usize, build: F) -> Admission<M>
+    pub fn admit_with<F>(&self, count: usize, _mailbox_capacity: usize, build: F) -> Admission<M>
     where
         F: FnOnce(ActorId) -> Vec<Box<dyn Actor<M>>>,
     {
         let actors = build(0);
         assert_eq!(actors.len(), count, "admitted actor count mismatch");
-        self.admit_weighted(actors, mailbox_capacity, 1)
+        self.admit_weighted(actors, 1)
     }
 
     /// Admits `actors` as one group — actor `i` is id `i` of the group —
@@ -669,17 +627,12 @@ impl<M: Message> Executor<M> {
     /// and a bigger one spreads by being stolen from. The cost is linear in
     /// the group's size and in the groups live right now — independent of
     /// how many groups the pool has ever run.
-    pub fn admit_weighted(
-        &self,
-        actors: Vec<Box<dyn Actor<M>>>,
-        mailbox_capacity: usize,
-        weight: u64,
-    ) -> Admission<M> {
+    pub fn admit_weighted(&self, actors: Vec<Box<dyn Actor<M>>>, weight: u64) -> Admission<M> {
         let shared = &self.shared;
         let weight = weight.max(1);
         let count = actors.len();
         let slots = actors.into_iter().map(|actor| Slot {
-            mailbox: Mailbox::new(mailbox_capacity.max(1)),
+            mailbox: Mailbox::default(),
             // Seeded as QUEUED: every actor gets one start task.
             state: AtomicU8::new(QUEUED),
             body: Mutex::new(Some(SlotBody {
@@ -782,7 +735,7 @@ impl<M: Message> Executor<M> {
                 workers: shared.workers as u64,
                 steals: shared.steals.load(Ordering::Relaxed),
                 parks: shared.parks.load(Ordering::Relaxed),
-                overflows: shared.overflows.load(Ordering::Relaxed),
+                overflows: 0,
                 max_mailbox_depth: shared.max_depth.load(Ordering::Relaxed) as u64,
                 timer_fires: 0,
                 misrouted: shared.misrouted.load(Ordering::Relaxed),
@@ -1091,26 +1044,13 @@ struct ExecCtx<'a, M: Message> {
 
 impl<M: Message> ExecCtx<'_, M> {
     /// Flushes one destination's coalesced buffer (leaves it empty,
-    /// keeping the allocation). A self-send must never park on the
-    /// sender's own full mailbox — the sender is the consumer that would
-    /// drain it — nor does the last worker not parked on a full ring
-    /// (`Shared::deliver`). Backpressure parks also yield to rival
-    /// tenants: a worker never sleeps on one group's full mailbox while
-    /// another group has work queued — the full ring overflows instead
-    /// (bounded upstream by the source credit windows) and the worker's
-    /// time goes to the group that can use it. Whether a rival has work
-    /// queued is a scan of every live group, so it is looked up only once
-    /// the ring is full.
+    /// keeping the allocation).
     fn flush(&mut self, i: usize) {
         let (to, buf) = &mut self.pending[i];
         if !buf.is_empty() {
             let wm = &self.shared.worker_metrics[self.worker];
             wm.coalesce_batch.record(buf.len() as u64);
-            let (shared, groups, group, me, to) =
-                (self.shared, &mut *self.groups, self.group, self.me, *to);
-            shared.deliver(group, self.worker, to, buf, || {
-                to == me || shared.group_runnable(groups, Some(group))
-            });
+            self.shared.deliver(self.group, self.worker, *to, buf);
         }
     }
 
@@ -1283,8 +1223,8 @@ mod tests {
             ..ExecutorConfig::default()
         };
         let pool: Executor<Count> = Executor::start(&cfg, &MetricsRegistry::disabled());
-        let b = pool.admit_with(4, cfg.mailbox_capacity, |_| ring(4, 300));
-        let a = pool.admit_with(1, cfg.mailbox_capacity, |_| vec![Box::new(StopOnStart)]);
+        let b = pool.admit_with(4, 0, |_| ring(4, 300));
+        let a = pool.admit_with(1, 0, |_| vec![Box::new(StopOnStart)]);
         let a_out = pool.wait(&a);
         let b_out = pool.wait(&b);
         assert_eq!(a_out.net_bytes, 0, "the stopper sent nothing");
@@ -1457,8 +1397,8 @@ mod tests {
                 rival_at_stop: Arc::clone(&a_at_stop),
             }) as Box<dyn Actor<Sized>>]
         };
-        let ga = pool.admit_weighted(spinner(a.1, u64::MAX, &a_done, &b_done), 16, a.0);
-        let gb = pool.admit_weighted(spinner(b.1, b_limit, &b_done, &a_done), 16, b.0);
+        let ga = pool.admit_weighted(spinner(a.1, u64::MAX, &a_done, &b_done), a.0);
+        let gb = pool.admit_weighted(spinner(b.1, b_limit, &b_done, &a_done), b.0);
         release.send(()).expect("the gate is waiting");
         pool.wait(&gb);
         for group in [&ga, &held] {
@@ -1515,7 +1455,7 @@ mod tests {
             rival: Arc::clone(&unused),
             rival_at_stop: Arc::clone(&unused),
         };
-        let group = pool.admit_weighted(vec![Box::new(spinner)], 16, 1);
+        let group = pool.admit_weighted(vec![Box::new(spinner)], 1);
         pool.wait(&group);
         pool.shutdown();
         assert_eq!(done.load(Ordering::Relaxed), 20 * GROUP_QUANTUM as u64);
@@ -1548,7 +1488,7 @@ mod tests {
         let pool: Executor<Count> = Executor::start(&cfg, &MetricsRegistry::disabled());
         let drops = Arc::new(AtomicU64::new(0));
         for round in 1..=200 {
-            let adm = pool.admit_with(5, cfg.mailbox_capacity, |_| {
+            let adm = pool.admit_with(5, 0, |_| {
                 (0..5)
                     .map(|i| Box::new(Dropper(i == 0, Arc::clone(&drops))) as Box<dyn Actor<Count>>)
                     .collect()

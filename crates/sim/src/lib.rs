@@ -10,7 +10,7 @@
 //!   ([`net`]), blocking local-disk I/O ([`disk`]), and per-actor CPUs; and
 //! * a **threaded runtime** ([`executor::Executor`]) that runs the same
 //!   [`actor::Actor`] implementations on a fixed work-stealing worker pool
-//!   over bounded batch mailboxes ([`mailbox`]), one admitted group per
+//!   over unbounded batch mailboxes ([`mailbox`]), one admitted group per
 //!   query.
 //!
 //! Algorithms are written once against [`actor::Context`]; the figures use
@@ -33,6 +33,6 @@ pub use disk::{DiskConfig, DiskState};
 pub use ehj_metrics::ExecutorStats;
 pub use engine::{Engine, EngineConfig, RunSummary};
 pub use executor::{Admission, Executor, ExecutorConfig, GroupOutcome, ThreadedSummary};
-pub use mailbox::{Mailbox, PushReport};
+pub use mailbox::Mailbox;
 pub use net::{NetConfig, Network};
 pub use time::SimTime;

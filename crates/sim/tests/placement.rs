@@ -33,12 +33,12 @@ impl Message for Count {
     }
 }
 
-fn pool(workers: usize) -> (Executor<Count>, ExecutorConfig) {
+fn pool(workers: usize) -> Executor<Count> {
     let cfg = ExecutorConfig {
         workers,
         ..ExecutorConfig::default()
     };
-    (Executor::start(&cfg, &MetricsRegistry::disabled()), cfg)
+    Executor::start(&cfg, &MetricsRegistry::disabled())
 }
 
 /// Blocks the worker that runs it until released.
@@ -96,7 +96,7 @@ impl Actor<Count> for TrackedRingNode {
 #[test]
 fn small_groups_stay_on_their_home_worker() {
     let _serial = serial();
-    let (pool, cfg) = pool(2);
+    let pool = pool(2);
     // Hold both workers inside a handler while the rings are admitted, so
     // each leaves it to find its own rings queued: from then on no worker
     // is ever without local work, and none may steal.
@@ -106,7 +106,7 @@ fn small_groups_stay_on_their_home_worker() {
         .map(|_| {
             let seen = Arc::new(Mutex::new(HashSet::new()));
             let hops = Arc::new(AtomicU64::new(0));
-            let admission = pool.admit_with(3, cfg.mailbox_capacity, |_| {
+            let admission = pool.admit_with(3, 0, |_| {
                 (0..3)
                     .map(|i| {
                         Box::new(TrackedRingNode {
@@ -186,11 +186,11 @@ impl Actor<Count> for Cruncher {
 /// ran any of it, steals. Long enough (hundreds of milliseconds) that even
 /// workers sharing a core each get it many times over.
 fn crunch(workers: usize) -> (Duration, usize, u64) {
-    let (pool, cfg) = pool(workers);
+    let pool = pool(workers);
     let seen = Arc::new(Mutex::new(HashSet::new()));
     let unfinished = Arc::new(AtomicUsize::new(16));
     let started = Instant::now();
-    let group = pool.admit_with(16, cfg.mailbox_capacity, |_| {
+    let group = pool.admit_with(16, 0, |_| {
         (0..16)
             .map(|_| {
                 Box::new(Cruncher {
@@ -256,7 +256,7 @@ impl Actor<Count> for RingNode {
 #[test]
 fn an_idle_worker_takes_over_a_stalled_homes_group() {
     let _serial = serial();
-    let (pool, cfg) = pool(2);
+    let pool = pool(2);
     let (stalled, release) = occupy_a_worker(&pool);
     let steals_before = pool.summary().exec.steals;
     // Homes rotate, so one of two consecutive admissions is homed on the
@@ -265,7 +265,7 @@ fn an_idle_worker_takes_over_a_stalled_homes_group() {
     // the other's.
     let rings: Vec<_> = (0..2)
         .map(|_| {
-            pool.admit_with(3, cfg.mailbox_capacity, |_| {
+            pool.admit_with(3, 0, |_| {
                 (0..3)
                     .map(|i| {
                         Box::new(RingNode {

@@ -1,17 +1,19 @@
 //! What a standalone run relies on: one group alone on a pool of its own,
-//! driven through the public [`Executor`] API — accounting, backpressure,
-//! self-send loops, stop semantics, stealing and per-channel order.
+//! driven through the public [`Executor`] API — accounting, self-send
+//! loops, stop semantics, stealing, per-channel order, and senders that
+//! never wait on a slow receiver.
 
 mod common;
 
 use common::{Chatter, Tally};
+use ehj_metrics::registry::names;
 use ehj_metrics::MetricsRegistry;
 use ehj_sim::{
     Actor, ActorId, Context, Executor, ExecutorConfig, GroupOutcome, Message, ThreadedSummary,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Count(u64);
 impl Message for Count {
@@ -24,7 +26,6 @@ impl Message for Count {
 /// and the pool's executor stats.
 fn run_alone(
     workers: usize,
-    mailbox_capacity: usize,
     actors: Vec<Box<dyn Actor<Count>>>,
 ) -> (GroupOutcome, ThreadedSummary) {
     let cfg = ExecutorConfig {
@@ -32,7 +33,7 @@ fn run_alone(
         ..ExecutorConfig::default()
     };
     let pool = Executor::start(&cfg, &MetricsRegistry::disabled());
-    let group = pool.admit_with(actors.len(), mailbox_capacity, |_| actors);
+    let group = pool.admit_with(actors.len(), 0, |_| actors);
     let outcome = pool.wait(&group);
     assert_eq!(pool.live(), (0, 0), "every actor retired");
     (outcome, pool.shutdown())
@@ -76,21 +77,12 @@ fn ring() -> Vec<Box<dyn Actor<Count>>> {
 #[test]
 fn accounting_is_identical_across_worker_counts() {
     for workers in [1, 2, 8] {
-        let (outcome, summary) = run_alone(workers, 1024, ring());
+        let (outcome, summary) = run_alone(workers, ring());
         // 100 counter hops at 8 B each (the initial send is hop 1).
         assert_eq!(outcome.net_bytes, 8 * 100, "{workers} workers");
         assert!(outcome.elapsed > Duration::ZERO);
         assert_eq!(summary.exec.workers, workers as u64);
     }
-}
-
-#[test]
-fn tiny_mailboxes_apply_backpressure_without_losing_messages() {
-    // A 4-deep mailbox under a 100-hop ring: pushes park (or overflow
-    // under the liveness escape), yet every hop is still delivered.
-    let (outcome, summary) = run_alone(2, 4, ring());
-    assert_eq!(outcome.net_bytes, 8 * 100);
-    assert!(summary.exec.max_mailbox_depth >= 1);
 }
 
 #[test]
@@ -108,7 +100,7 @@ fn self_send_loops() {
             }
         }
     }
-    let (outcome, summary) = run_alone(0, 1024, vec![Box::new(Looper)]);
+    let (outcome, summary) = run_alone(0, vec![Box::new(Looper)]);
     assert_eq!(
         outcome.net_bytes,
         1001 * 8,
@@ -137,7 +129,7 @@ fn stop_reaches_all_actors() {
         }
         actors.push(Box::new(Stopper));
         // Must not hang: `run_alone` checks all nine retired.
-        run_alone(workers, 1024, actors);
+        run_alone(workers, actors);
     }
 }
 
@@ -171,7 +163,7 @@ fn messages_sent_before_stop_are_delivered_after_are_dropped() {
             Box::new(StopperSender),
             Box::new(Counter(Arc::clone(&received))),
         ];
-        let (outcome, _) = run_alone(workers, 1024, actors);
+        let (outcome, _) = run_alone(workers, actors);
         assert_eq!(
             received.load(Ordering::Relaxed),
             1,
@@ -186,7 +178,7 @@ fn messages_sent_before_stop_are_delivered_after_are_dropped() {
 #[test]
 fn empty_engine_returns_immediately() {
     // An admission of no actors has nothing to wait for.
-    let (outcome, _) = run_alone(0, 1024, Vec::new());
+    let (outcome, _) = run_alone(0, Vec::new());
     assert_eq!(outcome.net_bytes, 0);
 }
 
@@ -221,34 +213,94 @@ fn stealing_spreads_start_work() {
     for _ in 0..8 {
         actors.push(Box::new(Blaster { to: 0 }));
     }
-    let (outcome, _) = run_alone(4, 1024, actors);
+    let (outcome, _) = run_alone(4, actors);
     assert_eq!(outcome.net_bytes, 400 * 8);
 }
 
 #[test]
 fn every_channel_delivers_in_send_order() {
     // Six chatters, 500 numbered sends each to random peers (themselves
-    // included), at every worker count and at a mailbox small enough to
-    // park senders (on more than one worker; a lone worker overflows the
-    // ring at once). A wedged group fails the wait instead of hanging it.
+    // included), at every worker count; none is lost. A wedged group fails
+    // the wait instead of hanging it.
     for workers in [1, 2, 8] {
-        for capacity in [2, 1024] {
-            let tally = Arc::new(Tally::default());
-            let actors = Chatter::group(0x55EE, 6, 500, 4096, 0, &tally);
-            let pool = Executor::start(
-                &ExecutorConfig {
-                    workers,
-                    ..ExecutorConfig::default()
-                },
-                &MetricsRegistry::disabled(),
-            );
-            let group = pool.admit_with(actors.len(), capacity, |_| actors);
-            let retired = pool.wait_timeout(&group, Duration::from_secs(60));
-            let case = format!("{workers} workers, capacity {capacity}");
-            assert!(retired.is_some(), "{case}: the group did not retire");
-            assert_eq!(tally.received.load(Ordering::Relaxed), 6 * 500, "{case}");
-            assert_eq!(tally.out_of_order.load(Ordering::Relaxed), 0, "{case}");
-            assert_eq!(pool.shutdown().exec.misrouted, 0, "{case}");
+        let tally = Arc::new(Tally::default());
+        let actors = Chatter::group(0x55EE, 6, 500, 4096, 0, &tally);
+        let pool = Executor::start(
+            &ExecutorConfig {
+                workers,
+                ..ExecutorConfig::default()
+            },
+            &MetricsRegistry::disabled(),
+        );
+        let group = pool.admit_with(actors.len(), 0, |_| actors);
+        let retired = pool.wait_timeout(&group, Duration::from_secs(60));
+        let case = format!("{workers} workers");
+        assert!(retired.is_some(), "{case}: the group did not retire");
+        assert_eq!(tally.received.load(Ordering::Relaxed), 6 * 500, "{case}");
+        assert_eq!(tally.out_of_order.load(Ordering::Relaxed), 0, "{case}");
+        assert_eq!(pool.shutdown().exec.misrouted, 0, "{case}");
+    }
+}
+
+#[test]
+fn a_producer_never_waits_on_a_slow_consumer() {
+    // Four producers flood one consumer that spins ~20 us a message,
+    // in a group admitted at a capacity of 2 (ignored). A mailbox never
+    // blocks a sender, so every park the pool counts is an idle park:
+    // the pool's count equals the registry's, which only idle parks feed.
+    struct Producer;
+    impl Actor<Count> for Producer {
+        fn on_start(&mut self, ctx: &mut dyn Context<Count>) {
+            for n in 0..500 {
+                ctx.send(0, Count(n));
+            }
+        }
+        fn on_message(&mut self, _c: &mut dyn Context<Count>, _f: ActorId, _m: Count) {}
+    }
+    struct SlowConsumer {
+        next_from: [u64; 5],
+        tally: Arc<Tally>,
+    }
+    impl Actor<Count> for SlowConsumer {
+        fn on_message(&mut self, ctx: &mut dyn Context<Count>, from: ActorId, msg: Count) {
+            let spin = Instant::now();
+            while spin.elapsed() < Duration::from_micros(20) {
+                std::hint::spin_loop();
+            }
+            let expected = &mut self.next_from[from as usize];
+            if msg.0 != *expected {
+                self.tally.out_of_order.fetch_add(1, Ordering::Relaxed);
+            }
+            *expected = msg.0 + 1;
+            if self.tally.received.fetch_add(1, Ordering::Relaxed) + 1 == 4 * 500 {
+                ctx.stop();
+            }
         }
     }
+    let tally = Arc::new(Tally::default());
+    let registry = MetricsRegistry::new();
+    let pool = Executor::start(
+        &ExecutorConfig {
+            workers: 2,
+            ..ExecutorConfig::default()
+        },
+        &registry,
+    );
+    let group = pool.admit_with(5, 2, |_| {
+        let mut actors: Vec<Box<dyn Actor<Count>>> = vec![Box::new(SlowConsumer {
+            next_from: [0; 5],
+            tally: Arc::clone(&tally),
+        })];
+        actors.extend((0..4).map(|_| Box::new(Producer) as Box<dyn Actor<Count>>));
+        actors
+    });
+    assert!(
+        pool.wait_timeout(&group, Duration::from_secs(60)).is_some(),
+        "the group did not retire"
+    );
+    assert_eq!(tally.received.load(Ordering::Relaxed), 4 * 500);
+    assert_eq!(tally.out_of_order.load(Ordering::Relaxed), 0);
+    let parks = pool.shutdown().exec.parks;
+    let idle_parks = registry.snapshot().counters.get(names::EXEC_PARKS).copied();
+    assert_eq!(parks, idle_parks.unwrap_or(0), "every park is an idle park");
 }
