@@ -20,6 +20,7 @@
 //!   baseline, and the fallback of any EHJA once the cluster has no
 //!   potential nodes left.
 
+use crate::barrier::Tally;
 use crate::config::{Algorithm, JoinConfig, ProbeKernel};
 use crate::msg::{Histogram, Msg, NodeReport};
 use crate::routing::RoutingTable;
@@ -94,12 +95,8 @@ pub struct JoinNode<B: SpillBackend + Default + Send> {
     /// recipient of the same routing message.
     routing: Option<Arc<RoutingTable>>,
     routing_version: u64,
-    recv_chunks: [u64; 3],
-    fwd_chunks: [u64; 3],
-    /// The barrier wave this node is armed for (epoch and phase of the
-    /// latest `FlushQuery`) and the `[recv, fwd, pending]` counts it last
-    /// acked under it, if any.
-    armed: Option<(u64, Phase, Option<[u64; 3]>)>,
+    /// This node's side of the phase barrier.
+    barrier: Tally,
     comm: CommCounters,
     matches: u64,
     compares: u64,
@@ -145,9 +142,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             reported_full: false,
             routing: None,
             routing_version: 0,
-            recv_chunks: [0; 3],
-            fwd_chunks: [0; 3],
-            armed: None,
+            barrier: Tally::default(),
             comm: CommCounters::new(chunk),
             matches: 0,
             compares: 0,
@@ -233,7 +228,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         for chunk in batch.chunks(self.cfg.chunk_tuples) {
             let n = chunk.len() as u64;
             self.comm.record(phase, cat, n, n * tb);
-            self.fwd_chunks[phase.index()] += 1;
+            self.barrier.forwarded(phase);
             ctx.send(
                 to,
                 Msg::Data {
@@ -703,7 +698,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             let n = chunk.len() as u64;
             self.comm
                 .record(Phase::Reshuffle, CommCategory::ReshuffleTransfer, n, n * tb);
-            self.fwd_chunks[Phase::Reshuffle.index()] += 1;
+            self.barrier.forwarded(Phase::Reshuffle);
             ctx.send(
                 to,
                 Msg::HotKeyData {
@@ -844,7 +839,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
     fn dispatch(&mut self, ctx: &mut dyn Context<Msg>, from: ActorId, msg: Msg) {
         match msg {
             Msg::Data { phase, tuples, .. } => {
-                self.recv_chunks[phase.index()] += 1;
+                self.barrier.received(phase);
                 ctx.consume_cpu(self.cfg.costs.chunk_handling);
                 // Flow-control credit back to the sender (sources gate on
                 // these; node-to-node senders ignore them).
@@ -884,7 +879,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 self.handle_hotkey_plan(ctx, positions, members);
             }
             Msg::HotKeyData { tuples, .. } => {
-                self.recv_chunks[Phase::Reshuffle.index()] += 1;
+                self.barrier.received(Phase::Reshuffle);
                 ctx.consume_cpu(self.cfg.costs.chunk_handling);
                 ctx.send(from, Msg::DataAck);
                 if self.hotkey_plan_seen {
@@ -894,7 +889,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 }
             }
             Msg::NoMoreNodes => self.activate_spill(ctx),
-            Msg::FlushQuery { epoch, phase } => self.armed = Some((epoch, phase, None)),
+            Msg::FlushQuery { epoch, phase } => self.barrier.arm(epoch, phase),
             Msg::ReportRequest => self.handle_report_request(ctx),
             // Activation handled in on_message before dispatch.
             _ => {}
@@ -902,23 +897,8 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         self.update_occupancy();
         // An armed node tells the scheduler's barrier its counts once, then
         // again whenever a message moved them: the barrier is never polled.
-        if let Some((epoch, phase, acked)) = self.armed {
-            let i = phase.index();
-            let (recv_chunks, fwd_chunks) = (self.recv_chunks[i], self.fwd_chunks[i]);
-            let pending = self.pending.len() as u64;
-            let counts = Some([recv_chunks, fwd_chunks, pending]);
-            if acked != counts {
-                self.armed = Some((epoch, phase, counts));
-                ctx.send(
-                    self.scheduler,
-                    Msg::FlushAck {
-                        epoch,
-                        recv_chunks,
-                        fwd_chunks,
-                        pending,
-                    },
-                );
-            }
+        if let Some((epoch, counts)) = self.barrier.ack(self.pending.len() as u64) {
+            ctx.send(self.scheduler, Msg::FlushAck { epoch, counts });
         }
     }
 }
@@ -1644,16 +1624,11 @@ mod tests {
             },
         );
         match &ctx.sent[0].1 {
-            Msg::FlushAck {
-                epoch,
-                recv_chunks,
-                fwd_chunks,
-                pending,
-            } => {
+            Msg::FlushAck { epoch, counts } => {
                 assert_eq!(*epoch, 7);
-                assert_eq!(*recv_chunks, 1);
-                assert_eq!(*fwd_chunks, 0);
-                assert_eq!(*pending, 0);
+                assert_eq!(counts.recv, 1);
+                assert_eq!(counts.fwd, 0);
+                assert_eq!(counts.pending, 0);
             }
             other => panic!("expected ack, got {other:?}"),
         }
@@ -1663,12 +1638,9 @@ mod tests {
         ctx.sent_to(SCHED)
             .into_iter()
             .filter_map(|m| match *m {
-                Msg::FlushAck {
-                    epoch,
-                    recv_chunks,
-                    fwd_chunks,
-                    pending,
-                } => Some((epoch, [recv_chunks, fwd_chunks, pending])),
+                Msg::FlushAck { epoch, counts } => {
+                    Some((epoch, [counts.recv, counts.fwd, counts.pending]))
+                }
                 _ => None,
             })
             .collect()

@@ -44,6 +44,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod analysis;
+pub mod barrier;
 pub mod config;
 pub mod join_node;
 pub mod msg;

@@ -1,5 +1,6 @@
 //! The message protocol between scheduler, data sources and join processes.
 
+use crate::barrier::Counts;
 use crate::routing::RoutingTable;
 use ehj_data::TupleBatch;
 use ehj_hash::{HashRange, SpaceSaving, SplitStep};
@@ -107,7 +108,8 @@ pub enum Msg {
     /// spilled bucket): fall back to spilling out of core.
     NoMoreNodes,
     /// Arms the node for a phase-barrier wave: it acks its counts for
-    /// `phase` at once and again whenever they move.
+    /// `phase` at once and again whenever they move (the books are
+    /// [`crate::barrier`]'s).
     FlushQuery {
         /// Wave epoch (acks from older epochs are ignored).
         epoch: u64,
@@ -167,16 +169,14 @@ pub enum Msg {
     /// Hot-key hand-off complete at this node.
     HotKeyDone,
     /// An armed node's current counts: the first answers the
-    /// [`Msg::FlushQuery`], later ones are unprompted.
+    /// [`Msg::FlushQuery`], later ones are unprompted (see
+    /// [`crate::barrier`]).
     FlushAck {
         /// Epoch the node is armed under.
         epoch: u64,
-        /// Cumulative data chunks received in the armed phase.
-        recv_chunks: u64,
-        /// Cumulative data chunks this node forwarded in the armed phase.
-        fwd_chunks: u64,
-        /// Tuples still pending (unhoused) at this node.
-        pending: u64,
+        /// Cumulative chunks received and forwarded in the armed phase,
+        /// and the tuples pending now.
+        counts: Counts,
     },
     /// Final per-node statistics.
     Report(Box<NodeReport>),

@@ -6,19 +6,11 @@
 //! orchestrates splits (with the barrier-split-pointer discipline: one
 //! split in flight at a time, so at most two hash functions are ever
 //! active), runs the hybrid's reshuffling step, and synchronizes data
-//! sources and join processes between the build and probe phases.
-//!
-//! Phase barriers are *counting* barriers settled by events, with no
-//! timer: sources report how many chunks they sent; once a phase's
-//! preconditions hold, a `FlushQuery` wave *arms* every active node, which
-//! acks its `(received, forwarded, pending)` counts at once and again
-//! whenever they move. The scheduler keeps each node's latest counts and
-//! settles the phase the moment every chunk is accounted for and no node
-//! has unhoused (pending) tuples. A wave is stamped with the routing
-//! version it was armed under and re-armed when that moves (an expansion
-//! changes who must be polled) — the same path on both backends, where
-//! cross-sender message ordering is not guaranteed.
+//! sources and join processes between the build and probe phases. The
+//! phase barrier's books are [`crate::barrier`]'s; what opens its gate is
+//! the scheduler's (`barrier_preconditions_met`).
 
+use crate::barrier::{Step, Wave};
 use crate::config::{Algorithm, JoinConfig};
 use crate::msg::{Msg, NodeReport};
 use crate::report::JoinReport;
@@ -37,6 +29,14 @@ use ehj_sim::{Actor, ActorId, Context, SimTime};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::sync::Mutex;
+
+/// The actors of the working and full nodes, in node order.
+fn active_actors(book: &SchedulerBook, topo: &Topology) -> Vec<ActorId> {
+    book.all_active()
+        .into_iter()
+        .map(|n| topo.node_actor(n))
+        .collect()
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SchedPhase {
@@ -103,9 +103,8 @@ pub struct Scheduler {
     routing: Arc<RoutingTable>,
     version: u64,
     phase: SchedPhase,
-    // per-phase source accounting
-    sources_done: usize,
-    src_sent_chunks: u64,
+    /// The phase barrier: the current wave and the phase's source tally.
+    wave: Wave,
     src_comm: CommCounters,
     // expansion machinery
     overflow_queue: VecDeque<ActorId>,
@@ -119,13 +118,6 @@ pub struct Scheduler {
     lp_inflight: std::collections::HashMap<u32, SimTime>,
     expansions: u64,
     split_time: SimTime,
-    // barrier waves
-    epoch: u64,
-    /// Routing version the current wave was armed under; `None` between
-    /// waves (nothing armed yet, or the last one settled).
-    wave_version: Option<u64>,
-    /// Latest `[recv, fwd, pending]` from each actor the wave polled.
-    acks: std::collections::HashMap<ActorId, Option<[u64; 3]>>,
     // reshuffle
     groups: Vec<Group>,
     // hot-key routing (DESIGN §4i)
@@ -181,17 +173,13 @@ impl Scheduler {
             routing: Arc::new(routing),
             version: 1,
             phase: SchedPhase::Build,
-            sources_done: 0,
-            src_sent_chunks: 0,
+            wave: Wave::default(),
             src_comm: CommCounters::new(chunk),
             overflow_queue: VecDeque::new(),
             spilled_actors: std::collections::HashSet::new(),
             lp_inflight: std::collections::HashMap::new(),
             expansions: 0,
             split_time: SimTime::ZERO,
-            epoch: 0,
-            wave_version: None,
-            acks: std::collections::HashMap::new(),
             groups: Vec::new(),
             sketches: std::collections::HashMap::new(),
             hotkey_installed: false,
@@ -246,14 +234,6 @@ impl Scheduler {
         self.timeline.push(ev);
     }
 
-    fn active_actors(&self) -> Vec<ActorId> {
-        self.book
-            .all_active()
-            .into_iter()
-            .map(|n| self.topo.node_actor(n))
-            .collect()
-    }
-
     fn data_phase(&self) -> Phase {
         match self.phase {
             SchedPhase::Build => Phase::Build,
@@ -271,7 +251,7 @@ impl Scheduler {
             .sources
             .iter()
             .copied()
-            .chain(self.active_actors());
+            .chain(active_actors(&self.book, &self.topo));
         for to in recipients {
             ctx.send(
                 to,
@@ -366,8 +346,7 @@ impl Scheduler {
         hot.sort_unstable();
         hot.dedup();
         let spilled = &self.spilled_actors;
-        let replicas: Vec<ActorId> = self
-            .active_actors()
+        let replicas: Vec<ActorId> = active_actors(&self.book, &self.topo)
             .into_iter()
             .filter(|a| !spilled.contains(a))
             .collect();
@@ -409,8 +388,7 @@ impl Scheduler {
         };
         let hot = overlay.hot.clone();
         let spilled = &self.spilled_actors;
-        let members: Vec<ActorId> = self
-            .active_actors()
+        let members: Vec<ActorId> = active_actors(&self.book, &self.topo)
             .into_iter()
             .filter(|a| !spilled.contains(a))
             .collect();
@@ -428,8 +406,7 @@ impl Scheduler {
         }
         // The hand-off traffic rides the reshuffle lane; its flush rounds
         // count reshuffle-phase chunks only.
-        self.sources_done = 0;
-        self.src_sent_chunks = 0;
+        self.wave.start_phase();
         let expected = members.len();
         for &m in &members {
             ctx.send(
@@ -617,6 +594,8 @@ impl Scheduler {
 
     // ---- phase barriers ----
 
+    /// The barrier's gate: the phase's sources are done and no overflow,
+    /// split, reshuffle or hand-off is outstanding.
     fn barrier_preconditions_met(&self) -> bool {
         let sources_needed = match self.phase {
             SchedPhase::Build | SchedPhase::Probe => self.topo.sources.len(),
@@ -629,7 +608,7 @@ impl Scheduler {
             .hotkey_handoff
             .as_ref()
             .is_none_or(|h| h.done >= h.expected);
-        (self.sources_done >= sources_needed)
+        (self.wave.sources_done() >= sources_needed)
             && self.overflow_queue.is_empty()
             && self.lp_inflight.is_empty()
             && reshuffle_ready
@@ -640,30 +619,20 @@ impl Scheduler {
     /// place that does any of the three, called whenever a precondition or
     /// an acked count may have moved.
     fn try_settle(&mut self, ctx: &mut dyn Context<Msg>) {
-        if !self.barrier_preconditions_met() {
-            return;
-        }
-        if self.wave_version != Some(self.version) {
-            // No wave yet, or routing moved under the armed one: the
-            // active set may have grown, so poll it afresh.
-            self.epoch += 1;
-            self.wave_version = Some(self.version);
-            let actors = self.active_actors();
-            self.acks = actors.iter().map(|&a| (a, None)).collect();
-            let (epoch, phase) = (self.epoch, self.data_phase());
-            for a in actors {
-                ctx.send(a, Msg::FlushQuery { epoch, phase });
+        let gate = self.barrier_preconditions_met();
+        let phase = self.data_phase();
+        let (book, topo) = (&self.book, &self.topo);
+        match self
+            .wave
+            .try_settle(gate, self.version, || active_actors(book, topo))
+        {
+            Step::Wait => {}
+            Step::Arm { epoch, poll } => {
+                for &a in poll {
+                    ctx.send(a, Msg::FlushQuery { epoch, phase });
+                }
             }
-            return;
-        }
-        let (mut recv, mut fwd, mut pending) = (0, 0, 0);
-        for ack in self.acks.values() {
-            let Some([r, f, p]) = ack else { return };
-            (recv, fwd, pending) = (recv + r, fwd + f, pending + p);
-        }
-        if pending == 0 && recv == self.src_sent_chunks + fwd {
-            self.wave_version = None;
-            self.advance_phase(ctx);
+            Step::Settled => self.advance_phase(ctx),
         }
     }
 
@@ -700,7 +669,7 @@ impl Scheduler {
             SchedPhase::Probe => {
                 self.milestone(ctx, TraceKind::PhaseDone);
                 self.phase = SchedPhase::Reporting;
-                let actors = self.active_actors();
+                let actors = active_actors(&self.book, &self.topo);
                 self.reports_expected = actors.len();
                 for a in actors {
                     ctx.send(a, Msg::ReportRequest);
@@ -745,8 +714,7 @@ impl Scheduler {
             return false;
         }
         self.groups = groups;
-        self.sources_done = 0;
-        self.src_sent_chunks = 0;
+        self.wave.start_phase();
         for (gid, g) in self.groups.iter().enumerate() {
             for &member in &g.members {
                 ctx.send(
@@ -897,8 +865,7 @@ impl Scheduler {
 
     fn start_probe(&mut self, ctx: &mut dyn Context<Msg>) {
         self.phase = SchedPhase::Probe;
-        self.sources_done = 0;
-        self.src_sent_chunks = 0;
+        self.wave.start_phase();
         // "The lists of working and full join nodes are merged" (§4.1.2).
         self.book.merge_full_into_working();
         // Cold routing: the reshuffled assignments when the hybrid ran a
@@ -916,8 +883,7 @@ impl Scheduler {
             // partitions and the extras alone must carry each hot probe.
             Some(h) => {
                 let spilled = &self.spilled_actors;
-                let extra: Vec<ActorId> = self
-                    .active_actors()
+                let extra: Vec<ActorId> = active_actors(&self.book, &self.topo)
                     .into_iter()
                     .filter(|a| spilled.contains(a))
                     .collect();
@@ -1011,7 +977,7 @@ impl Scheduler {
 impl Actor<Msg> for Scheduler {
     fn on_start(&mut self, ctx: &mut dyn Context<Msg>) {
         // Activate the initial join nodes, then start the sources.
-        for a in self.active_actors() {
+        for a in active_actors(&self.book, &self.topo) {
             ctx.send(
                 a,
                 Msg::Activate {
@@ -1048,23 +1014,13 @@ impl Actor<Msg> for Scheduler {
             Msg::SourcePhaseDone {
                 sent_chunks, comm, ..
             } => {
-                self.sources_done += 1;
-                self.src_sent_chunks += sent_chunks;
+                self.wave.source_done(sent_chunks);
                 self.src_comm.merge(&comm);
                 self.try_settle(ctx);
             }
-            Msg::FlushAck {
-                epoch,
-                recv_chunks,
-                fwd_chunks,
-                pending,
-            } if epoch == self.epoch => {
-                // Only an actor the current wave polled has a slot: an ack
-                // from anyone else is malformed and counts for nothing.
-                if let Some(slot) = self.acks.get_mut(&from) {
-                    *slot = Some([recv_chunks, fwd_chunks, pending]);
-                    self.try_settle(ctx);
-                }
+            // An ack the wave does not keep falls through to `_`.
+            Msg::FlushAck { epoch, counts } if self.wave.record_ack(from, epoch, counts) => {
+                self.try_settle(ctx);
             }
             Msg::ReshuffleCounts { group, histogram } => {
                 self.handle_reshuffle_counts(ctx, group, histogram.counts);
@@ -1086,6 +1042,7 @@ impl Actor<Msg> for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::barrier::Counts;
     use crate::config::Algorithm;
     use crate::msg::{Histogram, NodeReport};
     use crate::testutil::ScriptCtx;
@@ -1128,16 +1085,14 @@ mod tests {
             .collect();
         ctx.sent.clear();
         for (node, epoch) in queries {
-            sched.on_message(
-                ctx,
-                node,
-                Msg::FlushAck {
-                    epoch,
-                    recv_chunks: recv,
-                    fwd_chunks: fwd,
-                    pending: 0,
-                },
-            );
+            sched.on_message(ctx, node, flush_ack(epoch, recv, fwd, 0));
+        }
+    }
+
+    fn flush_ack(epoch: u64, recv: u64, fwd: u64, pending: u64) -> Msg {
+        Msg::FlushAck {
+            epoch,
+            counts: Counts { recv, fwd, pending },
         }
     }
 
@@ -1381,19 +1336,10 @@ mod tests {
             "the scheduler sends itself nothing"
         );
         // The stragglers land; each node re-acks on its own, same epoch.
-        let epoch = sched.epoch;
+        let epoch = sched.wave.epoch();
         for node in [N0, N1] {
             assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 0);
-            sched.on_message(
-                &mut ctx,
-                node,
-                Msg::FlushAck {
-                    epoch,
-                    recv_chunks: 5,
-                    fwd_chunks: 0,
-                    pending: 0,
-                },
-            );
+            sched.on_message(&mut ctx, node, flush_ack(epoch, 5, 0, 0));
         }
         assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 1);
         assert_eq!(ctx.count(|m| matches!(m, Msg::FlushQuery { .. })), 0);
@@ -1404,12 +1350,7 @@ mod tests {
     fn an_expansion_under_an_armed_wave_re_arms_it_for_the_recruit() {
         let (mut sched, mut ctx, _) = setup(Algorithm::Replicated, 2);
         sched.on_start(&mut ctx);
-        let ack = |epoch, pending| Msg::FlushAck {
-            epoch,
-            recv_chunks: 6,
-            fwd_chunks: 0,
-            pending,
-        };
+        let ack = |epoch, pending| flush_ack(epoch, 6, 0, pending);
         // Every chunk is in, but N0 still holds unhoused tuples: no settle.
         sched.on_message(
             &mut ctx,
@@ -1419,19 +1360,133 @@ mod tests {
                 comm: Box::new(CommCounters::new(100)),
             },
         );
-        let armed = sched.epoch;
+        let armed = sched.wave.epoch();
         sched.on_message(&mut ctx, N0, ack(armed, 3));
         sched.on_message(&mut ctx, N1, ack(armed, 0));
         ctx.sent.clear();
         // Its report recruits a node and moves the routing version: the
         // wave is stale, and the next one polls the recruit too.
         sched.on_message(&mut ctx, N0, Msg::MemoryFull);
-        assert_eq!(sched.epoch, armed + 1);
+        assert_eq!(sched.wave.epoch(), armed + 1);
         assert_eq!(ctx.count(|m| matches!(m, Msg::FlushQuery { .. })), 3);
         // N0 drains, but under the stale wave: that ack no longer counts.
         sched.on_message(&mut ctx, N0, ack(armed, 0));
         assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 0);
         ack_all(&mut sched, &mut ctx, 4, 0);
+        assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 1);
+    }
+
+    /// No wave armed and no phase advanced: what every acked count is
+    /// worth while the gate is shut.
+    fn assert_gate_shut(ctx: &ScriptCtx, what: &str) {
+        assert_eq!(
+            ctx.count(|m| matches!(m, Msg::FlushQuery { .. })),
+            0,
+            "{what}: no wave is armed"
+        );
+        assert_eq!(
+            ctx.count(|m| matches!(m, Msg::StartProbe { .. })),
+            0,
+            "{what}: the phase holds"
+        );
+    }
+
+    /// Acks every node the latest wave polled with all-zero counts: the
+    /// sum balances whenever the phase's sources sent nothing.
+    fn ack_zero(sched: &mut Scheduler, ctx: &mut ScriptCtx, nodes: &[ActorId]) {
+        let epoch = sched.wave.epoch();
+        for &n in nodes {
+            assert_eq!(sched.wave.ack(n).map(|_| ()), Some(()), "{n} was polled");
+            sched.on_message(ctx, n, flush_ack(epoch, 0, 0, 0));
+        }
+    }
+
+    #[test]
+    fn an_outstanding_split_done_holds_the_gate_until_it_lands() {
+        let (mut sched, mut ctx, _) = setup(Algorithm::Split, 2);
+        sched.on_start(&mut ctx);
+        sched.on_message(
+            &mut ctx,
+            SRC,
+            Msg::SourcePhaseDone {
+                sent_chunks: 10,
+                comm: Box::new(CommCounters::new(100)),
+            },
+        );
+        let epoch = sched.wave.epoch();
+        ctx.sent.clear();
+        // A split is issued under the armed wave: the version moves, but
+        // the re-arm waits for the SplitDone it owes.
+        sched.on_message(&mut ctx, N1, Msg::MemoryFull);
+        let step = ctx
+            .sent
+            .iter()
+            .find_map(|(_, m)| match m {
+                Msg::SplitRequest { step, .. } => Some(*step),
+                _ => None,
+            })
+            .expect("split requested");
+        // Every polled node acks, and the acks balance the source's 10.
+        for n in [N0, N1] {
+            sched.on_message(&mut ctx, n, flush_ack(epoch, 5, 0, 0));
+        }
+        assert_gate_shut(&ctx, "SplitDone outstanding");
+        ctx.sent.clear();
+        sched.on_message(
+            &mut ctx,
+            N0,
+            Msg::SplitDone {
+                step,
+                moved_tuples: 1,
+            },
+        );
+        assert_eq!(
+            ctx.count(|m| matches!(m, Msg::FlushQuery { .. })),
+            3,
+            "the SplitDone arms a wave over the recruit too"
+        );
+        let epoch = sched.wave.epoch();
+        let recruit = ctx.sent.last().expect("polled").0;
+        for (n, recv, fwd) in [(N0, 5, 1), (N1, 5, 0), (recruit, 1, 0)] {
+            sched.on_message(&mut ctx, n, flush_ack(epoch, recv, fwd, 0));
+        }
+        assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 1);
+    }
+
+    #[test]
+    fn one_of_two_reshuffle_dones_holds_the_gate_until_the_other_lands() {
+        let (mut sched, mut ctx, _) = setup(Algorithm::Hybrid, 2);
+        sched.on_start(&mut ctx);
+        ctx.sent.clear();
+        sched.on_message(&mut ctx, N0, Msg::MemoryFull);
+        let recruit = ctx
+            .sent
+            .iter()
+            .find_map(|(to, m)| matches!(m, Msg::Activate { .. }).then_some(*to))
+            .expect("recruited");
+        drive_build_to_probe(&mut sched, &mut ctx, 30, 10);
+        let range_len = match &*sched.routing {
+            RoutingTable::Replica(m) => m.entries()[0].range.len(),
+            _ => panic!("hybrid uses replica routing"),
+        };
+        for member in [N0, recruit] {
+            let histogram = Histogram {
+                counts: vec![1; range_len as usize],
+            };
+            let counts = Msg::ReshuffleCounts {
+                group: 0,
+                histogram,
+            };
+            sched.on_message(&mut ctx, member, counts);
+        }
+        sched.on_message(&mut ctx, N0, Msg::ReshuffleDone { group: 0 });
+        ctx.sent.clear();
+        // The reshuffle's sources sent nothing: zero counts balance.
+        ack_zero(&mut sched, &mut ctx, &[N0, N1, recruit]);
+        assert_gate_shut(&ctx, "one ReshuffleDone outstanding");
+        sched.on_message(&mut ctx, recruit, Msg::ReshuffleDone { group: 0 });
+        assert_eq!(ctx.count(|m| matches!(m, Msg::FlushQuery { .. })), 3);
+        ack_all(&mut sched, &mut ctx, 1, 1);
         assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 1);
     }
 
@@ -1450,6 +1505,7 @@ mod tests {
     fn hybrid_reshuffles_replicated_ranges_then_probes_disjoint() {
         let (mut sched, mut ctx, _) = setup(Algorithm::Hybrid, 2);
         sched.on_start(&mut ctx);
+        ctx.sent.clear();
         // One replication: N0's range gains a new replica.
         sched.on_message(&mut ctx, N0, Msg::MemoryFull);
         let new_actor = ctx
@@ -1721,6 +1777,28 @@ mod tests {
         assert!(overlay.extra.is_empty(), "no spilled members here");
         assert!(matches!(probe_routing.inner(), RoutingTable::Replica(_)));
     }
+
+    #[test]
+    fn an_outstanding_hotkey_done_holds_the_gate_until_it_lands() {
+        let (mut sched, mut ctx) = hot_setup(Algorithm::Replicated, 2);
+        sched.on_message(
+            &mut ctx,
+            SRC,
+            Msg::SketchUpdate {
+                sketch: skewed_sketch(),
+            },
+        );
+        drive_build_to_probe(&mut sched, &mut ctx, 20, 10);
+        sched.on_message(&mut ctx, N0, Msg::HotKeyDone);
+        ctx.sent.clear();
+        // The hand-off's sources sent nothing: zero counts balance.
+        ack_zero(&mut sched, &mut ctx, &[N0, N1]);
+        assert_gate_shut(&ctx, "HotKeyDone outstanding");
+        sched.on_message(&mut ctx, N1, Msg::HotKeyDone);
+        assert_eq!(ctx.count(|m| matches!(m, Msg::FlushQuery { .. })), 2);
+        ack_all(&mut sched, &mut ctx, 1, 1);
+        assert_eq!(ctx.count(|m| matches!(m, Msg::StartProbe { .. })), 1);
+    }
 }
 
 #[cfg(test)]
@@ -1730,6 +1808,7 @@ mod robustness_tests {
     //! guards exist precisely for this).
 
     use super::*;
+    use crate::barrier::Counts;
     use crate::config::Algorithm;
     use crate::msg::NodeReport;
     use crate::testutil::ScriptCtx;
@@ -1795,46 +1874,27 @@ mod robustness_tests {
                 comm: Box::new(CommCounters::new(100)),
             },
         );
-        let epoch = sched.epoch;
-        assert!(sched.wave_version.is_some());
+        let epoch = sched.wave.epoch();
+        assert!(sched.wave.is_armed());
+        let ack = |epoch, recv| Msg::FlushAck {
+            epoch,
+            counts: Counts {
+                recv,
+                fwd: 0,
+                pending: 0,
+            },
+        };
         // An ack from a previous epoch must not count.
-        sched.on_message(
-            &mut ctx,
-            2,
-            Msg::FlushAck {
-                epoch: epoch - 1,
-                recv_chunks: 5,
-                fwd_chunks: 0,
-                pending: 0,
-            },
-        );
-        assert_eq!(sched.acks[&2], None, "stale epoch ignored");
+        sched.on_message(&mut ctx, 2, ack(epoch - 1, 5));
+        assert_eq!(sched.wave.ack(2), Some(None), "stale epoch ignored");
         // Nor one from an actor this wave never polled.
-        sched.on_message(
-            &mut ctx,
-            7,
-            Msg::FlushAck {
-                epoch,
-                recv_chunks: 10,
-                fwd_chunks: 0,
-                pending: 0,
-            },
-        );
-        assert!(!sched.acks.contains_key(&7));
+        sched.on_message(&mut ctx, 7, ack(epoch, 10));
+        assert_eq!(sched.wave.ack(7), None);
         // Correct-epoch acks complete the round.
         for node in [2u32, 3] {
-            sched.on_message(
-                &mut ctx,
-                node,
-                Msg::FlushAck {
-                    epoch,
-                    recv_chunks: 5,
-                    fwd_chunks: 0,
-                    pending: 0,
-                },
-            );
+            sched.on_message(&mut ctx, node, ack(epoch, 5));
         }
-        assert!(sched.wave_version.is_none(), "settled");
+        assert!(!sched.wave.is_armed(), "settled");
         assert_eq!(sched.phase, SchedPhase::Probe);
     }
 

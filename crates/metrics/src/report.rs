@@ -133,8 +133,8 @@ pub fn trace_rollup_table(rollup: &crate::trace::TraceRollup) -> TextTable {
             format!("{}/{}/{}", exec.workers, exec.steals, exec.parks),
         ]);
         t.row(vec![
-            "(executor) overflow/maxdepth".to_owned(),
-            format!("{}/{}", exec.overflows, exec.max_mailbox_depth),
+            "(executor) maxdepth".to_owned(),
+            exec.max_mailbox_depth.to_string(),
         ]);
     }
     t.row(vec!["total".to_owned(), rollup.total.to_string()]);

@@ -398,8 +398,8 @@ impl TraceKind {
             }
             Self::PhaseDone => "phase complete".to_owned(),
             Self::ExecutorStats(c) => format!(
-                "executor: {} workers, {} steals, {} parks, {} overflows, max mailbox {}",
-                c.workers, c.steals, c.parks, c.overflows, c.max_mailbox_depth
+                "executor: {} workers, {} steals, {} parks, max mailbox {}",
+                c.workers, c.steals, c.parks, c.max_mailbox_depth
             ),
             Self::MetricsSample { seq, values } => {
                 let read: Vec<String> = SAMPLED
