@@ -24,6 +24,7 @@ use crate::barrier::Tally;
 use crate::config::{Algorithm, JoinConfig, ProbeKernel};
 use crate::msg::{Histogram, Msg, NodeReport};
 use crate::routing::RoutingTable;
+use crate::topology::Topology;
 use ehj_data::{BufferPool, Tuple, TupleBatch};
 use ehj_hash::{HashRange, JoinHashTable, PositionSpace, ProbeScratch, SplitStep};
 use ehj_metrics::registry::names;
@@ -80,11 +81,14 @@ impl NodeMetrics {
 /// model), real files under the threaded runtime.
 pub struct JoinNode<B: SpillBackend + Default + Send> {
     cfg: Arc<JoinConfig>,
-    scheduler: ActorId,
+    /// The query's wiring, shared by every node: the scheduler's id, and
+    /// which senders are sources (the only ones whose chunks are acked).
+    topo: Arc<Topology>,
     me: ActorId,
     space: PositionSpace,
     capacity_bytes: u64,
-    active: bool,
+    /// What arrived before the first routing table, which activates the
+    /// node.
     boot_queue: Vec<(ActorId, Msg)>,
     table: JoinHashTable,
     pending: VecDeque<Tuple>,
@@ -92,7 +96,8 @@ pub struct JoinNode<B: SpillBackend + Default + Send> {
     /// Whether a MemoryFull report may still be queued at the scheduler.
     reported_full: bool,
     /// The table last accepted, shared with the scheduler and every other
-    /// recipient of the same routing message.
+    /// recipient of the same routing message; `None` until the node is
+    /// activated.
     routing: Option<Arc<RoutingTable>>,
     routing_version: u64,
     /// This node's side of the phase barrier.
@@ -124,17 +129,21 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
     /// Creates an (initially inactive) join process for the node with
     /// `capacity_bytes` of hash-table memory.
     #[must_use]
-    pub fn new(cfg: Arc<JoinConfig>, scheduler: ActorId, me: ActorId, capacity_bytes: u64) -> Self {
+    pub fn new(
+        cfg: Arc<JoinConfig>,
+        topo: Arc<Topology>,
+        me: ActorId,
+        capacity_bytes: u64,
+    ) -> Self {
         let space = PositionSpace::new(cfg.positions, cfg.r.domain, cfg.hasher);
         let table = JoinHashTable::new(space, cfg.schema(), capacity_bytes);
         let chunk = cfg.chunk_tuples as u64;
         Self {
             cfg,
-            scheduler,
+            topo,
             me,
             space,
             capacity_bytes,
-            active: false,
             boot_queue: Vec::new(),
             table,
             pending: VecDeque::new(),
@@ -294,16 +303,9 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         }
     }
 
+    /// Brings the join process up on its first routing table: charges the
+    /// recruit latency and replays what arrived before it.
     fn activate(&mut self, ctx: &mut dyn Context<Msg>, routing: Arc<RoutingTable>, version: u64) {
-        if self.active {
-            // Re-activation of a warm spare: just refresh routing.
-            if version > self.routing_version {
-                self.routing = Some(routing);
-                self.routing_version = version;
-            }
-            return;
-        }
-        self.active = true;
         ctx.consume_cpu(self.cfg.costs.recruit_latency);
         self.routing = Some(routing);
         self.routing_version = version;
@@ -344,7 +346,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         );
         self.spill = Some(grace);
         self.spill_pending(ctx);
-        ctx.send(self.scheduler, Msg::Spilled);
+        ctx.send(self.topo.scheduler, Msg::Spilled);
     }
 
     /// Pending tuples finally have a home on disk: append them and retract
@@ -364,7 +366,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         self.reported_full = true;
         let pending = self.pending.len() as u64;
         self.trace(ctx, Phase::Build, TraceKind::BucketOverflow { pending });
-        ctx.send(self.scheduler, Msg::MemoryFull);
+        ctx.send(self.topo.scheduler, Msg::MemoryFull);
     }
 
     /// Spills build tuples, passing their `positions` on when the caller
@@ -528,7 +530,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
     fn retract_full_report(&mut self, ctx: &mut dyn Context<Msg>) {
         if self.reported_full {
             self.reported_full = false;
-            ctx.send(self.scheduler, Msg::Relieved);
+            ctx.send(self.topo.scheduler, Msg::Relieved);
         }
     }
 
@@ -682,7 +684,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 }
             }
         }
-        ctx.send(self.scheduler, Msg::HotKeyDone);
+        ctx.send(self.topo.scheduler, Msg::HotKeyDone);
         let stash = std::mem::take(&mut self.hotkey_stash);
         for batch in stash {
             self.insert_hotkey_batch(ctx, &batch);
@@ -753,7 +755,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             moved.into(),
         );
         ctx.send(
-            self.scheduler,
+            self.topo.scheduler,
             Msg::SplitDone {
                 step,
                 moved_tuples: moved_count,
@@ -792,7 +794,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 extracted.into(),
             );
         }
-        ctx.send(self.scheduler, Msg::ReshuffleDone { group });
+        ctx.send(self.topo.scheduler, Msg::ReshuffleDone { group });
     }
 
     fn handle_report_request(&mut self, ctx: &mut dyn Context<Msg>) {
@@ -825,7 +827,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
         }
         self.table.observe_metrics(&self.metrics.chain_len);
         ctx.send(
-            self.scheduler,
+            self.topo.scheduler,
             Msg::Report(Box::new(NodeReport {
                 build_tuples,
                 matches: self.matches,
@@ -841,9 +843,12 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             Msg::Data { phase, tuples, .. } => {
                 self.barrier.received(phase);
                 ctx.consume_cpu(self.cfg.costs.chunk_handling);
-                // Flow-control credit back to the sender (sources gate on
-                // these; node-to-node senders ignore them).
-                ctx.send(from, Msg::DataAck);
+                // Flow-control credit for a source's window. A node that
+                // forwards, moves or reshuffles chunks has no window, so
+                // its chunks are not acked.
+                if self.topo.is_source(from) {
+                    ctx.send(from, Msg::DataAck);
+                }
                 match phase {
                     Phase::Build => self.handle_build(ctx, tuples),
                     Phase::Probe => self.handle_probe(ctx, tuples),
@@ -865,7 +870,7 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
                 let total: u64 = counts.iter().sum();
                 ctx.consume_cpu(self.cfg.costs.probe_per_compare * total);
                 ctx.send(
-                    self.scheduler,
+                    self.topo.scheduler,
                     Msg::ReshuffleCounts {
                         group,
                         histogram: Histogram { counts },
@@ -881,7 +886,6 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             Msg::HotKeyData { tuples, .. } => {
                 self.barrier.received(Phase::Reshuffle);
                 ctx.consume_cpu(self.cfg.costs.chunk_handling);
-                ctx.send(from, Msg::DataAck);
                 if self.hotkey_plan_seen {
                     self.insert_hotkey_batch(ctx, &tuples);
                 } else {
@@ -891,30 +895,30 @@ impl<B: SpillBackend + Default + Send> JoinNode<B> {
             Msg::NoMoreNodes => self.activate_spill(ctx),
             Msg::FlushQuery { epoch, phase } => self.barrier.arm(epoch, phase),
             Msg::ReportRequest => self.handle_report_request(ctx),
-            // Activation handled in on_message before dispatch.
             _ => {}
         }
         self.update_occupancy();
         // An armed node tells the scheduler's barrier its counts once, then
         // again whenever a message moved them: the barrier is never polled.
         if let Some((epoch, counts)) = self.barrier.ack(self.pending.len() as u64) {
-            ctx.send(self.scheduler, Msg::FlushAck { epoch, counts });
+            ctx.send(self.topo.scheduler, Msg::FlushAck { epoch, counts });
         }
     }
 }
 
 impl<B: SpillBackend + Default + Send> Actor<Msg> for JoinNode<B> {
     fn on_message(&mut self, ctx: &mut dyn Context<Msg>, from: ActorId, msg: Msg) {
-        if let Msg::Activate { routing, version } = msg {
-            self.activate(ctx, routing, version);
-            return;
-        }
-        if !self.active {
-            // Data can outrun activation (the scheduler's Activate and a
-            // source's first chunk race through independent links); queue
-            // until the join process is up.
-            self.boot_queue.push((from, msg));
-            return;
+        if self.routing.is_none() {
+            // The first routing table activates the node. Data can outrun
+            // it (the scheduler's update and a source's first chunk race
+            // through independent links), so anything else waits for it.
+            // The update is then handled like any later one: its table is
+            // in place, so it only drains `pending`.
+            let Msg::RoutingUpdate { routing, version } = &msg else {
+                self.boot_queue.push((from, msg));
+                return;
+            };
+            self.activate(ctx, Arc::clone(routing), *version);
         }
         self.dispatch(ctx, from, msg);
     }
@@ -929,11 +933,19 @@ mod tests {
     use crate::config::JoinConfig;
     use crate::testutil::ScriptCtx;
     use ehj_hash::ReplicaMap;
+    use ehj_sim::SimTime;
     use ehj_storage::MemBackend;
 
     const SCHED: ActorId = 0;
+    const SOURCE: ActorId = 1;
     const ME: ActorId = 10;
     const OTHER: ActorId = 11;
+
+    /// Scheduler 0, one source (1), join nodes 2..=12 (`ME` and `OTHER`
+    /// among them).
+    fn topo() -> Arc<Topology> {
+        Arc::new(Topology::new(1, 11))
+    }
 
     fn test_cfg(algorithm: Algorithm) -> Arc<JoinConfig> {
         let mut cfg = JoinConfig::paper_scaled(algorithm, 1000);
@@ -958,12 +970,12 @@ mod tests {
     fn activated_node(algorithm: Algorithm, cap_tuples: u64) -> (JoinNode<MemBackend>, ScriptCtx) {
         let cfg = test_cfg(algorithm);
         let cap = capacity_tuples(&cfg, cap_tuples);
-        let mut node = JoinNode::<MemBackend>::new(cfg, SCHED, ME, cap);
+        let mut node = JoinNode::<MemBackend>::new(cfg, topo(), ME, cap);
         let mut ctx = ScriptCtx::new(ME);
         node.on_message(
             &mut ctx,
             SCHED,
-            Msg::Activate {
+            Msg::RoutingUpdate {
                 routing: Arc::new(two_node_routing()),
                 version: 1,
             },
@@ -987,12 +999,12 @@ mod tests {
         let cfg = test_cfg(Algorithm::Replicated);
         let cap = capacity_tuples(&cfg, 100);
         let mut node =
-            JoinNode::<MemBackend>::new(cfg, SCHED, ME, cap).with_metrics(&registry.handle_for(0));
+            JoinNode::<MemBackend>::new(cfg, topo(), ME, cap).with_metrics(&registry.handle_for(0));
         let mut ctx = ScriptCtx::new(ME);
         node.on_message(
             &mut ctx,
             SCHED,
-            Msg::Activate {
+            Msg::RoutingUpdate {
                 routing: Arc::new(two_node_routing()),
                 version: 1,
             },
@@ -1323,13 +1335,13 @@ mod tests {
             let cfg = Arc::new(cfg);
             let cap = capacity_tuples(&cfg, 100);
             let registry = ehj_metrics::MetricsRegistry::new();
-            let mut node = JoinNode::<MemBackend>::new(cfg, SCHED, ME, cap)
+            let mut node = JoinNode::<MemBackend>::new(cfg, topo(), ME, cap)
                 .with_metrics(&registry.handle_for(0));
             let mut ctx = ScriptCtx::new(ME);
             node.on_message(
                 &mut ctx,
                 SCHED,
-                Msg::Activate {
+                Msg::RoutingUpdate {
                     routing: Arc::new(two_node_routing()),
                     version: 1,
                 },
@@ -1432,19 +1444,69 @@ mod tests {
     fn data_before_activation_is_queued() {
         let cfg = test_cfg(Algorithm::Replicated);
         let cap = capacity_tuples(&cfg, 10);
-        let mut node = JoinNode::<MemBackend>::new(cfg, SCHED, ME, cap);
+        let recruit_latency = cfg.costs.recruit_latency;
+        let mut node = JoinNode::<MemBackend>::new(cfg, topo(), ME, cap);
         let mut ctx = ScriptCtx::new(ME);
-        node.on_message(&mut ctx, 1, build_data(vec![Tuple::new(1, 100)]));
+        // Everything before the first routing table waits: a source's
+        // chunk, a peer's forward and the barrier's arming alike.
+        node.on_message(&mut ctx, SOURCE, build_data(vec![Tuple::new(1, 100)]));
+        node.on_message(&mut ctx, OTHER, build_data(vec![Tuple::new(2, 200)]));
+        let arm = Msg::FlushQuery {
+            epoch: 3,
+            phase: Phase::Build,
+        };
+        node.on_message(&mut ctx, SCHED, arm);
         assert_eq!(node.table.len(), 0);
+        assert!(ctx.sent.is_empty(), "an inactive node answers nothing");
+        assert_eq!(ctx.now, SimTime::ZERO, "and spends nothing");
         node.on_message(
             &mut ctx,
             SCHED,
-            Msg::Activate {
+            Msg::RoutingUpdate {
                 routing: Arc::new(two_node_routing()),
                 version: 1,
             },
         );
-        assert_eq!(node.table.len(), 1, "boot queue replayed");
+        assert_eq!(node.table.len(), 2, "boot queue replayed");
+        assert!(ctx.now >= recruit_latency, "activation charges the recruit");
+        assert!(
+            matches!(ctx.sent_to(SOURCE)[..], [Msg::DataAck]),
+            "the source's chunk is acked, the peer's is not"
+        );
+        assert_eq!(ctx.count(|m| matches!(m, Msg::DataAck)), 1);
+        assert_eq!(flush_acks(&ctx), [(3, [2, 0, 0])], "the replayed arm");
+        // A later table is an update, not a second activation.
+        let before = ctx.now;
+        node.on_message(
+            &mut ctx,
+            SCHED,
+            Msg::RoutingUpdate {
+                routing: Arc::new(two_node_routing()),
+                version: 2,
+            },
+        );
+        assert_eq!(ctx.now, before);
+        assert_eq!(node.routing_version, 2);
+    }
+
+    #[test]
+    fn only_a_sources_chunks_are_acked() {
+        let (mut node, mut ctx) = activated_node(Algorithm::Replicated, 100);
+        node.on_message(&mut ctx, SOURCE, build_data(vec![Tuple::new(1, 100)]));
+        assert!(matches!(ctx.sent_to(SOURCE)[..], [Msg::DataAck]));
+        // A peer's forwarded chunk and its hot-key copies: no credit back.
+        ctx.sent.clear();
+        node.on_message(&mut ctx, OTHER, build_data(vec![Tuple::new(2, 200)]));
+        node.on_message(
+            &mut ctx,
+            OTHER,
+            Msg::HotKeyData {
+                tuples: vec![Tuple::new(3, 300)].into(),
+                tuple_bytes: 116,
+            },
+        );
+        assert_eq!(ctx.count(|m| matches!(m, Msg::DataAck)), 0);
+        assert_eq!(node.table.len(), 2, "the peer's chunk is still housed");
     }
 
     #[test]

@@ -50,20 +50,15 @@ pub struct NodeReport {
 #[derive(Debug, Clone)]
 pub enum Msg {
     // ---- scheduler → join nodes ----
-    /// Activates a join node (initial setup or recruitment) with the
-    /// current routing state. Handling charges the recruit latency.
+    /// A routing state: the initial one at start (to the initial nodes),
+    /// then each expansion's (to every source and active node, the recruit
+    /// included). A node's first one activates it, which charges the
+    /// recruit latency.
     ///
-    /// The four routing messages carry the scheduler's table by `Arc`:
+    /// The three routing messages carry the scheduler's table by `Arc`:
     /// every recipient of one routing state shares one immutable copy (the
     /// scheduler copies on write), while the wire is still charged the
     /// whole table per message.
-    Activate {
-        /// Routing table at activation time.
-        routing: Arc<RoutingTable>,
-        /// Routing version.
-        version: u64,
-    },
-    /// New routing state after an expansion (broadcast to sources too).
     RoutingUpdate {
         /// The new table.
         routing: Arc<RoutingTable>,
@@ -226,7 +221,8 @@ pub enum Msg {
     },
 
     /// Flow-control credit: acknowledges one [`Msg::Data`] chunk back to
-    /// its sender (TCP-receive-window emulation; see `source.rs`).
+    /// the data source that sent it (TCP-receive-window emulation; see
+    /// `source.rs`). Chunks between join nodes are not acked.
     DataAck,
 
     // ---- self-sends ----
@@ -246,8 +242,7 @@ impl Message for Msg {
                 tuples,
                 tuple_bytes,
             } => CONTROL_BYTES + tuples.len() as u64 * tuple_bytes,
-            Msg::Activate { routing, .. }
-            | Msg::RoutingUpdate { routing, .. }
+            Msg::RoutingUpdate { routing, .. }
             | Msg::StartBuild { routing, .. }
             | Msg::StartProbe { routing, .. } => CONTROL_BYTES + routing.wire_bytes(),
             Msg::ReshuffleCounts { histogram, .. } => histogram.wire_bytes(),

@@ -390,11 +390,11 @@ impl QueryRun {
         &self,
         cfg: &Arc<JoinConfig>,
     ) -> Vec<Box<dyn Actor<Msg>>> {
-        let topo = Topology::new(cfg.sources, cfg.cluster.len());
+        let topo = Arc::new(Topology::new(cfg.sources, cfg.cluster.len()));
         let tracer = &self.harness.tracer;
         let mut actors: Vec<Box<dyn Actor<Msg>>> = Vec::with_capacity(topo.actor_count());
         actors.push(Box::new(
-            Scheduler::new(Arc::clone(cfg), topo.clone(), Arc::clone(&self.result))
+            Scheduler::new(Arc::clone(cfg), Arc::clone(&topo), Arc::clone(&self.result))
                 .with_tracer(tracer.clone())
                 .with_metrics(&self.registry.handle_for(0)),
         ));
@@ -408,7 +408,7 @@ impl QueryRun {
             actors.push(Box::new(
                 JoinNode::<B>::new(
                     Arc::clone(cfg),
-                    topo.scheduler,
+                    Arc::clone(&topo),
                     topo.node_actor(node),
                     capacity,
                 )

@@ -94,7 +94,7 @@ struct Group {
 /// The scheduler.
 pub struct Scheduler {
     cfg: Arc<JoinConfig>,
-    topo: Topology,
+    topo: Arc<Topology>,
     book: SchedulerBook,
     /// The current routing state, shared with every message that carries
     /// it: an expansion mutates it through `Arc::make_mut`, so the first
@@ -149,7 +149,7 @@ impl Scheduler {
     #[must_use]
     pub fn new(
         cfg: Arc<JoinConfig>,
-        topo: Topology,
+        topo: Arc<Topology>,
         result: Arc<Mutex<Option<JoinReport>>>,
     ) -> Self {
         let book = SchedulerBook::new(&cfg.cluster, cfg.initial_nodes);
@@ -510,13 +510,6 @@ impl Scheduler {
                         self.trace_at(ctx, full_actor, TraceKind::NodeFull);
                     }
                 }
-                ctx.send(
-                    new_actor,
-                    Msg::Activate {
-                        routing: Arc::clone(&self.routing),
-                        version: self.version + 1,
-                    },
-                );
                 self.broadcast_routing(ctx);
             }
             Algorithm::Split => {
@@ -555,13 +548,6 @@ impl Scheduler {
                     },
                 );
                 self.trace(ctx, TraceKind::SplitPointerAdvance { pointer });
-                ctx.send(
-                    new_actor,
-                    Msg::Activate {
-                        routing: Arc::clone(&self.routing),
-                        version: self.version + 1,
-                    },
-                );
                 self.broadcast_routing(ctx);
                 ctx.send(
                     old_owner,
@@ -976,11 +962,12 @@ impl Scheduler {
 
 impl Actor<Msg> for Scheduler {
     fn on_start(&mut self, ctx: &mut dyn Context<Msg>) {
-        // Activate the initial join nodes, then start the sources.
+        // The initial join nodes' first table activates them; then start
+        // the sources.
         for a in active_actors(&self.book, &self.topo) {
             ctx.send(
                 a,
-                Msg::Activate {
+                Msg::RoutingUpdate {
                     routing: Arc::clone(&self.routing),
                     version: self.version,
                 },
@@ -1066,7 +1053,7 @@ mod tests {
         cfg.cluster = ClusterSpec::homogeneous(NODES, 1 << 20);
         cfg.initial_nodes = initial;
         cfg.sources = SOURCES;
-        let topo = Topology::new(SOURCES, NODES);
+        let topo = Arc::new(Topology::new(SOURCES, NODES));
         let slot: Arc<Mutex<Option<JoinReport>>> = Arc::new(Mutex::new(None));
         let sched = Scheduler::new(Arc::new(cfg), topo, Arc::clone(&slot));
         let ctx = ScriptCtx::new(0);
@@ -1100,12 +1087,17 @@ mod tests {
     fn on_start_activates_initial_nodes_and_sources() {
         let (mut sched, mut ctx, _) = setup(Algorithm::Replicated, 2);
         sched.on_start(&mut ctx);
-        let activates: Vec<ActorId> = ctx
+        // Each initial node's first table activates it; the sources get
+        // theirs with the start.
+        let tables: Vec<(ActorId, u64)> = ctx
             .sent
             .iter()
-            .filter_map(|(to, m)| matches!(m, Msg::Activate { .. }).then_some(*to))
+            .filter_map(|(to, m)| match m {
+                Msg::RoutingUpdate { version, .. } => Some((*to, *version)),
+                _ => None,
+            })
             .collect();
-        assert_eq!(activates, vec![N0, N1]);
+        assert_eq!(tables, vec![(N0, 1), (N1, 1)]);
         let starts: Vec<ActorId> = ctx
             .sent
             .iter()
@@ -1141,40 +1133,50 @@ mod tests {
         sched.on_start(&mut ctx);
         ctx.sent.clear();
         sched.on_message(&mut ctx, N0, Msg::MemoryFull);
-        // New node activated with the updated replica map.
-        let activate_to: Vec<ActorId> = ctx
+        // One broadcast of the updated replica map, to the source and every
+        // active node: the recruit's copy is its activation.
+        let new_actor = recruit(&ctx);
+        let updates: Vec<(ActorId, u64)> = ctx
             .sent
             .iter()
-            .filter_map(|(to, m)| matches!(m, Msg::Activate { .. }).then_some(*to))
+            .filter_map(|(to, m)| match m {
+                Msg::RoutingUpdate { version, .. } => Some((*to, *version)),
+                _ => None,
+            })
             .collect();
-        assert_eq!(activate_to.len(), 1);
-        let new_actor = activate_to[0];
-        assert!(new_actor > N1, "a potential node was recruited");
-        // Routing update broadcast to the source and active nodes.
-        let updates: Vec<ActorId> = ctx
-            .sent
-            .iter()
-            .filter_map(|(to, m)| matches!(m, Msg::RoutingUpdate { .. }).then_some(*to))
-            .collect();
-        assert!(updates.contains(&SRC));
-        assert!(updates.contains(&N0), "the full node learns its relief");
+        // Sources first, then the working nodes, then the full one.
+        assert_eq!(updates, vec![(SRC, 2), (N1, 2), (new_actor, 2), (N0, 2)]);
+        assert_eq!(ctx.sent.len(), updates.len(), "nothing but the broadcast");
         assert_eq!(sched.expansions, 1);
         // The full node moved to the full list.
         assert_eq!(sched.book.full().len(), 1);
     }
 
-    /// The tables the captured `Activate`s and `RoutingUpdate`s carry, in
-    /// send order.
+    /// The tables the captured `RoutingUpdate`s carry, in send order.
     fn sent_tables(ctx: &ScriptCtx) -> Vec<Arc<RoutingTable>> {
         ctx.sent
             .iter()
             .filter_map(|(_, m)| match m {
-                Msg::Activate { routing, .. } | Msg::RoutingUpdate { routing, .. } => {
-                    Some(Arc::clone(routing))
-                }
+                Msg::RoutingUpdate { routing, .. } => Some(Arc::clone(routing)),
                 _ => None,
             })
             .collect()
+    }
+
+    /// The node the captured expansion recruited (from two initial nodes),
+    /// checked to have been sent exactly one routing message: the table
+    /// that activates it.
+    fn recruit(ctx: &ScriptCtx) -> ActorId {
+        let fresh: Vec<ActorId> = ctx
+            .sent
+            .iter()
+            .filter_map(|(to, m)| {
+                (*to > N1 && matches!(m, Msg::RoutingUpdate { .. })).then_some(*to)
+            })
+            .collect();
+        assert_eq!(fresh.len(), 1, "one table to one recruit: {fresh:?}");
+        assert_eq!(ctx.sent_to(fresh[0]).len(), 1, "and nothing else");
+        fresh[0]
     }
 
     #[test]
@@ -1185,9 +1187,9 @@ mod tests {
             ctx.sent.clear();
             sched.on_message(&mut ctx, N1, Msg::MemoryFull);
             let tables = sent_tables(&ctx);
-            // The recruit's activation, then one update per source and per
-            // active node (both initial nodes and the recruit).
-            assert_eq!(tables.len(), 1 + SOURCES + 3, "{alg:?}");
+            // One update per source and per active node (both initial
+            // nodes and the recruit, whom it activates).
+            assert_eq!(tables.len(), SOURCES + 3, "{alg:?}");
             assert!(
                 tables.iter().all(|t| Arc::ptr_eq(t, &sched.routing)),
                 "{alg:?}: every recipient shares the scheduler's table"
@@ -1223,7 +1225,7 @@ mod tests {
         // recruit again.
         sched.on_message(&mut ctx, N0, Msg::MemoryFull);
         assert_eq!(sched.expansions, 1);
-        assert_eq!(ctx.count(|m| matches!(m, Msg::Activate { .. })), 0);
+        assert_eq!(ctx.count(|m| matches!(m, Msg::RoutingUpdate { .. })), 0);
     }
 
     #[test]
@@ -1459,11 +1461,7 @@ mod tests {
         sched.on_start(&mut ctx);
         ctx.sent.clear();
         sched.on_message(&mut ctx, N0, Msg::MemoryFull);
-        let recruit = ctx
-            .sent
-            .iter()
-            .find_map(|(to, m)| matches!(m, Msg::Activate { .. }).then_some(*to))
-            .expect("recruited");
+        let recruit = recruit(&ctx);
         drive_build_to_probe(&mut sched, &mut ctx, 30, 10);
         let range_len = match &*sched.routing {
             RoutingTable::Replica(m) => m.entries()[0].range.len(),
@@ -1508,11 +1506,7 @@ mod tests {
         ctx.sent.clear();
         // One replication: N0's range gains a new replica.
         sched.on_message(&mut ctx, N0, Msg::MemoryFull);
-        let new_actor = ctx
-            .sent
-            .iter()
-            .find_map(|(to, m)| matches!(m, Msg::Activate { .. }).then_some(*to))
-            .expect("recruited");
+        let new_actor = recruit(&ctx);
         ctx.sent.clear();
         // Three active nodes ack 10 received chunks each = the 30 sent.
         drive_build_to_probe(&mut sched, &mut ctx, 30, 10);
@@ -1623,7 +1617,7 @@ mod tests {
         cfg.initial_nodes = initial;
         cfg.sources = SOURCES;
         cfg.hot_keys = true;
-        let topo = Topology::new(SOURCES, NODES);
+        let topo = Arc::new(Topology::new(SOURCES, NODES));
         let slot = Arc::new(Mutex::new(None));
         let mut sched = Scheduler::new(Arc::new(cfg), topo, slot);
         let mut ctx = ScriptCtx::new(0);
@@ -1676,11 +1670,7 @@ mod tests {
         );
         ctx.sent.clear();
         sched.on_message(&mut ctx, N0, Msg::MemoryFull);
-        let recruit = ctx
-            .sent
-            .iter()
-            .find_map(|(to, m)| matches!(m, Msg::Activate { .. }).then_some(*to))
-            .expect("recruited");
+        let recruit = recruit(&ctx);
         // The full node stops receiving hot build tuples as well as cold
         // ones, and the sources are told in the same broadcast.
         let overlay = sched.routing.overlay().expect("overlay stays installed");
@@ -1820,7 +1810,7 @@ mod robustness_tests {
         cfg.cluster = ClusterSpec::homogeneous(6, 1 << 20);
         cfg.initial_nodes = 2;
         cfg.sources = 1;
-        let topo = Topology::new(1, 6);
+        let topo = Arc::new(Topology::new(1, 6));
         let slot = Arc::new(Mutex::new(None));
         let mut sched = Scheduler::new(Arc::new(cfg), topo, slot);
         let mut ctx = ScriptCtx::new(0);
@@ -1923,7 +1913,7 @@ mod robustness_tests {
         sched.on_message(&mut ctx, 2, Msg::MemoryFull);
         assert_eq!(sched.expansions, 0);
         assert!(sched.overflow_queue.is_empty());
-        assert_eq!(ctx.count(|m| matches!(m, Msg::Activate { .. })), 0);
+        assert_eq!(ctx.count(|m| matches!(m, Msg::RoutingUpdate { .. })), 0);
     }
 
     #[test]

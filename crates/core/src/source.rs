@@ -27,8 +27,8 @@
 //! stopped draining, the sender stalled, and a routing update took effect
 //! on all data still inside the source. The simulation reproduces that with
 //! a credit protocol: at most [`JoinConfig::chunk_tuples`]-sized
-//! `CREDIT_CHUNKS` chunks are in flight per destination; every delivered
-//! chunk is acknowledged with [`Msg::DataAck`]; chunks awaiting credit stay
+//! `CREDIT_CHUNKS` chunks are in flight per destination; every chunk it
+//! delivers is acknowledged with [`Msg::DataAck`]; chunks awaiting credit stay
 //! in the source and are *re-routed* when the routing table changes, and
 //! generation pauses while too much output is blocked. Without this, a
 //! simulated source would commit every chunk's destination before the first
@@ -232,10 +232,6 @@ impl DataSource {
         ctx.send(ctx.me(), Msg::GenStep);
     }
 
-    fn blocked_total(&self) -> usize {
-        self.blocked
-    }
-
     /// `dest`'s credit window, created on first use.
     fn window(&mut self, dest: ActorId) -> &mut Window {
         let i = dest as usize;
@@ -316,7 +312,7 @@ impl DataSource {
             let credit = window.credits.get_or_insert(0);
             *credit = (*credit + 1).min(CREDIT_CHUNKS);
         }
-        if self.gen_paused && self.blocked_total() <= MAX_BLOCKED_CHUNKS / 2 {
+        if self.gen_paused && self.blocked <= MAX_BLOCKED_CHUNKS / 2 {
             self.gen_paused = false;
             ctx.send(ctx.me(), Msg::GenStep);
         }
@@ -518,7 +514,7 @@ impl DataSource {
         if self.gen_paused {
             return;
         }
-        if self.blocked_total() > MAX_BLOCKED_CHUNKS {
+        if self.blocked > MAX_BLOCKED_CHUNKS {
             // Emulated blocking send: stall until receivers drain.
             self.gen_paused = true;
             return;
@@ -569,7 +565,7 @@ impl DataSource {
             let tuples = std::mem::take(&mut self.buffers[slot].1);
             self.ship_all(ctx, slot, tuples.into());
         }
-        if self.blocked_total() > 0 {
+        if self.blocked > 0 {
             return;
         }
         self.phase_done_sent = true;
@@ -739,7 +735,7 @@ mod tests {
         run_gen(&mut src, &mut ctx);
         let sent = ctx.count(|m| matches!(m, Msg::Data { .. }));
         assert_eq!(sent, CREDIT_CHUNKS, "window limits the burst");
-        assert!(src.blocked_total() > 0, "the rest waits for credits");
+        assert!(src.blocked > 0, "the rest waits for credits");
         // Each ack releases exactly one more chunk.
         ctx.sent.clear();
         src.on_message(&mut ctx, NODE_A, Msg::DataAck);
@@ -769,7 +765,7 @@ mod tests {
         );
         // Ack everything through; GenStep resumes when unblocked.
         let mut guard = 0;
-        while src.blocked_total() > 0 || ctx.count(|m| matches!(m, Msg::GenStep)) > 0 {
+        while src.blocked > 0 || ctx.count(|m| matches!(m, Msg::GenStep)) > 0 {
             run_gen(&mut src, &mut ctx);
             src.on_message(&mut ctx, NODE_A, Msg::DataAck);
             guard += 1;
@@ -833,7 +829,7 @@ mod tests {
             },
         );
         run_gen(&mut src, &mut ctx);
-        assert!(src.blocked_total() > 0);
+        assert!(src.blocked > 0);
         src.on_message(
             &mut ctx,
             SCHED,
@@ -967,7 +963,7 @@ mod tests {
                 other => ctx.sent.push((to, other)),
             }
         }
-        assert_eq!(src.blocked_total(), 0, "the script must never block");
+        assert_eq!(src.blocked, 0, "the script must never block");
         chunks
     }
 

@@ -48,6 +48,14 @@ impl Topology {
         }
     }
 
+    /// Whether an actor is a data source.
+    #[must_use]
+    pub fn is_source(&self, actor: ActorId) -> bool {
+        self.sources
+            .first()
+            .is_some_and(|&first| actor >= first && actor < first + self.sources.len() as ActorId)
+    }
+
     /// Total number of actors.
     #[must_use]
     pub fn actor_count(&self) -> usize {
@@ -78,5 +86,13 @@ mod tests {
         assert_eq!(t.node_of_actor(0), None);
         assert_eq!(t.node_of_actor(1), None);
         assert_eq!(t.node_of_actor(100), None);
+    }
+
+    #[test]
+    fn sources_are_the_ids_after_the_scheduler() {
+        let t = Topology::new(2, 4);
+        let sources: Vec<ActorId> = (0..8).filter(|&a| t.is_source(a)).collect();
+        assert_eq!(sources, t.sources);
+        assert!(!Topology::new(0, 4).is_source(1));
     }
 }

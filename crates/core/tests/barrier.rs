@@ -18,7 +18,7 @@
 //!   forwards its `pending` chunks on the update, and any chunk routed to it
 //!   under the old version it forwards as it receives it (receipt and
 //!   forward in one handler). The recruit takes messages only once its
-//!   activation has arrived.
+//!   first routing update, its copy of that broadcast, has arrived.
 //! - *move*: node 0 and the recruit (the replicated range's two members)
 //!   are queried, reply, get a plan, and each moves one chunk to the other.
 //!   Each mover sends its chunk, then its done report to the scheduler, then
@@ -53,9 +53,6 @@ enum M {
         key: usize,
     },
     RoutingUpdate {
-        version: u64,
-    },
-    Activate {
         version: u64,
     },
     StartProbe {
@@ -235,7 +232,8 @@ impl Bound {
     }
 
     /// The channels whose head can be delivered: the spare takes nothing
-    /// before its activation (a join node queues it until then).
+    /// before its first routing update activates it (a join node queues it
+    /// until then).
     fn enabled(self, state: &State) -> Vec<(ActorId, ActorId)> {
         let mut out = Vec::new();
         let mut last = None;
@@ -244,7 +242,7 @@ impl Bound {
                 continue; // not the channel's head
             }
             let waiting = matches!(self.role(to), Role::Node(n) if !state.nodes[n].active);
-            if !waiting || matches!(msg, M::Activate { .. }) {
+            if !waiting || matches!(msg, M::RoutingUpdate { .. }) {
                 out.push((from, to));
             }
         }
@@ -314,7 +312,6 @@ impl Bound {
                     sc.recruited = true;
                     sc.version += 1;
                     let version = sc.version;
-                    out.push((self.node(self.spare()), M::Activate { version }));
                     for s in 0..self.sources {
                         out.push((self.source(s), M::RoutingUpdate { version }));
                     }
@@ -428,10 +425,6 @@ impl Bound {
     ) {
         let other_mover = if n == 0 { self.spare() } else { 0 };
         match msg {
-            M::Activate { version } => {
-                node.active = true;
-                node.view = version;
-            }
             M::Data { phase, key } => {
                 node.tally.received(phase);
                 let owner = self.owner(node.view, key);
@@ -450,6 +443,7 @@ impl Bound {
                 }
             }
             M::RoutingUpdate { version } => {
+                node.active = true;
                 node.view = node.view.max(version);
                 let owner = self.owner(node.view, 0);
                 if node.pending > 0 && owner != n {

@@ -89,12 +89,12 @@ fn split_policies_reproduce_the_recorded_scale_1000_reports() {
     let got = JoinRunner::run(&cfg).expect("join runs");
     assert_eq!(got.matches, 345);
     assert_eq!(got.compares, 95_094);
-    assert_eq!(got.net_bytes, 3_707_992);
+    assert_eq!(got.net_bytes, 3_683_812);
     assert_eq!(got.disk_bytes, 0);
-    assert_eq!(got.sim_events, 1722);
+    assert_eq!(got.sim_events, 1542);
     assert_eq!(
         got.times.total_secs.to_bits(),
-        0x3fb1_b6a0_0faa_6cfc,
+        0x3fb1_ad47_7661_3047,
         "total time {}",
         got.times.total_secs
     );
